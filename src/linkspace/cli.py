@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import export, topology
-from .cwcomplex import ArityMismatch, build_complex
+from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from .geometry import NotAClosedSurface, NotACycle, perform_surgery
 from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage
 from .partitions import PartitionError
@@ -57,6 +57,16 @@ def _emit(text: str, output: str | None) -> None:
         export.write_output(text, output)
 
 
+def _check_bar_count(command: str, n: int) -> None:
+    """Reject a bar count the command cannot handle, before make_linkage
+    spends 2^n steps on the genericity check."""
+    if command == "mesh":
+        if n != 5:
+            raise ArityMismatch(f"mesh is defined for pentagons (n=5), got n={n}")
+    else:
+        check_supported_arity(n)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -73,7 +83,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.epsilon is not None
             else DEFAULT_EPSILON
         )
-        linkage = make_linkage(export.parse_lengths(args.lengths, epsilon))
+        lengths = export.parse_lengths(args.lengths, epsilon)
+        _check_bar_count(args.command, len(lengths))
+        linkage = make_linkage(lengths)
         if args.command == "classify":
             report = topology.classify_linkage(linkage)
             if args.format == "json":

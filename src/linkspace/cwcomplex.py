@@ -6,24 +6,33 @@ n-k parts; the boundary of a cell consists of its one-step refinements
 Two-part labels never occur: a 2-part partition would need both parts
 admissible, forcing the equal split that genericity excludes, so dimensions
 run from 0 (full cyclic orders) to n-3 (three-part labels).
+
+A part is admissible exactly when it is a short subset of the bars (its
+length is below half the total), so the whole complex is fixed by one table
+of the 2^n subsets (`linkage.short_subsets`).  `build_complex` works on int
+bitmasks against that table: it generates only the set partitions whose
+blocks are all short, and wires incidence by splitting mask parts, so no
+inadmissible candidate is ever built and no rational sum is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 
-from .linkage import Linkage, is_admissible_partition
-from .partitions import (
-    CyclicPartition,
-    enumerate_cyclic_partitions,
-    one_step_refinements,
-    parse_partition,
-)
+from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
+from .partitions import CyclicPartition, parse_partition
 
 
 class ArityMismatch(ValueError):
     """Operation defined only for a specific number of bars."""
+
+
+def check_supported_arity(n: int) -> None:
+    """Raise ArityMismatch unless build_complex supports n bars (4..8)."""
+    if not 4 <= n <= 8:
+        raise ArityMismatch(f"complex construction supports 4 <= n <= 8, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -87,34 +96,95 @@ class CWComplex:
 
 def build_complex(linkage: Linkage) -> CWComplex:
     """Enumerate all admissible cyclic partitions of {1..n} grade by grade
-    and wire up refinement incidence.  Supported for 4 <= n <= 8."""
+    and wire up refinement incidence.  Supported for 4 <= n <= 8.
+
+    Parts are int bitmasks checked against the linkage's short-subset table.
+    Set partitions come from restricted growth: bar i joins an open block
+    only if the block stays short, or opens a block of its own (a single bar
+    is always short, by the polygon inequality).  Shortness passes to
+    subsets, so this yields exactly the partitions into short blocks and
+    builds no other.  Each one gives its cells by pinning the block holding
+    n last and permuting the rest, which is the canonical rotation.  Faces
+    split one part p into (sub, p ^ sub) over the submasks of p.  Labels are
+    materialized only for the cells kept, sorted by label string.
+    """
     n = linkage.n
-    if not 4 <= n <= 8:
-        raise ValueError(f"complex construction supports 4 <= n <= 8, got n={n}")
-    cells_by_dim: list[list[Cell]] = []
-    for m in range(n, 2, -1):  # m parts -> dimension n - m
-        dim = n - m
-        labels = [
-            c
-            for c in enumerate_cyclic_partitions(n, m)
-            if is_admissible_partition(linkage, c.parts)
-        ]
-        labels.sort(key=str)
-        cells_by_dim.append([Cell(label, dim) for label in labels])
+    check_supported_arity(n)
+    short = short_subsets(linkage)
+    top = 1 << (n - 1)
+
+    by_parts: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    blocks: list[int] = []
+
+    def grow(i: int) -> None:
+        if i == n:
+            pinned = next(b for b in blocks if b & top)
+            rest = [b for b in blocks if b != pinned]
+            by_parts[len(blocks)].extend(a + (pinned,) for a in permutations(rest))
+            return
+        bit = 1 << i
+        for j, b in enumerate(blocks):
+            if short[b | bit]:
+                blocks[j] = b | bit
+                grow(i + 1)
+                blocks[j] = b
+        blocks.append(bit)
+        grow(i + 1)
+        blocks.pop()
+
+    grow(0)
+    text = {
+        m: "{" + ",".join(map(str, mask_elements(m))) + "}"
+        for m in range(1, 1 << n)
+        if short[m]
+    }
+    layers = by_parts[n:2:-1]  # m parts -> dimension n - m
+    for layer in layers:
+        layer.sort(key=lambda parts: "".join([text[p] for p in parts]))
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
-    assert len(cells_by_dim[0]) == factorial(n - 1)
+    assert len(layers[0]) == factorial(n - 1)
 
-    boundary: list[list[tuple[int, ...]]] = [[() for _ in cells_by_dim[0]]]
-    for d in range(1, len(cells_by_dim)):
-        below = {cell.label: i for i, cell in enumerate(cells_by_dim[d - 1])}
+    # nonempty proper submasks of every short mask: its ways to split in two
+    splits = {p: _proper_submasks(p) for p in text}
+    boundary: list[list[tuple[int, ...]]] = [[() for _ in layers[0]]]
+    for d in range(1, len(layers)):
+        below = {parts: i for i, parts in enumerate(layers[d - 1])}
         rows = []
-        for cell in cells_by_dim[d]:
-            faces = one_step_refinements(cell.label)
+        for parts in layers[d]:
+            front, last = parts[:-1], parts[-1]
+            faces = []
+            for i, p in enumerate(front):
+                head, tail = parts[:i], parts[i + 1 :]
+                faces += [below[head + (s, p ^ s) + tail] for s in splits[p]]
+            # splitting the part that holds n: its n-free half y comes just
+            # before the rest, or first once n's part is rotated last
+            for y in splits[last]:
+                if not y & top:
+                    faces.append(below[front + (y, last ^ y)])
+                    faces.append(below[(y,) + front + (last ^ y,)])
             # refinements of an admissible label are admissible, hence present
-            rows.append(tuple(sorted(below[f] for f in faces)))
+            rows.append(tuple(sorted(faces)))
         boundary.append(rows)
+
+    part_set = {m: frozenset(mask_elements(m)) for m in text}
+    cells_by_dim = [
+        [
+            Cell(CyclicPartition(tuple([part_set[p] for p in parts])), d)
+            for parts in layer
+        ]
+        for d, layer in enumerate(layers)
+    ]
     return CWComplex(linkage, cells_by_dim, boundary)
+
+
+def _proper_submasks(mask: int) -> list[int]:
+    out = []
+    sub = (mask - 1) & mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    return out
 
 
 def euler_characteristic(complex_: CWComplex) -> int:

@@ -17,6 +17,7 @@ from .cwcomplex import (
     Cell,
     CWComplex,
     MembershipTable,
+    check_supported_arity,
     facet_membership_table,
 )
 from .geometry import SurfaceMesh
@@ -146,7 +147,9 @@ def complex_from_json(text: str) -> CWComplex:
     doc = json.loads(text)
     if doc.get("schema") != 1:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
-    linkage = make_linkage([parse_rational(t) for t in doc["lengths"]])
+    lengths = [parse_rational(t) for t in doc["lengths"]]
+    check_supported_arity(len(lengths))  # before make_linkage's 2^n pass
+    linkage = make_linkage(lengths)
     dims = max(c["dim"] for c in doc["cells"]) + 1
     cells_by_dim: list[list[Cell]] = [[] for _ in range(dims)]
     flat_position: list[tuple[int, int]] = []
@@ -162,7 +165,8 @@ def complex_from_json(text: str) -> CWComplex:
 
 
 def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
-    single = report.components[0] if report.component_count == 1 else None
+    # n >= 6 reports no per-component detail, even for a connected space
+    single = report.components[0] if len(report.components) == 1 else None
     doc = {
         "schema": 1,
         "lengths": [str(l) for l in linkage.lengths],

@@ -2,16 +2,20 @@
 
 A linkage is a tuple of positive rational bar lengths.  Every predicate in
 the package reduces to comparing a subset sum against half the total length,
-so all arithmetic is done with `fractions.Fraction` and is exact; genericity
-(no subset sums to exactly half the total) guarantees that the non-strict
-comparisons used below never hit the equality case.
+so all arithmetic is exact: lengths are `fractions.Fraction`s, and the
+whole-table passes (genericity, the short-subset table) scale them once to
+integers over their common denominator.  Genericity (no subset sums to
+exactly half the total) guarantees that the non-strict comparisons used
+below never hit the equality case.
+
+Subsets of bars are also written as int bitmasks: bar i is bit i-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from typing import Callable, Iterable, Sequence, TypeVar
 
 Rational = Fraction
@@ -98,20 +102,48 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
         if l <= 0:
             raise NonPositiveLength(f"length {i} is {l}; all lengths must be > 0")
     total = sum(ls, Fraction(0))
-    half = total / 2
-    n = len(ls)
-    # Brute force over nonempty proper subsets, smallest first, so the
-    # reported witness is deterministic.  n <= 8 in practice.
-    for size in range(1, n):
-        for subset in combinations(range(1, n + 1), size):
-            if sum(ls[i - 1] for i in subset) == half:
-                raise NonGeneric(frozenset(subset), half)
+    sums = subset_sums(integer_weights(ls))
+    halves = [mask_elements(m) for m, s in enumerate(sums) if 2 * s == sums[-1]]
+    if halves:
+        # smallest subset first, then lexicographic, so the witness is
+        # deterministic
+        witness = min(halves, key=lambda e: (len(e), e))
+        raise NonGeneric(frozenset(witness), total / 2)
     longest = max(ls)
     if longest >= total - longest:
         raise ViolatesPolygonInequality(
             f"longest bar {longest} is >= sum of the rest {total - longest}"
         )
     return Linkage(lengths=ls, total=total)
+
+
+def integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
+    """The lengths times their common denominator: integers, same ratios."""
+    den = lcm(*(l.denominator for l in lengths))
+    return tuple(l.numerator * (den // l.denominator) for l in lengths)
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """sums[mask] is the total weight of the bars in `mask`, for all 2^n
+    masks; each entry is one addition on the entry without its lowest bit."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
+def short_subsets(linkage: Linkage) -> list[bool]:
+    """short[mask] is True iff the bars in `mask` are shorter than the rest,
+    i.e. the subset is an admissible part (the empty mask counts as short)."""
+    sums = subset_sums(integer_weights(linkage.lengths))
+    total = sums[-1]
+    return [2 * s < total for s in sums]
+
+
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """The bar indices in `mask`, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:

@@ -42,8 +42,7 @@ class CyclicPartition:
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        _check_partition(self.parts)
-        n = sum(len(p) for p in self.parts)
+        n = _check_partition(self.parts)
         if n not in self.parts[-1]:
             raise NotAPartition(
                 f"not in canonical rotation: {n} must lie in the last part"
@@ -91,14 +90,10 @@ def _check_partition(parts: Sequence[frozenset[int]]) -> int:
     """Validate that parts partition {1..n} for some n; return n."""
     if not parts:
         raise NotAPartition("no parts")
-    if any(not p for p in parts):
+    if not all(parts):
         raise NotAPartition("empty part")
-    union: set[int] = set()
-    count = 0
-    for p in parts:
-        union |= p
-        count += len(p)
-    if count != len(union):
+    union: set[int] = set().union(*parts)
+    if sum(map(len, parts)) != len(union):
         raise NotAPartition("parts overlap")
     n = max(union)
     if union != set(range(1, n + 1)):

@@ -1,10 +1,11 @@
 """Surface classification of the assembled mesh.
 
-Components come from union-find on the vertex graph.  Orientability is
-decided by orientation propagation: walk the face-adjacency graph, choosing
-a direction for each face cycle so that every shared edge is traversed in
-opposite directions by its two faces; a forced contradiction means the
-component is non-orientable.  Genus follows from the Euler characteristic
+Components come from union-find on the vertex graph; for a complex that
+graph is its 1-skeleton, read off the 1-cells' boundary lists.
+Orientability is decided by orientation propagation: walk the
+face-adjacency graph, choosing a direction for each face cycle so that
+every shared edge is traversed in opposite directions by its two faces; a
+forced contradiction means the component is non-orientable.  Genus follows from the Euler characteristic
 for orientable components.
 """
 
@@ -12,12 +13,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cwcomplex import build_complex, euler_characteristic
 from .geometry import SurfaceMesh, perform_surgery
 from .linkage import Linkage
-from .partitions import cell_vertices
 
 
 class NotClosed(RuntimeError):
@@ -43,20 +43,23 @@ class TopologyReport:
     classification: str
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Component number of each vertex of the graph, by union-find over
+    `edges`; components are numbered 0, 1, ... by their smallest vertex."""
+    parent = list(range(num_vertices))
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
-            self.parent[rb] = ra
+            parent[rb] = ra
+    number: dict[int, int] = {}
+    return [number.setdefault(find(v), len(number)) for v in range(num_vertices)]
 
 
 def _component_name(chi: int, orientable: bool) -> str:
@@ -108,9 +111,7 @@ def classify_surface(
                 f"edge {e} lies in {len(faces_of_edge[i])} faces, expected 2"
             )
 
-    uf = _UnionFind(num_vertices)
-    for a, b in edges:
-        uf.union(a, b)
+    component = _components(num_vertices, edges)
 
     # Orientation propagation over the face-adjacency graph, per component.
     # sign[f] = +1 keeps the stored cycle direction, -1 reverses it; two
@@ -125,13 +126,13 @@ def classify_surface(
                 return -1
         raise AssertionError(f"edge {a}-{b} not on face {face}")
 
+    count = max(component, default=-1) + 1
+    orientable_of = [True] * count
     sign: dict[int, int] = {}
-    orientable_of_face_root: dict[int, bool] = {}
     for f0 in range(len(faces)):
         if f0 in sign:
             continue
         sign[f0] = 1
-        orientable = True
         stack = [f0]
         while stack:
             f = stack.pop()
@@ -146,26 +147,21 @@ def classify_surface(
                         sign[g] = required
                         stack.append(g)
                     elif sign[g] != required:
-                        orientable = False
-        orientable_of_face_root[uf.find(faces[f0][0])] = (
-            orientable_of_face_root.get(uf.find(faces[f0][0]), True) and orientable
-        )
+                        orientable_of[component[faces[f0][0]]] = False
 
-    per_root_v: dict[int, int] = defaultdict(int)
-    per_root_e: dict[int, int] = defaultdict(int)
-    per_root_f: dict[int, int] = defaultdict(int)
-    for v in range(num_vertices):
-        per_root_v[uf.find(v)] += 1
+    per_v, per_e, per_f = [0] * count, [0] * count, [0] * count
+    for c in component:
+        per_v[c] += 1
     for a, _ in edges:
-        per_root_e[uf.find(a)] += 1
+        per_e[component[a]] += 1
     for cycle in faces:
-        per_root_f[uf.find(cycle[0])] += 1
+        per_f[component[cycle[0]]] += 1
 
     components = []
-    for root in sorted(per_root_v, key=lambda r: min(v for v in range(num_vertices) if uf.find(v) == r)):
-        v, e, f = per_root_v[root], per_root_e[root], per_root_f[root]
+    for c in range(count):
+        v, e, f = per_v[c], per_e[c], per_f[c]
         chi = v - e + f
-        orientable = orientable_of_face_root.get(root, True)
+        orientable = orientable_of[c]
         genus = (2 - chi) // 2 if orientable else None
         components.append(
             ComponentReport(v, e, f, chi, orientable, genus)
@@ -193,29 +189,23 @@ def _classify_curves(linkage: Linkage) -> TopologyReport:
     """n=4: the complex is a disjoint union of circles (each vertex has
     exactly two admissible adjacent merges)."""
     complex_ = build_complex(linkage)
-    vertex_index = {c.label: i for i, c in enumerate(complex_.cells_by_dim[0])}
-    edges = []
-    for cell in complex_.cells_by_dim[1]:
-        u, w = (vertex_index[v] for v in cell_vertices(cell.label))
-        edges.append((min(u, w), max(u, w)))
-    degree = [0] * len(vertex_index)
+    vertex_count = len(complex_.cells_by_dim[0])
+    edges = complex_.boundary[1]
+    degree = [0] * vertex_count
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
     if any(d != 2 for d in degree):
         raise NotClosed("quadrilateral complex is not a union of circles")
-    uf = _UnionFind(len(vertex_index))
-    for a, b in edges:
-        uf.union(a, b)
-    per_root_v: dict[int, int] = defaultdict(int)
-    per_root_e: dict[int, int] = defaultdict(int)
-    for v in range(len(vertex_index)):
-        per_root_v[uf.find(v)] += 1
+    component = _components(vertex_count, edges)
+    count = max(component) + 1
+    per_v, per_e = [0] * count, [0] * count
+    for c in component:
+        per_v[c] += 1
     for a, _ in edges:
-        per_root_e[uf.find(a)] += 1
+        per_e[component[a]] += 1
     components = tuple(
-        ComponentReport(per_root_v[r], per_root_e[r], 0, 0, None, None)
-        for r in sorted(per_root_v)
+        ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count)
     )
     k = len(components)
     return TopologyReport(
@@ -239,15 +229,9 @@ def classify_linkage(linkage: Linkage) -> TopologyReport:
     if linkage.n == 4:
         return _classify_curves(linkage)
     complex_ = build_complex(linkage)
-    vertex_count = len(complex_.cells_by_dim[0])
-    uf = _UnionFind(vertex_count)
-    vertex_index = {c.label: i for i, c in enumerate(complex_.cells_by_dim[0])}
-    for cell in complex_.cells_by_dim[1]:
-        u, w = (vertex_index[v] for v in cell_vertices(cell.label))
-        uf.union(u, w)
-    roots = {uf.find(v) for v in range(vertex_count)}
+    component = _components(len(complex_.cells_by_dim[0]), complex_.boundary[1])
     return TopologyReport(
-        component_count=len(roots),
+        component_count=max(component) + 1,
         components=(),
         f_vector=complex_.f_vector(),
         euler_characteristic=euler_characteristic(complex_),

@@ -2,11 +2,19 @@
 machinery than the package: set partitions come from restricted growth
 strings, cyclic identity is "the frozenset of all rotations" instead of a
 canonical rotation, and admissibility is re-derived inline from sums.
+
+The one exception is `reference_build_complex`, the package's earlier
+enumerate-then-filter builder, kept as the reference for the bitmask one.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
+
+from linkspace.cwcomplex import Cell, CWComplex, check_supported_arity
+from linkspace.linkage import is_admissible_partition
+from linkspace.partitions import enumerate_cyclic_partitions, one_step_refinements
 
 Parts = tuple[frozenset[int], ...]
 
@@ -56,6 +64,34 @@ def oracle_cells(lengths) -> dict[int, set[frozenset[Parts]]]:
         for arrangement in permutations(blocks):
             bucket.add(rotation_class(tuple(arrangement)))
     return cells
+
+
+def reference_build_complex(linkage) -> CWComplex:
+    """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
+    per grade, filtering them with rational sums and wiring incidence through
+    labelled one-step refinements."""
+    n = linkage.n
+    check_supported_arity(n)
+    cells_by_dim = []
+    for m in range(n, 2, -1):  # m parts -> dimension n - m
+        labels = [
+            c
+            for c in enumerate_cyclic_partitions(n, m)
+            if is_admissible_partition(linkage, c.parts)
+        ]
+        labels.sort(key=str)
+        cells_by_dim.append([Cell(label, n - m) for label in labels])
+    assert len(cells_by_dim[0]) == factorial(n - 1)
+    boundary = [[() for _ in cells_by_dim[0]]]
+    for d in range(1, len(cells_by_dim)):
+        below = {cell.label: i for i, cell in enumerate(cells_by_dim[d - 1])}
+        boundary.append(
+            [
+                tuple(sorted(below[f] for f in one_step_refinements(cell.label)))
+                for cell in cells_by_dim[d]
+            ]
+        )
+    return CWComplex(linkage, cells_by_dim, boundary)
 
 
 def oracle_refines(fine: Parts, coarse: Parts) -> bool:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linkspace.cwcomplex import (
     ArityMismatch,
@@ -6,6 +8,7 @@ from linkspace.cwcomplex import (
     euler_characteristic,
     facet_membership_table,
 )
+from linkspace.export import complex_to_json
 from linkspace.linkage import is_admissible_partition, make_linkage
 from linkspace.partitions import (
     canonicalize,
@@ -14,7 +17,7 @@ from linkspace.partitions import (
     one_step_refinements,
 )
 
-from oracles import oracle_cells, rotation_class
+from oracles import oracle_cells, reference_build_complex, rotation_class
 
 EXPECTED_F_VECTORS = {
     "1,1,1,1,3": (24, 36, 14),
@@ -190,3 +193,31 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
         for cells in complex_.cells_by_dim[1:]:
             for cell in cells:
                 assert set(cell_vertices(cell.label)) <= vertex_labels
+
+
+def _assert_matches_reference(linkage):
+    complex_ = build_complex(linkage)
+    reference = reference_build_complex(linkage)
+    assert complex_.cells_by_dim == reference.cells_by_dim
+    assert complex_.boundary == reference.boundary
+    assert complex_to_json(complex_) == complex_to_json(reference)
+
+
+def test_pentagons_match_the_reference_builder(representatives):
+    for _, linkage in representatives:
+        _assert_matches_reference(linkage)
+
+
+@pytest.mark.parametrize(
+    "lengths", [[1, 1, 1, 1, 1, 2], [1, 2, 3, 4, 5, 6], [3, 5, 7, 2, 9, 4, 1]]
+)
+def test_hexagons_and_heptagon_match_the_reference_builder(lengths):
+    _assert_matches_reference(make_linkage(lengths))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=4, max_size=6))
+def test_generic_integer_linkages_match_the_reference_builder(lengths):
+    # an odd total cannot be split in half, so every such vector is generic
+    assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
+    _assert_matches_reference(make_linkage(lengths))

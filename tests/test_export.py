@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,29 @@ def test_cli_invalid_input_exit_code(capsys):
     assert main(["classify", "1,1,1,1,2"]) == 2  # non-generic
     assert main(["mesh", "2,1,1,1", "-o", "unused.obj"]) == 2  # not a pentagon
     assert main(["mesh", "1,1,1,1,3", "-o", ""]) == 2  # empty path
+
+
+def test_cli_classify_json_of_a_connected_heptagon(capsys):
+    # n >= 6 reports no per-component detail; a connected space has one
+    # component and must still render
+    assert main(["classify", "1,1,1,1,1,1,1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["components"] == []
+    assert doc["orientable"] is None and doc["genus"] is None
+    assert doc["f_vector"][0] == 720
+
+
+def test_cli_rejects_unsupported_bar_counts_before_building(capsys):
+    forty = ",".join(["1"] * 39 + ["2"])
+    start = time.perf_counter()
+    assert main(["classify", forty]) == 2
+    assert main(["complex", forty]) == 2
+    assert main(["mesh", forty]) == 2
+    assert main(["classify", "1,1,1"]) == 2
+    assert main(["mesh", "1,1,1,1,1,1,1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "got n=40" in err and "Traceback" not in err
 
 
 def test_cli_verify_exit_code(capsys):

@@ -42,6 +42,23 @@ def test_half_splittable_pentagon_is_nongeneric():
     assert exc.value.witness == frozenset({1, 5})
 
 
+@pytest.mark.parametrize(
+    "lengths, witness",
+    [
+        ([2, 2, 2, 2], {1, 2}),
+        ([1, 1, 2, 2, 2], {3, 4}),
+        ([1, 2, 3, 4, 5, 7], {4, 6}),
+        ([5, 1, 1, 1, 1, 1], {1}),
+        ([1, 1, 1, 1, 1, 1, 2, 2], {1, 7, 8}),
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 1], {4}),
+    ],
+)
+def test_nongeneric_witness_is_smallest_then_lexicographic(lengths, witness):
+    with pytest.raises(NonGeneric) as exc:
+        make_linkage(lengths)
+    assert exc.value.witness == frozenset(witness)
+
+
 def test_nonpositive_length_rejected():
     with pytest.raises(NonPositiveLength):
         make_linkage([1, 0, 1])
