@@ -101,19 +101,20 @@ def main(argv: list[str] | None = None) -> int:
             _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (NotAClosedSurface, NotACycle, topology.NotClosed) as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
     except (
         LinkageError,
         PartitionError,
         ArityMismatch,
         export.UnsupportedFormat,
         export.IoFailure,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NotAClosedSurface, NotACycle, topology.NotClosed, ValueError) as exc:
+        # any other ValueError is the package's fault, not the input's: e.g.
+        # geometry's OffHyperplane, UnsupportedDimension or boundary_cycle's
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

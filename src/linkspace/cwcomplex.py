@@ -22,7 +22,7 @@ from itertools import permutations
 from math import factorial
 
 from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
-from .partitions import CyclicPartition, parse_partition
+from .partitions import CyclicPartition, parse_partition, part_text
 
 
 class ArityMismatch(ValueError):
@@ -134,7 +134,7 @@ def build_complex(linkage: Linkage) -> CWComplex:
 
     grow(0)
     text = {
-        m: "{" + ",".join(map(str, mask_elements(m))) + "}"
+        m: part_text(mask_elements(m))
         for m in range(1, 1 << n)
         if short[m]
     }

@@ -3,7 +3,9 @@
 Everything here is deterministic: two runs on the same input produce
 byte-identical OBJ/PLY/JSON output.  Coordinates become floats only at
 export; the exact rational data (lengths, 4D vertex coordinates) travels in
-comments and JSON.
+comments and JSON.  Complex documents are laid out as json.dumps(indent=2)
+lays them out, but written directly, which is several times faster; a test
+pins them byte for byte against a json.dumps writer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .linkage import (
     make_linkage,
     parse_rational,
 )
-from .partitions import parse_partition
+from .partitions import parse_partition, part_text
 
 
 class UnsupportedFormat(ValueError):
@@ -118,49 +120,104 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     return "\n".join(lines) + "\n"
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of items already rendered and indented, closed at
+    `indent`; empty, it is `[]`, as json.dumps(indent=2) writes it."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def complex_to_json(complex_: CWComplex) -> str:
-    cells = []
-    offset = [0]
-    for d in range(len(complex_.cells_by_dim) - 1):
-        offset.append(offset[-1] + len(complex_.cells_by_dim[d]))
-    for d, layer in enumerate(complex_.cells_by_dim):
-        for i, cell in enumerate(layer):
-            cells.append(
-                {
-                    "dim": d,
-                    "label": str(cell.label),
-                    "boundary": [offset[d - 1] + j for j in complex_.boundary[d][i]]
-                    if d > 0
-                    else [],
-                }
+    """The complex as a schema-1 JSON document.
+
+    The layout is json.dumps(doc, indent=2)'s, written directly: a header,
+    then one record per cell with its dimension, label and the flat indices
+    of its faces.  Within the call each distinct part's text and each face
+    index's text are rendered once.  A test pins the bytes against a
+    json.dumps writer.
+    """
+    # Strings go out unescaped: no label or length can hold a character JSON
+    # escapes.  Labels are digits, braces and commas; lengths are positive
+    # str(Fraction), digits and '/'.
+    layers = complex_.cells_by_dim
+    texts = dict.fromkeys(
+        p for layer in layers for cell in layer for p in cell.label.parts
+    )
+    for p in texts:
+        texts[p] = part_text(p)
+    records = []
+    refs: list[str] = []  # the layer below, as indented flat indices
+    offset = 0
+    for d, layer in enumerate(layers):
+        head = f'    {{\n      "dim": {d},\n      "label": "'
+        rows = complex_.boundary[d] if d else [()] * len(layer)
+        for cell, row in zip(layer, rows):
+            records.append(
+                head
+                + "".join([texts[p] for p in cell.label.parts])
+                + '",\n      "boundary": '
+                + _json_array([refs[j] for j in row], "      ")
+                + "\n    }"
             )
-    doc = {
-        "schema": 1,
-        "n": complex_.linkage.n,
-        "lengths": [str(l) for l in complex_.linkage.lengths],
-        "cells": cells,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        refs = [f"        {offset + j}" for j in range(len(layer))]
+        offset += len(layer)
+    lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
+    return (
+        f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
+        + _json_array(lengths, "  ")
+        + ',\n  "cells": '
+        + _json_array(records, "  ")
+        + "\n}\n"
+    )
 
 
 def complex_from_json(text: str) -> CWComplex:
+    """Load a schema-1 complex document.
+
+    Raises ValueError on a document that does not describe a complex on its
+    own lengths: a missing key, a label on another number of bars, a dim
+    other than n minus the label's part count, or a face index that is out
+    of range or not one dim down.  Each check is linear in the document.
+    """
     doc = json.loads(text)
     if doc.get("schema") != 1:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
+    for key in ("lengths", "cells"):
+        if key not in doc:
+            raise ValueError(f"document has no {key!r}")
     lengths = [parse_rational(t) for t in doc["lengths"]]
-    check_supported_arity(len(lengths))  # before make_linkage's 2^n pass
+    n = len(lengths)
+    check_supported_arity(n)  # before make_linkage's 2^n pass
     linkage = make_linkage(lengths)
-    dims = max(c["dim"] for c in doc["cells"]) + 1
-    cells_by_dim: list[list[Cell]] = [[] for _ in range(dims)]
-    flat_position: list[tuple[int, int]] = []
-    for c in doc["cells"]:
-        d = c["dim"]
-        flat_position.append((d, len(cells_by_dim[d])))
-        cells_by_dim[d].append(Cell(parse_partition(c["label"]), d))
-    boundary: list[list[tuple[int, ...]]] = [[] for _ in range(dims)]
-    for c in doc["cells"]:
-        d = c["dim"]
-        boundary[d].append(tuple(flat_position[j][1] for j in c["boundary"]))
+    records = doc["cells"]
+    try:
+        rows = [(c["dim"], c["label"], c["boundary"]) for c in records]
+    except KeyError as exc:
+        k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
+        raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
+    dims: list[int] = []
+    labels = []
+    for k, (d, label_text, _) in enumerate(rows):
+        label = parse_partition(label_text)
+        if label.n != n:
+            raise ValueError(f"cell {k}: label {label} is on {label.n} bars, not {n}")
+        dim = n - label.num_parts
+        if d != dim:
+            raise ValueError(f"cell {k}: dim {d!r}, but label {label} gives {dim}")
+        dims.append(dim)
+        labels.append(label)
+    cells_by_dim: list[list[Cell]] = [[] for _ in range(max(dims) + 1)]
+    flat_position: list[int] = []
+    for d, label in zip(dims, labels):
+        flat_position.append(len(cells_by_dim[d]))
+        cells_by_dim[d].append(Cell(label, d))
+    boundary: list[list[tuple[int, ...]]] = [[] for _ in cells_by_dim]
+    for k, (d, (_, _, faces)) in enumerate(zip(dims, rows)):
+        for j in faces:
+            if not (type(j) is int and 0 <= j < len(dims) and dims[j] == d - 1):
+                raise ValueError(f"cell {k}: face {j!r} is not a cell of dim {d - 1}")
+        boundary[d].append(tuple([flat_position[j] for j in faces]))
     return CWComplex(linkage, cells_by_dim, boundary)
 
 

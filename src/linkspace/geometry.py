@@ -27,6 +27,7 @@ from .partitions import (
     _set_partitions,
     cell_vertices,
     one_step_refinements,
+    part_text,
     vertex_to_permutation,
 )
 
@@ -47,10 +48,6 @@ class NotAClosedSurface(RuntimeError):
 
 class NotACycle(RuntimeError):
     """The boundary graph of a would-be 2-cell is not a single simple cycle."""
-
-
-def _label_str(parts: Sequence[frozenset[int]]) -> str:
-    return "".join("{" + ",".join(map(str, sorted(p))) + "}" for p in parts)
 
 
 def _ordered_partitions(elements: tuple[int, ...], p: int):
@@ -103,7 +100,7 @@ class Permutohedron:
         self.faces_by_dim: list[list[OrderedPartition]] = []
         for d in range(m):  # dimension d <-> m-d parts
             faces = [tuple(f) for f in _ordered_partitions(elements, m - d)]
-            faces.sort(key=_label_str)
+            faces.sort(key=lambda f: "".join(map(part_text, f)))
             self.faces_by_dim.append(faces)
         self._index = {
             f: (d, i)

@@ -77,13 +77,18 @@ class CyclicPartition:
         raise KeyError(x)
 
     def __str__(self) -> str:
-        return "".join("{" + ",".join(map(str, sorted(p))) + "}" for p in self.parts)
+        return "".join(map(part_text, self.parts))
 
     def __repr__(self) -> str:
         return f"CyclicPartition({self})"
 
 
 CyclicOrder = CyclicPartition  # all-singleton case; see is_cyclic_order()
+
+
+def part_text(part: Iterable[int]) -> str:
+    """One part in the table notation, elements ascending, e.g. '{1,3}'."""
+    return "{" + ",".join(map(str, sorted(part))) + "}"
 
 
 def _check_partition(parts: Sequence[frozenset[int]]) -> int:
@@ -105,14 +110,17 @@ def canonicalize(parts: Iterable[Iterable[int]]) -> CyclicPartition:
     """Rotate a raw part sequence so the part containing n comes last.
 
     The input must be a partition of {1..n}; the result is the unique
-    canonical representative of its rotation class.
+    canonical representative of its rotation class.  The constructor does
+    the validation: a sequence with no parts or an empty part goes to it
+    unrotated, and any other rotation keeps the same union and overlaps.
     """
     seq = tuple(frozenset(p) for p in parts)
-    n = _check_partition(seq)
-    for i, p in enumerate(seq):
-        if n in p:
-            return CyclicPartition(seq[i + 1 :] + seq[: i + 1])
-    raise AssertionError("unreachable")
+    if seq and all(seq):
+        n = max(map(max, seq))
+        for i, p in enumerate(seq):
+            if n in p:
+                return CyclicPartition(seq[i + 1 :] + seq[: i + 1])
+    return CyclicPartition(seq)
 
 
 def parse_partition(text: str) -> CyclicPartition:

@@ -3,10 +3,13 @@ machinery than the package: set partitions come from restricted growth
 strings, cyclic identity is "the frozenset of all rotations" instead of a
 canonical rotation, and admissibility is re-derived inline from sums.
 
-The one exception is `reference_build_complex`, the package's earlier
-enumerate-then-filter builder, kept as the reference for the bitmask one.
+The exceptions are the package's earlier implementations, kept as the
+references for the faster ones: `reference_build_complex`, the
+enumerate-then-filter builder behind the bitmask one, and
+`reference_complex_to_json`, the `json.dumps` writer behind the direct one.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -92,6 +95,31 @@ def reference_build_complex(linkage) -> CWComplex:
             ]
         )
     return CWComplex(linkage, cells_by_dim, boundary)
+
+
+def reference_complex_to_json(complex_: CWComplex) -> str:
+    cells = []
+    offset = [0]
+    for d in range(len(complex_.cells_by_dim) - 1):
+        offset.append(offset[-1] + len(complex_.cells_by_dim[d]))
+    for d, layer in enumerate(complex_.cells_by_dim):
+        for i, cell in enumerate(layer):
+            cells.append(
+                {
+                    "dim": d,
+                    "label": str(cell.label),
+                    "boundary": [offset[d - 1] + j for j in complex_.boundary[d][i]]
+                    if d > 0
+                    else [],
+                }
+            )
+    doc = {
+        "schema": 1,
+        "n": complex_.linkage.n,
+        "lengths": [str(l) for l in complex_.linkage.lengths],
+        "cells": cells,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def oracle_refines(fine: Parts, coarse: Parts) -> bool:

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from linkspace.cwcomplex import (
     ArityMismatch,
+    Cell,
+    CWComplex,
     build_complex,
     euler_characteristic,
     facet_membership_table,
@@ -17,7 +19,12 @@ from linkspace.partitions import (
     one_step_refinements,
 )
 
-from oracles import oracle_cells, reference_build_complex, rotation_class
+from oracles import (
+    oracle_cells,
+    reference_build_complex,
+    reference_complex_to_json,
+    rotation_class,
+)
 
 EXPECTED_F_VECTORS = {
     "1,1,1,1,3": (24, 36, 14),
@@ -201,6 +208,7 @@ def _assert_matches_reference(linkage):
     assert complex_.cells_by_dim == reference.cells_by_dim
     assert complex_.boundary == reference.boundary
     assert complex_to_json(complex_) == complex_to_json(reference)
+    assert complex_to_json(complex_) == reference_complex_to_json(complex_)
 
 
 def test_pentagons_match_the_reference_builder(representatives):
@@ -221,3 +229,15 @@ def test_generic_integer_linkages_match_the_reference_builder(lengths):
     # an odd total cannot be split in half, so every such vector is generic
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
     _assert_matches_reference(make_linkage(lengths))
+
+
+def test_json_writes_an_empty_face_list_above_dim_0():
+    linkage = make_linkage([1, 1, 1, 1, 1])
+    vertices = build_complex(linkage).cells_by_dim[0]
+    edge = Cell(canonicalize([{1, 2}, {3}, {4}, {5}]), 1)
+    complex_ = CWComplex(linkage, [vertices, [edge]], [[()] * len(vertices), [()]])
+    text = complex_to_json(complex_)
+    assert text == reference_complex_to_json(complex_)
+    assert text.endswith(
+        '      "label": "{1,2}{3}{4}{5}",\n      "boundary": []\n    }\n  ]\n}\n'
+    )

@@ -110,6 +110,50 @@ def test_complex_json_round_trip(representatives):
         )
 
 
+def _pentagon_document():
+    return json.loads(complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1]))))
+
+
+def _load(doc):
+    return complex_from_json(json.dumps(doc))
+
+
+def test_complex_from_json_rejects_a_missing_key():
+    doc = _pentagon_document()
+    del doc["cells"][30]["boundary"]
+    with pytest.raises(ValueError, match="cell 30 has no 'boundary'"):
+        _load(doc)
+    doc = _pentagon_document()
+    del doc["lengths"]
+    with pytest.raises(ValueError, match="document has no 'lengths'"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_face_outside_the_layer_below():
+    doc = _pentagon_document()  # f-vector (24, 60, 30)
+    doc["cells"][-1]["boundary"][0] = len(doc["cells"])
+    with pytest.raises(ValueError, match="face 114 is not a cell of dim 1"):
+        _load(doc)
+    doc = _pentagon_document()
+    doc["cells"][-1]["boundary"][0] = 0  # a vertex, not an edge
+    with pytest.raises(ValueError, match="face 0 is not a cell of dim 1"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_dim_that_disagrees_with_the_label():
+    doc = _pentagon_document()
+    doc["cells"][0]["dim"] = 1
+    with pytest.raises(ValueError, match="cell 0: dim 1, but label .* gives 0"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_label_on_other_bars():
+    doc = _pentagon_document()
+    doc["cells"][30]["label"] = "{1,2}{3}{4}{5}{6}"
+    with pytest.raises(ValueError, match="is on 6 bars, not 5"):
+        _load(doc)
+
+
 def test_report_json_schema(representatives):
     rep, linkage = representatives[0]
     doc = json.loads(report_to_json(classify_linkage(linkage), linkage))
@@ -183,6 +227,15 @@ def test_cli_invalid_input_exit_code(capsys):
     assert main(["classify", "1,1,1,1,2"]) == 2  # non-generic
     assert main(["mesh", "2,1,1,1", "-o", "unused.obj"]) == 2  # not a pentagon
     assert main(["mesh", "1,1,1,1,3", "-o", ""]) == 2  # empty path
+
+
+def test_cli_internal_value_error_exits_3(monkeypatch, capsys):
+    def broken(linkage):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr("linkspace.cli.perform_surgery", broken)
+    assert main(["mesh", "1,1,1,1,1"]) == 3
+    assert "internal invariant violated" in capsys.readouterr().err
 
 
 def test_cli_classify_json_of_a_connected_heptagon(capsys):

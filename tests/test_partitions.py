@@ -32,13 +32,13 @@ def test_canonicalize_rotates_the_part_with_n_last():
 
 
 def test_canonicalize_rejects_non_partitions():
-    with pytest.raises(NotAPartition):
+    with pytest.raises(NotAPartition, match="^parts overlap$"):
         canonicalize([{1, 2}, {2, 3}])
-    with pytest.raises(NotAPartition):
-        canonicalize([{1}, {3}])  # ground set is not 1..n
-    with pytest.raises(NotAPartition):
+    with pytest.raises(NotAPartition, match=r"^ground set \[1, 3\] is not 1\.\.3$"):
+        canonicalize([{1}, {3}])
+    with pytest.raises(NotAPartition, match="^empty part$"):
         canonicalize([{1, 2}, set()])
-    with pytest.raises(NotAPartition):
+    with pytest.raises(NotAPartition, match="^no parts$"):
         canonicalize([])
 
 
