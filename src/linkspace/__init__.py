@@ -10,16 +10,13 @@ from .linkage import (
     is_admissible_part,
     is_admissible_partition,
     make_linkage,
-    stable_under_epsilon,
 )
 from .partitions import (
     CyclicOrder,
     CyclicPartition,
     canonicalize,
     cell_vertices,
-    coarsenings,
     enumerate_cyclic_partitions,
-    refines,
     vertex_to_permutation,
 )
 from .topology import TopologyReport, analyze, classify_linkage
@@ -41,7 +38,6 @@ __all__ = [
     "canonicalize",
     "cell_vertices",
     "classify_linkage",
-    "coarsenings",
     "enumerate_cyclic_partitions",
     "euler_characteristic",
     "facet_membership_table",
@@ -51,7 +47,5 @@ __all__ = [
     "perform_surgery",
     "permutohedron",
     "project_to_3d",
-    "refines",
-    "stable_under_epsilon",
     "vertex_to_permutation",
 ]

@@ -77,10 +77,6 @@ class CWComplex:
     def index_of(self, label: CyclicPartition) -> tuple[int, int]:
         return self._index[label]
 
-    def boundary_labels(self, label: CyclicPartition) -> list[CyclicPartition]:
-        d, i = self._index[label]
-        return [self.cells_by_dim[d - 1][j].label for j in self.boundary[d][i]]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CWComplex):
             return NotImplemented

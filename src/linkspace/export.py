@@ -176,21 +176,33 @@ def complex_from_json(text: str) -> CWComplex:
     """Load a schema-1 complex document.
 
     Raises ValueError on a document that does not describe a complex on its
-    own lengths: a missing key, a label on another number of bars, a dim
-    other than n minus the label's part count, or a face index that is out
-    of range or not one dim down.  Each check is linear in the document.
+    own lengths: a value of the wrong JSON type (the document must be an
+    object, `lengths` a list of strings, `cells` a non-empty list of
+    objects, each `label` a string and each `boundary` a list), a missing
+    key, a label on another number of bars, a dim other than n minus the
+    label's part count, or a face index that is out of range or not one dim
+    down.  Each check is linear in the document.
     """
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError(f"document is a JSON {type(doc).__name__}, not an object")
     if doc.get("schema") != 1:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     for key in ("lengths", "cells"):
         if key not in doc:
             raise ValueError(f"document has no {key!r}")
+    if type(doc["lengths"]) is not list or any(type(t) is not str for t in doc["lengths"]):
+        raise ValueError("'lengths' is not a list of strings")
+    records = doc["cells"]
+    if type(records) is not list or not records:
+        raise ValueError("'cells' is not a non-empty list")
+    for k, c in enumerate(records):
+        if type(c) is not dict:
+            raise ValueError(f"cell {k} is not an object")
     lengths = [parse_rational(t) for t in doc["lengths"]]
     n = len(lengths)
     check_supported_arity(n)  # before make_linkage's 2^n pass
     linkage = make_linkage(lengths)
-    records = doc["cells"]
     try:
         rows = [(c["dim"], c["label"], c["boundary"]) for c in records]
     except KeyError as exc:
@@ -198,7 +210,11 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
     dims: list[int] = []
     labels = []
-    for k, (d, label_text, _) in enumerate(rows):
+    for k, (d, label_text, faces) in enumerate(rows):
+        if type(label_text) is not str:
+            raise ValueError(f"cell {k}: label is not a string")
+        if type(faces) is not list:
+            raise ValueError(f"cell {k}: boundary is not a list")
         label = parse_partition(label_text)
         if label.n != n:
             raise ValueError(f"cell {k}: label {label} is on {label.n} bars, not {n}")

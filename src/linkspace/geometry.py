@@ -9,6 +9,11 @@ the permutohedron facets whose label with {5} appended is admissible, and
 patch a "diagonal" face for every admissible 2-cell whose part containing 5
 is not a singleton.  Edges that end up bounding no face, and vertices meeting
 no edge, are pruned.
+
+The mesh's faces, edges and vertices are the complex's 2-, 1- and 0-cells,
+and their incidence is read from the complex's boundary lists: a face's
+polygon is the walk along its 1-cells (`boundary[2]`), each joining the two
+0-cells in its `boundary[1]` row.  No incidence is re-derived from labels.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from .partitions import (
     CyclicOrder,
     CyclicPartition,
     _set_partitions,
-    cell_vertices,
-    one_step_refinements,
     part_text,
     vertex_to_permutation,
 )
@@ -54,34 +57,6 @@ def _ordered_partitions(elements: tuple[int, ...], p: int):
     """Ordered partitions of `elements` into exactly p nonempty blocks."""
     for blocks in _set_partitions(elements, p):
         yield from permutations(blocks)
-
-
-def ordered_refines(fine: OrderedPartition, coarse: OrderedPartition) -> bool:
-    """Linear refinement: fine's parts, grouped consecutively in order,
-    spell out coarse.  The grouping is forced, so a single greedy scan
-    decides it."""
-    idx = 0
-    for target in coarse:
-        acc: set[int] = set()
-        while acc != target:
-            if idx == len(fine) or not fine[idx] <= target:
-                return False
-            acc |= fine[idx]
-            idx += 1
-    return idx == len(fine)
-
-
-def common_refinement(p: OrderedPartition, q: OrderedPartition) -> OrderedPartition | None:
-    """The coarsest ordered partition refining both, or None if the two
-    faces are disjoint.  Candidate blocks are the nonempty pairwise
-    intersections ordered by (index in p, index in q); the candidate refines
-    p by construction and is checked against q."""
-    blocks = tuple(
-        pi & qj for pi in p for qj in q if pi & qj
-    )
-    if sum(len(b) for b in blocks) != sum(len(b) for b in p):
-        return None  # cannot happen for partitions of the same set
-    return blocks if ordered_refines(blocks, q) else None
 
 
 class Permutohedron:
@@ -213,41 +188,54 @@ class SurfaceMesh:
         return len(self.vertices), len(self.edges), len(self.faces)
 
 
-def boundary_cycle(
-    cell: CyclicPartition, complex_: CWComplex
-) -> list[CyclicOrder]:
-    """Polygon order of a 2-cell's vertices.
+def _cycle(complex_: CWComplex, i: int) -> list[int]:
+    """Indices of 2-cell i's 0-cells in polygon order.
 
-    Nodes are the cell's vertex refinements; arcs are the 1-cells refining
-    the cell, each joining its own two vertex refinements.  For a genuine
-    2-cell this graph is a single simple cycle; the traversal starts at the
-    smallest vertex (by element sequence) and heads toward its smaller
-    neighbor.
+    Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`); each
+    1-cell joins the two 0-cells of its `boundary[1]` row.  For a genuine
+    2-cell this graph is a single simple cycle; the walk starts at the
+    smallest index and heads toward its smaller neighbor.
     """
-    if cell.num_parts != 3:
-        raise ValueError(f"{cell} is not a 2-cell label (needs 3 parts)")
-    nodes = cell_vertices(cell)
-    adjacency: dict[CyclicOrder, list[CyclicOrder]] = {v: [] for v in nodes}
-    for arc in one_step_refinements(cell):
-        if not complex_.has_cell(arc):
-            raise NotACycle(f"refinement {arc} of {cell} missing from the complex")
-        u, w = cell_vertices(arc)
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        raise NotACycle(f"boundary graph of {cell} is not 2-regular")
-    key = CyclicOrder.element_sequence
-    start = min(nodes, key=key)
-    cycle = [start, min(adjacency[start], key=key)]
+    ends = complex_.boundary[1]
+    adjacency: dict[int, list[int]] = {}
+    for e in complex_.boundary[2][i]:
+        u, w = ends[e]
+        adjacency.setdefault(u, []).append(w)
+        adjacency.setdefault(w, []).append(u)
+    label = complex_.cells_by_dim[2][i].label
+    if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
+        raise NotACycle(f"boundary graph of {label} is not 2-regular")
+    start = min(adjacency)
+    cycle = [start, min(adjacency[start])]
     while True:
         prev, cur = cycle[-2], cycle[-1]
         nxt = next(v for v in adjacency[cur] if v != prev)
         if nxt == start:
             break
         cycle.append(nxt)
-    if len(cycle) != len(nodes):
-        raise NotACycle(f"boundary graph of {cell} is disconnected")
+    if len(cycle) != len(adjacency):
+        raise NotACycle(f"boundary graph of {label} is disconnected")
     return cycle
+
+
+def boundary_cycle(
+    cell: CyclicPartition, complex_: CWComplex
+) -> list[CyclicOrder]:
+    """Polygon order of a 2-cell's vertices, as labels.
+
+    The walk follows the complex's incidence: the cell's 1-cells from
+    `boundary[2]`, each joining the two 0-cells of its `boundary[1]` row.
+    0-cells are sorted by label string, which orders them by element
+    sequence, so the cycle starts at the smallest vertex and heads toward
+    its smaller neighbor.  Raises NotACycle if the label is not a cell of
+    the complex or its boundary graph is not a single simple cycle.
+    """
+    if cell.num_parts != cell.n - 2:
+        raise ValueError(f"{cell} is not a 2-cell label (needs n-2 parts)")
+    if not complex_.has_cell(cell):
+        raise NotACycle(f"{cell} is not a cell of the complex")
+    vertices = complex_.cells_by_dim[0]
+    return [vertices[k].label for k in _cycle(complex_, complex_.index_of(cell)[1])]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
@@ -259,44 +247,32 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     complex_ = build_complex(linkage)
     poly = permutohedron(4)
 
-    vertex_cells = [cell.label for cell in complex_.cells_by_dim[0]]
-    entries = []
-    for label in vertex_cells:
-        perm = vertex_to_permutation(label)
+    # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
+    # the order of the permutations abcd: mesh vertex k is 0-cell k.
+    vertices = []
+    for cell in complex_.cells_by_dim[0]:
+        perm = vertex_to_permutation(cell.label)
         point4 = poly.vertex_point(perm)
-        entries.append((perm, label, point4, project_to_3d(point4)))
-    entries.sort(key=lambda e: e[0])
-    vertices = tuple(
-        MeshVertex(label=label, permutation=perm, point4=p4, point3=p3)
-        for perm, label, p4, p3 in entries
-    )
-    vertex_index = {v.label: i for i, v in enumerate(vertices)}
+        vertices.append(MeshVertex(cell.label, perm, point4, project_to_3d(point4)))
 
-    edges = []
-    for cell in complex_.cells_by_dim[1]:
-        u, w = (vertex_index[v] for v in cell_vertices(cell.label))
-        edges.append(MeshEdge(cell.label, (min(u, w), max(u, w))))
-    edge_index = {frozenset(e.endpoints): i for i, e in enumerate(edges)}
+    edges = [
+        MeshEdge(cell.label, ends)
+        for cell, ends in zip(complex_.cells_by_dim[1], complex_.boundary[1])
+    ]
 
     faces = []
-    for cell in complex_.cells_by_dim[2]:
-        cycle = tuple(vertex_index[v] for v in boundary_cycle(cell.label, complex_))
+    for i, cell in enumerate(complex_.cells_by_dim[2]):
         five_part = cell.label.parts[-1]  # canonical rotation: 5's part is last
         provenance = "permutohedron" if len(five_part) == 1 else "diagonal"
-        faces.append(MeshFace(cell.label, cycle, provenance))
+        faces.append(MeshFace(cell.label, tuple(_cycle(complex_, i)), provenance))
 
-    # Closed-surface accounting and pruning.  Every face-boundary segment must
-    # be a 1-cell; edges bounding no face are dropped, any other count than
-    # two is an error; vertices left without edges are dropped.
+    # Closed-surface accounting and pruning: edges bounding no face are
+    # dropped, any other count than two is an error; vertices left without
+    # edges are dropped.
     edge_face_count = [0] * len(edges)
-    for face in faces:
-        for a, b in zip(face.cycle, face.cycle[1:] + face.cycle[:1]):
-            i = edge_index.get(frozenset((a, b)))
-            if i is None:
-                raise NotAClosedSurface(
-                    f"face {face.label} uses segment {a}-{b} that is not a 1-cell"
-                )
-            edge_face_count[i] += 1
+    for row in complex_.boundary[2]:
+        for e in row:
+            edge_face_count[e] += 1
     bad = [
         edges[i].label
         for i, c in enumerate(edge_face_count)
@@ -310,7 +286,7 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     used = sorted({i for e in kept_edges for i in e.endpoints})
     if len(used) != len(vertices):
         renumber = {old: new for new, old in enumerate(used)}
-        vertices = tuple(vertices[i] for i in used)
+        vertices = [vertices[i] for i in used]
         kept_edges = [
             MeshEdge(e.label, (renumber[e.endpoints[0]], renumber[e.endpoints[1]]))
             for e in kept_edges
@@ -319,4 +295,4 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
             MeshFace(f.label, tuple(renumber[i] for i in f.cycle), f.provenance)
             for f in faces
         ]
-    return SurfaceMesh(linkage, vertices, tuple(faces), tuple(kept_edges))
+    return SurfaceMesh(linkage, tuple(vertices), tuple(faces), tuple(kept_edges))

@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
+
+from .partitions import NotAPartition
 
 Rational = Fraction
 
 #: Concrete stand-in for a "sufficiently small" length in the standard
 #: representatives; any smaller value gives the same combinatorics (see
-#: stable_under_epsilon).
+#: export.verify_all, which re-checks each eps spec at epsilon/10).
 DEFAULT_EPSILON = Fraction(1, 100)
-
-T = TypeVar("T")
 
 
 class LinkageError(ValueError):
@@ -56,10 +56,6 @@ class NonGeneric(LinkageError):
 
 class EmptySubset(LinkageError):
     pass
-
-
-class NotAPartition(LinkageError):
-    """Parts overlap or fail to cover the index set."""
 
 
 @dataclass(frozen=True)
@@ -179,30 +175,6 @@ def is_admissible_partition(
             f"parts {sorted(sorted(p) for p in sets)} do not partition 1..{linkage.n}"
         )
     return all(is_admissible_part(linkage, p) for p in sets)
-
-
-def substitute_epsilon(
-    template: Sequence[Fraction | int | None], epsilon: Fraction
-) -> list[Fraction]:
-    """Fill the None slots of a length template with a concrete epsilon."""
-    return [Fraction(epsilon) if l is None else Fraction(l) for l in template]
-
-
-def stable_under_epsilon(
-    template: Sequence[Fraction | int | None],
-    predicate: Callable[[Linkage], T],
-    epsilon: Fraction = DEFAULT_EPSILON,
-) -> tuple[T, bool]:
-    """Evaluate `predicate` on the template linkage at epsilon and at
-    epsilon/10.
-
-    Returns (value at epsilon, True iff both evaluations agree).  Agreement
-    is evidence that epsilon is small enough for the combinatorics to have
-    stabilised; disagreement means the chosen epsilon is too large.
-    """
-    at_eps = predicate(make_linkage(substitute_epsilon(template, epsilon)))
-    at_tenth = predicate(make_linkage(substitute_epsilon(template, epsilon / 10)))
-    return at_eps, at_eps == at_tenth
 
 
 def parse_rational(token: str) -> Fraction:

@@ -27,14 +27,6 @@ class InvalidArity(PartitionError):
     pass
 
 
-class GroundSetMismatch(PartitionError):
-    pass
-
-
-class TooCoarse(PartitionError):
-    """Raised when merging parts of a partition that has fewer than 3."""
-
-
 @dataclass(frozen=True)
 class CyclicPartition:
     """Canonical-rotation cyclic partition; build via canonicalize()."""
@@ -65,10 +57,6 @@ class CyclicPartition:
         if not self.is_cyclic_order():
             raise InvalidArity(f"{self} has non-singleton parts")
         return tuple(next(iter(p)) for p in self.parts)
-
-    def rotations(self) -> list[tuple[frozenset[int], ...]]:
-        m = len(self.parts)
-        return [self.parts[k:] + self.parts[:k] for k in range(m)]
 
     def part_containing(self, x: int) -> frozenset[int]:
         for p in self.parts:
@@ -181,53 +169,10 @@ def enumerate_cyclic_partitions(n: int, m: int) -> list[CyclicPartition]:
     return out
 
 
-def refines(fine: CyclicPartition, coarse: CyclicPartition) -> bool:
-    """True iff `fine`'s parts group into cyclically consecutive blocks that
-    spell out `coarse` in its cyclic order.
-
-    Tries each rotation of `fine`; for a fixed rotation the grouping is
-    forced (parts are disjoint), so a greedy scan is exact.
-    """
-    if fine.n != coarse.n:
-        raise GroundSetMismatch(f"ground sets differ: {fine.n} vs {coarse.n}")
-    m, k = fine.num_parts, coarse.num_parts
-    if m < k:
-        return False
-    owner = {x: j for j, p in enumerate(coarse.parts) for x in p}
-    for rot in fine.rotations():
-        start = owner[next(iter(rot[0]))]
-        idx = 0
-        ok = True
-        for step in range(k):
-            target = coarse.parts[(start + step) % k]
-            acc: set[int] = set()
-            while acc != target:
-                if idx == m or not rot[idx] <= target:
-                    ok = False
-                    break
-                acc |= rot[idx]
-                idx += 1
-            if not ok:
-                break
-        if ok and idx == m:
-            return True
-    return False
-
-
 def vertex_to_permutation(v: CyclicOrder) -> tuple[int, ...]:
     """Cut a full cyclic order at n and drop n, giving a linear order of
     {1..n-1}; a bijection between cyclic orders of {1..n} and S_{n-1}."""
     return v.element_sequence()[:-1]
-
-
-def permutation_to_vertex(perm: Sequence[int]) -> CyclicOrder:
-    """Inverse of vertex_to_permutation: append n = len(perm)+1 and close up."""
-    m = len(perm)
-    if sorted(perm) != list(range(1, m + 1)):
-        raise NotAPartition(f"{perm!r} is not a permutation of 1..{m}")
-    return CyclicPartition(
-        tuple(frozenset((x,)) for x in perm) + (frozenset((m + 1,)),)
-    )
 
 
 def cell_vertices(c: CyclicPartition) -> list[CyclicOrder]:
@@ -238,23 +183,6 @@ def cell_vertices(c: CyclicPartition) -> list[CyclicOrder]:
     for choice in product(*per_part):
         seq = [x for block in choice for x in block]
         out.append(canonicalize([(x,) for x in seq]))
-    return out
-
-
-def coarsenings(c: CyclicPartition) -> list[CyclicPartition]:
-    """All cyclic partitions obtained by merging two cyclically adjacent
-    parts of c; exactly num_parts of them when num_parts >= 3."""
-    m = c.num_parts
-    if m < 3:
-        raise TooCoarse(f"cannot merge parts of {c}: only {m} parts")
-    out = []
-    seen = set()
-    for rot in c.rotations():
-        merged = (rot[0] | rot[1],) + rot[2:]
-        cp = canonicalize(merged)
-        if cp not in seen:
-            seen.add(cp)
-            out.append(cp)
     return out
 
 

@@ -7,6 +7,10 @@ The exceptions are the package's earlier implementations, kept as the
 references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one, and
 `reference_complex_to_json`, the `json.dumps` writer behind the direct one.
+Below them are helpers the package itself has no use for, kept here as
+second routes for the tests: cyclic coarsenings, the permutation -> vertex
+inverse, linear refinement and meets of ordered partitions (the
+permutohedron's face order), and a complex's faces as labels.
 """
 
 import json
@@ -17,7 +21,13 @@ from math import factorial
 
 from linkspace.cwcomplex import Cell, CWComplex, check_supported_arity
 from linkspace.linkage import is_admissible_partition
-from linkspace.partitions import enumerate_cyclic_partitions, one_step_refinements
+from linkspace.partitions import (
+    CyclicPartition,
+    NotAPartition,
+    canonicalize,
+    enumerate_cyclic_partitions,
+    one_step_refinements,
+)
 
 Parts = tuple[frozenset[int], ...]
 
@@ -122,8 +132,18 @@ def reference_complex_to_json(complex_: CWComplex) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+class GroundSetMismatch(ValueError):
+    """oracle_refines was asked to compare partitions of different sets."""
+
+
+class TooCoarse(ValueError):
+    """Raised when merging parts of a partition that has fewer than 3."""
+
+
 def oracle_refines(fine: Parts, coarse: Parts) -> bool:
     """Cyclic refinement by exhaustion over rotations and block cuts."""
+    if sum(map(len, fine)) != sum(map(len, coarse)):
+        raise GroundSetMismatch(f"ground sets differ: {fine} vs {coarse}")
     m, k = len(fine), len(coarse)
     if m < k:
         return False
@@ -149,6 +169,72 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def rotations(c: CyclicPartition) -> list[Parts]:
+    m = len(c.parts)
+    return [c.parts[k:] + c.parts[:k] for k in range(m)]
+
+
+def coarsenings(c: CyclicPartition) -> list[CyclicPartition]:
+    """All cyclic partitions obtained by merging two cyclically adjacent
+    parts of c; exactly num_parts of them when num_parts >= 3."""
+    m = c.num_parts
+    if m < 3:
+        raise TooCoarse(f"cannot merge parts of {c}: only {m} parts")
+    out = []
+    seen = set()
+    for rot in rotations(c):
+        merged = (rot[0] | rot[1],) + rot[2:]
+        cp = canonicalize(merged)
+        if cp not in seen:
+            seen.add(cp)
+            out.append(cp)
+    return out
+
+
+def permutation_to_vertex(perm) -> CyclicPartition:
+    """Inverse of vertex_to_permutation: append n = len(perm)+1 and close up."""
+    m = len(perm)
+    if sorted(perm) != list(range(1, m + 1)):
+        raise NotAPartition(f"{perm!r} is not a permutation of 1..{m}")
+    return CyclicPartition(
+        tuple(frozenset((x,)) for x in perm) + (frozenset((m + 1,)),)
+    )
+
+
+def ordered_refines(fine: Parts, coarse: Parts) -> bool:
+    """Linear refinement: fine's parts, grouped consecutively in order,
+    spell out coarse.  The grouping is forced, so a single greedy scan
+    decides it."""
+    idx = 0
+    for target in coarse:
+        acc: set[int] = set()
+        while acc != target:
+            if idx == len(fine) or not fine[idx] <= target:
+                return False
+            acc |= fine[idx]
+            idx += 1
+    return idx == len(fine)
+
+
+def common_refinement(p: Parts, q: Parts) -> Parts | None:
+    """The coarsest ordered partition refining both, or None if the two
+    faces are disjoint.  Candidate blocks are the nonempty pairwise
+    intersections ordered by (index in p, index in q); the candidate refines
+    p by construction and is checked against q."""
+    blocks = tuple(
+        pi & qj for pi in p for qj in q if pi & qj
+    )
+    if sum(len(b) for b in blocks) != sum(len(b) for b in p):
+        return None  # cannot happen for partitions of the same set
+    return blocks if ordered_refines(blocks, q) else None
+
+
+def boundary_labels(complex_: CWComplex, label: CyclicPartition) -> list[CyclicPartition]:
+    """The labels of a cell's faces, read from the complex's boundary list."""
+    d, i = complex_.index_of(label)
+    return [complex_.cells_by_dim[d - 1][j].label for j in complex_.boundary[d][i]]
 
 
 def parse_obj(text: str):

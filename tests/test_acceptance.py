@@ -13,16 +13,23 @@ from fractions import Fraction
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex, facet_membership_table
 from linkspace.export import REPRESENTATIVES, verify_all
-from linkspace.geometry import ordered_refines, permutohedron
+from linkspace.geometry import permutohedron
 from linkspace.linkage import (
     LinkageError,
     is_admissible_partition,
     make_linkage,
 )
-from linkspace.partitions import canonicalize, coarsenings, enumerate_cyclic_partitions
+from linkspace.partitions import canonicalize, enumerate_cyclic_partitions
 from linkspace.topology import analyze
 
-from oracles import is_watertight, oracle_cells, parse_obj, rotation_class
+from oracles import (
+    coarsenings,
+    is_watertight,
+    oracle_cells,
+    ordered_refines,
+    parse_obj,
+    rotation_class,
+)
 
 
 def _report(num: int, ok: bool, desc: str) -> None:

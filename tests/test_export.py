@@ -154,6 +154,46 @@ def test_complex_from_json_rejects_a_label_on_other_bars():
         _load(doc)
 
 
+def test_complex_from_json_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="document is a JSON list, not an object"):
+        complex_from_json("[]")
+
+
+def test_complex_from_json_rejects_a_cell_that_is_not_an_object():
+    doc = _pentagon_document()
+    doc["cells"] = [5]
+    with pytest.raises(ValueError, match="cell 0 is not an object"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_label_that_is_not_a_string():
+    doc = _pentagon_document()
+    doc["cells"][30]["label"] = 7
+    with pytest.raises(ValueError, match="cell 30: label is not a string"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_boundary_that_is_not_a_list():
+    doc = _pentagon_document()
+    doc["cells"][30]["boundary"] = 5
+    with pytest.raises(ValueError, match="cell 30: boundary is not a list"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_an_empty_cell_list():
+    doc = _pentagon_document()
+    doc["cells"] = []
+    with pytest.raises(ValueError, match="'cells' is not a non-empty list"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_lengths_that_are_not_a_list():
+    doc = _pentagon_document()
+    doc["lengths"] = "11111"
+    with pytest.raises(ValueError, match="'lengths' is not a list of strings"):
+        _load(doc)
+
+
 def test_report_json_schema(representatives):
     rep, linkage = representatives[0]
     doc = json.loads(report_to_json(classify_linkage(linkage), linkage))

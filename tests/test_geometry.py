@@ -3,20 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from linkspace.cwcomplex import ArityMismatch, build_complex
+from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
 from linkspace.geometry import (
     NotACycle,
     OffHyperplane,
     UnsupportedDimension,
     boundary_cycle,
-    common_refinement,
-    ordered_refines,
     perform_surgery,
     permutohedron,
     project_to_3d,
 )
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
+
+from oracles import boundary_labels, common_refinement, ordered_refines
 
 
 def _dist3(p, q):
@@ -158,15 +158,22 @@ def test_boundary_cycle_input_validation():
 
 
 def test_boundary_cycle_detects_a_corrupted_complex():
-    from linkspace.partitions import one_step_refinements
-
     linkage = make_linkage([1, 1, 1, 1, 3])
     complex_ = build_complex(linkage)
     cell = canonicalize([{1}, {2, 3, 4}, {5}])
-    victim = one_step_refinements(cell)[0]
-    del complex_._index[victim]
+    i = complex_.index_of(cell)[1]
+    boundary = [list(rows) for rows in complex_.boundary]
+    boundary[2][i] = boundary[2][i][1:]  # drop one of the hexagon's six edges
+    corrupted = CWComplex(linkage, complex_.cells_by_dim, boundary)
     with pytest.raises(NotACycle):
-        boundary_cycle(cell, complex_)
+        boundary_cycle(cell, corrupted)
+
+
+def test_boundary_cycle_rejects_a_label_that_is_not_a_cell():
+    # {3,4,5} is long in the equilateral pentagon
+    complex_ = build_complex(make_linkage([1, 1, 1, 1, 1]))
+    with pytest.raises(NotACycle):
+        boundary_cycle(canonicalize([{1}, {2}, {3, 4, 5}]), complex_)
 
 
 def test_surgery_requires_pentagons():
@@ -247,7 +254,15 @@ def test_mesh_agrees_with_the_complex(meshes):
                 edge_by_pair[frozenset((a, b))]
                 for a, b in zip(f.cycle, f.cycle[1:] + f.cycle[:1])
             }
-            assert incident == set(complex_.boundary_labels(f.label))
+            assert incident == set(boundary_labels(complex_, f.label))
+        # the mesh is built from the boundary lists; the labels' own
+        # refinements are a second, independent route
+        for e in mesh.edges:
+            ends = {mesh.vertices[k].label for k in e.endpoints}
+            assert ends == set(cell_vertices(e.label))
+        for f in mesh.faces:
+            corners = {mesh.vertices[k].label for k in f.cycle}
+            assert corners == set(cell_vertices(f.label))
 
 
 def test_face_cycle_lengths_match_labels(meshes):

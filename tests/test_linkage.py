@@ -16,8 +16,6 @@ from linkspace.linkage import (
     is_admissible_part,
     is_admissible_partition,
     make_linkage,
-    stable_under_epsilon,
-    substitute_epsilon,
 )
 
 from oracles import oracle_admissible
@@ -208,29 +206,3 @@ def test_linkage_is_immutable():
         l.total = Fraction(0)
     assert isinstance(l, Linkage)
 
-
-def test_substitute_epsilon():
-    assert substitute_epsilon([1, 1, None, None, 1], Fraction(1, 100)) == [
-        1,
-        1,
-        Fraction(1, 100),
-        Fraction(1, 100),
-        1,
-    ]
-
-
-def test_stability_helper_accepts_small_epsilon():
-    template = [1, 1, None, None, 1]
-    value, stable = stable_under_epsilon(
-        template, lambda l: is_admissible_part(l, {3, 4, 5}), Fraction(1, 100)
-    )
-    assert value is True and stable
-
-
-def test_stability_helper_flags_large_epsilon():
-    # {3,4,5} is admissible iff eps <= 1/2, so eps=3/5 disagrees with eps/10
-    template = [1, 1, None, None, 1]
-    value, stable = stable_under_epsilon(
-        template, lambda l: is_admissible_part(l, {3, 4, 5}), Fraction(3, 5)
-    )
-    assert value is False and not stable
