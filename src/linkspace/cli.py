@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
@@ -18,7 +19,10 @@ from .partitions import PartitionError
 LENGTHS_HELP = "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)"
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The linkctl argument parser, built on the first call and then reused:
+    parse_args leaves it unchanged, and main runs once per request."""
     parser = argparse.ArgumentParser(
         prog="linkctl",
         description="moduli spaces of planar polygonal linkages: "

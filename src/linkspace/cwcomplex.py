@@ -18,6 +18,7 @@ inadmissible candidate is ever built and no rational sum is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -46,7 +47,9 @@ class CWComplex:
 
     cells_by_dim[d] lists the d-cells sorted by label string; boundary[d][i]
     holds the indices (into cells_by_dim[d-1]) of the cell's codimension-1
-    faces.  Immutable after construction.
+    faces.  Immutable after construction.  The label -> (dim, index) map
+    behind has_cell and index_of is built on their first call, so a complex
+    that is only written out or walked by index never builds it.
     """
 
     def __init__(
@@ -58,7 +61,10 @@ class CWComplex:
         self.linkage = linkage
         self.cells_by_dim = tuple(tuple(cs) for cs in cells_by_dim)
         self.boundary = tuple(tuple(bs) for bs in boundary)
-        self._index = {
+
+    @cached_property
+    def _index(self) -> dict[CyclicPartition, tuple[int, int]]:
+        return {
             cell.label: (d, i)
             for d, cells in enumerate(self.cells_by_dim)
             for i, cell in enumerate(cells)
@@ -102,7 +108,8 @@ def build_complex(linkage: Linkage) -> CWComplex:
     builds no other.  Each one gives its cells by pinning the block holding
     n last and permuting the rest, which is the canonical rotation.  Faces
     split one part p into (sub, p ^ sub) over the submasks of p.  Labels are
-    materialized only for the cells kept, sorted by label string.
+    materialized only for the cells kept, sorted by label string, and are
+    not checked again: each is a canonical partition by construction.
     """
     n = linkage.n
     check_supported_arity(n)
@@ -164,11 +171,9 @@ def build_complex(linkage: Linkage) -> CWComplex:
         boundary.append(rows)
 
     part_set = {m: frozenset(mask_elements(m)) for m in text}
+    make_label = CyclicPartition._from_canonical
     cells_by_dim = [
-        [
-            Cell(CyclicPartition(tuple([part_set[p] for p in parts])), d)
-            for parts in layer
-        ]
+        [Cell(make_label(tuple([part_set[p] for p in parts])), d) for parts in layer]
         for d, layer in enumerate(layers)
     ]
     return CWComplex(linkage, cells_by_dim, boundary)

@@ -30,7 +30,7 @@ from .linkage import (
     make_linkage,
     parse_rational,
 )
-from .partitions import parse_partition, part_text
+from .partitions import CyclicPartition, parse_part, parse_partition, part_text
 
 
 class UnsupportedFormat(ValueError):
@@ -178,10 +178,17 @@ def complex_from_json(text: str) -> CWComplex:
     Raises ValueError on a document that does not describe a complex on its
     own lengths: a value of the wrong JSON type (the document must be an
     object, `lengths` a list of strings, `cells` a non-empty list of
-    objects, each `label` a string and each `boundary` a list), a missing
-    key, a label on another number of bars, a dim other than n minus the
-    label's part count, or a face index that is out of range or not one dim
-    down.  Each check is linear in the document.
+    objects, each `dim` an int, each `label` a string and each `boundary` a
+    list), a missing key, a label that is not a partition (NotAPartition),
+    is on another number of bars or is not written as the writer writes it
+    (n's part last, each part ascending), a dim other than n minus the
+    label's part count, labels of one dim that do not strictly increase
+    (so a cell listed twice, or two cells swapped), or a face index that is
+    out of range, not one dim down or listed twice in one boundary.
+
+    Each distinct part text is parsed once per document; a label is then
+    checked on the parts' bitmasks and built without a second check.  Each
+    check is linear in the document.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
@@ -208,33 +215,85 @@ def complex_from_json(text: str) -> CWComplex:
     except KeyError as exc:
         k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
-    dims: list[int] = []
-    labels = []
     for k, (d, label_text, faces) in enumerate(rows):
+        if type(d) is not int:
+            raise ValueError(f"cell {k}: dim {d!r} is not an integer")
         if type(label_text) is not str:
             raise ValueError(f"cell {k}: label is not a string")
+        if label_text[:1] != "{" or label_text[-1:] != "}":
+            raise _label_error(k, label_text, n)
         if type(faces) is not list:
             raise ValueError(f"cell {k}: boundary is not a list")
-        label = parse_partition(label_text)
-        if label.n != n:
-            raise ValueError(f"cell {k}: label {label} is on {label.n} bars, not {n}")
-        dim = n - label.num_parts
-        if d != dim:
-            raise ValueError(f"cell {k}: dim {d!r}, but label {label} gives {dim}")
-        dims.append(dim)
-        labels.append(label)
-    cells_by_dim: list[list[Cell]] = [[] for _ in range(max(dims) + 1)]
+    # '{1,3}{2}{4,5}' -> ['1,3', '2', '4,5']
+    bodies = [label_text[1:-1].split("}{") for _, label_text, _ in rows]
+    # Each distinct part text is parsed once and kept only if the writer
+    # would write it so and it lies in 1..n.  Its weight packs its bitmask
+    # (bar i is bit i-1, as in linkage.short_subsets) below bit 2n and its
+    # size above, so one sum checks a label: the parts are disjoint and
+    # cover 1..n exactly when the weights add up to the full mask plus n.
+    # (Overlapping masks carry, which leaves fewer than n bits set; more
+    # parts than fit below bit 2n hold more than n elements.)
+    part_of: dict[str, frozenset[int]] = {}
+    weight_of: dict[str, int] = {}
+    ground = frozenset(range(1, n + 1))
+    for body in set().union(*bodies):
+        braced = "{" + body + "}"
+        try:
+            part = parse_part(braced)
+        except ValueError:
+            continue
+        if part <= ground and part_text(part) == braced:
+            part_of[body] = part
+            weight_of[body] = sum([1 << (x - 1) for x in part]) + (len(part) << 2 * n)
+    whole, top = (1 << n) - 1 + (n << 2 * n), 1 << (n - 1)
+    weight = weight_of.__getitem__
+    make_label = CyclicPartition._from_canonical
+    cells_by_dim: list[list[Cell]] = [[] for _ in range(n)]
+    dims: list[int] = []
     flat_position: list[int] = []
-    for d, label in zip(dims, labels):
-        flat_position.append(len(cells_by_dim[d]))
-        cells_by_dim[d].append(Cell(label, d))
+    previous = [""] * n  # the last label text seen in each dim
+    for k, ((d, label_text, _), parts) in enumerate(zip(rows, bodies)):
+        # disjoint parts covering 1..n, n's part last: the canonical label
+        try:
+            canonical = sum(map(weight, parts)) == whole and weight(parts[-1]) & top
+        except KeyError:  # a part the writer would not write
+            canonical = False
+        if not canonical:
+            raise _label_error(k, label_text, n)
+        dim = n - len(parts)
+        if d != dim:
+            raise ValueError(f"cell {k}: dim {d!r}, but label {label_text} gives {dim}")
+        if label_text <= previous[dim]:
+            raise ValueError(
+                f"cell {k}: label {label_text} is listed twice in dim {dim}"
+                if label_text == previous[dim]
+                else f"cell {k}: label {label_text} is out of order in dim {dim}:"
+                f" it follows {previous[dim]}"
+            )
+        previous[dim] = label_text
+        dims.append(dim)
+        flat_position.append(len(cells_by_dim[dim]))
+        cells_by_dim[dim].append(Cell(make_label(tuple([part_of[p] for p in parts])), dim))
+    del cells_by_dim[max(dims) + 1 :]
     boundary: list[list[tuple[int, ...]]] = [[] for _ in cells_by_dim]
     for k, (d, (_, _, faces)) in enumerate(zip(dims, rows)):
         for j in faces:
             if not (type(j) is int and 0 <= j < len(dims) and dims[j] == d - 1):
                 raise ValueError(f"cell {k}: face {j!r} is not a cell of dim {d - 1}")
+        if len(set(faces)) != len(faces):
+            j = next(j for i, j in enumerate(faces) if j in faces[:i])
+            raise ValueError(f"cell {k}: face {j} is listed twice")
         boundary[d].append(tuple([flat_position[j] for j in faces]))
     return CWComplex(linkage, cells_by_dim, boundary)
+
+
+def _label_error(k: int, text: str, n: int) -> ValueError:
+    """Why `text`, the label of cell k, is not a canonical label on n bars.
+    Raises NotAPartition itself when the text is not a partition at all."""
+    label = parse_partition(text)
+    if label.n != n:
+        return ValueError(f"cell {k}: label {label} is on {label.n} bars, not {n}")
+    return ValueError(f"cell {k}: label {text} is not written canonically as {label}")
 
 
 def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:

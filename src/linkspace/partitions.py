@@ -40,6 +40,14 @@ class CyclicPartition:
                 f"not in canonical rotation: {n} must lie in the last part"
             )
 
+    @classmethod
+    def _from_canonical(cls, parts: tuple[frozenset[int], ...]) -> CyclicPartition:
+        """The label of `parts`, which the caller knows to be a canonical
+        partition of {1..n}; unlike the constructor, this checks nothing."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "parts", parts)
+        return label
+
     @property
     def n(self) -> int:
         return sum(len(p) for p in self.parts)
@@ -89,7 +97,9 @@ def _check_partition(parts: Sequence[frozenset[int]]) -> int:
     if sum(map(len, parts)) != len(union):
         raise NotAPartition("parts overlap")
     n = max(union)
-    if union != set(range(1, n + 1)):
+    # n distinct elements from 1 to n are exactly 1..n; no set(range(1, n + 1)),
+    # which one huge stray element would make huge
+    if len(union) != n or min(union) < 1:
         raise NotAPartition(f"ground set {sorted(union)} is not 1..{n}")
     return n
 
@@ -111,15 +121,30 @@ def canonicalize(parts: Iterable[Iterable[int]]) -> CyclicPartition:
     return CyclicPartition(seq)
 
 
+_PART = re.compile(r"\{\d+(?:,\d+)*\}")
+_PARTITION = re.compile(f"(?:{_PART.pattern})+")
+
+
+def parse_part(text: str) -> frozenset[int]:
+    """Parse one part of the table notation, e.g. '{1,3}'.
+
+    Raises NotAPartition unless the text is a braced, comma-separated list
+    of distinct integers.
+    """
+    if not _PART.fullmatch(text):
+        raise NotAPartition(f"cannot parse part {text!r}")
+    elements = text[1:-1].split(",")
+    part = frozenset(map(int, elements))
+    if len(part) != len(elements):
+        raise NotAPartition(f"part {text!r} repeats an element")
+    return part
+
+
 def parse_partition(text: str) -> CyclicPartition:
     """Parse the table notation, e.g. '{1,3}{2,4}{5}'."""
-    if not re.fullmatch(r"(\{\d+(,\d+)*\})+", text):
+    if not _PARTITION.fullmatch(text):
         raise NotAPartition(f"cannot parse partition {text!r}")
-    parts = [
-        frozenset(int(tok) for tok in body.split(","))
-        for body in re.findall(r"\{([^{}]*)\}", text)
-    ]
-    return canonicalize(parts)
+    return canonicalize(map(parse_part, _PART.findall(text)))
 
 
 def _set_partitions(elements: Sequence[int], m: int) -> Iterator[list[frozenset[int]]]:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from linkspace.export import (
     write_output,
 )
 from linkspace.linkage import LinkageError, make_linkage
+from linkspace.partitions import NotAPartition
 from linkspace.topology import classify_linkage
 
 from oracles import is_watertight, parse_obj
@@ -191,6 +193,57 @@ def test_complex_from_json_rejects_lengths_that_are_not_a_list():
     doc = _pentagon_document()
     doc["lengths"] = "11111"
     with pytest.raises(ValueError, match="'lengths' is not a list of strings"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_cell_listed_twice():
+    doc = _pentagon_document()
+    doc["cells"].append(doc["cells"][23])  # the last 0-cell; no index shifts
+    with pytest.raises(ValueError, match=r"cell 114: label \S+ is listed twice in dim 0"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_cells_out_of_order():
+    doc = _pentagon_document()
+    cells = doc["cells"]
+    cells[0]["label"], cells[1]["label"] = cells[1]["label"], cells[0]["label"]
+    with pytest.raises(ValueError, match="cell 1: label .* is out of order in dim 0"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_label_not_written_canonically():
+    for text in ("{5}{1,2}{3}{4}", "{2,1}{3}{4}{5}"):
+        doc = _pentagon_document()
+        assert doc["cells"][24]["label"] == "{1,2}{3}{4}{5}"
+        doc["cells"][24]["label"] = text
+        with pytest.raises(
+            ValueError,
+            match=rf"cell 24: label {re.escape(text)} is not written canonically",
+        ):
+            _load(doc)
+
+
+def test_complex_from_json_rejects_label_text_that_does_not_parse():
+    # the last: three {1} masks add up to {1,2}, so the masks alone sum to 1..5
+    for text in ("oops", "{1}{2}{3}{4}{5", "{1,1}{2}{3}{4}{5}", "{1}{1}{1}{3}{4}{5}"):
+        doc = _pentagon_document()
+        doc["cells"][30]["label"] = text
+        with pytest.raises(NotAPartition):
+            _load(doc)
+
+
+def test_complex_from_json_rejects_a_dim_that_is_not_an_int():
+    for value in (True, 1.0):  # cell 30 is a 1-cell, and both == 1
+        doc = _pentagon_document()
+        doc["cells"][30]["dim"] = value
+        with pytest.raises(ValueError, match=f"cell 30: dim {value} is not an integer"):
+            _load(doc)
+
+
+def test_complex_from_json_rejects_a_face_listed_twice():
+    doc = _pentagon_document()
+    doc["cells"][30]["boundary"] = [0, 0]
+    with pytest.raises(ValueError, match="cell 30: face 0 is listed twice"):
         _load(doc)
 
 

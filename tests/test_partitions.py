@@ -59,6 +59,12 @@ def test_canonicalize_rejects_non_partitions():
         canonicalize([])
 
 
+def test_canonicalize_rejects_a_far_element_without_building_its_range():
+    # comparing with set(range(1, n + 1)) would build a set of 10**10 ints
+    with pytest.raises(NotAPartition, match=r"is not 1\.\.10000000000$"):
+        canonicalize([{1}, {10**10}])
+
+
 def test_constructor_insists_on_canonical_rotation():
     with pytest.raises(NotAPartition):
         CyclicPartition((frozenset({5}), frozenset({1, 2, 3, 4})))
@@ -71,6 +77,8 @@ def test_parse_partition_round_trips():
         parse_partition("oops")
     with pytest.raises(NotAPartition):
         parse_partition("{1}{1,2}")
+    with pytest.raises(NotAPartition, match="repeats an element"):
+        parse_partition("{1,1}{2}{3}")
 
 
 @st.composite
