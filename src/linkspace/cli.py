@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotAClosedSurface, NotACycle, topology.NotClosed, ValueError) as exc:
+    except (NotAClosedSurface, NotACycle, ValueError) as exc:
         # any other ValueError is the package's fault, not the input's: e.g.
         # geometry's OffHyperplane, UnsupportedDimension or boundary_cycle's
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -36,26 +36,21 @@ def check_supported_arity(n: int) -> None:
         raise ArityMismatch(f"complex construction supports 4 <= n <= 8, got n={n}")
 
 
-@dataclass(frozen=True)
-class Cell:
-    label: CyclicPartition
-    dim: int
-
-
 class CWComplex:
     """Graded admissible cells with refinement incidence.
 
-    cells_by_dim[d] lists the d-cells sorted by label string; boundary[d][i]
-    holds the indices (into cells_by_dim[d-1]) of the cell's codimension-1
-    faces.  Immutable after construction.  The label -> (dim, index) map
-    behind has_cell and index_of is built on their first call, so a complex
-    that is only written out or walked by index never builds it.
+    A cell is its label: cells_by_dim[d] lists the d-cells, as
+    CyclicPartitions sorted by label string; boundary[d][i] holds the
+    indices (into cells_by_dim[d-1]) of cell i's codimension-1 faces.
+    Immutable after construction.  The label -> (dim, index) map behind
+    has_cell and index_of is built on their first call, so a complex that
+    is only written out or walked by index never builds it.
     """
 
     def __init__(
         self,
         linkage: Linkage,
-        cells_by_dim: list[list[Cell]],
+        cells_by_dim: list[list[CyclicPartition]],
         boundary: list[list[tuple[int, ...]]],
     ):
         self.linkage = linkage
@@ -65,9 +60,9 @@ class CWComplex:
     @cached_property
     def _index(self) -> dict[CyclicPartition, tuple[int, int]]:
         return {
-            cell.label: (d, i)
+            label: (d, i)
             for d, cells in enumerate(self.cells_by_dim)
-            for i, cell in enumerate(cells)
+            for i, label in enumerate(cells)
         }
 
     @property
@@ -173,8 +168,8 @@ def build_complex(linkage: Linkage) -> CWComplex:
     part_set = {m: frozenset(mask_elements(m)) for m in text}
     make_label = CyclicPartition._from_canonical
     cells_by_dim = [
-        [Cell(make_label(tuple([part_set[p] for p in parts])), d) for parts in layer]
-        for d, layer in enumerate(layers)
+        [make_label(tuple([part_set[p] for p in parts])) for parts in layer]
+        for layer in layers
     ]
     return CWComplex(linkage, cells_by_dim, boundary)
 

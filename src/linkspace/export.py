@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import topology
 from .cwcomplex import (
-    Cell,
     CWComplex,
     MembershipTable,
     check_supported_arity,
@@ -142,7 +141,7 @@ def complex_to_json(complex_: CWComplex) -> str:
     # str(Fraction), digits and '/'.
     layers = complex_.cells_by_dim
     texts = dict.fromkeys(
-        p for layer in layers for cell in layer for p in cell.label.parts
+        p for layer in layers for label in layer for p in label.parts
     )
     for p in texts:
         texts[p] = part_text(p)
@@ -152,10 +151,10 @@ def complex_to_json(complex_: CWComplex) -> str:
     for d, layer in enumerate(layers):
         head = f'    {{\n      "dim": {d},\n      "label": "'
         rows = complex_.boundary[d] if d else [()] * len(layer)
-        for cell, row in zip(layer, rows):
+        for label, row in zip(layer, rows):
             records.append(
                 head
-                + "".join([texts[p] for p in cell.label.parts])
+                + "".join([texts[p] for p in label.parts])
                 + '",\n      "boundary": '
                 + _json_array([refs[j] for j in row], "      ")
                 + "\n    }"
@@ -248,7 +247,7 @@ def complex_from_json(text: str) -> CWComplex:
     whole, top = (1 << n) - 1 + (n << 2 * n), 1 << (n - 1)
     weight = weight_of.__getitem__
     make_label = CyclicPartition._from_canonical
-    cells_by_dim: list[list[Cell]] = [[] for _ in range(n)]
+    cells_by_dim: list[list[CyclicPartition]] = [[] for _ in range(n)]
     dims: list[int] = []
     flat_position: list[int] = []
     previous = [""] * n  # the last label text seen in each dim
@@ -273,7 +272,7 @@ def complex_from_json(text: str) -> CWComplex:
         previous[dim] = label_text
         dims.append(dim)
         flat_position.append(len(cells_by_dim[dim]))
-        cells_by_dim[dim].append(Cell(make_label(tuple([part_of[p] for p in parts])), dim))
+        cells_by_dim[dim].append(make_label(tuple([part_of[p] for p in parts])))
     del cells_by_dim[max(dims) + 1 :]
     boundary: list[list[tuple[int, ...]]] = [[] for _ in cells_by_dim]
     for k, (d, (_, _, faces)) in enumerate(zip(dims, rows)):

@@ -7,28 +7,30 @@ linkage the cell complex is realized as a polyhedral surface in three steps:
 place the vertices on the 4-permutohedron (cut each cyclic order at 5), keep
 the permutohedron facets whose label with {5} appended is admissible, and
 patch a "diagonal" face for every admissible 2-cell whose part containing 5
-is not a singleton.  Edges that end up bounding no face, and vertices meeting
-no edge, are pruned.
+is not a singleton.
 
-The mesh's faces, edges and vertices are the complex's 2-, 1- and 0-cells,
-and their incidence is read from the complex's boundary lists: a face's
-polygon is the walk along its 1-cells (`boundary[2]`), each joining the two
-0-cells in its `boundary[1]` row.  No incidence is re-derived from labels.
+The mesh's vertices, edges and faces are the complex's 0-, 1- and 2-cells in
+the complex's order: mesh vertex, edge and face k is cell k of its grade.
+Their incidence is read from the complex's boundary lists: a face's polygon
+is the walk along its 1-cells (`boundary[2]`), each joining the two 0-cells
+in its `boundary[1]` row.  No incidence is re-derived from labels.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
-from .linkage import Linkage
+from .linkage import Linkage, Rational
 from .partitions import (
     CyclicOrder,
     CyclicPartition,
+    _ordered_splits,
     _set_partitions,
     part_text,
     vertex_to_permutation,
@@ -46,7 +48,8 @@ class OffHyperplane(ValueError):
 
 
 class NotAClosedSurface(RuntimeError):
-    """Some edge of the assembled mesh is not shared by exactly two faces."""
+    """An edge not shared by exactly two faces, or a curve's vertex not on
+    exactly two edges."""
 
 
 class NotACycle(RuntimeError):
@@ -64,41 +67,40 @@ class Permutohedron:
 
     faces_by_dim[d] lists ordered-partition labels into m-d parts, sorted by
     label string; boundary[d][i] gives indices of codimension-1 faces.  The
-    top entry (dimension m-1) is the polytope itself.
+    top entry (dimension m-1) is the polytope itself.  Both are built on
+    first read, so placing vertices never builds the lattice.
     """
 
     def __init__(self, m: int):
         if not 2 <= m <= 7:
             raise UnsupportedDimension(f"supported for 2 <= m <= 7, got m={m}")
         self.m = m
-        elements = tuple(range(1, m + 1))
-        self.faces_by_dim: list[list[OrderedPartition]] = []
-        for d in range(m):  # dimension d <-> m-d parts
-            faces = [tuple(f) for f in _ordered_partitions(elements, m - d)]
+
+    @cached_property
+    def faces_by_dim(self) -> list[list[OrderedPartition]]:
+        elements = tuple(range(1, self.m + 1))
+        faces_by_dim = []
+        for d in range(self.m):  # dimension d <-> m-d parts
+            faces = [tuple(f) for f in _ordered_partitions(elements, self.m - d)]
             faces.sort(key=lambda f: "".join(map(part_text, f)))
-            self.faces_by_dim.append(faces)
-        self._index = {
-            f: (d, i)
-            for d, faces in enumerate(self.faces_by_dim)
-            for i, f in enumerate(faces)
-        }
-        self.boundary: list[list[tuple[int, ...]]] = [
-            [() for _ in self.faces_by_dim[0]]
-        ]
-        for d in range(1, m):
+            faces_by_dim.append(faces)
+        return faces_by_dim
+
+    @cached_property
+    def boundary(self) -> list[list[tuple[int, ...]]]:
+        boundary: list[list[tuple[int, ...]]] = [[() for _ in self.vertices]]
+        for d in range(1, self.m):
             below = {f: i for i, f in enumerate(self.faces_by_dim[d - 1])}
             rows = []
             for face in self.faces_by_dim[d]:
-                subs = []
-                for i, part in enumerate(face):
-                    if len(part) < 2:
-                        continue
-                    elems = sorted(part)
-                    for mask in range(1, 2 ** len(elems) - 1):
-                        x = frozenset(e for k, e in enumerate(elems) if mask >> k & 1)
-                        subs.append(below[face[:i] + (x, part - x) + face[i + 1 :]])
+                subs = [
+                    below[face[:i] + split + face[i + 1 :]]
+                    for i, part in enumerate(face)
+                    for split in _ordered_splits(part)
+                ]
                 rows.append(tuple(sorted(subs)))
-            self.boundary.append(rows)
+            boundary.append(rows)
+        return boundary
 
     @property
     def vertices(self) -> list[OrderedPartition]:
@@ -112,12 +114,12 @@ class Permutohedron:
     def facets(self) -> list[OrderedPartition]:
         return self.faces_by_dim[self.m - 2]
 
-    def vertex_point(self, perm: Sequence[int]) -> tuple[Fraction, ...]:
+    def vertex_point(self, perm: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of the vertex labeled by a linear order: the element
         in position j gets coordinate value j."""
-        point = [Fraction(0)] * self.m
+        point = [0] * self.m
         for j, a in enumerate(perm, 1):
-            point[a - 1] = Fraction(j)
+            point[a - 1] = j
         return tuple(point)
 
 
@@ -140,17 +142,17 @@ def _gram_schmidt(vectors: Sequence[Sequence[float]]) -> list[list[float]]:
 # Fixed orthonormal basis of the hyperplane sum(x)=const in R^4, from
 # Gram-Schmidt on (1,-1,0,0), (0,1,-1,0), (0,0,1,-1) in that order.
 _PROJECTION_BASIS = _gram_schmidt([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)])
-_BARYCENTER = (Fraction(5, 2),) * 4
 
 
-def project_to_3d(point: Sequence[Fraction]) -> tuple[float, float, float]:
+def project_to_3d(point: Sequence[int | Rational]) -> tuple[float, float, float]:
     """Isometric affine map from the vertex hyperplane sum(x)=10 of the
-    4-permutohedron into R^3; the single lossy (float) step of the pipeline."""
+    4-permutohedron into R^3; the single lossy (float) step of the pipeline.
+    Centering at the barycenter 5/2 is exact for the integer vertex points."""
     if len(point) != 4:
         raise OffHyperplane(f"expected a 4-coordinate point, got {len(point)}")
-    if sum(Fraction(x) for x in point) != 10:
+    if sum(point) != 10:
         raise OffHyperplane(f"point {point} is off the hyperplane sum(x)=10")
-    centered = [float(Fraction(x) - b) for x, b in zip(point, _BARYCENTER)]
+    centered = [x - 2.5 for x in point]
     return tuple(
         sum(c * u for c, u in zip(centered, axis)) for axis in _PROJECTION_BASIS
     )
@@ -160,7 +162,7 @@ def project_to_3d(point: Sequence[Fraction]) -> tuple[float, float, float]:
 class MeshVertex:
     label: CyclicOrder
     permutation: tuple[int, ...]
-    point4: tuple[Fraction, ...]
+    point4: tuple[int, ...]
     point3: tuple[float, float, float]
 
 
@@ -202,7 +204,7 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         u, w = ends[e]
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
-    label = complex_.cells_by_dim[2][i].label
+    label = complex_.cells_by_dim[2][i]
     if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
         raise NotACycle(f"boundary graph of {label} is not 2-regular")
     start = min(adjacency)
@@ -235,64 +237,42 @@ def boundary_cycle(
     if not complex_.has_cell(cell):
         raise NotACycle(f"{cell} is not a cell of the complex")
     vertices = complex_.cells_by_dim[0]
-    return [vertices[k].label for k in _cycle(complex_, complex_.index_of(cell)[1])]
+    return [vertices[k] for k in _cycle(complex_, complex_.index_of(cell)[1])]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as an embedded polyhedral
-    surface; raises NotAClosedSurface if any edge fails to be shared by
-    exactly two faces (which the theory rules out for generic pentagons)."""
+    surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
+    Raises NotAClosedSurface if some 1-cell does not lie on exactly two
+    2-cells (which the theory rules out for generic pentagons)."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)
     poly = permutohedron(4)
 
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
-    # the order of the permutations abcd: mesh vertex k is 0-cell k.
+    # the order of the permutations abcd.
     vertices = []
-    for cell in complex_.cells_by_dim[0]:
-        perm = vertex_to_permutation(cell.label)
+    for label in complex_.cells_by_dim[0]:
+        perm = vertex_to_permutation(label)
         point4 = poly.vertex_point(perm)
-        vertices.append(MeshVertex(cell.label, perm, point4, project_to_3d(point4)))
+        vertices.append(MeshVertex(label, perm, point4, project_to_3d(point4)))
 
     edges = [
-        MeshEdge(cell.label, ends)
-        for cell, ends in zip(complex_.cells_by_dim[1], complex_.boundary[1])
+        MeshEdge(label, ends)
+        for label, ends in zip(complex_.cells_by_dim[1], complex_.boundary[1])
     ]
 
     faces = []
-    for i, cell in enumerate(complex_.cells_by_dim[2]):
-        five_part = cell.label.parts[-1]  # canonical rotation: 5's part is last
+    for i, label in enumerate(complex_.cells_by_dim[2]):
+        five_part = label.parts[-1]  # canonical rotation: 5's part is last
         provenance = "permutohedron" if len(five_part) == 1 else "diagonal"
-        faces.append(MeshFace(cell.label, tuple(_cycle(complex_, i)), provenance))
+        faces.append(MeshFace(label, tuple(_cycle(complex_, i)), provenance))
 
-    # Closed-surface accounting and pruning: edges bounding no face are
-    # dropped, any other count than two is an error; vertices left without
-    # edges are dropped.
-    edge_face_count = [0] * len(edges)
-    for row in complex_.boundary[2]:
-        for e in row:
-            edge_face_count[e] += 1
-    bad = [
-        edges[i].label
-        for i, c in enumerate(edge_face_count)
-        if c not in (0, 2)
-    ]
+    faces_on = Counter(e for row in complex_.boundary[2] for e in row)
+    bad = [e.label for i, e in enumerate(edges) if faces_on[i] != 2]
     if bad:
         raise NotAClosedSurface(
             f"edges not shared by exactly two faces: {', '.join(map(str, bad))}"
         )
-    kept_edges = [e for i, e in enumerate(edges) if edge_face_count[i] == 2]
-    used = sorted({i for e in kept_edges for i in e.endpoints})
-    if len(used) != len(vertices):
-        renumber = {old: new for new, old in enumerate(used)}
-        vertices = [vertices[i] for i in used]
-        kept_edges = [
-            MeshEdge(e.label, (renumber[e.endpoints[0]], renumber[e.endpoints[1]]))
-            for e in kept_edges
-        ]
-        faces = [
-            MeshFace(f.label, tuple(renumber[i] for i in f.cycle), f.provenance)
-            for f in faces
-        ]
-    return SurfaceMesh(linkage, tuple(vertices), tuple(faces), tuple(kept_edges))
+    return SurfaceMesh(linkage, tuple(vertices), tuple(faces), tuple(edges))

@@ -11,17 +11,13 @@ for orientable components.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cwcomplex import build_complex, euler_characteristic
-from .geometry import SurfaceMesh, perform_surgery
+from .geometry import NotAClosedSurface, SurfaceMesh, perform_surgery
 from .linkage import Linkage
-
-
-class NotClosed(RuntimeError):
-    """An edge of the analyzed complex is not shared by exactly two faces."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,14 @@ def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int
     return [number.setdefault(find(v), len(number)) for v in range(num_vertices)]
 
 
+def _tally(component: list[int], count: int, vertices: Iterable[int]) -> list[int]:
+    """How many of `vertices` (repeats counted) lie in each of `count` components."""
+    out = [0] * count
+    for v in vertices:
+        out[component[v]] += 1
+    return out
+
+
 def _component_name(chi: int, orientable: bool) -> str:
     if not orientable:
         return f"non-orientable (chi={chi})"
@@ -95,19 +99,19 @@ def classify_surface(
     faces: Sequence[Sequence[int]],
 ) -> TopologyReport:
     """Classify a closed polygonal 2-complex given by vertex count, edge
-    endpoint pairs and face vertex cycles.  Raises NotClosed unless every
-    edge lies in exactly two faces."""
+    endpoint pairs and face vertex cycles.  Raises NotAClosedSurface unless
+    every edge lies in exactly two faces."""
     edge_id = {frozenset(e): i for i, e in enumerate(edges)}
     faces_of_edge: dict[int, list[int]] = defaultdict(list)
     for f, cycle in enumerate(faces):
         for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
             i = edge_id.get(frozenset((a, b)))
             if i is None:
-                raise NotClosed(f"face {f} uses segment {a}-{b} that is not an edge")
+                raise NotAClosedSurface(f"face {f} uses segment {a}-{b} that is not an edge")
             faces_of_edge[i].append(f)
     for i, e in enumerate(edges):
         if len(faces_of_edge[i]) != 2:
-            raise NotClosed(
+            raise NotAClosedSurface(
                 f"edge {e} lies in {len(faces_of_edge[i])} faces, expected 2"
             )
 
@@ -149,13 +153,9 @@ def classify_surface(
                     elif sign[g] != required:
                         orientable_of[component[faces[f0][0]]] = False
 
-    per_v, per_e, per_f = [0] * count, [0] * count, [0] * count
-    for c in component:
-        per_v[c] += 1
-    for a, _ in edges:
-        per_e[component[a]] += 1
-    for cycle in faces:
-        per_f[component[cycle[0]]] += 1
+    per_v = _tally(component, count, range(num_vertices))
+    per_e = _tally(component, count, (a for a, _ in edges))
+    per_f = _tally(component, count, (cycle[0] for cycle in faces))
 
     components = []
     for c in range(count):
@@ -185,55 +185,39 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     )
 
 
-def _classify_curves(linkage: Linkage) -> TopologyReport:
-    """n=4: the complex is a disjoint union of circles (each vertex has
-    exactly two admissible adjacent merges)."""
-    complex_ = build_complex(linkage)
-    vertex_count = len(complex_.cells_by_dim[0])
-    edges = complex_.boundary[1]
-    degree = [0] * vertex_count
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if any(d != 2 for d in degree):
-        raise NotClosed("quadrilateral complex is not a union of circles")
-    component = _components(vertex_count, edges)
-    count = max(component) + 1
-    per_v, per_e = [0] * count, [0] * count
-    for c in component:
-        per_v[c] += 1
-    for a, _ in edges:
-        per_e[component[a]] += 1
-    components = tuple(
-        ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count)
-    )
-    k = len(components)
-    return TopologyReport(
-        component_count=k,
-        components=components,
-        f_vector=complex_.f_vector(),
-        euler_characteristic=0,
-        classification="circle" if k == 1 else f"{k} circles",
-    )
-
-
 def classify_linkage(linkage: Linkage) -> TopologyReport:
     """End-to-end pipeline: build, realize, classify.
 
-    Pentagons get the full surface classification; quadrilaterals report
-    their circle decomposition; n >= 6 reports the f-vector and Euler
+    Pentagons get the full surface classification of their mesh.  Any other
+    n counts the components of the complex's 1-skeleton: quadrilaterals
+    report their circle decomposition; n >= 6 reports the f-vector and Euler
     characteristic only (the complex has dimension >= 3).
     """
     if linkage.n == 5:
         return analyze(perform_surgery(linkage))
-    if linkage.n == 4:
-        return _classify_curves(linkage)
     complex_ = build_complex(linkage)
-    component = _components(len(complex_.cells_by_dim[0]), complex_.boundary[1])
+    vertex_count = len(complex_.cells_by_dim[0])
+    edges = complex_.boundary[1]
+    component = _components(vertex_count, edges)
+    count = max(component) + 1
+    components: tuple[ComponentReport, ...] = ()
+    classification = "unclassified (dim >= 3)"
+    if linkage.n == 4:
+        # the complex is a disjoint union of circles: each vertex has exactly
+        # two admissible adjacent merges
+        degree = Counter(v for ends in edges for v in ends)
+        if any(degree[v] != 2 for v in range(vertex_count)):
+            raise NotAClosedSurface("quadrilateral complex is not a union of circles")
+        per_v = _tally(component, count, range(vertex_count))
+        per_e = _tally(component, count, (a for a, _ in edges))
+        components = tuple(
+            ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count)
+        )
+        classification = "circle" if count == 1 else f"{count} circles"
     return TopologyReport(
-        component_count=max(component) + 1,
-        components=(),
+        component_count=count,
+        components=components,
         f_vector=complex_.f_vector(),
         euler_characteristic=euler_characteristic(complex_),
-        classification="unclassified (dim >= 3)",
+        classification=classification,
     )

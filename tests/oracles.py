@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from linkspace.cwcomplex import Cell, CWComplex, check_supported_arity
+from linkspace.cwcomplex import CWComplex, check_supported_arity
 from linkspace.linkage import is_admissible_partition
 from linkspace.partitions import (
     CyclicPartition,
@@ -93,15 +93,15 @@ def reference_build_complex(linkage) -> CWComplex:
             if is_admissible_partition(linkage, c.parts)
         ]
         labels.sort(key=str)
-        cells_by_dim.append([Cell(label, n - m) for label in labels])
+        cells_by_dim.append(labels)
     assert len(cells_by_dim[0]) == factorial(n - 1)
     boundary = [[() for _ in cells_by_dim[0]]]
     for d in range(1, len(cells_by_dim)):
-        below = {cell.label: i for i, cell in enumerate(cells_by_dim[d - 1])}
+        below = {label: i for i, label in enumerate(cells_by_dim[d - 1])}
         boundary.append(
             [
-                tuple(sorted(below[f] for f in one_step_refinements(cell.label)))
-                for cell in cells_by_dim[d]
+                tuple(sorted(below[f] for f in one_step_refinements(label)))
+                for label in cells_by_dim[d]
             ]
         )
     return CWComplex(linkage, cells_by_dim, boundary)
@@ -113,11 +113,11 @@ def reference_complex_to_json(complex_: CWComplex) -> str:
     for d in range(len(complex_.cells_by_dim) - 1):
         offset.append(offset[-1] + len(complex_.cells_by_dim[d]))
     for d, layer in enumerate(complex_.cells_by_dim):
-        for i, cell in enumerate(layer):
+        for i, label in enumerate(layer):
             cells.append(
                 {
                     "dim": d,
-                    "label": str(cell.label),
+                    "label": str(label),
                     "boundary": [offset[d - 1] + j for j in complex_.boundary[d][i]]
                     if d > 0
                     else [],
@@ -234,7 +234,7 @@ def common_refinement(p: Parts, q: Parts) -> Parts | None:
 def boundary_labels(complex_: CWComplex, label: CyclicPartition) -> list[CyclicPartition]:
     """The labels of a cell's faces, read from the complex's boundary list."""
     d, i = complex_.index_of(label)
-    return [complex_.cells_by_dim[d - 1][j].label for j in complex_.boundary[d][i]]
+    return [complex_.cells_by_dim[d - 1][j] for j in complex_.boundary[d][i]]
 
 
 def parse_obj(text: str):

@@ -140,7 +140,7 @@ def test_criterion_4_f_vectors_against_independent_oracle(representatives, capsy
         checks.append(complex_.f_vector() == expected)
         oracle = oracle_cells(linkage.lengths)
         for d, cells in enumerate(complex_.cells_by_dim):
-            got = {rotation_class(c.label.parts) for c in cells}
+            got = {rotation_class(c.parts) for c in cells}
             checks.append(got == oracle[d])
     ok = all(checks)
     with capsys.disabled():

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from linkspace.cwcomplex import (
     ArityMismatch,
-    Cell,
     CWComplex,
     build_complex,
     euler_characteristic,
@@ -44,7 +43,7 @@ def test_cells_match_independent_enumeration(representatives):
         complex_ = build_complex(linkage)
         expected = oracle_cells(linkage.lengths)
         for d, cells in enumerate(complex_.cells_by_dim):
-            got = {rotation_class(c.label.parts) for c in cells}
+            got = {rotation_class(c.parts) for c in cells}
             assert got == expected[d]
 
 
@@ -53,7 +52,7 @@ def test_oracle_equivalence_for_a_hexagon_linkage():
     complex_ = build_complex(linkage)
     expected = oracle_cells(linkage.lengths)
     for d, cells in enumerate(complex_.cells_by_dim):
-        assert {rotation_class(c.label.parts) for c in cells} == expected[d]
+        assert {rotation_class(c.parts) for c in cells} == expected[d]
 
 
 def test_every_stored_cell_is_admissible(representatives):
@@ -61,7 +60,7 @@ def test_every_stored_cell_is_admissible(representatives):
         complex_ = build_complex(linkage)
         for cells in complex_.cells_by_dim:
             for cell in cells:
-                assert is_admissible_partition(linkage, cell.label.parts)
+                assert is_admissible_partition(linkage, cell.parts)
 
 
 def test_boundary_lists_are_exactly_the_one_step_refinements(representatives):
@@ -69,8 +68,8 @@ def test_boundary_lists_are_exactly_the_one_step_refinements(representatives):
         complex_ = build_complex(linkage)
         for d in range(1, len(complex_.cells_by_dim)):
             for cell in complex_.cells_by_dim[d]:
-                got = set(boundary_labels(complex_, cell.label))
-                assert got == set(one_step_refinements(cell.label))
+                got = set(boundary_labels(complex_, cell))
+                assert got == set(one_step_refinements(cell))
 
 
 def test_incidence_agrees_with_admissible_coarsenings(representatives):
@@ -80,13 +79,13 @@ def test_incidence_agrees_with_admissible_coarsenings(representatives):
         for cell in complex_.cells_by_dim[1]:
             via_merge = {
                 c
-                for c in coarsenings(cell.label)
+                for c in coarsenings(cell)
                 if is_admissible_partition(linkage, c.parts)
             }
             via_boundary = {
-                face.label
+                face
                 for i, face in enumerate(complex_.cells_by_dim[2])
-                if complex_.index_of(cell.label)[1] in complex_.boundary[2][i]
+                if complex_.index_of(cell)[1] in complex_.boundary[2][i]
             }
             assert via_merge == via_boundary
 
@@ -133,9 +132,9 @@ def test_f_vector_invariant_under_length_preserving_relabeling():
     for swap in ({1: 2, 2: 1}, {3: 4, 4: 3}):
         relabel = lambda x: swap.get(x, x)
         for cells in complex_.cells_by_dim:
-            labels = {c.label for c in cells}
+            labels = set(cells)
             mapped = {
-                canonicalize([{relabel(x) for x in p} for p in c.label.parts])
+                canonicalize([{relabel(x) for x in p} for p in c.parts])
                 for c in cells
             }
             assert mapped == labels
@@ -146,7 +145,7 @@ def test_cell_ordering_is_deterministic(representatives):
         a, b = build_complex(linkage), build_complex(linkage)
         assert a == b
         for cells in a.cells_by_dim:
-            labels = [str(c.label) for c in cells]
+            labels = [str(c) for c in cells]
             assert labels == sorted(labels)
 
 
@@ -166,7 +165,7 @@ def test_dimension_bounds(representatives):
         assert complex_.dim == linkage.n - 3
         assert len(complex_.cells_by_dim[0]) == 24
         assert all(
-            cell.label.num_parts == linkage.n - d
+            cell.num_parts == linkage.n - d
             for d, cells in enumerate(complex_.cells_by_dim)
             for cell in cells
         )
@@ -193,10 +192,10 @@ def test_membership_table_requires_pentagons():
 def test_cell_vertices_of_cells_are_complex_vertices(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        vertex_labels = {c.label for c in complex_.cells_by_dim[0]}
+        vertex_labels = set(complex_.cells_by_dim[0])
         for cells in complex_.cells_by_dim[1:]:
             for cell in cells:
-                assert set(cell_vertices(cell.label)) <= vertex_labels
+                assert set(cell_vertices(cell)) <= vertex_labels
 
 
 def _assert_matches_reference(linkage):
@@ -208,7 +207,7 @@ def _assert_matches_reference(linkage):
     # must give the same labels
     for cells in complex_.cells_by_dim:
         for cell in cells:
-            assert cell.label == canonicalize(cell.label.parts)
+            assert cell == canonicalize(cell.parts)
     text = complex_to_json(complex_)
     assert text == complex_to_json(reference)
     assert text == reference_complex_to_json(complex_)
@@ -245,7 +244,7 @@ def test_generic_integer_linkages_match_the_reference_builder(lengths):
 def test_json_writes_an_empty_face_list_above_dim_0():
     linkage = make_linkage([1, 1, 1, 1, 1])
     vertices = build_complex(linkage).cells_by_dim[0]
-    edge = Cell(canonicalize([{1, 2}, {3}, {4}, {5}]), 1)
+    edge = canonicalize([{1, 2}, {3}, {4}, {5}])
     complex_ = CWComplex(linkage, [vertices, [edge]], [[()] * len(vertices), [()]])
     text = complex_to_json(complex_)
     assert text == reference_complex_to_json(complex_)

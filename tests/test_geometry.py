@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
 from linkspace.geometry import (
+    NotAClosedSurface,
     NotACycle,
     OffHyperplane,
     UnsupportedDimension,
@@ -45,6 +48,23 @@ def test_permutohedron_dimension_range():
         permutohedron(1)
     with pytest.raises(UnsupportedDimension):
         permutohedron(8)
+
+
+def test_permutohedron_boundary_is_ordered_refinement():
+    poly = permutohedron(4)
+    for d in range(1, 4):
+        below = poly.faces_by_dim[d - 1]
+        for face, row in zip(poly.faces_by_dim[d], poly.boundary[d]):
+            assert row == tuple(
+                j for j, f in enumerate(below) if ordered_refines(f, face)
+            )
+
+
+def test_placing_vertices_builds_no_face_lattice():
+    poly = permutohedron(4)
+    point = poly.vertex_point((3, 1, 2, 4))
+    assert point == (2, 3, 1, 4) and all(type(x) is int for x in point)
+    assert "faces_by_dim" not in vars(poly) and "boundary" not in vars(poly)
 
 
 def test_facet_shapes_of_pi4():
@@ -239,15 +259,9 @@ def test_mesh_counts_and_provenance_split(meshes):
 def test_mesh_agrees_with_the_complex(meshes):
     for _, linkage, mesh in meshes:
         complex_ = build_complex(linkage)
-        assert {f.label for f in mesh.faces} == {
-            c.label for c in complex_.cells_by_dim[2]
-        }
-        assert {e.label for e in mesh.edges} == {
-            c.label for c in complex_.cells_by_dim[1]
-        }
-        assert {v.label for v in mesh.vertices} == {
-            c.label for c in complex_.cells_by_dim[0]
-        }
+        assert {f.label for f in mesh.faces} == set(complex_.cells_by_dim[2])
+        assert {e.label for e in mesh.edges} == set(complex_.cells_by_dim[1])
+        assert {v.label for v in mesh.vertices} == set(complex_.cells_by_dim[0])
         edge_by_pair = {frozenset(e.endpoints): e.label for e in mesh.edges}
         for f in mesh.faces:
             incident = {
@@ -263,6 +277,47 @@ def test_mesh_agrees_with_the_complex(meshes):
         for f in mesh.faces:
             corners = {mesh.vertices[k].label for k in f.cycle}
             assert corners == set(cell_vertices(f.label))
+
+
+def _assert_mesh_is_the_complex_in_order(mesh, complex_):
+    # mesh vertex, edge and face k is cell k of grade 0, 1 and 2
+    assert [v.label for v in mesh.vertices] == list(complex_.cells_by_dim[0])
+    assert [e.label for e in mesh.edges] == list(complex_.cells_by_dim[1])
+    assert [f.label for f in mesh.faces] == list(complex_.cells_by_dim[2])
+    assert [e.endpoints for e in mesh.edges] == list(complex_.boundary[1])
+
+
+def test_mesh_indices_are_the_complex_indices(meshes):
+    for _, linkage, mesh in meshes:
+        _assert_mesh_is_the_complex_in_order(mesh, build_complex(linkage))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=5, max_size=5))
+def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
+    # an odd total cannot be split in half, so every such vector is generic
+    assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
+    linkage = make_linkage(lengths)
+    _assert_mesh_is_the_complex_in_order(perform_surgery(linkage), build_complex(linkage))
+
+
+def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
+    # {4,5} is long in 1,1,1,1,3, so this 1-cell of the equilateral pentagon
+    # is not in the sphere's complex; added with its two 0-cells, it bounds
+    # no 2-cell
+    linkage = make_linkage([1, 1, 1, 1, 3])
+    complex_ = build_complex(linkage)
+    loose = canonicalize([{1}, {2}, {3}, {4, 5}])
+    cells = [list(cs) for cs in complex_.cells_by_dim]
+    boundary = [list(rows) for rows in complex_.boundary]
+    cells[1].append(loose)
+    boundary[1].append(
+        tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(loose)))
+    )
+    corrupted = CWComplex(linkage, cells, boundary)
+    monkeypatch.setattr("linkspace.geometry.build_complex", lambda _: corrupted)
+    with pytest.raises(NotAClosedSurface, match=r"\{1\}\{2\}\{3\}\{4,5\}"):
+        perform_surgery(linkage)
 
 
 def test_face_cycle_lengths_match_labels(meshes):

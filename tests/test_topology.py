@@ -4,9 +4,9 @@ from itertools import permutations
 
 import pytest
 
+from linkspace.geometry import NotAClosedSurface
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
-    NotClosed,
     analyze,
     classify_linkage,
     classify_surface,
@@ -89,13 +89,13 @@ def test_klein_grid_is_reported_non_orientable():
 
 def test_open_surface_raises_not_closed():
     v, e, f = _grid_faces(3, 3, twist=False)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotAClosedSurface):
         classify_surface(v, e, f[:-1])
 
 
 def test_unknown_segment_raises_not_closed():
     v, e, f = _grid_faces(3, 3, twist=False)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotAClosedSurface):
         classify_surface(v, e[:-1], f)
 
 
@@ -131,6 +131,27 @@ def test_quadrilateral_two_circles():
     assert report.classification == "2 circles"
     assert report.component_count == 2
     assert all(c.vertex_count == c.edge_count == 3 for c in report.components)
+
+
+def test_quadrilateral_complex_with_a_vertex_off_two_edges_raises(monkeypatch):
+    # {1,2} is long in 2,1,1,1; the 1-cell {1,2}{3}{4} added between its two
+    # 0-cells gives both of them degree 3
+    from linkspace.cwcomplex import CWComplex, build_complex
+    from linkspace.partitions import canonicalize, cell_vertices
+
+    linkage = make_linkage([2, 1, 1, 1])
+    complex_ = build_complex(linkage)
+    chord = canonicalize([{1, 2}, {3}, {4}])
+    cells = [list(cs) for cs in complex_.cells_by_dim]
+    boundary = [list(rows) for rows in complex_.boundary]
+    cells[1].append(chord)
+    boundary[1].append(
+        tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(chord)))
+    )
+    corrupted = CWComplex(linkage, cells, boundary)
+    monkeypatch.setattr("linkspace.topology.build_complex", lambda _: corrupted)
+    with pytest.raises(NotAClosedSurface, match="not a union of circles"):
+        classify_linkage(linkage)
 
 
 def test_hexagonal_linkage_reports_f_vector_only():
