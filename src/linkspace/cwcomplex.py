@@ -9,10 +9,12 @@ run from 0 (full cyclic orders) to n-3 (three-part labels).
 
 A part is admissible exactly when it is a short subset of the bars (its
 length is below half the total), so the whole complex is fixed by one table
-of the 2^n subsets (`linkage.short_subsets`).  `build_complex` works on int
-bitmasks against that table: it generates only the set partitions whose
-blocks are all short, and wires incidence by splitting mask parts, so no
-inadmissible candidate is ever built and no rational sum is taken.
+of the 2^n subsets (`linkage.short_subsets`).  A cell is stored as the tuple
+of its parts' int bitmasks (bar i is bit i-1), n's part last: the canonical
+rotation.  `build_complex` generates only the set partitions whose blocks
+are all short, and wires incidence by merging adjacent mask parts, so no
+inadmissible candidate is ever built and no rational sum is taken.  The
+`CyclicPartition` labels are a view, built from the masks on first read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from math import factorial
 
 from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
 from .partitions import CyclicPartition, parse_partition, part_text
+
+#: A cell as the bitmasks of its parts, in canonical rotation.
+Masks = tuple[int, ...]
 
 
 class ArityMismatch(ValueError):
@@ -39,23 +44,35 @@ def check_supported_arity(n: int) -> None:
 class CWComplex:
     """Graded admissible cells with refinement incidence.
 
-    A cell is its label: cells_by_dim[d] lists the d-cells, as
-    CyclicPartitions sorted by label string; boundary[d][i] holds the
-    indices (into cells_by_dim[d-1]) of cell i's codimension-1 faces.
-    Immutable after construction.  The label -> (dim, index) map behind
-    has_cell and index_of is built on their first call, so a complex that
-    is only written out or walked by index never builds it.
+    masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
+    bit i-1, n's part last), sorted by label string; boundary[d][i] holds
+    the ascending indices (into masks_by_dim[d-1]) of cell i's
+    codimension-1 faces.  Immutable after construction.  Counts, equality
+    and export read the masks alone.  cells_by_dim, the same cells as
+    CyclicPartition labels, and the label -> (dim, index) map behind
+    has_cell and index_of are built on first read, so a complex that is
+    only counted, written out or walked by index builds no label.
     """
 
     def __init__(
         self,
         linkage: Linkage,
-        cells_by_dim: list[list[CyclicPartition]],
+        masks_by_dim: list[list[Masks]],
         boundary: list[list[tuple[int, ...]]],
     ):
         self.linkage = linkage
-        self.cells_by_dim = tuple(tuple(cs) for cs in cells_by_dim)
+        self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
         self.boundary = tuple(tuple(bs) for bs in boundary)
+
+    @cached_property
+    def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
+        # one frozenset per mask on n bars, shared by every label holding it
+        part_set = [frozenset(mask_elements(m)) for m in range(1 << self.linkage.n)]
+        make_label = CyclicPartition._from_canonical
+        return tuple(
+            tuple(make_label(tuple([part_set[p] for p in parts])) for parts in layer)
+            for layer in self.masks_by_dim
+        )
 
     @cached_property
     def _index(self) -> dict[CyclicPartition, tuple[int, int]]:
@@ -67,10 +84,10 @@ class CWComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.cells_by_dim) - 1
+        return len(self.masks_by_dim) - 1
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(cs) for cs in self.cells_by_dim)
+        return tuple(len(cs) for cs in self.masks_by_dim)
 
     def has_cell(self, label: CyclicPartition) -> bool:
         return label in self._index
@@ -83,7 +100,7 @@ class CWComplex:
             return NotImplemented
         return (
             self.linkage.lengths == other.linkage.lengths
-            and self.cells_by_dim == other.cells_by_dim
+            and self.masks_by_dim == other.masks_by_dim
             and self.boundary == other.boundary
         )
 
@@ -101,17 +118,21 @@ def build_complex(linkage: Linkage) -> CWComplex:
     is always short, by the polygon inequality).  Shortness passes to
     subsets, so this yields exactly the partitions into short blocks and
     builds no other.  Each one gives its cells by pinning the block holding
-    n last and permuting the rest, which is the canonical rotation.  Faces
-    split one part p into (sub, p ^ sub) over the submasks of p.  Labels are
-    materialized only for the cells kept, sorted by label string, and are
-    not checked again: each is a canonical partition by construction.
+    n last and permuting the rest, which is the canonical rotation.  Each
+    grade is sorted by the ranks of its parts' texts, which is the order of
+    the label strings, since no part text is a prefix of another.
+
+    Incidence is wired upward: a face's cofaces are its merges of two
+    cyclically adjacent parts into a short one.  Faces are visited in index
+    order, so every boundary row comes out ascending.  The result holds
+    masks only; no label is built.
     """
     n = linkage.n
     check_supported_arity(n)
     short = short_subsets(linkage)
     top = 1 << (n - 1)
 
-    by_parts: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    by_parts: list[list[Masks]] = [[] for _ in range(n + 1)]
     blocks: list[int] = []
 
     def grow(i: int) -> None:
@@ -131,60 +152,39 @@ def build_complex(linkage: Linkage) -> CWComplex:
         blocks.pop()
 
     grow(0)
-    text = {
-        m: part_text(mask_elements(m))
-        for m in range(1, 1 << n)
-        if short[m]
-    }
+    texts = sorted((part_text(mask_elements(m)), m) for m in range(1, 1 << n) if short[m])
+    rank = {m: r for r, (_, m) in enumerate(texts)}.__getitem__
     layers = by_parts[n:2:-1]  # m parts -> dimension n - m
     for layer in layers:
-        layer.sort(key=lambda parts: "".join([text[p] for p in parts]))
+        layer.sort(key=lambda parts: tuple(map(rank, parts)))
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(layers[0]) == factorial(n - 1)
 
-    # nonempty proper submasks of every short mask: its ways to split in two
-    splits = {p: _proper_submasks(p) for p in text}
     boundary: list[list[tuple[int, ...]]] = [[() for _ in layers[0]]]
     for d in range(1, len(layers)):
-        below = {parts: i for i, parts in enumerate(layers[d - 1])}
-        rows = []
-        for parts in layers[d]:
-            front, last = parts[:-1], parts[-1]
-            faces = []
-            for i, p in enumerate(front):
-                head, tail = parts[:i], parts[i + 1 :]
-                faces += [below[head + (s, p ^ s) + tail] for s in splits[p]]
-            # splitting the part that holds n: its n-free half y comes just
-            # before the rest, or first once n's part is rotated last
-            for y in splits[last]:
-                if not y & top:
-                    faces.append(below[front + (y, last ^ y)])
-                    faces.append(below[(y,) + front + (last ^ y,)])
-            # refinements of an admissible label are admissible, hence present
-            rows.append(tuple(sorted(faces)))
-        boundary.append(rows)
-
-    part_set = {m: frozenset(mask_elements(m)) for m in text}
-    make_label = CyclicPartition._from_canonical
-    cells_by_dim = [
-        [make_label(tuple([part_set[p] for p in parts])) for parts in layer]
-        for layer in layers
-    ]
-    return CWComplex(linkage, cells_by_dim, boundary)
-
-
-def _proper_submasks(mask: int) -> list[int]:
-    out = []
-    sub = (mask - 1) & mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return out
+        above = {parts: i for i, parts in enumerate(layers[d])}
+        rows: list[list[int]] = [[] for _ in layers[d]]
+        for f, parts in enumerate(layers[d - 1]):
+            last = parts[-1]
+            # adjacent pairs in front of n's part, then n's part with the part
+            # before it, and with the first part (rotated to keep n's last)
+            for i in range(len(parts) - 2):
+                merged = parts[i] | parts[i + 1]
+                if short[merged]:
+                    rows[above[parts[:i] + (merged,) + parts[i + 2 :]]].append(f)
+            merged = parts[-2] | last
+            if short[merged]:
+                rows[above[parts[:-2] + (merged,)]].append(f)
+            merged = parts[0] | last
+            if short[merged]:
+                rows[above[parts[1:-1] + (merged,)]].append(f)
+        boundary.append(list(map(tuple, rows)))
+    return CWComplex(linkage, layers, boundary)
 
 
 def euler_characteristic(complex_: CWComplex) -> int:
-    return sum((-1) ** d * len(cs) for d, cs in enumerate(complex_.cells_by_dim))
+    return sum((-1) ** d * c for d, c in enumerate(complex_.f_vector()))
 
 
 # Facet rows for the two admissibility tables of the standard pentagon

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import topology
 from .cwcomplex import (
@@ -27,9 +28,11 @@ from .linkage import (
     Linkage,
     LinkageError,
     make_linkage,
+    mask_elements,
     parse_rational,
+    short_subsets,
 )
-from .partitions import CyclicPartition, parse_part, parse_partition, part_text
+from .partitions import parse_part, parse_partition, part_text
 
 
 class UnsupportedFormat(ValueError):
@@ -132,29 +135,26 @@ def complex_to_json(complex_: CWComplex) -> str:
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
-    of its faces.  Within the call each distinct part's text and each face
-    index's text are rendered once.  A test pins the bytes against a
-    json.dumps writer.
+    of its faces.  Labels are rendered from the cells' part masks, so no
+    CyclicPartition is built; within the call the text of each mask on n
+    bars and of each face index is rendered once.  A test pins the bytes
+    against a json.dumps writer.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
-    layers = complex_.cells_by_dim
-    texts = dict.fromkeys(
-        p for layer in layers for label in layer for p in label.parts
-    )
-    for p in texts:
-        texts[p] = part_text(p)
+    layers = complex_.masks_by_dim
+    texts = [part_text(mask_elements(m)) for m in range(1 << complex_.linkage.n)]
     records = []
     refs: list[str] = []  # the layer below, as indented flat indices
     offset = 0
     for d, layer in enumerate(layers):
         head = f'    {{\n      "dim": {d},\n      "label": "'
         rows = complex_.boundary[d] if d else [()] * len(layer)
-        for label, row in zip(layer, rows):
+        for parts, row in zip(layer, rows):
             records.append(
                 head
-                + "".join([texts[p] for p in label.parts])
+                + "".join([texts[p] for p in parts])
                 + '",\n      "boundary": '
                 + _json_array([refs[j] for j in row], "      ")
                 + "\n    }"
@@ -182,12 +182,16 @@ def complex_from_json(text: str) -> CWComplex:
     is on another number of bars or is not written as the writer writes it
     (n's part last, each part ascending), a dim other than n minus the
     label's part count, labels of one dim that do not strictly increase
-    (so a cell listed twice, or two cells swapped), or a face index that is
-    out of range, not one dim down or listed twice in one boundary.
+    (so a cell listed twice, or two cells swapped), a part that is long for
+    the document's lengths, a count of 0-cells other than (n-1)!, or a face
+    index that is out of range, not one dim down or listed twice in one
+    boundary.  Boundaries are not compared with the refinements of their
+    cells, so a document missing a cell above dim 0 still loads.
 
     Each distinct part text is parsed once per document; a label is then
-    checked on the parts' bitmasks and built without a second check.  Each
-    check is linear in the document.
+    checked on the parts' bitmasks, and the cell is stored as those masks,
+    so no CyclicPartition is built.  Each check is linear in the document;
+    the shortness check reads one short-subset table, once per distinct part.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
@@ -232,7 +236,7 @@ def complex_from_json(text: str) -> CWComplex:
     # cover 1..n exactly when the weights add up to the full mask plus n.
     # (Overlapping masks carry, which leaves fewer than n bits set; more
     # parts than fit below bit 2n hold more than n elements.)
-    part_of: dict[str, frozenset[int]] = {}
+    mask_of: dict[str, int] = {}
     weight_of: dict[str, int] = {}
     ground = frozenset(range(1, n + 1))
     for body in set().union(*bodies):
@@ -242,12 +246,11 @@ def complex_from_json(text: str) -> CWComplex:
         except ValueError:
             continue
         if part <= ground and part_text(part) == braced:
-            part_of[body] = part
-            weight_of[body] = sum([1 << (x - 1) for x in part]) + (len(part) << 2 * n)
+            mask_of[body] = sum([1 << (x - 1) for x in part])
+            weight_of[body] = mask_of[body] + (len(part) << 2 * n)
     whole, top = (1 << n) - 1 + (n << 2 * n), 1 << (n - 1)
     weight = weight_of.__getitem__
-    make_label = CyclicPartition._from_canonical
-    cells_by_dim: list[list[CyclicPartition]] = [[] for _ in range(n)]
+    masks_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     dims: list[int] = []
     flat_position: list[int] = []
     previous = [""] * n  # the last label text seen in each dim
@@ -271,10 +274,22 @@ def complex_from_json(text: str) -> CWComplex:
             )
         previous[dim] = label_text
         dims.append(dim)
-        flat_position.append(len(cells_by_dim[dim]))
-        cells_by_dim[dim].append(make_label(tuple([part_of[p] for p in parts])))
-    del cells_by_dim[max(dims) + 1 :]
-    boundary: list[list[tuple[int, ...]]] = [[] for _ in cells_by_dim]
+        flat_position.append(len(masks_by_dim[dim]))
+        masks_by_dim[dim].append(tuple([mask_of[p] for p in parts]))
+    # every label is canonical, so mask_of now holds exactly their parts
+    short = short_subsets(linkage)
+    if not all([short[m] for m in mask_of.values()]):
+        k, body = next(
+            (k, p) for k, parts in enumerate(bodies) for p in parts if not short[mask_of[p]]
+        )
+        raise ValueError(f"cell {k}: part {{{body}}} is long for lengths {linkage.spec()}")
+    if len(masks_by_dim[0]) != factorial(n - 1):
+        raise ValueError(
+            f"{len(masks_by_dim[0])} cells of dim 0, not the {factorial(n - 1)}"
+            f" cyclic orders of {n} bars"
+        )
+    del masks_by_dim[max(dims) + 1 :]
+    boundary: list[list[tuple[int, ...]]] = [[] for _ in masks_by_dim]
     for k, (d, (_, _, faces)) in enumerate(zip(dims, rows)):
         for j in faces:
             if not (type(j) is int and 0 <= j < len(dims) and dims[j] == d - 1):
@@ -283,7 +298,7 @@ def complex_from_json(text: str) -> CWComplex:
             j = next(j for i, j in enumerate(faces) if j in faces[:i])
             raise ValueError(f"cell {k}: face {j} is listed twice")
         boundary[d].append(tuple([flat_position[j] for j in faces]))
-    return CWComplex(linkage, cells_by_dim, boundary)
+    return CWComplex(linkage, masks_by_dim, boundary)
 
 
 def _label_error(k: int, text: str, n: int) -> ValueError:

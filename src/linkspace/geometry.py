@@ -33,7 +33,6 @@ from .partitions import (
     _ordered_splits,
     _set_partitions,
     part_text,
-    vertex_to_permutation,
 )
 
 OrderedPartition = tuple[frozenset[int], ...]
@@ -204,9 +203,8 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         u, w = ends[e]
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
-    label = complex_.cells_by_dim[2][i]
     if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        raise NotACycle(f"boundary graph of {label} is not 2-regular")
+        raise NotACycle(f"boundary graph of {complex_.cells_by_dim[2][i]} is not 2-regular")
     start = min(adjacency)
     cycle = [start, min(adjacency[start])]
     while True:
@@ -216,7 +214,7 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
             break
         cycle.append(nxt)
     if len(cycle) != len(adjacency):
-        raise NotACycle(f"boundary graph of {label} is disconnected")
+        raise NotACycle(f"boundary graph of {complex_.cells_by_dim[2][i]} is disconnected")
     return cycle
 
 
@@ -251,22 +249,22 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     poly = permutohedron(4)
 
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
-    # the order of the permutations abcd.
+    # the order of the permutations abcd.  A 0-cell's parts are single bars,
+    # and the mask of bar a is 1 << (a - 1).
+    labels, masks = complex_.cells_by_dim, complex_.masks_by_dim
     vertices = []
-    for label in complex_.cells_by_dim[0]:
-        perm = vertex_to_permutation(label)
+    for label, parts in zip(labels[0], masks[0]):
+        perm = tuple([m.bit_length() for m in parts[:-1]])
         point4 = poly.vertex_point(perm)
         vertices.append(MeshVertex(label, perm, point4, project_to_3d(point4)))
 
-    edges = [
-        MeshEdge(label, ends)
-        for label, ends in zip(complex_.cells_by_dim[1], complex_.boundary[1])
-    ]
+    edges = [MeshEdge(label, ends) for label, ends in zip(labels[1], complex_.boundary[1])]
 
+    # canonical rotation: 5's part is last, and it is {5} alone on the
+    # permutohedron's facets
     faces = []
-    for i, label in enumerate(complex_.cells_by_dim[2]):
-        five_part = label.parts[-1]  # canonical rotation: 5's part is last
-        provenance = "permutohedron" if len(five_part) == 1 else "diagonal"
+    for i, (label, parts) in enumerate(zip(labels[2], masks[2])):
+        provenance = "permutohedron" if parts[-1] == 1 << 4 else "diagonal"
         faces.append(MeshFace(label, tuple(_cycle(complex_, i)), provenance))
 
     faces_on = Counter(e for row in complex_.boundary[2] for e in row)

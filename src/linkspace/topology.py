@@ -11,7 +11,7 @@ for orientable components.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,14 +101,21 @@ def classify_surface(
     """Classify a closed polygonal 2-complex given by vertex count, edge
     endpoint pairs and face vertex cycles.  Raises NotAClosedSurface unless
     every edge lies in exactly two faces."""
-    edge_id = {frozenset(e): i for i, e in enumerate(edges)}
-    faces_of_edge: dict[int, list[int]] = defaultdict(list)
+    # faces_of_edge[i] and edges_of_face[f] pair each incidence with the
+    # face's direction along the edge: +1 if it walks the edge as stored
+    edge_id = {(min(e), max(e)): i for i, e in enumerate(edges)}
+    faces_of_edge: list[list[tuple[int, int]]] = [[] for _ in edges]
+    edges_of_face: list[list[tuple[int, int]]] = []
     for f, cycle in enumerate(faces):
+        incidences = []
         for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-            i = edge_id.get(frozenset((a, b)))
+            i = edge_id.get((a, b) if a < b else (b, a))
             if i is None:
                 raise NotAClosedSurface(f"face {f} uses segment {a}-{b} that is not an edge")
-            faces_of_edge[i].append(f)
+            direction = 1 if edges[i][0] == a else -1
+            faces_of_edge[i].append((f, direction))
+            incidences.append((i, direction))
+        edges_of_face.append(incidences)
     for i, e in enumerate(edges):
         if len(faces_of_edge[i]) != 2:
             raise NotAClosedSurface(
@@ -120,16 +127,6 @@ def classify_surface(
     # Orientation propagation over the face-adjacency graph, per component.
     # sign[f] = +1 keeps the stored cycle direction, -1 reverses it; two
     # faces sharing an edge must traverse it in opposite directions.
-    def traversal(face: int, a: int, b: int) -> int:
-        cycle = faces[face]
-        k = len(cycle)
-        for idx in range(k):
-            if cycle[idx] == a and cycle[(idx + 1) % k] == b:
-                return 1
-            if cycle[idx] == b and cycle[(idx + 1) % k] == a:
-                return -1
-        raise AssertionError(f"edge {a}-{b} not on face {face}")
-
     count = max(component, default=-1) + 1
     orientable_of = [True] * count
     sign: dict[int, int] = {}
@@ -140,13 +137,11 @@ def classify_surface(
         stack = [f0]
         while stack:
             f = stack.pop()
-            cycle = faces[f]
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-                i = edge_id[frozenset((a, b))]
-                for g in faces_of_edge[i]:
+            for i, direction in edges_of_face[f]:
+                for g, other in faces_of_edge[i]:
                     if g == f:
                         continue
-                    required = -sign[f] * traversal(f, a, b) * traversal(g, a, b)
+                    required = -sign[f] * direction * other
                     if g not in sign:
                         sign[g] = required
                         stack.append(g)
@@ -196,7 +191,7 @@ def classify_linkage(linkage: Linkage) -> TopologyReport:
     if linkage.n == 5:
         return analyze(perform_surgery(linkage))
     complex_ = build_complex(linkage)
-    vertex_count = len(complex_.cells_by_dim[0])
+    vertex_count = len(complex_.masks_by_dim[0])
     edges = complex_.boundary[1]
     component = _components(vertex_count, edges)
     count = max(component) + 1

@@ -82,7 +82,8 @@ def oracle_cells(lengths) -> dict[int, set[frozenset[Parts]]]:
 def reference_build_complex(linkage) -> CWComplex:
     """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
     per grade, filtering them with rational sums and wiring incidence through
-    labelled one-step refinements."""
+    labelled one-step refinements.  The cells are stored as masks, as the
+    package stores them; `cells_by_dim` holds the enumerated labels."""
     n = linkage.n
     check_supported_arity(n)
     cells_by_dim = []
@@ -104,7 +105,18 @@ def reference_build_complex(linkage) -> CWComplex:
                 for label in cells_by_dim[d]
             ]
         )
-    return CWComplex(linkage, cells_by_dim, boundary)
+    masks = [[label_masks(label) for label in labels] for labels in cells_by_dim]
+    complex_ = CWComplex(linkage, masks, boundary)
+    # the reference's labels are the ones enumerated here, not the package's
+    # view of its masks, so comparing labels with it checks that view
+    complex_.__dict__["cells_by_dim"] = tuple(map(tuple, cells_by_dim))
+    return complex_
+
+
+def label_masks(label: CyclicPartition) -> tuple[int, ...]:
+    """A label as a complex stores it: one bitmask per part, bar i at bit
+    i-1, in the label's canonical order."""
+    return tuple(sum(1 << (x - 1) for x in part) for part in label.parts)
 
 
 def reference_complex_to_json(complex_: CWComplex) -> str:

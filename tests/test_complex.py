@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linkspace.cli import main
 from linkspace.cwcomplex import (
     ArityMismatch,
     CWComplex,
@@ -11,11 +14,17 @@ from linkspace.cwcomplex import (
 )
 from linkspace.export import complex_from_json, complex_to_json
 from linkspace.linkage import is_admissible_partition, make_linkage
-from linkspace.partitions import canonicalize, cell_vertices, one_step_refinements
+from linkspace.partitions import (
+    CyclicPartition,
+    canonicalize,
+    cell_vertices,
+    one_step_refinements,
+)
 
 from oracles import (
     boundary_labels,
     coarsenings,
+    label_masks,
     oracle_cells,
     reference_build_complex,
     reference_complex_to_json,
@@ -201,6 +210,7 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference = reference_build_complex(linkage)
+    assert complex_.masks_by_dim == reference.masks_by_dim
     assert complex_.cells_by_dim == reference.cells_by_dim
     assert complex_.boundary == reference.boundary
     # the builder's labels skip the constructor's check; the checking route
@@ -241,10 +251,24 @@ def test_generic_integer_linkages_match_the_reference_builder(lengths):
     _assert_matches_reference(make_linkage(lengths))
 
 
+def test_heptagon_classify_and_complex_build_no_label(monkeypatch, capsys):
+    # counts, incidence, export and load read the cells' masks alone
+    def refuse(parts):
+        raise AssertionError(f"label built for {parts}")
+
+    monkeypatch.setattr(CyclicPartition, "_from_canonical", staticmethod(refuse))
+    spec = "3,5,7,2,9,4,1"
+    assert main(["classify", spec, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["f_vector"] == [720, 2400, 2880, 1440, 242]
+    assert main(["complex", spec]) == 0
+    text = capsys.readouterr().out
+    assert complex_to_json(complex_from_json(text)) == text
+
+
 def test_json_writes_an_empty_face_list_above_dim_0():
     linkage = make_linkage([1, 1, 1, 1, 1])
-    vertices = build_complex(linkage).cells_by_dim[0]
-    edge = canonicalize([{1, 2}, {3}, {4}, {5}])
+    vertices = build_complex(linkage).masks_by_dim[0]
+    edge = label_masks(canonicalize([{1, 2}, {3}, {4}, {5}]))
     complex_ = CWComplex(linkage, [vertices, [edge]], [[()] * len(vertices), [()]])
     text = complex_to_json(complex_)
     assert text == reference_complex_to_json(complex_)

@@ -247,6 +247,23 @@ def test_complex_from_json_rejects_a_face_listed_twice():
         _load(doc)
 
 
+def test_complex_from_json_rejects_a_part_long_for_the_lengths():
+    # every pair is short in 1,1,1,1,1, but {4,5} is long in 1,1,1,1,3; the
+    # first cell holding it is {1}{2}{3}{4,5}
+    doc = _pentagon_document()
+    doc["lengths"] = ["1", "1", "1", "1", "3"]
+    assert doc["cells"][33]["label"] == "{1}{2}{3}{4,5}"
+    with pytest.raises(ValueError, match=r"cell 33: part \{4,5\} is long for lengths 1,1,1,1,3"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_missing_0_cell():
+    doc = _pentagon_document()
+    doc["cells"] = doc["cells"][:23]  # 0-cells only, the last one dropped
+    with pytest.raises(ValueError, match=r"23 cells of dim 0, not the 24 cyclic orders"):
+        _load(doc)
+
+
 def test_report_json_schema(representatives):
     rep, linkage = representatives[0]
     doc = json.loads(report_to_json(classify_linkage(linkage), linkage))

@@ -19,7 +19,7 @@ from linkspace.geometry import (
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
 
-from oracles import boundary_labels, common_refinement, ordered_refines
+from oracles import boundary_labels, common_refinement, label_masks, ordered_refines
 
 
 def _dist3(p, q):
@@ -184,7 +184,7 @@ def test_boundary_cycle_detects_a_corrupted_complex():
     i = complex_.index_of(cell)[1]
     boundary = [list(rows) for rows in complex_.boundary]
     boundary[2][i] = boundary[2][i][1:]  # drop one of the hexagon's six edges
-    corrupted = CWComplex(linkage, complex_.cells_by_dim, boundary)
+    corrupted = CWComplex(linkage, complex_.masks_by_dim, boundary)
     with pytest.raises(NotACycle):
         boundary_cycle(cell, corrupted)
 
@@ -308,9 +308,9 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
     linkage = make_linkage([1, 1, 1, 1, 3])
     complex_ = build_complex(linkage)
     loose = canonicalize([{1}, {2}, {3}, {4, 5}])
-    cells = [list(cs) for cs in complex_.cells_by_dim]
+    cells = [list(cs) for cs in complex_.masks_by_dim]
     boundary = [list(rows) for rows in complex_.boundary]
-    cells[1].append(loose)
+    cells[1].append(label_masks(loose))
     boundary[1].append(
         tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(loose)))
     )

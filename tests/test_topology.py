@@ -87,6 +87,14 @@ def test_klein_grid_is_reported_non_orientable():
     assert report.components[0].genus is None
 
 
+def test_edge_endpoint_order_does_not_change_the_report():
+    # a face's direction along an edge is taken against the edge as stored
+    for twist in (False, True):
+        v, e, f = _grid_faces(3, 3, twist=twist)
+        flipped = [(b, a) for a, b in e]
+        assert classify_surface(v, flipped, f) == classify_surface(v, e, f)
+
+
 def test_open_surface_raises_not_closed():
     v, e, f = _grid_faces(3, 3, twist=False)
     with pytest.raises(NotAClosedSurface):
@@ -138,13 +146,14 @@ def test_quadrilateral_complex_with_a_vertex_off_two_edges_raises(monkeypatch):
     # 0-cells gives both of them degree 3
     from linkspace.cwcomplex import CWComplex, build_complex
     from linkspace.partitions import canonicalize, cell_vertices
+    from oracles import label_masks
 
     linkage = make_linkage([2, 1, 1, 1])
     complex_ = build_complex(linkage)
     chord = canonicalize([{1, 2}, {3}, {4}])
-    cells = [list(cs) for cs in complex_.cells_by_dim]
+    cells = [list(cs) for cs in complex_.masks_by_dim]
     boundary = [list(rows) for rows in complex_.boundary]
-    cells[1].append(chord)
+    cells[1].append(label_masks(chord))
     boundary[1].append(
         tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(chord)))
     )
