@@ -20,11 +20,11 @@ from linkspace.linkage import make_linkage
 from linkspace.topology import analyze
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="models", help="output directory")
     parser.add_argument("--triangulate", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

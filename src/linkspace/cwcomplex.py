@@ -25,7 +25,7 @@ from itertools import permutations
 from math import factorial
 
 from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
-from .partitions import CyclicPartition, parse_partition, part_text
+from .partitions import CyclicPartition, mask_texts, parse_partition
 
 #: A cell as the bitmasks of its parts, in canonical rotation.
 Masks = tuple[int, ...]
@@ -49,8 +49,7 @@ class CWComplex:
     the ascending indices (into masks_by_dim[d-1]) of cell i's
     codimension-1 faces.  Immutable after construction.  Counts, equality
     and export read the masks alone.  cells_by_dim, the same cells as
-    CyclicPartition labels, and the label -> (dim, index) map behind
-    has_cell and index_of are built on first read, so a complex that is
+    CyclicPartition labels, is built on first read, so a complex that is
     only counted, written out or walked by index builds no label.
     """
 
@@ -74,26 +73,12 @@ class CWComplex:
             for layer in self.masks_by_dim
         )
 
-    @cached_property
-    def _index(self) -> dict[CyclicPartition, tuple[int, int]]:
-        return {
-            label: (d, i)
-            for d, cells in enumerate(self.cells_by_dim)
-            for i, label in enumerate(cells)
-        }
-
     @property
     def dim(self) -> int:
         return len(self.masks_by_dim) - 1
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(cs) for cs in self.masks_by_dim)
-
-    def has_cell(self, label: CyclicPartition) -> bool:
-        return label in self._index
-
-    def index_of(self, label: CyclicPartition) -> tuple[int, int]:
-        return self._index[label]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CWComplex):
@@ -152,8 +137,9 @@ def build_complex(linkage: Linkage) -> CWComplex:
         blocks.pop()
 
     grow(0)
-    texts = sorted((part_text(mask_elements(m)), m) for m in range(1, 1 << n) if short[m])
-    rank = {m: r for r, (_, m) in enumerate(texts)}.__getitem__
+    text = mask_texts(n)
+    order = sorted([m for m in range(1, 1 << n) if short[m]], key=text.__getitem__)
+    rank = {m: r for r, m in enumerate(order)}.__getitem__
     layers = by_parts[n:2:-1]  # m parts -> dimension n - m
     for layer in layers:
         layer.sort(key=lambda parts: tuple(map(rank, parts)))

@@ -28,11 +28,10 @@ from .linkage import (
     Linkage,
     LinkageError,
     make_linkage,
-    mask_elements,
     parse_rational,
     short_subsets,
 )
-from .partitions import parse_part, parse_partition, part_text
+from .partitions import mask_texts, parse_part, parse_partition, part_text
 
 
 class UnsupportedFormat(ValueError):
@@ -69,56 +68,57 @@ def _fmt_coord(x: float) -> str:
     return f"{value:.6f}"
 
 
-def _face_rows(mesh: SurfaceMesh, triangulate: bool):
-    for face in sorted(mesh.faces, key=lambda f: str(f.label)):
-        if triangulate:
-            anchor = face.cycle[0]
-            for b, c in zip(face.cycle[1:], face.cycle[2:]):
-                yield face, (anchor, b, c)
-        else:
-            yield face, face.cycle
-
-
 def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) -> str:
     """Render the mesh as OBJ or ASCII PLY text.
 
-    Vertices are sorted by permutation label (the mesh is already built that
-    way); faces are n-gon records, or fans from each cycle's first vertex
-    when `triangulate` is set.
+    Vertices and faces come in the complex's order: vertices by permutation
+    label, faces by label string.  Faces are n-gon records, or fans from
+    each cycle's first vertex when `triangulate` is set.  In OBJ each record
+    follows a `# face` comment holding the face's label, written from its
+    part masks, and its provenance.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
     report = topology.analyze(mesh)
+    spec = mesh.complex.linkage.spec()
+    points = [" ".join(_fmt_coord(c) for c in point) for point in mesh.points]
+    rows = []  # (face index, vertex cycle) per face record
+    for k, cycle in enumerate(mesh.cycles):
+        if triangulate:
+            rows += [(k, (cycle[0], b, c)) for b, c in zip(cycle[1:], cycle[2:])]
+        else:
+            rows.append((k, cycle))
     if fmt == "obj":
+        v_count, e_count, f_count = mesh.counts()
         lines = [
-            f"# linkage: {mesh.linkage.spec()}",
+            f"# linkage: {spec}",
             f"# classification: {report.classification}",
-            f"# vertices: {len(mesh.vertices)}  edges: {len(mesh.edges)}  faces: {len(mesh.faces)}",
+            f"# vertices: {v_count}  edges: {e_count}  faces: {f_count}",
         ]
-        for v in mesh.vertices:
-            lines.append("v " + " ".join(_fmt_coord(c) for c in v.point3))
-        for face, cycle in _face_rows(mesh, triangulate):
-            lines.append(f"# face {face.label} {face.provenance}")
-            lines.append("f " + " ".join(str(i + 1) for i in cycle))
-        return "\n".join(lines) + "\n"
-    face_rows = list(_face_rows(mesh, triangulate))
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"comment linkage: {mesh.linkage.spec()}",
-        f"comment classification: {report.classification}",
-        f"element vertex {len(mesh.vertices)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(face_rows)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    for v in mesh.vertices:
-        lines.append(" ".join(_fmt_coord(c) for c in v.point3))
-    for _, cycle in face_rows:
-        lines.append(f"{len(cycle)} " + " ".join(str(i) for i in cycle))
+        lines += ["v " + point for point in points]
+        texts = mask_texts(5)
+        comments = [
+            f"# face {''.join([texts[p] for p in parts])} {mesh.provenance(k)}"
+            for k, parts in enumerate(mesh.complex.masks_by_dim[2])
+        ]
+        for k, cycle in rows:
+            lines += [comments[k], "f " + " ".join(str(i + 1) for i in cycle)]
+    else:
+        lines = [
+            "ply",
+            "format ascii 1.0",
+            f"comment linkage: {spec}",
+            f"comment classification: {report.classification}",
+            f"element vertex {len(points)}",
+            "property float x",
+            "property float y",
+            "property float z",
+            f"element face {len(rows)}",
+            "property list uchar int vertex_indices",
+            "end_header",
+        ]
+        lines += points
+        lines += [f"{len(cycle)} " + " ".join(map(str, cycle)) for _, cycle in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -135,16 +135,16 @@ def complex_to_json(complex_: CWComplex) -> str:
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
-    of its faces.  Labels are rendered from the cells' part masks, so no
-    CyclicPartition is built; within the call the text of each mask on n
-    bars and of each face index is rendered once.  A test pins the bytes
-    against a json.dumps writer.
+    of its faces.  Labels are rendered from the cells' part masks through
+    `mask_texts`, so no CyclicPartition is built; within the call the text
+    of each face index is rendered once.  A test pins the bytes against a
+    json.dumps writer.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
     layers = complex_.masks_by_dim
-    texts = [part_text(mask_elements(m)) for m in range(1 << complex_.linkage.n)]
+    texts = mask_texts(complex_.linkage.n)
     records = []
     refs: list[str] = []  # the layer below, as indented flat indices
     offset = 0

@@ -1,19 +1,13 @@
-"""Permutohedron face lattice and the pentagon surgery.
+"""The pentagon surgery: a pentagon's cell complex as a polyhedral surface.
 
-The m-permutohedron is the convex hull of the permutations of (1,..,m); its
-faces of dimension d are the ordered partitions of {1..m} into m-d parts,
-with containment given by consecutive-block refinement.  For a pentagon
-linkage the cell complex is realized as a polyhedral surface in three steps:
-place the vertices on the 4-permutohedron (cut each cyclic order at 5), keep
-the permutohedron facets whose label with {5} appended is admissible, and
-patch a "diagonal" face for every admissible 2-cell whose part containing 5
-is not a singleton.
-
-The mesh's vertices, edges and faces are the complex's 0-, 1- and 2-cells in
-the complex's order: mesh vertex, edge and face k is cell k of its grade.
-Their incidence is read from the complex's boundary lists: a face's polygon
-is the walk along its 1-cells (`boundary[2]`), each joining the two 0-cells
-in its `boundary[1]` row.  No incidence is re-derived from labels.
+The m-permutohedron is the convex hull of the permutations of (1,..,m).  A
+pentagon's complex is realized in three steps: place the vertices on the
+4-permutohedron (cut each cyclic order at 5), keep the permutohedron facets
+whose label with {5} appended is admissible, and patch in a "diagonal" face
+for every admissible 2-cell whose part containing 5 is not a singleton.
+Only vertex placement lives here; the face lattice, a second route for the
+tests, is in the tests' oracles.  The mesh is read off the complex's
+incidence lists, and no label is read except to word an error.
 """
 
 from __future__ import annotations
@@ -21,21 +15,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
 from .linkage import Linkage, Rational
-from .partitions import (
-    CyclicOrder,
-    CyclicPartition,
-    _ordered_splits,
-    _set_partitions,
-    part_text,
-)
+from .partitions import CyclicOrder, CyclicPartition
 
-OrderedPartition = tuple[frozenset[int], ...]
+Point3 = tuple[float, float, float]
 
 
 class UnsupportedDimension(ValueError):
@@ -55,63 +43,17 @@ class NotACycle(RuntimeError):
     """The boundary graph of a would-be 2-cell is not a single simple cycle."""
 
 
-def _ordered_partitions(elements: tuple[int, ...], p: int):
-    """Ordered partitions of `elements` into exactly p nonempty blocks."""
-    for blocks in _set_partitions(elements, p):
-        yield from permutations(blocks)
-
-
 class Permutohedron:
-    """Face lattice of the m-permutohedron, graded by dimension.
+    """Vertex placement on the m-permutohedron.
 
-    faces_by_dim[d] lists ordered-partition labels into m-d parts, sorted by
-    label string; boundary[d][i] gives indices of codimension-1 faces.  The
-    top entry (dimension m-1) is the polytope itself.  Both are built on
-    first read, so placing vertices never builds the lattice.
+    One object per m and process (see `permutohedron`), so `points` is
+    computed once.
     """
 
     def __init__(self, m: int):
         if not 2 <= m <= 7:
             raise UnsupportedDimension(f"supported for 2 <= m <= 7, got m={m}")
         self.m = m
-
-    @cached_property
-    def faces_by_dim(self) -> list[list[OrderedPartition]]:
-        elements = tuple(range(1, self.m + 1))
-        faces_by_dim = []
-        for d in range(self.m):  # dimension d <-> m-d parts
-            faces = [tuple(f) for f in _ordered_partitions(elements, self.m - d)]
-            faces.sort(key=lambda f: "".join(map(part_text, f)))
-            faces_by_dim.append(faces)
-        return faces_by_dim
-
-    @cached_property
-    def boundary(self) -> list[list[tuple[int, ...]]]:
-        boundary: list[list[tuple[int, ...]]] = [[() for _ in self.vertices]]
-        for d in range(1, self.m):
-            below = {f: i for i, f in enumerate(self.faces_by_dim[d - 1])}
-            rows = []
-            for face in self.faces_by_dim[d]:
-                subs = [
-                    below[face[:i] + split + face[i + 1 :]]
-                    for i, part in enumerate(face)
-                    for split in _ordered_splits(part)
-                ]
-                rows.append(tuple(sorted(subs)))
-            boundary.append(rows)
-        return boundary
-
-    @property
-    def vertices(self) -> list[OrderedPartition]:
-        return self.faces_by_dim[0]
-
-    @property
-    def edges(self) -> list[OrderedPartition]:
-        return self.faces_by_dim[1]
-
-    @property
-    def facets(self) -> list[OrderedPartition]:
-        return self.faces_by_dim[self.m - 2]
 
     def vertex_point(self, perm: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of the vertex labeled by a linear order: the element
@@ -121,8 +63,17 @@ class Permutohedron:
             point[a - 1] = j
         return tuple(point)
 
+    @cached_property
+    def points(self) -> tuple[Point3, ...]:
+        """Every vertex projected to R^3 (m = 4 only), in the lexicographic
+        order of the linear orders."""
+        orders = permutations(range(1, self.m + 1))
+        return tuple([project_to_3d(self.vertex_point(p)) for p in orders])
 
+
+@cache
 def permutohedron(m: int) -> Permutohedron:
+    """The m-permutohedron, one object per m and process."""
     return Permutohedron(m)
 
 
@@ -143,7 +94,7 @@ def _gram_schmidt(vectors: Sequence[Sequence[float]]) -> list[list[float]]:
 _PROJECTION_BASIS = _gram_schmidt([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)])
 
 
-def project_to_3d(point: Sequence[int | Rational]) -> tuple[float, float, float]:
+def project_to_3d(point: Sequence[int | Rational]) -> Point3:
     """Isometric affine map from the vertex hyperplane sum(x)=10 of the
     4-permutohedron into R^3; the single lossy (float) step of the pipeline.
     Centering at the barycenter 5/2 is exact for the integer vertex points."""
@@ -158,35 +109,31 @@ def project_to_3d(point: Sequence[int | Rational]) -> tuple[float, float, float]
 
 
 @dataclass(frozen=True)
-class MeshVertex:
-    label: CyclicOrder
-    permutation: tuple[int, ...]
-    point4: tuple[int, ...]
-    point3: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class MeshFace:
-    label: CyclicPartition
-    cycle: tuple[int, ...]  # vertex indices in boundary order
-    provenance: str  # "permutohedron" | "diagonal"
-
-
-@dataclass(frozen=True)
-class MeshEdge:
-    label: CyclicPartition
-    endpoints: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class SurfaceMesh:
-    linkage: Linkage
-    vertices: tuple[MeshVertex, ...]
-    faces: tuple[MeshFace, ...]
-    edges: tuple[MeshEdge, ...]
+    """A pentagon's cell complex realized as a closed polyhedral surface.
+
+    Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
+    `points[k]` is vertex k's position in R^3 and `cycles[k]` lists face k's
+    vertex indices in polygon order.  The edges (the endpoint pairs
+    `complex.boundary[1]`) and each face's provenance are read off the
+    complex.
+    """
+
+    complex: CWComplex
+    points: tuple[Point3, ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return self.complex.boundary[1]
+
+    def provenance(self, k: int) -> str:
+        """'permutohedron' for a kept facet, whose part holding 5 (the last
+        mask) is {5} alone; 'diagonal' for a patched-in face."""
+        return "permutohedron" if self.complex.masks_by_dim[2][k][-1] == 1 << 4 else "diagonal"
 
     def counts(self) -> tuple[int, int, int]:
-        return len(self.vertices), len(self.edges), len(self.faces)
+        return len(self.points), len(self.edges), len(self.cycles)
 
 
 def _cycle(complex_: CWComplex, i: int) -> list[int]:
@@ -232,10 +179,10 @@ def boundary_cycle(
     """
     if cell.num_parts != cell.n - 2:
         raise ValueError(f"{cell} is not a 2-cell label (needs n-2 parts)")
-    if not complex_.has_cell(cell):
+    cells = complex_.cells_by_dim
+    if len(cells) < 3 or cell not in cells[2]:
         raise NotACycle(f"{cell} is not a cell of the complex")
-    vertices = complex_.cells_by_dim[0]
-    return [vertices[k] for k in _cycle(complex_, complex_.index_of(cell)[1])]
+    return [cells[0][k] for k in _cycle(complex_, cells[2].index(cell))]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
@@ -246,31 +193,16 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)
-    poly = permutohedron(4)
-
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
-    # the order of the permutations abcd.  A 0-cell's parts are single bars,
-    # and the mask of bar a is 1 << (a - 1).
-    labels, masks = complex_.cells_by_dim, complex_.masks_by_dim
-    vertices = []
-    for label, parts in zip(labels[0], masks[0]):
-        perm = tuple([m.bit_length() for m in parts[:-1]])
-        point4 = poly.vertex_point(perm)
-        vertices.append(MeshVertex(label, perm, point4, project_to_3d(point4)))
-
-    edges = [MeshEdge(label, ends) for label, ends in zip(labels[1], complex_.boundary[1])]
-
-    # canonical rotation: 5's part is last, and it is {5} alone on the
-    # permutohedron's facets
-    faces = []
-    for i, (label, parts) in enumerate(zip(labels[2], masks[2])):
-        provenance = "permutohedron" if parts[-1] == 1 << 4 else "diagonal"
-        faces.append(MeshFace(label, tuple(_cycle(complex_, i)), provenance))
-
+    # the lexicographic order of the permutations abcd, as the points are
+    points = permutohedron(4).points
+    cycles = tuple([tuple(_cycle(complex_, i)) for i in range(len(complex_.boundary[2]))])
     faces_on = Counter(e for row in complex_.boundary[2] for e in row)
-    bad = [e.label for i, e in enumerate(edges) if faces_on[i] != 2]
+    bad = [i for i in range(len(complex_.boundary[1])) if faces_on[i] != 2]
     if bad:
+        labels = complex_.cells_by_dim[1]
         raise NotAClosedSurface(
-            f"edges not shared by exactly two faces: {', '.join(map(str, bad))}"
+            "edges not shared by exactly two faces: "
+            + ", ".join(str(labels[i]) for i in bad)
         )
-    return SurfaceMesh(linkage, tuple(vertices), tuple(faces), tuple(edges))
+    return SurfaceMesh(complex_, points, cycles)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -85,6 +86,13 @@ CyclicOrder = CyclicPartition  # all-singleton case; see is_cyclic_order()
 def part_text(part: Iterable[int]) -> str:
     """One part in the table notation, elements ascending, e.g. '{1,3}'."""
     return "{" + ",".join(map(str, sorted(part))) + "}"
+
+
+@cache
+def mask_texts(n: int) -> tuple[str, ...]:
+    """The text of every part on n bars, indexed by its bitmask (bar i is
+    bit i-1): mask_texts(5)[0b101] == '{1,3}'."""
+    return tuple(part_text(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 def _check_partition(parts: Sequence[frozenset[int]]) -> int:

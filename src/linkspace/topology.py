@@ -173,11 +173,7 @@ def classify_surface(
 
 
 def analyze(mesh: SurfaceMesh) -> TopologyReport:
-    return classify_surface(
-        len(mesh.vertices),
-        [e.endpoints for e in mesh.edges],
-        [f.cycle for f in mesh.faces],
-    )
+    return classify_surface(len(mesh.points), mesh.edges, mesh.cycles)
 
 
 def classify_linkage(linkage: Linkage) -> TopologyReport:

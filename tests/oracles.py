@@ -9,8 +9,9 @@ enumerate-then-filter builder behind the bitmask one, and
 `reference_complex_to_json`, the `json.dumps` writer behind the direct one.
 Below them are helpers the package itself has no use for, kept here as
 second routes for the tests: cyclic coarsenings, the permutation -> vertex
-inverse, linear refinement and meets of ordered partitions (the
-permutohedron's face order), and a complex's faces as labels.
+inverse, the permutohedron's face lattice with linear refinement and meets
+of ordered partitions (its face order), and a complex's or a mesh's faces
+as labels.
 """
 
 import json
@@ -215,6 +216,44 @@ def permutation_to_vertex(perm) -> CyclicPartition:
     )
 
 
+class PermutohedronLattice:
+    """Face lattice of the m-permutohedron, graded by dimension.
+
+    A face of dimension d is an ordered partition of {1..m} into m-d parts;
+    faces_by_dim[d] lists them sorted by label string, and boundary[d][i]
+    holds the ascending indices of face i's codimension-1 faces, the ordered
+    partitions that split one of its parts into two consecutive ones.  The
+    top entry (dimension m-1) is the polytope itself.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        by_count: dict[int, list[Parts]] = {}
+        for blocks in oracle_set_partitions(m):
+            by_count.setdefault(len(blocks), []).extend(permutations(blocks))
+        self.faces_by_dim = [sorted(by_count[m - d], key=_ordered_text) for d in range(m)]
+        self.vertices, self.edges = self.faces_by_dim[0], self.faces_by_dim[1]
+        self.facets = self.faces_by_dim[m - 2]
+        self.boundary = [[() for _ in self.vertices]]
+        for below, faces in zip(self.faces_by_dim, self.faces_by_dim[1:]):
+            index = {f: i for i, f in enumerate(below)}
+            self.boundary.append([tuple(sorted(index[s] for s in _splits(f))) for f in faces])
+
+
+def _ordered_text(parts: Parts) -> str:
+    return "".join("{" + ",".join(map(str, sorted(p))) + "}" for p in parts)
+
+
+def _splits(face: Parts):
+    """The ordered partitions that split one part of `face` into two
+    consecutive nonempty ones."""
+    for i, part in enumerate(face):
+        elems = sorted(part)
+        for bits in range(1, 2 ** len(elems) - 1):
+            x = frozenset(e for j, e in enumerate(elems) if bits >> j & 1)
+            yield face[:i] + (x, part - x) + face[i + 1 :]
+
+
 def ordered_refines(fine: Parts, coarse: Parts) -> bool:
     """Linear refinement: fine's parts, grouped consecutively in order,
     spell out coarse.  The grouping is forced, so a single greedy scan
@@ -243,10 +282,23 @@ def common_refinement(p: Parts, q: Parts) -> Parts | None:
     return blocks if ordered_refines(blocks, q) else None
 
 
+def index_of(complex_: CWComplex, label: CyclicPartition) -> tuple[int, int]:
+    """(dim, index) of a labelled cell of the complex."""
+    d = label.n - label.num_parts
+    return d, complex_.cells_by_dim[d].index(label)
+
+
 def boundary_labels(complex_: CWComplex, label: CyclicPartition) -> list[CyclicPartition]:
     """The labels of a cell's faces, read from the complex's boundary list."""
-    d, i = complex_.index_of(label)
+    d, i = index_of(complex_, label)
     return [complex_.cells_by_dim[d - 1][j] for j in complex_.boundary[d][i]]
+
+
+def mesh_faces(mesh):
+    """A mesh's faces as (label, vertex cycle, provenance) triples, face k
+    labelled by the complex's 2-cell k."""
+    labels = mesh.complex.cells_by_dim[2]
+    return [(labels[k], cycle, mesh.provenance(k)) for k, cycle in enumerate(mesh.cycles)]
 
 
 def parse_obj(text: str):

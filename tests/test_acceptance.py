@@ -23,8 +23,10 @@ from linkspace.partitions import canonicalize, enumerate_cyclic_partitions
 from linkspace.topology import analyze
 
 from oracles import (
+    PermutohedronLattice,
     coarsenings,
     is_watertight,
+    mesh_faces,
     oracle_cells,
     ordered_refines,
     parse_obj,
@@ -198,19 +200,19 @@ def test_criterion_6_every_edge_has_two_cofaces(representatives, capsys):
 
 
 def test_criterion_7_permutohedron_sanity(capsys):
-    poly = permutohedron(4)
-    counts_ok = [len(fs) for fs in poly.faces_by_dim[:3]] == [24, 36, 14]
+    poly, lattice = permutohedron(4), PermutohedronLattice(4)
+    counts_ok = [len(fs) for fs in lattice.faces_by_dim[:3]] == [24, 36, 14]
     shapes = sorted(
-        sum(1 for v in poly.vertices if ordered_refines(v, facet))
-        for facet in poly.facets
+        sum(1 for v in lattice.vertices if ordered_refines(v, facet))
+        for facet in lattice.facets
     )
     shapes_ok = shapes == [4] * 6 + [6] * 8
     euler_ok = 24 - 36 + 14 == 2
     lengths_ok = True
     from linkspace.geometry import project_to_3d
 
-    for edge in poly.edges:
-        u, w = [v for v in poly.vertices if ordered_refines(v, edge)]
+    for edge in lattice.edges:
+        u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
         pu = poly.vertex_point(tuple(next(iter(p)) for p in u))
         pw = poly.vertex_point(tuple(next(iter(p)) for p in w))
         exact = sum((a - b) ** 2 for a, b in zip(pu, pw)) == 2
@@ -224,14 +226,15 @@ def test_criterion_7_permutohedron_sanity(capsys):
 
 def test_criterion_8_sphere_is_identity_surgery(meshes, capsys):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,1,1,3")
-    poly = permutohedron(4)
+    lattice = PermutohedronLattice(4)
     facet_labels = {
-        str(canonicalize(f + (frozenset({5}),))) for f in poly.facets
+        str(canonicalize(f + (frozenset({5}),))) for f in lattice.facets
     }
+    faces = mesh_faces(mesh)
     ok = (
         mesh.counts() == (24, 36, 14)
-        and all(f.provenance == "permutohedron" for f in mesh.faces)
-        and {str(f.label) for f in mesh.faces} == facet_labels
+        and all(provenance == "permutohedron" for _, _, provenance in faces)
+        and {str(label) for label, _, _ in faces} == facet_labels
     )
     with capsys.disabled():
         _report(8, ok, "(1,1,1,1,3) mesh is the full permutohedron boundary")
@@ -242,15 +245,15 @@ def test_criterion_9_two_tori_pruning(meshes, capsys):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,eps,eps,1")
     report = analyze(mesh)
     hexagons = sorted(
-        str(f.label)
-        for f in mesh.faces
-        if f.provenance == "diagonal" and len(f.cycle) == 6
+        str(label)
+        for label, cycle, provenance in mesh_faces(mesh)
+        if provenance == "diagonal" and len(cycle) == 6
     )
-    poly = permutohedron(4)
-    mesh_edge_labels = {str(e.label) for e in mesh.edges}
+    lattice = PermutohedronLattice(4)
+    mesh_edge_labels = {str(label) for label in mesh.complex.cells_by_dim[1]}
     missing = [
         edge
-        for edge in poly.edges
+        for edge in lattice.edges
         if str(canonicalize(edge + (frozenset({5}),))) not in mesh_edge_labels
     ]
     a, b = report.components

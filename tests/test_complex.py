@@ -24,6 +24,7 @@ from linkspace.partitions import (
 from oracles import (
     boundary_labels,
     coarsenings,
+    index_of,
     label_masks,
     oracle_cells,
     reference_build_complex,
@@ -94,7 +95,7 @@ def test_incidence_agrees_with_admissible_coarsenings(representatives):
             via_boundary = {
                 face
                 for i, face in enumerate(complex_.cells_by_dim[2])
-                if complex_.index_of(cell)[1] in complex_.boundary[2][i]
+                if index_of(complex_, cell)[1] in complex_.boundary[2][i]
             }
             assert via_merge == via_boundary
 
@@ -251,18 +252,39 @@ def test_generic_integer_linkages_match_the_reference_builder(lengths):
     _assert_matches_reference(make_linkage(lengths))
 
 
-def test_heptagon_classify_and_complex_build_no_label(monkeypatch, capsys):
-    # counts, incidence, export and load read the cells' masks alone
+@pytest.fixture
+def no_labels(monkeypatch):
+    """Building any CyclicPartition label from a complex's masks fails."""
+
     def refuse(parts):
         raise AssertionError(f"label built for {parts}")
 
     monkeypatch.setattr(CyclicPartition, "_from_canonical", staticmethod(refuse))
+
+
+def test_heptagon_classify_and_complex_build_no_label(no_labels, capsys):
+    # counts, incidence, export and load read the cells' masks alone
     spec = "3,5,7,2,9,4,1"
     assert main(["classify", spec, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["f_vector"] == [720, 2400, 2880, 1440, 242]
     assert main(["complex", spec]) == 0
     text = capsys.readouterr().out
     assert complex_to_json(complex_from_json(text)) == text
+
+
+@pytest.mark.parametrize("spec", list(EXPECTED_F_VECTORS))
+def test_pentagon_classify_and_mesh_build_no_label(no_labels, capsys, spec):
+    # the surgery, its classification and the mesh writers read masks and
+    # indices alone
+    assert main(["classify", spec, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["f_vector"] == list(EXPECTED_F_VECTORS[spec])
+    faces = EXPECTED_F_VECTORS[spec][2]
+    assert main(["mesh", spec]) == 0
+    assert capsys.readouterr().out.count("\n# face ") == faces
+    assert main(["mesh", spec, "--format", "ply"]) == 0
+    assert f"\nelement face {faces}\n" in capsys.readouterr().out
+    assert main(["mesh", spec, "--triangulate"]) == 0
+    assert capsys.readouterr().out.count("\n# face ") > faces
 
 
 def test_json_writes_an_empty_face_list_above_dim_0():

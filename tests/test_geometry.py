@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
+from linkspace.export import export_mesh
 from linkspace.geometry import (
     NotAClosedSurface,
     NotACycle,
@@ -17,9 +18,17 @@ from linkspace.geometry import (
     project_to_3d,
 )
 from linkspace.linkage import make_linkage
-from linkspace.partitions import canonicalize, cell_vertices
+from linkspace.partitions import canonicalize, cell_vertices, vertex_to_permutation
 
-from oracles import boundary_labels, common_refinement, label_masks, ordered_refines
+from oracles import (
+    PermutohedronLattice,
+    boundary_labels,
+    common_refinement,
+    index_of,
+    label_masks,
+    mesh_faces,
+    ordered_refines,
+)
 
 
 def _dist3(p, q):
@@ -27,16 +36,16 @@ def _dist3(p, q):
 
 
 def test_permutohedron_face_counts():
-    poly = permutohedron(4)
+    poly = PermutohedronLattice(4)
     assert [len(fs) for fs in poly.faces_by_dim] == [24, 36, 14, 1]
-    segment = permutohedron(2)
+    segment = PermutohedronLattice(2)
     assert [len(fs) for fs in segment.faces_by_dim] == [2, 1]
-    hexagon = permutohedron(3)
+    hexagon = PermutohedronLattice(3)
     assert [len(fs) for fs in hexagon.faces_by_dim] == [6, 6, 1]
 
 
 def test_permutohedron_5_counts_and_boundary_euler():
-    poly = permutohedron(5)
+    poly = PermutohedronLattice(5)
     counts = [len(fs) for fs in poly.faces_by_dim]
     assert counts == [120, 240, 150, 30, 1]
     # boundary of a 4-polytope is a 3-sphere
@@ -51,7 +60,7 @@ def test_permutohedron_dimension_range():
 
 
 def test_permutohedron_boundary_is_ordered_refinement():
-    poly = permutohedron(4)
+    poly = PermutohedronLattice(4)
     for d in range(1, 4):
         below = poly.faces_by_dim[d - 1]
         for face, row in zip(poly.faces_by_dim[d], poly.boundary[d]):
@@ -60,15 +69,8 @@ def test_permutohedron_boundary_is_ordered_refinement():
             )
 
 
-def test_placing_vertices_builds_no_face_lattice():
-    poly = permutohedron(4)
-    point = poly.vertex_point((3, 1, 2, 4))
-    assert point == (2, 3, 1, 4) and all(type(x) is int for x in point)
-    assert "faces_by_dim" not in vars(poly) and "boundary" not in vars(poly)
-
-
 def test_facet_shapes_of_pi4():
-    poly = permutohedron(4)
+    poly = PermutohedronLattice(4)
     shapes = []
     for facet in poly.facets:
         verts = [v for v in poly.vertices if ordered_refines(v, facet)]
@@ -81,16 +83,17 @@ def test_vertex_coordinates():
     poly = permutohedron(4)
     assert poly.vertex_point((1, 2, 3, 4)) == (1, 2, 3, 4)
     assert poly.vertex_point((2, 1, 3, 4)) == (2, 1, 3, 4)
-    assert poly.vertex_point((3, 1, 2, 4)) == (2, 3, 1, 4)
-    for v in poly.vertices:
+    point = poly.vertex_point((3, 1, 2, 4))
+    assert point == (2, 3, 1, 4) and all(type(x) is int for x in point)
+    for v in PermutohedronLattice(4).vertices:
         perm = tuple(next(iter(p)) for p in v)
         assert sum(poly.vertex_point(perm)) == 10
 
 
 def test_edges_have_exact_squared_length_two():
-    poly = permutohedron(4)
-    for edge in poly.edges:
-        u, w = [v for v in poly.vertices if ordered_refines(v, edge)]
+    poly, lattice = permutohedron(4), PermutohedronLattice(4)
+    for edge in lattice.edges:
+        u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
         pu = poly.vertex_point(tuple(next(iter(p)) for p in u))
         pw = poly.vertex_point(tuple(next(iter(p)) for p in w))
         assert sum((a - b) ** 2 for a, b in zip(pu, pw)) == 2
@@ -122,7 +125,7 @@ def test_projection_is_an_isometry_on_a_swap():
 
 def test_projected_vertices_are_equidistant_from_origin():
     poly = permutohedron(4)
-    for v in poly.vertices:
+    for v in PermutohedronLattice(4).vertices:
         point = project_to_3d(poly.vertex_point(tuple(next(iter(p)) for p in v)))
         assert abs(_dist3(point, (0, 0, 0)) - math.sqrt(5)) < 1e-12
 
@@ -181,7 +184,7 @@ def test_boundary_cycle_detects_a_corrupted_complex():
     linkage = make_linkage([1, 1, 1, 1, 3])
     complex_ = build_complex(linkage)
     cell = canonicalize([{1}, {2, 3, 4}, {5}])
-    i = complex_.index_of(cell)[1]
+    i = index_of(complex_, cell)[1]
     boundary = [list(rows) for rows in complex_.boundary]
     boundary[2][i] = boundary[2][i][1:]  # drop one of the hexagon's six edges
     corrupted = CWComplex(linkage, complex_.masks_by_dim, boundary)
@@ -204,38 +207,38 @@ def test_surgery_requires_pentagons():
 def test_sphere_mesh_is_the_whole_permutohedron_boundary(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,1,1,3")
     assert mesh.counts() == (24, 36, 14)
-    assert all(f.provenance == "permutohedron" for f in mesh.faces)
-    poly = permutohedron(4)
+    assert all(provenance == "permutohedron" for _, _, provenance in mesh_faces(mesh))
+    poly = PermutohedronLattice(4)
     facet_labels = {
         str(canonicalize(facet + (frozenset({5}),))) for facet in poly.facets
     }
-    assert {str(f.label) for f in mesh.faces} == facet_labels
+    assert {str(label) for label in mesh.complex.cells_by_dim[2]} == facet_labels
     edge_labels = {
         str(canonicalize(edge + (frozenset({5}),))) for edge in poly.edges
     }
-    assert {str(e.label) for e in mesh.edges} == edge_labels
+    assert {str(label) for label in mesh.complex.cells_by_dim[1]} == edge_labels
 
 
 def test_equilateral_mesh_counts(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,1,1,1")
     assert mesh.counts() == (24, 60, 30)
     by_provenance = {"permutohedron": 0, "diagonal": 0}
-    for f in mesh.faces:
-        by_provenance[f.provenance] += 1
+    for _, _, provenance in mesh_faces(mesh):
+        by_provenance[provenance] += 1
     assert by_provenance == {"permutohedron": 6, "diagonal": 24}
-    assert all(len(f.cycle) == 4 for f in mesh.faces)
+    assert all(len(cycle) == 4 for cycle in mesh.cycles)
 
 
 def test_two_tori_mesh_pruning_and_diagonals(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,eps,eps,1")
     assert mesh.counts() == (24, 42, 18)
-    diagonal = [f for f in mesh.faces if f.provenance == "diagonal"]
+    diagonal = [(l, c) for l, c, provenance in mesh_faces(mesh) if provenance == "diagonal"]
     assert len(diagonal) == 10
-    hexagons = sorted(str(f.label) for f in diagonal if len(f.cycle) == 6)
+    hexagons = sorted(str(label) for label, cycle in diagonal if len(cycle) == 6)
     assert hexagons == ["{1}{2}{3,4,5}", "{2}{1}{3,4,5}"]
     # exactly the six permutohedron edges whose label has part {1,2} vanish
-    poly = permutohedron(4)
-    mesh_edge_labels = {str(e.label) for e in mesh.edges}
+    poly = PermutohedronLattice(4)
+    mesh_edge_labels = {str(label) for label in mesh.complex.cells_by_dim[1]}
     missing = [
         edge
         for edge in poly.edges
@@ -248,9 +251,9 @@ def test_two_tori_mesh_pruning_and_diagonals(meshes):
 def test_mesh_counts_and_provenance_split(meshes):
     # step-2 faces keep a singleton {5} part; step-3 faces do not
     for _, _, mesh in meshes:
-        for f in mesh.faces:
-            five_part = f.label.part_containing(5)
-            if f.provenance == "permutohedron":
+        for label, _, provenance in mesh_faces(mesh):
+            five_part = label.part_containing(5)
+            if provenance == "permutohedron":
                 assert five_part == frozenset({5})
             else:
                 assert len(five_part) >= 2
@@ -259,32 +262,36 @@ def test_mesh_counts_and_provenance_split(meshes):
 def test_mesh_agrees_with_the_complex(meshes):
     for _, linkage, mesh in meshes:
         complex_ = build_complex(linkage)
-        assert {f.label for f in mesh.faces} == set(complex_.cells_by_dim[2])
-        assert {e.label for e in mesh.edges} == set(complex_.cells_by_dim[1])
-        assert {v.label for v in mesh.vertices} == set(complex_.cells_by_dim[0])
-        edge_by_pair = {frozenset(e.endpoints): e.label for e in mesh.edges}
-        for f in mesh.faces:
+        assert mesh.complex == complex_
+        for d in range(3):
+            assert set(mesh.complex.cells_by_dim[d]) == set(complex_.cells_by_dim[d])
+        vertex_labels, edge_labels = complex_.cells_by_dim[0], complex_.cells_by_dim[1]
+        edge_by_pair = {frozenset(ends): l for l, ends in zip(edge_labels, mesh.edges)}
+        for label, cycle, _ in mesh_faces(mesh):
             incident = {
                 edge_by_pair[frozenset((a, b))]
-                for a, b in zip(f.cycle, f.cycle[1:] + f.cycle[:1])
+                for a, b in zip(cycle, cycle[1:] + cycle[:1])
             }
-            assert incident == set(boundary_labels(complex_, f.label))
+            assert incident == set(boundary_labels(complex_, label))
         # the mesh is built from the boundary lists; the labels' own
         # refinements are a second, independent route
-        for e in mesh.edges:
-            ends = {mesh.vertices[k].label for k in e.endpoints}
-            assert ends == set(cell_vertices(e.label))
-        for f in mesh.faces:
-            corners = {mesh.vertices[k].label for k in f.cycle}
-            assert corners == set(cell_vertices(f.label))
+        for label, ends in zip(edge_labels, mesh.edges):
+            assert {vertex_labels[k] for k in ends} == set(cell_vertices(label))
+        for label, cycle, _ in mesh_faces(mesh):
+            assert {vertex_labels[k] for k in cycle} == set(cell_vertices(label))
 
 
 def _assert_mesh_is_the_complex_in_order(mesh, complex_):
     # mesh vertex, edge and face k is cell k of grade 0, 1 and 2
-    assert [v.label for v in mesh.vertices] == list(complex_.cells_by_dim[0])
-    assert [e.label for e in mesh.edges] == list(complex_.cells_by_dim[1])
-    assert [f.label for f in mesh.faces] == list(complex_.cells_by_dim[2])
-    assert [e.endpoints for e in mesh.edges] == list(complex_.boundary[1])
+    assert mesh.complex == complex_
+    assert mesh.counts() == complex_.f_vector()
+    assert list(mesh.edges) == list(complex_.boundary[1])
+    vertices = complex_.cells_by_dim[0]
+    poly = permutohedron(4)
+    for label, point in zip(vertices, mesh.points, strict=True):
+        assert point == project_to_3d(poly.vertex_point(vertex_to_permutation(label)))
+    for label, cycle in zip(complex_.cells_by_dim[2], mesh.cycles, strict=True):
+        assert {vertices[k] for k in cycle} == set(cell_vertices(label))
 
 
 def test_mesh_indices_are_the_complex_indices(meshes):
@@ -298,7 +305,21 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     # an odd total cannot be split in half, so every such vector is generic
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
     linkage = make_linkage(lengths)
-    _assert_mesh_is_the_complex_in_order(perform_surgery(linkage), build_complex(linkage))
+    mesh, complex_ = perform_surgery(linkage), build_complex(linkage)
+    _assert_mesh_is_the_complex_in_order(mesh, complex_)
+    # the OBJ writes face k as a comment with 2-cell k's label and
+    # provenance, then cycle k; the labels strictly increase as strings
+    lines = export_mesh(mesh, "obj").splitlines()
+    comments = [l.removeprefix("# face ") for l in lines if l.startswith("# face ")]
+    records = [tuple(int(x) - 1 for x in l.split()[1:]) for l in lines if l.startswith("f ")]
+    assert comments == [
+        f"{label} "
+        + ("permutohedron" if label.part_containing(5) == frozenset({5}) else "diagonal")
+        for label in complex_.cells_by_dim[2]
+    ]
+    labels = [c.split()[0] for c in comments]
+    assert all(a < b for a, b in zip(labels, labels[1:]))
+    assert records == list(mesh.cycles)
 
 
 def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
@@ -312,7 +333,7 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
     boundary = [list(rows) for rows in complex_.boundary]
     cells[1].append(label_masks(loose))
     boundary[1].append(
-        tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(loose)))
+        tuple(sorted(index_of(complex_, v)[1] for v in cell_vertices(loose)))
     )
     corrupted = CWComplex(linkage, cells, boundary)
     monkeypatch.setattr("linkspace.geometry.build_complex", lambda _: corrupted)
@@ -324,8 +345,8 @@ def test_face_cycle_lengths_match_labels(meshes):
     from math import factorial, prod
 
     for _, _, mesh in meshes:
-        for f in mesh.faces:
-            assert len(f.cycle) == prod(factorial(len(p)) for p in f.label.parts)
+        for label, cycle, _ in mesh_faces(mesh):
+            assert len(cycle) == prod(factorial(len(p)) for p in label.parts)
 
 
 def test_permutohedron_faces_are_planar(meshes):
@@ -337,10 +358,10 @@ def test_permutohedron_faces_are_planar(meshes):
         )
 
     for _, _, mesh in meshes:
-        for face in mesh.faces:
-            if face.provenance != "permutohedron":
+        for _, cycle, provenance in mesh_faces(mesh):
+            if provenance != "permutohedron":
                 continue
-            pts = [mesh.vertices[i].point3 for i in face.cycle]
+            pts = [mesh.points[i] for i in cycle]
             base = pts[0]
             normal = cross(
                 tuple(a - b for a, b in zip(pts[1], base)),
@@ -356,22 +377,23 @@ def test_permutohedron_faces_are_planar(meshes):
 
 def test_permutohedron_edges_have_length_sqrt2(meshes):
     for _, _, mesh in meshes:
-        for e in mesh.edges:
-            if e.label.part_containing(5) != frozenset({5}):
+        for label, ends in zip(mesh.complex.cells_by_dim[1], mesh.edges):
+            if label.part_containing(5) != frozenset({5}):
                 continue
-            u, w = (mesh.vertices[i].point3 for i in e.endpoints)
+            u, w = (mesh.points[i] for i in ends)
             assert abs(_dist3(u, w) - math.sqrt(2)) < 1e-9
 
 
 def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
     poly = permutohedron(4)
     for _, _, mesh in meshes:
-        assert [v.permutation for v in mesh.vertices] == sorted(
-            v.permutation for v in mesh.vertices
-        )
-        for v in mesh.vertices:
-            assert v.point4 == poly.vertex_point(v.permutation)
-            assert v.point3 == project_to_3d(v.point4)
+        perms = [vertex_to_permutation(v) for v in mesh.complex.cells_by_dim[0]]
+        assert perms == sorted(perms)
+        assert len(mesh.points) == len(perms)
+        for perm, point in zip(perms, mesh.points):
+            assert point == project_to_3d(poly.vertex_point(perm))
+        # projected once per process, shared by every mesh
+        assert mesh.points is permutohedron(4).points
 
 
 def test_surgery_is_deterministic():
@@ -389,6 +411,7 @@ def test_face_counts_split_matches_membership_tables(representatives, meshes):
     for col, (_, _, mesh) in enumerate(meshes):
         kept = sum(1 for _, values in table.step2 if values[col])
         patched = 2 * sum(1 for _, values in table.step3 if values[col])
-        got_kept = sum(1 for f in mesh.faces if f.provenance == "permutohedron")
-        got_patched = sum(1 for f in mesh.faces if f.provenance == "diagonal")
+        provenances = [provenance for _, _, provenance in mesh_faces(mesh)]
+        got_kept = provenances.count("permutohedron")
+        got_patched = provenances.count("diagonal")
         assert (got_kept, got_patched) == (kept, patched)

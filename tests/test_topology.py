@@ -110,16 +110,16 @@ def test_unknown_segment_raises_not_closed():
 def test_result_is_independent_of_face_order_and_directions(meshes):
     rng = random.Random(7)
     for rep, _, mesh in meshes:
-        edges = [e.endpoints for e in mesh.edges]
-        faces = [list(f.cycle) for f in mesh.faces]
-        baseline = classify_surface(len(mesh.vertices), edges, faces)
+        edges = list(mesh.edges)
+        faces = [list(cycle) for cycle in mesh.cycles]
+        baseline = classify_surface(len(mesh.points), edges, faces)
         for _ in range(3):
             shuffled = [
                 cycle[::-1] if rng.random() < 0.5 else list(cycle)
                 for cycle in faces
             ]
             rng.shuffle(shuffled)
-            report = classify_surface(len(mesh.vertices), edges, shuffled)
+            report = classify_surface(len(mesh.points), edges, shuffled)
             assert report.classification == baseline.classification
             assert report.euler_characteristic == baseline.euler_characteristic
 
@@ -146,7 +146,7 @@ def test_quadrilateral_complex_with_a_vertex_off_two_edges_raises(monkeypatch):
     # 0-cells gives both of them degree 3
     from linkspace.cwcomplex import CWComplex, build_complex
     from linkspace.partitions import canonicalize, cell_vertices
-    from oracles import label_masks
+    from oracles import index_of, label_masks
 
     linkage = make_linkage([2, 1, 1, 1])
     complex_ = build_complex(linkage)
@@ -155,7 +155,7 @@ def test_quadrilateral_complex_with_a_vertex_off_two_edges_raises(monkeypatch):
     boundary = [list(rows) for rows in complex_.boundary]
     cells[1].append(label_masks(chord))
     boundary[1].append(
-        tuple(sorted(complex_.index_of(v)[1] for v in cell_vertices(chord)))
+        tuple(sorted(index_of(complex_, v)[1] for v in cell_vertices(chord)))
     )
     corrupted = CWComplex(linkage, cells, boundary)
     monkeypatch.setattr("linkspace.topology.build_complex", lambda _: corrupted)
