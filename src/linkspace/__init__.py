@@ -17,7 +17,6 @@ from .partitions import (
     canonicalize,
     cell_vertices,
     enumerate_cyclic_partitions,
-    vertex_to_permutation,
 )
 from .topology import TopologyReport, analyze, classify_linkage
 
@@ -47,5 +46,4 @@ __all__ = [
     "perform_surgery",
     "permutohedron",
     "project_to_3d",
-    "vertex_to_permutation",
 ]

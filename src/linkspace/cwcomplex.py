@@ -11,17 +11,21 @@ A part is admissible exactly when it is a short subset of the bars (its
 length is below half the total), so the whole complex is fixed by one table
 of the 2^n subsets (`linkage.short_subsets`).  A cell is stored as the tuple
 of its parts' int bitmasks (bar i is bit i-1), n's part last: the canonical
-rotation.  `build_complex` generates only the set partitions whose blocks
-are all short, and wires incidence by merging adjacent mask parts, so no
-inadmissible candidate is ever built and no rational sum is taken.  The
-`CyclicPartition` labels are a view, built from the masks on first read.
+rotation.  `build_complex` walks prefixes of short parts in label-text
+order, so it builds only admissible cells, each grade already in label
+order, and takes no rational sum.  It wires each grade to the next through
+the order-preserving match between a split of a part and its merge: the
+faces holding a split (a, b) at positions p, p + 1 correspond, in index
+order, to the cofaces holding a | b at p, so incidence is wired by zipping
+index buckets.  The `CyclicPartition` labels are a view, built from the
+masks on first read.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from math import factorial
 
 from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
@@ -73,10 +77,6 @@ class CWComplex:
             for layer in self.masks_by_dim
         )
 
-    @property
-    def dim(self) -> int:
-        return len(self.masks_by_dim) - 1
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(cs) for cs in self.masks_by_dim)
 
@@ -98,75 +98,91 @@ def build_complex(linkage: Linkage) -> CWComplex:
     and wire up refinement incidence.  Supported for 4 <= n <= 8.
 
     Parts are int bitmasks checked against the linkage's short-subset table.
-    Set partitions come from restricted growth: bar i joins an open block
-    only if the block stays short, or opens a block of its own (a single bar
-    is always short, by the polygon inequality).  Shortness passes to
-    subsets, so this yields exactly the partitions into short blocks and
-    builds no other.  Each one gives its cells by pinning the block holding
-    n last and permuting the rest, which is the canonical rotation.  Each
-    grade is sorted by the ranks of its parts' texts, which is the order of
-    the label strings, since no part text is a prefix of another.
+    The cells come from one walk over prefixes of parts, taken level by
+    level: each step appends one short part of the bars below n not yet
+    used, trying the candidates in label-text order, and a prefix whose
+    remaining bars plus n form a short part ends a cell with that part last
+    (the canonical rotation).  Shortness passes to subsets, so every prefix
+    extends to a cell, and the walk builds exactly the admissible cells.  No
+    part text is a prefix of another, so label order is the order of the
+    parts' texts, position by position: the walk keeps each level in that
+    order, and every grade comes out sorted without a sort.
 
-    Incidence is wired upward: a face's cofaces are its merges of two
-    cyclically adjacent parts into a short one.  Faces are visited in index
-    order, so every boundary row comes out ascending.  The result holds
-    masks only; no label is built.
+    Each grade is then wired to the next by zipping index buckets (see
+    `_wire`); no tuple is built or looked up per incidence.  The result
+    holds masks only; no label is built.
     """
     n = linkage.n
     check_supported_arity(n)
     short = short_subsets(linkage)
     top = 1 << (n - 1)
+    parts = sorted(filter(short.__getitem__, range(1, top)), key=mask_texts(n).__getitem__)
+    # the short parts of each set of unused bars below n, in text order
+    fits = [[m for m in parts if m & unused == m] for unused in range(top)]
 
-    by_parts: list[list[Masks]] = [[] for _ in range(n + 1)]
-    blocks: list[int] = []
-
-    def grow(i: int) -> None:
-        if i == n:
-            pinned = next(b for b in blocks if b & top)
-            rest = [b for b in blocks if b != pinned]
-            by_parts[len(blocks)].extend(a + (pinned,) for a in permutations(rest))
-            return
-        bit = 1 << i
-        for j, b in enumerate(blocks):
-            if short[b | bit]:
-                blocks[j] = b | bit
-                grow(i + 1)
-                blocks[j] = b
-        blocks.append(bit)
-        grow(i + 1)
-        blocks.pop()
-
-    grow(0)
-    text = mask_texts(n)
-    order = sorted([m for m in range(1, 1 << n) if short[m]], key=text.__getitem__)
-    rank = {m: r for r, m in enumerate(order)}.__getitem__
-    layers = by_parts[n:2:-1]  # m parts -> dimension n - m
-    for layer in layers:
-        layer.sort(key=lambda parts: tuple(map(rank, parts)))
+    layers: list[list[Masks]] = []  # by part count, 3 parts first
+    prefixes: list[Masks] = [()]
+    unused = [top - 1]
+    for k in range(1, n):
+        prefixes = [pre + (m,) for pre, u in zip(prefixes, unused) for m in fits[u]]
+        unused = [u ^ m for u in unused for m in fits[u]]
+        if k >= 2:  # two-part cells never occur: both parts short breaks genericity
+            layers.append(
+                [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
+            )
+    layers.reverse()  # m parts -> dimension n - m
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(layers[0]) == factorial(n - 1)
 
     boundary: list[list[tuple[int, ...]]] = [[() for _ in layers[0]]]
-    for d in range(1, len(layers)):
-        above = {parts: i for i, parts in enumerate(layers[d])}
-        rows: list[list[int]] = [[] for _ in layers[d]]
-        for f, parts in enumerate(layers[d - 1]):
-            last = parts[-1]
-            # adjacent pairs in front of n's part, then n's part with the part
-            # before it, and with the first part (rotated to keep n's last)
-            for i in range(len(parts) - 2):
-                merged = parts[i] | parts[i + 1]
-                if short[merged]:
-                    rows[above[parts[:i] + (merged,) + parts[i + 2 :]]].append(f)
-            merged = parts[-2] | last
-            if short[merged]:
-                rows[above[parts[:-2] + (merged,)]].append(f)
-            merged = parts[0] | last
-            if short[merged]:
-                rows[above[parts[1:-1] + (merged,)]].append(f)
-        boundary.append(list(map(tuple, rows)))
+    for faces, cofaces in zip(layers, layers[1:]):
+        boundary.append(_wire(n, short, faces, cofaces))
     return CWComplex(linkage, layers, boundary)
+
+
+def _wire(
+    n: int, short: tuple[bool, ...], faces: list[Masks], cofaces: list[Masks]
+) -> list[tuple[int, ...]]:
+    """The boundary rows of `cofaces` (m parts each) in `faces` (m + 1 parts).
+
+    A coface holding the short part z at position p has, for each ordered
+    split (a, b) of z, the face holding a, b at p, p + 1 and its other parts
+    unchanged.  Merging a and b back maps the faces holding a, b at p, p + 1
+    onto the cofaces holding z at p, one for one, and keeps their label
+    order, since the parts before p and after p + 1 keep their relative
+    positions.  So the two index buckets, both ascending, match entry by
+    entry.  The wrap merge, of the first part into n's part (last), matches
+    the same way the faces holding a first and b last with the cofaces
+    holding a | b last.  Buckets arrive in no order across keys, so each
+    row is sorted at the end.
+    """
+    low = (1 << n) - 1
+    # one int object per cell, shared by every bucket and row that lists it
+    face_ids, coface_ids = list(range(len(faces))), list(range(len(cofaces)))
+    holding = []  # per position: the cofaces holding each part there
+    for column in zip(*cofaces):
+        by_part = defaultdict(list)
+        for c, z in zip(coface_ids, column):
+            by_part[z].append(c)
+        holding.append(by_part)
+    columns = list(zip(*faces))
+    merges = list(zip(holding, columns, columns[1:]))
+    merges.append((holding[-1], columns[0], columns[-1]))
+    rows: list[list[int]] = [[] for _ in cofaces]
+    for holding_z, firsts, seconds in merges:
+        splits = defaultdict(list)  # the faces holding a, b here, by a << n | b
+        for f, a, b in zip(face_ids, firsts, seconds):
+            if short[a | b]:
+                splits[a << n | b].append(f)
+        for key, fs in splits.items():
+            cs = holding_z[key >> n | key & low]
+            assert len(cs) == len(fs)  # the match is one for one
+            for c, f in zip(cs, fs):
+                rows[c].append(f)
+    for row in rows:
+        row.sort()
+    return list(map(tuple, rows))
 
 
 def euler_characteristic(complex_: CWComplex) -> int:

@@ -3,8 +3,9 @@
 A linkage is a tuple of positive rational bar lengths.  Every predicate in
 the package reduces to comparing a subset sum against half the total length,
 so all arithmetic is exact: lengths are `fractions.Fraction`s, and the
-whole-table passes (genericity, the short-subset table) scale them once to
-integers over their common denominator.  Genericity (no subset sums to
+one whole-table pass, in make_linkage, scales them to integers over their
+common denominator for both the genericity check and the short-subset
+table, which the linkage keeps.  Genericity (no subset sums to
 exactly half the total) guarantees that the non-strict comparisons used
 below never hit the equality case.
 
@@ -13,7 +14,7 @@ Subsets of bars are also written as int bitmasks: bar i is bit i-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -65,6 +66,9 @@ class Linkage:
 
     lengths: tuple[Fraction, ...]
     total: Fraction
+    #: The table `short_subsets` returns, from make_linkage's subset sums;
+    #: the lengths fix it, so it stays out of equality and repr.
+    _short: tuple[bool, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -110,7 +114,8 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
         raise ViolatesPolygonInequality(
             f"longest bar {longest} is >= sum of the rest {total - longest}"
         )
-    return Linkage(lengths=ls, total=total)
+    short = tuple([2 * s < sums[-1] for s in sums])
+    return Linkage(lengths=ls, total=total, _short=short)
 
 
 def integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
@@ -129,12 +134,12 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def short_subsets(linkage: Linkage) -> list[bool]:
+def short_subsets(linkage: Linkage) -> tuple[bool, ...]:
     """short[mask] is True iff the bars in `mask` are shorter than the rest,
-    i.e. the subset is an admissible part (the empty mask counts as short)."""
-    sums = subset_sums(integer_weights(linkage.lengths))
-    total = sums[-1]
-    return [2 * s < total for s in sums]
+    i.e. the subset is an admissible part (the empty mask counts as short).
+    make_linkage computes the table once, from the subset sums of its
+    genericity check."""
+    return linkage._short
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:

@@ -57,22 +57,6 @@ class CyclicPartition:
     def num_parts(self) -> int:
         return len(self.parts)
 
-    def is_cyclic_order(self) -> bool:
-        """True iff every part is a singleton (a full cyclic ordering)."""
-        return all(len(p) == 1 for p in self.parts)
-
-    def element_sequence(self) -> tuple[int, ...]:
-        """The elements read around the canonical rotation (singletons only)."""
-        if not self.is_cyclic_order():
-            raise InvalidArity(f"{self} has non-singleton parts")
-        return tuple(next(iter(p)) for p in self.parts)
-
-    def part_containing(self, x: int) -> frozenset[int]:
-        for p in self.parts:
-            if x in p:
-                return p
-        raise KeyError(x)
-
     def __str__(self) -> str:
         return "".join(map(part_text, self.parts))
 
@@ -80,7 +64,7 @@ class CyclicPartition:
         return f"CyclicPartition({self})"
 
 
-CyclicOrder = CyclicPartition  # all-singleton case; see is_cyclic_order()
+CyclicOrder = CyclicPartition  # a full cyclic order: every part a singleton
 
 
 def part_text(part: Iterable[int]) -> str:
@@ -200,12 +184,6 @@ def enumerate_cyclic_partitions(n: int, m: int) -> list[CyclicPartition]:
         for arrangement in permutations(rest):
             out.append(CyclicPartition(tuple(arrangement) + (last,)))
     return out
-
-
-def vertex_to_permutation(v: CyclicOrder) -> tuple[int, ...]:
-    """Cut a full cyclic order at n and drop n, giving a linear order of
-    {1..n-1}; a bijection between cyclic orders of {1..n} and S_{n-1}."""
-    return v.element_sequence()[:-1]
 
 
 def cell_vertices(c: CyclicPartition) -> list[CyclicOrder]:

@@ -8,10 +8,11 @@ references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one, and
 `reference_complex_to_json`, the `json.dumps` writer behind the direct one.
 Below them are helpers the package itself has no use for, kept here as
-second routes for the tests: cyclic coarsenings, the permutation -> vertex
-inverse, the permutohedron's face lattice with linear refinement and meets
-of ordered partitions (its face order), and a complex's or a mesh's faces
-as labels.
+second routes for the tests: cyclic coarsenings, reading a cyclic order
+as a sequence or a permutation and back, a label's part holding a bar,
+the permutohedron's face lattice with linear refinement and meets of
+ordered partitions (its face order), and a complex's top dimension and its
+or a mesh's faces as labels.
 """
 
 import json
@@ -24,6 +25,7 @@ from linkspace.cwcomplex import CWComplex, check_supported_arity
 from linkspace.linkage import is_admissible_partition
 from linkspace.partitions import (
     CyclicPartition,
+    InvalidArity,
     NotAPartition,
     canonicalize,
     enumerate_cyclic_partitions,
@@ -206,6 +208,31 @@ def coarsenings(c: CyclicPartition) -> list[CyclicPartition]:
     return out
 
 
+def is_cyclic_order(label: CyclicPartition) -> bool:
+    """True iff every part is a singleton (a full cyclic ordering)."""
+    return all(len(p) == 1 for p in label.parts)
+
+
+def element_sequence(label: CyclicPartition) -> tuple[int, ...]:
+    """The elements read around the canonical rotation (singletons only)."""
+    if not is_cyclic_order(label):
+        raise InvalidArity(f"{label} has non-singleton parts")
+    return tuple(next(iter(p)) for p in label.parts)
+
+
+def part_containing(label: CyclicPartition, x: int) -> frozenset[int]:
+    for p in label.parts:
+        if x in p:
+            return p
+    raise KeyError(x)
+
+
+def vertex_to_permutation(v: CyclicPartition) -> tuple[int, ...]:
+    """Cut a full cyclic order at n and drop n, giving a linear order of
+    {1..n-1}; a bijection between cyclic orders of {1..n} and S_{n-1}."""
+    return element_sequence(v)[:-1]
+
+
 def permutation_to_vertex(perm) -> CyclicPartition:
     """Inverse of vertex_to_permutation: append n = len(perm)+1 and close up."""
     m = len(perm)
@@ -280,6 +307,11 @@ def common_refinement(p: Parts, q: Parts) -> Parts | None:
     if sum(len(b) for b in blocks) != sum(len(b) for b in p):
         return None  # cannot happen for partitions of the same set
     return blocks if ordered_refines(blocks, q) else None
+
+
+def complex_dim(complex_: CWComplex) -> int:
+    """The top dimension of a complex."""
+    return len(complex_.masks_by_dim) - 1
 
 
 def index_of(complex_: CWComplex, label: CyclicPartition) -> tuple[int, int]:

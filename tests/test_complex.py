@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from linkspace.partitions import (
 from oracles import (
     boundary_labels,
     coarsenings,
+    complex_dim,
     index_of,
     label_masks,
     oracle_cells,
@@ -172,7 +174,7 @@ def test_dimension_bounds(representatives):
     # (n-1)! full cyclic orders
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        assert complex_.dim == linkage.n - 3
+        assert complex_dim(complex_) == linkage.n - 3
         assert len(complex_.cells_by_dim[0]) == 24
         assert all(
             cell.num_parts == linkage.n - d
@@ -250,6 +252,35 @@ def test_generic_integer_linkages_match_the_reference_builder(lengths):
     # an odd total cannot be split in half, so every such vector is generic
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
     _assert_matches_reference(make_linkage(lengths))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=7, max_size=7))
+def test_generic_integer_heptagons_keep_the_wiring_invariants(lengths):
+    # no reference build, which takes about a second per heptagon: these
+    # invariants hold however build_complex wires the grades
+    assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
+    complex_ = build_complex(make_linkage(lengths))
+    bars = [[i + 1 for i in range(7) if m >> i & 1] for m in range(1 << 7)]
+    short = [2 * sum(lengths[i - 1] for i in b) < sum(lengths) for b in bars]
+    text = ["{" + ",".join(map(str, b)) + "}" for b in bars]
+
+    layers, boundary = complex_.masks_by_dim, complex_.boundary
+    for layer in layers:
+        labels = ["".join([text[m] for m in parts]) for parts in layer]
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+    for layer, rows in zip(layers[1:], boundary[1:]):
+        for parts, row in zip(layer, rows, strict=True):
+            assert all(a < b for a, b in zip(row, row[1:]))
+            # every split of a short part is admissible
+            assert len(row) == sum(2 ** len(bars[m]) - 2 for m in parts)
+    # a cell's cofaces are its short merges of two cyclically adjacent
+    # parts; a top cell has none, as a two-part cell would break genericity
+    for layer, rows in zip(layers, boundary[1:] + ((),)):
+        cofaces = Counter(f for row in rows for f in row)
+        for i, parts in enumerate(layer):
+            merges = sum(short[a | b] for a, b in zip(parts, parts[1:] + parts[:1]))
+            assert cofaces[i] == merges
 
 
 @pytest.fixture

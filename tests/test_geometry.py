@@ -18,16 +18,19 @@ from linkspace.geometry import (
     project_to_3d,
 )
 from linkspace.linkage import make_linkage
-from linkspace.partitions import canonicalize, cell_vertices, vertex_to_permutation
+from linkspace.partitions import canonicalize, cell_vertices
 
 from oracles import (
     PermutohedronLattice,
     boundary_labels,
     common_refinement,
+    element_sequence,
     index_of,
     label_masks,
     mesh_faces,
     ordered_refines,
+    part_containing,
+    vertex_to_permutation,
 )
 
 
@@ -142,7 +145,7 @@ def test_boundary_cycle_of_a_square():
     complex_ = build_complex(linkage)
     cell = canonicalize([{1, 2}, {3, 4}, {5}])
     cycle = boundary_cycle(cell, complex_)
-    assert [v.element_sequence() for v in cycle] == [
+    assert [element_sequence(v) for v in cycle] == [
         (1, 2, 3, 4, 5),
         (1, 2, 4, 3, 5),
         (2, 1, 4, 3, 5),
@@ -159,7 +162,7 @@ def test_boundary_cycle_of_a_hexagon():
     assert set(cycle) == set(cell_vertices(cell))
     # consecutive orderings differ by one adjacent transposition
     for u, w in zip(cycle, cycle[1:] + cycle[:1]):
-        su, sw = u.element_sequence(), w.element_sequence()
+        su, sw = element_sequence(u), element_sequence(w)
         assert sorted(su) == sorted(sw)
         diffs = [i for i, (a, b) in enumerate(zip(su, sw)) if a != b]
         assert len(diffs) == 2 and diffs[1] == diffs[0] + 1
@@ -252,7 +255,7 @@ def test_mesh_counts_and_provenance_split(meshes):
     # step-2 faces keep a singleton {5} part; step-3 faces do not
     for _, _, mesh in meshes:
         for label, _, provenance in mesh_faces(mesh):
-            five_part = label.part_containing(5)
+            five_part = part_containing(label, 5)
             if provenance == "permutohedron":
                 assert five_part == frozenset({5})
             else:
@@ -314,7 +317,7 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     records = [tuple(int(x) - 1 for x in l.split()[1:]) for l in lines if l.startswith("f ")]
     assert comments == [
         f"{label} "
-        + ("permutohedron" if label.part_containing(5) == frozenset({5}) else "diagonal")
+        + ("permutohedron" if part_containing(label, 5) == frozenset({5}) else "diagonal")
         for label in complex_.cells_by_dim[2]
     ]
     labels = [c.split()[0] for c in comments]
@@ -378,7 +381,7 @@ def test_permutohedron_faces_are_planar(meshes):
 def test_permutohedron_edges_have_length_sqrt2(meshes):
     for _, _, mesh in meshes:
         for label, ends in zip(mesh.complex.cells_by_dim[1], mesh.edges):
-            if label.part_containing(5) != frozenset({5}):
+            if part_containing(label, 5) != frozenset({5}):
                 continue
             u, w = (mesh.points[i] for i in ends)
             assert abs(_dist3(u, w) - math.sqrt(2)) < 1e-9

@@ -14,7 +14,6 @@ from linkspace.partitions import (
     enumerate_cyclic_partitions,
     one_step_refinements,
     parse_partition,
-    vertex_to_permutation,
 )
 
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     oracle_refines,
     permutation_to_vertex,
     rotation_class,
+    vertex_to_permutation,
 )
 
 
