@@ -17,8 +17,10 @@ order, and takes no rational sum.  It wires each grade to the next through
 the order-preserving match between a split of a part and its merge: the
 faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
-index buckets.  The `CyclicPartition` labels are a view, built from the
-masks on first read.
+index buckets.  Each grade of that incidence is wired when it is first read,
+so a reader pays only for the grades it reads: the 1-skeleton alone
+(`CWComplex.edges`) costs one grade.  The `CyclicPartition` labels are a
+view, built from the masks on first read.
 """
 
 from __future__ import annotations
@@ -51,21 +53,42 @@ class CWComplex:
     masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
     bit i-1, n's part last), sorted by label string; boundary[d][i] holds
     the ascending indices (into masks_by_dim[d-1]) of cell i's
-    codimension-1 faces.  Immutable after construction.  Counts, equality
-    and export read the masks alone.  cells_by_dim, the same cells as
-    CyclicPartition labels, is built on first read, so a complex that is
-    only counted, written out or walked by index builds no label.
+    codimension-1 faces, and `edges` is boundary[1], the 1-skeleton.  The
+    cells never change.  Given no `boundary` (as from `build_complex`), the
+    rows are wired from the masks on first read: `edges` wires grade 1
+    alone, and `boundary` the grades above it, reusing `edges`, so no grade
+    is wired twice.  Counts read the masks alone, while equality and export
+    read every row.  cells_by_dim, the same cells as CyclicPartition labels,
+    is built on first read too, so a complex that is only counted, written
+    out or walked by index builds no label.
     """
 
     def __init__(
         self,
         linkage: Linkage,
         masks_by_dim: list[list[Masks]],
-        boundary: list[list[tuple[int, ...]]],
+        boundary: list[list[tuple[int, ...]]] | None = None,
     ):
         self.linkage = linkage
         self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
-        self.boundary = tuple(tuple(bs) for bs in boundary)
+        if boundary is not None:
+            self.boundary = tuple(tuple(bs) for bs in boundary)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        if "boundary" in vars(self):  # given, or read before the edges
+            return self.boundary[1]
+        return self._rows(1)
+
+    @cached_property
+    def boundary(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        above = [self._rows(d) for d in range(2, len(self.masks_by_dim))]
+        return (((),) * len(self.masks_by_dim[0]), self.edges, *above)
+
+    def _rows(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """Wire the boundary rows of grade d from the masks."""
+        faces, cofaces = self.masks_by_dim[d - 1 : d + 1]
+        return tuple(_wire(self.linkage.n, short_subsets(self.linkage), faces, cofaces))
 
     @cached_property
     def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
@@ -108,9 +131,10 @@ def build_complex(linkage: Linkage) -> CWComplex:
     parts' texts, position by position: the walk keeps each level in that
     order, and every grade comes out sorted without a sort.
 
-    Each grade is then wired to the next by zipping index buckets (see
-    `_wire`); no tuple is built or looked up per incidence.  The result
-    holds masks only; no label is built.
+    The result holds masks only: no label is built and no incidence is
+    wired.  Each grade of `boundary` is wired on its first read, by zipping
+    index buckets (see `_wire`), so `classify` at n != 5, which reads only
+    `edges`, wires one grade; no tuple is built or looked up per incidence.
     """
     n = linkage.n
     check_supported_arity(n)
@@ -134,11 +158,7 @@ def build_complex(linkage: Linkage) -> CWComplex:
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(layers[0]) == factorial(n - 1)
-
-    boundary: list[list[tuple[int, ...]]] = [[() for _ in layers[0]]]
-    for faces, cofaces in zip(layers, layers[1:]):
-        boundary.append(_wire(n, short, faces, cofaces))
-    return CWComplex(linkage, layers, boundary)
+    return CWComplex(linkage, layers)
 
 
 def _wire(

@@ -115,8 +115,8 @@ class SurfaceMesh:
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
     `points[k]` is vertex k's position in R^3 and `cycles[k]` lists face k's
     vertex indices in polygon order.  The edges (the endpoint pairs
-    `complex.boundary[1]`) and each face's provenance are read off the
-    complex.
+    `complex.edges`, the complex's boundary[1]) and each face's provenance
+    are read off the complex.
     """
 
     complex: CWComplex
@@ -125,7 +125,7 @@ class SurfaceMesh:
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self.complex.boundary[1]
+        return self.complex.edges
 
     def provenance(self, k: int) -> str:
         """'permutohedron' for a kept facet, whose part holding 5 (the last
@@ -140,11 +140,11 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
     """Indices of 2-cell i's 0-cells in polygon order.
 
     Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`); each
-    1-cell joins the two 0-cells of its `boundary[1]` row.  For a genuine
+    1-cell joins the two 0-cells of its `edges` row.  For a genuine
     2-cell this graph is a single simple cycle; the walk starts at the
     smallest index and heads toward its smaller neighbor.
     """
-    ends = complex_.boundary[1]
+    ends = complex_.edges
     adjacency: dict[int, list[int]] = {}
     for e in complex_.boundary[2][i]:
         u, w = ends[e]

@@ -1,7 +1,7 @@
 """Surface classification of the assembled mesh.
 
 Components come from union-find on the vertex graph; for a complex that
-graph is its 1-skeleton, read off the 1-cells' boundary lists.
+graph is its 1-skeleton, read off the 1-cells' boundary lists (`edges`).
 Orientability is decided by orientation propagation: walk the
 face-adjacency graph, choosing a direction for each face cycle so that
 every shared edge is traversed in opposite directions by its two faces; a
@@ -180,15 +180,16 @@ def classify_linkage(linkage: Linkage) -> TopologyReport:
     """End-to-end pipeline: build, realize, classify.
 
     Pentagons get the full surface classification of their mesh.  Any other
-    n counts the components of the complex's 1-skeleton: quadrilaterals
-    report their circle decomposition; n >= 6 reports the f-vector and Euler
+    n counts the components of the complex's 1-skeleton, `complex_.edges`,
+    which is the only grade of incidence it wires: quadrilaterals report
+    their circle decomposition; n >= 6 reports the f-vector and Euler
     characteristic only (the complex has dimension >= 3).
     """
     if linkage.n == 5:
         return analyze(perform_surgery(linkage))
     complex_ = build_complex(linkage)
     vertex_count = len(complex_.masks_by_dim[0])
-    edges = complex_.boundary[1]
+    edges = complex_.edges
     component = _components(vertex_count, edges)
     count = max(component) + 1
     components: tuple[ComponentReport, ...] = ()

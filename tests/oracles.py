@@ -18,7 +18,7 @@ or a mesh's faces as labels.
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from linkspace.cwcomplex import CWComplex, check_supported_arity
@@ -80,6 +80,29 @@ def oracle_cells(lengths) -> dict[int, set[frozenset[Parts]]]:
         for arrangement in permutations(blocks):
             bucket.add(rotation_class(tuple(arrangement)))
     return cells
+
+
+def oracle_f_vector(lengths) -> tuple[int, ...]:
+    """Cells per dimension n - m, counted without listing one: each set
+    partition of {1..n} into m short blocks has (m-1)! cyclic arrangements,
+    all admissible.  Partitions are found by choosing, again and again, the
+    block that holds the smallest bar not yet placed."""
+    lengths = [Fraction(l) for l in lengths]
+    n, total = len(lengths), sum(lengths)
+    blocks = Counter()  # number of blocks -> partitions into short blocks
+
+    def place(rest: tuple[int, ...], m: int) -> None:
+        if not rest:
+            blocks[m] += 1
+            return
+        first, others = rest[0], rest[1:]
+        for k in range(len(others) + 1):
+            for mates in combinations(others, k):
+                if 2 * (lengths[first] + sum(lengths[i] for i in mates)) < total:
+                    place(tuple(i for i in others if i not in mates), m + 1)
+
+    place(tuple(range(n)), 0)
+    return tuple(blocks[m] * factorial(m - 1) for m in range(n, 2, -1))
 
 
 def reference_build_complex(linkage) -> CWComplex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linkspace import cwcomplex
 from linkspace.cli import main
 from linkspace.cwcomplex import (
     ArityMismatch,
@@ -316,6 +317,61 @@ def test_pentagon_classify_and_mesh_build_no_label(no_labels, capsys, spec):
     assert f"\nelement face {faces}\n" in capsys.readouterr().out
     assert main(["mesh", spec, "--triangulate"]) == 0
     assert capsys.readouterr().out.count("\n# face ") > faces
+
+
+@pytest.fixture
+def wirings(monkeypatch):
+    """The grades wired since the test began, one entry per `_wire` call."""
+    calls = []
+    wire = cwcomplex._wire
+
+    def counted(n, short, faces, cofaces):
+        calls.append(len(cofaces))
+        return wire(n, short, faces, cofaces)
+
+    monkeypatch.setattr(cwcomplex, "_wire", counted)
+    return calls
+
+
+def test_heptagon_classify_wires_only_the_edges(wirings, capsys):
+    assert main(["classify", "3,5,7,2,9,4,1", "--format", "json"]) == 0
+    assert wirings == [2400]  # the 1-cells' rows alone
+
+
+def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
+    assert main(["complex", "3,5,7,2,9,4,1"]) == 0
+    assert len(wirings) == 4  # n - 3 grades above the vertices
+    wirings.clear()
+    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    edges = complex_.edges
+    assert len(wirings) == 1
+    assert complex_.boundary[1] is edges
+    assert len(wirings) == 4
+
+
+def test_pentagon_mesh_wires_both_grades(wirings, capsys):
+    assert main(["mesh", "1,1,1,1,1"]) == 0
+    assert len(wirings) == 2
+
+
+def test_loading_a_document_wires_nothing(wirings):
+    text = complex_to_json(build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1])))
+    wirings.clear()
+    loaded = complex_from_json(text)
+    assert loaded.edges is loaded.boundary[1]
+    assert complex_to_json(loaded) == text
+    assert wirings == []
+
+
+@pytest.mark.parametrize("first", ["edges", "boundary"])
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]])
+def test_a_complex_is_the_same_whichever_rows_are_read_first(first, lengths):
+    linkage = make_linkage(lengths)
+    complex_ = build_complex(linkage)
+    getattr(complex_, first)
+    assert complex_.edges is complex_.boundary[1]
+    assert complex_ == reference_build_complex(linkage)
+    assert complex_ == complex_from_json(complex_to_json(complex_))
 
 
 def test_json_writes_an_empty_face_list_above_dim_0():

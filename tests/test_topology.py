@@ -12,6 +12,8 @@ from linkspace.topology import (
     classify_surface,
 )
 
+from oracles import oracle_f_vector
+
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
     "1,1,1,eps,2": ("torus", 1, 0, 1),
@@ -167,6 +169,21 @@ def test_hexagonal_linkage_reports_f_vector_only():
     report = classify_linkage(make_linkage([1, 1, 1, 1, 1, 2]))
     assert report.classification == "unclassified (dim >= 3)"
     assert report.f_vector == (120, 360, 330, 90)
+    assert report.euler_characteristic == 0
+    assert report.component_count == 1
+
+
+@pytest.mark.parametrize(
+    "lengths, f_vector",
+    [
+        ([1, 1, 1, 1, 1, 1, 1, 2], (5040, 20160, 31920, 24360, 8610, 1050)),
+        ([5, 9, 3, 12, 7, 1, 4, 2], (5040, 20160, 30840, 22200, 7314, 834)),
+    ],
+)
+def test_octagon_f_vector_matches_the_count_of_short_set_partitions(lengths, f_vector):
+    # classify reads only the counts and the 1-skeleton, so n=8 is cheap here
+    report = classify_linkage(make_linkage(lengths))
+    assert report.f_vector == oracle_f_vector(lengths) == f_vector
     assert report.euler_characteristic == 0
     assert report.component_count == 1
 
