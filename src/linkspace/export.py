@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import chain
 
 from . import topology
 from .cwcomplex import (
     CWComplex,
     MembershipTable,
+    build_complex,
     check_supported_arity,
     facet_membership_table,
 )
@@ -29,9 +30,8 @@ from .linkage import (
     LinkageError,
     make_linkage,
     parse_rational,
-    short_subsets,
 )
-from .partitions import mask_texts, parse_part, parse_partition, part_text
+from .partitions import mask_texts
 
 
 class UnsupportedFormat(ValueError):
@@ -172,142 +172,78 @@ def complex_to_json(complex_: CWComplex) -> str:
 
 
 def complex_from_json(text: str) -> CWComplex:
-    """Load a schema-1 complex document.
+    """Load a schema-1 complex document, which must be the complex of its
+    own `lengths`: the lengths fix every cell.
 
-    Raises ValueError on a document that does not describe a complex on its
-    own lengths: a value of the wrong JSON type (the document must be an
-    object, `lengths` a list of strings, `cells` a non-empty list of
-    objects, each `dim` an int, each `label` a string and each `boundary` a
-    list), a missing key, a label that is not a partition (NotAPartition),
-    is on another number of bars or is not written as the writer writes it
-    (n's part last, each part ascending), a dim other than n minus the
-    label's part count, labels of one dim that do not strictly increase
-    (so a cell listed twice, or two cells swapped), a part that is long for
-    the document's lengths, a count of 0-cells other than (n-1)!, or a face
-    index that is out of range, not one dim down or listed twice in one
-    boundary.  Boundaries are not compared with the refinements of their
-    cells, so a document missing a cell above dim 0 still loads.
-
-    Each distinct part text is parsed once per document; a label is then
-    checked on the parts' bitmasks, and the cell is stored as those masks,
-    so no CyclicPartition is built.  Each check is linear in the document;
-    the shortness check reads one short-subset table, once per distinct part.
+    After the JSON type checks (an object whose `schema` is the int 1, `n`
+    an int equal to the number of `lengths`, `lengths` a list of strings
+    and `cells` a non-empty list of objects with `dim`, `label` and
+    `boundary`), the complex of the lengths is built, every grade wired,
+    and compared with the records as `complex_to_json` writes them: the
+    cell count, then each cell's dim, label and flat face indices, every
+    dim and face index an int (in Python, `true == 1.0 == 1`).  Returns the
+    built complex; no label is built.  Raises ValueError on any other
+    document, one nested too deeply to parse included; a mismatch names
+    the first differing cell, with the record expected against the one found.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("document is nested too deeply to parse") from None
     if type(doc) is not dict:
         raise ValueError(f"document is a JSON {type(doc).__name__}, not an object")
-    if doc.get("schema") != 1:
-        raise ValueError(f"unknown schema {doc.get('schema')!r}")
-    for key in ("lengths", "cells"):
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != 1:
+        raise ValueError(f"unknown schema {schema!r}")
+    for key in ("n", "lengths", "cells"):
         if key not in doc:
             raise ValueError(f"document has no {key!r}")
     if type(doc["lengths"]) is not list or any(type(t) is not str for t in doc["lengths"]):
         raise ValueError("'lengths' is not a list of strings")
+    n = doc["n"]
+    if type(n) is not int or n != len(doc["lengths"]):
+        raise ValueError(f"'n' is {n!r}, but there are {len(doc['lengths'])} lengths")
     records = doc["cells"]
     if type(records) is not list or not records:
         raise ValueError("'cells' is not a non-empty list")
-    for k, c in enumerate(records):
-        if type(c) is not dict:
-            raise ValueError(f"cell {k} is not an object")
-    lengths = [parse_rational(t) for t in doc["lengths"]]
-    n = len(lengths)
-    check_supported_arity(n)  # before make_linkage's 2^n pass
-    linkage = make_linkage(lengths)
+    if {*map(type, records)} != {dict}:
+        k = next(k for k, c in enumerate(records) if type(c) is not dict)
+        raise ValueError(f"cell {k} is not an object")
+    keys = ("dim", "label", "boundary")
     try:
-        rows = [(c["dim"], c["label"], c["boundary"]) for c in records]
+        found = [[c[key] for c in records] for key in keys]
     except KeyError as exc:
         k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
-    for k, (d, label_text, faces) in enumerate(rows):
-        if type(d) is not int:
-            raise ValueError(f"cell {k}: dim {d!r} is not an integer")
-        if type(label_text) is not str:
-            raise ValueError(f"cell {k}: label is not a string")
-        if label_text[:1] != "{" or label_text[-1:] != "}":
-            raise _label_error(k, label_text, n)
-        if type(faces) is not list:
-            raise ValueError(f"cell {k}: boundary is not a list")
-    # '{1,3}{2}{4,5}' -> ['1,3', '2', '4,5']
-    bodies = [label_text[1:-1].split("}{") for _, label_text, _ in rows]
-    # Each distinct part text is parsed once and kept only if the writer
-    # would write it so and it lies in 1..n.  Its weight packs its bitmask
-    # (bar i is bit i-1, as in linkage.short_subsets) below bit 2n and its
-    # size above, so one sum checks a label: the parts are disjoint and
-    # cover 1..n exactly when the weights add up to the full mask plus n.
-    # (Overlapping masks carry, which leaves fewer than n bits set; more
-    # parts than fit below bit 2n hold more than n elements.)
-    mask_of: dict[str, int] = {}
-    weight_of: dict[str, int] = {}
-    ground = frozenset(range(1, n + 1))
-    for body in set().union(*bodies):
-        braced = "{" + body + "}"
-        try:
-            part = parse_part(braced)
-        except ValueError:
-            continue
-        if part <= ground and part_text(part) == braced:
-            mask_of[body] = sum([1 << (x - 1) for x in part])
-            weight_of[body] = mask_of[body] + (len(part) << 2 * n)
-    whole, top = (1 << n) - 1 + (n << 2 * n), 1 << (n - 1)
-    weight = weight_of.__getitem__
-    masks_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    dims: list[int] = []
-    flat_position: list[int] = []
-    previous = [""] * n  # the last label text seen in each dim
-    for k, ((d, label_text, _), parts) in enumerate(zip(rows, bodies)):
-        # disjoint parts covering 1..n, n's part last: the canonical label
-        try:
-            canonical = sum(map(weight, parts)) == whole and weight(parts[-1]) & top
-        except KeyError:  # a part the writer would not write
-            canonical = False
-        if not canonical:
-            raise _label_error(k, label_text, n)
-        dim = n - len(parts)
-        if d != dim:
-            raise ValueError(f"cell {k}: dim {d!r}, but label {label_text} gives {dim}")
-        if label_text <= previous[dim]:
-            raise ValueError(
-                f"cell {k}: label {label_text} is listed twice in dim {dim}"
-                if label_text == previous[dim]
-                else f"cell {k}: label {label_text} is out of order in dim {dim}:"
-                f" it follows {previous[dim]}"
-            )
-        previous[dim] = label_text
-        dims.append(dim)
-        flat_position.append(len(masks_by_dim[dim]))
-        masks_by_dim[dim].append(tuple([mask_of[p] for p in parts]))
-    # every label is canonical, so mask_of now holds exactly their parts
-    short = short_subsets(linkage)
-    if not all([short[m] for m in mask_of.values()]):
-        k, body = next(
-            (k, p) for k, parts in enumerate(bodies) for p in parts if not short[mask_of[p]]
-        )
-        raise ValueError(f"cell {k}: part {{{body}}} is long for lengths {linkage.spec()}")
-    if len(masks_by_dim[0]) != factorial(n - 1):
+    check_supported_arity(n)  # before make_linkage's 2^n pass
+    linkage = make_linkage([parse_rational(t) for t in doc["lengths"]])
+    complex_ = build_complex(linkage)
+    if len(records) != sum(complex_.f_vector()):
         raise ValueError(
-            f"{len(masks_by_dim[0])} cells of dim 0, not the {factorial(n - 1)}"
-            f" cyclic orders of {n} bars"
+            f"document has {len(records)} cells, but the complex of lengths"
+            f" {linkage.spec()} has {sum(complex_.f_vector())}"
         )
-    del masks_by_dim[max(dims) + 1 :]
-    boundary: list[list[tuple[int, ...]]] = [[] for _ in masks_by_dim]
-    for k, (d, (_, _, faces)) in enumerate(zip(dims, rows)):
-        for j in faces:
-            if not (type(j) is int and 0 <= j < len(dims) and dims[j] == d - 1):
-                raise ValueError(f"cell {k}: face {j!r} is not a cell of dim {d - 1}")
-        if len(set(faces)) != len(faces):
-            j = next(j for i, j in enumerate(faces) if j in faces[:i])
-            raise ValueError(f"cell {k}: face {j} is listed twice")
-        boundary[d].append(tuple([flat_position[j] for j in faces]))
-    return CWComplex(linkage, masks_by_dim, boundary)
-
-
-def _label_error(k: int, text: str, n: int) -> ValueError:
-    """Why `text`, the label of cell k, is not a canonical label on n bars.
-    Raises NotAPartition itself when the text is not a partition at all."""
-    label = parse_partition(text)
-    if label.n != n:
-        return ValueError(f"cell {k}: label {label} is on {label.n} bars, not {n}")
-    return ValueError(f"cell {k}: label {text} is not written canonically as {label}")
+    texts = mask_texts(n)
+    start = below = 0  # the flat index of the first cell of this grade, of the one below
+    for d, (layer, rows) in enumerate(zip(complex_.masks_by_dim, complex_.boundary)):
+        end = start + len(layer)
+        want = [
+            [d] * len(layer),
+            ["".join([texts[p] for p in parts]) for parts in layer],
+            [[below + j for j in row] for row in rows],
+        ]
+        got = [column[start:end] for column in found]
+        # whole columns compare in C; only a mismatch walks the cells to name it
+        if got != want or {*map(type, got[0]), *map(type, chain.from_iterable(got[2]))} != {int}:
+            k, record, expected = next(
+                (start + k, record, expected)
+                for k, (record, expected) in enumerate(zip(zip(*got), zip(*want)))
+                if record != expected or {type(record[0]), *map(type, record[2])} != {int}
+            )
+            expected, record = [json.dumps(dict(zip(keys, r))) for r in (expected, record)]
+            raise ValueError(f"cell {k}: expected {expected}, found {record}")
+        below, start = start, end
+    return complex_
 
 
 def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:

@@ -1,5 +1,7 @@
+import functools
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from linkspace.cwcomplex import (
     euler_characteristic,
     facet_membership_table,
 )
-from linkspace.export import complex_from_json, complex_to_json
+from linkspace.export import complex_from_json, complex_to_json, parse_lengths
 from linkspace.linkage import is_admissible_partition, make_linkage
 from linkspace.partitions import (
     CyclicPartition,
@@ -354,13 +356,14 @@ def test_pentagon_mesh_wires_both_grades(wirings, capsys):
     assert len(wirings) == 2
 
 
-def test_loading_a_document_wires_nothing(wirings):
+def test_loading_a_document_wires_each_grade_once(wirings):
     text = complex_to_json(build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1])))
     wirings.clear()
     loaded = complex_from_json(text)
+    assert len(wirings) == 4  # every grade above the vertices, to compare it
     assert loaded.edges is loaded.boundary[1]
     assert complex_to_json(loaded) == text
-    assert wirings == []
+    assert len(wirings) == 4
 
 
 @pytest.mark.parametrize("first", ["edges", "boundary"])
@@ -372,6 +375,60 @@ def test_a_complex_is_the_same_whichever_rows_are_read_first(first, lengths):
     assert complex_.edges is complex_.boundary[1]
     assert complex_ == reference_build_complex(linkage)
     assert complex_ == complex_from_json(complex_to_json(complex_))
+
+
+@functools.cache
+def _document(spec):
+    return complex_to_json(build_complex(make_linkage(parse_lengths(spec))))
+
+
+def _edit(doc, draw):
+    """Apply one random edit to a loaded complex document, in place."""
+    cells = doc["cells"]
+    k = draw(st.integers(0, len(cells) - 1))
+    kind = draw(
+        st.sampled_from(["delete", "duplicate", "swap", "dim", "label", "face", "length", "type"])
+    )
+    if kind == "delete":
+        del cells[k]
+    elif kind == "duplicate":
+        cells.insert(k, dict(cells[k]))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[k], cells[j] = cells[j], cells[k]
+    elif kind == "dim":
+        cells[k]["dim"] = draw(st.integers(-1, doc["n"]))
+    elif kind == "label":
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[k]["label"] = draw(
+            st.sampled_from([cells[j]["label"], cells[k]["label"][::-1], cells[k]["label"][1:]])
+        )
+    elif kind == "length":
+        i = draw(st.integers(0, doc["n"] - 1))
+        doc["lengths"][i] = str(draw(st.integers(1, 12)))
+    else:
+        k = draw(st.sampled_from([k for k, c in enumerate(cells) if c["boundary"]]))
+        faces = cells[k]["boundary"]
+        i = draw(st.integers(0, len(faces) - 1))
+        if kind == "face":
+            faces[i] = draw(st.integers(-1, len(cells)))
+        else:
+            faces[i] = draw(st.sampled_from([True, float(faces[i])]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([*EXPECTED_F_VECTORS, "1,1,1,1,1,2", "1,2,3,4,5,6"]),
+    st.data(),
+)
+def test_an_edited_document_loads_only_as_the_complex_of_its_lengths(spec, data):
+    doc = json.loads(_document(spec))
+    _edit(doc, data.draw)
+    try:
+        loaded = complex_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert loaded == build_complex(make_linkage([Fraction(t) for t in doc["lengths"]]))
 
 
 def test_json_writes_an_empty_face_list_above_dim_0():

@@ -22,7 +22,6 @@ from linkspace.export import (
     write_output,
 )
 from linkspace.linkage import LinkageError, make_linkage
-from linkspace.partitions import NotAPartition
 from linkspace.topology import classify_linkage
 
 from oracles import is_watertight, parse_obj
@@ -131,28 +130,34 @@ def test_complex_from_json_rejects_a_missing_key():
         _load(doc)
 
 
+def _mismatch(k, found):
+    """The message naming cell k as the first that differs from the built
+    complex, found (a regex) in its record."""
+    return rf"cell {k}: expected \{{.*\}}, found \{{.*{found}"
+
+
 def test_complex_from_json_rejects_a_face_outside_the_layer_below():
     doc = _pentagon_document()  # f-vector (24, 60, 30)
     doc["cells"][-1]["boundary"][0] = len(doc["cells"])
-    with pytest.raises(ValueError, match="face 114 is not a cell of dim 1"):
+    with pytest.raises(ValueError, match=_mismatch(113, r'"boundary": \[114, ')):
         _load(doc)
     doc = _pentagon_document()
     doc["cells"][-1]["boundary"][0] = 0  # a vertex, not an edge
-    with pytest.raises(ValueError, match="face 0 is not a cell of dim 1"):
+    with pytest.raises(ValueError, match=_mismatch(113, r'"boundary": \[0, ')):
         _load(doc)
 
 
 def test_complex_from_json_rejects_a_dim_that_disagrees_with_the_label():
     doc = _pentagon_document()
     doc["cells"][0]["dim"] = 1
-    with pytest.raises(ValueError, match="cell 0: dim 1, but label .* gives 0"):
+    with pytest.raises(ValueError, match=r'cell 0: expected \{"dim": 0, .*found \{"dim": 1, '):
         _load(doc)
 
 
 def test_complex_from_json_rejects_a_label_on_other_bars():
     doc = _pentagon_document()
     doc["cells"][30]["label"] = "{1,2}{3}{4}{5}{6}"
-    with pytest.raises(ValueError, match="is on 6 bars, not 5"):
+    with pytest.raises(ValueError, match=_mismatch(30, re.escape('"{1,2}{3}{4}{5}{6}"'))):
         _load(doc)
 
 
@@ -171,14 +176,14 @@ def test_complex_from_json_rejects_a_cell_that_is_not_an_object():
 def test_complex_from_json_rejects_a_label_that_is_not_a_string():
     doc = _pentagon_document()
     doc["cells"][30]["label"] = 7
-    with pytest.raises(ValueError, match="cell 30: label is not a string"):
+    with pytest.raises(ValueError, match=_mismatch(30, '"label": 7, ')):
         _load(doc)
 
 
 def test_complex_from_json_rejects_a_boundary_that_is_not_a_list():
     doc = _pentagon_document()
     doc["cells"][30]["boundary"] = 5
-    with pytest.raises(ValueError, match="cell 30: boundary is not a list"):
+    with pytest.raises(ValueError, match=_mismatch(30, r'"boundary": 5\}')):
         _load(doc)
 
 
@@ -199,7 +204,15 @@ def test_complex_from_json_rejects_lengths_that_are_not_a_list():
 def test_complex_from_json_rejects_a_cell_listed_twice():
     doc = _pentagon_document()
     doc["cells"].append(doc["cells"][23])  # the last 0-cell; no index shifts
-    with pytest.raises(ValueError, match=r"cell 114: label \S+ is listed twice in dim 0"):
+    with pytest.raises(
+        ValueError,
+        match="document has 115 cells, but the complex of lengths 1,1,1,1,1 has 114",
+    ):
+        _load(doc)
+    doc = _pentagon_document()
+    doc["cells"][23] = doc["cells"][22]  # in place of the next, so the count holds
+    label = re.escape(doc["cells"][22]["label"])
+    with pytest.raises(ValueError, match=_mismatch(23, f'"label": "{label}"')):
         _load(doc)
 
 
@@ -207,7 +220,8 @@ def test_complex_from_json_rejects_cells_out_of_order():
     doc = _pentagon_document()
     cells = doc["cells"]
     cells[0]["label"], cells[1]["label"] = cells[1]["label"], cells[0]["label"]
-    with pytest.raises(ValueError, match="cell 1: label .* is out of order in dim 0"):
+    label = re.escape(cells[0]["label"])
+    with pytest.raises(ValueError, match=_mismatch(0, f'"label": "{label}"')):
         _load(doc)
 
 
@@ -218,7 +232,8 @@ def test_complex_from_json_rejects_a_label_not_written_canonically():
         doc["cells"][24]["label"] = text
         with pytest.raises(
             ValueError,
-            match=rf"cell 24: label {re.escape(text)} is not written canonically",
+            match=r'cell 24: expected \{.*"label": "\{1,2\}\{3\}\{4\}\{5\}".*\}, found \{.*'
+            + re.escape(f'"label": "{text}"'),
         ):
             _load(doc)
 
@@ -228,7 +243,7 @@ def test_complex_from_json_rejects_label_text_that_does_not_parse():
     for text in ("oops", "{1}{2}{3}{4}{5", "{1,1}{2}{3}{4}{5}", "{1}{1}{1}{3}{4}{5}"):
         doc = _pentagon_document()
         doc["cells"][30]["label"] = text
-        with pytest.raises(NotAPartition):
+        with pytest.raises(ValueError, match=_mismatch(30, re.escape(f'"label": "{text}"'))):
             _load(doc)
 
 
@@ -236,14 +251,25 @@ def test_complex_from_json_rejects_a_dim_that_is_not_an_int():
     for value in (True, 1.0):  # cell 30 is a 1-cell, and both == 1
         doc = _pentagon_document()
         doc["cells"][30]["dim"] = value
-        with pytest.raises(ValueError, match=f"cell 30: dim {value} is not an integer"):
+        with pytest.raises(ValueError, match=_mismatch(30, f'"dim": {json.dumps(value)}, ')):
+            _load(doc)
+
+
+def test_complex_from_json_rejects_a_face_index_that_is_not_an_int():
+    doc = _pentagon_document()
+    assert doc["cells"][32]["boundary"] == [0, 1]
+    for value in (True, 1.0):  # both == 1
+        doc["cells"][32]["boundary"][1] = value
+        with pytest.raises(
+            ValueError, match=_mismatch(32, rf'"boundary": \[0, {json.dumps(value)}\]')
+        ):
             _load(doc)
 
 
 def test_complex_from_json_rejects_a_face_listed_twice():
     doc = _pentagon_document()
     doc["cells"][30]["boundary"] = [0, 0]
-    with pytest.raises(ValueError, match="cell 30: face 0 is listed twice"):
+    with pytest.raises(ValueError, match=_mismatch(30, r'"boundary": \[0, 0\]')):
         _load(doc)
 
 
@@ -253,15 +279,62 @@ def test_complex_from_json_rejects_a_part_long_for_the_lengths():
     doc = _pentagon_document()
     doc["lengths"] = ["1", "1", "1", "1", "3"]
     assert doc["cells"][33]["label"] == "{1}{2}{3}{4,5}"
-    with pytest.raises(ValueError, match=r"cell 33: part \{4,5\} is long for lengths 1,1,1,1,3"):
+    with pytest.raises(
+        ValueError,
+        match="document has 114 cells, but the complex of lengths 1,1,1,1,3 has 74",
+    ):
         _load(doc)
 
 
 def test_complex_from_json_rejects_a_missing_0_cell():
     doc = _pentagon_document()
     doc["cells"] = doc["cells"][:23]  # 0-cells only, the last one dropped
-    with pytest.raises(ValueError, match=r"23 cells of dim 0, not the 24 cyclic orders"):
+    with pytest.raises(
+        ValueError, match="document has 23 cells, but the complex of lengths 1,1,1,1,1 has 114"
+    ):
         _load(doc)
+
+
+def test_complex_from_json_rejects_a_document_that_is_not_its_lengths_complex():
+    # each loaded before, as f (24, 60, 29) and as the 1,1,1,1,1 cells
+    doc = _pentagon_document()
+    del doc["cells"][-1]
+    with pytest.raises(ValueError, match="document has 113 cells"):
+        _load(doc)
+    doc = _pentagon_document()
+    doc["lengths"] = ["1", "1", "1", "1", "3"]
+    with pytest.raises(ValueError, match="document has 114 cells"):
+        _load(doc)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 2, "1", None])
+def test_complex_from_json_rejects_a_schema_other_than_the_int_1(value):
+    doc = _pentagon_document()
+    doc["schema"] = value
+    with pytest.raises(ValueError, match=re.escape(f"unknown schema {value!r}")):
+        _load(doc)
+
+
+@pytest.mark.parametrize("value", [99, 4, "x", "5", 5.0, None])
+def test_complex_from_json_rejects_an_n_other_than_the_number_of_lengths(value):
+    doc = _pentagon_document()
+    doc["n"] = value
+    with pytest.raises(
+        ValueError, match=re.escape(f"'n' is {value!r}, but there are 5 lengths")
+    ):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_a_missing_n():
+    doc = _pentagon_document()
+    del doc["n"]
+    with pytest.raises(ValueError, match="document has no 'n'"):
+        _load(doc)
+
+
+def test_complex_from_json_rejects_deep_nesting_with_a_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        complex_from_json("[" * 100000)
 
 
 def test_report_json_schema(representatives):
