@@ -14,7 +14,6 @@ from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from .geometry import NotAClosedSurface, NotACycle, perform_surgery
 from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage
-from .partitions import PartitionError
 
 LENGTHS_HELP = "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)"
 
@@ -107,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (
         LinkageError,
-        PartitionError,
         ArityMismatch,
         export.UnsupportedFormat,
         export.IoFailure,

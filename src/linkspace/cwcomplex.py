@@ -9,7 +9,7 @@ run from 0 (full cyclic orders) to n-3 (three-part labels).
 
 A part is admissible exactly when it is a short subset of the bars (its
 length is below half the total), so the whole complex is fixed by one table
-of the 2^n subsets (`linkage.short_subsets`).  A cell is stored as the tuple
+of the 2^n subsets (`Linkage.short`).  A cell is stored as the tuple
 of its parts' int bitmasks (bar i is bit i-1), n's part last: the canonical
 rotation.  `build_complex` walks prefixes of short parts in label-text
 order, so it builds only admissible cells, each grade already in label
@@ -19,8 +19,9 @@ faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
 index buckets.  Each grade of that incidence is wired when it is first read,
 so a reader pays only for the grades it reads: the 1-skeleton alone
-(`CWComplex.edges`) costs one grade.  The `CyclicPartition` labels are a
-view, built from the masks on first read.
+(`CWComplex.edges`) costs one grade.  The facet tables read their row texts
+as masks too, so no command builds a label; `CWComplex.cells_by_dim`, a view
+for the tests and the benchmark, builds them on first read.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .linkage import Linkage, is_admissible_partition, mask_elements, short_subsets
-from .partitions import CyclicPartition, mask_texts, parse_partition
+from .linkage import Linkage, mask_elements
+from .partitions import CyclicPartition, mask_texts
 
 #: A cell as the bitmasks of its parts, in canonical rotation.
 Masks = tuple[int, ...]
@@ -59,8 +60,8 @@ class CWComplex:
     alone, and `boundary` the grades above it, reusing `edges`, so no grade
     is wired twice.  Counts read the masks alone, while equality and export
     read every row.  cells_by_dim, the same cells as CyclicPartition labels,
-    is built on first read too, so a complex that is only counted, written
-    out or walked by index builds no label.
+    is built on first read too, through the checking constructor; no
+    command reads it, so it serves only the tests and the benchmark.
     """
 
     def __init__(
@@ -88,15 +89,14 @@ class CWComplex:
     def _rows(self, d: int) -> tuple[tuple[int, ...], ...]:
         """Wire the boundary rows of grade d from the masks."""
         faces, cofaces = self.masks_by_dim[d - 1 : d + 1]
-        return tuple(_wire(self.linkage.n, short_subsets(self.linkage), faces, cofaces))
+        return tuple(_wire(self.linkage.n, self.linkage.short, faces, cofaces))
 
     @cached_property
     def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
         # one frozenset per mask on n bars, shared by every label holding it
         part_set = [frozenset(mask_elements(m)) for m in range(1 << self.linkage.n)]
-        make_label = CyclicPartition._from_canonical
         return tuple(
-            tuple(make_label(tuple([part_set[p] for p in parts])) for parts in layer)
+            tuple(CyclicPartition(tuple([part_set[p] for p in parts])) for parts in layer)
             for layer in self.masks_by_dim
         )
 
@@ -138,7 +138,7 @@ def build_complex(linkage: Linkage) -> CWComplex:
     """
     n = linkage.n
     check_supported_arity(n)
-    short = short_subsets(linkage)
+    short = linkage.short
     top = 1 << (n - 1)
     parts = sorted(filter(short.__getitem__, range(1, top)), key=mask_texts(n).__getitem__)
     # the short parts of each set of unused bars below n, in text order
@@ -268,30 +268,20 @@ class MembershipTable:
 def facet_membership_table(
     linkages: list[Linkage], columns: list[str] | None = None
 ) -> MembershipTable:
-    """Evaluate the fixed step-2/step-3 row labels against each pentagon."""
+    """Evaluate the fixed step-2/step-3 row labels against each pentagon: a
+    row is admissible iff each of its part masks is short.  Both labels of a
+    step-3 row have the same parts, so the first one decides."""
     for l in linkages:
         if l.n != 5:
             raise ArityMismatch(f"facet tables are defined for n=5, got n={l.n}")
     if columns is None:
         columns = [f"({l.spec()})" for l in linkages]
-    step2 = tuple(
-        (
-            row,
-            tuple(
-                is_admissible_partition(l, parse_partition(row).parts)
-                for l in linkages
-            ),
-        )
-        for row in STEP2_ROWS
-    )
-    step3 = []
-    for row in STEP3_ROWS:
-        a, b = (parse_partition(s) for s in row)
-        values = []
-        for l in linkages:
-            va = is_admissible_partition(l, a.parts)
-            vb = is_admissible_partition(l, b.parts)
-            assert va == vb  # same parts, different cyclic order
-            values.append(va)
-        step3.append((row, tuple(values)))
-    return MembershipTable(tuple(columns), step2, tuple(step3))
+    mask_of = {text: m for m, text in enumerate(mask_texts(5))}
+
+    def values(row: str) -> tuple[bool, ...]:
+        masks = [mask_of["{" + part + "}"] for part in row[1:-1].split("}{")]
+        return tuple(all(l.short[m] for m in masks) for l in linkages)
+
+    step2 = tuple((row, values(row)) for row in STEP2_ROWS)
+    step3 = tuple((row, values(row[0])) for row in STEP3_ROWS)
+    return MembershipTable(tuple(columns), step2, step3)

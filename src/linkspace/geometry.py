@@ -7,7 +7,7 @@ whose label with {5} appended is admissible, and patch in a "diagonal" face
 for every admissible 2-cell whose part containing 5 is not a singleton.
 Only vertex placement lives here; the face lattice, a second route for the
 tests, is in the tests' oracles.  The mesh is read off the complex's
-incidence lists, and no label is read except to word an error.
+incidence lists and part masks; an error names a cell by its masks' text.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
 from typing import Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
-from .linkage import Linkage, Rational
-from .partitions import CyclicOrder, CyclicPartition
+from .linkage import Linkage
+from .partitions import CyclicPartition, mask_texts
 
 Point3 = tuple[float, float, float]
 
@@ -94,7 +95,7 @@ def _gram_schmidt(vectors: Sequence[Sequence[float]]) -> list[list[float]]:
 _PROJECTION_BASIS = _gram_schmidt([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)])
 
 
-def project_to_3d(point: Sequence[int | Rational]) -> Point3:
+def project_to_3d(point: Sequence[int | Fraction]) -> Point3:
     """Isometric affine map from the vertex hyperplane sum(x)=10 of the
     4-permutohedron into R^3; the single lossy (float) step of the pipeline.
     Centering at the barycenter 5/2 is exact for the integer vertex points."""
@@ -136,6 +137,12 @@ class SurfaceMesh:
         return len(self.points), len(self.edges), len(self.cycles)
 
 
+def _text(complex_: CWComplex, d: int, i: int) -> str:
+    """Cell i of grade d as label text, from its part masks."""
+    texts = mask_texts(complex_.linkage.n)
+    return "".join([texts[p] for p in complex_.masks_by_dim[d][i]])
+
+
 def _cycle(complex_: CWComplex, i: int) -> list[int]:
     """Indices of 2-cell i's 0-cells in polygon order.
 
@@ -151,7 +158,7 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
     if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        raise NotACycle(f"boundary graph of {complex_.cells_by_dim[2][i]} is not 2-regular")
+        raise NotACycle(f"boundary graph of {_text(complex_, 2, i)} is not 2-regular")
     start = min(adjacency)
     cycle = [start, min(adjacency[start])]
     while True:
@@ -161,13 +168,11 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
             break
         cycle.append(nxt)
     if len(cycle) != len(adjacency):
-        raise NotACycle(f"boundary graph of {complex_.cells_by_dim[2][i]} is disconnected")
+        raise NotACycle(f"boundary graph of {_text(complex_, 2, i)} is disconnected")
     return cycle
 
 
-def boundary_cycle(
-    cell: CyclicPartition, complex_: CWComplex
-) -> list[CyclicOrder]:
+def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPartition]:
     """Polygon order of a 2-cell's vertices, as labels.
 
     The walk follows the complex's incidence: the cell's 1-cells from
@@ -200,9 +205,8 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     faces_on = Counter(e for row in complex_.boundary[2] for e in row)
     bad = [i for i in range(len(complex_.boundary[1])) if faces_on[i] != 2]
     if bad:
-        labels = complex_.cells_by_dim[1]
         raise NotAClosedSurface(
             "edges not shared by exactly two faces: "
-            + ", ".join(str(labels[i]) for i in bad)
+            + ", ".join(_text(complex_, 1, i) for i in bad)
         )
     return SurfaceMesh(complex_, points, cycles)

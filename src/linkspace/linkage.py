@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 from .partitions import NotAPartition
 
-Rational = Fraction
-
 #: Concrete stand-in for a "sufficiently small" length in the standard
 #: representatives; any smaller value gives the same combinatorics (see
 #: export.verify_all, which re-checks each eps spec at epsilon/10).
@@ -66,9 +64,10 @@ class Linkage:
 
     lengths: tuple[Fraction, ...]
     total: Fraction
-    #: The table `short_subsets` returns, from make_linkage's subset sums;
-    #: the lengths fix it, so it stays out of equality and repr.
-    _short: tuple[bool, ...] = field(compare=False, repr=False)
+    #: short[mask]: are the bars in `mask` shorter than the rest, i.e. an
+    #: admissible part (the empty mask counts)?  From make_linkage's subset
+    #: sums; the lengths fix it, so it stays out of equality and repr.
+    short: tuple[bool, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -115,7 +114,7 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
             f"longest bar {longest} is >= sum of the rest {total - longest}"
         )
     short = tuple([2 * s < sums[-1] for s in sums])
-    return Linkage(lengths=ls, total=total, _short=short)
+    return Linkage(lengths=ls, total=total, short=short)
 
 
 def integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
@@ -132,14 +131,6 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
     return sums
-
-
-def short_subsets(linkage: Linkage) -> tuple[bool, ...]:
-    """short[mask] is True iff the bars in `mask` are shorter than the rest,
-    i.e. the subset is an admissible part (the empty mask counts as short).
-    make_linkage computes the table once, from the subset sums of its
-    genericity check."""
-    return linkage._short
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:
@@ -182,9 +173,20 @@ def is_admissible_partition(
     return all(is_admissible_part(linkage, p) for p in sets)
 
 
+#: The longest length token parse_rational accepts: for up to 8 bars, every
+#: sum an error message prints then stays under CPython's 4,300-digit limit.
+MAX_TOKEN = 500
+
+
 def parse_rational(token: str) -> Fraction:
-    """Parse 'int' or 'int/int' into an exact rational."""
+    """Parse 'int', 'int/int' or a decimal ('0.25') of at most MAX_TOKEN
+    characters, else raise LinkageError.  Exponent notation is rejected:
+    Fraction would expand '1e30000000' digit by digit."""
     token = token.strip()
+    if len(token) > MAX_TOKEN:
+        raise LinkageError(f"length {token[:20]!r}... is over {MAX_TOKEN} characters")
+    if "e" in token.lower():
+        raise LinkageError(f"cannot parse length {token!r}: not an integer, fraction or decimal")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,4 +1,5 @@
-"""Cyclically ordered partitions of {1..n}.
+"""Part texts, which every command uses, and cyclically ordered partitions
+of {1..n} as labels: a reference for the tests, which no command reaches.
 
 A cyclic partition is stored in its canonical rotation: the part containing
 the largest element n comes last.  That rotation is unique, so tuple equality
@@ -41,14 +42,6 @@ class CyclicPartition:
                 f"not in canonical rotation: {n} must lie in the last part"
             )
 
-    @classmethod
-    def _from_canonical(cls, parts: tuple[frozenset[int], ...]) -> CyclicPartition:
-        """The label of `parts`, which the caller knows to be a canonical
-        partition of {1..n}; unlike the constructor, this checks nothing."""
-        label = object.__new__(cls)
-        object.__setattr__(label, "parts", parts)
-        return label
-
     @property
     def n(self) -> int:
         return sum(len(p) for p in self.parts)
@@ -62,9 +55,6 @@ class CyclicPartition:
 
     def __repr__(self) -> str:
         return f"CyclicPartition({self})"
-
-
-CyclicOrder = CyclicPartition  # a full cyclic order: every part a singleton
 
 
 def part_text(part: Iterable[int]) -> str:
@@ -186,7 +176,7 @@ def enumerate_cyclic_partitions(n: int, m: int) -> list[CyclicPartition]:
     return out
 
 
-def cell_vertices(c: CyclicPartition) -> list[CyclicOrder]:
+def cell_vertices(c: CyclicPartition) -> list[CyclicPartition]:
     """All full cyclic orders refining c: order each part internally, keep the
     cyclic order of the parts.  Exactly prod(|part|!) of them."""
     per_part = [permutations(sorted(p)) for p in c.parts]

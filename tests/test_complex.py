@@ -1,5 +1,9 @@
+import contextlib
 import functools
+import hashlib
+import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 from linkspace import cwcomplex
 from linkspace.cli import main
 from linkspace.cwcomplex import (
+    STEP2_ROWS,
+    STEP3_ROWS,
     ArityMismatch,
     CWComplex,
     build_complex,
@@ -17,11 +23,12 @@ from linkspace.cwcomplex import (
     facet_membership_table,
 )
 from linkspace.export import complex_from_json, complex_to_json, parse_lengths
-from linkspace.linkage import is_admissible_partition, make_linkage
+from linkspace.linkage import Linkage, is_admissible_partition, make_linkage
 from linkspace.partitions import (
     CyclicPartition,
     canonicalize,
     cell_vertices,
+    mask_texts,
     one_step_refinements,
 )
 
@@ -36,6 +43,7 @@ from oracles import (
     reference_complex_to_json,
     rotation_class,
 )
+from test_golden import GOLDEN
 
 EXPECTED_F_VECTORS = {
     "1,1,1,1,3": (24, 36, 14),
@@ -199,6 +207,33 @@ def test_membership_table_spot_values(representatives):
     assert step3["{2,3}{1}{4,5}"] == (False, True, True, True, True, True)
 
 
+def _masks(row):
+    """A row text's part masks, read independently of the package."""
+    return [sum(1 << int(x) - 1 for x in part.split(",")) for part in row[1:-1].split("}{")]
+
+
+def test_step2_rows_are_the_14_ordered_2_splits_of_1_to_4_with_5_appended():
+    assert len(STEP2_ROWS) == len(set(STEP2_ROWS)) == 14
+    for row in STEP2_ROWS:
+        a, b, five = _masks(row)
+        assert a and b and a & b == 0 and a | b == 0b1111 and five == 0b10000, row
+
+
+def test_step3_pairs_hold_the_same_parts_in_the_other_cyclic_order():
+    for a, b in STEP3_ROWS:
+        x, y, z = _masks(a)
+        assert _masks(b) == [y, x, z], (a, b)
+        assert x | y | z == 0b11111 and x & y == x & z == y & z == 0, a
+        assert z & 0b10000 and z != 0b10000, a  # 5's part is not {5} alone
+
+
+def test_table_rows_round_trip_through_their_masks():
+    texts = mask_texts(5)
+    rows = list(STEP2_ROWS) + [row for pair in STEP3_ROWS for row in pair]
+    for row in rows:
+        assert "".join(texts[m] for m in _masks(row)) == row
+
+
 def test_membership_table_requires_pentagons():
     with pytest.raises(ArityMismatch):
         facet_membership_table([make_linkage([2, 1, 1, 1])])
@@ -288,12 +323,40 @@ def test_generic_integer_heptagons_keep_the_wiring_invariants(lengths):
 
 @pytest.fixture
 def no_labels(monkeypatch):
-    """Building any CyclicPartition label from a complex's masks fails."""
+    """Reaching the label layer fails: building a CyclicPartition, parsing or
+    canonicalizing a label, and the Fraction admissibility predicates, under
+    every name a linkspace module holds them by."""
 
-    def refuse(parts):
-        raise AssertionError(f"label built for {parts}")
+    def refuse(*args):
+        raise AssertionError("the label layer was reached")
 
-    monkeypatch.setattr(CyclicPartition, "_from_canonical", staticmethod(refuse))
+    monkeypatch.setattr(CyclicPartition, "__init__", refuse)
+    monkeypatch.setattr(Linkage, "part_sum", refuse)
+    names = ("parse_partition", "canonicalize", "is_admissible_part", "is_admissible_partition")
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "linkspace"]
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_no_labels_refuses_the_label_layer(no_labels):
+    with pytest.raises(AssertionError):
+        CyclicPartition((frozenset({1}), frozenset({2}), frozenset({3})))
+    with pytest.raises(AssertionError):
+        build_complex(make_linkage([1, 1, 1, 1, 1])).cells_by_dim
+    with pytest.raises(AssertionError):
+        make_linkage([1, 1, 1]).part_sum([1])
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_every_golden_command_builds_no_label(no_labels, argv, digest):
+    # `tables` reads its row texts as masks and the short-subset table;
+    # `verify`, the meshes and the documents read masks alone
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_heptagon_classify_and_complex_build_no_label(no_labels, capsys):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex
@@ -40,6 +44,12 @@ def test_parse_lengths_forms():
         parse_lengths("1,banana,2")
     with pytest.raises(LinkageError):
         parse_lengths("")
+    # a token is at most 500 characters, and exponent notation is refused
+    assert parse_lengths("1," + "9" * 500) == [1, 10**500 - 1]
+    with pytest.raises(LinkageError, match="over 500 characters"):
+        parse_lengths("1," + "9" * 501)
+    with pytest.raises(LinkageError, match="not an integer, fraction or decimal"):
+        parse_lengths("1,1e3,2")
 
 
 def test_obj_export_of_the_sphere(meshes):
@@ -332,6 +342,16 @@ def test_complex_from_json_rejects_a_missing_n():
         _load(doc)
 
 
+@pytest.mark.parametrize("length", ["1e30000000", "1" * 501])
+def test_complex_from_json_rejects_a_length_in_exponent_notation_or_too_long(length):
+    doc = _pentagon_document()
+    doc["lengths"][0] = length
+    start = time.perf_counter()
+    with pytest.raises(LinkageError, match="cannot parse length|over 500 characters"):
+        _load(doc)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_complex_from_json_rejects_deep_nesting_with_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         complex_from_json("[" * 100000)
@@ -410,6 +430,50 @@ def test_cli_invalid_input_exit_code(capsys):
     assert main(["classify", "1,1,1,1,2"]) == 2  # non-generic
     assert main(["mesh", "2,1,1,1", "-o", "unused.obj"]) == 2  # not a pentagon
     assert main(["mesh", "1,1,1,1,3", "-o", ""]) == 2  # empty path
+    # once exit 3 from a >4300-digit str(Fraction) in an error message, or
+    # a hang expanding an exponent: now each is refused at parse time
+    tiny = ",".join(f"1/{10**700 + k}" for k in range(1, 15, 2))  # 703 characters each
+    for argv in (
+        ["classify", "1e100000,1,1,1,1"],
+        ["classify", "1,1,eps,eps,1", "--epsilon", "1e100000"],
+        ["classify", "1," + tiny],
+        ["classify", "1e30000000,1,1,1,1"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+    assert "internal invariant" not in capsys.readouterr().err
+
+
+# pieces of length tokens: digits, the syntax characters, eps, an exponent
+# past the 4,300-digit str limit, and digit runs below and above the
+# 500-character token limit
+_PIECES = ["0", "1", "3", "7", "/", ".", "e", "e4400", "-", "eps", "9" * 250, "1" * 499]
+_TOKENS = st.one_of(
+    st.fractions(0, 20, max_denominator=1000).map(str),
+    st.sampled_from(["1e4400", "3/" + "7" * 700, "9" * 500, "9" * 501]),
+    st.lists(st.sampled_from(_PIECES), max_size=4).map("".join),
+)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(
+    command=st.sampled_from(["classify", "mesh"]),
+    lengths=st.lists(st.integers(1, 9).map(str), max_size=9),
+    tokens=st.lists(_TOKENS, max_size=7),
+    at=st.integers(0, 9),
+    epsilon=st.none() | _TOKENS,
+)
+def test_cli_exits_0_or_2_on_any_lengths_and_epsilon(command, lengths, tokens, at, epsilon):
+    # arbitrary tokens among plain ones, so that some reach make_linkage;
+    # options first and `--` before the lengths, so argparse reads a token
+    # starting with '-' as the lengths, not as an option
+    argv = [command] + ([] if epsilon is None else [f"--epsilon={epsilon}"])
+    spec = ",".join(lengths[:at] + tokens + lengths[at:])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv + ["--", spec]) in (0, 2)
+    assert "internal invariant" not in err.getvalue()
 
 
 def test_cli_internal_value_error_exits_3(monkeypatch, capsys):
