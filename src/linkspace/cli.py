@@ -113,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAClosedSurface, NotACycle, ValueError) as exc:
-        # any other ValueError is the package's fault, not the input's: e.g.
-        # geometry's OffHyperplane, UnsupportedDimension or boundary_cycle's
+        # any other ValueError is the package's fault, not the input's
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
 

@@ -27,7 +27,6 @@ for the tests and the benchmark, builds them on first read.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
@@ -256,32 +255,20 @@ STEP3_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MembershipTable:
-    """Admissibility of the step-2 and step-3 face labels per linkage."""
-
-    columns: tuple[str, ...]
-    step2: tuple[tuple[str, tuple[bool, ...]], ...]
-    step3: tuple[tuple[tuple[str, str], tuple[bool, ...]], ...]
-
-
-def facet_membership_table(
-    linkages: list[Linkage], columns: list[str] | None = None
-) -> MembershipTable:
-    """Evaluate the fixed step-2/step-3 row labels against each pentagon: a
+def facet_membership_table(linkages: list[Linkage]) -> tuple[list, list]:
+    """Evaluate the fixed step-2/step-3 row labels against each pentagon,
+    as the step-2 and step-3 lists of (row, values), one value per linkage: a
     row is admissible iff each of its part masks is short.  Both labels of a
     step-3 row have the same parts, so the first one decides."""
     for l in linkages:
         if l.n != 5:
             raise ArityMismatch(f"facet tables are defined for n=5, got n={l.n}")
-    if columns is None:
-        columns = [f"({l.spec()})" for l in linkages]
     mask_of = {text: m for m, text in enumerate(mask_texts(5))}
 
     def values(row: str) -> tuple[bool, ...]:
         masks = [mask_of["{" + part + "}"] for part in row[1:-1].split("}{")]
         return tuple(all(l.short[m] for m in masks) for l in linkages)
 
-    step2 = tuple((row, values(row)) for row in STEP2_ROWS)
-    step3 = tuple((row, values(row[0])) for row in STEP3_ROWS)
-    return MembershipTable(tuple(columns), step2, step3)
+    step2 = [(row, values(row)) for row in STEP2_ROWS]
+    step3 = [(row, values(row[0])) for row in STEP3_ROWS]
+    return step2, step3

@@ -1,11 +1,11 @@
 """Serialization and the verification harness.
 
 Everything here is deterministic: two runs on the same input produce
-byte-identical OBJ/PLY/JSON output.  Coordinates become floats only at
-export; the exact rational data (lengths, 4D vertex coordinates) travels in
-comments and JSON.  Complex documents are laid out as json.dumps(indent=2)
-lays them out, but written directly, which is several times faster; a test
-pins them byte for byte against a json.dumps writer.
+byte-identical OBJ/PLY/JSON output.  The only floats are the mesh's vertex
+positions, printed to six decimals; the exact lengths travel in the mesh
+header comments and in JSON.  Complex documents are laid out as
+json.dumps(indent=2) lays them out, but written directly, which is several
+times faster; a test pins them byte for byte against a json.dumps writer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from itertools import chain
 from . import topology
 from .cwcomplex import (
     CWComplex,
-    MembershipTable,
     build_complex,
     check_supported_arity,
     facet_membership_table,
@@ -43,8 +42,9 @@ class IoFailure(OSError):
 
 
 def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:
-    """Parse a comma-separated length spec; each token is `int`, `int/int`
-    or the symbol `eps` (replaced by the given epsilon)."""
+    """Parse a comma-separated length spec; each token is an ASCII integer,
+    fraction or decimal (see `parse_rational`) or the symbol `eps`
+    (replaced by the given epsilon)."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise LinkageError(f"no lengths in {text!r}")
@@ -296,9 +296,6 @@ class Representative:
     components: int
     chi: int
 
-    def lengths(self, epsilon: Fraction) -> list[Fraction]:
-        return parse_lengths(self.spec, epsilon)
-
 
 REPRESENTATIVES: tuple[Representative, ...] = (
     Representative("1,1,1,1,3", "sphere", 1, 2),
@@ -313,34 +310,25 @@ REPRESENTATIVES: tuple[Representative, ...] = (
 def render_tables(epsilon: Fraction = DEFAULT_EPSILON) -> str:
     """Regenerate both facet-admissibility tables for the six standard
     pentagons, with 'v' marking admissible rows."""
-    linkages = [make_linkage(r.lengths(epsilon)) for r in REPRESENTATIVES]
+    linkages = [make_linkage(parse_lengths(r.spec, epsilon)) for r in REPRESENTATIVES]
+    step2, step3 = facet_membership_table(linkages)
     columns = [f"({r.spec})" for r in REPRESENTATIVES]
-    table = facet_membership_table(linkages, columns)
-    return _render_membership(table, epsilon)
-
-
-def _render_membership(table: MembershipTable, epsilon: Fraction) -> str:
     width = max(
         [len("partition")]
-        + [len(r) for r, _ in table.step2]
-        + [len(f"{a} & {b}") for (a, b), _ in table.step3]
+        + [len(r) for r, _ in step2]
+        + [len(f"{a} & {b}") for (a, b), _ in step3]
     )
-    col_widths = [max(len(c), 1) for c in table.columns]
 
     def row_line(idx: int, label: str, values) -> str:
-        cells = "  ".join(
-            ("v" if v else "-").center(w) for v, w in zip(values, col_widths)
-        )
+        cells = "  ".join(("v" if v else "-").center(len(c)) for v, c in zip(values, columns))
         return f"{idx:>2}  {label:<{width}}  {cells}"
 
-    header = f"{'':>2}  {'partition':<{width}}  " + "  ".join(
-        c.center(w) for c, w in zip(table.columns, col_widths)
-    )
+    header = f"{'':>2}  {'partition':<{width}}  " + "  ".join(columns)
     lines = [f"step 2: permutohedron facets kept (eps = {epsilon})", "", header]
-    for i, (label, values) in enumerate(table.step2, 1):
+    for i, (label, values) in enumerate(step2, 1):
         lines.append(row_line(i, label, values))
     lines += ["", f"step 3: diagonal faces patched in (eps = {epsilon})", "", header]
-    for i, ((a, b), values) in enumerate(table.step3, 1):
+    for i, ((a, b), values) in enumerate(step3, 1):
         lines.append(row_line(i, f"{a} & {b}", values))
     lines += [
         "",
@@ -371,14 +359,15 @@ def verify_all(
     ok = True
     for rep in expectations:
         try:
-            report = topology.classify_linkage(make_linkage(rep.lengths(epsilon)))
+            linkage = make_linkage(parse_lengths(rep.spec, epsilon))
+            report = topology.classify_linkage(linkage)
             got = (report.classification, report.component_count, report.euler_characteristic)
             want = (rep.classification, rep.components, rep.chi)
             good = got == want
             detail = f"got {got[0]!r}, {got[1]} component(s), chi={got[2]}"
             if good and "eps" in rep.spec:
                 retry = topology.classify_linkage(
-                    make_linkage(rep.lengths(epsilon / 10))
+                    make_linkage(parse_lengths(rep.spec, epsilon / 10))
                 )
                 if retry.classification != report.classification:
                     good = False

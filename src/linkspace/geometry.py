@@ -1,12 +1,13 @@
 """The pentagon surgery: a pentagon's cell complex as a polyhedral surface.
 
-The m-permutohedron is the convex hull of the permutations of (1,..,m).  A
-pentagon's complex is realized in three steps: place the vertices on the
+The 4-permutohedron is the convex hull of the 24 permutations of (1,2,3,4).
+A pentagon's complex is realized in three steps: place the vertices on the
 4-permutohedron (cut each cyclic order at 5), keep the permutohedron facets
 whose label with {5} appended is admissible, and patch in a "diagonal" face
 for every admissible 2-cell whose part containing 5 is not a singleton.
-Only vertex placement lives here; the face lattice, a second route for the
-tests, is in the tests' oracles.  The mesh is read off the complex's
+Only vertex placement lives here, as one cached table of the 24 vertices
+projected to R^3 (`permutohedron`); the face lattice, a second route for
+the tests, is in the tests' oracles.  The mesh is read off the complex's
 incidence lists and part masks; an error names a cell by its masks' text.
 """
 
@@ -15,24 +16,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations
-from typing import Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
 from .linkage import Linkage
 from .partitions import CyclicPartition, mask_texts
 
 Point3 = tuple[float, float, float]
-
-
-class UnsupportedDimension(ValueError):
-    pass
-
-
-class OffHyperplane(ValueError):
-    pass
 
 
 class NotAClosedSurface(RuntimeError):
@@ -44,69 +35,29 @@ class NotACycle(RuntimeError):
     """The boundary graph of a would-be 2-cell is not a single simple cycle."""
 
 
-class Permutohedron:
-    """Vertex placement on the m-permutohedron.
-
-    One object per m and process (see `permutohedron`), so `points` is
-    computed once.
-    """
-
-    def __init__(self, m: int):
-        if not 2 <= m <= 7:
-            raise UnsupportedDimension(f"supported for 2 <= m <= 7, got m={m}")
-        self.m = m
-
-    def vertex_point(self, perm: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the vertex labeled by a linear order: the element
-        in position j gets coordinate value j."""
-        point = [0] * self.m
-        for j, a in enumerate(perm, 1):
-            point[a - 1] = j
-        return tuple(point)
-
-    @cached_property
-    def points(self) -> tuple[Point3, ...]:
-        """Every vertex projected to R^3 (m = 4 only), in the lexicographic
-        order of the linear orders."""
-        orders = permutations(range(1, self.m + 1))
-        return tuple([project_to_3d(self.vertex_point(p)) for p in orders])
+# An orthonormal basis of the hyperplane sum(x) = 0 in R^4.
+_AXES = tuple(
+    tuple(x / math.sqrt(sum(y * y for y in v)) for x in v)
+    for v in ((1, -1, 0, 0), (1, 1, -2, 0), (1, 1, 1, -3))
+)
 
 
 @cache
-def permutohedron(m: int) -> Permutohedron:
-    """The m-permutohedron, one object per m and process."""
-    return Permutohedron(m)
+def permutohedron() -> tuple[Point3, ...]:
+    """The 24 vertices of the 4-permutohedron in R^3, in the lexicographic
+    order of the linear orders a1a2a3a4, computed once per process.
 
-
-def _gram_schmidt(vectors: Sequence[Sequence[float]]) -> list[list[float]]:
-    basis: list[list[float]] = []
-    for v in vectors:
-        w = [float(x) for x in v]
-        for u in basis:
-            c = sum(wi * ui for wi, ui in zip(w, u))
-            w = [wi - c * ui for wi, ui in zip(w, u)]
-        norm = math.sqrt(sum(wi * wi for wi in w))
-        basis.append([wi / norm for wi in w])
-    return basis
-
-
-# Fixed orthonormal basis of the hyperplane sum(x)=const in R^4, from
-# Gram-Schmidt on (1,-1,0,0), (0,1,-1,0), (0,0,1,-1) in that order.
-_PROJECTION_BASIS = _gram_schmidt([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)])
-
-
-def project_to_3d(point: Sequence[int | Fraction]) -> Point3:
-    """Isometric affine map from the vertex hyperplane sum(x)=10 of the
-    4-permutohedron into R^3; the single lossy (float) step of the pipeline.
-    Centering at the barycenter 5/2 is exact for the integer vertex points."""
-    if len(point) != 4:
-        raise OffHyperplane(f"expected a 4-coordinate point, got {len(point)}")
-    if sum(point) != 10:
-        raise OffHyperplane(f"point {point} is off the hyperplane sum(x)=10")
-    centered = [x - 2.5 for x in point]
-    return tuple(
-        sum(c * u for c, u in zip(centered, axis)) for axis in _PROJECTION_BASIS
-    )
+    Vertex a1a2a3a4 has coordinate j at position a_j; it is centred at the
+    barycenter (5/2, ..., 5/2) and read in `_AXES`, an isometry onto R^3 and
+    the single lossy (float) step of the pipeline.
+    """
+    points = []
+    for order in permutations(range(4)):
+        centred = [0.0] * 4
+        for j, a in enumerate(order, 1):
+            centred[a] = j - 2.5
+        points.append(tuple([sum(c * u for c, u in zip(centred, axis)) for axis in _AXES]))
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -200,7 +151,7 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     complex_ = build_complex(linkage)
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
     # the lexicographic order of the permutations abcd, as the points are
-    points = permutohedron(4).points
+    points = permutohedron()
     cycles = tuple([tuple(_cycle(complex_, i)) for i in range(len(complex_.boundary[2]))])
     faces_on = Counter(e for row in complex_.boundary[2] for e in row)
     bad = [i for i in range(len(complex_.boundary[1])) if faces_on[i] != 2]

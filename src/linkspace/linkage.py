@@ -14,6 +14,7 @@ Subsets of bars are also written as int bitmasks: bar i is bit i-1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -178,16 +179,22 @@ def is_admissible_partition(
 MAX_TOKEN = 500
 
 
+#: A length token: an optional sign, then D, D/D, D.D, D. or .D, where D is
+#: ASCII digits.  Fraction's own grammar varies between Python versions
+#: (underscores, spaces around '/') and takes any Unicode digit and exponents,
+#: which it would expand digit by digit ('1e30000000').
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def parse_rational(token: str) -> Fraction:
-    """Parse 'int', 'int/int' or a decimal ('0.25') of at most MAX_TOKEN
-    characters, else raise LinkageError.  Exponent notation is rejected:
-    Fraction would expand '1e30000000' digit by digit."""
+    """Parse an optionally signed 'int', 'int/int' or decimal ('0.25', '.5',
+    '5.') of at most MAX_TOKEN characters, else raise LinkageError."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"length {token[:20]!r}... is over {MAX_TOKEN} characters")
-    if "e" in token.lower():
+    if not _RATIONAL.fullmatch(token):
         raise LinkageError(f"cannot parse length {token!r}: not an integer, fraction or decimal")
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise LinkageError(f"cannot parse length {token!r}: {exc}") from None

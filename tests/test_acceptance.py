@@ -2,13 +2,14 @@
 
 Each test prints a single 'criterion N: PASS/FAIL' line (visible with
 pytest -s; the FAIL line plus the assertion detail appears on failure).
-All comparisons are exact; the only tolerances are the two stated
-floating-point checks in criterion 7.
+All comparisons are exact; the only tolerance is the stated
+floating-point check in criterion 7.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex, facet_membership_table
@@ -108,8 +109,8 @@ def _pattern(rows):
 
 
 def test_criterion_2_step2_admissibility_matrix(representatives, capsys):
-    table = facet_membership_table([l for _, l in representatives])
-    got = [values for _, values in table.step2]
+    step2, _ = facet_membership_table([l for _, l in representatives])
+    got = [values for _, values in step2]
     ok = got == _pattern(TABLE2_PATTERN)
     with capsys.disabled():
         _report(2, ok, "14x6 step-2 matrix matches cell-for-cell (row 8 corrected)")
@@ -117,8 +118,8 @@ def test_criterion_2_step2_admissibility_matrix(representatives, capsys):
 
 
 def test_criterion_3_step3_admissibility_matrix(representatives, capsys):
-    table = facet_membership_table([l for _, l in representatives])
-    got = [values for _, values in table.step3]
+    _, step3 = facet_membership_table([l for _, l in representatives])
+    got = [values for _, values in step3]
     ok = got == _pattern(TABLE3_PATTERN)
     with capsys.disabled():
         _report(3, ok, "18x6 step-3 matrix matches cell-for-cell")
@@ -200,7 +201,7 @@ def test_criterion_6_every_edge_has_two_cofaces(representatives, capsys):
 
 
 def test_criterion_7_permutohedron_sanity(capsys):
-    poly, lattice = permutohedron(4), PermutohedronLattice(4)
+    points, lattice = permutohedron(), PermutohedronLattice(4)
     counts_ok = [len(fs) for fs in lattice.faces_by_dim[:3]] == [24, 36, 14]
     shapes = sorted(
         sum(1 for v in lattice.vertices if ordered_refines(v, facet))
@@ -208,16 +209,16 @@ def test_criterion_7_permutohedron_sanity(capsys):
     )
     shapes_ok = shapes == [4] * 6 + [6] * 8
     euler_ok = 24 - 36 + 14 == 2
+    # points[k] is the vertex of the k-th linear order in lexicographic order
+    index = {order: k for k, order in enumerate(permutations(range(1, 5)))}
     lengths_ok = True
-    from linkspace.geometry import project_to_3d
-
     for edge in lattice.edges:
-        u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
-        pu = poly.vertex_point(tuple(next(iter(p)) for p in u))
-        pw = poly.vertex_point(tuple(next(iter(p)) for p in w))
-        exact = sum((a - b) ** 2 for a, b in zip(pu, pw)) == 2
-        d3 = math.dist(project_to_3d(pu), project_to_3d(pw))
-        lengths_ok = lengths_ok and exact and abs(d3 - math.sqrt(2)) < 1e-12
+        u, w = [
+            points[index[tuple(next(iter(p)) for p in v)]]
+            for v in lattice.vertices
+            if ordered_refines(v, edge)
+        ]
+        lengths_ok = lengths_ok and abs(math.dist(u, w) - math.sqrt(2)) < 1e-12
     ok = counts_ok and shapes_ok and euler_ok and lengths_ok
     with capsys.disabled():
         _report(7, ok, "Pi_4: 24/36/14 faces, 8 hexagons + 6 squares, edges sqrt(2)")

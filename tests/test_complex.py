@@ -196,9 +196,9 @@ def test_dimension_bounds(representatives):
 
 def test_membership_table_spot_values(representatives):
     linkages = [l for _, l in representatives]
-    table = facet_membership_table(linkages)
-    step2 = {row: values for row, values in table.step2}
-    step3 = {pair[0]: values for pair, values in table.step3}
+    table2, table3 = facet_membership_table(linkages)
+    step2 = {row: values for row, values in table2}
+    step3 = {pair[0]: values for pair, values in table3}
     # columns are in representative order: 11113, 111e2, 22113, 11ee1, 21112, 11111
     assert step2["{1}{2,3,4}{5}"][5] is False
     assert step2["{4}{1,2,3}{5}"] == (True, False, False, False, False, False)

@@ -25,7 +25,7 @@ from linkspace.export import (
     verify_all,
     write_output,
 )
-from linkspace.linkage import LinkageError, make_linkage
+from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage
 from linkspace.topology import classify_linkage
 
 from oracles import is_watertight, parse_obj
@@ -48,8 +48,21 @@ def test_parse_lengths_forms():
     assert parse_lengths("1," + "9" * 500) == [1, 10**500 - 1]
     with pytest.raises(LinkageError, match="over 500 characters"):
         parse_lengths("1," + "9" * 501)
-    with pytest.raises(LinkageError, match="not an integer, fraction or decimal"):
-        parse_lengths("1,1e3,2")
+    # one ASCII grammar on every Python: Fraction's own takes '1_0' from 3.11
+    # on, '1/ 2' from 3.12 on, and any Unicode digit
+    assert parse_lengths("3,+3,1/100,0.25,.5,5.") == [
+        3,
+        3,
+        Fraction(1, 100),
+        Fraction(1, 4),
+        Fraction(1, 2),
+        5,
+    ]
+    for token in ["1e3", "1_0", "1/ 2", "1 /2", "١", "１", "0x10"]:
+        with pytest.raises(LinkageError, match="not an integer, fraction or decimal"):
+            parse_lengths(f"1,{token},2")
+    with pytest.raises(NonPositiveLength):
+        make_linkage(parse_lengths("-1,1,1,1,1"))
 
 
 def test_obj_export_of_the_sphere(meshes):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +11,9 @@ from linkspace.export import export_mesh
 from linkspace.geometry import (
     NotAClosedSurface,
     NotACycle,
-    OffHyperplane,
-    UnsupportedDimension,
     boundary_cycle,
     perform_surgery,
     permutohedron,
-    project_to_3d,
 )
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
@@ -55,13 +53,6 @@ def test_permutohedron_5_counts_and_boundary_euler():
     assert 120 - 240 + 150 - 30 == 0
 
 
-def test_permutohedron_dimension_range():
-    with pytest.raises(UnsupportedDimension):
-        permutohedron(1)
-    with pytest.raises(UnsupportedDimension):
-        permutohedron(8)
-
-
 def test_permutohedron_boundary_is_ordered_refinement():
     poly = PermutohedronLattice(4)
     for d in range(1, 4):
@@ -82,24 +73,34 @@ def test_facet_shapes_of_pi4():
     assert 24 - 36 + 14 == 2  # boundary complex of a 3-polytope
 
 
-def test_vertex_coordinates():
-    poly = permutohedron(4)
-    assert poly.vertex_point((1, 2, 3, 4)) == (1, 2, 3, 4)
-    assert poly.vertex_point((2, 1, 3, 4)) == (2, 1, 3, 4)
-    point = poly.vertex_point((3, 1, 2, 4))
-    assert point == (2, 3, 1, 4) and all(type(x) is int for x in point)
-    for v in PermutohedronLattice(4).vertices:
-        perm = tuple(next(iter(p)) for p in v)
-        assert sum(poly.vertex_point(perm)) == 10
+#: The linear orders of {1,2,3,4} in lexicographic order: the order of
+#: permutohedron()'s points and of a pentagon complex's 0-cells.
+ORDERS = list(permutations(range(1, 5)))
 
 
-def test_edges_have_exact_squared_length_two():
-    poly, lattice = permutohedron(4), PermutohedronLattice(4)
-    for edge in lattice.edges:
-        u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
-        pu = poly.vertex_point(tuple(next(iter(p)) for p in u))
-        pw = poly.vertex_point(tuple(next(iter(p)) for p in w))
-        assert sum((a - b) ** 2 for a, b in zip(pu, pw)) == 2
+def test_permutohedron_points(meshes):
+    points = permutohedron()
+    assert len(points) == 24 and len(set(points)) == 24
+    # one table per process, shared by every mesh
+    assert permutohedron() is points
+    assert all(mesh.points is points for _, _, mesh in meshes)
+    for axis in range(3):
+        assert abs(sum(p[axis] for p in points)) < 1e-12
+    assert all(abs(_dist3(p, (0, 0, 0)) - math.sqrt(5)) < 1e-12 for p in points)
+    # vertex a1a2a3a4 has coordinate j at position a_j; the projection to
+    # R^3 keeps every squared distance between these exact integer vertices
+    exact = []
+    for order in ORDERS:
+        vertex = [0] * 4
+        for j, a in enumerate(order, 1):
+            vertex[a - 1] = j
+        exact.append(vertex)
+    pairs = list(combinations(range(24), 2))
+    assert len(pairs) == 276
+    for k, l in pairs:
+        want = sum((a - b) ** 2 for a, b in zip(exact[k], exact[l]))
+        got = sum((a - b) ** 2 for a, b in zip(points[k], points[l]))
+        assert abs(got - want) < 1e-12
 
 
 def test_ordered_refinement_and_meet():
@@ -113,31 +114,6 @@ def test_ordered_refinement_and_meet():
     squares = (frozenset({1, 2}), frozenset({3, 4}))
     crossed = (frozenset({1, 3}), frozenset({2, 4}))
     assert common_refinement(squares, crossed) is None
-
-
-def test_projection_maps_barycenter_to_origin():
-    point = project_to_3d((Fraction(5, 2),) * 4)
-    assert max(abs(c) for c in point) < 1e-12
-
-
-def test_projection_is_an_isometry_on_a_swap():
-    a = project_to_3d((1, 2, 3, 4))
-    b = project_to_3d((2, 1, 3, 4))
-    assert abs(_dist3(a, b) - math.sqrt(2)) < 1e-12
-
-
-def test_projected_vertices_are_equidistant_from_origin():
-    poly = permutohedron(4)
-    for v in PermutohedronLattice(4).vertices:
-        point = project_to_3d(poly.vertex_point(tuple(next(iter(p)) for p in v)))
-        assert abs(_dist3(point, (0, 0, 0)) - math.sqrt(5)) < 1e-12
-
-
-def test_projection_rejects_off_hyperplane_points():
-    with pytest.raises(OffHyperplane):
-        project_to_3d((1, 1, 1, 1))
-    with pytest.raises(OffHyperplane):
-        project_to_3d((1, 2, 3))
 
 
 def test_boundary_cycle_of_a_square():
@@ -290,9 +266,8 @@ def _assert_mesh_is_the_complex_in_order(mesh, complex_):
     assert mesh.counts() == complex_.f_vector()
     assert list(mesh.edges) == list(complex_.boundary[1])
     vertices = complex_.cells_by_dim[0]
-    poly = permutohedron(4)
     for label, point in zip(vertices, mesh.points, strict=True):
-        assert point == project_to_3d(poly.vertex_point(vertex_to_permutation(label)))
+        assert point == permutohedron()[ORDERS.index(vertex_to_permutation(label))]
     for label, cycle in zip(complex_.cells_by_dim[2], mesh.cycles, strict=True):
         assert {vertices[k] for k in cycle} == set(cell_vertices(label))
 
@@ -388,15 +363,10 @@ def test_permutohedron_edges_have_length_sqrt2(meshes):
 
 
 def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
-    poly = permutohedron(4)
     for _, _, mesh in meshes:
         perms = [vertex_to_permutation(v) for v in mesh.complex.cells_by_dim[0]]
-        assert perms == sorted(perms)
-        assert len(mesh.points) == len(perms)
-        for perm, point in zip(perms, mesh.points):
-            assert point == project_to_3d(poly.vertex_point(perm))
-        # projected once per process, shared by every mesh
-        assert mesh.points is permutohedron(4).points
+        assert perms == ORDERS
+        assert mesh.points is permutohedron()
 
 
 def test_surgery_is_deterministic():
@@ -410,10 +380,10 @@ def test_face_counts_split_matches_membership_tables(representatives, meshes):
     from linkspace.cwcomplex import facet_membership_table
 
     linkages = [l for _, l in representatives]
-    table = facet_membership_table(linkages)
+    step2, step3 = facet_membership_table(linkages)
     for col, (_, _, mesh) in enumerate(meshes):
-        kept = sum(1 for _, values in table.step2 if values[col])
-        patched = 2 * sum(1 for _, values in table.step3 if values[col])
+        kept = sum(1 for _, values in step2 if values[col])
+        patched = 2 * sum(1 for _, values in step3 if values[col])
         provenances = [provenance for _, _, provenance in mesh_faces(mesh)]
         got_kept = provenances.count("permutohedron")
         got_patched = provenances.count("diagonal")
