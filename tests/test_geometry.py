@@ -78,29 +78,63 @@ def test_facet_shapes_of_pi4():
 ORDERS = list(permutations(range(1, 5)))
 
 
-def test_permutohedron_points(meshes):
+def _exact_vertex(order):
+    """Vertex a1a2a3a4 of the integer permutohedron: coordinate j at position a_j."""
+    vertex = [0] * 4
+    for j, a in enumerate(order, 1):
+        vertex[a - 1] = j
+    return tuple(vertex)
+
+
+def _squared(p, q):
+    return sum((a - b) ** 2 for a, b in zip(p, q))
+
+
+def test_vertex_coordinates(meshes):
     points = permutohedron()
     assert len(points) == 24 and len(set(points)) == 24
     # one table per process, shared by every mesh
     assert permutohedron() is points
     assert all(mesh.points is points for _, _, mesh in meshes)
-    for axis in range(3):
-        assert abs(sum(p[axis] for p in points)) < 1e-12
-    assert all(abs(_dist3(p, (0, 0, 0)) - math.sqrt(5)) < 1e-12 for p in points)
-    # vertex a1a2a3a4 has coordinate j at position a_j; the projection to
-    # R^3 keeps every squared distance between these exact integer vertices
-    exact = []
-    for order in ORDERS:
-        vertex = [0] * 4
-        for j, a in enumerate(order, 1):
-            vertex[a - 1] = j
-        exact.append(vertex)
+    assert _exact_vertex((3, 1, 2, 4)) == (2, 3, 1, 4)
+    # the k-th point is the exact integer vertex of the k-th order: the
+    # projection to R^3 keeps all 276 squared distances between them
+    exact = [_exact_vertex(order) for order in ORDERS]
+    assert all(sum(v) == 10 for v in exact)
     pairs = list(combinations(range(24), 2))
     assert len(pairs) == 276
     for k, l in pairs:
-        want = sum((a - b) ** 2 for a, b in zip(exact[k], exact[l]))
-        got = sum((a - b) ** 2 for a, b in zip(points[k], points[l]))
-        assert abs(got - want) < 1e-12
+        want = _squared(exact[k], exact[l])
+        assert abs(_squared(points[k], points[l]) - want) < 1e-12
+
+
+def test_edges_have_exact_squared_length_two():
+    points, lattice = permutohedron(), PermutohedronLattice(4)
+    for edge in lattice.edges:
+        u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
+        ou, ow = (tuple(next(iter(p)) for p in v) for v in (u, w))
+        assert _squared(_exact_vertex(ou), _exact_vertex(ow)) == 2
+        pu, pw = points[ORDERS.index(ou)], points[ORDERS.index(ow)]
+        assert abs(_squared(pu, pw) - 2) < 1e-12
+
+
+def test_projection_maps_barycenter_to_origin():
+    points = permutohedron()
+    for axis in range(3):
+        assert abs(sum(p[axis] for p in points)) < 1e-12
+
+
+def test_projection_is_an_isometry_on_a_swap():
+    points = permutohedron()
+    a = points[ORDERS.index((1, 2, 3, 4))]
+    b = points[ORDERS.index((2, 1, 3, 4))]
+    assert abs(_dist3(a, b) - math.sqrt(2)) < 1e-12
+
+
+def test_projected_vertices_are_equidistant_from_origin():
+    assert all(
+        abs(_dist3(p, (0, 0, 0)) - math.sqrt(5)) < 1e-12 for p in permutohedron()
+    )
 
 
 def test_ordered_refinement_and_meet():
