@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
 """Export the polyhedral models of the six standard pentagons.
 
-Writes one OBJ (plus a JSON report) per linkage into models/, mirroring the
-classification table printed at the end.  Pass --triangulate for viewers
-that want triangle meshes, and --out to change the target directory.
+Writes one OBJ (plus a JSON report) per linkage into models/ through
+`linkctl mesh` and `linkctl classify --format json`, then prints the
+classification table read back from the reports.  Pass --triangulate for
+viewers that want triangle meshes, and --out to change the target directory.
 """
 
 import argparse
+import json
 from pathlib import Path
 
-from linkspace.export import (
-    REPRESENTATIVES,
-    export_mesh,
-    parse_lengths,
-    report_to_json,
-)
-from linkspace.geometry import perform_surgery
-from linkspace.linkage import make_linkage
-from linkspace.topology import analyze
+from linkspace.cli import main as linkctl
+from linkspace.export import REPRESENTATIVES
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -30,17 +25,16 @@ def main(argv: list[str] | None = None) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for rep in REPRESENTATIVES:
-        linkage = make_linkage(parse_lengths(rep.spec))
-        mesh = perform_surgery(linkage)
-        report = analyze(mesh)
-        stem = rep.spec.replace(",", "_").replace("/", "-")
-        (out / f"{stem}.obj").write_text(
-            export_mesh(mesh, "obj", triangulate=args.triangulate)
-        )
-        (out / f"{stem}.json").write_text(report_to_json(report, linkage))
-        v, e, f = mesh.counts()
-        rows.append((rep.spec, report.classification, f"({v},{e},{f})"))
-        print(f"wrote {out / (stem + '.obj')}")
+        stem = out / rep.spec.replace(",", "_").replace("/", "-")
+        mesh = ["mesh", rep.spec, "-o", f"{stem}.obj"]
+        if args.triangulate:
+            mesh.append("--triangulate")
+        for command in (mesh, ["classify", rep.spec, "--format", "json", "-o", f"{stem}.json"]):
+            if linkctl(command) != 0:
+                raise SystemExit(f"linkctl {' '.join(command)} failed")
+        report = json.loads(Path(f"{stem}.json").read_text())
+        rows.append((rep.spec, report["classification"], "({},{},{})".format(*report["f_vector"])))
+        print(f"wrote {stem}.obj")
 
     width = max(len(r[0]) for r in rows)
     print()

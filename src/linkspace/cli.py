@@ -12,8 +12,9 @@ from functools import cache
 
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
-from .geometry import NotAClosedSurface, NotACycle, perform_surgery
-from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage
+from .geometry import NotACycle, perform_surgery
+from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
+from .topology import NotAClosedSurface
 
 LENGTHS_HELP = "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)"
 
@@ -28,25 +29,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "cell complexes, polyhedral models, surface types",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that takes lengths
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("lengths", help=LENGTHS_HELP)
+    common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+    common.add_argument("--epsilon", default=None, help="value for eps tokens (default 1/100)")
 
-    classify = sub.add_parser("classify", help="surface type of the moduli space")
-    classify.add_argument("lengths", help=LENGTHS_HELP)
+    classify = sub.add_parser("classify", parents=[common], help="surface type of the moduli space")
     classify.add_argument("--format", choices=["text", "json"], default="text")
-    classify.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
-    classify.add_argument("--epsilon", default=None, help="value for eps tokens (default 1/100)")
 
-    complex_ = sub.add_parser("complex", help="export the cell complex as JSON")
-    complex_.add_argument("lengths", help=LENGTHS_HELP)
+    complex_ = sub.add_parser("complex", parents=[common], help="export the cell complex as JSON")
     complex_.add_argument("--format", choices=["json"], default="json")
-    complex_.add_argument("-o", "--output", default=None)
-    complex_.add_argument("--epsilon", default=None)
 
-    mesh = sub.add_parser("mesh", help="export the polyhedral model (pentagons only)")
-    mesh.add_argument("lengths", help=LENGTHS_HELP)
+    mesh = sub.add_parser(
+        "mesh", parents=[common], help="export the polyhedral model (pentagons only)"
+    )
     mesh.add_argument("--format", choices=["obj", "ply"], default="obj")
     mesh.add_argument("--triangulate", action="store_true", help="fan-triangulate faces")
-    mesh.add_argument("-o", "--output", default=None)
-    mesh.add_argument("--epsilon", default=None)
 
     sub.add_parser("tables", help="facet admissibility tables for the six standard pentagons")
     sub.add_parser("verify", help="check the six standard pentagons against their known types")
@@ -77,16 +76,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(export.render_tables(), None)
             return 0
         if args.command == "verify":
-            result = export.verify_all()
-            _emit(result.render(), None)
-            return 0 if result.ok else 1
+            ok, text = export.verify_all()
+            _emit(text, None)
+            return 0 if ok else 1
 
-        epsilon = (
-            export.parse_rational(args.epsilon)
-            if args.epsilon is not None
-            else DEFAULT_EPSILON
-        )
-        lengths = export.parse_lengths(args.lengths, epsilon)
+        epsilon = DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon)
+        lengths = parse_lengths(args.lengths, epsilon)
         _check_bar_count(args.command, len(lengths))
         linkage = make_linkage(lengths)
         if args.command == "classify":
@@ -104,12 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (
-        LinkageError,
-        ArityMismatch,
-        export.UnsupportedFormat,
-        export.IoFailure,
-    ) as exc:
+    except (LinkageError, ArityMismatch, export.IoFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAClosedSurface, NotACycle, ValueError) as exc:

@@ -17,11 +17,11 @@ order, and takes no rational sum.  It wires each grade to the next through
 the order-preserving match between a split of a part and its merge: the
 faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
-index buckets.  Each grade of that incidence is wired when it is first read,
-so a reader pays only for the grades it reads: the 1-skeleton alone
-(`CWComplex.edges`) costs one grade.  The facet tables read their row texts
-as masks too, so no command builds a label; `CWComplex.cells_by_dim`, a view
-for the tests and the benchmark, builds them on first read.
+index buckets.  The 1-skeleton (`CWComplex.edges`), which every command
+reads, is wired at build, and each grade above it when first read.  Label
+text is written from masks in one place, `CWComplex.labels`, so no command
+builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
+and the benchmark, builds them on first read.
 """
 
 from __future__ import annotations
@@ -51,16 +51,15 @@ class CWComplex:
     """Graded admissible cells with refinement incidence.
 
     masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
-    bit i-1, n's part last), sorted by label string; boundary[d][i] holds
-    the ascending indices (into masks_by_dim[d-1]) of cell i's
-    codimension-1 faces, and `edges` is boundary[1], the 1-skeleton.  The
-    cells never change.  Given no `boundary` (as from `build_complex`), the
-    rows are wired from the masks on first read: `edges` wires grade 1
-    alone, and `boundary` the grades above it, reusing `edges`, so no grade
-    is wired twice.  Counts read the masks alone, while equality and export
+    bit i-1, n's part last), sorted by label string; `labels(d)` writes their
+    text.  boundary[d][i] holds the ascending indices (into masks_by_dim[d-1])
+    of cell i's codimension-1 faces.  The cells never change.  `edges`,
+    boundary[1] or the 1-skeleton, is wired at construction; given no
+    `boundary` (as from `build_complex`), the grades above it are wired on
+    its first read.  Counts read the masks alone, while equality and export
     read every row.  cells_by_dim, the same cells as CyclicPartition labels,
-    is built on first read too, through the checking constructor; no
-    command reads it, so it serves only the tests and the benchmark.
+    is built on first read through the checking constructor; no command
+    reads it, so it serves only the tests and the benchmark.
     """
 
     def __init__(
@@ -73,12 +72,7 @@ class CWComplex:
         self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
         if boundary is not None:
             self.boundary = tuple(tuple(bs) for bs in boundary)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        if "boundary" in vars(self):  # given, or read before the edges
-            return self.boundary[1]
-        return self._rows(1)
+        self.edges = self._rows(1) if boundary is None else self.boundary[1]
 
     @cached_property
     def boundary(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -98,6 +92,11 @@ class CWComplex:
             tuple(CyclicPartition(tuple([part_set[p] for p in parts])) for parts in layer)
             for layer in self.masks_by_dim
         )
+
+    def labels(self, d: int) -> list[str]:
+        """Grade d's cells as label text, written from their part masks."""
+        texts = mask_texts(self.linkage.n)
+        return ["".join([texts[p] for p in parts]) for parts in self.masks_by_dim[d]]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(cs) for cs in self.masks_by_dim)
@@ -130,10 +129,10 @@ def build_complex(linkage: Linkage) -> CWComplex:
     parts' texts, position by position: the walk keeps each level in that
     order, and every grade comes out sorted without a sort.
 
-    The result holds masks only: no label is built and no incidence is
-    wired.  Each grade of `boundary` is wired on its first read, by zipping
-    index buckets (see `_wire`), so `classify` at n != 5, which reads only
-    `edges`, wires one grade; no tuple is built or looked up per incidence.
+    The result holds masks only, and no label is built.  Its `edges` are
+    wired here and each grade above on the first read of `boundary`, so
+    `classify` at n != 5 wires one grade; wiring zips index buckets (see
+    `_wire`), and no tuple is built or looked up per incidence.
     """
     n = linkage.n
     check_supported_arity(n)

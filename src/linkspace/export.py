@@ -28,9 +28,9 @@ from .linkage import (
     Linkage,
     LinkageError,
     make_linkage,
+    parse_lengths,
     parse_rational,
 )
-from .partitions import mask_texts
 
 
 class UnsupportedFormat(ValueError):
@@ -39,18 +39,6 @@ class UnsupportedFormat(ValueError):
 
 class IoFailure(OSError):
     pass
-
-
-def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:
-    """Parse a comma-separated length spec; each token is an ASCII integer,
-    fraction or decimal (see `parse_rational`) or the symbol `eps`
-    (replaced by the given epsilon)."""
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise LinkageError(f"no lengths in {text!r}")
-    return [
-        Fraction(epsilon) if t == "eps" else parse_rational(t) for t in tokens
-    ]
 
 
 def write_output(text: str, path: str) -> None:
@@ -74,8 +62,8 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     Vertices and faces come in the complex's order: vertices by permutation
     label, faces by label string.  Faces are n-gon records, or fans from
     each cycle's first vertex when `triangulate` is set.  In OBJ each record
-    follows a `# face` comment holding the face's label, written from its
-    part masks, and its provenance.
+    follows a `# face` comment holding the face's label and provenance.
+    Classifying the mesh first refuses one that is not a closed surface.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
@@ -89,17 +77,16 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
         else:
             rows.append((k, cycle))
     if fmt == "obj":
-        v_count, e_count, f_count = mesh.counts()
+        v_count, e_count, f_count = mesh.complex.f_vector()
         lines = [
             f"# linkage: {spec}",
             f"# classification: {report.classification}",
             f"# vertices: {v_count}  edges: {e_count}  faces: {f_count}",
         ]
         lines += ["v " + point for point in points]
-        texts = mask_texts(5)
         comments = [
-            f"# face {''.join([texts[p] for p in parts])} {mesh.provenance(k)}"
-            for k, parts in enumerate(mesh.complex.masks_by_dim[2])
+            f"# face {label} {mesh.provenance(k)}"
+            for k, label in enumerate(mesh.complex.labels(2))
         ]
         for k, cycle in rows:
             lines += [comments[k], "f " + " ".join(str(i + 1) for i in cycle)]
@@ -135,26 +122,25 @@ def complex_to_json(complex_: CWComplex) -> str:
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
-    of its faces.  Labels are rendered from the cells' part masks through
-    `mask_texts`, so no CyclicPartition is built; within the call the text
-    of each face index is rendered once.  A test pins the bytes against a
-    json.dumps writer.
+    of its faces.  Labels are written from the cells' part masks
+    (`CWComplex.labels`), so no CyclicPartition is built; within the call
+    the text of each face index is rendered once.  A test pins the bytes
+    against a json.dumps writer.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
     layers = complex_.masks_by_dim
-    texts = mask_texts(complex_.linkage.n)
     records = []
     refs: list[str] = []  # the layer below, as indented flat indices
     offset = 0
     for d, layer in enumerate(layers):
         head = f'    {{\n      "dim": {d},\n      "label": "'
         rows = complex_.boundary[d] if d else [()] * len(layer)
-        for parts, row in zip(layer, rows):
+        for label, row in zip(complex_.labels(d), rows):
             records.append(
                 head
-                + "".join([texts[p] for p in parts])
+                + label
                 + '",\n      "boundary": '
                 + _json_array([refs[j] for j in row], "      ")
                 + "\n    }"
@@ -223,13 +209,12 @@ def complex_from_json(text: str) -> CWComplex:
             f"document has {len(records)} cells, but the complex of lengths"
             f" {linkage.spec()} has {sum(complex_.f_vector())}"
         )
-    texts = mask_texts(n)
     start = below = 0  # the flat index of the first cell of this grade, of the one below
     for d, (layer, rows) in enumerate(zip(complex_.masks_by_dim, complex_.boundary)):
         end = start + len(layer)
         want = [
             [d] * len(layer),
-            ["".join([texts[p] for p in parts]) for parts in layer],
+            complex_.labels(d),
             [[below + j for j in row] for row in rows],
         ]
         got = [column[start:end] for column in found]
@@ -307,10 +292,10 @@ REPRESENTATIVES: tuple[Representative, ...] = (
 )
 
 
-def render_tables(epsilon: Fraction = DEFAULT_EPSILON) -> str:
+def render_tables() -> str:
     """Regenerate both facet-admissibility tables for the six standard
-    pentagons, with 'v' marking admissible rows."""
-    linkages = [make_linkage(parse_lengths(r.spec, epsilon)) for r in REPRESENTATIVES]
+    pentagons at eps = DEFAULT_EPSILON, with 'v' marking admissible rows."""
+    linkages = [make_linkage(parse_lengths(r.spec)) for r in REPRESENTATIVES]
     step2, step3 = facet_membership_table(linkages)
     columns = [f"({r.spec})" for r in REPRESENTATIVES]
     width = max(
@@ -324,10 +309,10 @@ def render_tables(epsilon: Fraction = DEFAULT_EPSILON) -> str:
         return f"{idx:>2}  {label:<{width}}  {cells}"
 
     header = f"{'':>2}  {'partition':<{width}}  " + "  ".join(columns)
-    lines = [f"step 2: permutohedron facets kept (eps = {epsilon})", "", header]
+    lines = [f"step 2: permutohedron facets kept (eps = {DEFAULT_EPSILON})", "", header]
     for i, (label, values) in enumerate(step2, 1):
         lines.append(row_line(i, label, values))
-    lines += ["", f"step 3: diagonal faces patched in (eps = {epsilon})", "", header]
+    lines += ["", f"step 3: diagonal faces patched in (eps = {DEFAULT_EPSILON})", "", header]
     for i, ((a, b), values) in enumerate(step3, 1):
         lines.append(row_line(i, f"{a} & {b}", values))
     lines += [
@@ -338,23 +323,14 @@ def render_tables(epsilon: Fraction = DEFAULT_EPSILON) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    lines: tuple[str, ...]
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
 def verify_all(
     epsilon: Fraction = DEFAULT_EPSILON,
     expectations: tuple[Representative, ...] = REPRESENTATIVES,
-) -> VerifyResult:
+) -> tuple[bool, str]:
     """Classify the six standard pentagons and compare classification,
     component count and Euler characteristic against the expected values.
     Specs containing `eps` are re-checked at epsilon/10 to confirm the
-    combinatorics has stabilised."""
+    combinatorics has stabilised.  Returns whether all passed, and the report."""
     lines = []
     ok = True
     for rep in expectations:
@@ -383,4 +359,4 @@ def verify_all(
         ok = ok and good
         lines.append(f"[{'PASS' if good else 'FAIL'}] ({rep.spec}): {detail}")
     lines.append(f"verification {'passed' if ok else 'FAILED'} for {len(expectations)} linkages")
-    return VerifyResult(ok, tuple(lines))
+    return ok, "\n".join(lines) + "\n"

@@ -8,27 +8,23 @@ for every admissible 2-cell whose part containing 5 is not a singleton.
 Only vertex placement lives here, as one cached table of the 24 vertices
 projected to R^3 (`permutohedron`); the face lattice, a second route for
 the tests, is in the tests' oracles.  The mesh is read off the complex's
-incidence lists and part masks; an error names a cell by its masks' text.
+incidence lists and part masks, and an error names a cell by its label.
+That the result is a closed surface is left to `topology.classify_surface`,
+which every command runs on a pentagon's mesh.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
 from .linkage import Linkage
-from .partitions import CyclicPartition, mask_texts
+from .partitions import CyclicPartition
 
 Point3 = tuple[float, float, float]
-
-
-class NotAClosedSurface(RuntimeError):
-    """An edge not shared by exactly two faces, or a curve's vertex not on
-    exactly two edges."""
 
 
 class NotACycle(RuntimeError):
@@ -66,32 +62,19 @@ class SurfaceMesh:
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
     `points[k]` is vertex k's position in R^3 and `cycles[k]` lists face k's
-    vertex indices in polygon order.  The edges (the endpoint pairs
-    `complex.edges`, the complex's boundary[1]) and each face's provenance
-    are read off the complex.
+    vertex indices in polygon order.  The edges (`complex.edges`), the
+    counts (`complex.f_vector()`) and each face's provenance are read off
+    the complex.
     """
 
     complex: CWComplex
     points: tuple[Point3, ...]
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self.complex.edges
-
     def provenance(self, k: int) -> str:
         """'permutohedron' for a kept facet, whose part holding 5 (the last
         mask) is {5} alone; 'diagonal' for a patched-in face."""
         return "permutohedron" if self.complex.masks_by_dim[2][k][-1] == 1 << 4 else "diagonal"
-
-    def counts(self) -> tuple[int, int, int]:
-        return len(self.points), len(self.edges), len(self.cycles)
-
-
-def _text(complex_: CWComplex, d: int, i: int) -> str:
-    """Cell i of grade d as label text, from its part masks."""
-    texts = mask_texts(complex_.linkage.n)
-    return "".join([texts[p] for p in complex_.masks_by_dim[d][i]])
 
 
 def _cycle(complex_: CWComplex, i: int) -> list[int]:
@@ -109,7 +92,7 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
     if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        raise NotACycle(f"boundary graph of {_text(complex_, 2, i)} is not 2-regular")
+        raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is not 2-regular")
     start = min(adjacency)
     cycle = [start, min(adjacency[start])]
     while True:
@@ -119,7 +102,7 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
             break
         cycle.append(nxt)
     if len(cycle) != len(adjacency):
-        raise NotACycle(f"boundary graph of {_text(complex_, 2, i)} is disconnected")
+        raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is disconnected")
     return cycle
 
 
@@ -144,8 +127,8 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as an embedded polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
-    Raises NotAClosedSurface if some 1-cell does not lie on exactly two
-    2-cells (which the theory rules out for generic pentagons)."""
+    Raises NotACycle if a 2-cell's boundary is not one simple cycle; an edge
+    not on two faces is left to `topology.classify_surface`."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)
@@ -153,11 +136,4 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     # the lexicographic order of the permutations abcd, as the points are
     points = permutohedron()
     cycles = tuple([tuple(_cycle(complex_, i)) for i in range(len(complex_.boundary[2]))])
-    faces_on = Counter(e for row in complex_.boundary[2] for e in row)
-    bad = [i for i in range(len(complex_.boundary[1])) if faces_on[i] != 2]
-    if bad:
-        raise NotAClosedSurface(
-            "edges not shared by exactly two faces: "
-            + ", ".join(_text(complex_, 1, i) for i in bad)
-        )
     return SurfaceMesh(complex_, points, cycles)

@@ -198,3 +198,14 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError as exc:
         raise LinkageError(f"cannot parse length {token!r}: {exc}") from None
+
+
+def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:
+    """Parse a comma-separated length spec; each token is an ASCII integer,
+    fraction or decimal (see `parse_rational`) or the symbol `eps`
+    (replaced by the given epsilon).  An empty token is refused."""
+    tokens = [t.strip() for t in text.split(",")]
+    for k, t in enumerate(tokens, 1):
+        if not t:
+            raise LinkageError(f"length {k} is empty")
+    return [Fraction(epsilon) if t == "eps" else parse_rational(t) for t in tokens]

@@ -1,12 +1,16 @@
 """Surface classification of the assembled mesh.
 
+Closedness is checked here alone: NotAClosedSurface refuses a mesh edge not
+on exactly two faces (`classify_surface`, which every command runs on a
+pentagon's mesh) and a quadrilateral complex that is not a union of circles.
+
 Components come from union-find on the vertex graph; for a complex that
 graph is its 1-skeleton, read off the 1-cells' boundary lists (`edges`).
 Orientability is decided by orientation propagation: walk the
 face-adjacency graph, choosing a direction for each face cycle so that
 every shared edge is traversed in opposite directions by its two faces; a
-forced contradiction means the component is non-orientable.  Genus follows from the Euler characteristic
-for orientable components.
+forced contradiction means the component is non-orientable.  Genus follows
+from the Euler characteristic for orientable components.
 """
 
 from __future__ import annotations
@@ -16,8 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cwcomplex import build_complex, euler_characteristic
-from .geometry import NotAClosedSurface, SurfaceMesh, perform_surgery
+from .geometry import SurfaceMesh, perform_surgery
 from .linkage import Linkage
+
+
+class NotAClosedSurface(RuntimeError):
+    """An edge not shared by exactly two faces, or a curve's vertex not on
+    exactly two edges, which the theory rules out for generic linkages."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ def classify_surface(
 
 
 def analyze(mesh: SurfaceMesh) -> TopologyReport:
-    return classify_surface(len(mesh.points), mesh.edges, mesh.cycles)
+    return classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
 
 
 def classify_linkage(linkage: Linkage) -> TopologyReport:

@@ -1,8 +1,8 @@
 import pytest
 
-from linkspace.export import REPRESENTATIVES, parse_lengths
+from linkspace.export import REPRESENTATIVES
 from linkspace.geometry import perform_surgery
-from linkspace.linkage import make_linkage
+from linkspace.linkage import make_linkage, parse_lengths
 
 
 @pytest.fixture(scope="session")

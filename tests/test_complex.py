@@ -22,8 +22,8 @@ from linkspace.cwcomplex import (
     euler_characteristic,
     facet_membership_table,
 )
-from linkspace.export import complex_from_json, complex_to_json, parse_lengths
-from linkspace.linkage import Linkage, is_admissible_partition, make_linkage
+from linkspace.export import complex_from_json, complex_to_json
+from linkspace.linkage import Linkage, is_admissible_partition, make_linkage, parse_lengths
 from linkspace.partitions import (
     CyclicPartition,
     canonicalize,
@@ -170,6 +170,15 @@ def test_cell_ordering_is_deterministic(representatives):
         for cells in a.cells_by_dim:
             labels = [str(c) for c in cells]
             assert labels == sorted(labels)
+
+
+def test_labels_are_the_text_of_the_cells(representatives):
+    # the one label writer, from masks, against the checking constructor's labels
+    linkages = [linkage for _, linkage in representatives] + [make_linkage([1, 2, 3, 4, 5, 6])]
+    for linkage in linkages:
+        complex_ = build_complex(linkage)
+        for d, cells in enumerate(complex_.cells_by_dim):
+            assert complex_.labels(d) == [str(c) for c in cells]
 
 
 def test_supported_arity_range():
@@ -408,6 +417,7 @@ def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
     assert len(wirings) == 4  # n - 3 grades above the vertices
     wirings.clear()
     complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    assert len(wirings) == 1  # every command reads the 1-skeleton, so it is wired at build
     edges = complex_.edges
     assert len(wirings) == 1
     assert complex_.boundary[1] is edges

@@ -19,13 +19,12 @@ from linkspace.export import (
     complex_from_json,
     complex_to_json,
     export_mesh,
-    parse_lengths,
     render_tables,
     report_to_json,
     verify_all,
     write_output,
 )
-from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage
+from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage, parse_lengths
 from linkspace.topology import classify_linkage
 
 from oracles import is_watertight, parse_obj
@@ -44,6 +43,10 @@ def test_parse_lengths_forms():
         parse_lengths("1,banana,2")
     with pytest.raises(LinkageError):
         parse_lengths("")
+    # an empty token is refused, not dropped: '1,,1,1,1,1' is not a pentagon
+    for text, k in [("1,,1,1,1,1", 2), ("1,1,1,1,1,", 6), (",1,1,1,1,1", 1), ("1, ,1,1,1,1", 2)]:
+        with pytest.raises(LinkageError, match=f"length {k} is empty"):
+            parse_lengths(text)
     # a token is at most 500 characters, and exponent notation is refused
     assert parse_lengths("1," + "9" * 500) == [1, 10**500 - 1]
     with pytest.raises(LinkageError, match="over 500 characters"):
@@ -396,9 +399,9 @@ def test_render_tables_spot_rows():
 
 
 def test_verify_all_passes():
-    result = verify_all()
-    assert result.ok
-    assert sum(1 for l in result.lines if l.startswith("[PASS]")) == 6
+    ok, text = verify_all()
+    assert ok
+    assert sum(1 for l in text.splitlines() if l.startswith("[PASS]")) == 6
 
 
 def test_verify_all_reports_corrupted_expectations():
@@ -408,16 +411,16 @@ def test_verify_all_reports_corrupted_expectations():
         else r
         for r in REPRESENTATIVES
     )
-    result = verify_all(expectations=corrupted)
-    assert not result.ok
-    fail = next(l for l in result.lines if l.startswith("[FAIL]"))
+    ok, text = verify_all(expectations=corrupted)
+    assert not ok
+    fail = next(l for l in text.splitlines() if l.startswith("[FAIL]"))
     assert "expected 'genus-5 surface'" in fail
 
 
 def test_verify_all_flags_oversized_epsilon():
-    result = verify_all(epsilon=Fraction(1, 2))
-    assert not result.ok
-    fail = next(l for l in result.lines if "(1,1,eps,eps,1)" in l)
+    ok, text = verify_all(epsilon=Fraction(1, 2))
+    assert not ok
+    fail = next(l for l in text.splitlines() if "(1,1,eps,eps,1)" in l)
     assert fail.startswith("[FAIL]")
 
 
@@ -443,6 +446,9 @@ def test_cli_invalid_input_exit_code(capsys):
     assert main(["classify", "1,1,1,1,2"]) == 2  # non-generic
     assert main(["mesh", "2,1,1,1", "-o", "unused.obj"]) == 2  # not a pentagon
     assert main(["mesh", "1,1,1,1,3", "-o", ""]) == 2  # empty path
+    # an empty length token once was dropped: '1,,1,1,1,1' exited 0 as 1,1,1,1,1
+    for spec in ["1,,1,1,1,1", "1,1,1,1,1,", ",1,1,1,1,1", "1, ,1,1,1,1"]:
+        assert main(["classify", spec]) == 2
     # once exit 3 from a >4300-digit str(Fraction) in an error message, or
     # a hang expanding an exponent: now each is refused at parse time
     tiny = ",".join(f"1/{10**700 + k}" for k in range(1, 15, 2))  # 703 characters each

@@ -31,7 +31,7 @@ def test_export_models_writes_the_cli_bytes_and_counts(tmp_path, capsys, meshes)
     rows = [line.split() for line in printed[-len(meshes) :]]
     assert printed[-len(meshes) - 1].split() == ["pentagon", "moduli", "space", "(V,E,F)"]
     for (rep, _, mesh), fields in zip(meshes, rows):
-        v, e, f = mesh.counts()
+        v, e, f = mesh.complex.f_vector()
         assert fields[0] == rep.spec
         assert " ".join(fields[1:-1]) == rep.classification
         assert fields[-1] == f"({v},{e},{f})"

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
 from linkspace.export import export_mesh
-from linkspace.geometry import (
-    NotAClosedSurface,
-    NotACycle,
-    boundary_cycle,
-    perform_surgery,
-    permutohedron,
-)
+from linkspace.cli import main
+from linkspace.geometry import NotACycle, boundary_cycle, perform_surgery, permutohedron
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
+from linkspace.topology import NotAClosedSurface, analyze
 
 from oracles import (
     PermutohedronLattice,
@@ -219,7 +215,7 @@ def test_surgery_requires_pentagons():
 
 def test_sphere_mesh_is_the_whole_permutohedron_boundary(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,1,1,3")
-    assert mesh.counts() == (24, 36, 14)
+    assert mesh.complex.f_vector() == (24, 36, 14)
     assert all(provenance == "permutohedron" for _, _, provenance in mesh_faces(mesh))
     poly = PermutohedronLattice(4)
     facet_labels = {
@@ -234,7 +230,7 @@ def test_sphere_mesh_is_the_whole_permutohedron_boundary(meshes):
 
 def test_equilateral_mesh_counts(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,1,1,1")
-    assert mesh.counts() == (24, 60, 30)
+    assert mesh.complex.f_vector() == (24, 60, 30)
     by_provenance = {"permutohedron": 0, "diagonal": 0}
     for _, _, provenance in mesh_faces(mesh):
         by_provenance[provenance] += 1
@@ -244,7 +240,7 @@ def test_equilateral_mesh_counts(meshes):
 
 def test_two_tori_mesh_pruning_and_diagonals(meshes):
     mesh = next(m for rep, _, m in meshes if rep.spec == "1,1,eps,eps,1")
-    assert mesh.counts() == (24, 42, 18)
+    assert mesh.complex.f_vector() == (24, 42, 18)
     diagonal = [(l, c) for l, c, provenance in mesh_faces(mesh) if provenance == "diagonal"]
     assert len(diagonal) == 10
     hexagons = sorted(str(label) for label, cycle in diagonal if len(cycle) == 6)
@@ -279,7 +275,7 @@ def test_mesh_agrees_with_the_complex(meshes):
         for d in range(3):
             assert set(mesh.complex.cells_by_dim[d]) == set(complex_.cells_by_dim[d])
         vertex_labels, edge_labels = complex_.cells_by_dim[0], complex_.cells_by_dim[1]
-        edge_by_pair = {frozenset(ends): l for l, ends in zip(edge_labels, mesh.edges)}
+        edge_by_pair = {frozenset(ends): l for l, ends in zip(edge_labels, mesh.complex.edges)}
         for label, cycle, _ in mesh_faces(mesh):
             incident = {
                 edge_by_pair[frozenset((a, b))]
@@ -288,7 +284,7 @@ def test_mesh_agrees_with_the_complex(meshes):
             assert incident == set(boundary_labels(complex_, label))
         # the mesh is built from the boundary lists; the labels' own
         # refinements are a second, independent route
-        for label, ends in zip(edge_labels, mesh.edges):
+        for label, ends in zip(edge_labels, mesh.complex.edges):
             assert {vertex_labels[k] for k in ends} == set(cell_vertices(label))
         for label, cycle, _ in mesh_faces(mesh):
             assert {vertex_labels[k] for k in cycle} == set(cell_vertices(label))
@@ -297,8 +293,8 @@ def test_mesh_agrees_with_the_complex(meshes):
 def _assert_mesh_is_the_complex_in_order(mesh, complex_):
     # mesh vertex, edge and face k is cell k of grade 0, 1 and 2
     assert mesh.complex == complex_
-    assert mesh.counts() == complex_.f_vector()
-    assert list(mesh.edges) == list(complex_.boundary[1])
+    assert (len(mesh.points), len(mesh.complex.edges), len(mesh.cycles)) == complex_.f_vector()
+    assert list(mesh.complex.edges) == list(complex_.boundary[1])
     vertices = complex_.cells_by_dim[0]
     for label, point in zip(vertices, mesh.points, strict=True):
         assert point == permutohedron()[ORDERS.index(vertex_to_permutation(label))]
@@ -334,10 +330,11 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     assert records == list(mesh.cycles)
 
 
-def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
+def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys):
     # {4,5} is long in 1,1,1,1,3, so this 1-cell of the equilateral pentagon
     # is not in the sphere's complex; added with its two 0-cells, it bounds
-    # no 2-cell
+    # no 2-cell.  The classifier, which every command runs on the mesh,
+    # refuses it
     linkage = make_linkage([1, 1, 1, 1, 3])
     complex_ = build_complex(linkage)
     loose = canonicalize([{1}, {2}, {3}, {4, 5}])
@@ -349,8 +346,11 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch):
     )
     corrupted = CWComplex(linkage, cells, boundary)
     monkeypatch.setattr("linkspace.geometry.build_complex", lambda _: corrupted)
-    with pytest.raises(NotAClosedSurface, match=r"\{1\}\{2\}\{3\}\{4,5\}"):
-        perform_surgery(linkage)
+    with pytest.raises(NotAClosedSurface, match="lies in 0 faces"):
+        analyze(perform_surgery(linkage))
+    assert main(["mesh", "1,1,1,1,3"]) == 3
+    assert main(["classify", "1,1,1,1,3"]) == 3
+    assert "lies in 0 faces" in capsys.readouterr().err
 
 
 def test_face_cycle_lengths_match_labels(meshes):
@@ -389,7 +389,7 @@ def test_permutohedron_faces_are_planar(meshes):
 
 def test_permutohedron_edges_have_length_sqrt2(meshes):
     for _, _, mesh in meshes:
-        for label, ends in zip(mesh.complex.cells_by_dim[1], mesh.edges):
+        for label, ends in zip(mesh.complex.cells_by_dim[1], mesh.complex.edges):
             if part_containing(label, 5) != frozenset({5}):
                 continue
             u, w = (mesh.points[i] for i in ends)

@@ -4,9 +4,9 @@ from itertools import permutations
 
 import pytest
 
-from linkspace.geometry import NotAClosedSurface
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
+    NotAClosedSurface,
     analyze,
     classify_linkage,
     classify_surface,
@@ -112,7 +112,7 @@ def test_unknown_segment_raises_not_closed():
 def test_result_is_independent_of_face_order_and_directions(meshes):
     rng = random.Random(7)
     for rep, _, mesh in meshes:
-        edges = list(mesh.edges)
+        edges = list(mesh.complex.edges)
         faces = [list(cycle) for cycle in mesh.cycles]
         baseline = classify_surface(len(mesh.points), edges, faces)
         for _ in range(3):
