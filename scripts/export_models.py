@@ -9,6 +9,7 @@ viewers that want triangle meshes, and --out to change the target directory.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from linkspace.cli import main as linkctl
@@ -22,7 +23,11 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # as linkctl -o does: an error line and exit 2
+        print(f"error: cannot create {str(out)!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     rows = []
     for rep in REPRESENTATIVES:
         stem = out / rep.spec.replace(",", "_").replace("/", "-")

@@ -80,9 +80,13 @@ def main(argv: list[str] | None = None) -> int:
             _emit(text, None)
             return 0 if ok else 1
 
+        # argparse before Python 3.13 parses `--epsilon=--` as []
+        if args.epsilon == []:
+            raise LinkageError("--epsilon has no value")
         epsilon = DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon)
+        # count the bars first, so an over-long list is refused unparsed
+        _check_bar_count(args.command, args.lengths.count(",") + 1)
         lengths = parse_lengths(args.lengths, epsilon)
-        _check_bar_count(args.command, len(lengths))
         linkage = make_linkage(lengths)
         if args.command == "classify":
             report = topology.classify_linkage(linkage)

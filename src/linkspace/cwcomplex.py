@@ -18,7 +18,8 @@ the order-preserving match between a split of a part and its merge: the
 faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
 index buckets.  The 1-skeleton (`CWComplex.edges`), which every command
-reads, is wired at build, and each grade above it when first read.  Label
+reads, is wired at build, and each grade above it when first read; both
+run with the cyclic garbage collector paused, as they build no cycle.  Label
 text is written from masks in one place, `CWComplex.labels`, so no command
 builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
 and the benchmark, builds them on first read.
@@ -26,6 +27,7 @@ and the benchmark, builds them on first read.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from functools import cached_property
 from math import factorial
@@ -76,7 +78,8 @@ class CWComplex:
 
     @cached_property
     def boundary(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        above = [self._rows(d) for d in range(2, len(self.masks_by_dim))]
+        with _collector_paused():
+            above = [self._rows(d) for d in range(2, len(self.masks_by_dim))]
         return (((),) * len(self.masks_by_dim[0]), self.edges, *above)
 
     def _rows(self, d: int) -> tuple[tuple[int, ...], ...]:
@@ -132,7 +135,8 @@ def build_complex(linkage: Linkage) -> CWComplex:
     The result holds masks only, and no label is built.  Its `edges` are
     wired here and each grade above on the first read of `boundary`, so
     `classify` at n != 5 wires one grade; wiring zips index buckets (see
-    `_wire`), and no tuple is built or looked up per incidence.
+    `_wire`), and no tuple is built or looked up per incidence.  The walk
+    and all wiring run with the cyclic collector paused (`_collector_paused`).
     """
     n = linkage.n
     check_supported_arity(n)
@@ -142,21 +146,46 @@ def build_complex(linkage: Linkage) -> CWComplex:
     # the short parts of each set of unused bars below n, in text order
     fits = [[m for m in parts if m & unused == m] for unused in range(top)]
 
-    layers: list[list[Masks]] = []  # by part count, 3 parts first
-    prefixes: list[Masks] = [()]
-    unused = [top - 1]
-    for k in range(1, n):
-        prefixes = [pre + (m,) for pre, u in zip(prefixes, unused) for m in fits[u]]
-        unused = [u ^ m for u in unused for m in fits[u]]
-        if k >= 2:  # two-part cells never occur: both parts short breaks genericity
-            layers.append(
-                [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
-            )
-    layers.reverse()  # m parts -> dimension n - m
-    # Every full cyclic order is admissible (singleton parts are admissible by
-    # the polygon inequality).
-    assert len(layers[0]) == factorial(n - 1)
-    return CWComplex(linkage, layers)
+    with _collector_paused():
+        layers: list[list[Masks]] = []  # by part count, 3 parts first
+        prefixes: list[Masks] = [()]
+        unused = [top - 1]
+        for k in range(1, n):
+            prefixes = [pre + (m,) for pre, u in zip(prefixes, unused) for m in fits[u]]
+            unused = [u ^ m for u in unused for m in fits[u]]
+            if k >= 2:  # two-part cells never occur: both parts short breaks genericity
+                layers.append(
+                    [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
+                )
+        layers.reverse()  # m parts -> dimension n - m
+        # Every full cyclic order is admissible (singleton parts are admissible by
+        # the polygon inequality).
+        assert len(layers[0]) == factorial(n - 1)
+        return CWComplex(linkage, layers)
+
+
+class _collector_paused:
+    """A `with` block run with the cyclic garbage collector off; on leaving
+    it, even by an exception, the caller's setting comes back, so a caller
+    that had the collector off keeps it off.
+
+    The walk and the wiring allocate hundreds of thousands of tuples, lists
+    and dicts that hold only ints and each other, and build no reference
+    cycle, so reference counting frees all they drop.  A collection during
+    them finds no garbage; it only rescans the cells made so far, about a
+    fifth of an n=8 build.  A class, not a generator: entering costs one
+    `isenabled` and one `disable`, with no generator frame.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def _wire(

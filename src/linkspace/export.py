@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from . import topology
 from .cwcomplex import (
@@ -117,35 +117,42 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
+#: A cell record's text between its label and its faces, and after them,
+#: indexed by whether the cell has faces.
+_OPEN_FACES = ('",\n      "boundary": []', '",\n      "boundary": [\n        ')
+_CLOSE_FACES = ("\n    }", "\n      ]\n    }")
+
+
 def complex_to_json(complex_: CWComplex) -> str:
     """The complex as a schema-1 JSON document.
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
     of its faces.  Labels are written from the cells' part masks
-    (`CWComplex.labels`), so no CyclicPartition is built; within the call
-    the text of each face index is rendered once.  A test pins the bytes
-    against a json.dumps writer.
+    (`CWComplex.labels`), so no CyclicPartition is built.  The rest is
+    joined at C level: the flat indices of the grade below are turned into
+    text once, each boundary row is one `str.join` of those texts, and each
+    record one `str.join` of its five pieces, so no Python code runs per
+    face, and per cell only the label's.  A test pins the bytes against a
+    json.dumps writer.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
-    layers = complex_.masks_by_dim
-    records = []
-    refs: list[str] = []  # the layer below, as indented flat indices
+    join_faces = ",\n        ".join
+    records: list[str] = []
+    numbers: list[str] = []  # the grade below's flat indices, as text
     offset = 0
-    for d, layer in enumerate(layers):
+    for d, layer in enumerate(complex_.masks_by_dim):
         head = f'    {{\n      "dim": {d},\n      "label": "'
-        rows = complex_.boundary[d] if d else [()] * len(layer)
-        for label, row in zip(complex_.labels(d), rows):
-            records.append(
-                head
-                + label
-                + '",\n      "boundary": '
-                + _json_array([refs[j] for j in row], "      ")
-                + "\n    }"
-            )
-        refs = [f"        {offset + j}" for j in range(len(layer))]
+        rows = complex_.boundary[d] if d else ((),) * len(layer)
+        # a row's truth picks its record's brackets: no faces, []
+        has_faces = list(map(bool, rows))
+        opens = map(_OPEN_FACES.__getitem__, has_faces)
+        closes = map(_CLOSE_FACES.__getitem__, has_faces)
+        faces = map(join_faces, map(map, repeat(numbers.__getitem__), rows))
+        records += map("".join, zip(repeat(head), complex_.labels(d), opens, faces, closes))
+        numbers = list(map(str, range(offset, offset + len(layer))))
         offset += len(layer)
     lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
     return (

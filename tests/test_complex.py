@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -437,6 +438,62 @@ def test_loading_a_document_wires_each_grade_once(wirings):
     assert loaded.edges is loaded.boundary[1]
     assert complex_to_json(loaded) == text
     assert len(wirings) == 4
+
+
+@pytest.fixture
+def collector():
+    """Give the cyclic collector back its setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_building_wiring_and_writing_leave_no_cyclic_garbage(representatives, collector):
+    # why the walk and the wiring may pause the collector: they build no
+    # reference cycle, so a collection during them would free nothing
+    linkages = [linkage for _, linkage in representatives]
+    linkages.append(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    gc.collect()
+    gc.disable()
+    for linkage in linkages:
+        complex_to_json(build_complex(linkage))  # the writer wires every grade
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_building_and_wiring_pause_the_collector_and_keep_its_setting(
+    enabled, monkeypatch, collector
+):
+    states = []  # the collector's setting at each `_wire` call
+    wire = cwcomplex._wire
+
+    def recorded(*args):
+        states.append(gc.isenabled())
+        return wire(*args)
+
+    monkeypatch.setattr(cwcomplex, "_wire", recorded)
+    (gc.enable if enabled else gc.disable)()
+    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    assert gc.isenabled() is enabled
+    complex_.boundary
+    assert gc.isenabled() is enabled
+    assert states == [False] * 4  # edges at build, then the three grades above
+
+
+def test_the_collector_comes_back_on_when_wiring_raises(monkeypatch, collector):
+    gc.enable()
+    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+
+    def broken(*args):
+        raise RuntimeError("wiring failed")
+
+    monkeypatch.setattr(cwcomplex, "_wire", broken)
+    with pytest.raises(RuntimeError, match="wiring failed"):
+        build_complex(make_linkage([1, 1, 1, 1, 1]))
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="wiring failed"):
+        complex_.boundary
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("first", ["edges", "boundary"])

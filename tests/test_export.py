@@ -457,6 +457,9 @@ def test_cli_invalid_input_exit_code(capsys):
         ["classify", "1,1,eps,eps,1", "--epsilon", "1e100000"],
         ["classify", "1," + tiny],
         ["classify", "1e30000000,1,1,1,1"],
+        # argparse before Python 3.13 reads `--epsilon=--` as [], which once
+        # raised AttributeError in parse_rational; 3.13 reads it as '--'
+        ["classify", "--epsilon=--", "--", "1,1,1,eps,2"],
     ):
         start = time.perf_counter()
         assert main(argv) == 2
@@ -525,6 +528,17 @@ def test_cli_rejects_unsupported_bar_counts_before_building(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "got n=40" in err and "Traceback" not in err
+
+
+def test_cli_counts_bars_before_parsing_lengths(monkeypatch, capsys):
+    # 10^5 tokens once cost a parse_rational each (~0.3 s) before the refusal
+    def parse_rational(token):
+        raise AssertionError("a length was parsed")
+
+    monkeypatch.setattr("linkspace.linkage.parse_rational", parse_rational)
+    for command in ("classify", "complex", "mesh"):
+        assert main([command, ",".join(["1"] * 10**5)]) == 2
+    assert "got n=100000" in capsys.readouterr().err
 
 
 def test_cli_verify_exit_code(capsys):

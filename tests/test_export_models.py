@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from linkspace.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_models.py"
@@ -35,3 +37,13 @@ def test_export_models_writes_the_cli_bytes_and_counts(tmp_path, capsys, meshes)
         assert fields[0] == rep.spec
         assert " ".join(fields[1:-1]) == rep.classification
         assert fields[-1] == f"({v},{e},{f})"
+
+
+def test_export_models_refuses_an_out_dir_under_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "models"
+    with pytest.raises(SystemExit) as exit_:
+        _load_script().main(["--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create {str(out)!r}") and "Traceback" not in err
