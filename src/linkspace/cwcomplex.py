@@ -18,8 +18,10 @@ the order-preserving match between a split of a part and its merge: the
 faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
 index buckets.  The 1-skeleton (`CWComplex.edges`), which every command
-reads, is wired at build, and each grade above it when first read; both
-run with the cyclic garbage collector paused, as they build no cycle.  Label
+that builds a complex reads, is wired at build, and each grade above it
+when first read; both run with the cyclic garbage collector paused, as
+they build no cycle.  `count_cells` counts the cells without building
+one, which is all `classify` needs for n >= 6.  Label
 text is written from masks in one place, `CWComplex.labels`, so no command
 builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
 and the benchmark, builds them on first read.
@@ -134,8 +136,8 @@ def build_complex(linkage: Linkage) -> CWComplex:
 
     The result holds masks only, and no label is built.  Its `edges` are
     wired here and each grade above on the first read of `boundary`, so
-    `classify` at n != 5 wires one grade; wiring zips index buckets (see
-    `_wire`), and no tuple is built or looked up per incidence.  The walk
+    `classify` of a quadrilateral wires one grade; wiring zips index buckets
+    (see `_wire`), and no tuple is built or looked up per incidence.  The walk
     and all wiring run with the cyclic collector paused (`_collector_paused`).
     """
     n = linkage.n
@@ -162,6 +164,33 @@ def build_complex(linkage: Linkage) -> CWComplex:
         # the polygon inequality).
         assert len(layers[0]) == factorial(n - 1)
         return CWComplex(linkage, layers)
+
+
+def count_cells(linkage: Linkage) -> tuple[int, ...]:
+    """The f-vector of `build_complex(linkage)`, with no cell built: a set
+    partition of the bars into m short parts gives (m-1)! cells of dimension
+    n - m, one per cyclic order.  A DP over masks counts the partitions,
+    recursing on the part holding the lowest bar, in about 3^(n-1)/2 steps:
+    only the masks without bar 1, and the full one, are needed.  A mask's
+    count is a polynomial in x, one x per part, packed in one int with
+    x = 2^w, where 2^w > n^n bounds every coefficient."""
+    n, short = linkage.n, linkage.short
+    w = n * n.bit_length()
+    full = (1 << n) - 1
+    ways = [1] + [0] * full  # the empty mask has one partition, into no parts
+    for mask in (*range(2, full, 2), full):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        total = 0
+        while True:  # every part sub | low of mask that holds its lowest bar
+            if short[sub | low]:
+                total += ways[rest ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        ways[mask] = total << w
+    x = ways[full]
+    return tuple(factorial(m - 1) * ((x >> m * w) & ((1 << w) - 1)) for m in range(n, 2, -1))
 
 
 class _collector_paused:

@@ -1,4 +1,4 @@
-"""Surface classification of the assembled mesh.
+"""Surface classification of the assembled mesh; invariants for n >= 6.
 
 Closedness is checked here alone: NotAClosedSurface refuses a mesh edge not
 on exactly two faces (`classify_surface`, which every command runs on a
@@ -11,15 +11,20 @@ face-adjacency graph, choosing a direction for each face cycle so that
 every shared edge is traversed in opposite directions by its two faces; a
 forced contradiction means the component is non-orientable.  Genus follows
 from the Euler characteristic for orientable components.
+
+For n >= 6 the short-subset table alone gives the f-vector
+(`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
+complex is built; both give the Euler characteristic, and they must agree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, Sequence
 
-from .cwcomplex import build_complex, euler_characteristic
+from .cwcomplex import build_complex, check_supported_arity, count_cells, euler_characteristic
 from .geometry import SurfaceMesh, perform_surgery
 from .linkage import Linkage
 
@@ -185,40 +190,50 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     return classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
 
 
-def classify_linkage(linkage: Linkage) -> TopologyReport:
-    """End-to-end pipeline: build, realize, classify.
+def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
+    """b_0 .. b_{n-3} of the polygon space, by the Farber-Schuetz formula
+    (M. Farber and D. Schuetz, Homology of planar polygon spaces, Geom.
+    Dedicata 125, 2007): b_k = a_k + a_{n-3-k}, where a_k counts the short
+    subsets of k + 1 bars that hold a longest bar."""
+    n = linkage.n
+    bit = 1 << linkage.lengths.index(max(linkage.lengths))
+    size = Counter(m.bit_count() for m in range(1 << n) if m & bit and linkage.short[m])
+    return tuple(size[k + 1] + size[n - 2 - k] for k in range(n - 2))  # a_k is size[k + 1]
 
-    Pentagons get the full surface classification of their mesh.  Any other
-    n counts the components of the complex's 1-skeleton, `complex_.edges`,
-    which is the only grade of incidence it wires: quadrilaterals report
-    their circle decomposition; n >= 6 reports the f-vector and Euler
-    characteristic only (the complex has dimension >= 3).
+
+def classify_linkage(linkage: Linkage) -> TopologyReport:
+    """End-to-end pipeline: classify the linkage's moduli space.
+
+    Pentagons get the full surface classification of their mesh, and
+    quadrilaterals their circles, the components of the complex's 1-skeleton
+    `complex_.edges`, the only grade they wire.  n >= 6 builds no complex: it
+    reports the f-vector (`count_cells`), the component count (b_0 of
+    `betti_numbers`) and the Euler characteristic, which both give; a
+    mismatch, or a vertex count other than (n-1)!, raises ValueError.
     """
-    if linkage.n == 5:
+    n = linkage.n
+    if n == 5:
         return analyze(perform_surgery(linkage))
+    if n != 4:
+        check_supported_arity(n)
+        f_vector, betti = count_cells(linkage), betti_numbers(linkage)
+        chi, chi_b = (sum((-1) ** k * c for k, c in enumerate(v)) for v in (f_vector, betti))
+        if f_vector[0] != factorial(n - 1) or chi != chi_b:
+            raise ValueError(f"f-vector {f_vector} does not fit Betti numbers {betti}")
+        return TopologyReport(betti[0], (), f_vector, chi, "unclassified (dim >= 3)")
     complex_ = build_complex(linkage)
     vertex_count = len(complex_.masks_by_dim[0])
     edges = complex_.edges
+    # the complex is a disjoint union of circles: each vertex has exactly two
+    # admissible adjacent merges
+    degree = Counter(v for ends in edges for v in ends)
+    if any(degree[v] != 2 for v in range(vertex_count)):
+        raise NotAClosedSurface("quadrilateral complex is not a union of circles")
     component = _components(vertex_count, edges)
     count = max(component) + 1
-    components: tuple[ComponentReport, ...] = ()
-    classification = "unclassified (dim >= 3)"
-    if linkage.n == 4:
-        # the complex is a disjoint union of circles: each vertex has exactly
-        # two admissible adjacent merges
-        degree = Counter(v for ends in edges for v in ends)
-        if any(degree[v] != 2 for v in range(vertex_count)):
-            raise NotAClosedSurface("quadrilateral complex is not a union of circles")
-        per_v = _tally(component, count, range(vertex_count))
-        per_e = _tally(component, count, (a for a, _ in edges))
-        components = tuple(
-            ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count)
-        )
-        classification = "circle" if count == 1 else f"{count} circles"
-    return TopologyReport(
-        component_count=count,
-        components=components,
-        f_vector=complex_.f_vector(),
-        euler_characteristic=euler_characteristic(complex_),
-        classification=classification,
-    )
+    per_v = _tally(component, count, range(vertex_count))
+    per_e = _tally(component, count, (a for a, _ in edges))
+    circles = tuple(ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count))
+    name = "circle" if count == 1 else f"{count} circles"
+    chi = euler_characteristic(complex_)
+    return TopologyReport(count, circles, complex_.f_vector(), chi, name)

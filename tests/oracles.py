@@ -6,7 +6,8 @@ canonical rotation, and admissibility is re-derived inline from sums.
 The exceptions are the package's earlier implementations, kept as the
 references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one, and
-`reference_complex_to_json`, the `json.dumps` writer behind the direct one.
+`reference_complex_to_json` and `reference_report_to_json`, the
+`json.dumps` writers behind the direct ones.
 Below them are helpers the package itself has no use for, kept here as
 second routes for the tests: cyclic coarsenings, reading a cyclic order
 as a sequence or a permutation and back, a label's part holding a bar,
@@ -105,6 +106,38 @@ def oracle_f_vector(lengths) -> tuple[int, ...]:
     return tuple(blocks[m] * factorial(m - 1) for m in range(n, 2, -1))
 
 
+def oracle_betti_numbers(lengths) -> tuple[int, ...]:
+    """b_0 .. b_{n-3} by the Farber-Schuetz formula, b_k = a_k + a_{n-3-k},
+    where a_k counts the short subsets of k + 1 bars holding a longest bar;
+    here the subsets are listed by size and their sums taken as Fractions."""
+    lengths = [Fraction(l) for l in lengths]
+    n, total = len(lengths), sum(lengths)
+    longest = lengths.index(max(lengths))
+    others = [i for i in range(n) if i != longest]
+    a = [
+        sum(
+            2 * (lengths[longest] + sum(lengths[i] for i in mates)) < total
+            for mates in combinations(others, k)
+        )
+        for k in range(n - 2)
+    ]
+    return tuple(a[k] + a[n - 3 - k] for k in range(n - 2))
+
+
+def oracle_component_count(num_vertices: int, edges) -> int:
+    """Connected components of a graph, by union-find over its edges."""
+    parent = list(range(num_vertices))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return sum(parent[v] == v for v in range(num_vertices))
+
+
 def reference_build_complex(linkage) -> CWComplex:
     """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
     per grade, filtering them with rational sums and wiring incidence through
@@ -166,6 +199,28 @@ def reference_complex_to_json(complex_: CWComplex) -> str:
         "n": complex_.linkage.n,
         "lengths": [str(l) for l in complex_.linkage.lengths],
         "cells": cells,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_report_to_json(report, linkage) -> str:
+    single = report.components[0] if len(report.components) == 1 else None
+    doc = {
+        "schema": 1,
+        "lengths": [str(l) for l in linkage.lengths],
+        "f_vector": list(report.f_vector),
+        "components": [
+            {
+                "chi": c.euler_characteristic,
+                "orientable": c.orientable,
+                "genus": c.genus,
+            }
+            for c in report.components
+        ],
+        "chi": report.euler_characteristic,
+        "orientable": single.orientable if single else None,
+        "genus": single.genus if single else None,
+        "classification": report.classification,
     }
     return json.dumps(doc, indent=2) + "\n"
 

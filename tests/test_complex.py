@@ -40,6 +40,7 @@ from oracles import (
     index_of,
     label_masks,
     oracle_cells,
+    oracle_f_vector,
     reference_build_complex,
     reference_complex_to_json,
     rotation_class,
@@ -408,9 +409,33 @@ def wirings(monkeypatch):
     return calls
 
 
-def test_heptagon_classify_wires_only_the_edges(wirings, capsys):
-    assert main(["classify", "3,5,7,2,9,4,1", "--format", "json"]) == 0
-    assert wirings == [2400]  # the 1-cells' rows alone
+@pytest.mark.parametrize("spec", ["1,1,1,4,4,4", "3,5,7,2,9,4,1", "5,9,3,12,7,1,4,2"])
+def test_classify_above_five_bars_builds_and_wires_nothing(monkeypatch, capsys, spec):
+    # the counts come from the short-subset table alone
+    def refuse(*args):
+        raise AssertionError("a complex was built or wired")
+
+    for name in ("build_complex", "_wire"):
+        monkeypatch.setattr(cwcomplex, name, refuse)
+    monkeypatch.setattr("linkspace.topology.build_complex", refuse)
+    assert main(["classify", spec, "--format", "json"]) == 0
+    f_vector = json.loads(capsys.readouterr().out)["f_vector"]
+    assert f_vector == list(oracle_f_vector(spec.split(",")))
+
+
+def test_a_miscount_exits_3_without_a_traceback(monkeypatch, capsys):
+    count_cells = cwcomplex.count_cells
+
+    def off_by_one(linkage):
+        f = count_cells(linkage)
+        return f[:-1] + (f[-1] + 1,)
+
+    monkeypatch.setattr("linkspace.topology.count_cells", off_by_one)
+    assert main(["classify", "3,5,7,2,9,4,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violated: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_heptagon_complex_wires_each_grade_once(wirings, capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -27,7 +28,7 @@ from linkspace.export import (
 from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage, parse_lengths
 from linkspace.topology import classify_linkage
 
-from oracles import is_watertight, parse_obj
+from oracles import is_watertight, parse_obj, reference_report_to_json
 
 
 def test_parse_lengths_forms():
@@ -382,6 +383,38 @@ def test_report_json_schema(representatives):
     assert doc["orientable"] is True
     assert doc["genus"] == 0
     assert doc["components"] == [{"chi": 2, "orientable": True, "genus": 0}]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "2,1,1,1",
+        *(rep.spec for rep in REPRESENTATIVES),
+        "1,1,1,4,4,4",
+        "1,1,1,1,1,2",
+        "3,5,7,2,9,4,1",
+    ],
+)
+def test_report_json_is_the_json_dumps_layout(spec):
+    # n=4, the six pentagons (one with two components), and n=6 and 7
+    linkage = make_linkage(parse_lengths(spec))
+    report = classify_linkage(linkage)
+    assert report_to_json(report, linkage) == reference_report_to_json(report, linkage)
+
+
+@pytest.mark.parametrize("spec", ["2,1,1,1", "1,1,eps,eps,1", "3,5,7,2,9,4,1"])
+def test_classify_json_leaves_no_cyclic_garbage(spec, capsys):
+    # the first call builds the cached parser, whose making leaves cycles
+    # once per process; a request after it must leave none
+    assert main(["classify", spec, "--format", "json"]) == 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["classify", spec, "--format", "json"]) == 0
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_render_tables_spot_rows():

@@ -5,8 +5,9 @@ an earlier, label-based surgery (each face's arcs re-derived from
 refinements of its label).  The `classify` and `complex` digests for n = 4,
 6 and 7 were taken at commit a4e3730, the last builder that wired every
 grade of the complex on every build, before `classify` at n != 5 came to
-wire only the 1-skeleton.  Any change to the surgery, the complex or the
-writers that moves a byte fails here.
+wire only the 1-skeleton, and later at n >= 6 to build no complex.  Any
+change to the surgery, the complex or the writers that moves a byte fails
+here.
 """
 
 import contextlib

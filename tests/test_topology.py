@@ -3,16 +3,20 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from linkspace.cwcomplex import ArityMismatch, build_complex, count_cells
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
     NotAClosedSurface,
     analyze,
+    betti_numbers,
     classify_linkage,
     classify_surface,
 )
 
-from oracles import oracle_f_vector
+from oracles import oracle_betti_numbers, oracle_component_count, oracle_f_vector
 
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
@@ -181,11 +185,55 @@ def test_hexagonal_linkage_reports_f_vector_only():
     ],
 )
 def test_octagon_f_vector_matches_the_count_of_short_set_partitions(lengths, f_vector):
-    # classify reads only the counts and the 1-skeleton, so n=8 is cheap here
+    # classify counts the cells from the short-subset table and builds no
+    # complex, so n=8 is cheap here
     report = classify_linkage(make_linkage(lengths))
     assert report.f_vector == oracle_f_vector(lengths) == f_vector
     assert report.euler_characteristic == 0
     assert report.component_count == 1
+
+
+def _assert_counts_match_the_complex(lengths):
+    linkage = make_linkage(lengths)
+    complex_ = build_complex(linkage)
+    report = classify_linkage(linkage)
+    assert count_cells(linkage) == report.f_vector == complex_.f_vector()
+    assert report.f_vector == oracle_f_vector(lengths)
+    assert betti_numbers(linkage) == oracle_betti_numbers(lengths)
+    components = oracle_component_count(len(complex_.masks_by_dim[0]), complex_.edges)
+    assert report.component_count == components
+    return report
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(6, 7).flatmap(
+        lambda n: st.lists(st.integers(min_value=1, max_value=12), min_size=n, max_size=n)
+    )
+)
+def test_generic_integer_linkages_count_like_their_complex(lengths):
+    # an odd total cannot be split in half, so every such vector is generic
+    assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
+    _assert_counts_match_the_complex(lengths)
+
+
+@pytest.mark.parametrize(
+    "lengths, f_vector",
+    [
+        ([1, 1, 1, 4, 4, 4], (120, 288, 222, 54)),
+        ([1, 1, 1, 1, 5, 5, 5], (720, 2160, 2328, 1050, 162)),
+    ],
+)
+def test_disconnected_spaces_count_like_their_complex(lengths, f_vector):
+    report = _assert_counts_match_the_complex(lengths)
+    assert report.f_vector == f_vector
+    assert report.component_count == 2
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1], [1] * 9])
+def test_classify_refuses_a_bar_count_outside_4_to_8(lengths):
+    with pytest.raises(ArityMismatch):
+        classify_linkage(make_linkage(lengths))
 
 
 def test_genus_is_invariant_under_reordering_the_bars():
