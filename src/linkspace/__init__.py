@@ -1,7 +1,7 @@
 """Moduli spaces of planar polygonal linkages: cell complexes, permutohedron
 surgery, surface classification and mesh export."""
 
-from .cwcomplex import CWComplex, build_complex, euler_characteristic
+from .cwcomplex import CWComplex, build_complex
 from .geometry import SurfaceMesh, perform_surgery
 from .linkage import DEFAULT_EPSILON, Linkage, make_linkage
 from .topology import TopologyReport, analyze, classify_linkage
@@ -17,7 +17,6 @@ __all__ = [
     "analyze",
     "build_complex",
     "classify_linkage",
-    "euler_characteristic",
     "make_linkage",
     "perform_surgery",
 ]

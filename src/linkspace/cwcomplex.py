@@ -17,14 +17,13 @@ order, and takes no rational sum.  It wires each grade to the next through
 the order-preserving match between a split of a part and its merge: the
 faces holding a split (a, b) at positions p, p + 1 correspond, in index
 order, to the cofaces holding a | b at p, so incidence is wired by zipping
-index buckets.  The 1-skeleton (`CWComplex.edges`), which every command
-that builds a complex reads, is wired at build, and each grade above it
-when first read; both run with the cyclic garbage collector paused, as
-they build no cycle.  `count_cells` counts the cells without building
-one, which is all `classify` needs for n >= 6.  Label
-text is written from masks in one place, `CWComplex.labels`, so no command
-builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
-and the benchmark, builds them on first read.
+index buckets.  Every command that builds a complex reads every grade, so
+`build_complex` wires them all, with the cyclic garbage collector paused
+for the walk and the wiring, as they build no cycle.  `count_cells` counts
+the cells without building one, which is all `classify` needs away from
+n = 5.  Label text is written from masks in one place, `CWComplex.labels`,
+so no command builds a CyclicPartition; `CWComplex.cells_by_dim`, a view
+for the tests and the benchmark, builds them on first read.
 """
 
 from __future__ import annotations
@@ -52,42 +51,28 @@ def check_supported_arity(n: int) -> None:
 
 
 class CWComplex:
-    """Graded admissible cells with refinement incidence.
+    """Graded admissible cells with refinement incidence, a plain record.
 
     masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
     bit i-1, n's part last), sorted by label string; `labels(d)` writes their
     text.  boundary[d][i] holds the ascending indices (into masks_by_dim[d-1])
-    of cell i's codimension-1 faces.  The cells never change.  `edges`,
-    boundary[1] or the 1-skeleton, is wired at construction; given no
-    `boundary` (as from `build_complex`), the grades above it are wired on
-    its first read.  Counts read the masks alone, while equality and export
-    read every row.  cells_by_dim, the same cells as CyclicPartition labels,
-    is built on first read through the checking constructor; no command
-    reads it, so it serves only the tests and the benchmark.
+    of cell i's codimension-1 faces, with an empty row for each vertex, and
+    `edges` is boundary[1], the 1-skeleton.  The cells never change.
+    cells_by_dim, the same cells as CyclicPartition labels, is built on first
+    read through the checking constructor; no command reads it, so it serves
+    only the tests and the benchmark.
     """
 
     def __init__(
         self,
         linkage: Linkage,
         masks_by_dim: list[list[Masks]],
-        boundary: list[list[tuple[int, ...]]] | None = None,
+        boundary: list[list[tuple[int, ...]]],
     ):
         self.linkage = linkage
         self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
-        if boundary is not None:
-            self.boundary = tuple(tuple(bs) for bs in boundary)
-        self.edges = self._rows(1) if boundary is None else self.boundary[1]
-
-    @cached_property
-    def boundary(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        with _collector_paused():
-            above = [self._rows(d) for d in range(2, len(self.masks_by_dim))]
-        return (((),) * len(self.masks_by_dim[0]), self.edges, *above)
-
-    def _rows(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """Wire the boundary rows of grade d from the masks."""
-        faces, cofaces = self.masks_by_dim[d - 1 : d + 1]
-        return tuple(_wire(self.linkage.n, self.linkage.short, faces, cofaces))
+        self.boundary = tuple(tuple(bs) for bs in boundary)
+        self.edges = self.boundary[1]
 
     @cached_property
     def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
@@ -134,11 +119,14 @@ def build_complex(linkage: Linkage) -> CWComplex:
     parts' texts, position by position: the walk keeps each level in that
     order, and every grade comes out sorted without a sort.
 
-    The result holds masks only, and no label is built.  Its `edges` are
-    wired here and each grade above on the first read of `boundary`, so
-    `classify` of a quadrilateral wires one grade; wiring zips index buckets
-    (see `_wire`), and no tuple is built or looked up per incidence.  The walk
-    and all wiring run with the cyclic collector paused (`_collector_paused`).
+    The result holds masks only, and no label is built.  Each grade is wired
+    to the one below by zipping index buckets (see `_wire`), and no tuple is
+    built or looked up per incidence.  The walk and the wiring allocate
+    hundreds of thousands of tuples, lists and dicts that hold only ints and
+    each other, and build no reference cycle, so they run with the cyclic
+    collector paused: a collection during them would find no garbage and
+    only rescan the cells made so far.  The caller's setting comes back on
+    return, even by an exception.
     """
     n = linkage.n
     check_supported_arity(n)
@@ -148,7 +136,9 @@ def build_complex(linkage: Linkage) -> CWComplex:
     # the short parts of each set of unused bars below n, in text order
     fits = [[m for m in parts if m & unused == m] for unused in range(top)]
 
-    with _collector_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         layers: list[list[Masks]] = []  # by part count, 3 parts first
         prefixes: list[Masks] = [()]
         unused = [top - 1]
@@ -163,7 +153,12 @@ def build_complex(linkage: Linkage) -> CWComplex:
         # Every full cyclic order is admissible (singleton parts are admissible by
         # the polygon inequality).
         assert len(layers[0]) == factorial(n - 1)
-        return CWComplex(linkage, layers)
+        boundary = [((),) * len(layers[0])]
+        boundary += [_wire(n, short, *pair) for pair in zip(layers, layers[1:])]
+        return CWComplex(linkage, layers, boundary)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def count_cells(linkage: Linkage) -> tuple[int, ...]:
@@ -193,33 +188,9 @@ def count_cells(linkage: Linkage) -> tuple[int, ...]:
     return tuple(factorial(m - 1) * ((x >> m * w) & ((1 << w) - 1)) for m in range(n, 2, -1))
 
 
-class _collector_paused:
-    """A `with` block run with the cyclic garbage collector off; on leaving
-    it, even by an exception, the caller's setting comes back, so a caller
-    that had the collector off keeps it off.
-
-    The walk and the wiring allocate hundreds of thousands of tuples, lists
-    and dicts that hold only ints and each other, and build no reference
-    cycle, so reference counting frees all they drop.  A collection during
-    them finds no garbage; it only rescans the cells made so far, about a
-    fifth of an n=8 build.  A class, not a generator: entering costs one
-    `isenabled` and one `disable`, with no generator frame.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self.enabled:
-            gc.enable()
-
-
 def _wire(
     n: int, short: tuple[bool, ...], faces: list[Masks], cofaces: list[Masks]
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], ...]:
     """The boundary rows of `cofaces` (m parts each) in `faces` (m + 1 parts).
 
     A coface holding the short part z at position p has, for each ordered
@@ -258,11 +229,7 @@ def _wire(
                 rows[c].append(f)
     for row in rows:
         row.sort()
-    return list(map(tuple, rows))
-
-
-def euler_characteristic(complex_: CWComplex) -> int:
-    return sum((-1) ** d * c for d, c in enumerate(complex_.f_vector()))
+    return tuple(map(tuple, rows))
 
 
 # Facet rows for the two admissibility tables of the standard pentagon

@@ -1,18 +1,18 @@
-"""Surface classification of the assembled mesh; invariants for n >= 6.
+"""Surface classification of the assembled mesh; invariants for n != 5.
 
 Closedness is checked here alone: NotAClosedSurface refuses a mesh edge not
 on exactly two faces (`classify_surface`, which every command runs on a
-pentagon's mesh) and a quadrilateral complex that is not a union of circles.
+pentagon's mesh).
 
-Components come from union-find on the vertex graph; for a complex that
-graph is its 1-skeleton, read off the 1-cells' boundary lists (`edges`).
+Components come from union-find on the mesh's vertex graph, which is the
+complex's 1-skeleton, read off the 1-cells' boundary lists (`edges`).
 Orientability is decided by orientation propagation: walk the
 face-adjacency graph, choosing a direction for each face cycle so that
 every shared edge is traversed in opposite directions by its two faces; a
 forced contradiction means the component is non-orientable.  Genus follows
 from the Euler characteristic for orientable components.
 
-For n >= 6 the short-subset table alone gives the f-vector
+For every other n the short-subset table alone gives the f-vector
 (`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
 complex is built; both give the Euler characteristic, and they must agree.
 """
@@ -24,14 +24,15 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence
 
-from .cwcomplex import build_complex, check_supported_arity, count_cells, euler_characteristic
+from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
+from .cwcomplex import check_supported_arity, count_cells
 from .geometry import SurfaceMesh, perform_surgery
 from .linkage import Linkage
 
 
 class NotAClosedSurface(RuntimeError):
-    """An edge not shared by exactly two faces, or a curve's vertex not on
-    exactly two edges, which the theory rules out for generic linkages."""
+    """A mesh edge not shared by exactly two faces, which the theory rules
+    out for generic linkages."""
 
 
 @dataclass(frozen=True)
@@ -204,36 +205,26 @@ def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
 def classify_linkage(linkage: Linkage) -> TopologyReport:
     """End-to-end pipeline: classify the linkage's moduli space.
 
-    Pentagons get the full surface classification of their mesh, and
-    quadrilaterals their circles, the components of the complex's 1-skeleton
-    `complex_.edges`, the only grade they wire.  n >= 6 builds no complex: it
-    reports the f-vector (`count_cells`), the component count (b_0 of
-    `betti_numbers`) and the Euler characteristic, which both give; a
-    mismatch, or a vertex count other than (n-1)!, raises ValueError.
+    Pentagons get the full surface classification of their mesh.  Every
+    other n builds no complex: it reports the f-vector (`count_cells`), the
+    component count b_0 (`betti_numbers`) and the Euler characteristic,
+    which both give.  A mismatch, a vertex count other than (n-1)!, or a
+    b_0 that does not divide it raises ValueError.  A quadrilateral's space
+    is b_0 circles of f_0 / b_0 vertices and as many edges each: they are
+    equal, as reflection swaps the two circles of a disconnected one.
     """
     n = linkage.n
     if n == 5:
         return analyze(perform_surgery(linkage))
-    if n != 4:
-        check_supported_arity(n)
-        f_vector, betti = count_cells(linkage), betti_numbers(linkage)
-        chi, chi_b = (sum((-1) ** k * c for k, c in enumerate(v)) for v in (f_vector, betti))
-        if f_vector[0] != factorial(n - 1) or chi != chi_b:
-            raise ValueError(f"f-vector {f_vector} does not fit Betti numbers {betti}")
-        return TopologyReport(betti[0], (), f_vector, chi, "unclassified (dim >= 3)")
-    complex_ = build_complex(linkage)
-    vertex_count = len(complex_.masks_by_dim[0])
-    edges = complex_.edges
-    # the complex is a disjoint union of circles: each vertex has exactly two
-    # admissible adjacent merges
-    degree = Counter(v for ends in edges for v in ends)
-    if any(degree[v] != 2 for v in range(vertex_count)):
-        raise NotAClosedSurface("quadrilateral complex is not a union of circles")
-    component = _components(vertex_count, edges)
-    count = max(component) + 1
-    per_v = _tally(component, count, range(vertex_count))
-    per_e = _tally(component, count, (a for a, _ in edges))
-    circles = tuple(ComponentReport(per_v[c], per_e[c], 0, 0, None, None) for c in range(count))
+    check_supported_arity(n)
+    f_vector, betti = count_cells(linkage), betti_numbers(linkage)
+    chi, chi_b = (sum((-1) ** k * c for k, c in enumerate(v)) for v in (f_vector, betti))
+    count = betti[0]
+    if f_vector[0] != factorial(n - 1) or chi != chi_b or count < 1 or f_vector[0] % count:
+        raise ValueError(f"f-vector {f_vector} does not fit Betti numbers {betti}")
+    if n > 4:
+        return TopologyReport(count, (), f_vector, chi, "unclassified (dim >= 3)")
+    size = f_vector[0] // count
+    circles = (ComponentReport(size, size, 0, 0, None, None),) * count
     name = "circle" if count == 1 else f"{count} circles"
-    chi = euler_characteristic(complex_)
-    return TopologyReport(count, circles, complex_.f_vector(), chi, name)
+    return TopologyReport(count, circles, f_vector, chi, name)

@@ -124,8 +124,9 @@ def oracle_betti_numbers(lengths) -> tuple[int, ...]:
     return tuple(a[k] + a[n - 3 - k] for k in range(n - 2))
 
 
-def oracle_component_count(num_vertices: int, edges) -> int:
-    """Connected components of a graph, by union-find over its edges."""
+def oracle_components(num_vertices: int, edges) -> list[int]:
+    """The root of each vertex's component in a graph, by union-find over
+    its edges."""
     parent = list(range(num_vertices))
 
     def root(v: int) -> int:
@@ -135,7 +136,17 @@ def oracle_component_count(num_vertices: int, edges) -> int:
 
     for a, b in edges:
         parent[root(a)] = root(b)
-    return sum(parent[v] == v for v in range(num_vertices))
+    return [root(v) for v in range(num_vertices)]
+
+
+def oracle_component_count(num_vertices: int, edges) -> int:
+    """Connected components of a graph, by union-find over its edges."""
+    return len(set(oracle_components(num_vertices, edges)))
+
+
+def euler_characteristic(f_vector) -> int:
+    """The alternating sum of a complex's cells per dimension."""
+    return sum((-1) ** d * c for d, c in enumerate(f_vector))
 
 
 def reference_build_complex(linkage) -> CWComplex:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkspace import cwcomplex
+from linkspace import cwcomplex, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import (
     STEP2_ROWS,
@@ -20,7 +20,6 @@ from linkspace.cwcomplex import (
     ArityMismatch,
     CWComplex,
     build_complex,
-    euler_characteristic,
     facet_membership_table,
 )
 from linkspace.export import complex_from_json, complex_to_json
@@ -37,6 +36,7 @@ from oracles import (
     boundary_labels,
     coarsenings,
     complex_dim,
+    euler_characteristic,
     index_of,
     label_masks,
     oracle_cells,
@@ -135,20 +135,19 @@ def test_vertex_degrees_are_at_least_three(representatives):
         assert min(degree) >= 3
 
 
-def test_euler_characteristic_examples():
-    assert euler_characteristic(build_complex(make_linkage([1, 1, 1, 1, 3]))) == 2
-    assert euler_characteristic(build_complex(make_linkage([1, 1, 1, 1, 1]))) == -6
-    from fractions import Fraction
+def _chi(lengths):
+    return euler_characteristic(build_complex(make_linkage(lengths)).f_vector())
 
-    eps = Fraction(1, 100)
-    assert (
-        euler_characteristic(build_complex(make_linkage([1, 1, eps, eps, 1]))) == 0
-    )
+
+def test_euler_characteristic_examples():
+    assert _chi([1, 1, 1, 1, 3]) == 2
+    assert _chi([1, 1, 1, 1, 1]) == -6
+    assert _chi([1, 1, Fraction(1, 100), Fraction(1, 100), 1]) == 0
 
 
 def test_euler_characteristic_is_even_for_pentagons(representatives):
     for _, linkage in representatives:
-        assert euler_characteristic(build_complex(linkage)) % 2 == 0
+        assert euler_characteristic(build_complex(linkage).f_vector()) % 2 == 0
 
 
 def test_f_vector_invariant_under_length_preserving_relabeling():
@@ -409,8 +408,10 @@ def wirings(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spec", ["1,1,1,4,4,4", "3,5,7,2,9,4,1", "5,9,3,12,7,1,4,2"])
-def test_classify_above_five_bars_builds_and_wires_nothing(monkeypatch, capsys, spec):
+@pytest.mark.parametrize(
+    "spec", ["2,1,1,1", "2,2,2,1", "1,1,1,4,4,4", "3,5,7,2,9,4,1", "5,9,3,12,7,1,4,2"]
+)
+def test_classify_of_a_non_pentagon_builds_and_wires_nothing(monkeypatch, capsys, spec):
     # the counts come from the short-subset table alone
     def refuse(*args):
         raise AssertionError("a complex was built or wired")
@@ -430,23 +431,31 @@ def test_a_miscount_exits_3_without_a_traceback(monkeypatch, capsys):
         f = count_cells(linkage)
         return f[:-1] + (f[-1] + 1,)
 
-    monkeypatch.setattr("linkspace.topology.count_cells", off_by_one)
-    assert main(["classify", "3,5,7,2,9,4,1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal invariant violated: ")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    def four_circles(linkage):  # chi is still 0, but 4 does not divide 6 vertices
+        return (4, 4)
+
+    for name, miscount, spec in [
+        ("count_cells", off_by_one, "3,5,7,2,9,4,1"),
+        ("count_cells", off_by_one, "2,2,2,1"),
+        ("betti_numbers", four_circles, "2,2,2,1"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, name, miscount)
+            assert main(["classify", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
-    assert main(["complex", "3,5,7,2,9,4,1"]) == 0
-    assert len(wirings) == 4  # n - 3 grades above the vertices
-    wirings.clear()
     complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
-    assert len(wirings) == 1  # every command reads the 1-skeleton, so it is wired at build
-    edges = complex_.edges
-    assert len(wirings) == 1
-    assert complex_.boundary[1] is edges
+    assert wirings == [2400, 2880, 1440, 242]  # the n - 3 grades above the vertices
+    assert complex_.edges is complex_.boundary[1]
+    complex_to_json(complex_)
+    assert len(wirings) == 4  # reads and the writer wire nothing more
+    wirings.clear()
+    assert main(["complex", "3,5,7,2,9,4,1"]) == 0
     assert len(wirings) == 4
 
 
@@ -498,35 +507,27 @@ def test_building_and_wiring_pause_the_collector_and_keep_its_setting(
 
     monkeypatch.setattr(cwcomplex, "_wire", recorded)
     (gc.enable if enabled else gc.disable)()
-    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
     assert gc.isenabled() is enabled
-    complex_.boundary
-    assert gc.isenabled() is enabled
-    assert states == [False] * 4  # edges at build, then the three grades above
+    assert states == [False] * 4  # every grade above the vertices, in one pause
 
 
 def test_the_collector_comes_back_on_when_wiring_raises(monkeypatch, collector):
-    gc.enable()
-    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
-
     def broken(*args):
         raise RuntimeError("wiring failed")
 
     monkeypatch.setattr(cwcomplex, "_wire", broken)
-    with pytest.raises(RuntimeError, match="wiring failed"):
-        build_complex(make_linkage([1, 1, 1, 1, 1]))
-    assert gc.isenabled()
-    with pytest.raises(RuntimeError, match="wiring failed"):
-        complex_.boundary
-    assert gc.isenabled()
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="wiring failed"):
+            build_complex(make_linkage([1, 1, 1, 1, 1]))
+        assert gc.isenabled() is enabled
 
 
-@pytest.mark.parametrize("first", ["edges", "boundary"])
 @pytest.mark.parametrize("lengths", [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]])
-def test_a_complex_is_the_same_whichever_rows_are_read_first(first, lengths):
+def test_a_complex_equals_its_reference_build_and_its_reload(lengths):
     linkage = make_linkage(lengths)
     complex_ = build_complex(linkage)
-    getattr(complex_, first)
     assert complex_.edges is complex_.boundary[1]
     assert complex_ == reference_build_complex(linkage)
     assert complex_ == complex_from_json(complex_to_json(complex_))

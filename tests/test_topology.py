@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,13 @@ from linkspace.topology import (
     classify_surface,
 )
 
-from oracles import oracle_betti_numbers, oracle_component_count, oracle_f_vector
+from oracles import (
+    euler_characteristic,
+    oracle_betti_numbers,
+    oracle_component_count,
+    oracle_components,
+    oracle_f_vector,
+)
 
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
@@ -147,26 +154,35 @@ def test_quadrilateral_two_circles():
     assert all(c.vertex_count == c.edge_count == 3 for c in report.components)
 
 
-def test_quadrilateral_complex_with_a_vertex_off_two_edges_raises(monkeypatch):
-    # {1,2} is long in 2,1,1,1; the 1-cell {1,2}{3}{4} added between its two
-    # 0-cells gives both of them degree 3
-    from linkspace.cwcomplex import CWComplex, build_complex
-    from linkspace.partitions import canonicalize, cell_vertices
-    from oracles import index_of, label_masks
+def _generic_integer_quadrilaterals(top: int):
+    """Every vector of four integer lengths in 1..top with each bar shorter
+    than the other three together and no subset at half the total."""
+    for lengths in product(range(1, top + 1), repeat=4):
+        total = sum(lengths)
+        halves = {2 * sum(part) for k in range(5) for part in combinations(lengths, k)}
+        if 2 * max(lengths) < total and total not in halves:
+            yield list(lengths)
 
-    linkage = make_linkage([2, 1, 1, 1])
-    complex_ = build_complex(linkage)
-    chord = canonicalize([{1, 2}, {3}, {4}])
-    cells = [list(cs) for cs in complex_.masks_by_dim]
-    boundary = [list(rows) for rows in complex_.boundary]
-    cells[1].append(label_masks(chord))
-    boundary[1].append(
-        tuple(sorted(index_of(complex_, v)[1] for v in cell_vertices(chord)))
-    )
-    corrupted = CWComplex(linkage, cells, boundary)
-    monkeypatch.setattr("linkspace.topology.build_complex", lambda _: corrupted)
-    with pytest.raises(NotAClosedSurface, match="not a union of circles"):
-        classify_linkage(linkage)
+
+def test_every_generic_integer_quadrilateral_is_the_circles_of_its_complex():
+    # classify reads a quadrilateral's circles from the short-subset table;
+    # the built complex must be those circles: every vertex on two edges,
+    # as many components, and the reported vertices and edges in each
+    seen = 0
+    for lengths in _generic_integer_quadrilaterals(10):
+        linkage = make_linkage(lengths)
+        complex_ = build_complex(linkage)
+        vertices, edges = len(complex_.masks_by_dim[0]), complex_.edges
+        assert Counter(v for ends in edges for v in ends) == dict.fromkeys(range(vertices), 2)
+        root = oracle_components(vertices, edges)
+        per_v, per_e = Counter(root), Counter(root[a] for a, _ in edges)
+        circles = sorted((per_v[r], per_e[r]) for r in per_v)
+        report = classify_linkage(linkage)
+        assert report.component_count == len(circles), lengths
+        assert sorted((c.vertex_count, c.edge_count) for c in report.components) == circles
+        assert report.f_vector == complex_.f_vector()
+        seen += 1
+    assert seen == 6960
 
 
 def test_hexagonal_linkage_reports_f_vector_only():
@@ -243,12 +259,9 @@ def test_genus_is_invariant_under_reordering_the_bars():
 
 
 def test_mesh_chi_matches_complex_chi(meshes):
-    from linkspace.cwcomplex import build_complex, euler_characteristic
-
     for _, linkage, mesh in meshes:
-        assert analyze(mesh).euler_characteristic == euler_characteristic(
-            build_complex(linkage)
-        )
+        chi = euler_characteristic(build_complex(linkage).f_vector())
+        assert analyze(mesh).euler_characteristic == chi
 
 
 def test_verify_guard_epsilon_too_large():
