@@ -12,9 +12,9 @@ Tests pin both byte for byte against json.dumps writers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import topology
 from .cwcomplex import (
@@ -282,8 +282,7 @@ def render_report(report: topology.TopologyReport, linkage: Linkage) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Representative:
+class Representative(NamedTuple):
     """One of the six standard pentagons with its expected classification."""
 
     spec: str

@@ -16,9 +16,9 @@ which every command runs on a pentagon's mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .cwcomplex import ArityMismatch, CWComplex, build_complex
 from .linkage import Linkage
@@ -56,8 +56,7 @@ def permutohedron() -> tuple[Point3, ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class SurfaceMesh:
+class SurfaceMesh(NamedTuple):
     """A pentagon's cell complex realized as a closed polyhedral surface.
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.

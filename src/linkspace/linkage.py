@@ -15,10 +15,9 @@ Subsets of bars are also written as int bitmasks: bar i is bit i-1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import NotAPartition
 
@@ -58,17 +57,20 @@ class EmptySubset(LinkageError):
     pass
 
 
-@dataclass(frozen=True)
-class Linkage:
+class Linkage(NamedTuple):
     """A validated polygonal linkage: positive, closed (polygon inequality)
-    and generic.  Construct via make_linkage()."""
+    and generic.  Construct via make_linkage(); repr leaves out `short`."""
 
     lengths: tuple[Fraction, ...]
     total: Fraction
     #: short[mask]: are the bars in `mask` shorter than the rest, i.e. an
     #: admissible part (the empty mask counts)?  From make_linkage's subset
-    #: sums; the lengths fix it, so it stays out of equality and repr.
-    short: tuple[bool, ...] = field(compare=False, repr=False)
+    #: sums.  The lengths fix it, so comparing it, as the tuple equality
+    #: does, changes no equality.
+    short: tuple[bool, ...]
+
+    def __repr__(self) -> str:
+        return f"Linkage(lengths={self.lengths!r}, total={self.total!r})"
 
     @property
     def n(self) -> int:

@@ -11,10 +11,9 @@ vertex <-> permutation correspondence (cut the cycle at n, drop n).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class PartitionError(ValueError):
@@ -29,18 +28,21 @@ class InvalidArity(PartitionError):
     pass
 
 
-@dataclass(frozen=True)
-class CyclicPartition:
-    """Canonical-rotation cyclic partition; build via canonicalize()."""
-
+# NamedTuple refuses a __new__ in its own body: the checking one is on a subclass
+class _Parts(NamedTuple):
     parts: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        n = _check_partition(self.parts)
-        if n not in self.parts[-1]:
-            raise NotAPartition(
-                f"not in canonical rotation: {n} must lie in the last part"
-            )
+
+class CyclicPartition(_Parts):
+    """Canonical-rotation cyclic partition; build via canonicalize()."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[frozenset[int], ...]):
+        n = _check_partition(parts)
+        if n not in parts[-1]:
+            raise NotAPartition(f"not in canonical rotation: {n} must lie in the last part")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:

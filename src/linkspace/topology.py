@@ -20,9 +20,8 @@ complex is built; both give the Euler characteristic, and they must agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
@@ -35,8 +34,7 @@ class NotAClosedSurface(RuntimeError):
     out for generic linkages."""
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     vertex_count: int
     edge_count: int
     face_count: int
@@ -45,8 +43,7 @@ class ComponentReport:
     genus: int | None
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     component_count: int
     components: tuple[ComponentReport, ...]
     f_vector: tuple[int, ...]
@@ -196,9 +193,9 @@ def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
     (M. Farber and D. Schuetz, Homology of planar polygon spaces, Geom.
     Dedicata 125, 2007): b_k = a_k + a_{n-3-k}, where a_k counts the short
     subsets of k + 1 bars that hold a longest bar."""
-    n = linkage.n
+    n, short = linkage.n, linkage.short
     bit = 1 << linkage.lengths.index(max(linkage.lengths))
-    size = Counter(m.bit_count() for m in range(1 << n) if m & bit and linkage.short[m])
+    size = Counter(m.bit_count() for m in range(1 << n) if m & bit and short[m])
     return tuple(size[k + 1] + size[n - 2 - k] for k in range(n - 2))  # a_k is size[k + 1]
 
 

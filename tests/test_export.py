@@ -3,13 +3,17 @@ import gc
 import io
 import json
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkspace
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex
 from linkspace.export import (
@@ -586,9 +590,6 @@ def test_cli_tables(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "linkspace", "classify", "1,1,1,1,3"],
         capture_output=True,
@@ -596,6 +597,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "classification: sphere" in proc.stdout
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a new isolated interpreter (`-I`: no
+    PYTHONPATH, no user site) that finds this linkspace first."""
+    src = str(Path(linkspace.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses brings in inspect, ast, dis and tokenize, about two thirds
+    # of a cold `import linkspace`; the records are NamedTuples instead
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    proc = _fresh_python(
+        "import linkspace, linkspace.cli; print(*sorted(set(sys.argv[1:]) & sys.modules.keys()))",
+        *heavy,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_linkctl_entry_exits_with_main_code():
+    # cli.entry is the function behind the installed `linkctl` script
+    run = "from linkspace.cli import entry; entry()"
+    proc = _fresh_python(run, "verify")
+    assert proc.returncode == 0
+    assert proc.stdout.count("[PASS]") == 6
+    proc = _fresh_python(run, "classify", "1e100000,1,1,1,1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_mesh_and_complex_files(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from linkspace.export import REPRESENTATIVES
+from linkspace.geometry import perform_surgery
 from linkspace.linkage import (
     EmptySubset,
     Linkage,
@@ -16,7 +18,10 @@ from linkspace.linkage import (
     is_admissible_part,
     is_admissible_partition,
     make_linkage,
+    parse_lengths,
 )
+from linkspace.partitions import canonicalize
+from linkspace.topology import classify_linkage
 
 from oracles import oracle_admissible
 
@@ -206,3 +211,42 @@ def test_linkage_is_immutable():
         l.total = Fraction(0)
     assert isinstance(l, Linkage)
 
+
+#: each record, with one of its fields
+RECORDS = {
+    "Linkage": (lambda: make_linkage([1, 1, 1, 1, 3]), "lengths"),
+    "CyclicPartition": (lambda: canonicalize([{1}, {2, 3}]), "parts"),
+    "SurfaceMesh": (lambda: perform_surgery(make_linkage([1, 1, 1, 1, 3])), "points"),
+    "ComponentReport": (
+        lambda: classify_linkage(make_linkage([1, 1, 1, 1, 3])).components[0],
+        "vertex_count",
+    ),
+    "TopologyReport": (lambda: classify_linkage(make_linkage([1, 1, 1, 1, 3])), "f_vector"),
+    "Representative": (lambda: REPRESENTATIVES[0], "spec"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_every_record_is_immutable(record):
+    make, field = RECORDS[record]
+    value = make()
+    assert type(value).__name__ == record
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+def test_linkage_repr_leaves_out_the_short_table():
+    assert repr(make_linkage([1, 1, 1, 1, 3])) == (
+        "Linkage(lengths=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), "
+        "Fraction(1, 1), Fraction(3, 1)), total=Fraction(7, 1))"
+    )
+
+
+def test_equal_lengths_give_equal_linkages():
+    # the lengths fix the short-subset table, so comparing it as a field
+    # changes no equality
+    a, b = (make_linkage(parse_lengths(s)) for s in ("1,1,1,1,1", "2/2,1,1,1,1"))
+    assert a == b and hash(a) == hash(b)
+    assert a != make_linkage(parse_lengths("1,1,1,1,3"))
