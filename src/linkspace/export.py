@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from .cwcomplex import (
     check_supported_arity,
     facet_membership_table,
 )
-from .geometry import SurfaceMesh
+from .geometry import Point3, SurfaceMesh
 from .linkage import (
     DEFAULT_EPSILON,
     Linkage,
@@ -57,6 +58,14 @@ def _fmt_coord(x: float) -> str:
     return f"{value:.6f}"
 
 
+@lru_cache(maxsize=1)
+def _vertex_lines(points: tuple[Point3, ...]) -> tuple[str, ...]:
+    """Each point as its "x y z" text.  Every pentagon mesh holds the same
+    `permutohedron()` tuple, so a process formats its 24 lines once; a mesh
+    with other points evicts them and gets its own."""
+    return tuple([" ".join([_fmt_coord(c) for c in point]) for point in points])
+
+
 def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) -> str:
     """Render the mesh as OBJ or ASCII PLY text.
 
@@ -65,12 +74,14 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     each cycle's first vertex when `triangulate` is set.  In OBJ each record
     follows a `# face` comment holding the face's label and provenance.
     Classifying the mesh first refuses one that is not a closed surface.
+    The vertex lines are formatted once per process for the points they
+    share, `geometry.permutohedron()`'s table, and kept by `_vertex_lines`.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
     report = topology.analyze(mesh)
     spec = mesh.complex.linkage.spec()
-    points = [" ".join(_fmt_coord(c) for c in point) for point in mesh.points]
+    points = _vertex_lines(mesh.points)
     rows = []  # (face index, vertex cycle) per face record
     for k, cycle in enumerate(mesh.cycles):
         if triangulate:

@@ -82,7 +82,12 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
     Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`); each
     1-cell joins the two 0-cells of its `edges` row.  For a genuine
     2-cell this graph is a single simple cycle; the walk starts at the
-    smallest index and heads toward its smaller neighbor.
+    smallest index and heads toward its smaller neighbor.  Each step
+    unpacks the current vertex's two neighbors and takes the one it did
+    not come from.  Raises NotACycle if a vertex does not have exactly two
+    neighbors, if its two neighbors are one vertex (two 1-cells on one pair
+    of 0-cells, or a 1-cell with one 0-cell twice), or if the walk closes
+    before it has met every vertex.
     """
     ends = complex_.edges
     adjacency: dict[int, list[int]] = {}
@@ -90,16 +95,22 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         u, w = ends[e]
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
-    if not adjacency or any(len(nbrs) != 2 for nbrs in adjacency.values()):
+    if {*map(len, adjacency.values())} != {2}:  # also refuses an empty boundary
         raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is not 2-regular")
-    start = min(adjacency)
-    cycle = [start, min(adjacency[start])]
+    cur = start = min(adjacency)
+    prev = max(adjacency[start])  # as if arriving from it, so heading to the smaller
+    cycle = []
     while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = next(v for v in adjacency[cur] if v != prev)
-        if nxt == start:
+        cycle.append(cur)
+        a, b = adjacency[cur]
+        if a == b:
+            raise NotACycle(
+                f"boundary graph of {complex_.labels(2)[i]} is not simple:"
+                f" both neighbors of {complex_.labels(0)[cur]} are {complex_.labels(0)[a]}"
+            )
+        prev, cur = cur, b if a == prev else a
+        if cur == start:
             break
-        cycle.append(nxt)
     if len(cycle) != len(adjacency):
         raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is disconnected")
     return cycle

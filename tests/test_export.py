@@ -21,6 +21,7 @@ from linkspace.export import (
     IoFailure,
     Representative,
     UnsupportedFormat,
+    _vertex_lines,
     complex_from_json,
     complex_to_json,
     export_mesh,
@@ -128,6 +129,29 @@ def test_export_is_deterministic(meshes):
         again = perform_surgery(linkage)
         assert export_mesh(mesh, "obj") == export_mesh(again, "obj")
         assert export_mesh(mesh, "ply") == export_mesh(again, "ply")
+
+
+def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch):
+    from linkspace import export
+
+    calls = []
+    fmt = export._fmt_coord
+    monkeypatch.setattr(export, "_fmt_coord", lambda x: calls.append(x) or fmt(x))
+    _vertex_lines.cache_clear()
+    first = export_mesh(meshes[0][2], "obj")
+    assert len(calls) == 72  # 24 points of 3 coordinates
+    export_mesh(meshes[1][2], "ply")  # another pentagon, the same permutohedron() points
+    assert export_mesh(meshes[0][2], "obj") == first
+    assert len(calls) == 72
+
+
+def test_a_mesh_with_other_points_writes_its_own(meshes):
+    mesh = meshes[0][2]
+    text = export_mesh(mesh, "obj")
+    shifted = tuple((x + 1, y - 0.5, z) for x, y, z in mesh.points)
+    vertices, _ = parse_obj(export_mesh(mesh._replace(points=shifted), "obj"))
+    assert vertices == [pytest.approx(point, abs=1e-6) for point in shifted]
+    assert export_mesh(mesh, "obj") == text
 
 
 def test_complex_json_round_trip(representatives):

@@ -201,6 +201,26 @@ def test_boundary_cycle_detects_a_corrupted_complex():
         boundary_cycle(cell, corrupted)
 
 
+@pytest.mark.parametrize("corruption", ["two 1-cells on one pair", "a 1-cell on one 0-cell"])
+def test_boundary_cycle_refuses_a_vertex_whose_two_neighbors_are_one(corruption):
+    linkage = make_linkage([1, 1, 1, 1, 3])
+    complex_ = build_complex(linkage)
+    cell = canonicalize([{1}, {2, 3, 4}, {5}])
+    i = index_of(complex_, cell)[1]
+    boundary = [list(rows) for rows in complex_.boundary]
+    e, f = boundary[2][i][:2]
+    if corruption == "two 1-cells on one pair":
+        boundary[1][f] = boundary[1][e]
+        boundary[2][i] = (e, f)  # the face is a 2-gon
+    else:
+        u = boundary[1][e][0]
+        boundary[1][e] = (u, u)
+        boundary[2][i] = (e,)  # the face is a loop
+    corrupted = CWComplex(linkage, complex_.masks_by_dim, boundary)
+    with pytest.raises(NotACycle, match="not simple"):
+        boundary_cycle(cell, corrupted)
+
+
 def test_boundary_cycle_rejects_a_label_that_is_not_a_cell():
     # {3,4,5} is long in the equilateral pentagon
     complex_ = build_complex(make_linkage([1, 1, 1, 1, 1]))
