@@ -83,7 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse before Python 3.13 parses `--epsilon=--` as []
         if args.epsilon == []:
             raise LinkageError("--epsilon has no value")
-        epsilon = DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon)
+        epsilon = (
+            DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon, "--epsilon")
+        )
         # count the bars first, so an over-long list is refused unparsed
         _check_bar_count(args.command, args.lengths.count(",") + 1)
         lengths = parse_lengths(args.lengths, epsilon)

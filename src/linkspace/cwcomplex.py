@@ -11,26 +11,30 @@ A part is admissible exactly when it is a short subset of the bars (its
 length is below half the total), so the whole complex is fixed by one table
 of the 2^n subsets (`Linkage.short`).  A cell is stored as the tuple
 of its parts' int bitmasks (bar i is bit i-1), n's part last: the canonical
-rotation.  `build_complex` walks prefixes of short parts in label-text
-order, so it builds only admissible cells, each grade already in label
-order, and takes no rational sum.  It wires each grade to the next through
-the order-preserving match between a split of a part and its merge: the
-faces holding a split (a, b) at positions p, p + 1 correspond, in index
-order, to the cofaces holding a | b at p, so incidence is wired by zipping
-index buckets.  Every command that builds a complex reads every grade, so
-`build_complex` wires them all, with the cyclic garbage collector paused
-for the walk and the wiring, as they build no cycle.  `count_cells` counts
-the cells without building one, which is all `classify` needs away from
-n = 5.  Label text is written from masks in one place, `CWComplex.labels`,
-so no command builds a CyclicPartition; `CWComplex.cells_by_dim`, a view
-for the tests and the benchmark, builds them on first read.
+rotation.  `_walk` visits prefixes of short parts in label-text order, so
+it builds only admissible cells, each grade already in label order, and
+takes no rational sum.  It wires each grade to the next through the
+order-preserving match between a split of a part and its merge: the faces
+holding a split (a, b) at positions p, p + 1 correspond, in index order, to
+the cofaces holding a | b at p, so incidence is wired by zipping index
+buckets.  Every command that builds a complex reads every grade, so every
+grade is wired, with the cyclic garbage collector paused for the walk and
+the wiring, as they build no cycle.  A pentagon's complex is not walked:
+as in the paper's surgery on the 4-permutohedron, `build_complex` cuts it
+from one wired table per process, the 134 cells of the walk with every
+proper subset short, keeping the cells whose every part is short.
+`count_cells` counts the cells without building one, which is all
+`classify` needs away from n = 5.  Label text is written from masks in one
+place, `CWComplex.labels`, so no command builds a CyclicPartition;
+`CWComplex.cells_by_dim`, a view for the tests and the benchmark, builds
+them on first read.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
 from .linkage import Linkage, mask_elements
@@ -108,29 +112,52 @@ def build_complex(linkage: Linkage) -> CWComplex:
     """Enumerate all admissible cyclic partitions of {1..n} grade by grade
     and wire up refinement incidence.  Supported for 4 <= n <= 8.
 
-    Parts are int bitmasks checked against the linkage's short-subset table.
-    The cells come from one walk over prefixes of parts, taken level by
-    level: each step appends one short part of the bars below n not yet
-    used, trying the candidates in label-text order, and a prefix whose
-    remaining bars plus n form a short part ends a cell with that part last
-    (the canonical rotation).  Shortness passes to subsets, so every prefix
+    Away from n = 5 the cells come from `_walk` on the linkage's short-subset
+    table.  A pentagon's complex is cut from one table per process,
+    `_pentagon_table`: grade by grade it keeps the cells whose every part is
+    short, and renumbers their boundary rows through the kept indices of the
+    grade below.  That is the surgery on the 4-permutohedron: its facets and
+    edges with {5} appended, and the diagonal faces and edges, are the cells
+    of the table.  Every face of an admissible cell is admissible, so the
+    renumbering is monotone, and masks, label order and ascending rows come
+    out as the walk gives them.  The result holds masks only, and no label
+    is built.
+    """
+    n = linkage.n
+    check_supported_arity(n)
+    if n == 5:
+        layers, boundary = _restrict(linkage.short)
+    else:
+        layers, boundary = _walk(n, linkage.short)
+    # Every full cyclic order is admissible (singleton parts are admissible by
+    # the polygon inequality).
+    assert len(layers[0]) == factorial(n - 1)
+    return CWComplex(linkage, layers, boundary)
+
+
+def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
+    """Every grade of the complex on n bars whose admissible parts are the
+    masks m with short[m], as (cells by dimension, boundary rows).
+
+    Parts are int bitmasks checked against the short-subset table.  The
+    cells come from one walk over prefixes of parts, taken level by level:
+    each step appends one short part of the bars below n not yet used,
+    trying the candidates in label-text order, and a prefix whose remaining
+    bars plus n form a short part ends a cell with that part last (the
+    canonical rotation).  Shortness passes to subsets, so every prefix
     extends to a cell, and the walk builds exactly the admissible cells.  No
     part text is a prefix of another, so label order is the order of the
     parts' texts, position by position: the walk keeps each level in that
     order, and every grade comes out sorted without a sort.
 
-    The result holds masks only, and no label is built.  Each grade is wired
-    to the one below by zipping index buckets (see `_wire`), and no tuple is
-    built or looked up per incidence.  The walk and the wiring allocate
-    hundreds of thousands of tuples, lists and dicts that hold only ints and
-    each other, and build no reference cycle, so they run with the cyclic
-    collector paused: a collection during them would find no garbage and
-    only rescan the cells made so far.  The caller's setting comes back on
-    return, even by an exception.
+    Each grade is wired to the one below by zipping index buckets (see
+    `_wire`), and no tuple is built or looked up per incidence.  The walk
+    and the wiring allocate hundreds of thousands of tuples, lists and dicts
+    that hold only ints and each other, and build no reference cycle, so
+    they run with the cyclic collector paused: a collection during them
+    would find no garbage and only rescan the cells made so far.  The
+    caller's setting comes back on return, even by an exception.
     """
-    n = linkage.n
-    check_supported_arity(n)
-    short = linkage.short
     top = 1 << (n - 1)
     parts = sorted(filter(short.__getitem__, range(1, top)), key=mask_texts(n).__getitem__)
     # the short parts of each set of unused bars below n, in text order
@@ -150,15 +177,45 @@ def build_complex(linkage: Linkage) -> CWComplex:
                     [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
                 )
         layers.reverse()  # m parts -> dimension n - m
-        # Every full cyclic order is admissible (singleton parts are admissible by
-        # the polygon inequality).
-        assert len(layers[0]) == factorial(n - 1)
         boundary = [((),) * len(layers[0])]
         boundary += [_wire(n, short, *pair) for pair in zip(layers, layers[1:])]
-        return CWComplex(linkage, layers, boundary)
+        return layers, boundary
     finally:
         if enabled:
             gc.enable()
+
+
+@cache
+def _pentagon_table() -> tuple[tuple[tuple[Masks, ...], ...], tuple, tuple[tuple[int, ...], ...]]:
+    """Every cyclic partition of {1..5} into 3 to 5 parts, wired, with f =
+    (24, 60, 50): the walk with every proper subset short, built once per
+    process.  Its 0-, 1- and 2-cells are the 4-permutohedron's 24 vertices,
+    36 edges and 14 facets (n's part {5}), plus 24 diagonal edges and 36
+    diagonal faces.  The third entry gives each cell the set of its parts,
+    as an int with bit m set for part m, so that a cell is admissible iff
+    that set meets no long part.  Every pentagon reads the table, so it is
+    all tuples.  A build that raises is not cached."""
+    layers, boundary = _walk(5, (True,) * 31 + (False,))
+    part_sets = [[sum([1 << m for m in cell]) for cell in layer] for layer in layers]
+    return tuple(map(tuple, layers)), tuple(map(tuple, boundary)), tuple(map(tuple, part_sets))
+
+
+def _restrict(short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
+    """The pentagon table's cells whose every part is short, with their
+    boundary rows renumbered into the kept cells of the grade below."""
+    layers, boundary, part_sets = _pentagon_table()
+    long = sum([1 << m for m, s in enumerate(short) if not s])
+    kept_layers, kept_boundary = [], []
+    index = None  # table index -> kept index in the grade below, if any was dropped
+    for cells, rows, sets in zip(layers, boundary, part_sets):
+        kept = [i for i, s in enumerate(sets) if not s & long]
+        kept_layers.append([cells[i] for i in kept])
+        if index is None:
+            kept_boundary.append([rows[i] for i in kept])
+        else:
+            kept_boundary.append([tuple([index[f] for f in rows[i]]) for i in kept])
+        index = None if len(kept) == len(cells) else {i: k for k, i in enumerate(kept)}
+    return kept_layers, kept_boundary
 
 
 def count_cells(linkage: Linkage) -> tuple[int, ...]:

@@ -5,7 +5,9 @@ A pentagon's complex is realized in three steps: place the vertices on the
 4-permutohedron (cut each cyclic order at 5), keep the permutohedron facets
 whose label with {5} appended is admissible, and patch in a "diagonal" face
 for every admissible 2-cell whose part containing 5 is not a singleton.
-Only vertex placement lives here, as one cached table of the 24 vertices
+The last two steps are done by `build_complex`, which cuts a pentagon's complex
+from one table of the permutohedron's faces and all the diagonals.  Only
+vertex placement lives here, as one cached table of the 24 vertices
 projected to R^3 (`permutohedron`); the face lattice, a second route for
 the tests, is in the tests' oracles.  The mesh is read off the complex's
 incidence lists and part masks, and an error names a cell by its label.
@@ -135,8 +137,11 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
-    """Realize the cell complex of a pentagon as an embedded polyhedral
+    """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
+    Its faces may cross in R^3: the exact check of ROADMAP item 7 finds 1,
+    6 and 16 crossing face pairs in the genus-2, -3 and -4 models, so the
+    surface is not claimed to be embedded.
     Raises NotACycle if a 2-cell's boundary is not one simple cycle; an edge
     not on two faces is left to `topology.classify_surface`."""
     if linkage.n != 5:

@@ -188,18 +188,19 @@ MAX_TOKEN = 500
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
-def parse_rational(token: str) -> Fraction:
+def parse_rational(token: str, name: str = "length") -> Fraction:
     """Parse an optionally signed 'int', 'int/int' or decimal ('0.25', '.5',
-    '5.') of at most MAX_TOKEN characters, else raise LinkageError."""
+    '5.') of at most MAX_TOKEN characters, else raise LinkageError, whose
+    message calls the token `name`."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
-        raise LinkageError(f"length {token[:20]!r}... is over {MAX_TOKEN} characters")
+        raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
     if not _RATIONAL.fullmatch(token):
-        raise LinkageError(f"cannot parse length {token!r}: not an integer, fraction or decimal")
+        raise LinkageError(f"cannot parse {name} {token!r}: not an integer, fraction or decimal")
     try:
         return Fraction(token)
     except ZeroDivisionError as exc:
-        raise LinkageError(f"cannot parse length {token!r}: {exc}") from None
+        raise LinkageError(f"cannot parse {name} {token!r}: {exc}") from None
 
 
 def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:

@@ -45,7 +45,7 @@ from oracles import (
     reference_complex_to_json,
     rotation_class,
 )
-from test_golden import GOLDEN
+from test_golden import GOLDEN, pentagon_chambers
 
 EXPECTED_F_VECTORS = {
     "1,1,1,1,3": (24, 36, 14),
@@ -258,6 +258,26 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
                 assert set(cell_vertices(cell)) <= vertex_labels
 
 
+def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
+    layers, boundary, _ = cwcomplex._pentagon_table()
+    assert [len(cells) for cells in layers] == [len(rows) for rows in boundary] == [24, 60, 50]
+    texts = mask_texts(5)
+    faces = ["".join(texts[m] for m in cell) for cell in layers[2]]
+    assert sorted(faces) == sorted([*STEP2_ROWS, *(row for pair in STEP3_ROWS for row in pair)])
+    # a 1-cell whose part holding 5 is {5} alone is a permutohedron edge
+    five = 1 << 4
+    assert sum(cell[-1] == five for cell in layers[1]) == 36
+    assert sum(cell[-1] != five for cell in layers[1]) == 24
+
+
+def test_a_pentagon_complex_is_the_walk_on_its_own_short_table(representatives):
+    # the table's restriction against the walk over each chamber's own table
+    linkages = [linkage for _, linkage in representatives] + list(pentagon_chambers())
+    for linkage in linkages:
+        walked = CWComplex(linkage, *cwcomplex._walk(5, linkage.short))
+        assert build_complex(linkage) == walked, linkage.spec()
+
+
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference = reference_build_complex(linkage)
@@ -460,8 +480,14 @@ def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
 
 
 def test_pentagon_mesh_wires_both_grades(wirings, capsys):
+    # the first pentagon wires the table's two grades above the vertices;
+    # every later pentagon is cut from the table and wires nothing
+    cwcomplex._pentagon_table.cache_clear()
     assert main(["mesh", "1,1,1,1,1"]) == 0
-    assert len(wirings) == 2
+    assert wirings == [60, 50]
+    for argv in (["mesh", "2,2,1,1,3"], ["classify", "1,1,1,eps,2"], ["complex", "2,1,1,1,2"]):
+        assert main(argv) == 0
+    assert wirings == [60, 50]
 
 
 def test_loading_a_document_wires_each_grade_once(wirings):
@@ -517,11 +543,15 @@ def test_the_collector_comes_back_on_when_wiring_raises(monkeypatch, collector):
         raise RuntimeError("wiring failed")
 
     monkeypatch.setattr(cwcomplex, "_wire", broken)
+    # a pentagon reaches `_wire` only through the table's build, and a
+    # build that raised leaves no table behind for the next call
+    cwcomplex._pentagon_table.cache_clear()
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(RuntimeError, match="wiring failed"):
             build_complex(make_linkage([1, 1, 1, 1, 1]))
         assert gc.isenabled() is enabled
+        assert cwcomplex._pentagon_table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("first", ["edges", "boundary"])

@@ -528,6 +528,19 @@ def test_cli_invalid_input_exit_code(capsys):
     assert "internal invariant" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option", [["--epsilon", "1e5"], ["--epsilon="], ["--epsilon", "1/0"]], ids=" ".join
+)
+def test_an_unparsable_epsilon_is_named_in_the_error(capsys, option):
+    # it was once blamed on a length: "cannot parse length '1e5'"
+    assert main(["classify", "1,1,eps,eps,1", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse --epsilon ")
+    assert "length" not in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 # pieces of length tokens: digits, the syntax characters, eps, an exponent
 # past the 4,300-digit str limit, and digit runs below and above the
 # 500-character token limit

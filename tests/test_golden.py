@@ -5,12 +5,15 @@ an earlier, label-based surgery (each face's arcs re-derived from
 refinements of its label).  The `classify` and `complex` digests for n = 4,
 6 and 7 were taken at commit a4e3730, the last builder that wired every
 grade of the complex on every build, before `classify` at n != 5 came to
-wire only the 1-skeleton, and later at n >= 6 to build no complex.  Any
-change to the surgery, the complex or the writers that moves a byte fails
-here.
+wire only the 1-skeleton, and later at n >= 6 to build no complex.  The
+pentagon `complex` digests were taken at commit aa1c9f1, while a pentagon's
+complex was still walked and wired on its own, before it was cut from one
+table.  Any change to the surgery, the complex or the writers that moves a
+byte fails here.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 from itertools import product
@@ -18,7 +21,7 @@ from itertools import product
 import pytest
 
 from linkspace.cli import main
-from linkspace.export import export_mesh
+from linkspace.export import complex_from_json, complex_to_json, export_mesh
 from linkspace.geometry import perform_surgery
 from linkspace.linkage import LinkageError, make_linkage
 
@@ -47,6 +50,7 @@ GOLDEN = [
     (['mesh', '1,1,1,1,1', '--format', 'ply'], '148b06e5d727deaac20779162fa2bbee7181dcc131bcc579610dbac8ee74edb9'),
     (['mesh', '1,1,1,1,1', '--triangulate'], '338de7fa14d95e5babaa07b7f26ad7ee9ce74308b4aca8541a9cceb6d042c25e'),
     (['classify', '1,1,1,1,1', '--format', 'json'], '982e0654292489db4190b72dc1b0d1439e2275331f394369c34b06fb95f537d3'),
+    (['complex', '1,1,1,1,1'], 'f0d04cc8085432ccf6e6963c6b16bb4c1bc42b0075a0ad83923941206dbbe8c2'),
     (['classify', '3,5,7,2,9,4,1', '--format', 'json'], '9e0a34c8cd9422cfdee92d0c28313bc95b44694e3235cea0bcc29e7118fcf68b'),
     (['classify', '3,5,7,2,9,4,1'], '6217b5702eb4ef84fc3e067db178c3b6be36a98f2e777cf13f6ff2407d17b8ce'),
     (['complex', '3,5,7,2,9,4,1'], 'b27845e892daa019b674d950e22b089254d40e86b5ce4a9caaf3a04f27b796ba'),
@@ -59,12 +63,35 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_cli_output_is_byte_identical(argv, digest):
+def _stdout(argv):
+    """What `linkctl argv` writes, checking that it exits 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_cli_output_is_byte_identical(argv, digest):
+    assert hashlib.sha256(_stdout(argv).encode()).hexdigest() == digest
+
+
+@functools.cache
+def pentagon_chambers():
+    """One pentagon per labelled chamber, all 76 of them.
+
+    A chamber is fixed by which subsets are short; integer lengths 1-5 meet
+    all 76 labelled chambers of generic pentagons (1-9 add none), and the
+    first met stands for its chamber."""
+    chambers = {}
+    for lengths in product(range(1, 6), repeat=5):
+        try:
+            linkage = make_linkage(lengths)
+        except LinkageError:
+            continue
+        chambers.setdefault(linkage.short, linkage)
+    assert len(chambers) == 76
+    return tuple(chambers.values())
 
 
 #: One sha256 over the OBJ, PLY and triangulated OBJ of one pentagon per
@@ -74,20 +101,23 @@ CHAMBERS_DIGEST = "742ea244672164e0c359555da6460a09c496a82d8cba943f38e6223c8dfbf
 
 
 def test_mesh_output_of_every_pentagon_chamber_is_byte_identical():
-    # a chamber is fixed by which subsets are short; integer lengths 1-5
-    # meet all 76 labelled chambers of generic pentagons (1-9 add none), and
-    # the first met stands for its chamber
-    chambers = {}
-    for lengths in product(range(1, 6), repeat=5):
-        try:
-            linkage = make_linkage(lengths)
-        except LinkageError:
-            continue
-        chambers.setdefault(linkage.short, linkage)
-    assert len(chambers) == 76
     digest = hashlib.sha256()
-    for linkage in chambers.values():
+    for linkage in pentagon_chambers():
         mesh = perform_surgery(linkage)
         for fmt, triangulate in (("obj", False), ("ply", False), ("obj", True)):
             digest.update(export_mesh(mesh, fmt, triangulate).encode())
     assert digest.hexdigest() == CHAMBERS_DIGEST
+
+
+#: One sha256 over `linkctl complex` of one pentagon per labelled chamber,
+#: taken at commit aa1c9f1, like the pentagon `complex` digest in GOLDEN.
+CHAMBERS_COMPLEX_DIGEST = "0da0fcf14244aac02af40128ed189f8b3977fdd4cd151b3d4da4f0185bceb048"
+
+
+def test_complex_output_of_every_pentagon_chamber_is_byte_identical():
+    digest = hashlib.sha256()
+    for linkage in pentagon_chambers():
+        text = _stdout(["complex", linkage.spec()])
+        assert complex_to_json(complex_from_json(text)) == text, linkage.spec()
+        digest.update(text.encode())
+    assert digest.hexdigest() == CHAMBERS_COMPLEX_DIGEST
