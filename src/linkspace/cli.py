@@ -86,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         epsilon = (
             DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon, "--epsilon")
         )
+        if epsilon <= 0:  # else make_linkage would blame the first eps length
+            raise LinkageError(f"--epsilon is {epsilon}; it must be > 0")
         # count the bars first, so an over-long list is refused unparsed
         _check_bar_count(args.command, args.lengths.count(",") + 1)
         lengths = parse_lengths(args.lengths, epsilon)

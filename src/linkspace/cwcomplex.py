@@ -19,23 +19,26 @@ holding a split (a, b) at positions p, p + 1 correspond, in index order, to
 the cofaces holding a | b at p, so incidence is wired by zipping index
 buckets.  Every command that builds a complex reads every grade, so every
 grade is wired, with the cyclic garbage collector paused for the walk and
-the wiring, as they build no cycle.  A pentagon's complex is not walked:
-as in the paper's surgery on the 4-permutohedron, `build_complex` cuts it
-from one wired table per process, the 134 cells of the walk with every
-proper subset short, keeping the cells whose every part is short.
-`count_cells` counts the cells without building one, which is all
-`classify` needs away from n = 5.  Label text is written from masks in one
-place, `CWComplex.labels`, so no command builds a CyclicPartition;
-`CWComplex.cells_by_dim`, a view for the tests and the benchmark, builds
-them on first read.
+the wiring, as they build no cycle.  For n <= 7 no linkage's complex is
+walked: `build_complex` cuts it from one wired table per n and process,
+every cyclic partition of {1..n} into at least 3 parts (the walk with every
+proper subset short), keeping the cells whose every part is short.  At
+n = 5 that is the paper's surgery on the 4-permutohedron; n = 8 is walked,
+as its table would hold about 94k cells.  `count_cells` counts the cells
+without building one, which is all `classify` needs away from n = 5.  Label
+text is written from masks in one place, `CWComplex.labels`, so no command
+builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
+and the benchmark, builds them on first read.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from itertools import accumulate, compress
 from math import factorial
+from operator import and_, itemgetter
 
 from .linkage import Linkage, mask_elements
 from .partitions import CyclicPartition, mask_texts
@@ -112,21 +115,22 @@ def build_complex(linkage: Linkage) -> CWComplex:
     """Enumerate all admissible cyclic partitions of {1..n} grade by grade
     and wire up refinement incidence.  Supported for 4 <= n <= 8.
 
-    Away from n = 5 the cells come from `_walk` on the linkage's short-subset
-    table.  A pentagon's complex is cut from one table per process,
-    `_pentagon_table`: grade by grade it keeps the cells whose every part is
-    short, and renumbers their boundary rows through the kept indices of the
-    grade below.  That is the surgery on the 4-permutohedron: its facets and
-    edges with {5} appended, and the diagonal faces and edges, are the cells
-    of the table.  Every face of an admissible cell is admissible, so the
-    renumbering is monotone, and masks, label order and ascending rows come
-    out as the walk gives them.  The result holds masks only, and no label
-    is built.
+    For n <= 7 the complex is cut from one table per n and process,
+    `_table(n)`, every cyclic partition of {1..n} into at least 3 parts:
+    grade by grade it keeps the cells whose every part is short, and
+    renumbers their boundary rows through the kept indices of the grade
+    below.  For a pentagon that is the surgery on the 4-permutohedron: its
+    facets and edges with {5} appended, and the diagonal faces and edges,
+    are the cells of the table.  Every face of an admissible cell is
+    admissible, so the renumbering is monotone, and masks, label order and
+    ascending rows come out as `_walk` gives them from the linkage's own
+    short-subset table, which builds the complex at n = 8.  The result
+    holds masks only, and no label is built.
     """
     n = linkage.n
     check_supported_arity(n)
-    if n == 5:
-        layers, boundary = _restrict(linkage.short)
+    if n <= 7:
+        layers, boundary = _restrict(n, linkage.short)
     else:
         layers, boundary = _walk(n, linkage.short)
     # Every full cyclic order is admissible (singleton parts are admissible by
@@ -186,35 +190,43 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
 
 
 @cache
-def _pentagon_table() -> tuple[tuple[tuple[Masks, ...], ...], tuple, tuple[tuple[int, ...], ...]]:
-    """Every cyclic partition of {1..5} into 3 to 5 parts, wired, with f =
-    (24, 60, 50): the walk with every proper subset short, built once per
-    process.  Its 0-, 1- and 2-cells are the 4-permutohedron's 24 vertices,
-    36 edges and 14 facets (n's part {5}), plus 24 diagonal edges and 36
-    diagonal faces.  The third entry gives each cell the set of its parts,
-    as an int with bit m set for part m, so that a cell is admissible iff
-    that set meets no long part.  Every pentagon reads the table, so it is
-    all tuples.  A build that raises is not cached."""
-    layers, boundary = _walk(5, (True,) * 31 + (False,))
-    part_sets = [[sum([1 << m for m in cell]) for cell in layer] for layer in layers]
-    return tuple(map(tuple, layers)), tuple(map(tuple, boundary)), tuple(map(tuple, part_sets))
+def _table(n: int) -> tuple[tuple[tuple[Masks, ...], ...], tuple, tuple[tuple[bytes, ...], ...]]:
+    """Every cyclic partition of {1..n} into at least 3 parts, wired: the walk
+    with every proper subset short, built once per process for each n <= 7.
+    Its f-vectors are (6, 12), (24, 60, 50), (120, 360, 390, 180) and (720,
+    2520, 3360, 2100, 602) for n = 4..7: S(n, m) * (m - 1)! cells with m
+    parts.  At n = 5 its 0-, 1- and 2-cells are the 4-permutohedron's 24
+    vertices, 36 edges and 14 facets (n's part {5}), plus 24 diagonal edges
+    and 36 diagonal faces.  The third entry holds each grade's parts by
+    position, one byte per cell (a mask on n <= 7 bars is below 2^7), so the
+    cut reads them with `bytes.translate`.  Every build at n reads the table,
+    so it is all tuples.  A build that raises is not cached."""
+    layers, boundary = _walk(n, (True,) * ((1 << n) - 1) + (False,))
+    columns = [tuple(map(bytes, zip(*layer))) for layer in layers]
+    return tuple(map(tuple, layers)), tuple(boundary), tuple(columns)
 
 
-def _restrict(short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
-    """The pentagon table's cells whose every part is short, with their
+def _restrict(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
+    """The cells of `_table(n)` whose every part is short, with their
     boundary rows renumbered into the kept cells of the grade below."""
-    layers, boundary, part_sets = _pentagon_table()
-    long = sum([1 << m for m, s in enumerate(short) if not s])
+    layers, boundary, columns = _table(n)
+    is_short = bytes(short).ljust(256, b"\0")  # mask -> 1 if short, else 0
     kept_layers, kept_boundary = [], []
     index = None  # table index -> kept index in the grade below, if any was dropped
-    for cells, rows, sets in zip(layers, boundary, part_sets):
-        kept = [i for i, s in enumerate(sets) if not s & long]
-        kept_layers.append([cells[i] for i in kept])
+    for cells, rows, parts in zip(layers, boundary, columns):
+        # one byte per cell, 1 iff every part is short: the columns' flags,
+        # read as big ints and AND-ed
+        flags = reduce(
+            and_, [int.from_bytes(column.translate(is_short), "big") for column in parts]
+        ).to_bytes(len(cells), "big")
+        kept_layers.append(list(compress(cells, flags)))
+        kept_rows = compress(rows, flags)
         if index is None:
-            kept_boundary.append([rows[i] for i in kept])
-        else:
-            kept_boundary.append([tuple([index[f] for f in rows[i]]) for i in kept])
-        index = None if len(kept) == len(cells) else {i: k for k, i in enumerate(kept)}
+            kept_boundary.append(list(kept_rows))
+        else:  # a row lists at least two faces, so itemgetter gives a tuple
+            kept_boundary.append([itemgetter(*row)(index) for row in kept_rows])
+        # a kept cell's new index is the number of kept cells before it
+        index = None if len(kept_layers[-1]) == len(cells) else list(accumulate(flags, initial=0))
     return kept_layers, kept_boundary
 
 

@@ -7,6 +7,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -259,7 +260,7 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
 
 
 def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
-    layers, boundary, _ = cwcomplex._pentagon_table()
+    layers, boundary, _ = cwcomplex._table(5)
     assert [len(cells) for cells in layers] == [len(rows) for rows in boundary] == [24, 60, 50]
     texts = mask_texts(5)
     faces = ["".join(texts[m] for m in cell) for cell in layers[2]]
@@ -276,6 +277,65 @@ def test_a_pentagon_complex_is_the_walk_on_its_own_short_table(representatives):
     for linkage in linkages:
         walked = CWComplex(linkage, *cwcomplex._walk(5, linkage.short))
         assert build_complex(linkage) == walked, linkage.spec()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 7).flatmap(
+        lambda n: st.lists(st.integers(min_value=1, max_value=12), min_size=n, max_size=n)
+    )
+)
+def test_the_cut_is_the_walk_and_has_the_counted_cells_and_betti_sum(lengths):
+    # every complex for n <= 7 is cut from its table: against the walk over
+    # the linkage's own short table, the f-vector against count_cells' DP,
+    # and the Euler characteristic against the Farber-Schuetz Betti numbers
+    assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
+    linkage = make_linkage(lengths)
+    complex_ = build_complex(linkage)
+    assert complex_ == CWComplex(linkage, *cwcomplex._walk(linkage.n, linkage.short))
+    f = complex_.f_vector()
+    assert f == cwcomplex.count_cells(linkage)
+    betti = topology.betti_numbers(linkage)
+    assert sum((-1) ** d * c for d, c in enumerate(f)) == sum(
+        (-1) ** k * b for k, b in enumerate(betti)
+    )
+
+
+def _stirling2(n, m):
+    """The number of partitions of n elements into m nonempty sets."""
+    if n == m:
+        return 1
+    if m == 0 or m > n:
+        return 0
+    return m * _stirling2(n - 1, m) + _stirling2(n - 1, m - 1)
+
+
+@pytest.mark.parametrize(
+    "n, f",
+    [
+        (4, (6, 12)),
+        (5, (24, 60, 50)),
+        (6, (120, 360, 390, 180)),
+        (7, (720, 2520, 3360, 2100, 602)),
+    ],
+)
+def test_a_table_holds_every_cyclic_partition_into_at_least_3_parts(n, f):
+    # m parts: S(n, m) set partitions, each in (m - 1)! cyclic orders
+    layers, boundary, columns = cwcomplex._table(n)
+    assert tuple(len(cells) for cells in layers) == f
+    assert f == tuple(_stirling2(n, m) * factorial(m - 1) for m in range(n, 2, -1))
+    assert [len(rows) for rows in boundary] == list(f)
+    for cells, parts in zip(layers, columns):
+        assert [bytes(column) for column in zip(*cells)] == list(parts)
+
+
+def test_an_octagon_is_walked_and_leaves_the_tables_alone():
+    cwcomplex._table(7)
+    before = cwcomplex._table.cache_info()
+    linkage = make_linkage([1, 1, 1, 1, 1, 1, 1, 6])
+    complex_ = build_complex(linkage)
+    assert cwcomplex._table.cache_info() == before
+    assert complex_.f_vector() == cwcomplex.count_cells(linkage)
 
 
 def _assert_matches_reference(linkage):
@@ -469,20 +529,22 @@ def test_a_miscount_exits_3_without_a_traceback(monkeypatch, capsys):
 
 
 def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
+    # the first n = 7 build wires the table's n - 3 grades above the
+    # vertices; every later one is cut from the table and wires nothing
+    cwcomplex._table.cache_clear()
     complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
-    assert wirings == [2400, 2880, 1440, 242]  # the n - 3 grades above the vertices
+    assert wirings == [2520, 3360, 2100, 602]
     assert complex_.edges is complex_.boundary[1]
     complex_to_json(complex_)
-    assert len(wirings) == 4  # reads and the writer wire nothing more
-    wirings.clear()
+    build_complex(make_linkage([1, 1, 1, 1, 1, 1, 5]))
     assert main(["complex", "3,5,7,2,9,4,1"]) == 0
-    assert len(wirings) == 4
+    assert wirings == [2520, 3360, 2100, 602]  # reads, the writer and later builds wire nothing
 
 
 def test_pentagon_mesh_wires_both_grades(wirings, capsys):
     # the first pentagon wires the table's two grades above the vertices;
     # every later pentagon is cut from the table and wires nothing
-    cwcomplex._pentagon_table.cache_clear()
+    cwcomplex._table.cache_clear()
     assert main(["mesh", "1,1,1,1,1"]) == 0
     assert wirings == [60, 50]
     for argv in (["mesh", "2,2,1,1,3"], ["classify", "1,1,1,eps,2"], ["complex", "2,1,1,1,2"]):
@@ -491,13 +553,16 @@ def test_pentagon_mesh_wires_both_grades(wirings, capsys):
 
 
 def test_loading_a_document_wires_each_grade_once(wirings):
+    # the loader builds the complex of its lengths to compare it; once the
+    # table exists, that build is a cut and wires nothing
     text = complex_to_json(build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1])))
     wirings.clear()
     loaded = complex_from_json(text)
-    assert len(wirings) == 4  # every grade above the vertices, to compare it
+    assert wirings == []
     assert loaded.edges is loaded.boundary[1]
+    assert loaded == build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
     assert complex_to_json(loaded) == text
-    assert len(wirings) == 4
+    assert wirings == []
 
 
 @pytest.fixture
@@ -532,6 +597,8 @@ def test_building_and_wiring_pause_the_collector_and_keep_its_setting(
         return wire(*args)
 
     monkeypatch.setattr(cwcomplex, "_wire", recorded)
+    # an n = 7 build reaches `_wire` through the table's build
+    cwcomplex._table.cache_clear()
     (gc.enable if enabled else gc.disable)()
     build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
     assert gc.isenabled() is enabled
@@ -543,15 +610,16 @@ def test_the_collector_comes_back_on_when_wiring_raises(monkeypatch, collector):
         raise RuntimeError("wiring failed")
 
     monkeypatch.setattr(cwcomplex, "_wire", broken)
-    # a pentagon reaches `_wire` only through the table's build, and a
-    # build that raised leaves no table behind for the next call
-    cwcomplex._pentagon_table.cache_clear()
-    for enabled in (True, False):
-        (gc.enable if enabled else gc.disable)()
-        with pytest.raises(RuntimeError, match="wiring failed"):
-            build_complex(make_linkage([1, 1, 1, 1, 1]))
-        assert gc.isenabled() is enabled
-        assert cwcomplex._pentagon_table.cache_info().currsize == 0
+    # n <= 7 reaches `_wire` only through the table's build, and a build
+    # that raised leaves no table behind for the next call
+    cwcomplex._table.cache_clear()
+    for lengths in ([1, 1, 1, 1, 1], [3, 5, 7, 2, 9, 4, 1]):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(RuntimeError, match="wiring failed"):
+                build_complex(make_linkage(lengths))
+            assert gc.isenabled() is enabled
+            assert cwcomplex._table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("first", ["edges", "boundary"])

@@ -541,6 +541,20 @@ def test_an_unparsable_epsilon_is_named_in_the_error(capsys, option):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "option", [["--epsilon", "0"], ["--epsilon=-1"], ["--epsilon", "0/5"]], ids=" ".join
+)
+def test_a_nonpositive_epsilon_is_named_in_the_error(capsys, option):
+    # it was once blamed on a length: "length 3 is 0; all lengths must be > 0"
+    assert main(["classify", "1,1,eps,eps,1", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --epsilon is ")
+    assert captured.err.endswith("; it must be > 0\n")
+    assert "length" not in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 # pieces of length tokens: digits, the syntax characters, eps, an exponent
 # past the 4,300-digit str limit, and digit runs below and above the
 # 500-character token limit
