@@ -26,9 +26,11 @@ proper subset short), keeping the cells whose every part is short.  At
 n = 5 that is the paper's surgery on the 4-permutohedron; n = 8 is walked,
 as its table would hold about 94k cells.  `count_cells` counts the cells
 without building one, which is all `classify` needs away from n = 5.  Label
-text is written from masks in one place, `CWComplex.labels`, so no command
-builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests
-and the benchmark, builds them on first read.
+text is written in one place, the walk, one string concatenation per
+prefix beside its masks; the table keeps it as a column, and a cut keeps
+the kept cells' text as it keeps their masks.  So no command builds a
+CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests and the
+benchmark, builds them on first read.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from functools import cache, cached_property, reduce
 from itertools import accumulate, compress
 from math import factorial
 from operator import and_, itemgetter
+from typing import Sequence
 
 from .linkage import Linkage, mask_elements
 from .partitions import CyclicPartition, mask_texts
@@ -61,9 +64,10 @@ class CWComplex:
     """Graded admissible cells with refinement incidence, a plain record.
 
     masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
-    bit i-1, n's part last), sorted by label string; `labels(d)` writes their
-    text.  boundary[d][i] holds the ascending indices (into masks_by_dim[d-1])
-    of cell i's codimension-1 faces, with an empty row for each vertex, and
+    bit i-1, n's part last), sorted by label string, and labels_by_dim[d]
+    their label text, which `labels(d)` reads; the builder writes both.
+    boundary[d][i] holds the ascending indices (into masks_by_dim[d-1]) of
+    cell i's codimension-1 faces, with an empty row for each vertex, and
     `edges` is boundary[1], the 1-skeleton.  The cells never change.
     cells_by_dim, the same cells as CyclicPartition labels, is built on first
     read through the checking constructor; no command reads it, so it serves
@@ -73,11 +77,13 @@ class CWComplex:
     def __init__(
         self,
         linkage: Linkage,
-        masks_by_dim: list[list[Masks]],
-        boundary: list[list[tuple[int, ...]]],
+        masks_by_dim: Sequence[Sequence[Masks]],
+        labels_by_dim: Sequence[Sequence[str]],
+        boundary: Sequence[Sequence[tuple[int, ...]]],
     ):
         self.linkage = linkage
         self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
+        self.labels_by_dim = tuple(tuple(ls) for ls in labels_by_dim)
         self.boundary = tuple(tuple(bs) for bs in boundary)
         self.edges = self.boundary[1]
 
@@ -90,10 +96,9 @@ class CWComplex:
             for layer in self.masks_by_dim
         )
 
-    def labels(self, d: int) -> list[str]:
-        """Grade d's cells as label text, written from their part masks."""
-        texts = mask_texts(self.linkage.n)
-        return ["".join([texts[p] for p in parts]) for parts in self.masks_by_dim[d]]
+    def labels(self, d: int) -> tuple[str, ...]:
+        """Grade d's cells as label text, in index order."""
+        return self.labels_by_dim[d]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(cs) for cs in self.masks_by_dim)
@@ -104,6 +109,7 @@ class CWComplex:
         return (
             self.linkage.lengths == other.linkage.lengths
             and self.masks_by_dim == other.masks_by_dim
+            and self.labels_by_dim == other.labels_by_dim
             and self.boundary == other.boundary
         )
 
@@ -124,24 +130,25 @@ def build_complex(linkage: Linkage) -> CWComplex:
     are the cells of the table.  Every face of an admissible cell is
     admissible, so the renumbering is monotone, and masks, label order and
     ascending rows come out as `_walk` gives them from the linkage's own
-    short-subset table, which builds the complex at n = 8.  The result
-    holds masks only, and no label is built.
+    short-subset table, which builds the complex at n = 8.  Label text is
+    cut with the masks; no CyclicPartition is built.
     """
     n = linkage.n
     check_supported_arity(n)
     if n <= 7:
-        layers, boundary = _restrict(n, linkage.short)
+        layers, labels, boundary = _restrict(n, linkage.short)
     else:
-        layers, boundary = _walk(n, linkage.short)
+        layers, labels, boundary = _walk(n, linkage.short)
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(layers[0]) == factorial(n - 1)
-    return CWComplex(linkage, layers, boundary)
+    return CWComplex(linkage, layers, labels, boundary)
 
 
-def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
+def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list[list[str]], list]:
     """Every grade of the complex on n bars whose admissible parts are the
-    masks m with short[m], as (cells by dimension, boundary rows).
+    masks m with short[m], as (cells by dimension, their label text,
+    boundary rows).
 
     Parts are int bitmasks checked against the short-subset table.  The
     cells come from one walk over prefixes of parts, taken level by level:
@@ -152,7 +159,9 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
     extends to a cell, and the walk builds exactly the admissible cells.  No
     part text is a prefix of another, so label order is the order of the
     parts' texts, position by position: the walk keeps each level in that
-    order, and every grade comes out sorted without a sort.
+    order, and every grade comes out sorted without a sort.  Each prefix
+    gets its label text beside its masks, one concatenation of its last
+    part's text to its parent's, and a cell one more for n's part.
 
     Each grade is wired to the one below by zipping index buckets (see
     `_wire`), and no tuple is built or looked up per incidence.  The walk
@@ -163,7 +172,8 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
     caller's setting comes back on return, even by an exception.
     """
     top = 1 << (n - 1)
-    parts = sorted(filter(short.__getitem__, range(1, top)), key=mask_texts(n).__getitem__)
+    texts = mask_texts(n)
+    parts = sorted(filter(short.__getitem__, range(1, top)), key=texts.__getitem__)
     # the short parts of each set of unused bars below n, in text order
     fits = [[m for m in parts if m & unused == m] for unused in range(top)]
 
@@ -171,63 +181,80 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
     gc.disable()
     try:
         layers: list[list[Masks]] = []  # by part count, 3 parts first
+        labels: list[list[str]] = []
         prefixes: list[Masks] = [()]
+        words = [""]  # each prefix's label text
         unused = [top - 1]
         for k in range(1, n):
             prefixes = [pre + (m,) for pre, u in zip(prefixes, unused) for m in fits[u]]
+            words = [w + texts[m] for w, u in zip(words, unused) for m in fits[u]]
             unused = [u ^ m for u in unused for m in fits[u]]
             if k >= 2:  # two-part cells never occur: both parts short breaks genericity
                 layers.append(
                     [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
                 )
+                labels.append([w + texts[u | top] for w, u in zip(words, unused) if short[u | top]])
         layers.reverse()  # m parts -> dimension n - m
+        labels.reverse()
         boundary = [((),) * len(layers[0])]
         boundary += [_wire(n, short, *pair) for pair in zip(layers, layers[1:])]
-        return layers, boundary
+        return layers, labels, boundary
     finally:
         if enabled:
             gc.enable()
 
 
 @cache
-def _table(n: int) -> tuple[tuple[tuple[Masks, ...], ...], tuple, tuple[tuple[bytes, ...], ...]]:
+def _table(
+    n: int,
+) -> tuple[
+    tuple[tuple[Masks, ...], ...], tuple[tuple[str, ...], ...], tuple, tuple[tuple[bytes, ...], ...]
+]:
     """Every cyclic partition of {1..n} into at least 3 parts, wired: the walk
     with every proper subset short, built once per process for each n <= 7.
     Its f-vectors are (6, 12), (24, 60, 50), (120, 360, 390, 180) and (720,
     2520, 3360, 2100, 602) for n = 4..7: S(n, m) * (m - 1)! cells with m
     parts.  At n = 5 its 0-, 1- and 2-cells are the 4-permutohedron's 24
     vertices, 36 edges and 14 facets (n's part {5}), plus 24 diagonal edges
-    and 36 diagonal faces.  The third entry holds each grade's parts by
-    position, one byte per cell (a mask on n <= 7 bars is below 2^7), so the
-    cut reads them with `bytes.translate`.  Every build at n reads the table,
-    so it is all tuples.  A build that raises is not cached."""
-    layers, boundary = _walk(n, (True,) * ((1 << n) - 1) + (False,))
+    and 36 diagonal faces.  The second entry is the cells' label text, as
+    the walk writes it (about 0.6 MB at n = 7).  The last holds each grade's
+    parts by position, one byte per cell (a mask on n <= 7 bars is below
+    2^7), so the cut reads them with `bytes.translate`.  Every build at n
+    reads the table, so it is all tuples.  A build that raises is not
+    cached."""
+    layers, labels, boundary = _walk(n, (True,) * ((1 << n) - 1) + (False,))
     columns = [tuple(map(bytes, zip(*layer))) for layer in layers]
-    return tuple(map(tuple, layers)), tuple(boundary), tuple(columns)
+    return tuple(map(tuple, layers)), tuple(map(tuple, labels)), tuple(boundary), tuple(columns)
 
 
-def _restrict(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list]:
-    """The cells of `_table(n)` whose every part is short, with their
-    boundary rows renumbered into the kept cells of the grade below."""
-    layers, boundary, columns = _table(n)
+def _restrict(
+    n: int, short: tuple[bool, ...]
+) -> tuple[list[tuple[Masks, ...]], list[tuple[str, ...]], list]:
+    """The cells of `_table(n)` whose every part is short, with their label
+    text, and their boundary rows renumbered into the kept cells of the
+    grade below.  Masks, text and rows are cut by one flag per cell, each
+    grade's column in one C-level `compress` pass, into tuples that the
+    record keeps without a copy."""
+    layers, labels, boundary, columns = _table(n)
     is_short = bytes(short).ljust(256, b"\0")  # mask -> 1 if short, else 0
-    kept_layers, kept_boundary = [], []
+    kept_layers, kept_labels, kept_boundary = [], [], []
     index = None  # table index -> kept index in the grade below, if any was dropped
-    for cells, rows, parts in zip(layers, boundary, columns):
+    for cells, words, rows, parts in zip(layers, labels, boundary, columns):
         # one byte per cell, 1 iff every part is short: the columns' flags,
         # read as big ints and AND-ed
         flags = reduce(
             and_, [int.from_bytes(column.translate(is_short), "big") for column in parts]
         ).to_bytes(len(cells), "big")
-        kept_layers.append(list(compress(cells, flags)))
+        kept_layers.append(tuple(compress(cells, flags)))
+        kept_labels.append(tuple(compress(words, flags)))
         kept_rows = compress(rows, flags)
         if index is None:
-            kept_boundary.append(list(kept_rows))
+            kept_boundary.append(tuple(kept_rows))
         else:  # a row lists at least two faces, so itemgetter gives a tuple
-            kept_boundary.append([itemgetter(*row)(index) for row in kept_rows])
+            kept_boundary.append(tuple([itemgetter(*row)(index) for row in kept_rows]))
         # a kept cell's new index is the number of kept cells before it
         index = None if len(kept_layers[-1]) == len(cells) else list(accumulate(flags, initial=0))
-    return kept_layers, kept_boundary
+    return kept_layers, kept_labels, kept_boundary
 
 
 def count_cells(linkage: Linkage) -> tuple[int, ...]:

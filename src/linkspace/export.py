@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import topology
@@ -140,40 +141,48 @@ def complex_to_json(complex_: CWComplex) -> str:
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
-    of its faces.  Labels are written from the cells' part masks
-    (`CWComplex.labels`), so no CyclicPartition is built.  The rest is
-    joined at C level: the flat indices of the grade below are turned into
-    text once, each boundary row is one `str.join` of those texts, and each
-    record one `str.join` of its five pieces, so no Python code runs per
-    face, and per cell only the label's.  A test pins the bytes against a
-    json.dumps writer.
+    of its faces.  Labels are the complex's own text (`CWComplex.labels`),
+    so no CyclicPartition is built.  The rest is joined at C level: the flat
+    indices of the grade below are turned into text once, each boundary
+    row's texts are read by one `itemgetter` call and joined, and each
+    record is one `str.join` of its five pieces, so no Python code runs per
+    face.  Each grade's records are joined into one string as they are
+    written, and the document from those strings by one last join: at its
+    peak the writer holds the grades' strings and the document, and no list
+    of every record.  Tests pin the bytes against a json.dumps writer and
+    bound the peak.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
     join_faces = ",\n        ".join
-    records: list[str] = []
+    lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
+    pieces = [
+        f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
+        + _json_array(lengths, "  ")
+        + ',\n  "cells": ['
+    ]
     numbers: list[str] = []  # the grade below's flat indices, as text
     offset = 0
-    for d, layer in enumerate(complex_.masks_by_dim):
+    for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
         head = f'    {{\n      "dim": {d},\n      "label": "'
-        rows = complex_.boundary[d] if d else ((),) * len(layer)
         # a row's truth picks its record's brackets: no faces, []
         has_faces = list(map(bool, rows))
         opens = map(_OPEN_FACES.__getitem__, has_faces)
         closes = map(_CLOSE_FACES.__getitem__, has_faces)
-        faces = map(join_faces, map(map, repeat(numbers.__getitem__), rows))
-        records += map("".join, zip(repeat(head), complex_.labels(d), opens, faces, closes))
-        numbers = list(map(str, range(offset, offset + len(layer))))
-        offset += len(layer)
-    lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
-    return (
-        f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
-        + _json_array(lengths, "  ")
-        + ',\n  "cells": '
-        + _json_array(records, "  ")
-        + "\n}\n"
-    )
+        # a built complex's rows above dim 0 list at least two faces, for
+        # which itemgetter gives a tuple
+        faces = [
+            join_faces(itemgetter(*row)(numbers) if len(row) > 1 else [numbers[i] for i in row])
+            for row in rows
+        ]
+        records = map("".join, zip(repeat(head), labels, opens, faces, closes))
+        if labels:  # a grade's records follow the "[" or the grade before
+            pieces += (",\n" if len(pieces) > 1 else "\n", ",\n".join(records))
+        numbers = list(map(str, range(offset, offset + len(labels))))
+        offset += len(labels)
+    pieces.append("\n  ]\n}\n" if len(pieces) > 1 else "]\n}\n")
+    return "".join(pieces)
 
 
 def complex_from_json(text: str) -> CWComplex:
@@ -233,7 +242,7 @@ def complex_from_json(text: str) -> CWComplex:
         end = start + len(layer)
         want = [
             [d] * len(layer),
-            complex_.labels(d),
+            list(complex_.labels(d)),
             [[below + j for j in row] for row in rows],
         ]
         got = [column[start:end] for column in found]
@@ -254,7 +263,8 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     """The report as a schema-1 JSON document in json.dumps(indent=2)'s
     layout, written directly as `complex_to_json` is: the indenting encoder
     leaves a cycle of closures on every call.  A test pins the bytes."""
-    # n >= 6 reports no per-component detail, even for a connected space
+    # n >= 6 reports no per-component detail, even for a connected space, but
+    # every n reports the component count
     single = report.components[0] if len(report.components) == 1 else None
     value = json.dumps  # a scalar's text; the one-line encoder leaves no cycle
     components = [
@@ -266,6 +276,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
         "schema": "1",
         "lengths": _json_array([f'    "{l}"' for l in linkage.lengths], "  "),
         "f_vector": _json_array([f"    {c}" for c in report.f_vector], "  "),
+        "component_count": value(report.component_count),
         "components": _json_array(components, "  "),
         "chi": value(report.euler_characteristic),
         "orientable": value(single.orientable if single else None),

@@ -153,7 +153,9 @@ def reference_build_complex(linkage) -> CWComplex:
     """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
     per grade, filtering them with rational sums and wiring incidence through
     labelled one-step refinements.  The cells are stored as masks, as the
-    package stores them; `cells_by_dim` holds the enumerated labels."""
+    package stores them, and their label text is the enumerated labels'
+    own, so comparing labels with the package's checks its label column;
+    `cells_by_dim` holds the enumerated labels."""
     n = linkage.n
     check_supported_arity(n)
     cells_by_dim = []
@@ -176,7 +178,8 @@ def reference_build_complex(linkage) -> CWComplex:
             ]
         )
     masks = [[label_masks(label) for label in labels] for labels in cells_by_dim]
-    complex_ = CWComplex(linkage, masks, boundary)
+    texts = [[str(label) for label in labels] for labels in cells_by_dim]
+    complex_ = CWComplex(linkage, masks, texts, boundary)
     # the reference's labels are the ones enumerated here, not the package's
     # view of its masks, so comparing labels with it checks that view
     complex_.__dict__["cells_by_dim"] = tuple(map(tuple, cells_by_dim))
@@ -220,6 +223,7 @@ def reference_report_to_json(report, linkage) -> str:
         "schema": 1,
         "lengths": [str(l) for l in linkage.lengths],
         "f_vector": list(report.f_vector),
+        "component_count": report.component_count,
         "components": [
             {
                 "chi": c.euler_characteristic,

@@ -175,12 +175,34 @@ def test_cell_ordering_is_deterministic(representatives):
 
 
 def test_labels_are_the_text_of_the_cells(representatives):
-    # the one label writer, from masks, against the checking constructor's labels
+    # the label column, written by the walk and cut with the masks, against
+    # the checking constructor's labels of the masks
     linkages = [linkage for _, linkage in representatives] + [make_linkage([1, 2, 3, 4, 5, 6])]
     for linkage in linkages:
         complex_ = build_complex(linkage)
         for d, cells in enumerate(complex_.cells_by_dim):
-            assert complex_.labels(d) == [str(c) for c in cells]
+            assert complex_.labels(d) == tuple(str(c) for c in cells)
+
+
+def _joined_texts(n, layers):
+    """Each cell's label as the join of its part masks' texts: the label
+    writer the label column replaced, kept as its second route."""
+    texts = mask_texts(n)
+    return [["".join([texts[p] for p in parts]) for parts in layer] for layer in layers]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_table_label_is_the_text_of_its_masks(n):
+    layers, labels, _, _ = cwcomplex._table(n)
+    assert list(map(list, labels)) == _joined_texts(n, layers)
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1, 1, 1, 1, 6], [5, 9, 3, 12, 7, 1, 4, 2]])
+def test_every_walked_octagon_label_is_the_text_of_its_masks(lengths):
+    # n = 8 has no table: its labels come from the walk alone
+    complex_ = build_complex(make_linkage(lengths))
+    labels = list(map(list, complex_.labels_by_dim))
+    assert labels == _joined_texts(8, complex_.masks_by_dim)
 
 
 def test_supported_arity_range():
@@ -260,11 +282,13 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
 
 
 def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
-    layers, boundary, _ = cwcomplex._table(5)
+    layers, labels, boundary, _ = cwcomplex._table(5)
     assert [len(cells) for cells in layers] == [len(rows) for rows in boundary] == [24, 60, 50]
+    assert [len(words) for words in labels] == [24, 60, 50]
     texts = mask_texts(5)
     faces = ["".join(texts[m] for m in cell) for cell in layers[2]]
     assert sorted(faces) == sorted([*STEP2_ROWS, *(row for pair in STEP3_ROWS for row in pair)])
+    assert list(labels[2]) == faces
     # a 1-cell whose part holding 5 is {5} alone is a permutohedron edge
     five = 1 << 4
     assert sum(cell[-1] == five for cell in layers[1]) == 36
@@ -321,10 +345,11 @@ def _stirling2(n, m):
 )
 def test_a_table_holds_every_cyclic_partition_into_at_least_3_parts(n, f):
     # m parts: S(n, m) set partitions, each in (m - 1)! cyclic orders
-    layers, boundary, columns = cwcomplex._table(n)
+    layers, labels, boundary, columns = cwcomplex._table(n)
     assert tuple(len(cells) for cells in layers) == f
     assert f == tuple(_stirling2(n, m) * factorial(m - 1) for m in range(n, 2, -1))
     assert [len(rows) for rows in boundary] == list(f)
+    assert [len(words) for words in labels] == list(f)
     for cells, parts in zip(layers, columns):
         assert [bytes(column) for column in zip(*cells)] == list(parts)
 
@@ -342,6 +367,7 @@ def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference = reference_build_complex(linkage)
     assert complex_.masks_by_dim == reference.masks_by_dim
+    assert complex_.labels_by_dim == reference.labels_by_dim
     assert complex_.cells_by_dim == reference.cells_by_dim
     assert complex_.boundary == reference.boundary
     # the builder's labels skip the constructor's check; the checking route
@@ -442,7 +468,7 @@ def test_no_labels_refuses_the_label_layer(no_labels):
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_every_golden_command_builds_no_label(no_labels, argv, digest):
     # `tables` reads its row texts as masks and the short-subset table;
-    # `verify`, the meshes and the documents read masks alone
+    # `verify`, the meshes and the documents read masks and the walk's label text
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -450,7 +476,7 @@ def test_every_golden_command_builds_no_label(no_labels, argv, digest):
 
 
 def test_heptagon_classify_and_complex_build_no_label(no_labels, capsys):
-    # counts, incidence, export and load read the cells' masks alone
+    # counts, incidence, export and load read the cells' masks and label text
     spec = "3,5,7,2,9,4,1"
     assert main(["classify", spec, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["f_vector"] == [720, 2400, 2880, 1440, 242]
@@ -461,8 +487,8 @@ def test_heptagon_classify_and_complex_build_no_label(no_labels, capsys):
 
 @pytest.mark.parametrize("spec", list(EXPECTED_F_VECTORS))
 def test_pentagon_classify_and_mesh_build_no_label(no_labels, capsys, spec):
-    # the surgery, its classification and the mesh writers read masks and
-    # indices alone
+    # the surgery, its classification and the mesh writers read masks, the
+    # walk's label text and indices
     assert main(["classify", spec, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["f_vector"] == list(EXPECTED_F_VECTORS[spec])
     faces = EXPECTED_F_VECTORS[spec][2]
@@ -689,11 +715,37 @@ def test_an_edited_document_loads_only_as_the_complex_of_its_lengths(spec, data)
 
 def test_json_writes_an_empty_face_list_above_dim_0():
     linkage = make_linkage([1, 1, 1, 1, 1])
-    vertices = build_complex(linkage).masks_by_dim[0]
-    edge = label_masks(canonicalize([{1, 2}, {3}, {4}, {5}]))
-    complex_ = CWComplex(linkage, [vertices, [edge]], [[()] * len(vertices), [()]])
+    built = build_complex(linkage)
+    vertices = built.masks_by_dim[0]
+    edge = canonicalize([{1, 2}, {3}, {4}, {5}])
+    complex_ = CWComplex(
+        linkage,
+        [vertices, [label_masks(edge)]],
+        [built.labels(0), [str(edge)]],
+        [[()] * len(vertices), [()]],
+    )
     text = complex_to_json(complex_)
     assert text == reference_complex_to_json(complex_)
     assert text.endswith(
         '      "label": "{1,2}{3}{4}{5}",\n      "boundary": []\n    }\n  ]\n}\n'
     )
+
+
+def test_json_writes_rows_of_one_face_and_empty_grades():
+    # no built complex has either, but the writer is json.dumps's layout for
+    # any record: a row of one face, and a grade with no cells
+    linkage = make_linkage([1, 1, 1, 1, 1])
+    built = build_complex(linkage)
+    parts = ([{1, 2}, {3}, {4}, {5}], [{1}, {2}, {3, 4}, {5}])
+    edges = [label_masks(canonicalize(p)) for p in parts]
+    complex_ = CWComplex(
+        linkage,
+        [built.masks_by_dim[0], edges, []],
+        [built.labels(0), ["{1,2}{3}{4}{5}", "{1}{2}{3,4}{5}"], []],
+        [built.boundary[0], [(7,), (3, 11)], []],
+    )
+    text = complex_to_json(complex_)
+    assert text == reference_complex_to_json(complex_)
+    assert '"boundary": [\n        7\n      ]' in text
+    empty = CWComplex(linkage, [[], []], [[], []], [[], []])
+    assert complex_to_json(empty) == reference_complex_to_json(empty)

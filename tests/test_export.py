@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,12 @@ from linkspace.export import (
 from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage, parse_lengths
 from linkspace.topology import classify_linkage
 
-from oracles import is_watertight, parse_obj, reference_report_to_json
+from oracles import (
+    is_watertight,
+    oracle_component_count,
+    parse_obj,
+    reference_report_to_json,
+)
 
 
 def test_parse_lengths_forms():
@@ -164,6 +170,22 @@ def test_complex_json_round_trip(representatives):
         assert [c["dim"] for c in doc["cells"]] == sorted(
             c["dim"] for c in doc["cells"]
         )
+
+
+def test_complex_json_writer_holds_about_two_copies_of_the_document():
+    # the grades' texts and the document, with no list of every record and
+    # no second copy of the cells' text beside them
+    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = complex_to_json(complex_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
 
 
 def _pentagon_document():
@@ -410,7 +432,31 @@ def test_report_json_schema(representatives):
     assert doc["chi"] == 2
     assert doc["orientable"] is True
     assert doc["genus"] == 0
+    assert doc["component_count"] == 1
     assert doc["components"] == [{"chi": 2, "orientable": True, "genus": 0}]
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ("2,1,1,1", 1),
+        ("2,2,2,1", 2),
+        ("1,1,eps,eps,1", 2),
+        ("1,1,1,1,1", 1),
+        ("1,1,1,4,4,4", 2),
+        ("3,5,7,2,9,4,1", 1),
+    ],
+)
+def test_classify_json_gives_the_component_count_at_every_n(spec, count, capsys):
+    # the count from the JSON report, against the text report's and a
+    # union-find over the built complex's edges
+    linkage = make_linkage(parse_lengths(spec))
+    complex_ = build_complex(linkage)
+    assert oracle_component_count(complex_.f_vector()[0], complex_.edges) == count
+    assert main(["classify", spec, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["component_count"] == count
+    assert main(["classify", spec]) == 0
+    assert f"\ncomponents: {count}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -601,6 +647,7 @@ def test_cli_classify_json_of_a_connected_heptagon(capsys):
     assert main(["classify", "1,1,1,1,1,1,1", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["components"] == []
+    assert doc["component_count"] == 1
     assert doc["orientable"] is None and doc["genus"] is None
     assert doc["f_vector"][0] == 720
 
