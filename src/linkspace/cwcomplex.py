@@ -9,11 +9,13 @@ run from 0 (full cyclic orders) to n-3 (three-part labels).
 
 A part is admissible exactly when it is a short subset of the bars (its
 length is below half the total), so the whole complex is fixed by one table
-of the 2^n subsets (`Linkage.short`).  A cell is stored as the tuple
-of its parts' int bitmasks (bar i is bit i-1), n's part last: the canonical
-rotation.  `_walk` visits prefixes of short parts in label-text order, so
-it builds only admissible cells, each grade already in label order, and
-takes no rational sum.  It wires each grade to the next through the
+of the 2^n subsets (`Linkage.short`).  A built cell is stored once, as its
+label text.  Inside the build a part is an int bitmask (bar i is bit i-1),
+and a grade's parts are held as one `bytes` column per position, n's part
+last: the canonical rotation.  `_walk` visits prefixes of short parts in
+label-text order, so it builds only admissible cells, each grade already in
+label order, and takes no rational sum; it writes each prefix's label text
+with one string concatenation.  It wires each grade to the next through the
 order-preserving match between a split of a part and its merge: the faces
 holding a split (a, b) at positions p, p + 1 correspond, in index order, to
 the cofaces holding a | b at p, so incidence is wired by zipping index
@@ -25,12 +27,9 @@ every cyclic partition of {1..n} into at least 3 parts (the walk with every
 proper subset short), keeping the cells whose every part is short.  At
 n = 5 that is the paper's surgery on the 4-permutohedron; n = 8 is walked,
 as its table would hold about 94k cells.  `count_cells` counts the cells
-without building one, which is all `classify` needs away from n = 5.  Label
-text is written in one place, the walk, one string concatenation per
-prefix beside its masks; the table keeps it as a column, and a cut keeps
-the kept cells' text as it keeps their masks.  So no command builds a
-CyclicPartition; `CWComplex.cells_by_dim`, a view for the tests and the
-benchmark, builds them on first read.
+without building one, which is all `classify` needs away from n = 5.  No
+command builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the
+tests and the benchmark, parses the labels on first read.
 """
 
 from __future__ import annotations
@@ -43,11 +42,12 @@ from math import factorial
 from operator import and_, itemgetter
 from typing import Sequence
 
-from .linkage import Linkage, mask_elements
-from .partitions import CyclicPartition, mask_texts
+from .linkage import Linkage
+from .partitions import CyclicPartition, mask_texts, parse_partition
 
-#: A cell as the bitmasks of its parts, in canonical rotation.
-Masks = tuple[int, ...]
+#: A grade's parts by position: column p holds each cell's p-th part mask,
+#: one byte per cell (a mask on n <= 8 bars is below 2^8).
+Columns = tuple[bytes, ...]
 
 
 class ArityMismatch(ValueError):
@@ -63,52 +63,38 @@ def check_supported_arity(n: int) -> None:
 class CWComplex:
     """Graded admissible cells with refinement incidence, a plain record.
 
-    masks_by_dim[d] lists the d-cells as tuples of part bitmasks (bar i is
-    bit i-1, n's part last), sorted by label string, and labels_by_dim[d]
-    their label text, which `labels(d)` reads; the builder writes both.
-    boundary[d][i] holds the ascending indices (into masks_by_dim[d-1]) of
-    cell i's codimension-1 faces, with an empty row for each vertex, and
-    `edges` is boundary[1], the 1-skeleton.  The cells never change.
-    cells_by_dim, the same cells as CyclicPartition labels, is built on first
-    read through the checking constructor; no command reads it, so it serves
-    only the tests and the benchmark.
+    labels_by_dim[d] lists the d-cells as label text, e.g. '{1,3}{2}{4,5}'
+    (n's part last), sorted.  boundary[d][i] holds the ascending indices
+    (into labels_by_dim[d-1]) of cell i's codimension-1 faces, with an empty
+    row for each vertex, and `edges` is boundary[1], the 1-skeleton.  The
+    cells never change.  cells_by_dim, the same cells as CyclicPartition
+    labels, is parsed from the text on first read; no command reads it, so
+    it serves only the tests and the benchmark.
     """
 
     def __init__(
         self,
         linkage: Linkage,
-        masks_by_dim: Sequence[Sequence[Masks]],
         labels_by_dim: Sequence[Sequence[str]],
         boundary: Sequence[Sequence[tuple[int, ...]]],
     ):
         self.linkage = linkage
-        self.masks_by_dim = tuple(tuple(cs) for cs in masks_by_dim)
         self.labels_by_dim = tuple(tuple(ls) for ls in labels_by_dim)
         self.boundary = tuple(tuple(bs) for bs in boundary)
         self.edges = self.boundary[1]
 
     @cached_property
     def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
-        # one frozenset per mask on n bars, shared by every label holding it
-        part_set = [frozenset(mask_elements(m)) for m in range(1 << self.linkage.n)]
-        return tuple(
-            tuple(CyclicPartition(tuple([part_set[p] for p in parts])) for parts in layer)
-            for layer in self.masks_by_dim
-        )
-
-    def labels(self, d: int) -> tuple[str, ...]:
-        """Grade d's cells as label text, in index order."""
-        return self.labels_by_dim[d]
+        return tuple(tuple(map(parse_partition, labels)) for labels in self.labels_by_dim)
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(cs) for cs in self.masks_by_dim)
+        return tuple(map(len, self.labels_by_dim))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CWComplex):
             return NotImplemented
         return (
             self.linkage.lengths == other.linkage.lengths
-            and self.masks_by_dim == other.masks_by_dim
             and self.labels_by_dim == other.labels_by_dim
             and self.boundary == other.boundary
         )
@@ -128,27 +114,27 @@ def build_complex(linkage: Linkage) -> CWComplex:
     below.  For a pentagon that is the surgery on the 4-permutohedron: its
     facets and edges with {5} appended, and the diagonal faces and edges,
     are the cells of the table.  Every face of an admissible cell is
-    admissible, so the renumbering is monotone, and masks, label order and
+    admissible, so the renumbering is monotone, and label order and
     ascending rows come out as `_walk` gives them from the linkage's own
-    short-subset table, which builds the complex at n = 8.  Label text is
-    cut with the masks; no CyclicPartition is built.
+    short-subset table, which builds the complex at n = 8 (its part
+    columns are dropped on return).
     """
     n = linkage.n
     check_supported_arity(n)
     if n <= 7:
-        layers, labels, boundary = _restrict(n, linkage.short)
+        labels, boundary = _restrict(n, linkage.short)
     else:
-        layers, labels, boundary = _walk(n, linkage.short)
+        labels, boundary, _ = _walk(n, linkage.short)
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
-    assert len(layers[0]) == factorial(n - 1)
-    return CWComplex(linkage, layers, labels, boundary)
+    assert len(labels[0]) == factorial(n - 1)
+    return CWComplex(linkage, labels, boundary)
 
 
-def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list[list[str]], list]:
+def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[str]], list, list[Columns]]:
     """Every grade of the complex on n bars whose admissible parts are the
-    masks m with short[m], as (cells by dimension, their label text,
-    boundary rows).
+    masks m with short[m], as (label text by dimension, boundary rows, part
+    columns).
 
     Parts are int bitmasks checked against the short-subset table.  The
     cells come from one walk over prefixes of parts, taken level by level:
@@ -160,8 +146,9 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list[list
     part text is a prefix of another, so label order is the order of the
     parts' texts, position by position: the walk keeps each level in that
     order, and every grade comes out sorted without a sort.  Each prefix
-    gets its label text beside its masks, one concatenation of its last
-    part's text to its parent's, and a cell one more for n's part.
+    gets its label text, one concatenation of its last part's text to its
+    parent's, and a cell one more for n's part.  Each grade's cells are
+    transposed once into part columns, so no cell is kept as a tuple.
 
     Each grade is wired to the one below by zipping index buckets (see
     `_wire`), and no tuple is built or looked up per incidence.  The walk
@@ -180,9 +167,9 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list[list
     enabled = gc.isenabled()
     gc.disable()
     try:
-        layers: list[list[Masks]] = []  # by part count, 3 parts first
-        labels: list[list[str]] = []
-        prefixes: list[Masks] = [()]
+        labels: list[list[str]] = []  # by part count, 3 parts first
+        columns: list[Columns] = []
+        prefixes: list[tuple[int, ...]] = [()]
         words = [""]  # each prefix's label text
         unused = [top - 1]
         for k in range(1, n):
@@ -190,62 +177,53 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[Masks]], list[list
             words = [w + texts[m] for w, u in zip(words, unused) for m in fits[u]]
             unused = [u ^ m for u in unused for m in fits[u]]
             if k >= 2:  # two-part cells never occur: both parts short breaks genericity
-                layers.append(
-                    [pre + (u | top,) for pre, u in zip(prefixes, unused) if short[u | top]]
-                )
-                labels.append([w + texts[u | top] for w, u in zip(words, unused) if short[u | top]])
-        layers.reverse()  # m parts -> dimension n - m
-        labels.reverse()
-        boundary = [((),) * len(layers[0])]
-        boundary += [_wire(n, short, *pair) for pair in zip(layers, layers[1:])]
-        return layers, labels, boundary
+                ends = [u | top for u in unused]  # n's part, last
+                keep = list(map(short.__getitem__, ends))
+                labels.append([w + texts[z] for w, z in compress(zip(words, ends), keep)])
+                heads = map(bytes, zip(*compress(prefixes, keep)))
+                columns.append((*heads, bytes(compress(ends, keep))))
+        labels.reverse()  # m parts -> dimension n - m
+        columns.reverse()
+        boundary = [((),) * len(labels[0])]
+        boundary += [_wire(n, short, *pair) for pair in zip(columns, columns[1:])]
+        return labels, boundary, columns
     finally:
         if enabled:
             gc.enable()
 
 
 @cache
-def _table(
-    n: int,
-) -> tuple[
-    tuple[tuple[Masks, ...], ...], tuple[tuple[str, ...], ...], tuple, tuple[tuple[bytes, ...], ...]
-]:
+def _table(n: int) -> tuple[tuple[tuple[str, ...], ...], tuple, tuple[Columns, ...]]:
     """Every cyclic partition of {1..n} into at least 3 parts, wired: the walk
     with every proper subset short, built once per process for each n <= 7.
     Its f-vectors are (6, 12), (24, 60, 50), (120, 360, 390, 180) and (720,
     2520, 3360, 2100, 602) for n = 4..7: S(n, m) * (m - 1)! cells with m
     parts.  At n = 5 its 0-, 1- and 2-cells are the 4-permutohedron's 24
     vertices, 36 edges and 14 facets (n's part {5}), plus 24 diagonal edges
-    and 36 diagonal faces.  The second entry is the cells' label text, as
-    the walk writes it (about 0.6 MB at n = 7).  The last holds each grade's
-    parts by position, one byte per cell (a mask on n <= 7 bars is below
-    2^7), so the cut reads them with `bytes.translate`.  Every build at n
-    reads the table, so it is all tuples.  A build that raises is not
-    cached."""
-    layers, labels, boundary = _walk(n, (True,) * ((1 << n) - 1) + (False,))
-    columns = [tuple(map(bytes, zip(*layer))) for layer in layers]
-    return tuple(map(tuple, layers)), tuple(map(tuple, labels)), tuple(boundary), tuple(columns)
+    and 36 diagonal faces.  It holds the cells' label text (about 0.6 MB at
+    n = 7), their boundary rows and each grade's part columns, which the
+    cut reads with `bytes.translate`.  Every build at n reads the table, so
+    it is all tuples.  A build that raises is not cached."""
+    labels, boundary, columns = _walk(n, (True,) * ((1 << n) - 1) + (False,))
+    return tuple(map(tuple, labels)), tuple(boundary), tuple(columns)
 
 
-def _restrict(
-    n: int, short: tuple[bool, ...]
-) -> tuple[list[tuple[Masks, ...]], list[tuple[str, ...]], list]:
-    """The cells of `_table(n)` whose every part is short, with their label
-    text, and their boundary rows renumbered into the kept cells of the
-    grade below.  Masks, text and rows are cut by one flag per cell, each
-    grade's column in one C-level `compress` pass, into tuples that the
-    record keeps without a copy."""
-    layers, labels, boundary, columns = _table(n)
+def _restrict(n: int, short: tuple[bool, ...]) -> tuple[list[tuple[str, ...]], list]:
+    """The label text of the cells of `_table(n)` whose every part is short,
+    and their boundary rows renumbered into the kept cells of the grade
+    below.  Text and rows are cut by one flag per cell, each grade's column
+    in one C-level `compress` pass, into tuples that the record keeps
+    without a copy."""
+    labels, boundary, columns = _table(n)
     is_short = bytes(short).ljust(256, b"\0")  # mask -> 1 if short, else 0
-    kept_layers, kept_labels, kept_boundary = [], [], []
+    kept_labels, kept_boundary = [], []
     index = None  # table index -> kept index in the grade below, if any was dropped
-    for cells, words, rows, parts in zip(layers, labels, boundary, columns):
+    for words, rows, parts in zip(labels, boundary, columns):
         # one byte per cell, 1 iff every part is short: the columns' flags,
         # read as big ints and AND-ed
         flags = reduce(
             and_, [int.from_bytes(column.translate(is_short), "big") for column in parts]
-        ).to_bytes(len(cells), "big")
-        kept_layers.append(tuple(compress(cells, flags)))
+        ).to_bytes(len(words), "big")
         kept_labels.append(tuple(compress(words, flags)))
         kept_rows = compress(rows, flags)
         if index is None:
@@ -253,8 +231,8 @@ def _restrict(
         else:  # a row lists at least two faces, so itemgetter gives a tuple
             kept_boundary.append(tuple([itemgetter(*row)(index) for row in kept_rows]))
         # a kept cell's new index is the number of kept cells before it
-        index = None if len(kept_layers[-1]) == len(cells) else list(accumulate(flags, initial=0))
-    return kept_layers, kept_labels, kept_boundary
+        index = None if len(kept_labels[-1]) == len(words) else list(accumulate(flags, initial=0))
+    return kept_labels, kept_boundary
 
 
 def count_cells(linkage: Linkage) -> tuple[int, ...]:
@@ -285,9 +263,10 @@ def count_cells(linkage: Linkage) -> tuple[int, ...]:
 
 
 def _wire(
-    n: int, short: tuple[bool, ...], faces: list[Masks], cofaces: list[Masks]
+    n: int, short: tuple[bool, ...], faces: Columns, cofaces: Columns
 ) -> tuple[tuple[int, ...], ...]:
-    """The boundary rows of `cofaces` (m parts each) in `faces` (m + 1 parts).
+    """The boundary rows of the cofaces (m parts each) in the faces (m + 1
+    parts), both given as part columns.
 
     A coface holding the short part z at position p has, for each ordered
     split (a, b) of z, the face holding a, b at p, p + 1 and its other parts
@@ -302,17 +281,16 @@ def _wire(
     """
     low = (1 << n) - 1
     # one int object per cell, shared by every bucket and row that lists it
-    face_ids, coface_ids = list(range(len(faces))), list(range(len(cofaces)))
+    face_ids, coface_ids = list(range(len(faces[0]))), list(range(len(cofaces[0])))
     holding = []  # per position: the cofaces holding each part there
-    for column in zip(*cofaces):
+    for column in cofaces:
         by_part = defaultdict(list)
         for c, z in zip(coface_ids, column):
             by_part[z].append(c)
         holding.append(by_part)
-    columns = list(zip(*faces))
-    merges = list(zip(holding, columns, columns[1:]))
-    merges.append((holding[-1], columns[0], columns[-1]))
-    rows: list[list[int]] = [[] for _ in cofaces]
+    merges = list(zip(holding, faces, faces[1:]))
+    merges.append((holding[-1], faces[0], faces[-1]))
+    rows: list[list[int]] = [[] for _ in coface_ids]
     for holding_z, firsts, seconds in merges:
         splits = defaultdict(list)  # the faces holding a, b here, by a << n | b
         for f, a, b in zip(face_ids, firsts, seconds):

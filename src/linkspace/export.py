@@ -99,7 +99,7 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
         lines += ["v " + point for point in points]
         comments = [
             f"# face {label} {mesh.provenance(k)}"
-            for k, label in enumerate(mesh.complex.labels(2))
+            for k, label in enumerate(mesh.complex.labels_by_dim[2])
         ]
         for k, cycle in rows:
             lines += [comments[k], "f " + " ".join(str(i + 1) for i in cycle)]
@@ -141,16 +141,16 @@ def complex_to_json(complex_: CWComplex) -> str:
 
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
-    of its faces.  Labels are the complex's own text (`CWComplex.labels`),
-    so no CyclicPartition is built.  The rest is joined at C level: the flat
-    indices of the grade below are turned into text once, each boundary
-    row's texts are read by one `itemgetter` call and joined, and each
-    record is one `str.join` of its five pieces, so no Python code runs per
-    face.  Each grade's records are joined into one string as they are
-    written, and the document from those strings by one last join: at its
-    peak the writer holds the grades' strings and the document, and no list
-    of every record.  Tests pin the bytes against a json.dumps writer and
-    bound the peak.
+    of its faces.  Labels are the complex's own text (`labels_by_dim`), the
+    one form in which it stores a cell, so no CyclicPartition is built.  The
+    rest is joined at C level: the flat indices of the grade below are
+    turned into text once, each boundary row's texts are read by one
+    `itemgetter` call and joined, and each record is one `str.join` of its
+    five pieces, so no Python code runs per face.  Each grade's records are
+    joined into one string as they are written, and the document from those
+    strings by one last join: at its peak the writer holds the grades'
+    strings and the document, and no list of every record.  Tests pin the
+    bytes against a json.dumps writer and bound the peak.
     """
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
@@ -238,11 +238,11 @@ def complex_from_json(text: str) -> CWComplex:
             f" {linkage.spec()} has {sum(complex_.f_vector())}"
         )
     start = below = 0  # the flat index of the first cell of this grade, of the one below
-    for d, (layer, rows) in enumerate(zip(complex_.masks_by_dim, complex_.boundary)):
-        end = start + len(layer)
+    for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
+        end = start + len(labels)
         want = [
-            [d] * len(layer),
-            list(complex_.labels(d)),
+            [d] * len(labels),
+            list(labels),
             [[below + j for j in row] for row in rows],
         ]
         got = [column[start:end] for column in found]

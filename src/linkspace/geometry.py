@@ -10,7 +10,7 @@ from one table of the permutohedron's faces and all the diagonals.  Only
 vertex placement lives here, as one cached table of the 24 vertices
 projected to R^3 (`permutohedron`); the face lattice, a second route for
 the tests, is in the tests' oracles.  The mesh is read off the complex's
-incidence lists and part masks, and an error names a cell by its label.
+incidence lists and labels, and an error names a cell by its label.
 That the result is a closed surface is left to `topology.classify_surface`,
 which every command runs on a pentagon's mesh.
 """
@@ -74,8 +74,8 @@ class SurfaceMesh(NamedTuple):
 
     def provenance(self, k: int) -> str:
         """'permutohedron' for a kept facet, whose part holding 5 (the last
-        mask) is {5} alone; 'diagonal' for a patched-in face."""
-        return "permutohedron" if self.complex.masks_by_dim[2][k][-1] == 1 << 4 else "diagonal"
+        part) is {5} alone; 'diagonal' for a patched-in face."""
+        return "permutohedron" if self.complex.labels_by_dim[2][k].endswith("{5}") else "diagonal"
 
 
 def _cycle(complex_: CWComplex, i: int) -> list[int]:
@@ -97,8 +97,9 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         u, w = ends[e]
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
+    face, vertices = complex_.labels_by_dim[2][i], complex_.labels_by_dim[0]
     if {*map(len, adjacency.values())} != {2}:  # also refuses an empty boundary
-        raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is not 2-regular")
+        raise NotACycle(f"boundary graph of {face} is not 2-regular")
     cur = start = min(adjacency)
     prev = max(adjacency[start])  # as if arriving from it, so heading to the smaller
     cycle = []
@@ -107,14 +108,14 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
         a, b = adjacency[cur]
         if a == b:
             raise NotACycle(
-                f"boundary graph of {complex_.labels(2)[i]} is not simple:"
-                f" both neighbors of {complex_.labels(0)[cur]} are {complex_.labels(0)[a]}"
+                f"boundary graph of {face} is not simple:"
+                f" both neighbors of {vertices[cur]} are {vertices[a]}"
             )
         prev, cur = cur, b if a == prev else a
         if cur == start:
             break
     if len(cycle) != len(adjacency):
-        raise NotACycle(f"boundary graph of {complex_.labels(2)[i]} is disconnected")
+        raise NotACycle(f"boundary graph of {face} is disconnected")
     return cycle
 
 
@@ -139,9 +140,10 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
-    Its faces may cross in R^3: the exact check of ROADMAP item 7 finds 1,
-    6 and 16 crossing face pairs in the genus-2, -3 and -4 models, so the
-    surface is not claimed to be embedded.
+    Its faces may cross in R^3: an exact check of segment-triangle
+    crossings, by integer orientation determinants on the permutohedron's
+    integer vertices, finds 1, 6 and 16 crossing face pairs in the genus-2,
+    -3 and -4 models, so the surface is not claimed to be embedded.
     Raises NotACycle if a 2-cell's boundary is not one simple cycle; an edge
     not on two faces is left to `topology.classify_surface`."""
     if linkage.n != 5:

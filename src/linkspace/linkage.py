@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import NotAPartition
+from .partitions import NotAPartition, part_text
 
 #: Concrete stand-in for a "sufficiently small" length in the standard
 #: representatives; any smaller value gives the same combinatorics (see
@@ -48,8 +48,8 @@ class NonGeneric(LinkageError):
     def __init__(self, witness: frozenset[int], half: Fraction):
         self.witness = witness
         super().__init__(
-            f"subset {{{','.join(map(str, sorted(witness)))}}} sums to half the "
-            f"total length ({half}); the linkage admits a collinear configuration"
+            f"subset {part_text(witness)} sums to half the total length ({half});"
+            " the linkage admits a collinear configuration"
         )
 
 
@@ -62,7 +62,6 @@ class Linkage(NamedTuple):
     and generic.  Construct via make_linkage(); repr leaves out `short`."""
 
     lengths: tuple[Fraction, ...]
-    total: Fraction
     #: short[mask]: are the bars in `mask` shorter than the rest, i.e. an
     #: admissible part (the empty mask counts)?  From make_linkage's subset
     #: sums.  The lengths fix it, so comparing it, as the tuple equality
@@ -70,7 +69,7 @@ class Linkage(NamedTuple):
     short: tuple[bool, ...]
 
     def __repr__(self) -> str:
-        return f"Linkage(lengths={self.lengths!r}, total={self.total!r})"
+        return f"Linkage(lengths={self.lengths!r})"
 
     @property
     def n(self) -> int:
@@ -117,7 +116,7 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
             f"longest bar {longest} is >= sum of the rest {total - longest}"
         )
     short = tuple([2 * s < sums[-1] for s in sums])
-    return Linkage(lengths=ls, total=total, short=short)
+    return Linkage(lengths=ls, short=short)
 
 
 def integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
@@ -150,16 +149,17 @@ def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
     s = frozenset(part)
     if not s:
         raise EmptySubset("admissibility is undefined for the empty subset")
-    if not s <= frozenset(range(1, linkage.n + 1)):
+    ground = frozenset(range(1, linkage.n + 1))
+    if not s <= ground:
         raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
-    part_sum = linkage.part_sum(s)
-    return part_sum <= linkage.total - part_sum
+    return linkage.part_sum(s) <= linkage.part_sum(ground - s)
 
 
 def is_admissible_partition(
     linkage: Linkage, parts: Iterable[Iterable[int]]
 ) -> bool:
-    """True iff every part of the partition is admissible.
+    """True iff every part of the partition is admissible: its sum is at
+    most that of the other parts, all the parts' sums making up the total.
 
     The (cyclic) order of the parts is irrelevant: parts are checked
     independently, so partitions with the same parts in different order are
@@ -173,7 +173,9 @@ def is_admissible_partition(
         raise NotAPartition(
             f"parts {sorted(sorted(p) for p in sets)} do not partition 1..{linkage.n}"
         )
-    return all(is_admissible_part(linkage, p) for p in sets)
+    sums = [linkage.part_sum(p) for p in sets]
+    total = sum(sums)
+    return all(s <= total - s for s in sums)
 
 
 #: The longest length token parse_rational accepts: for up to 8 bars, every

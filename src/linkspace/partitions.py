@@ -105,30 +105,23 @@ def canonicalize(parts: Iterable[Iterable[int]]) -> CyclicPartition:
     return CyclicPartition(seq)
 
 
-_PART = re.compile(r"\{\d+(?:,\d+)*\}")
-_PARTITION = re.compile(f"(?:{_PART.pattern})+")
-
-
-def parse_part(text: str) -> frozenset[int]:
-    """Parse one part of the table notation, e.g. '{1,3}'.
-
-    Raises NotAPartition unless the text is a braced, comma-separated list
-    of distinct integers.
-    """
-    if not _PART.fullmatch(text):
-        raise NotAPartition(f"cannot parse part {text!r}")
-    elements = text[1:-1].split(",")
-    part = frozenset(map(int, elements))
-    if len(part) != len(elements):
-        raise NotAPartition(f"part {text!r} repeats an element")
-    return part
+_PARTITION = re.compile(r"(?:\{\d+(?:,\d+)*\})+")
 
 
 def parse_partition(text: str) -> CyclicPartition:
-    """Parse the table notation, e.g. '{1,3}{2,4}{5}'."""
+    """Parse the table notation, e.g. '{1,3}{2,4}{5}'.
+
+    Raises NotAPartition unless the text is a run of braced, comma-separated
+    lists of integers, none repeating an element, whose parts partition
+    {1..n}.
+    """
     if not _PARTITION.fullmatch(text):
         raise NotAPartition(f"cannot parse partition {text!r}")
-    return canonicalize(map(parse_part, _PART.findall(text)))
+    parts = [frozenset(map(int, part.split(","))) for part in text[1:-1].split("}{")]
+    # as many elements as the text lists: one more than its commas per part
+    if sum(map(len, parts)) != text.count(",") + len(parts):
+        raise NotAPartition(f"a part of {text!r} repeats an element")
+    return canonicalize(parts)
 
 
 def _set_partitions(elements: Sequence[int], m: int) -> Iterator[list[frozenset[int]]]:

@@ -152,9 +152,9 @@ def euler_characteristic(f_vector) -> int:
 def reference_build_complex(linkage) -> CWComplex:
     """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
     per grade, filtering them with rational sums and wiring incidence through
-    labelled one-step refinements.  The cells are stored as masks, as the
-    package stores them, and their label text is the enumerated labels'
-    own, so comparing labels with the package's checks its label column;
+    labelled one-step refinements.  The cells are stored as label text, as
+    the package stores them, written by the enumerated labels' own `str`, so
+    comparing labels with the package's checks its label column;
     `cells_by_dim` holds the enumerated labels."""
     n = linkage.n
     check_supported_arity(n)
@@ -177,11 +177,10 @@ def reference_build_complex(linkage) -> CWComplex:
                 for label in cells_by_dim[d]
             ]
         )
-    masks = [[label_masks(label) for label in labels] for labels in cells_by_dim]
     texts = [[str(label) for label in labels] for labels in cells_by_dim]
-    complex_ = CWComplex(linkage, masks, texts, boundary)
+    complex_ = CWComplex(linkage, texts, boundary)
     # the reference's labels are the ones enumerated here, not the package's
-    # view of its masks, so comparing labels with it checks that view
+    # parse of its text, so comparing labels with it checks that view
     complex_.__dict__["cells_by_dim"] = tuple(map(tuple, cells_by_dim))
     return complex_
 
@@ -404,7 +403,7 @@ def common_refinement(p: Parts, q: Parts) -> Parts | None:
 
 def complex_dim(complex_: CWComplex) -> int:
     """The top dimension of a complex."""
-    return len(complex_.masks_by_dim) - 1
+    return len(complex_.labels_by_dim) - 1
 
 
 def index_of(complex_: CWComplex, label: CyclicPartition) -> tuple[int, int]:

@@ -31,6 +31,7 @@ from linkspace.partitions import (
     cell_vertices,
     mask_texts,
     one_step_refinements,
+    parse_partition,
 )
 
 from oracles import (
@@ -175,34 +176,43 @@ def test_cell_ordering_is_deterministic(representatives):
 
 
 def test_labels_are_the_text_of_the_cells(representatives):
-    # the label column, written by the walk and cut with the masks, against
-    # the checking constructor's labels of the masks
+    # the label column, written by the walk and cut by the part columns,
+    # against the text of its labels as the checking constructor parses them:
+    # every label is in canonical form
     linkages = [linkage for _, linkage in representatives] + [make_linkage([1, 2, 3, 4, 5, 6])]
     for linkage in linkages:
         complex_ = build_complex(linkage)
         for d, cells in enumerate(complex_.cells_by_dim):
-            assert complex_.labels(d) == tuple(str(c) for c in cells)
-
-
-def _joined_texts(n, layers):
-    """Each cell's label as the join of its part masks' texts: the label
-    writer the label column replaced, kept as its second route."""
-    texts = mask_texts(n)
-    return [["".join([texts[p] for p in parts]) for parts in layer] for layer in layers]
+            assert complex_.labels_by_dim[d] == tuple(str(c) for c in cells)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_every_table_label_is_the_text_of_its_masks(n):
-    layers, labels, _, _ = cwcomplex._table(n)
-    assert list(map(list, labels)) == _joined_texts(n, layers)
+    # the cut reads the part columns and keeps the text: each label, parsed,
+    # must give its cell's masks in the columns
+    labels, _, columns = cwcomplex._table(n)
+    for words, parts in zip(labels, columns, strict=True):
+        assert [label_masks(parse_partition(w)) for w in words] == list(zip(*parts))
 
 
 @pytest.mark.parametrize("lengths", [[1, 1, 1, 1, 1, 1, 1, 6], [5, 9, 3, 12, 7, 1, 4, 2]])
 def test_every_walked_octagon_label_is_the_text_of_its_masks(lengths):
-    # n = 8 has no table: its labels come from the walk alone
-    complex_ = build_complex(make_linkage(lengths))
-    labels = list(map(list, complex_.labels_by_dim))
-    assert labels == _joined_texts(8, complex_.masks_by_dim)
+    # n = 8 has no table: its labels come from the walk alone.  Each parses
+    # into n - d short parts in grade d that partition the bars, n's part
+    # last.  Parts are read through this test's own table of part texts,
+    # ascending with no repeat, so a label that parses is the text of its
+    # masks; a CyclicPartition per label would take seconds here
+    linkage = make_linkage(lengths)
+    complex_ = build_complex(linkage)
+    mask_of = {",".join(str(i + 1) for i in range(8) if m >> i & 1): m for m in range(1, 256)}
+    for d, labels in enumerate(complex_.labels_by_dim):
+        for label in labels:
+            assert label[0] + label[-1] == "{}", label
+            masks = [mask_of[part] for part in label[1:-1].split("}{")]
+            assert len(masks) == 8 - d and all(map(linkage.short.__getitem__, masks)), label
+            # union and sum agree: disjoint parts, covering the 8 bars
+            assert functools.reduce(int.__or__, masks) == sum(masks) == 0xFF, label
+            assert masks[-1] & 0x80, label
 
 
 def test_supported_arity_range():
@@ -282,24 +292,25 @@ def test_cell_vertices_of_cells_are_complex_vertices(representatives):
 
 
 def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
-    layers, labels, boundary, _ = cwcomplex._table(5)
-    assert [len(cells) for cells in layers] == [len(rows) for rows in boundary] == [24, 60, 50]
-    assert [len(words) for words in labels] == [24, 60, 50]
+    labels, boundary, columns = cwcomplex._table(5)
+    assert [len(words) for words in labels] == [len(rows) for rows in boundary] == [24, 60, 50]
+    assert [len(column) for parts in columns for column in parts] == [24] * 5 + [60] * 4 + [50] * 3
     texts = mask_texts(5)
-    faces = ["".join(texts[m] for m in cell) for cell in layers[2]]
+    faces = ["".join(texts[m] for m in cell) for cell in zip(*columns[2])]
     assert sorted(faces) == sorted([*STEP2_ROWS, *(row for pair in STEP3_ROWS for row in pair)])
     assert list(labels[2]) == faces
     # a 1-cell whose part holding 5 is {5} alone is a permutohedron edge
     five = 1 << 4
-    assert sum(cell[-1] == five for cell in layers[1]) == 36
-    assert sum(cell[-1] != five for cell in layers[1]) == 24
+    assert sum(m == five for m in columns[1][-1]) == 36
+    assert sum(m != five for m in columns[1][-1]) == 24
+    assert sum(word.endswith("}{5}") for word in labels[1]) == 36
 
 
 def test_a_pentagon_complex_is_the_walk_on_its_own_short_table(representatives):
     # the table's restriction against the walk over each chamber's own table
     linkages = [linkage for _, linkage in representatives] + list(pentagon_chambers())
     for linkage in linkages:
-        walked = CWComplex(linkage, *cwcomplex._walk(5, linkage.short))
+        walked = CWComplex(linkage, *cwcomplex._walk(5, linkage.short)[:2])
         assert build_complex(linkage) == walked, linkage.spec()
 
 
@@ -316,7 +327,7 @@ def test_the_cut_is_the_walk_and_has_the_counted_cells_and_betti_sum(lengths):
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
     linkage = make_linkage(lengths)
     complex_ = build_complex(linkage)
-    assert complex_ == CWComplex(linkage, *cwcomplex._walk(linkage.n, linkage.short))
+    assert complex_ == CWComplex(linkage, *cwcomplex._walk(linkage.n, linkage.short)[:2])
     f = complex_.f_vector()
     assert f == cwcomplex.count_cells(linkage)
     betti = topology.betti_numbers(linkage)
@@ -345,13 +356,14 @@ def _stirling2(n, m):
 )
 def test_a_table_holds_every_cyclic_partition_into_at_least_3_parts(n, f):
     # m parts: S(n, m) set partitions, each in (m - 1)! cyclic orders
-    layers, labels, boundary, columns = cwcomplex._table(n)
-    assert tuple(len(cells) for cells in layers) == f
+    labels, boundary, columns = cwcomplex._table(n)
+    assert tuple(len(words) for words in labels) == f
     assert f == tuple(_stirling2(n, m) * factorial(m - 1) for m in range(n, 2, -1))
     assert [len(rows) for rows in boundary] == list(f)
-    assert [len(words) for words in labels] == list(f)
-    for cells, parts in zip(layers, columns):
-        assert [bytes(column) for column in zip(*cells)] == list(parts)
+    # grade d has n - d parts, so n - d columns, one byte per cell each
+    for d, (words, parts) in enumerate(zip(labels, columns, strict=True)):
+        assert [len(column) for column in parts] == [len(words)] * (n - d)
+        assert {type(column) for column in parts} == {bytes}
 
 
 def test_an_octagon_is_walked_and_leaves_the_tables_alone():
@@ -366,7 +378,6 @@ def test_an_octagon_is_walked_and_leaves_the_tables_alone():
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference = reference_build_complex(linkage)
-    assert complex_.masks_by_dim == reference.masks_by_dim
     assert complex_.labels_by_dim == reference.labels_by_dim
     assert complex_.cells_by_dim == reference.cells_by_dim
     assert complex_.boundary == reference.boundary
@@ -417,11 +428,19 @@ def test_generic_integer_heptagons_keep_the_wiring_invariants(lengths):
     complex_ = build_complex(make_linkage(lengths))
     bars = [[i + 1 for i in range(7) if m >> i & 1] for m in range(1 << 7)]
     short = [2 * sum(lengths[i - 1] for i in b) < sum(lengths) for b in bars]
-    text = ["{" + ",".join(map(str, b)) + "}" for b in bars]
+    inner = [",".join(map(str, b)) for b in bars]
+    text = ["{" + t + "}" for t in inner]
 
-    layers, boundary = complex_.masks_by_dim, complex_.boundary
-    for layer in layers:
+    # each label's part masks, read through this test's own part texts
+    mask_of = {t: m for m, t in enumerate(inner)}
+    layers = [
+        [[mask_of[part] for part in label[1:-1].split("}{")] for label in labels]
+        for labels in complex_.labels_by_dim
+    ]
+    boundary = complex_.boundary
+    for layer, words in zip(layers, complex_.labels_by_dim, strict=True):
         labels = ["".join([text[m] for m in parts]) for parts in layer]
+        assert labels == list(words)
         assert all(a < b for a, b in zip(labels, labels[1:]))
     for layer, rows in zip(layers[1:], boundary[1:]):
         for parts, row in zip(layer, rows, strict=True):
@@ -507,7 +526,7 @@ def wirings(monkeypatch):
     wire = cwcomplex._wire
 
     def counted(n, short, faces, cofaces):
-        calls.append(len(cofaces))
+        calls.append(len(cofaces[0]))  # a part column has one entry per coface
         return wire(n, short, faces, cofaces)
 
     monkeypatch.setattr(cwcomplex, "_wire", counted)
@@ -716,14 +735,9 @@ def test_an_edited_document_loads_only_as_the_complex_of_its_lengths(spec, data)
 def test_json_writes_an_empty_face_list_above_dim_0():
     linkage = make_linkage([1, 1, 1, 1, 1])
     built = build_complex(linkage)
-    vertices = built.masks_by_dim[0]
+    vertices = built.labels_by_dim[0]
     edge = canonicalize([{1, 2}, {3}, {4}, {5}])
-    complex_ = CWComplex(
-        linkage,
-        [vertices, [label_masks(edge)]],
-        [built.labels(0), [str(edge)]],
-        [[()] * len(vertices), [()]],
-    )
+    complex_ = CWComplex(linkage, [vertices, [str(edge)]], [[()] * len(vertices), [()]])
     text = complex_to_json(complex_)
     assert text == reference_complex_to_json(complex_)
     assert text.endswith(
@@ -736,16 +750,13 @@ def test_json_writes_rows_of_one_face_and_empty_grades():
     # any record: a row of one face, and a grade with no cells
     linkage = make_linkage([1, 1, 1, 1, 1])
     built = build_complex(linkage)
-    parts = ([{1, 2}, {3}, {4}, {5}], [{1}, {2}, {3, 4}, {5}])
-    edges = [label_masks(canonicalize(p)) for p in parts]
     complex_ = CWComplex(
         linkage,
-        [built.masks_by_dim[0], edges, []],
-        [built.labels(0), ["{1,2}{3}{4}{5}", "{1}{2}{3,4}{5}"], []],
+        [built.labels_by_dim[0], ["{1,2}{3}{4}{5}", "{1}{2}{3,4}{5}"], []],
         [built.boundary[0], [(7,), (3, 11)], []],
     )
     text = complex_to_json(complex_)
     assert text == reference_complex_to_json(complex_)
     assert '"boundary": [\n        7\n      ]' in text
-    empty = CWComplex(linkage, [[], []], [[], []], [[], []])
+    empty = CWComplex(linkage, [[], []], [[], []])
     assert complex_to_json(empty) == reference_complex_to_json(empty)

@@ -20,7 +20,6 @@ from oracles import (
     common_refinement,
     element_sequence,
     index_of,
-    label_masks,
     mesh_faces,
     ordered_refines,
     part_containing,
@@ -196,7 +195,7 @@ def test_boundary_cycle_detects_a_corrupted_complex():
     i = index_of(complex_, cell)[1]
     boundary = [list(rows) for rows in complex_.boundary]
     boundary[2][i] = boundary[2][i][1:]  # drop one of the hexagon's six edges
-    corrupted = CWComplex(linkage, complex_.masks_by_dim, complex_.labels_by_dim, boundary)
+    corrupted = CWComplex(linkage, complex_.labels_by_dim, boundary)
     with pytest.raises(NotACycle):
         boundary_cycle(cell, corrupted)
 
@@ -216,7 +215,7 @@ def test_boundary_cycle_refuses_a_vertex_whose_two_neighbors_are_one(corruption)
         u = boundary[1][e][0]
         boundary[1][e] = (u, u)
         boundary[2][i] = (e,)  # the face is a loop
-    corrupted = CWComplex(linkage, complex_.masks_by_dim, complex_.labels_by_dim, boundary)
+    corrupted = CWComplex(linkage, complex_.labels_by_dim, boundary)
     with pytest.raises(NotACycle, match="not simple"):
         boundary_cycle(cell, corrupted)
 
@@ -358,15 +357,13 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys):
     linkage = make_linkage([1, 1, 1, 1, 3])
     complex_ = build_complex(linkage)
     loose = canonicalize([{1}, {2}, {3}, {4, 5}])
-    cells = [list(cs) for cs in complex_.masks_by_dim]
     labels = [list(ls) for ls in complex_.labels_by_dim]
     boundary = [list(rows) for rows in complex_.boundary]
-    cells[1].append(label_masks(loose))
     labels[1].append(str(loose))
     boundary[1].append(
         tuple(sorted(index_of(complex_, v)[1] for v in cell_vertices(loose)))
     )
-    corrupted = CWComplex(linkage, cells, labels, boundary)
+    corrupted = CWComplex(linkage, labels, boundary)
     monkeypatch.setattr("linkspace.geometry.build_complex", lambda _: corrupted)
     with pytest.raises(NotAClosedSurface, match="lies in 0 faces"):
         analyze(perform_surgery(linkage))

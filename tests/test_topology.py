@@ -172,7 +172,7 @@ def test_every_generic_integer_quadrilateral_is_the_circles_of_its_complex():
     for lengths in _generic_integer_quadrilaterals(10):
         linkage = make_linkage(lengths)
         complex_ = build_complex(linkage)
-        vertices, edges = len(complex_.masks_by_dim[0]), complex_.edges
+        vertices, edges = len(complex_.labels_by_dim[0]), complex_.edges
         assert Counter(v for ends in edges for v in ends) == dict.fromkeys(range(vertices), 2)
         root = oracle_components(vertices, edges)
         per_v, per_e = Counter(root), Counter(root[a] for a, _ in edges)
@@ -216,7 +216,7 @@ def _assert_counts_match_the_complex(lengths):
     assert count_cells(linkage) == report.f_vector == complex_.f_vector()
     assert report.f_vector == oracle_f_vector(lengths)
     assert betti_numbers(linkage) == oracle_betti_numbers(lengths)
-    components = oracle_component_count(len(complex_.masks_by_dim[0]), complex_.edges)
+    components = oracle_component_count(len(complex_.labels_by_dim[0]), complex_.edges)
     assert report.component_count == components
     return report
 
