@@ -225,7 +225,7 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError(f"cell {k} is not an object")
     keys = ("dim", "label", "boundary")
     try:
-        found = [[c[key] for c in records] for key in keys]
+        found = [list(map(itemgetter(key), records)) for key in keys]
     except KeyError as exc:
         k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
@@ -237,17 +237,21 @@ def complex_from_json(text: str) -> CWComplex:
             f"document has {len(records)} cells, but the complex of lengths"
             f" {linkage.spec()} has {sum(complex_.f_vector())}"
         )
-    start = below = 0  # the flat index of the first cell of this grade, of the one below
+    start, numbers = 0, []  # this grade's first flat index; the grade below's flat indices
     for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
         end = start + len(labels)
-        want = [
-            [d] * len(labels),
-            list(labels),
-            [[below + j for j in row] for row in rows],
-        ]
-        got = [column[start:end] for column in found]
-        # whole columns compare in C; only a mismatch walks the cells to name it
-        if got != want or {*map(type, got[0]), *map(type, chain.from_iterable(got[2]))} != {int}:
+        dims, texts, faces = got = [column[start:end] for column in found]
+        # whole columns compare in C, the faces as row lengths and one flat
+        # list of indices; only a mismatch walks the cells to name it
+        if (
+            [dims, texts] != [[d] * len(labels), list(labels)]
+            or {*map(type, faces)} != {list}
+            or list(map(len, faces)) != list(map(len, rows))
+            or (flat := list(chain.from_iterable(faces)))
+            != list(map(numbers.__getitem__, chain.from_iterable(rows)))
+            or {*map(type, dims), *map(type, flat)} != {int}
+        ):
+            want = [[d] * len(labels), list(labels), [[numbers[j] for j in row] for row in rows]]
             k, record, expected = next(
                 (start + k, record, expected)
                 for k, (record, expected) in enumerate(zip(zip(*got), zip(*want)))
@@ -255,7 +259,7 @@ def complex_from_json(text: str) -> CWComplex:
             )
             expected, record = [json.dumps(dict(zip(keys, r))) for r in (expected, record)]
             raise ValueError(f"cell {k}: expected {expected}, found {record}")
-        below, start = start, end
+        start, numbers = end, list(range(start, end))
     return complex_
 
 

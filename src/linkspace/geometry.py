@@ -5,14 +5,13 @@ A pentagon's complex is realized in three steps: place the vertices on the
 4-permutohedron (cut each cyclic order at 5), keep the permutohedron facets
 whose label with {5} appended is admissible, and patch in a "diagonal" face
 for every admissible 2-cell whose part containing 5 is not a singleton.
-The last two steps are done by `build_complex`, which cuts a pentagon's complex
-from one table of the permutohedron's faces and all the diagonals.  Only
-vertex placement lives here, as one cached table of the 24 vertices
-projected to R^3 (`permutohedron`); the face lattice, a second route for
-the tests, is in the tests' oracles.  The mesh is read off the complex's
-incidence lists and labels, and an error names a cell by its label.
-That the result is a closed surface is left to `topology.classify_surface`,
-which every command runs on a pentagon's mesh.
+`build_complex` does the last two: it cuts the complex from one table of the
+permutohedron's faces and all the diagonals.  Here live the vertex placement,
+one cached table of the 24 vertices in R^3 (`permutohedron`), and the face
+cycles and edge signs, walked once per process on the table's 50 faces and
+read by label (`_face_walks`).  An error names a cell by its label.  That
+the result is a closed surface is checked by `topology.analyze`, which every
+command runs on a pentagon's mesh.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import permutations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .cwcomplex import ArityMismatch, CWComplex, build_complex
+from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
 from .partitions import CyclicPartition
 
@@ -63,14 +62,18 @@ class SurfaceMesh(NamedTuple):
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
     `points[k]` is vertex k's position in R^3 and `cycles[k]` lists face k's
-    vertex indices in polygon order.  The edges (`complex.edges`), the
-    counts (`complex.f_vector()`) and each face's provenance are read off
-    the complex.
+    vertex indices in polygon order.  `signs[k]` holds one sign per edge of
+    face k's row `complex.boundary[2][k]`, in that row's order: +1 if the
+    cycle walks the edge from the first to the second 0-cell of its
+    `complex.edges` row, else -1.  The edges (`complex.edges`), the counts
+    (`complex.f_vector()`) and each face's provenance are read off the
+    complex.
     """
 
     complex: CWComplex
     points: tuple[Point3, ...]
     cycles: tuple[tuple[int, ...], ...]
+    signs: tuple[tuple[int, ...], ...]
 
     def provenance(self, k: int) -> str:
         """'permutohedron' for a kept facet, whose part holding 5 (the last
@@ -78,26 +81,26 @@ class SurfaceMesh(NamedTuple):
         return "permutohedron" if self.complex.labels_by_dim[2][k].endswith("{5}") else "diagonal"
 
 
-def _cycle(complex_: CWComplex, i: int) -> list[int]:
-    """Indices of 2-cell i's 0-cells in polygon order.
+def _cycle(labels_by_dim: Sequence[Sequence[str]], boundary: Sequence, i: int) -> list[int]:
+    """Indices of 2-cell i's 0-cells in polygon order, in the complex with
+    these labels and boundary rows.
 
-    Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`); each
-    1-cell joins the two 0-cells of its `edges` row.  For a genuine
-    2-cell this graph is a single simple cycle; the walk starts at the
-    smallest index and heads toward its smaller neighbor.  Each step
-    unpacks the current vertex's two neighbors and takes the one it did
-    not come from.  Raises NotACycle if a vertex does not have exactly two
-    neighbors, if its two neighbors are one vertex (two 1-cells on one pair
-    of 0-cells, or a 1-cell with one 0-cell twice), or if the walk closes
-    before it has met every vertex.
+    Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`), each
+    joining the two 0-cells of its `boundary[1]` row.  The walk starts at
+    the smallest index and heads toward its smaller neighbor; each step
+    takes the current vertex's neighbor it did not come from.  Raises
+    NotACycle if a vertex does not have exactly two neighbors, if its two
+    neighbors are one vertex (two 1-cells on one pair of 0-cells, or a
+    1-cell with one 0-cell twice), or if the walk closes before it has met
+    every vertex.
     """
-    ends = complex_.edges
+    ends = boundary[1]
     adjacency: dict[int, list[int]] = {}
-    for e in complex_.boundary[2][i]:
+    for e in boundary[2][i]:
         u, w = ends[e]
         adjacency.setdefault(u, []).append(w)
         adjacency.setdefault(w, []).append(u)
-    face, vertices = complex_.labels_by_dim[2][i], complex_.labels_by_dim[0]
+    face, vertices = labels_by_dim[2][i], labels_by_dim[0]
     if {*map(len, adjacency.values())} != {2}:  # also refuses an empty boundary
         raise NotACycle(f"boundary graph of {face} is not 2-regular")
     cur = start = min(adjacency)
@@ -119,6 +122,24 @@ def _cycle(complex_: CWComplex, i: int) -> list[int]:
     return cycle
 
 
+@cache
+def _face_walks() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each 2-cell of the n = 5 table (`cwcomplex._table(5)`) by label: its
+    vertex cycle, walked by `_cycle`, and one sign per edge of its boundary
+    row, +1 where the cycle walks the edge from its first 0-cell to its
+    second.  Both hold in every pentagon's complex: the cut keeps all 24
+    0-cells and a kept face's edges, and renumbers the edges monotonically,
+    so the face's row lists them in the table's order."""
+    labels, boundary, _ = _table(5)
+    ends, walks = boundary[1], {}
+    for i, (label, row) in enumerate(zip(labels[2], boundary[2])):
+        cycle = _cycle(labels, boundary, i)
+        after = dict(zip(cycle, cycle[1:] + cycle[:1]))  # each vertex's successor
+        signs = tuple([1 if after[u] == w else -1 for u, w in map(ends.__getitem__, row)])
+        walks[label] = (tuple(cycle), signs)
+    return walks
+
+
 def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPartition]:
     """Polygon order of a 2-cell's vertices, as labels.
 
@@ -134,23 +155,26 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
     cells = complex_.cells_by_dim
     if len(cells) < 3 or cell not in cells[2]:
         raise NotACycle(f"{cell} is not a cell of the complex")
-    return [cells[0][k] for k in _cycle(complex_, cells[2].index(cell))]
+    i = cells[2].index(cell)
+    return [cells[0][k] for k in _cycle(complex_.labels_by_dim, complex_.boundary, i)]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
+    Each kept face's cycle and edge signs are read by label from
+    `_face_walks`, the n = 5 table's faces walked once per process.
     Its faces may cross in R^3: an exact check of segment-triangle
     crossings, by integer orientation determinants on the permutohedron's
     integer vertices, finds 1, 6 and 16 crossing face pairs in the genus-2,
     -3 and -4 models, so the surface is not claimed to be embedded.
-    Raises NotACycle if a 2-cell's boundary is not one simple cycle; an edge
-    not on two faces is left to `topology.classify_surface`."""
+    Raises NotACycle if a face of the table is not bounded by one simple
+    cycle; an edge not on two faces is left to `topology.analyze`."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
     # the lexicographic order of the permutations abcd, as the points are
     points = permutohedron()
-    cycles = tuple([tuple(_cycle(complex_, i)) for i in range(len(complex_.boundary[2]))])
-    return SurfaceMesh(complex_, points, cycles)
+    cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
+    return SurfaceMesh(complex_, points, cycles, signs)

@@ -102,20 +102,21 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
     for i, l in enumerate(ls, 1):
         if l <= 0:
             raise NonPositiveLength(f"length {i} is {l}; all lengths must be > 0")
-    total = sum(ls, Fraction(0))
-    sums = subset_sums(integer_weights(ls))
-    halves = [mask_elements(m) for m, s in enumerate(sums) if 2 * s == sums[-1]]
-    if halves:
+    weights = integer_weights(ls)
+    sums = subset_sums(weights)
+    total = sums[-1]
+    if not total % 2 and total // 2 in sums:
         # smallest subset first, then lexicographic, so the witness is
         # deterministic
+        halves = [mask_elements(m) for m, s in enumerate(sums) if 2 * s == total]
         witness = min(halves, key=lambda e: (len(e), e))
-        raise NonGeneric(frozenset(witness), total / 2)
-    longest = max(ls)
-    if longest >= total - longest:
-        raise ViolatesPolygonInequality(
-            f"longest bar {longest} is >= sum of the rest {total - longest}"
-        )
-    short = tuple([2 * s < sums[-1] for s in sums])
+        raise NonGeneric(frozenset(witness), sum(ls, Fraction(0)) / 2)
+    if 2 * max(weights) >= total:
+        longest, rest = max(ls), sum(ls, Fraction(0)) - max(ls)
+        raise ViolatesPolygonInequality(f"longest bar {longest} is >= sum of the rest {rest}")
+    # no subset weighs exactly half, so a subset is short iff it weighs less
+    # than half the total rounded up
+    short = tuple(map(((total + 1) // 2).__gt__, sums))
     return Linkage(lengths=ls, short=short)
 
 

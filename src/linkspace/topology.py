@@ -1,16 +1,14 @@
-"""Surface classification of the assembled mesh; invariants for n != 5.
+"""Surface classification of a pentagon's complex; invariants for n != 5.
 
-Closedness is checked here alone: NotAClosedSurface refuses a mesh edge not
-on exactly two faces (`classify_surface`, which every command runs on a
-pentagon's mesh).
-
-Components come from union-find on the mesh's vertex graph, which is the
-complex's 1-skeleton, read off the 1-cells' boundary lists (`edges`).
-Orientability is decided by orientation propagation: walk the
-face-adjacency graph, choosing a direction for each face cycle so that
-every shared edge is traversed in opposite directions by its two faces; a
-forced contradiction means the component is non-orientable.  Genus follows
-from the Euler characteristic for orientable components.
+A pentagon's surface is classified from its complex (`analyze`): each
+edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
+refuses an edge not on exactly two of them.  This is the one closedness
+check, and every command runs it on a pentagon's mesh.  Components come
+from the 1-skeleton (`edges`).  Orientability comes from the mesh's edge
+signs: face orientations are spread across shared edges so that the two
+faces on an edge walk it in opposite directions, and a forced
+contradiction means the component is non-orientable.  Genus follows from
+the Euler characteristic for orientable components.
 
 For every other n the short-subset table alone gives the f-vector
 (`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
@@ -52,30 +50,24 @@ class TopologyReport(NamedTuple):
 
 
 def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Component number of each vertex of the graph, by union-find over
-    `edges`; components are numbered 0, 1, ... by their smallest vertex."""
-    parent = list(range(num_vertices))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Component number of each vertex of the graph, by depth-first search
+    over `edges`; components are numbered 0, 1, ... by their smallest vertex."""
+    neighbors: list[list[int]] = [[] for _ in range(num_vertices)]
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    number: dict[int, int] = {}
-    return [number.setdefault(find(v), len(number)) for v in range(num_vertices)]
-
-
-def _tally(component: list[int], count: int, vertices: Iterable[int]) -> list[int]:
-    """How many of `vertices` (repeats counted) lie in each of `count` components."""
-    out = [0] * count
-    for v in vertices:
-        out[component[v]] += 1
-    return out
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    component = [-1] * num_vertices
+    count = 0
+    for v in range(num_vertices):
+        if component[v] < 0:
+            component[v], stack = count, [v]
+            while stack:
+                for w in neighbors[stack.pop()]:
+                    if component[w] < 0:
+                        component[w] = count
+                        stack.append(w)
+            count += 1
+    return component
 
 
 def _component_name(chi: int, orientable: bool) -> str:
@@ -105,87 +97,65 @@ def _combine(names: list[str]) -> str:
     return " + ".join(sorted(names))
 
 
-def classify_surface(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    faces: Sequence[Sequence[int]],
-) -> TopologyReport:
-    """Classify a closed polygonal 2-complex given by vertex count, edge
-    endpoint pairs and face vertex cycles.  Raises NotAClosedSurface unless
-    every edge lies in exactly two faces."""
-    # faces_of_edge[i] and edges_of_face[f] pair each incidence with the
-    # face's direction along the edge: +1 if it walks the edge as stored
-    edge_id = {(min(e), max(e)): i for i, e in enumerate(edges)}
-    faces_of_edge: list[list[tuple[int, int]]] = [[] for _ in edges]
-    edges_of_face: list[list[tuple[int, int]]] = []
-    for f, cycle in enumerate(faces):
-        incidences = []
-        for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-            i = edge_id.get((a, b) if a < b else (b, a))
-            if i is None:
-                raise NotAClosedSurface(f"face {f} uses segment {a}-{b} that is not an edge")
-            direction = 1 if edges[i][0] == a else -1
-            faces_of_edge[i].append((f, direction))
-            incidences.append((i, direction))
-        edges_of_face.append(incidences)
-    for i, e in enumerate(edges):
-        if len(faces_of_edge[i]) != 2:
-            raise NotAClosedSurface(
-                f"edge {e} lies in {len(faces_of_edge[i])} faces, expected 2"
-            )
-
-    component = _components(num_vertices, edges)
-
-    # Orientation propagation over the face-adjacency graph, per component.
-    # sign[f] = +1 keeps the stored cycle direction, -1 reverses it; two
-    # faces sharing an edge must traverse it in opposite directions.
-    count = max(component, default=-1) + 1
-    orientable_of = [True] * count
-    sign: dict[int, int] = {}
-    for f0 in range(len(faces)):
-        if f0 in sign:
-            continue
-        sign[f0] = 1
-        stack = [f0]
-        while stack:
-            f = stack.pop()
-            for i, direction in edges_of_face[f]:
-                for g, other in faces_of_edge[i]:
-                    if g == f:
-                        continue
-                    required = -sign[f] * direction * other
-                    if g not in sign:
-                        sign[g] = required
-                        stack.append(g)
-                    elif sign[g] != required:
-                        orientable_of[component[faces[f0][0]]] = False
-
-    per_v = _tally(component, count, range(num_vertices))
-    per_e = _tally(component, count, (a for a, _ in edges))
-    per_f = _tally(component, count, (cycle[0] for cycle in faces))
-
-    components = []
-    for c in range(count):
-        v, e, f = per_v[c], per_e[c], per_f[c]
-        chi = v - e + f
-        orientable = orientable_of[c]
-        genus = (2 - chi) // 2 if orientable else None
-        components.append(
-            ComponentReport(v, e, f, chi, orientable, genus)
-        )
+def _surface_report(f_vector: tuple[int, ...], components: list[ComponentReport]) -> TopologyReport:
+    """The report of a closed surface with these components, named by χ and
+    orientability."""
     names = [_component_name(c.euler_characteristic, c.orientable) for c in components]
     total_chi = sum(c.euler_characteristic for c in components)
-    return TopologyReport(
-        component_count=len(components),
-        components=tuple(components),
-        f_vector=(num_vertices, len(edges), len(faces)),
-        euler_characteristic=total_chi,
-        classification=_combine(names),
-    )
+    return TopologyReport(len(components), tuple(components), f_vector, total_chi, _combine(names))
 
 
 def analyze(mesh: SurfaceMesh) -> TopologyReport:
-    return classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
+    """Classify a pentagon's surface from its complex.
+
+    Each edge's faces are read off the rows `boundary[2]` with the mesh's
+    signs; an edge not on exactly two faces raises NotAClosedSurface.
+    Components come from `edges`.  A component is orientable iff its faces
+    take orientations o (+1 keeps a face's cycle, -1 reverses it) with
+    o_f * s = -o_g * t on every edge, s and t its signs in faces f and g:
+    the orientations spread from one face across shared edges, and a forced
+    contradiction makes the component non-orientable.  χ and the genus are
+    taken per component."""
+    complex_, signs = mesh.complex, mesh.signs
+    edges, rows = complex_.edges, complex_.boundary[2]
+    faces_of_edge: list[list[tuple[int, int]]] = [[] for _ in edges]  # (face, sign)
+    for f, row, row_signs in zip(range(len(rows)), rows, signs):
+        for e, s in zip(row, row_signs):
+            faces_of_edge[e].append((f, s))
+    for e, incidences in zip(edges, faces_of_edge):
+        if len(incidences) != 2:
+            raise NotAClosedSurface(f"edge {e} lies in {len(incidences)} faces, expected 2")
+
+    f_vector = complex_.f_vector()
+    component = _components(f_vector[0], edges)
+    face_component = [component[edges[row[0]][0]] for row in rows]
+    orientable_of = [True] * (max(component, default=-1) + 1)
+    orientation = [0] * len(rows)
+    for f0, c in enumerate(face_component):
+        if orientation[f0]:
+            continue
+        orientation[f0], stack = 1, [f0]
+        while stack:
+            f = stack.pop()
+            for e, s in zip(rows[f], signs[f]):
+                (g, t), (h, u) = faces_of_edge[e]
+                if g == f:
+                    g, t = h, u
+                required = -orientation[f] * s * t
+                if not orientation[g]:
+                    orientation[g] = required
+                    stack.append(g)
+                elif orientation[g] != required:
+                    orientable_of[c] = False
+
+    per_v, per_f = Counter(component), Counter(face_component)
+    per_e = Counter([component[a] for a, _ in edges])
+    components = []
+    for c, orientable in enumerate(orientable_of):
+        chi = per_v[c] - per_e[c] + per_f[c]
+        genus = (2 - chi) // 2 if orientable else None
+        components.append(ComponentReport(per_v[c], per_e[c], per_f[c], chi, orientable, genus))
+    return _surface_report(f_vector, components)
 
 
 def betti_numbers(linkage: Linkage) -> tuple[int, ...]:

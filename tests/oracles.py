@@ -5,9 +5,10 @@ canonical rotation, and admissibility is re-derived inline from sums.
 
 The exceptions are the package's earlier implementations, kept as the
 references for the faster ones: `reference_build_complex`, the
-enumerate-then-filter builder behind the bitmask one, and
+enumerate-then-filter builder behind the bitmask one,
 `reference_complex_to_json` and `reference_report_to_json`, the
-`json.dumps` writers behind the direct ones.
+`json.dumps` writers behind the direct ones, and `classify_surface`, the
+mesh-level surface classifier behind `topology.analyze`.
 Below them are helpers the package itself has no use for, kept here as
 second routes for the tests: cyclic coarsenings, reading a cyclic order
 as a sequence or a permutation and back, a label's part holding a bar,
@@ -31,6 +32,12 @@ from linkspace.partitions import (
     canonicalize,
     enumerate_cyclic_partitions,
     one_step_refinements,
+)
+from linkspace.topology import (
+    ComponentReport,
+    NotAClosedSurface,
+    TopologyReport,
+    _surface_report,
 )
 
 Parts = tuple[frozenset[int], ...]
@@ -147,6 +154,79 @@ def oracle_component_count(num_vertices: int, edges) -> int:
 def euler_characteristic(f_vector) -> int:
     """The alternating sum of a complex's cells per dimension."""
     return sum((-1) ** d * c for d, c in enumerate(f_vector))
+
+
+def classify_surface(num_vertices: int, edges, faces) -> TopologyReport:
+    """Classify a closed polygonal 2-complex given by vertex count, edge
+    endpoint pairs and face vertex cycles: the mesh-level second route
+    behind `topology.analyze`, which reads the complex's face rows and
+    signs instead.  Each face's edges are found by looking up its cycle's
+    vertex pairs, and its direction along each by comparing with the edge
+    as stored.  Raises NotAClosedSurface unless every edge lies in exactly
+    two faces."""
+    # faces_of_edge[i] and edges_of_face[f] pair each incidence with the
+    # face's direction along the edge: +1 if it walks the edge as stored
+    edge_id = {(min(e), max(e)): i for i, e in enumerate(edges)}
+    faces_of_edge = [[] for _ in edges]
+    edges_of_face = []
+    for f, cycle in enumerate(faces):
+        incidences = []
+        for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+            i = edge_id.get((a, b) if a < b else (b, a))
+            if i is None:
+                raise NotAClosedSurface(f"face {f} uses segment {a}-{b} that is not an edge")
+            direction = 1 if edges[i][0] == a else -1
+            faces_of_edge[i].append((f, direction))
+            incidences.append((i, direction))
+        edges_of_face.append(incidences)
+    for i, e in enumerate(edges):
+        if len(faces_of_edge[i]) != 2:
+            raise NotAClosedSurface(
+                f"edge {e} lies in {len(faces_of_edge[i])} faces, expected 2"
+            )
+
+    # components numbered 0, 1, ... by their smallest vertex
+    number = {}
+    component = [
+        number.setdefault(r, len(number)) for r in oracle_components(num_vertices, edges)
+    ]
+
+    # Orientation propagation over the face-adjacency graph, per component.
+    # sign[f] = +1 keeps the stored cycle direction, -1 reverses it; two
+    # faces sharing an edge must traverse it in opposite directions.
+    count = len(number)
+    orientable_of = [True] * count
+    sign = {}
+    for f0 in range(len(faces)):
+        if f0 in sign:
+            continue
+        sign[f0] = 1
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for i, direction in edges_of_face[f]:
+                for g, other in faces_of_edge[i]:
+                    if g == f:
+                        continue
+                    required = -sign[f] * direction * other
+                    if g not in sign:
+                        sign[g] = required
+                        stack.append(g)
+                    elif sign[g] != required:
+                        orientable_of[component[faces[f0][0]]] = False
+
+    per_v = Counter(component)
+    per_e = Counter(component[a] for a, _ in edges)
+    per_f = Counter(component[cycle[0]] for cycle in faces)
+    components = []
+    for c in range(count):
+        chi = per_v[c] - per_e[c] + per_f[c]
+        orientable = orientable_of[c]
+        genus = (2 - chi) // 2 if orientable else None
+        components.append(
+            ComponentReport(per_v[c], per_e[c], per_f[c], chi, orientable, genus)
+        )
+    return _surface_report((num_vertices, len(edges), len(faces)), components)
 
 
 def reference_build_complex(linkage) -> CWComplex:

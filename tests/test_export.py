@@ -343,6 +343,16 @@ def test_complex_from_json_rejects_a_face_index_that_is_not_an_int():
             _load(doc)
 
 
+def test_complex_from_json_rejects_faces_moved_between_rows():
+    # the flat list of face indices is unchanged, only where one row ends
+    doc = _pentagon_document()
+    first, second = doc["cells"][113]["boundary"], doc["cells"][112]["boundary"]
+    doc["cells"][112]["boundary"] = second + first[:1]
+    doc["cells"][113]["boundary"] = first[1:]
+    with pytest.raises(ValueError, match=_mismatch(112, r'"boundary": \[')):
+        _load(doc)
+
+
 def test_complex_from_json_rejects_a_face_listed_twice():
     doc = _pentagon_document()
     doc["cells"][30]["boundary"] = [0, 0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
 from linkspace.export import export_mesh
 from linkspace.cli import main
+from linkspace import geometry
 from linkspace.geometry import NotACycle, boundary_cycle, perform_surgery, permutohedron
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
@@ -25,6 +26,7 @@ from oracles import (
     part_containing,
     vertex_to_permutation,
 )
+from test_golden import pentagon_chambers
 
 
 def _dist3(p, q):
@@ -425,6 +427,42 @@ def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
 def test_surgery_is_deterministic():
     linkage = make_linkage([2, 2, 1, 1, 3])
     assert perform_surgery(linkage) == perform_surgery(linkage)
+
+
+def test_cycles_and_signs_are_walks_of_the_built_complex(representatives):
+    # each face's cycle and signs are read by label from the n = 5 table's
+    # walks; a walk on the pentagon's own complex must give the same
+    for linkage in [l for _, l in representatives] + list(pentagon_chambers()):
+        mesh, complex_ = perform_surgery(linkage), build_complex(linkage)
+        labels, boundary = complex_.labels_by_dim, complex_.boundary
+        assert len(mesh.cycles) == len(mesh.signs) == len(boundary[2])
+        for i, (cycle, signs, row) in enumerate(zip(mesh.cycles, mesh.signs, boundary[2])):
+            assert list(cycle) == geometry._cycle(labels, boundary, i)
+            walked = set(zip(cycle, cycle[1:] + cycle[:1]))
+            # +1 iff the cycle walks the edge from its first 0-cell to its second
+            directions = [
+                1 if (u, w) in walked else -1 if (w, u) in walked else 0
+                for u, w in (complex_.edges[e] for e in row)
+            ]
+            assert list(signs) == directions, (linkage.spec(), labels[2][i])
+
+
+def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys):
+    # the table's faces are walked once per process; pentagons of other
+    # chambers read their cycles and signs from that walk
+    assert main(["classify", "1,1,1,1,3"]) == 0
+    calls = []
+    walk = geometry._cycle
+    monkeypatch.setattr(geometry, "_cycle", lambda *args: calls.append(args[2]) or walk(*args))
+    for spec in ("1,1,1,eps,2", "2,2,1,1,3", "1,1,eps,eps,1", "2,1,1,1,2", "1,1,1,1,1"):
+        assert main(["classify", spec]) == 0
+        assert main(["mesh", spec]) == 0
+    assert calls == []
+    # the count is live: with the cache cleared, one surgery walks each of
+    # the table's 50 faces once
+    geometry._face_walks.cache_clear()
+    perform_surgery(make_linkage([1, 1, 1, 1, 1]))
+    assert calls == list(range(50))
 
 
 def test_face_counts_split_matches_membership_tables(representatives, meshes):

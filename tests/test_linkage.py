@@ -75,8 +75,13 @@ def test_nonpositive_length_rejected():
 
 def test_polygon_inequality_rejected():
     # generic (no subset sums to 7) but one bar outweighs the rest
-    with pytest.raises(ViolatesPolygonInequality):
+    with pytest.raises(ViolatesPolygonInequality) as exc:
         make_linkage([1, 1, 1, 1, 10])
+    assert str(exc.value) == "longest bar 10 is >= sum of the rest 4"
+    # the check runs on integer weights; the message keeps the exact lengths
+    with pytest.raises(ViolatesPolygonInequality) as exc:
+        make_linkage([Fraction(1, 3), Fraction(1, 2), Fraction(7, 3)])
+    assert str(exc.value) == "longest bar 7/3 is >= sum of the rest 5/6"
 
 
 def test_too_few_bars_rejected():

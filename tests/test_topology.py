@@ -7,23 +7,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkspace.cwcomplex import ArityMismatch, build_complex, count_cells
+from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
+from linkspace.geometry import SurfaceMesh, perform_surgery
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
     NotAClosedSurface,
     analyze,
     betti_numbers,
     classify_linkage,
-    classify_surface,
 )
 
 from oracles import (
+    classify_surface,
     euler_characteristic,
     oracle_betti_numbers,
     oracle_component_count,
     oracle_components,
     oracle_f_vector,
 )
+from test_golden import pentagon_chambers
 
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
@@ -62,6 +64,17 @@ def test_classify_linkage_matches_analyze(meshes):
         assert classify_linkage(linkage) == analyze(mesh)
 
 
+def test_analyze_agrees_with_the_mesh_route(representatives):
+    # the complex's face rows and signs against the mesh's vertex cycles,
+    # over the six representatives and every labelled chamber; the chambers
+    # hold every generic pentagon, so every one of them is orientable
+    for linkage in [l for _, l in representatives] + list(pentagon_chambers()):
+        mesh = perform_surgery(linkage)
+        report = analyze(mesh)
+        assert report == classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
+        assert all(c.orientable for c in report.components), linkage.spec()
+
+
 def _grid_faces(rows, cols, twist):
     """Quad grid on a torus (twist=False) or Klein bottle (twist=True):
     wrap i mod rows always; crossing the top edge maps i to -i when twisted."""
@@ -84,20 +97,42 @@ def _grid_faces(rows, cols, twist):
     return rows * cols, sorted(edges), faces
 
 
+def _grid_mesh(rows, cols, twist):
+    """The grid of `_grid_faces` as a SurfaceMesh on a hand-built complex,
+    with no linkage, which `analyze` does not read: its 2-cell rows list
+    each face's edges ascending, with the face's cycle and its sign along
+    each edge, +1 where the cycle walks the edge as stored."""
+    v, e, f = _grid_faces(rows, cols, twist)
+    edge_id = {ends: i for i, ends in enumerate(e)}
+    face_rows, signs = [], []
+    for cycle in f:
+        walked = {
+            edge_id[(min(a, b), max(a, b))]: 1 if a < b else -1
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        }
+        face_rows.append(tuple(sorted(walked)))
+        signs.append(tuple(walked[i] for i in sorted(walked)))
+    labels = [[str(k) for k in range(count)] for count in (v, len(e), len(f))]
+    complex_ = CWComplex(None, labels, [((),) * v, e, face_rows])
+    return SurfaceMesh(complex_, ((0.0, 0.0, 0.0),) * v, tuple(f), tuple(signs))
+
+
 def test_torus_grid_classifies_as_torus():
-    v, e, f = _grid_faces(3, 3, twist=False)
-    report = classify_surface(v, e, f)
+    mesh = _grid_mesh(3, 3, twist=False)
+    report = analyze(mesh)
     assert report.classification == "torus"
     assert report.euler_characteristic == 0
     assert report.components[0].orientable is True
+    assert report == classify_surface(*_grid_faces(3, 3, twist=False))
 
 
 def test_klein_grid_is_reported_non_orientable():
-    v, e, f = _grid_faces(3, 3, twist=True)
-    report = classify_surface(v, e, f)
+    mesh = _grid_mesh(3, 3, twist=True)
+    report = analyze(mesh)
     assert report.classification == "non-orientable (chi=0)"
     assert report.components[0].orientable is False
     assert report.components[0].genus is None
+    assert report == classify_surface(*_grid_faces(3, 3, twist=True))
 
 
 def test_edge_endpoint_order_does_not_change_the_report():
