@@ -27,23 +27,22 @@ every cyclic partition of {1..n} into at least 3 parts (the walk with every
 proper subset short), keeping the cells whose every part is short.  At
 n = 5 that is the paper's surgery on the 4-permutohedron; n = 8 is walked,
 as its table would hold about 94k cells.  `count_cells` counts the cells
-without building one, which is all `classify` needs away from n = 5.  No
-command builds a CyclicPartition; `CWComplex.cells_by_dim`, a view for the
-tests and the benchmark, parses the labels on first read.
+without building one, which is all `classify` needs away from n = 5.  A
+label is written once, by `_walk`, and no record or command parses it back.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import accumulate, compress
 from math import factorial
 from operator import and_, itemgetter
-from typing import Sequence
+from typing import NamedTuple
 
 from .linkage import Linkage
-from .partitions import CyclicPartition, mask_texts, parse_partition
+from .partitions import mask_texts
 
 #: A grade's parts by position: column p holds each cell's p-th part mask,
 #: one byte per cell (a mask on n <= 8 bars is below 2^8).
@@ -60,44 +59,26 @@ def check_supported_arity(n: int) -> None:
         raise ArityMismatch(f"complex construction supports 4 <= n <= 8, got n={n}")
 
 
-class CWComplex:
+class CWComplex(NamedTuple):
     """Graded admissible cells with refinement incidence, a plain record.
 
     labels_by_dim[d] lists the d-cells as label text, e.g. '{1,3}{2}{4,5}'
     (n's part last), sorted.  boundary[d][i] holds the ascending indices
     (into labels_by_dim[d-1]) of cell i's codimension-1 faces, with an empty
-    row for each vertex, and `edges` is boundary[1], the 1-skeleton.  The
-    cells never change.  cells_by_dim, the same cells as CyclicPartition
-    labels, is parsed from the text on first read; no command reads it, so
-    it serves only the tests and the benchmark.
+    row for each vertex, and `edges` is boundary[1], the 1-skeleton.  Tuple
+    equality compares the linkage, the labels and the rows.
     """
 
-    def __init__(
-        self,
-        linkage: Linkage,
-        labels_by_dim: Sequence[Sequence[str]],
-        boundary: Sequence[Sequence[tuple[int, ...]]],
-    ):
-        self.linkage = linkage
-        self.labels_by_dim = tuple(tuple(ls) for ls in labels_by_dim)
-        self.boundary = tuple(tuple(bs) for bs in boundary)
-        self.edges = self.boundary[1]
+    linkage: Linkage
+    labels_by_dim: tuple[tuple[str, ...], ...]
+    boundary: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @cached_property
-    def cells_by_dim(self) -> tuple[tuple[CyclicPartition, ...], ...]:
-        return tuple(tuple(map(parse_partition, labels)) for labels in self.labels_by_dim)
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return self.boundary[1]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self.labels_by_dim))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CWComplex):
-            return NotImplemented
-        return (
-            self.linkage.lengths == other.linkage.lengths
-            and self.labels_by_dim == other.labels_by_dim
-            and self.boundary == other.boundary
-        )
 
     def __repr__(self) -> str:
         return f"CWComplex(n={self.linkage.n}, f={self.f_vector()})"
@@ -124,7 +105,8 @@ def build_complex(linkage: Linkage) -> CWComplex:
     if n <= 7:
         labels, boundary = _restrict(n, linkage.short)
     else:
-        labels, boundary, _ = _walk(n, linkage.short)
+        walked, rows, _ = _walk(n, linkage.short)
+        labels, boundary = tuple(map(tuple, walked)), tuple(rows)
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(labels[0]) == factorial(n - 1)
@@ -208,7 +190,7 @@ def _table(n: int) -> tuple[tuple[tuple[str, ...], ...], tuple, tuple[Columns, .
     return tuple(map(tuple, labels)), tuple(boundary), tuple(columns)
 
 
-def _restrict(n: int, short: tuple[bool, ...]) -> tuple[list[tuple[str, ...]], list]:
+def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], ...], tuple]:
     """The label text of the cells of `_table(n)` whose every part is short,
     and their boundary rows renumbered into the kept cells of the grade
     below.  Text and rows are cut by one flag per cell, each grade's column
@@ -232,7 +214,7 @@ def _restrict(n: int, short: tuple[bool, ...]) -> tuple[list[tuple[str, ...]], l
             kept_boundary.append(tuple([itemgetter(*row)(index) for row in kept_rows]))
         # a kept cell's new index is the number of kept cells before it
         index = None if len(kept_labels[-1]) == len(words) else list(accumulate(flags, initial=0))
-    return kept_labels, kept_boundary
+    return tuple(kept_labels), tuple(kept_boundary)
 
 
 def count_cells(linkage: Linkage) -> tuple[int, ...]:
@@ -304,69 +286,3 @@ def _wire(
     for row in rows:
         row.sort()
     return tuple(map(tuple, rows))
-
-
-# Facet rows for the two admissibility tables of the standard pentagon
-# surgery, in their conventional order.  Step-2 rows are the 14 facets of the
-# 4-permutohedron with {5} appended (rows 1-8 hexagons, 9-14 squares; row 8 is
-# the reversal {2,3,4}{1}{5} of row 1 -- it is sometimes misprinted as
-# {1,2,3}{1}{5}, which repeats 1 and omits 4).  Step-3 rows are the three-part
-# cyclic partitions whose part containing 5 is not a singleton; the two cyclic
-# arrangements of the same parts are paired per row since they are admissible
-# or not together.
-STEP2_ROWS: tuple[str, ...] = (
-    "{1}{2,3,4}{5}",
-    "{2}{1,3,4}{5}",
-    "{3}{1,2,4}{5}",
-    "{4}{1,2,3}{5}",
-    "{1,2,3}{4}{5}",
-    "{1,2,4}{3}{5}",
-    "{1,3,4}{2}{5}",
-    "{2,3,4}{1}{5}",
-    "{1,2}{3,4}{5}",
-    "{3,4}{1,2}{5}",
-    "{1,3}{2,4}{5}",
-    "{2,4}{1,3}{5}",
-    "{1,4}{2,3}{5}",
-    "{2,3}{1,4}{5}",
-)
-
-STEP3_ROWS: tuple[tuple[str, str], ...] = (
-    ("{3}{4}{1,2,5}", "{4}{3}{1,2,5}"),
-    ("{2}{4}{1,3,5}", "{4}{2}{1,3,5}"),
-    ("{2}{3}{1,4,5}", "{3}{2}{1,4,5}"),
-    ("{1}{4}{2,3,5}", "{4}{1}{2,3,5}"),
-    ("{1}{3}{2,4,5}", "{3}{1}{2,4,5}"),
-    ("{1}{2}{3,4,5}", "{2}{1}{3,4,5}"),
-    ("{3,4}{2}{1,5}", "{2}{3,4}{1,5}"),
-    ("{2,4}{3}{1,5}", "{3}{2,4}{1,5}"),
-    ("{2,3}{4}{1,5}", "{4}{2,3}{1,5}"),
-    ("{3,4}{1}{2,5}", "{1}{3,4}{2,5}"),
-    ("{1,4}{3}{2,5}", "{3}{1,4}{2,5}"),
-    ("{1,3}{4}{2,5}", "{4}{1,3}{2,5}"),
-    ("{2,4}{1}{3,5}", "{1}{2,4}{3,5}"),
-    ("{1,4}{2}{3,5}", "{2}{1,4}{3,5}"),
-    ("{1,2}{4}{3,5}", "{4}{1,2}{3,5}"),
-    ("{2,3}{1}{4,5}", "{1}{2,3}{4,5}"),
-    ("{1,3}{2}{4,5}", "{2}{1,3}{4,5}"),
-    ("{1,2}{3}{4,5}", "{3}{1,2}{4,5}"),
-)
-
-
-def facet_membership_table(linkages: list[Linkage]) -> tuple[list, list]:
-    """Evaluate the fixed step-2/step-3 row labels against each pentagon,
-    as the step-2 and step-3 lists of (row, values), one value per linkage: a
-    row is admissible iff each of its part masks is short.  Both labels of a
-    step-3 row have the same parts, so the first one decides."""
-    for l in linkages:
-        if l.n != 5:
-            raise ArityMismatch(f"facet tables are defined for n=5, got n={l.n}")
-    mask_of = {text: m for m, text in enumerate(mask_texts(5))}
-
-    def values(row: str) -> tuple[bool, ...]:
-        masks = [mask_of["{" + part + "}"] for part in row[1:-1].split("}{")]
-        return tuple(all(l.short[m] for m in masks) for l in linkages)
-
-    step2 = [(row, values(row)) for row in STEP2_ROWS]
-    step3 = [(row, values(row[0])) for row in STEP3_ROWS]
-    return step2, step3

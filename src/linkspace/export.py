@@ -19,12 +19,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import topology
-from .cwcomplex import (
-    CWComplex,
-    build_complex,
-    check_supported_arity,
-    facet_membership_table,
-)
+from .cwcomplex import CWComplex, build_complex, check_supported_arity
 from .geometry import Point3, SurfaceMesh
 from .linkage import (
     DEFAULT_EPSILON,
@@ -327,11 +322,69 @@ REPRESENTATIVES: tuple[Representative, ...] = (
 )
 
 
+# Facet rows for the two admissibility tables of the standard pentagon
+# surgery, in their conventional order.  Step-2 rows are the 14 facets of the
+# 4-permutohedron with {5} appended (rows 1-8 hexagons, 9-14 squares; row 8 is
+# the reversal {2,3,4}{1}{5} of row 1 -- it is sometimes misprinted as
+# {1,2,3}{1}{5}, which repeats 1 and omits 4).  Step-3 rows are the three-part
+# cyclic partitions whose part containing 5 is not a singleton; the two cyclic
+# arrangements of the same parts are paired per row since they are admissible
+# or not together.
+STEP2_ROWS: tuple[str, ...] = (
+    "{1}{2,3,4}{5}",
+    "{2}{1,3,4}{5}",
+    "{3}{1,2,4}{5}",
+    "{4}{1,2,3}{5}",
+    "{1,2,3}{4}{5}",
+    "{1,2,4}{3}{5}",
+    "{1,3,4}{2}{5}",
+    "{2,3,4}{1}{5}",
+    "{1,2}{3,4}{5}",
+    "{3,4}{1,2}{5}",
+    "{1,3}{2,4}{5}",
+    "{2,4}{1,3}{5}",
+    "{1,4}{2,3}{5}",
+    "{2,3}{1,4}{5}",
+)
+
+STEP3_ROWS: tuple[tuple[str, str], ...] = (
+    ("{3}{4}{1,2,5}", "{4}{3}{1,2,5}"),
+    ("{2}{4}{1,3,5}", "{4}{2}{1,3,5}"),
+    ("{2}{3}{1,4,5}", "{3}{2}{1,4,5}"),
+    ("{1}{4}{2,3,5}", "{4}{1}{2,3,5}"),
+    ("{1}{3}{2,4,5}", "{3}{1}{2,4,5}"),
+    ("{1}{2}{3,4,5}", "{2}{1}{3,4,5}"),
+    ("{3,4}{2}{1,5}", "{2}{3,4}{1,5}"),
+    ("{2,4}{3}{1,5}", "{3}{2,4}{1,5}"),
+    ("{2,3}{4}{1,5}", "{4}{2,3}{1,5}"),
+    ("{3,4}{1}{2,5}", "{1}{3,4}{2,5}"),
+    ("{1,4}{3}{2,5}", "{3}{1,4}{2,5}"),
+    ("{1,3}{4}{2,5}", "{4}{1,3}{2,5}"),
+    ("{2,4}{1}{3,5}", "{1}{2,4}{3,5}"),
+    ("{1,4}{2}{3,5}", "{2}{1,4}{3,5}"),
+    ("{1,2}{4}{3,5}", "{4}{1,2}{3,5}"),
+    ("{2,3}{1}{4,5}", "{1}{2,3}{4,5}"),
+    ("{1,3}{2}{4,5}", "{2}{1,3}{4,5}"),
+    ("{1,2}{3}{4,5}", "{3}{1,2}{4,5}"),
+)
+
+
 def render_tables() -> str:
     """Regenerate both facet-admissibility tables for the six standard
-    pentagons at eps = DEFAULT_EPSILON, with 'v' marking admissible rows."""
-    linkages = [make_linkage(parse_lengths(r.spec)) for r in REPRESENTATIVES]
-    step2, step3 = facet_membership_table(linkages)
+    pentagons at eps = DEFAULT_EPSILON, with 'v' marking admissible rows.
+    The surgery is the cut of the n = 5 table (`build_complex`), so a row is
+    admissible iff its label is a 2-cell of the pentagon's complex.  Both
+    labels of a step-3 row have the same parts, so the first one decides."""
+    kept = [
+        set(build_complex(make_linkage(parse_lengths(r.spec))).labels_by_dim[2])
+        for r in REPRESENTATIVES
+    ]
+
+    def values(row: str) -> list[bool]:
+        return [row in faces for faces in kept]
+
+    step2 = [(row, values(row)) for row in STEP2_ROWS]
+    step3 = [(row, values(row[0])) for row in STEP3_ROWS]
     columns = [f"({r.spec})" for r in REPRESENTATIVES]
     width = max(
         [len("partition")]

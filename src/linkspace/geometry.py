@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
-from .partitions import CyclicPartition
+from .partitions import CyclicPartition, parse_partition
 
 Point3 = tuple[float, float, float]
 
@@ -147,16 +147,17 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
     `boundary[2]`, each joining the two 0-cells of its `boundary[1]` row.
     0-cells are sorted by label string, which orders them by element
     sequence, so the cycle starts at the smallest vertex and heads toward
-    its smaller neighbor.  Raises NotACycle if the label is not a cell of
-    the complex or its boundary graph is not a single simple cycle.
+    its smaller neighbor.  The cell is found by its text, and only the
+    cycle's vertex labels are parsed.  Raises NotACycle if the label is not
+    a cell of the complex or its boundary graph is not a single simple cycle.
     """
     if cell.num_parts != cell.n - 2:
         raise ValueError(f"{cell} is not a 2-cell label (needs n-2 parts)")
-    cells = complex_.cells_by_dim
-    if len(cells) < 3 or cell not in cells[2]:
+    labels, text = complex_.labels_by_dim, str(cell)
+    if len(labels) < 3 or text not in labels[2]:
         raise NotACycle(f"{cell} is not a cell of the complex")
-    i = cells[2].index(cell)
-    return [cells[0][k] for k in _cycle(complex_.labels_by_dim, complex_.boundary, i)]
+    i = labels[2].index(text)
+    return [parse_partition(labels[0][k]) for k in _cycle(labels, complex_.boundary, i)]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:

@@ -53,10 +53,6 @@ class NonGeneric(LinkageError):
         )
 
 
-class EmptySubset(LinkageError):
-    pass
-
-
 class Linkage(NamedTuple):
     """A validated polygonal linkage: positive, closed (polygon inequality)
     and generic.  Construct via make_linkage(); repr leaves out `short`."""
@@ -139,21 +135,6 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
 def mask_elements(mask: int) -> tuple[int, ...]:
     """The bar indices in `mask`, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
-    """True iff the bars indexed by `part` are collectively no longer than
-    the remaining bars.
-
-    Genericity rules out equality, so <= and < agree here.
-    """
-    s = frozenset(part)
-    if not s:
-        raise EmptySubset("admissibility is undefined for the empty subset")
-    ground = frozenset(range(1, linkage.n + 1))
-    if not s <= ground:
-        raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
-    return linkage.part_sum(s) <= linkage.part_sum(ground - s)
 
 
 def is_admissible_partition(

@@ -7,24 +7,29 @@ The exceptions are the package's earlier implementations, kept as the
 references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one,
 `reference_complex_to_json` and `reference_report_to_json`, the
-`json.dumps` writers behind the direct ones, and `classify_surface`, the
-mesh-level surface classifier behind `topology.analyze`.
-Below them are helpers the package itself has no use for, kept here as
-second routes for the tests: cyclic coarsenings, reading a cyclic order
-as a sequence or a permutation and back, a label's part holding a bar,
-the permutohedron's face lattice with linear refinement and meets of
-ordered partitions (its face order), and a complex's top dimension and its
-or a mesh's faces as labels.
+`json.dumps` writers behind the direct ones, `classify_surface`, the
+mesh-level surface classifier behind `topology.analyze`, and
+`is_admissible_part`, the rational-sum predicate behind the short-subset
+table.  Below them are helpers the package itself has no use for, kept
+here as second routes for the tests: a complex's cells parsed from its
+label text (`cells_by_dim`), the facet tables' membership read from the
+cut, cyclic coarsenings, reading a cyclic order as a sequence or a
+permutation and back, a label's part holding a bar, the permutohedron's
+face lattice with linear refinement and meets of ordered partitions (its
+face order), and a complex's top dimension and its or a mesh's faces as
+labels.
 """
 
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
+from typing import Iterable
 
-from linkspace.cwcomplex import CWComplex, check_supported_arity
-from linkspace.linkage import is_admissible_partition
+from linkspace.cwcomplex import CWComplex, build_complex, check_supported_arity
+from linkspace.linkage import Linkage, LinkageError, is_admissible_partition
 from linkspace.partitions import (
     CyclicPartition,
     InvalidArity,
@@ -32,6 +37,7 @@ from linkspace.partitions import (
     canonicalize,
     enumerate_cyclic_partitions,
     one_step_refinements,
+    parse_partition,
 )
 from linkspace.topology import (
     ComponentReport,
@@ -229,16 +235,57 @@ def classify_surface(num_vertices: int, edges, faces) -> TopologyReport:
     return _surface_report((num_vertices, len(edges), len(faces)), components)
 
 
-def reference_build_complex(linkage) -> CWComplex:
+class EmptySubset(LinkageError):
+    pass
+
+
+def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
+    """True iff the bars indexed by `part` are collectively no longer than
+    the remaining bars, by their rational sums: the reference for the
+    short-subset table `Linkage.short`.
+
+    Genericity rules out equality, so <= and < agree here.
+    """
+    s = frozenset(part)
+    if not s:
+        raise EmptySubset("admissibility is undefined for the empty subset")
+    ground = frozenset(range(1, linkage.n + 1))
+    if not s <= ground:
+        raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
+    return linkage.part_sum(s) <= linkage.part_sum(ground - s)
+
+
+def cells_by_dim(complex_: CWComplex) -> tuple[tuple[CyclicPartition, ...], ...]:
+    """A complex's cells as CyclicPartition labels, parsed from its label
+    text.  The tests read the same complexes' cells many times, so the parse
+    is cached by the text."""
+    return _parse_grades(tuple(map(tuple, complex_.labels_by_dim)))
+
+
+@lru_cache(maxsize=32)
+def _parse_grades(labels_by_dim: tuple[tuple[str, ...], ...]):
+    return tuple(tuple(map(parse_partition, labels)) for labels in labels_by_dim)
+
+
+def membership(linkages: Iterable[Linkage], rows: Iterable[str]) -> list[tuple[bool, ...]]:
+    """Per row label, whether each linkage's complex has it as a 2-cell: the
+    facet tables' values as `linkctl tables` reads them from the cut."""
+    faces = [set(build_complex(l).labels_by_dim[2]) for l in linkages]
+    return [tuple(row in kept for kept in faces) for row in rows]
+
+
+def reference_build_complex(linkage) -> tuple[CWComplex, list[list[CyclicPartition]]]:
     """Build the complex by enumerating all S(n,m)*(m-1)! cyclic partitions
     per grade, filtering them with rational sums and wiring incidence through
     labelled one-step refinements.  The cells are stored as label text, as
     the package stores them, written by the enumerated labels' own `str`, so
-    comparing labels with the package's checks its label column;
-    `cells_by_dim` holds the enumerated labels."""
+    comparing labels with the package's checks its label column.  Returns
+    the complex and, beside it, the enumerated labels by dimension, so that
+    comparing them with the package's parsed text checks that text against
+    labels the package did not write."""
     n = linkage.n
     check_supported_arity(n)
-    cells_by_dim = []
+    enumerated = []
     for m in range(n, 2, -1):  # m parts -> dimension n - m
         labels = [
             c
@@ -246,23 +293,19 @@ def reference_build_complex(linkage) -> CWComplex:
             if is_admissible_partition(linkage, c.parts)
         ]
         labels.sort(key=str)
-        cells_by_dim.append(labels)
-    assert len(cells_by_dim[0]) == factorial(n - 1)
-    boundary = [[() for _ in cells_by_dim[0]]]
-    for d in range(1, len(cells_by_dim)):
-        below = {label: i for i, label in enumerate(cells_by_dim[d - 1])}
+        enumerated.append(labels)
+    assert len(enumerated[0]) == factorial(n - 1)
+    boundary = [[() for _ in enumerated[0]]]
+    for d in range(1, len(enumerated)):
+        below = {label: i for i, label in enumerate(enumerated[d - 1])}
         boundary.append(
             [
                 tuple(sorted(below[f] for f in one_step_refinements(label)))
-                for label in cells_by_dim[d]
+                for label in enumerated[d]
             ]
         )
-    texts = [[str(label) for label in labels] for labels in cells_by_dim]
-    complex_ = CWComplex(linkage, texts, boundary)
-    # the reference's labels are the ones enumerated here, not the package's
-    # parse of its text, so comparing labels with it checks that view
-    complex_.__dict__["cells_by_dim"] = tuple(map(tuple, cells_by_dim))
-    return complex_
+    texts = tuple(tuple(str(label) for label in labels) for labels in enumerated)
+    return CWComplex(linkage, texts, tuple(map(tuple, boundary))), enumerated
 
 
 def label_masks(label: CyclicPartition) -> tuple[int, ...]:
@@ -274,9 +317,9 @@ def label_masks(label: CyclicPartition) -> tuple[int, ...]:
 def reference_complex_to_json(complex_: CWComplex) -> str:
     cells = []
     offset = [0]
-    for d in range(len(complex_.cells_by_dim) - 1):
-        offset.append(offset[-1] + len(complex_.cells_by_dim[d]))
-    for d, layer in enumerate(complex_.cells_by_dim):
+    for d in range(len(complex_.labels_by_dim) - 1):
+        offset.append(offset[-1] + len(complex_.labels_by_dim[d]))
+    for d, layer in enumerate(cells_by_dim(complex_)):
         for i, label in enumerate(layer):
             cells.append(
                 {
@@ -489,19 +532,19 @@ def complex_dim(complex_: CWComplex) -> int:
 def index_of(complex_: CWComplex, label: CyclicPartition) -> tuple[int, int]:
     """(dim, index) of a labelled cell of the complex."""
     d = label.n - label.num_parts
-    return d, complex_.cells_by_dim[d].index(label)
+    return d, cells_by_dim(complex_)[d].index(label)
 
 
 def boundary_labels(complex_: CWComplex, label: CyclicPartition) -> list[CyclicPartition]:
     """The labels of a cell's faces, read from the complex's boundary list."""
     d, i = index_of(complex_, label)
-    return [complex_.cells_by_dim[d - 1][j] for j in complex_.boundary[d][i]]
+    return [cells_by_dim(complex_)[d - 1][j] for j in complex_.boundary[d][i]]
 
 
 def mesh_faces(mesh):
     """A mesh's faces as (label, vertex cycle, provenance) triples, face k
     labelled by the complex's 2-cell k."""
-    labels = mesh.complex.cells_by_dim[2]
+    labels = cells_by_dim(mesh.complex)[2]
     return [(labels[k], cycle, mesh.provenance(k)) for k, cycle in enumerate(mesh.cycles)]
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from linkspace.cli import main
-from linkspace.cwcomplex import build_complex, facet_membership_table
-from linkspace.export import REPRESENTATIVES, verify_all
+from linkspace.cwcomplex import build_complex
+from linkspace.export import REPRESENTATIVES, STEP2_ROWS, STEP3_ROWS, verify_all
 from linkspace.geometry import permutohedron
 from linkspace.linkage import (
     LinkageError,
@@ -25,8 +25,10 @@ from linkspace.topology import analyze
 
 from oracles import (
     PermutohedronLattice,
+    cells_by_dim,
     coarsenings,
     is_watertight,
+    membership,
     mesh_faces,
     oracle_cells,
     ordered_refines,
@@ -109,8 +111,7 @@ def _pattern(rows):
 
 
 def test_criterion_2_step2_admissibility_matrix(representatives, capsys):
-    step2, _ = facet_membership_table([l for _, l in representatives])
-    got = [values for _, values in step2]
+    got = membership([l for _, l in representatives], STEP2_ROWS)
     ok = got == _pattern(TABLE2_PATTERN)
     with capsys.disabled():
         _report(2, ok, "14x6 step-2 matrix matches cell-for-cell (row 8 corrected)")
@@ -118,8 +119,7 @@ def test_criterion_2_step2_admissibility_matrix(representatives, capsys):
 
 
 def test_criterion_3_step3_admissibility_matrix(representatives, capsys):
-    _, step3 = facet_membership_table([l for _, l in representatives])
-    got = [values for _, values in step3]
+    got = membership([l for _, l in representatives], [a for a, _ in STEP3_ROWS])
     ok = got == _pattern(TABLE3_PATTERN)
     with capsys.disabled():
         _report(3, ok, "18x6 step-3 matrix matches cell-for-cell")
@@ -142,7 +142,7 @@ def test_criterion_4_f_vectors_against_independent_oracle(representatives, capsy
         complex_ = build_complex(linkage)
         checks.append(complex_.f_vector() == expected)
         oracle = oracle_cells(linkage.lengths)
-        for d, cells in enumerate(complex_.cells_by_dim):
+        for d, cells in enumerate(cells_by_dim(complex_)):
             got = {rotation_class(c.parts) for c in cells}
             checks.append(got == oracle[d])
     ok = all(checks)
@@ -251,7 +251,7 @@ def test_criterion_9_two_tori_pruning(meshes, capsys):
         if provenance == "diagonal" and len(cycle) == 6
     )
     lattice = PermutohedronLattice(4)
-    mesh_edge_labels = {str(label) for label in mesh.complex.cells_by_dim[1]}
+    mesh_edge_labels = {str(label) for label in cells_by_dim(mesh.complex)[1]}
     missing = [
         edge
         for edge in lattice.edges

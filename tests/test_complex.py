@@ -15,15 +15,9 @@ from hypothesis import strategies as st
 
 from linkspace import cwcomplex, topology
 from linkspace.cli import main
-from linkspace.cwcomplex import (
-    STEP2_ROWS,
-    STEP3_ROWS,
-    ArityMismatch,
-    CWComplex,
-    build_complex,
-    facet_membership_table,
-)
-from linkspace.export import complex_from_json, complex_to_json
+from linkspace.cwcomplex import CWComplex, build_complex
+from linkspace.export import STEP2_ROWS, STEP3_ROWS, complex_from_json, complex_to_json
+from linkspace.geometry import boundary_cycle
 from linkspace.linkage import Linkage, is_admissible_partition, make_linkage, parse_lengths
 from linkspace.partitions import (
     CyclicPartition,
@@ -36,11 +30,13 @@ from linkspace.partitions import (
 
 from oracles import (
     boundary_labels,
+    cells_by_dim,
     coarsenings,
     complex_dim,
     euler_characteristic,
     index_of,
     label_masks,
+    membership,
     oracle_cells,
     oracle_f_vector,
     reference_build_complex,
@@ -69,7 +65,7 @@ def test_cells_match_independent_enumeration(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
         expected = oracle_cells(linkage.lengths)
-        for d, cells in enumerate(complex_.cells_by_dim):
+        for d, cells in enumerate(cells_by_dim(complex_)):
             got = {rotation_class(c.parts) for c in cells}
             assert got == expected[d]
 
@@ -78,14 +74,14 @@ def test_oracle_equivalence_for_a_hexagon_linkage():
     linkage = make_linkage([1, 1, 1, 1, 1, 2])
     complex_ = build_complex(linkage)
     expected = oracle_cells(linkage.lengths)
-    for d, cells in enumerate(complex_.cells_by_dim):
+    for d, cells in enumerate(cells_by_dim(complex_)):
         assert {rotation_class(c.parts) for c in cells} == expected[d]
 
 
 def test_every_stored_cell_is_admissible(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        for cells in complex_.cells_by_dim:
+        for cells in cells_by_dim(complex_):
             for cell in cells:
                 assert is_admissible_partition(linkage, cell.parts)
 
@@ -93,8 +89,8 @@ def test_every_stored_cell_is_admissible(representatives):
 def test_boundary_lists_are_exactly_the_one_step_refinements(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        for d in range(1, len(complex_.cells_by_dim)):
-            for cell in complex_.cells_by_dim[d]:
+        for d in range(1, len(complex_.labels_by_dim)):
+            for cell in cells_by_dim(complex_)[d]:
                 got = set(boundary_labels(complex_, cell))
                 assert got == set(one_step_refinements(cell))
 
@@ -103,7 +99,7 @@ def test_incidence_agrees_with_admissible_coarsenings(representatives):
     # cofaces of a 1-cell are its admissible adjacent merges
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        for cell in complex_.cells_by_dim[1]:
+        for cell in cells_by_dim(complex_)[1]:
             via_merge = {
                 c
                 for c in coarsenings(cell)
@@ -111,7 +107,7 @@ def test_incidence_agrees_with_admissible_coarsenings(representatives):
             }
             via_boundary = {
                 face
-                for i, face in enumerate(complex_.cells_by_dim[2])
+                for i, face in enumerate(cells_by_dim(complex_)[2])
                 if index_of(complex_, cell)[1] in complex_.boundary[2][i]
             }
             assert via_merge == via_boundary
@@ -120,7 +116,7 @@ def test_incidence_agrees_with_admissible_coarsenings(representatives):
 def test_every_edge_lies_in_exactly_two_faces(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        counts = [0] * len(complex_.cells_by_dim[1])
+        counts = [0] * len(complex_.labels_by_dim[1])
         for row in complex_.boundary[2]:
             for j in row:
                 counts[j] += 1
@@ -130,7 +126,7 @@ def test_every_edge_lies_in_exactly_two_faces(representatives):
 def test_vertex_degrees_are_at_least_three(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        degree = [0] * len(complex_.cells_by_dim[0])
+        degree = [0] * len(complex_.labels_by_dim[0])
         for row in complex_.boundary[1]:
             for j in row:
                 degree[j] += 1
@@ -157,7 +153,7 @@ def test_f_vector_invariant_under_length_preserving_relabeling():
     complex_ = build_complex(linkage)
     for swap in ({1: 2, 2: 1}, {3: 4, 4: 3}):
         relabel = lambda x: swap.get(x, x)
-        for cells in complex_.cells_by_dim:
+        for cells in cells_by_dim(complex_):
             labels = set(cells)
             mapped = {
                 canonicalize([{relabel(x) for x in p} for p in c.parts])
@@ -170,9 +166,26 @@ def test_cell_ordering_is_deterministic(representatives):
     for _, linkage in representatives:
         a, b = build_complex(linkage), build_complex(linkage)
         assert a == b
-        for cells in a.cells_by_dim:
+        for cells in cells_by_dim(a):
             labels = [str(c) for c in cells]
             assert labels == sorted(labels)
+
+
+def test_a_complex_repr_gives_its_n_and_f_vector():
+    # a NamedTuple's own repr would print every label; the record's
+    # immutability is checked with the other records' in test_linkage
+    assert repr(build_complex(make_linkage([1, 1, 1, 1, 1]))) == "CWComplex(n=5, f=(24, 60, 30))"
+    assert repr(build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))) == (
+        "CWComplex(n=7, f=(720, 2400, 2880, 1440, 242))"
+    )
+
+
+@pytest.mark.parametrize("spec", ["1,1,1,1,1", "1,2,3,4,5,6"])
+def test_a_loaded_complex_equals_the_built_one_and_hashes_alike(spec):
+    built = build_complex(make_linkage(parse_lengths(spec)))
+    loaded = complex_from_json(complex_to_json(built))
+    assert loaded == built and loaded is not built
+    assert hash(loaded) == hash(built)
 
 
 def test_labels_are_the_text_of_the_cells(representatives):
@@ -182,7 +195,7 @@ def test_labels_are_the_text_of_the_cells(representatives):
     linkages = [linkage for _, linkage in representatives] + [make_linkage([1, 2, 3, 4, 5, 6])]
     for linkage in linkages:
         complex_ = build_complex(linkage)
-        for d, cells in enumerate(complex_.cells_by_dim):
+        for d, cells in enumerate(cells_by_dim(complex_)):
             assert complex_.labels_by_dim[d] == tuple(str(c) for c in cells)
 
 
@@ -229,19 +242,19 @@ def test_dimension_bounds(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
         assert complex_dim(complex_) == linkage.n - 3
-        assert len(complex_.cells_by_dim[0]) == 24
+        assert len(cells_by_dim(complex_)[0]) == 24
         assert all(
             cell.num_parts == linkage.n - d
-            for d, cells in enumerate(complex_.cells_by_dim)
+            for d, cells in enumerate(cells_by_dim(complex_))
             for cell in cells
         )
 
 
 def test_membership_table_spot_values(representatives):
     linkages = [l for _, l in representatives]
-    table2, table3 = facet_membership_table(linkages)
-    step2 = {row: values for row, values in table2}
-    step3 = {pair[0]: values for pair, values in table3}
+    step2 = dict(zip(STEP2_ROWS, membership(linkages, STEP2_ROWS)))
+    firsts = [a for a, _ in STEP3_ROWS]
+    step3 = dict(zip(firsts, membership(linkages, firsts)))
     # columns are in representative order: 11113, 111e2, 22113, 11ee1, 21112, 11111
     assert step2["{1}{2,3,4}{5}"][5] is False
     assert step2["{4}{1,2,3}{5}"] == (True, False, False, False, False, False)
@@ -277,16 +290,25 @@ def test_table_rows_round_trip_through_their_masks():
         assert "".join(texts[m] for m in _masks(row)) == row
 
 
-def test_membership_table_requires_pentagons():
-    with pytest.raises(ArityMismatch):
-        facet_membership_table([make_linkage([2, 1, 1, 1])])
+def test_a_row_is_in_the_cut_iff_every_part_is_short():
+    # `tables` reads a row's membership in each pentagon's cut; the row's
+    # part masks against the short-subset table are a second route, and
+    # both labels of a step-3 row are kept or dropped together
+    rows = [*STEP2_ROWS, *(row for pair in STEP3_ROWS for row in pair)]
+    linkages = list(pentagon_chambers())
+    assert len(linkages) == 76
+    got = dict(zip(rows, membership(linkages, rows)))
+    for row in rows:
+        assert got[row] == tuple(all(l.short[m] for m in _masks(row)) for l in linkages), row
+    for a, b in STEP3_ROWS:
+        assert got[a] == got[b], a
 
 
 def test_cell_vertices_of_cells_are_complex_vertices(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        vertex_labels = set(complex_.cells_by_dim[0])
-        for cells in complex_.cells_by_dim[1:]:
+        vertex_labels = set(cells_by_dim(complex_)[0])
+        for cells in cells_by_dim(complex_)[1:]:
             for cell in cells:
                 assert set(cell_vertices(cell)) <= vertex_labels
 
@@ -306,12 +328,18 @@ def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
     assert sum(word.endswith("}{5}") for word in labels[1]) == 36
 
 
+def _walked(linkage):
+    """The complex walked over the linkage's own short-subset table, recorded
+    as `build_complex` records it, in tuples."""
+    labels, boundary, _ = cwcomplex._walk(linkage.n, linkage.short)
+    return CWComplex(linkage, tuple(map(tuple, labels)), tuple(boundary))
+
+
 def test_a_pentagon_complex_is_the_walk_on_its_own_short_table(representatives):
     # the table's restriction against the walk over each chamber's own table
     linkages = [linkage for _, linkage in representatives] + list(pentagon_chambers())
     for linkage in linkages:
-        walked = CWComplex(linkage, *cwcomplex._walk(5, linkage.short)[:2])
-        assert build_complex(linkage) == walked, linkage.spec()
+        assert build_complex(linkage) == _walked(linkage), linkage.spec()
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,7 +355,7 @@ def test_the_cut_is_the_walk_and_has_the_counted_cells_and_betti_sum(lengths):
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
     linkage = make_linkage(lengths)
     complex_ = build_complex(linkage)
-    assert complex_ == CWComplex(linkage, *cwcomplex._walk(linkage.n, linkage.short)[:2])
+    assert complex_ == _walked(linkage)
     f = complex_.f_vector()
     assert f == cwcomplex.count_cells(linkage)
     betti = topology.betti_numbers(linkage)
@@ -377,13 +405,13 @@ def test_an_octagon_is_walked_and_leaves_the_tables_alone():
 
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
-    reference = reference_build_complex(linkage)
+    reference, enumerated = reference_build_complex(linkage)
     assert complex_.labels_by_dim == reference.labels_by_dim
-    assert complex_.cells_by_dim == reference.cells_by_dim
+    assert cells_by_dim(complex_) == tuple(map(tuple, enumerated))
     assert complex_.boundary == reference.boundary
     # the builder's labels skip the constructor's check; the checking route
     # must give the same labels
-    for cells in complex_.cells_by_dim:
+    for cells in cells_by_dim(complex_):
         for cell in cells:
             assert cell == canonicalize(cell.parts)
     text = complex_to_json(complex_)
@@ -475,18 +503,26 @@ def no_labels(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
 
 
+#: A 2-cell of the equilateral pentagon, built before `no_labels` refuses labels.
+_FACE = canonicalize([{1}, {2, 3}, {4, 5}])
+
+
 def test_no_labels_refuses_the_label_layer(no_labels):
     with pytest.raises(AssertionError):
         CyclicPartition((frozenset({1}), frozenset({2}), frozenset({3})))
+    # the tests' parsed view, on text no other test parses, so not cached
     with pytest.raises(AssertionError):
-        build_complex(make_linkage([1, 1, 1, 1, 1])).cells_by_dim
+        cells_by_dim(CWComplex(None, (("{1}{2}{3}",),), ((),)))
+    # the one reader of labels in the package: a face's cycle, as labels
+    with pytest.raises(AssertionError):
+        boundary_cycle(_FACE, build_complex(make_linkage([1, 1, 1, 1, 1])))
     with pytest.raises(AssertionError):
         make_linkage([1, 1, 1]).part_sum([1])
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_every_golden_command_builds_no_label(no_labels, argv, digest):
-    # `tables` reads its row texts as masks and the short-subset table;
+    # `tables` looks its row texts up in six cuts of the n = 5 table;
     # `verify`, the meshes and the documents read masks and the walk's label text
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -674,7 +710,7 @@ def test_a_complex_is_the_same_whichever_rows_are_read_first(first, lengths):
     complex_ = build_complex(linkage)
     getattr(complex_, first)
     assert complex_.edges is complex_.boundary[1]
-    assert complex_ == reference_build_complex(linkage)
+    assert complex_ == reference_build_complex(linkage)[0]
     assert complex_ == complex_from_json(complex_to_json(complex_))
 
 

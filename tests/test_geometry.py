@@ -18,9 +18,11 @@ from linkspace.topology import NotAClosedSurface, analyze
 from oracles import (
     PermutohedronLattice,
     boundary_labels,
+    cells_by_dim,
     common_refinement,
     element_sequence,
     index_of,
+    membership,
     mesh_faces,
     ordered_refines,
     part_containing,
@@ -242,11 +244,11 @@ def test_sphere_mesh_is_the_whole_permutohedron_boundary(meshes):
     facet_labels = {
         str(canonicalize(facet + (frozenset({5}),))) for facet in poly.facets
     }
-    assert {str(label) for label in mesh.complex.cells_by_dim[2]} == facet_labels
+    assert {str(label) for label in cells_by_dim(mesh.complex)[2]} == facet_labels
     edge_labels = {
         str(canonicalize(edge + (frozenset({5}),))) for edge in poly.edges
     }
-    assert {str(label) for label in mesh.complex.cells_by_dim[1]} == edge_labels
+    assert {str(label) for label in cells_by_dim(mesh.complex)[1]} == edge_labels
 
 
 def test_equilateral_mesh_counts(meshes):
@@ -268,7 +270,7 @@ def test_two_tori_mesh_pruning_and_diagonals(meshes):
     assert hexagons == ["{1}{2}{3,4,5}", "{2}{1}{3,4,5}"]
     # exactly the six permutohedron edges whose label has part {1,2} vanish
     poly = PermutohedronLattice(4)
-    mesh_edge_labels = {str(label) for label in mesh.complex.cells_by_dim[1]}
+    mesh_edge_labels = {str(label) for label in cells_by_dim(mesh.complex)[1]}
     missing = [
         edge
         for edge in poly.edges
@@ -294,8 +296,8 @@ def test_mesh_agrees_with_the_complex(meshes):
         complex_ = build_complex(linkage)
         assert mesh.complex == complex_
         for d in range(3):
-            assert set(mesh.complex.cells_by_dim[d]) == set(complex_.cells_by_dim[d])
-        vertex_labels, edge_labels = complex_.cells_by_dim[0], complex_.cells_by_dim[1]
+            assert set(cells_by_dim(mesh.complex)[d]) == set(cells_by_dim(complex_)[d])
+        vertex_labels, edge_labels = cells_by_dim(complex_)[0], cells_by_dim(complex_)[1]
         edge_by_pair = {frozenset(ends): l for l, ends in zip(edge_labels, mesh.complex.edges)}
         for label, cycle, _ in mesh_faces(mesh):
             incident = {
@@ -316,10 +318,10 @@ def _assert_mesh_is_the_complex_in_order(mesh, complex_):
     assert mesh.complex == complex_
     assert (len(mesh.points), len(mesh.complex.edges), len(mesh.cycles)) == complex_.f_vector()
     assert list(mesh.complex.edges) == list(complex_.boundary[1])
-    vertices = complex_.cells_by_dim[0]
+    vertices = cells_by_dim(complex_)[0]
     for label, point in zip(vertices, mesh.points, strict=True):
         assert point == permutohedron()[ORDERS.index(vertex_to_permutation(label))]
-    for label, cycle in zip(complex_.cells_by_dim[2], mesh.cycles, strict=True):
+    for label, cycle in zip(cells_by_dim(complex_)[2], mesh.cycles, strict=True):
         assert {vertices[k] for k in cycle} == set(cell_vertices(label))
 
 
@@ -344,7 +346,7 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     assert comments == [
         f"{label} "
         + ("permutohedron" if part_containing(label, 5) == frozenset({5}) else "diagonal")
-        for label in complex_.cells_by_dim[2]
+        for label in cells_by_dim(complex_)[2]
     ]
     labels = [c.split()[0] for c in comments]
     assert all(a < b for a, b in zip(labels, labels[1:]))
@@ -410,7 +412,7 @@ def test_permutohedron_faces_are_planar(meshes):
 
 def test_permutohedron_edges_have_length_sqrt2(meshes):
     for _, _, mesh in meshes:
-        for label, ends in zip(mesh.complex.cells_by_dim[1], mesh.complex.edges):
+        for label, ends in zip(cells_by_dim(mesh.complex)[1], mesh.complex.edges):
             if part_containing(label, 5) != frozenset({5}):
                 continue
             u, w = (mesh.points[i] for i in ends)
@@ -419,7 +421,7 @@ def test_permutohedron_edges_have_length_sqrt2(meshes):
 
 def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
     for _, _, mesh in meshes:
-        perms = [vertex_to_permutation(v) for v in mesh.complex.cells_by_dim[0]]
+        perms = [vertex_to_permutation(v) for v in cells_by_dim(mesh.complex)[0]]
         assert perms == ORDERS
         assert mesh.points is permutohedron()
 
@@ -468,13 +470,14 @@ def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys):
 def test_face_counts_split_matches_membership_tables(representatives, meshes):
     # step-2 kept facets equal the 'v' count per column of the step-2 rows;
     # step-3 faces equal twice the 'v' row count of the step-3 rows
-    from linkspace.cwcomplex import facet_membership_table
+    from linkspace.export import STEP2_ROWS, STEP3_ROWS
 
     linkages = [l for _, l in representatives]
-    step2, step3 = facet_membership_table(linkages)
+    step2 = membership(linkages, STEP2_ROWS)
+    step3 = membership(linkages, [a for a, _ in STEP3_ROWS])
     for col, (_, _, mesh) in enumerate(meshes):
-        kept = sum(1 for _, values in step2 if values[col])
-        patched = 2 * sum(1 for _, values in step3 if values[col])
+        kept = sum(1 for values in step2 if values[col])
+        patched = 2 * sum(1 for values in step3 if values[col])
         provenances = [provenance for _, _, provenance in mesh_faces(mesh)]
         got_kept = provenances.count("permutohedron")
         got_patched = provenances.count("diagonal")

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES
 from linkspace.geometry import perform_surgery
 from linkspace.linkage import (
-    EmptySubset,
     Linkage,
     LinkageError,
     NonGeneric,
     NonPositiveLength,
     NotAPartition,
     ViolatesPolygonInequality,
-    is_admissible_part,
     is_admissible_partition,
     make_linkage,
     parse_lengths,
@@ -23,7 +22,7 @@ from linkspace.linkage import (
 from linkspace.partitions import canonicalize
 from linkspace.topology import classify_linkage
 
-from oracles import oracle_admissible
+from oracles import EmptySubset, is_admissible_part, oracle_admissible
 
 
 def test_make_linkage_accepts_the_sphere_pentagon():
@@ -226,6 +225,7 @@ RECORDS = {
     "Linkage": (lambda: make_linkage([1, 1, 1, 1, 3]), "lengths"),
     "CyclicPartition": (lambda: canonicalize([{1}, {2, 3}]), "parts"),
     "SurfaceMesh": (lambda: perform_surgery(make_linkage([1, 1, 1, 1, 3])), "points"),
+    "CWComplex": (lambda: build_complex(make_linkage([1, 1, 1, 1, 3])), "labels_by_dim"),
     "ComponentReport": (
         lambda: classify_linkage(make_linkage([1, 1, 1, 1, 3])).components[0],
         "vertex_count",
