@@ -12,7 +12,7 @@ from functools import cache
 
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
-from .geometry import NotACycle, perform_surgery
+from .geometry import perform_surgery
 from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
 from .topology import NotAClosedSurface
 
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LinkageError, ArityMismatch, export.IoFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotAClosedSurface, NotACycle, ValueError) as exc:
+    except (NotAClosedSurface, ValueError) as exc:
         # any other ValueError is the package's fault, not the input's
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -8,8 +8,9 @@ for every admissible 2-cell whose part containing 5 is not a singleton.
 `build_complex` does the last two: it cuts the complex from one table of the
 permutohedron's faces and all the diagonals.  Here live the vertex placement,
 one cached table of the 24 vertices in R^3 (`permutohedron`), and the face
-cycles and edge signs, walked once per process on the table's 50 faces and
-read by label (`_face_walks`).  An error names a cell by its label.  That
+cycles and edge signs.  A 2-cell is the product of its parts' permutohedra,
+so its cycle is a formula in its parts (`_face_cycle`), worked out once per
+process for the table's 50 faces and read by label (`_face_walks`).  That
 the result is a closed surface is checked by `topology.analyze`, which every
 command runs on a pentagon's mesh.
 """
@@ -17,19 +18,16 @@ command runs on a pentagon's mesh.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cache
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
-from .partitions import CyclicPartition, parse_partition
+from .partitions import CyclicPartition
 
 Point3 = tuple[float, float, float]
-
-
-class NotACycle(RuntimeError):
-    """The boundary graph of a would-be 2-cell is not a single simple cycle."""
 
 
 # An orthonormal basis of the hyperplane sum(x) = 0 in R^4.
@@ -81,59 +79,41 @@ class SurfaceMesh(NamedTuple):
         return "permutohedron" if self.complex.labels_by_dim[2][k].endswith("{5}") else "diagonal"
 
 
-def _cycle(labels_by_dim: Sequence[Sequence[str]], boundary: Sequence, i: int) -> list[int]:
-    """Indices of 2-cell i's 0-cells in polygon order, in the complex with
-    these labels and boundary rows.
-
-    Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`), each
-    joining the two 0-cells of its `boundary[1]` row.  The walk starts at
-    the smallest index and heads toward its smaller neighbor; each step
-    takes the current vertex's neighbor it did not come from.  Raises
-    NotACycle if a vertex does not have exactly two neighbors, if its two
-    neighbors are one vertex (two 1-cells on one pair of 0-cells, or a
-    1-cell with one 0-cell twice), or if the walk closes before it has met
-    every vertex.
-    """
-    ends = boundary[1]
-    adjacency: dict[int, list[int]] = {}
-    for e in boundary[2][i]:
-        u, w = ends[e]
-        adjacency.setdefault(u, []).append(w)
-        adjacency.setdefault(w, []).append(u)
-    face, vertices = labels_by_dim[2][i], labels_by_dim[0]
-    if {*map(len, adjacency.values())} != {2}:  # also refuses an empty boundary
-        raise NotACycle(f"boundary graph of {face} is not 2-regular")
-    cur = start = min(adjacency)
-    prev = max(adjacency[start])  # as if arriving from it, so heading to the smaller
-    cycle = []
-    while True:
-        cycle.append(cur)
-        a, b = adjacency[cur]
-        if a == b:
-            raise NotACycle(
-                f"boundary graph of {face} is not simple:"
-                f" both neighbors of {vertices[cur]} are {vertices[a]}"
-            )
-        prev, cur = cur, b if a == prev else a
-        if cur == start:
-            break
-    if len(cycle) != len(adjacency):
-        raise NotACycle(f"boundary graph of {face} is disconnected")
-    return cycle
+def _face_cycle(parts: Sequence[int]) -> list[tuple[int, ...]]:
+    """The vertices of the 2-cell with these part masks (bar i is bit i-1,
+    n's part last) in polygon order, each as its bars in cyclic order, bar n
+    last.  A 2-cell is the product of its parts' permutohedra: a hexagon
+    (one 3-part) or a square (two 2-parts).  Its cycle alternates the two
+    swaps of neighbouring bars within a part, from each part's ascending
+    order, starting at the least vertex toward the lesser neighbour."""
+    n = parts[-1].bit_length()
+    held = [(m, b) for m in parts for b in range(1, n + 1) if m >> (b - 1) & 1]
+    s, t = [i for i in range(n - 1) if held[i][0] == held[i + 1][0]]
+    bars, cycle = [b for _, b in held], []
+    for i in (s, t) * (3 if t == s + 1 else 2):  # a 3-part's swaps have order 3
+        k = bars.index(n) + 1
+        cycle.append(tuple(bars[k:] + bars[:k]))
+        bars[i], bars[i + 1] = bars[i + 1], bars[i]
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
 @cache
 def _face_walks() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each 2-cell of the n = 5 table (`cwcomplex._table(5)`) by label: its
-    vertex cycle, walked by `_cycle`, and one sign per edge of its boundary
-    row, +1 where the cycle walks the edge from its first 0-cell to its
-    second.  Both hold in every pentagon's complex: the cut keeps all 24
-    0-cells and a kept face's edges, and renumbers the edges monotonically,
-    so the face's row lists them in the table's order."""
-    labels, boundary, _ = _table(5)
+    vertex cycle, from its part columns by `_face_cycle`, and one sign per
+    edge of its boundary row, +1 where the cycle walks the edge from its
+    first 0-cell to its second.  Both hold in every pentagon's complex: the
+    cut keeps all 24 0-cells and a kept face's edges, and renumbers the
+    edges monotonically, so the face's row lists them in the table's order."""
+    labels, boundary, columns = _table(5)
+    # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
+    # the lexicographic order of the permutations abcd, as the points are
+    index = {(*order, 5): k for k, order in enumerate(permutations(range(1, 5)))}
     ends, walks = boundary[1], {}
-    for i, (label, row) in enumerate(zip(labels[2], boundary[2])):
-        cycle = _cycle(labels, boundary, i)
+    for label, row, parts in zip(labels[2], boundary[2], zip(*columns[2])):
+        cycle = [index[v] for v in _face_cycle(parts)]
         after = dict(zip(cycle, cycle[1:] + cycle[:1]))  # each vertex's successor
         signs = tuple([1 if after[u] == w else -1 for u, w in map(ends.__getitem__, row)])
         walks[label] = (tuple(cycle), signs)
@@ -141,41 +121,30 @@ def _face_walks() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPartition]:
-    """Polygon order of a 2-cell's vertices, as labels.
-
-    The walk follows the complex's incidence: the cell's 1-cells from
-    `boundary[2]`, each joining the two 0-cells of its `boundary[1]` row.
-    0-cells are sorted by label string, which orders them by element
-    sequence, so the cycle starts at the smallest vertex and heads toward
-    its smaller neighbor.  The cell is found by its text, and only the
-    cycle's vertex labels are parsed.  Raises NotACycle if the label is not
-    a cell of the complex or its boundary graph is not a single simple cycle.
-    """
-    if cell.num_parts != cell.n - 2:
-        raise ValueError(f"{cell} is not a 2-cell label (needs n-2 parts)")
+    """Polygon order of a 2-cell's vertices, as labels, by `_face_cycle`.
+    Raises ValueError unless the label is a 2-cell of the complex, found by
+    bisection in its sorted label text."""
     labels, text = complex_.labels_by_dim, str(cell)
-    if len(labels) < 3 or text not in labels[2]:
-        raise NotACycle(f"{cell} is not a cell of the complex")
-    i = labels[2].index(text)
-    return [parse_partition(labels[0][k]) for k in _cycle(labels, complex_.boundary, i)]
+    faces = labels[2] if len(labels) > 2 else ()
+    k = bisect_left(faces, text)
+    if faces[k : k + 1] != (text,):
+        raise ValueError(f"{cell} is not a 2-cell of the complex")
+    masks = [sum(1 << (b - 1) for b in part) for part in cell.parts]
+    return [CyclicPartition(tuple(frozenset({b}) for b in v)) for v in _face_cycle(masks)]
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
     Each kept face's cycle and edge signs are read by label from
-    `_face_walks`, the n = 5 table's faces walked once per process.
+    `_face_walks`, worked out once per process for the n = 5 table's faces.
     Its faces may cross in R^3: an exact check of segment-triangle
     crossings, by integer orientation determinants on the permutohedron's
     integer vertices, finds 1, 6 and 16 crossing face pairs in the genus-2,
     -3 and -4 models, so the surface is not claimed to be embedded.
-    Raises NotACycle if a face of the table is not bounded by one simple
-    cycle; an edge not on two faces is left to `topology.analyze`."""
+    An edge not on two faces is left to `topology.analyze`."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)
-    # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
-    # the lexicographic order of the permutations abcd, as the points are
-    points = permutohedron()
     cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
-    return SurfaceMesh(complex_, points, cycles, signs)
+    return SurfaceMesh(complex_, permutohedron(), cycles, signs)

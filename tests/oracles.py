@@ -8,7 +8,9 @@ references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one,
 `reference_complex_to_json` and `reference_report_to_json`, the
 `json.dumps` writers behind the direct ones, `classify_surface`, the
-mesh-level surface classifier behind `topology.analyze`, and
+mesh-level surface classifier behind `topology.analyze`, `walk_cycle`, the
+walk of a face's boundary graph behind the face-cycle formula
+(`geometry._face_cycle`), with its refusals (`NotACycle`), and
 `is_admissible_part`, the rational-sum predicate behind the short-subset
 table.  Below them are helpers the package itself has no use for, kept
 here as second routes for the tests: a complex's cells parsed from its
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from linkspace.cwcomplex import CWComplex, build_complex, check_supported_arity
 from linkspace.linkage import Linkage, LinkageError, is_admissible_partition
@@ -539,6 +541,51 @@ def boundary_labels(complex_: CWComplex, label: CyclicPartition) -> list[CyclicP
     """The labels of a cell's faces, read from the complex's boundary list."""
     d, i = index_of(complex_, label)
     return [cells_by_dim(complex_)[d - 1][j] for j in complex_.boundary[d][i]]
+
+
+class NotACycle(RuntimeError):
+    """The boundary graph of a would-be 2-cell is not a single simple cycle."""
+
+
+def walk_cycle(labels_by_dim: Sequence[Sequence[str]], boundary: Sequence, i: int) -> list[int]:
+    """Indices of 2-cell i's 0-cells in polygon order, in the complex with
+    these labels and boundary rows.
+
+    Nodes are the 0-cells of the face's 1-cells (`boundary[2][i]`), each
+    joining the two 0-cells of its `boundary[1]` row.  The walk starts at
+    the smallest index and heads toward its smaller neighbor; each step
+    takes the current vertex's neighbor it did not come from.  Raises
+    NotACycle if a vertex does not have exactly two neighbors, if its two
+    neighbors are one vertex (two 1-cells on one pair of 0-cells, or a
+    1-cell with one 0-cell twice), or if the walk closes before it has met
+    every vertex.
+    """
+    ends = boundary[1]
+    adjacency: dict[int, list[int]] = {}
+    for e in boundary[2][i]:
+        u, w = ends[e]
+        adjacency.setdefault(u, []).append(w)
+        adjacency.setdefault(w, []).append(u)
+    face, vertices = labels_by_dim[2][i], labels_by_dim[0]
+    if {*map(len, adjacency.values())} != {2}:  # also refuses an empty boundary
+        raise NotACycle(f"boundary graph of {face} is not 2-regular")
+    cur = start = min(adjacency)
+    prev = max(adjacency[start])  # as if arriving from it, so heading to the smaller
+    cycle = []
+    while True:
+        cycle.append(cur)
+        a, b = adjacency[cur]
+        if a == b:
+            raise NotACycle(
+                f"boundary graph of {face} is not simple:"
+                f" both neighbors of {vertices[cur]} are {vertices[a]}"
+            )
+        prev, cur = cur, b if a == prev else a
+        if cur == start:
+            break
+    if len(cycle) != len(adjacency):
+        raise NotACycle(f"boundary graph of {face} is disconnected")
+    return cycle
 
 
 def mesh_faces(mesh):

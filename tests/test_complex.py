@@ -513,7 +513,7 @@ def test_no_labels_refuses_the_label_layer(no_labels):
     # the tests' parsed view, on text no other test parses, so not cached
     with pytest.raises(AssertionError):
         cells_by_dim(CWComplex(None, (("{1}{2}{3}",),), ((),)))
-    # the one reader of labels in the package: a face's cycle, as labels
+    # a face's cycle, built as labels from its formula
     with pytest.raises(AssertionError):
         boundary_cycle(_FACE, build_complex(make_linkage([1, 1, 1, 1, 1])))
     with pytest.raises(AssertionError):

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex
+from linkspace.cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from linkspace.export import export_mesh
 from linkspace.cli import main
 from linkspace import geometry
-from linkspace.geometry import NotACycle, boundary_cycle, perform_surgery, permutohedron
+from linkspace.geometry import boundary_cycle, perform_surgery, permutohedron
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices
 from linkspace.topology import NotAClosedSurface, analyze
 
 from oracles import (
+    NotACycle,
     PermutohedronLattice,
     boundary_labels,
     cells_by_dim,
@@ -27,6 +28,7 @@ from oracles import (
     ordered_refines,
     part_containing,
     vertex_to_permutation,
+    walk_cycle,
 )
 from test_golden import pentagon_chambers
 
@@ -78,8 +80,8 @@ ORDERS = list(permutations(range(1, 5)))
 
 
 def _exact_vertex(order):
-    """Vertex a1a2a3a4 of the integer permutohedron: coordinate j at position a_j."""
-    vertex = [0] * 4
+    """Vertex a1a2...am of the integer permutohedron: coordinate j at position a_j."""
+    vertex = [0] * len(order)
     for j, a in enumerate(order, 1):
         vertex[a - 1] = j
     return tuple(vertex)
@@ -201,7 +203,7 @@ def test_boundary_cycle_detects_a_corrupted_complex():
     boundary[2][i] = boundary[2][i][1:]  # drop one of the hexagon's six edges
     corrupted = CWComplex(linkage, complex_.labels_by_dim, boundary)
     with pytest.raises(NotACycle):
-        boundary_cycle(cell, corrupted)
+        walk_cycle(corrupted.labels_by_dim, corrupted.boundary, i)
 
 
 @pytest.mark.parametrize("corruption", ["two 1-cells on one pair", "a 1-cell on one 0-cell"])
@@ -221,13 +223,13 @@ def test_boundary_cycle_refuses_a_vertex_whose_two_neighbors_are_one(corruption)
         boundary[2][i] = (e,)  # the face is a loop
     corrupted = CWComplex(linkage, complex_.labels_by_dim, boundary)
     with pytest.raises(NotACycle, match="not simple"):
-        boundary_cycle(cell, corrupted)
+        walk_cycle(corrupted.labels_by_dim, corrupted.boundary, i)
 
 
 def test_boundary_cycle_rejects_a_label_that_is_not_a_cell():
     # {3,4,5} is long in the equilateral pentagon
     complex_ = build_complex(make_linkage([1, 1, 1, 1, 1]))
-    with pytest.raises(NotACycle):
+    with pytest.raises(ValueError, match="not a 2-cell of the complex"):
         boundary_cycle(canonicalize([{1}, {2}, {3, 4, 5}]), complex_)
 
 
@@ -432,14 +434,15 @@ def test_surgery_is_deterministic():
 
 
 def test_cycles_and_signs_are_walks_of_the_built_complex(representatives):
-    # each face's cycle and signs are read by label from the n = 5 table's
-    # walks; a walk on the pentagon's own complex must give the same
+    # each face's cycle and signs are read by label from the formula on the
+    # n = 5 table's faces; a walk on the pentagon's own complex must give
+    # the same
     for linkage in [l for _, l in representatives] + list(pentagon_chambers()):
         mesh, complex_ = perform_surgery(linkage), build_complex(linkage)
         labels, boundary = complex_.labels_by_dim, complex_.boundary
         assert len(mesh.cycles) == len(mesh.signs) == len(boundary[2])
         for i, (cycle, signs, row) in enumerate(zip(mesh.cycles, mesh.signs, boundary[2])):
-            assert list(cycle) == geometry._cycle(labels, boundary, i)
+            assert list(cycle) == walk_cycle(labels, boundary, i)
             walked = set(zip(cycle, cycle[1:] + cycle[:1]))
             # +1 iff the cycle walks the edge from its first 0-cell to its second
             directions = [
@@ -450,21 +453,71 @@ def test_cycles_and_signs_are_walks_of_the_built_complex(representatives):
 
 
 def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys):
-    # the table's faces are walked once per process; pentagons of other
-    # chambers read their cycles and signs from that walk
+    # the table's face cycles are worked out once per process; pentagons of
+    # other chambers read their cycles and signs from that map
     assert main(["classify", "1,1,1,1,3"]) == 0
     calls = []
-    walk = geometry._cycle
-    monkeypatch.setattr(geometry, "_cycle", lambda *args: calls.append(args[2]) or walk(*args))
+    formula = geometry._face_cycle
+    monkeypatch.setattr(geometry, "_face_cycle", lambda parts: calls.append(parts) or formula(parts))
     for spec in ("1,1,1,eps,2", "2,2,1,1,3", "1,1,eps,eps,1", "2,1,1,1,2", "1,1,1,1,1"):
         assert main(["classify", spec]) == 0
         assert main(["mesh", spec]) == 0
     assert calls == []
-    # the count is live: with the cache cleared, one surgery walks each of
-    # the table's 50 faces once
+    # the count is live: with the cache cleared, one surgery works out each
+    # of the table's 50 faces once, from its part columns
     geometry._face_walks.cache_clear()
     perform_surgery(make_linkage([1, 1, 1, 1, 1]))
-    assert calls == list(range(50))
+    assert calls == list(zip(*_table(5)[2][2]))
+
+
+def test_face_cycles_are_the_walks_of_the_tables():
+    # the formula, from each 2-cell's part columns, against the walk of its
+    # boundary graph, on all 50, 390 and 3,360 2-cells of the n = 5, 6 and
+    # 7 tables; each step of the cycle is one of the face's edges
+    for n in (5, 6, 7):
+        labels, boundary, columns = _table(n)
+        # the 0-cells {a1}...{a(n-1)}{n} in label order: the lexicographic
+        # order of the permutations a1...a(n-1)
+        index = {(*order, n): k for k, order in enumerate(permutations(range(1, n)))}
+        assert ["".join(f"{{{b}}}" for b in v) for v in index] == list(labels[0])
+        for i, (row, parts) in enumerate(zip(boundary[2], zip(*columns[2]))):
+            cycle = [index[v] for v in geometry._face_cycle(parts)]
+            assert cycle == walk_cycle(labels, boundary, i), labels[2][i]
+            steps = sorted(tuple(sorted(pair)) for pair in zip(cycle, cycle[1:] + cycle[:1]))
+            assert steps == sorted(boundary[1][e] for e in row), labels[2][i]
+
+
+def _affine_rank(points):
+    """The dimension of the affine span of integer points, exactly: the rank
+    over Q of their differences from the first, by fraction-free elimination."""
+    base, *rest = points
+    rows = [[a - b for a, b in zip(p, base)] for p in rest]
+    rank = 0
+    for c in range(len(base)):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows = [[pivot[c] * a - r[c] * b for a, b in zip(r, pivot)] for r in rows if r is not pivot]
+        rank += 1
+    return rank
+
+
+def test_every_table_cell_is_a_product_of_permutohedra():
+    # place 0-cell {a1}...{a(n-1)}{n} at the integer point with coordinate j
+    # at position a_j, as permutohedron() does at n = 5 before centring; then
+    # each cell of the n = 5 and 6 tables, with parts p1...pm, has
+    # prod |pi|! vertices in its closure, spanning exactly its dimension
+    for n in (5, 6):
+        labels, boundary, columns = _table(n)
+        points = [_exact_vertex(order) for order in permutations(range(1, n))]
+        closure = [[{k} for k in range(len(points))]]
+        for rows in boundary[1:]:
+            closure.append([set().union(*(closure[-1][j] for j in row)) for row in rows])
+        assert [len(cells) for cells in closure] == [len(words) for words in labels]
+        for d, (cells, grade) in enumerate(zip(closure, columns)):
+            for vertices, parts in zip(cells, zip(*grade), strict=True):
+                assert len(vertices) == math.prod(math.factorial(bin(m).count("1")) for m in parts)
+                assert _affine_rank([points[k] for k in sorted(vertices)]) == d
 
 
 def test_face_counts_split_matches_membership_tables(representatives, meshes):
