@@ -3,12 +3,12 @@
 A pentagon's surface is classified from its complex (`analyze`): each
 edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
-check, and every command runs it on a pentagon's mesh.  Components come
-from the 1-skeleton (`edges`).  Orientability comes from the mesh's edge
-signs: face orientations are spread across shared edges so that the two
-faces on an edge walk it in opposite directions, and a forced
-contradiction means the component is non-orientable.  Genus follows from
-the Euler characteristic for orientable components.
+check, and every command runs it on a pentagon's mesh.  One traversal of
+the faces across shared edges finds each component, with its vertices,
+and spreads face orientations from the mesh's edge signs so that the two
+faces on an edge walk it in opposite directions; a forced contradiction
+means the component is non-orientable.  Genus follows from the Euler
+characteristic for orientable components.
 
 For every other n the short-subset table alone gives the f-vector
 (`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
@@ -28,8 +28,8 @@ from .linkage import Linkage
 
 
 class NotAClosedSurface(RuntimeError):
-    """A mesh edge not shared by exactly two faces, which the theory rules
-    out for generic linkages."""
+    """A mesh edge not on exactly two faces, or a vertex on no face or on the
+    faces of two components: the theory rules out both for generic linkages."""
 
 
 class ComponentReport(NamedTuple):
@@ -47,27 +47,6 @@ class TopologyReport(NamedTuple):
     f_vector: tuple[int, ...]
     euler_characteristic: int
     classification: str
-
-
-def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Component number of each vertex of the graph, by depth-first search
-    over `edges`; components are numbered 0, 1, ... by their smallest vertex."""
-    neighbors: list[list[int]] = [[] for _ in range(num_vertices)]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    component = [-1] * num_vertices
-    count = 0
-    for v in range(num_vertices):
-        if component[v] < 0:
-            component[v], stack = count, [v]
-            while stack:
-                for w in neighbors[stack.pop()]:
-                    if component[w] < 0:
-                        component[w] = count
-                        stack.append(w)
-            count += 1
-    return component
 
 
 def _component_name(chi: int, orientable: bool) -> str:
@@ -109,13 +88,13 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     """Classify a pentagon's surface from its complex.
 
     Each edge's faces are read off the rows `boundary[2]` with the mesh's
-    signs; an edge not on exactly two faces raises NotAClosedSurface.
-    Components come from `edges`.  A component is orientable iff its faces
-    take orientations o (+1 keeps a face's cycle, -1 reverses it) with
-    o_f * s = -o_g * t on every edge, s and t its signs in faces f and g:
-    the orientations spread from one face across shared edges, and a forced
-    contradiction makes the component non-orientable.  χ and the genus are
-    taken per component."""
+    signs; an edge not on exactly two faces raises NotAClosedSurface.  One
+    traversal per component crosses shared edges from face to face and
+    gives each face an orientation o (+1 keeps a face's cycle, -1 reverses
+    it) with o_f * s = -o_g * t on every edge, s and t its signs in faces f
+    and g; a forced contradiction makes the component non-orientable.  Its
+    faces give F, E and V; a vertex on no face or on two components' faces
+    raises NotAClosedSurface.  Components are listed by least vertex."""
     complex_, signs = mesh.complex, mesh.signs
     edges, rows = complex_.edges, complex_.boundary[2]
     faces_of_edge: list[list[tuple[int, int]]] = [[] for _ in edges]  # (face, sign)
@@ -127,16 +106,14 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
             raise NotAClosedSurface(f"edge {e} lies in {len(incidences)} faces, expected 2")
 
     f_vector = complex_.f_vector()
-    component = _components(f_vector[0], edges)
-    face_component = [component[edges[row[0]][0]] for row in rows]
-    orientable_of = [True] * (max(component, default=-1) + 1)
+    owner = [-1] * f_vector[0]  # each vertex's component
     orientation = [0] * len(rows)
-    for f0, c in enumerate(face_component):
+    components = []  # in traversal order
+    for f0 in range(len(rows)):
         if orientation[f0]:
             continue
-        orientation[f0], stack = 1, [f0]
-        while stack:
-            f = stack.pop()
+        orientation[f0], faces, orientable = 1, [f0], True
+        for f in faces:  # the list grows as the traversal reaches new faces
             for e, s in zip(rows[f], signs[f]):
                 (g, t), (h, u) = faces_of_edge[e]
                 if g == f:
@@ -144,18 +121,23 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
                 required = -orientation[f] * s * t
                 if not orientation[g]:
                     orientation[g] = required
-                    stack.append(g)
+                    faces.append(g)
                 elif orientation[g] != required:
-                    orientable_of[c] = False
-
-    per_v, per_f = Counter(component), Counter(face_component)
-    per_e = Counter([component[a] for a, _ in edges])
-    components = []
-    for c, orientable in enumerate(orientable_of):
-        chi = per_v[c] - per_e[c] + per_f[c]
+                    orientable = False
+        vertices = {v for f in faces for e in rows[f] for v in edges[e]}
+        for v in vertices:
+            if owner[v] >= 0:
+                raise NotAClosedSurface(f"vertex {v} lies on the faces of two components")
+            owner[v] = len(components)
+        edge_count = sum(len(rows[f]) for f in faces) // 2
+        chi = len(vertices) - edge_count + len(faces)
         genus = (2 - chi) // 2 if orientable else None
-        components.append(ComponentReport(per_v[c], per_e[c], per_f[c], chi, orientable, genus))
-    return _surface_report(f_vector, components)
+        components.append(
+            ComponentReport(len(vertices), edge_count, len(faces), chi, orientable, genus)
+        )
+    if -1 in owner:
+        raise NotAClosedSurface(f"vertex {owner.index(-1)} lies on no face")
+    return _surface_report(f_vector, [components[c] for c in dict.fromkeys(owner)])
 
 
 def betti_numbers(linkage: Linkage) -> tuple[int, ...]:

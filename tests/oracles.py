@@ -8,7 +8,9 @@ references for the faster ones: `reference_build_complex`, the
 enumerate-then-filter builder behind the bitmask one,
 `reference_complex_to_json` and `reference_report_to_json`, the
 `json.dumps` writers behind the direct ones, `classify_surface`, the
-mesh-level surface classifier behind `topology.analyze`, `walk_cycle`, the
+mesh-level surface classifier behind `topology.analyze`, whose components
+come from union-find over the 1-skeleton (`oracle_components`) where
+`analyze` traverses the faces, `walk_cycle`, the
 walk of a face's boundary graph behind the face-cycle formula
 (`geometry._face_cycle`), with its refusals (`NotACycle`), and
 `is_admissible_part`, the rational-sum predicate behind the short-subset

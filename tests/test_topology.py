@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
 from linkspace.geometry import SurfaceMesh, perform_surgery
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
+    ComponentReport,
     NotAClosedSurface,
     analyze,
     betti_numbers,
@@ -97,12 +99,12 @@ def _grid_faces(rows, cols, twist):
     return rows * cols, sorted(edges), faces
 
 
-def _grid_mesh(rows, cols, twist):
-    """The grid of `_grid_faces` as a SurfaceMesh on a hand-built complex,
-    with no linkage, which `analyze` does not read: its 2-cell rows list
-    each face's edges ascending, with the face's cycle and its sign along
-    each edge, +1 where the cycle walks the edge as stored."""
-    v, e, f = _grid_faces(rows, cols, twist)
+def _mesh(v, e, f):
+    """The surface of `v` vertices, edges `e` and face cycles `f` (as
+    `_grid_faces` gives them) as a SurfaceMesh on a hand-built complex, with
+    no linkage, which `analyze` does not read: its 2-cell rows list each
+    face's edges ascending, with the face's cycle and its sign along each
+    edge, +1 where the cycle walks the edge as stored."""
     edge_id = {ends: i for i, ends in enumerate(e)}
     face_rows, signs = [], []
     for cycle in f:
@@ -118,7 +120,7 @@ def _grid_mesh(rows, cols, twist):
 
 
 def test_torus_grid_classifies_as_torus():
-    mesh = _grid_mesh(3, 3, twist=False)
+    mesh = _mesh(*_grid_faces(3, 3, twist=False))
     report = analyze(mesh)
     assert report.classification == "torus"
     assert report.euler_characteristic == 0
@@ -127,12 +129,60 @@ def test_torus_grid_classifies_as_torus():
 
 
 def test_klein_grid_is_reported_non_orientable():
-    mesh = _grid_mesh(3, 3, twist=True)
+    mesh = _mesh(*_grid_faces(3, 3, twist=True))
     report = analyze(mesh)
     assert report.classification == "non-orientable (chi=0)"
     assert report.components[0].orientable is False
     assert report.components[0].genus is None
     assert report == classify_surface(*_grid_faces(3, 3, twist=True))
+
+
+def _shifted(faces, k):
+    """Each of `faces` (or edges) with its vertex numbers raised by k."""
+    return [tuple(v + k for v in cycle) for cycle in faces]
+
+
+def test_components_are_listed_by_least_vertex():
+    # a torus and a Klein bottle side by side: the Klein bottle's faces come
+    # first, but its vertices are numbered after the torus's, so the torus
+    # is the first component, as the mesh route lists them
+    tv, te, tf = _grid_faces(3, 3, twist=False)
+    kv, ke, kf = _grid_faces(3, 4, twist=True)
+    v, e, f = tv + kv, te + _shifted(ke, tv), _shifted(kf, tv) + tf
+    report = analyze(_mesh(v, e, f))
+    assert report == classify_surface(v, e, f)
+    assert report.components[0] == ComponentReport(9, 18, 9, 0, True, 1)
+    assert report.components[1] == ComponentReport(12, 24, 12, 0, False, None)
+    assert report.classification == "non-orientable (chi=0) + torus"
+
+
+def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys):
+    # a second copy of 0-cell 0 of the sphere's complex, on no edge: counted
+    # as its own component it would make "2 spheres" with chi = 3
+    linkage = make_linkage([1, 1, 1, 1, 3])
+    complex_ = build_complex(linkage)
+    labels, boundary = [list(ls) for ls in complex_.labels_by_dim], list(complex_.boundary)
+    labels[0].append(labels[0][0])
+    boundary[0] += ((),)
+    corrupted = CWComplex(linkage, labels, boundary)
+    monkeypatch.setattr("linkspace.geometry.build_complex", lambda _: corrupted)
+    with pytest.raises(NotAClosedSurface, match="vertex 24 lies on no face"):
+        analyze(perform_surgery(linkage))
+    assert main(["classify", "1,1,1,1,3"]) == 3
+    assert "vertex 24 lies on no face" in capsys.readouterr().err
+
+
+def test_two_surfaces_glued_at_a_vertex_are_refused():
+    # two copies of the sphere's mesh: side by side they are two spheres;
+    # sharing one vertex they are no closed surface, and counted as one
+    # component through it they would make a "genus--1 surface"
+    mesh = perform_surgery(make_linkage([1, 1, 1, 1, 3]))
+    v, e, f = len(mesh.points), list(mesh.complex.edges), list(mesh.cycles)
+    apart = _mesh(2 * v, e + _shifted(e, v), f + _shifted(f, v))
+    assert analyze(apart).classification == "2 spheres"
+    glued = _mesh(2 * v - 1, e + _shifted(e, v - 1), f + _shifted(f, v - 1))
+    with pytest.raises(NotAClosedSurface, match=f"vertex {v - 1} lies on the faces of two"):
+        analyze(glued)
 
 
 def test_edge_endpoint_order_does_not_change_the_report():
