@@ -15,30 +15,28 @@ and a grade's parts are held as one `bytes` column per position, n's part
 last: the canonical rotation.  `_walk` visits prefixes of short parts in
 label-text order, so it builds only admissible cells, each grade already in
 label order, and takes no rational sum; it writes each prefix's label text
-with one string concatenation.  It wires each grade to the next through the
-order-preserving match between a split of a part and its merge: the faces
-holding a split (a, b) at positions p, p + 1 correspond, in index order, to
-the cofaces holding a | b at p, so incidence is wired by zipping index
-buckets.  Every command that builds a complex reads every grade, so every
-grade is wired, with the cyclic garbage collector paused for the walk and
-the wiring, as they build no cycle.  For n <= 7 no linkage's complex is
-walked: `build_complex` cuts it from one wired table per n and process,
-every cyclic partition of {1..n} into at least 3 parts (the walk with every
-proper subset short), keeping the cells whose every part is short.  At
-n = 5 that is the paper's surgery on the 4-permutohedron; n = 8 is walked,
-as its table would hold about 94k cells.  `count_cells` counts the cells
-without building one, which is all `classify` needs away from n = 5.  A
-label is written once, by `_walk`, and no record or command parses it back.
+with one string concatenation.  A face's cofaces are its merges of two
+cyclically adjacent parts, so each grade is wired to the next by looking up
+every face's short merges in a dict of the grade above.  Every command that
+builds a complex reads every grade, so every grade is wired, with the
+cyclic garbage collector paused for the walk and the wiring, as they build
+no cycle.  For n <= 7 no linkage's complex is walked: `build_complex` cuts
+it from one wired table per n and process, every cyclic partition of
+{1..n} into at least 3 parts (the walk with every proper subset short),
+keeping the cells whose every part is short.  At n = 5 that is the paper's
+surgery on the 4-permutohedron; n = 8 is walked, as its table would hold
+about 94k cells.  `count_cells` counts the cells without building one,
+which is all `classify` needs away from n = 5.  A label is written once, by
+`_walk`, and no record or command parses it back.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import defaultdict
 from functools import cache, reduce
 from itertools import accumulate, compress
 from math import factorial
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .linkage import Linkage
@@ -105,15 +103,14 @@ def build_complex(linkage: Linkage) -> CWComplex:
     if n <= 7:
         labels, boundary = _restrict(n, linkage.short)
     else:
-        walked, rows, _ = _walk(n, linkage.short)
-        labels, boundary = tuple(map(tuple, walked)), tuple(rows)
+        labels, boundary, _ = _walk(n, linkage.short)
     # Every full cyclic order is admissible (singleton parts are admissible by
     # the polygon inequality).
     assert len(labels[0]) == factorial(n - 1)
     return CWComplex(linkage, labels, boundary)
 
 
-def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[str]], list, list[Columns]]:
+def _walk(n: int, short: tuple[bool, ...]) -> tuple[tuple, tuple, tuple[Columns, ...]]:
     """Every grade of the complex on n bars whose admissible parts are the
     masks m with short[m], as (label text by dimension, boundary rows, part
     columns).
@@ -132,13 +129,14 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[str]], list, list[
     parent's, and a cell one more for n's part.  Each grade's cells are
     transposed once into part columns, so no cell is kept as a tuple.
 
-    Each grade is wired to the one below by zipping index buckets (see
-    `_wire`), and no tuple is built or looked up per incidence.  The walk
-    and the wiring allocate hundreds of thousands of tuples, lists and dicts
-    that hold only ints and each other, and build no reference cycle, so
-    they run with the cyclic collector paused: a collection during them
-    would find no garbage and only rescan the cells made so far.  The
-    caller's setting comes back on return, even by an exception.
+    Each grade is wired to the one below by looking up each face's merges
+    among the cells of the grade above (see `_wire`), one part tuple per
+    face and short merge, at C level.  The walk and the wiring allocate
+    hundreds of thousands of tuples, lists and dicts that hold only ints and
+    each other, and build no reference cycle, so they run with the cyclic
+    collector paused: a collection during them would find no garbage and
+    only rescan the cells made so far.  The caller's setting comes back on
+    return, even by an exception.
     """
     top = 1 << (n - 1)
     texts = mask_texts(n)
@@ -149,7 +147,7 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[str]], list, list[
     enabled = gc.isenabled()
     gc.disable()
     try:
-        labels: list[list[str]] = []  # by part count, 3 parts first
+        labels: list[tuple[str, ...]] = []  # by part count, 3 parts first
         columns: list[Columns] = []
         prefixes: list[tuple[int, ...]] = [()]
         words = [""]  # each prefix's label text
@@ -161,14 +159,15 @@ def _walk(n: int, short: tuple[bool, ...]) -> tuple[list[list[str]], list, list[
             if k >= 2:  # two-part cells never occur: both parts short breaks genericity
                 ends = [u | top for u in unused]  # n's part, last
                 keep = list(map(short.__getitem__, ends))
-                labels.append([w + texts[z] for w, z in compress(zip(words, ends), keep)])
+                labels.append(tuple([w + texts[z] for w, z in compress(zip(words, ends), keep)]))
                 heads = map(bytes, zip(*compress(prefixes, keep)))
                 columns.append((*heads, bytes(compress(ends, keep))))
         labels.reverse()  # m parts -> dimension n - m
         columns.reverse()
+        is_short = _short_bytes(short)
         boundary = [((),) * len(labels[0])]
-        boundary += [_wire(n, short, *pair) for pair in zip(columns, columns[1:])]
-        return labels, boundary, columns
+        boundary += [_wire(is_short, *pair) for pair in zip(columns, columns[1:])]
+        return tuple(labels), tuple(boundary), tuple(columns)
     finally:
         if enabled:
             gc.enable()
@@ -186,8 +185,7 @@ def _table(n: int) -> tuple[tuple[tuple[str, ...], ...], tuple, tuple[Columns, .
     n = 7), their boundary rows and each grade's part columns, which the
     cut reads with `bytes.translate`.  Every build at n reads the table, so
     it is all tuples.  A build that raises is not cached."""
-    labels, boundary, columns = _walk(n, (True,) * ((1 << n) - 1) + (False,))
-    return tuple(map(tuple, labels)), tuple(boundary), tuple(columns)
+    return _walk(n, (True,) * ((1 << n) - 1) + (False,))
 
 
 def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], ...], tuple]:
@@ -197,7 +195,7 @@ def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], .
     in one C-level `compress` pass, into tuples that the record keeps
     without a copy."""
     labels, boundary, columns = _table(n)
-    is_short = bytes(short).ljust(256, b"\0")  # mask -> 1 if short, else 0
+    is_short = _short_bytes(short)
     kept_labels, kept_boundary = [], []
     index = None  # table index -> kept index in the grade below, if any was dropped
     for words, rows, parts in zip(labels, boundary, columns):
@@ -244,45 +242,30 @@ def count_cells(linkage: Linkage) -> tuple[int, ...]:
     return tuple(factorial(m - 1) * ((x >> m * w) & ((1 << w) - 1)) for m in range(n, 2, -1))
 
 
-def _wire(
-    n: int, short: tuple[bool, ...], faces: Columns, cofaces: Columns
-) -> tuple[tuple[int, ...], ...]:
-    """The boundary rows of the cofaces (m parts each) in the faces (m + 1
-    parts), both given as part columns.
+def _short_bytes(short: tuple[bool, ...]) -> bytes:
+    """`short` as a `bytes.translate` table: mask -> 1 if short, else 0."""
+    return bytes(short).ljust(256, b"\0")
 
-    A coface holding the short part z at position p has, for each ordered
-    split (a, b) of z, the face holding a, b at p, p + 1 and its other parts
-    unchanged.  Merging a and b back maps the faces holding a, b at p, p + 1
-    onto the cofaces holding z at p, one for one, and keeps their label
-    order, since the parts before p and after p + 1 keep their relative
-    positions.  So the two index buckets, both ascending, match entry by
-    entry.  The wrap merge, of the first part into n's part (last), matches
-    the same way the faces holding a first and b last with the cofaces
-    holding a | b last.  Buckets arrive in no order across keys, so each
-    row is sorted at the end.
-    """
-    low = (1 << n) - 1
-    # one int object per cell, shared by every bucket and row that lists it
-    face_ids, coface_ids = list(range(len(faces[0]))), list(range(len(cofaces[0])))
-    holding = []  # per position: the cofaces holding each part there
-    for column in cofaces:
-        by_part = defaultdict(list)
-        for c, z in zip(coface_ids, column):
-            by_part[z].append(c)
-        holding.append(by_part)
-    merges = list(zip(holding, faces, faces[1:]))
-    merges.append((holding[-1], faces[0], faces[-1]))
-    rows: list[list[int]] = [[] for _ in coface_ids]
-    for holding_z, firsts, seconds in merges:
-        splits = defaultdict(list)  # the faces holding a, b here, by a << n | b
-        for f, a, b in zip(face_ids, firsts, seconds):
-            if short[a | b]:
-                splits[a << n | b].append(f)
-        for key, fs in splits.items():
-            cs = holding_z[key >> n | key & low]
-            assert len(cs) == len(fs)  # the match is one for one
-            for c, f in zip(cs, fs):
-                rows[c].append(f)
+
+def _wire(is_short: bytes, faces: Columns, cofaces: Columns) -> tuple[tuple[int, ...], ...]:
+    """The boundary rows of the cofaces (m parts each) in the faces (m + 1
+    parts), both as part columns: row c lists, ascending, the faces that give
+    coface c by merging two cyclically adjacent parts, p with p + 1 or the
+    first into n's part (last).  Each merge's column is one C-level pass, and
+    the faces whose merged part is short (`is_short`, from `_short_bytes`)
+    are looked up by their merged parts in a dict of the cofaces.  Such a
+    merge is an admissible cell, so one that is no coface raises KeyError."""
+    index = dict(zip(zip(*cofaces), range(len(cofaces[0]))))
+    face_ids = list(range(len(faces[0])))  # one int object per face, shared by the rows
+    rows: list[list[int]] = [[] for _ in cofaces[0]]
+    merges = [(faces[:p], faces[p], faces[p + 1], faces[p + 2 :]) for p in range(len(faces) - 1)]
+    for before, a, b, after in [*merges, (faces[1:-1], faces[0], faces[-1], ())]:
+        z = bytes(map(or_, a, b))
+        keep = z.translate(is_short)
+        cs = map(index.__getitem__, compress(zip(*before, z, *after), keep))
+        for c, f in zip(cs, compress(face_ids, keep)):
+            rows[c].append(f)
+    del index  # free its key tuples before the rows' tuples are made
     for row in rows:
         row.sort()
     return tuple(map(tuple, rows))

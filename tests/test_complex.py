@@ -328,11 +328,22 @@ def test_pentagon_table_is_the_permutohedron_and_its_diagonals():
     assert sum(word.endswith("}{5}") for word in labels[1]) == 36
 
 
+def test_wiring_refuses_a_short_merge_that_is_no_cell():
+    # the n = 5 table's 1-cells against its 2-cells, with and without the
+    # first 2-cell: each of that cell's faces merges to a cell that is gone
+    _, boundary, columns = cwcomplex._table(5)
+    is_short = cwcomplex._short_bytes((True,) * 31 + (False,))
+    assert cwcomplex._wire(is_short, columns[1], columns[2]) == boundary[2]
+    dropped = tuple(column[1:] for column in columns[2])
+    with pytest.raises(KeyError):
+        cwcomplex._wire(is_short, columns[1], dropped)
+
+
 def _walked(linkage):
     """The complex walked over the linkage's own short-subset table, recorded
     as `build_complex` records it, in tuples."""
     labels, boundary, _ = cwcomplex._walk(linkage.n, linkage.short)
-    return CWComplex(linkage, tuple(map(tuple, labels)), tuple(boundary))
+    return CWComplex(linkage, labels, boundary)
 
 
 def test_a_pentagon_complex_is_the_walk_on_its_own_short_table(representatives):
@@ -561,9 +572,9 @@ def wirings(monkeypatch):
     calls = []
     wire = cwcomplex._wire
 
-    def counted(n, short, faces, cofaces):
+    def counted(is_short, faces, cofaces):
         calls.append(len(cofaces[0]))  # a part column has one entry per coface
-        return wire(n, short, faces, cofaces)
+        return wire(is_short, faces, cofaces)
 
     monkeypatch.setattr(cwcomplex, "_wire", counted)
     return calls
