@@ -138,10 +138,10 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
     Each kept face's cycle and edge signs are read by label from
     `_face_walks`, worked out once per process for the n = 5 table's faces.
-    Its faces may cross in R^3: an exact check of segment-triangle
-    crossings, by integer orientation determinants on the permutohedron's
-    integer vertices, finds 1, 6 and 16 crossing face pairs in the genus-2,
-    -3 and -4 models, so the surface is not claimed to be embedded.
+    Its faces may cross in R^3, so the surface is not claimed to be
+    embedded: a prototype check of segment-triangle crossings by integer
+    orientation determinants found 1, 6 and 16 crossing face pairs in the
+    genus-2, -3 and -4 models (ROADMAP item 10); the repo does not check them.
     An edge not on two faces is left to `topology.analyze`."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")

@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .partitions import NotAPartition, part_text
 
 #: Concrete stand-in for a "sufficiently small" length in the standard
-#: representatives; any smaller value gives the same combinatorics (see
-#: export.verify_all, which re-checks each eps spec at epsilon/10).
+#: representatives.  Any eps below a spec's first wall gives the same
+#: chamber; tests/test_export.py finds the walls exactly (1 and 1/2).
 DEFAULT_EPSILON = Fraction(1, 100)
 
 

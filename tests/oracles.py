@@ -16,8 +16,9 @@ walk of a face's boundary graph behind the face-cycle formula
 `is_admissible_part`, the rational-sum predicate behind the short-subset
 table.  Below them are helpers the package itself has no use for, kept
 here as second routes for the tests: a complex's cells parsed from its
-label text (`cells_by_dim`), the facet tables' membership read from the
-cut, cyclic coarsenings, reading a cyclic order as a sequence or a
+label text (`cells_by_dim`), the walls of a spec whose eps varies
+(`eps_walls`), the facet tables' membership read from the cut, cyclic
+coarsenings, reading a cyclic order as a sequence or a
 permutation and back, a label's part holding a bar, the permutohedron's
 face lattice with linear refinement and meets of ordered partitions (its
 face order), and a complex's top dimension and its or a mesh's faces as
@@ -257,6 +258,25 @@ def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
     if not s <= ground:
         raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
     return linkage.part_sum(s) <= linkage.part_sum(ground - s)
+
+
+def eps_walls(spec: str) -> list[Fraction]:
+    """Every eps > 0, in increasing order, at which some subset of the bars
+    of `spec` (its `eps` tokens standing for eps) weighs exactly half the
+    total.  Each length is c + d*eps, so each subset's weight minus its
+    complement's is affine in eps and changes sign only at its root: the
+    short table, and so the chamber, is constant between two walls, and
+    on (0, e*) below the first.  A spec with no eps token has no walls."""
+    terms = [(Fraction(0), 1) if t == "eps" else (Fraction(t), 0) for t in spec.split(",")]
+    walls = set()
+    for signs in product((1, -1), repeat=len(terms)):  # +1 in the subset, -1 outside
+        c = sum(sign * c_i for sign, (c_i, _) in zip(signs, terms))
+        d = sum(sign * d_i for sign, (_, d_i) in zip(signs, terms))
+        if not c and not d:
+            raise ValueError(f"a subset of {spec} weighs half the total at every eps")
+        if d and -c / d > 0:
+            walls.add(-c / d)
+    return sorted(walls)
 
 
 def cells_by_dim(complex_: CWComplex) -> tuple[tuple[CyclicPartition, ...], ...]:

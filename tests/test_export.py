@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkspace
+from linkspace import export, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex
 from linkspace.export import (
@@ -31,10 +32,17 @@ from linkspace.export import (
     verify_all,
     write_output,
 )
-from linkspace.linkage import LinkageError, NonPositiveLength, make_linkage, parse_lengths
+from linkspace.linkage import (
+    DEFAULT_EPSILON,
+    LinkageError,
+    NonPositiveLength,
+    make_linkage,
+    parse_lengths,
+)
 from linkspace.topology import classify_linkage
 
 from oracles import (
+    eps_walls,
     is_watertight,
     oracle_component_count,
     parse_obj,
@@ -521,24 +529,75 @@ def test_verify_all_passes():
     assert sum(1 for l in text.splitlines() if l.startswith("[PASS]")) == 6
 
 
-def test_verify_all_reports_corrupted_expectations():
+def test_verify_all_reports_corrupted_expectations(monkeypatch):
     corrupted = tuple(
         Representative(r.spec, "genus-5 surface", r.components, r.chi)
         if r.spec == "1,1,1,1,1"
         else r
         for r in REPRESENTATIVES
     )
-    ok, text = verify_all(expectations=corrupted)
+    monkeypatch.setattr(export, "REPRESENTATIVES", corrupted)
+    ok, text = verify_all()
     assert not ok
     fail = next(l for l in text.splitlines() if l.startswith("[FAIL]"))
     assert "expected 'genus-5 surface'" in fail
 
 
-def test_verify_all_flags_oversized_epsilon():
-    ok, text = verify_all(epsilon=Fraction(1, 2))
+def test_verify_all_flags_oversized_epsilon(monkeypatch):
+    # 1,1,eps,eps,1 at eps = 1/2, its first wall, is not generic: {1,3,4}
+    # weighs half the total, so construction fails and the line says so
+    oversized = tuple(
+        r._replace(spec="1,1,1/2,1/2,1") if r.spec == "1,1,eps,eps,1" else r
+        for r in REPRESENTATIVES
+    )
+    monkeypatch.setattr(export, "REPRESENTATIVES", oversized)
+    ok, text = verify_all()
     assert not ok
-    fail = next(l for l in text.splitlines() if "(1,1,eps,eps,1)" in l)
+    fail = next(l for l in text.splitlines() if "(1,1,1/2,1/2,1)" in l)
     assert fail.startswith("[FAIL]")
+    assert "construction failed" in fail
+    assert sum(l.startswith("[PASS]") for l in text.splitlines()) == 5
+
+
+def test_verify_classifies_each_pentagon_once(monkeypatch, capsys):
+    calls = []
+    classify = topology.classify_linkage
+    monkeypatch.setattr(topology, "classify_linkage", lambda l: calls.append(l) or classify(l))
+    assert main(["verify"]) == 0
+    assert "verification passed for 6 linkages" in capsys.readouterr().out
+    assert [l.spec() for l in calls] == [
+        "1,1,1,1,3",
+        "1,1,1,1/100,2",
+        "2,2,1,1,3",
+        "1,1,1/100,1/100,1",
+        "2,1,1,1,2",
+        "1,1,1,1,1",
+    ]
+
+
+def test_eps_pentagons_keep_their_chamber_below_the_first_wall():
+    # The lengths are affine in eps, so every short flag keeps its value
+    # between walls: the chamber at DEFAULT_EPSILON is that of every eps in
+    # (0, e*), e* the first wall.  The flags are compared at three points
+    # below e* and one past it, where the chamber must change
+    walls = {r.spec: eps_walls(r.spec) for r in REPRESENTATIVES}
+    assert {spec: found[:1] for spec, found in walls.items()} == {
+        "1,1,1,1,3": [],
+        "1,1,1,eps,2": [1],
+        "2,2,1,1,3": [],
+        "1,1,eps,eps,1": [Fraction(1, 2)],
+        "2,1,1,1,2": [],
+        "1,1,1,1,1": [],
+    }
+    for spec in ("1,1,1,eps,2", "1,1,eps,eps,1"):
+        wall = walls[spec][0]
+        assert DEFAULT_EPSILON < wall
+
+        def short(eps):
+            return make_linkage(parse_lengths(spec, eps)).short
+
+        assert short(DEFAULT_EPSILON) == short(DEFAULT_EPSILON / 10) == short(wall / 2)
+        assert short(wall * Fraction(11, 10)) != short(DEFAULT_EPSILON)
 
 
 def test_cli_classify_text(capsys):
