@@ -47,6 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mesh.add_argument("--format", choices=["obj", "ply"], default="obj")
     mesh.add_argument("--triangulate", action="store_true", help="fan-triangulate faces")
 
+    check = sub.add_parser("check", help="load a complex JSON document and report its first fault")
+    check.add_argument("file", help="the document, or - for stdin")
+
     sub.add_parser("tables", help="facet admissibility tables for the six standard pentagons")
     sub.add_parser("verify", help="check the six standard pentagons against their known types")
     return parser
@@ -74,6 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "tables":
             _emit(export.render_tables(), None)
+            return 0
+        if args.command == "check":
+            text = export.read_input(args.file)
+            try:
+                export.complex_from_json(text)
+            except ValueError as exc:  # the loader's verdict on the document
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             return 0
         if args.command == "verify":
             ok, text = export.verify_all()

@@ -12,6 +12,8 @@ Tests pin both byte for byte against json.dumps writers.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
@@ -44,6 +46,17 @@ def write_output(text: str, path: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path!r}: {exc}") from exc
+
+
+def read_input(path: str) -> str:
+    """The text of the file at `path`, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
 
 
 def _fmt_coord(x: float) -> str:
@@ -179,21 +192,49 @@ def complex_to_json(complex_: CWComplex) -> str:
     return "".join(pieces)
 
 
+#: The header `complex_to_json` writes, up to its cells, for the 4 to 8
+#: lengths `build_complex` supports; group 1 holds the length lines.
+_HEADER = re.compile(
+    r'\{\n  "schema": 1,\n  "n": \d,\n  "lengths": \[\n'
+    r'((?:    "[^"\n]*",\n){3,7}    "[^"\n]*")\n  \],\n  "cells": \['
+)
+
+
 def complex_from_json(text: str) -> CWComplex:
     """Load a schema-1 complex document, which must be the complex of its
     own `lengths`: the lengths fix every cell.
 
-    After the JSON type checks (an object whose `schema` is the int 1, `n`
-    an int equal to the number of `lengths`, `lengths` a list of strings
-    and `cells` a non-empty list of objects with `dim`, `label` and
-    `boundary`), the complex of the lengths is built, every grade wired,
-    and compared with the records as `complex_to_json` writes them: the
-    cell count, then each cell's dim, label and flat face indices, every
-    dim and face index an int (in Python, `true == 1.0 == 1`).  Returns the
-    built complex; no label is built.  Raises ValueError on any other
-    document, one nested too deeply to parse included; a mismatch names
-    the first differing cell, with the record expected against the one found.
+    The writer's own bytes are accepted by one compare, with no JSON parse:
+    the lengths are read from a header laid out as `complex_to_json` lays it
+    out, their complex is built and written, and it is returned if the
+    document is that text exactly.  The validator accepts those bytes too
+    (a test pins it), so the compare only skips the parse.
+
+    Every other document goes to the validator, the one source of
+    rejections and their messages.  After the JSON type checks (an object
+    whose `schema` is the int 1, `n` an int equal to the number of
+    `lengths`, `lengths` a list of strings and `cells` a non-empty list of
+    objects with `dim`, `label` and `boundary`), the complex of the lengths
+    is built, every grade wired, and compared with the records as
+    `complex_to_json` writes them: the cell count, then each cell's dim,
+    label and flat face indices, every dim and face index an int (in
+    Python, `true == 1.0 == 1`).  So a layout the writer did not write
+    (compact or re-indented JSON, a length written `2/2`) loads too, parsed
+    and compared cell by cell.  Returns the built complex; no label is
+    built.  Raises ValueError on any other document, one nested too deeply
+    to parse included; a mismatch names the first differing cell, with the
+    record expected against the one found.
     """
+    header = _HEADER.match(text)
+    if header:
+        try:
+            lengths = [parse_rational(t) for t in re.findall(r'"([^"]*)"', header[1])]
+            complex_ = build_complex(make_linkage(lengths))
+        except LinkageError:
+            pass  # the validator names the fault
+        else:
+            if complex_to_json(complex_) == text:
+                return complex_
     try:
         doc = json.loads(text)
     except RecursionError:

@@ -196,6 +196,123 @@ def test_complex_json_writer_holds_about_two_copies_of_the_document():
     assert peak <= 2.5 * len(text), (peak, len(text))
 
 
+def test_complex_json_loader_holds_under_three_copies_of_the_document():
+    # the built complex and the writer's text, compared with the document;
+    # json.loads' objects and the Python compare once peaked at 3.9 copies
+    complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))  # n=7 table cached
+    text = complex_to_json(complex_)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        complex_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3.0 * len(text), (peak, len(text))
+
+
+_SHORT_PATH_SPECS = [rep.spec for rep in REPRESENTATIVES] + ["1,2,3,4,5,6", "3,5,7,2,9,4,1"]
+
+
+@pytest.mark.parametrize("spec", _SHORT_PATH_SPECS)
+def test_the_writers_bytes_load_with_no_json_parse(spec, monkeypatch):
+    complex_ = build_complex(make_linkage(parse_lengths(spec)))
+    text = complex_to_json(complex_)
+
+    def loads(*args, **kwargs):
+        raise AssertionError("the writer's own document was parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(export.json, "loads", loads)
+        assert complex_from_json(text) == complex_
+    # why the compare is sound: the validator alone accepts the same bytes
+    monkeypatch.setattr(export, "_HEADER", re.compile("(?!)"))
+    assert complex_from_json(text) == complex_
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda doc: json.dumps(doc),
+        lambda doc: json.dumps(doc, indent=4),
+        lambda doc: json.dumps({**doc, "lengths": ["2/2", *doc["lengths"][1:]]}, indent=2) + "\n",
+    ],
+    ids=["compact", "indent=4", "length 2/2"],
+)
+def test_a_layout_the_writer_did_not_write_loads_through_the_validator(layout, monkeypatch):
+    complex_ = build_complex(make_linkage([1, 2, 3, 4, 5, 6]))
+    text = layout(json.loads(complex_to_json(complex_)))
+    assert text != complex_to_json(complex_)
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(export.json, "loads", lambda text: parsed.append(text) or loads(text))
+    assert complex_from_json(text) == complex_
+    assert parsed == [text]
+
+
+def _move_a_face_between_rows(doc):
+    first, second = doc["cells"][113]["boundary"], doc["cells"][112]["boundary"]
+    doc["cells"][112]["boundary"] = second + first[:1]
+    doc["cells"][113]["boundary"] = first[1:]
+
+
+def _set_lengths(doc):
+    doc["lengths"] = ["1", "1", "1", "1", "3"]
+
+
+def _delete_the_last_cell(doc):
+    del doc["cells"][-1]
+
+
+def _write_a_501_character_length(doc):
+    doc["lengths"][0] = "1" * 501
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (
+            _move_a_face_between_rows,
+            ValueError,
+            'cell 112: expected {"dim": 2, "label": "{4}{1,3}{2,5}", "boundary": [55, 73, 76, 82]},'
+            ' found {"dim": 2, "label": "{4}{1,3}{2,5}", "boundary": [55, 73, 76, 82, 39]}',
+        ),
+        (
+            _set_lengths,
+            ValueError,
+            "document has 114 cells, but the complex of lengths 1,1,1,1,3 has 74",
+        ),
+        (
+            _delete_the_last_cell,
+            ValueError,
+            "document has 113 cells, but the complex of lengths 1,1,1,1,1 has 114",
+        ),
+        (
+            _write_a_501_character_length,
+            LinkageError,
+            "length '11111111111111111111'... is over 500 characters",
+        ),
+    ],
+    ids=["face moved", "lengths 1,1,1,1,3", "last cell deleted", "501-character length"],
+)
+def test_a_one_edit_writers_document_gets_the_validators_message(edit, error, message):
+    # laid out as the writer lays it out, so the header matches and the
+    # complex of its lengths is built and written before the compare fails;
+    # the compact form skips straight to the validator
+    doc = _pentagon_document()
+    assert json.dumps(doc, indent=2) + "\n" == complex_to_json(
+        build_complex(make_linkage([1, 1, 1, 1, 1]))
+    )
+    edit(doc)
+    text = json.dumps(doc, indent=2) + "\n"
+    assert export._HEADER.match(text)
+    for document in (text, json.dumps(doc)):
+        with pytest.raises(error) as raised:
+            complex_from_json(document)
+        assert type(raised.value) is error and str(raised.value) == message
+
+
 def _pentagon_document():
     return json.loads(complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1]))))
 
@@ -799,6 +916,104 @@ def test_linkctl_entry_exits_with_main_code():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _edited(edit):
+    """The 1,1,1,1,1 document after `edit`, laid out as the writer lays out
+    a document, so the loader tries its compare before the validator."""
+    doc = _pentagon_document()
+    edit(doc)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_length(length):
+    return lambda doc: doc["lengths"].__setitem__(0, length)
+
+
+def _set_cell(k, key, value):
+    return lambda doc: doc["cells"][k].__setitem__(key, value)
+
+
+def _set_face(k, i, value):
+    return lambda doc: doc["cells"][k]["boundary"].__setitem__(i, value)
+
+
+def _swap_first_labels(doc):
+    cells = doc["cells"]
+    cells[0]["label"], cells[1]["label"] = cells[1]["label"], cells[0]["label"]
+
+
+# every document a rejection test above loads, in the test's order
+REJECTED = {
+    "cell without boundary": _edited(lambda doc: doc["cells"][30].pop("boundary")),
+    "no lengths": _edited(lambda doc: doc.pop("lengths")),
+    "face 114": _edited(_set_face(-1, 0, 114)),
+    "face a vertex": _edited(_set_face(-1, 0, 0)),
+    "dim 1 for a 0-cell": _edited(_set_cell(0, "dim", 1)),
+    "label on other bars": _edited(_set_cell(30, "label", "{1,2}{3}{4}{5}{6}")),
+    "a list": "[]",
+    "cell not an object": _edited(_set("cells", [5])),
+    "label not a string": _edited(_set_cell(30, "label", 7)),
+    "boundary not a list": _edited(_set_cell(30, "boundary", 5)),
+    "no cells": _edited(_set("cells", [])),
+    "lengths a string": _edited(_set("lengths", "11111")),
+    "cell appended twice": _edited(lambda doc: doc["cells"].append(doc["cells"][23])),
+    "cell twice in place": _edited(lambda doc: doc["cells"].__setitem__(23, doc["cells"][22])),
+    "cells out of order": _edited(_swap_first_labels),
+    **{
+        f"label {text}": _edited(_set_cell(24, "label", text))
+        for text in ("{5}{1,2}{3}{4}", "{2,1}{3}{4}{5}")
+    },
+    **{
+        f"label {text}": _edited(_set_cell(30, "label", text))
+        for text in ("oops", "{1}{2}{3}{4}{5", "{1,1}{2}{3}{4}{5}", "{1}{1}{1}{3}{4}{5}")
+    },
+    **{f"dim {value}": _edited(_set_cell(30, "dim", value)) for value in (True, 1.0)},
+    **{f"face {value}": _edited(_set_face(32, 1, value)) for value in (True, 1.0)},
+    "faces moved between rows": _edited(_move_a_face_between_rows),
+    "face twice": _edited(_set_cell(30, "boundary", [0, 0])),
+    "lengths 1,1,1,1,3": _edited(_set_lengths),
+    "0-cells but the last": _edited(lambda doc: doc.__setitem__("cells", doc["cells"][:23])),
+    "last cell deleted": _edited(_delete_the_last_cell),
+    **{f"schema {value!r}": _edited(_set("schema", value)) for value in (True, 1.0, 2, "1", None)},
+    **{f"n {value!r}": _edited(_set("n", value)) for value in (99, 4, "x", "5", 5.0, None)},
+    "no n": _edited(lambda doc: doc.pop("n")),
+    **{f"length {t[:10]}": _edited(_set_length(t)) for t in ("1e30000000", "1" * 501)},
+    "nested too deeply": "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+def test_cli_check_exits_2_with_the_loaders_message(text, tmp_path, capsys):
+    with pytest.raises(ValueError) as raised:
+        complex_from_json(text)
+    path = tmp_path / "complex.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
+def test_cli_check_accepts_a_document_from_a_file_or_stdin(tmp_path, monkeypatch, capsys):
+    text = complex_to_json(build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1])))
+    path = tmp_path / "complex.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(json.loads(text))))
+    assert main(["check", "-"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_check_exits_2_on_a_file_it_cannot_read(tmp_path, capsys):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    for name in ("missing.json", "binary.json", "."):
+        assert main(["check", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read '{tmp_path / name}': ")
+        assert err.count("\n") == 1
 
 
 def test_cli_mesh_and_complex_files(tmp_path, capsys):
