@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import suppress
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
@@ -210,31 +211,30 @@ def complex_from_json(text: str) -> CWComplex:
     document is that text exactly.  The validator accepts those bytes too
     (a test pins it), so the compare only skips the parse.
 
-    Every other document goes to the validator, the one source of
-    rejections and their messages.  After the JSON type checks (an object
-    whose `schema` is the int 1, `n` an int equal to the number of
-    `lengths`, `lengths` a list of strings and `cells` a non-empty list of
-    objects with `dim`, `label` and `boundary`), the complex of the lengths
-    is built, every grade wired, and compared with the records as
-    `complex_to_json` writes them: the cell count, then each cell's dim,
-    label and flat face indices, every dim and face index an int (in
-    Python, `true == 1.0 == 1`).  So a layout the writer did not write
-    (compact or re-indented JSON, a length written `2/2`) loads too, parsed
-    and compared cell by cell.  Returns the built complex; no label is
-    built.  Raises ValueError on any other document, one nested too deeply
-    to parse included; a mismatch names the first differing cell, with the
-    record expected against the one found.
+    Every other document goes to the validator, the one source of rejections
+    and their messages.  After the JSON type checks (an object whose `schema`
+    is the int 1, `n` an int equal to the number of `lengths`, `lengths` a
+    list of strings and `cells` a non-empty list of objects with `dim`,
+    `label` and `boundary`), the complex of the lengths is compared with the
+    records as `complex_to_json` writes them: the cell count, then each
+    cell's dim, label and flat face indices, every dim and face index an int
+    (in Python, `true == 1.0 == 1`).  That complex is the header's when the
+    parsed `lengths` are its tokens, so each document is built once; it is
+    built anew only for no header, header lengths that raised LinkageError,
+    or other parsed `lengths` (json.loads keeps a repeated key's last
+    value).  So compact or re-indented JSON, or a length written `2/2`, loads
+    too.  Returns the built complex; no label is built.  Raises ValueError on
+    any other document, one nested too deeply to parse included; a mismatch
+    names the first differing cell, with the record expected against the one
+    found.
     """
-    header = _HEADER.match(text)
-    if header:
-        try:
-            lengths = [parse_rational(t) for t in re.findall(r'"([^"]*)"', header[1])]
-            complex_ = build_complex(make_linkage(lengths))
-        except LinkageError:
-            pass  # the validator names the fault
-        else:
-            if complex_to_json(complex_) == text:
-                return complex_
+    complex_ = tokens = None
+    if header := _HEADER.match(text):
+        tokens = re.findall(r'"([^"]*)"', header[1])
+        with suppress(LinkageError):  # the validator names the fault
+            complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
+        if complex_ is not None and complex_to_json(complex_) == text:
+            return complex_
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -265,12 +265,12 @@ def complex_from_json(text: str) -> CWComplex:
         k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
     check_supported_arity(n)  # before make_linkage's 2^n pass
-    linkage = make_linkage([parse_rational(t) for t in doc["lengths"]])
-    complex_ = build_complex(linkage)
+    if complex_ is None or doc["lengths"] != tokens:
+        complex_ = build_complex(make_linkage([parse_rational(t) for t in doc["lengths"]]))
     if len(records) != sum(complex_.f_vector()):
         raise ValueError(
             f"document has {len(records)} cells, but the complex of lengths"
-            f" {linkage.spec()} has {sum(complex_.f_vector())}"
+            f" {complex_.linkage.spec()} has {sum(complex_.f_vector())}"
         )
     start, numbers = 0, []  # this grade's first flat index; the grade below's flat indices
     for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):

@@ -38,6 +38,7 @@ from linkspace.linkage import (
     NonPositiveLength,
     make_linkage,
     parse_lengths,
+    parse_rational,
 )
 from linkspace.topology import classify_linkage
 
@@ -232,15 +233,16 @@ def test_the_writers_bytes_load_with_no_json_parse(spec, monkeypatch):
     assert complex_from_json(text) == complex_
 
 
-@pytest.mark.parametrize(
-    "layout",
-    [
-        lambda doc: json.dumps(doc),
-        lambda doc: json.dumps(doc, indent=4),
-        lambda doc: json.dumps({**doc, "lengths": ["2/2", *doc["lengths"][1:]]}, indent=2) + "\n",
-    ],
-    ids=["compact", "indent=4", "length 2/2"],
-)
+#: documents equal to a writer's document but not laid out as it is
+LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc),
+    "indent=4": lambda doc: json.dumps(doc, indent=4),
+    "length 2/2": lambda doc: json.dumps({**doc, "lengths": ["2/2", *doc["lengths"][1:]]}, indent=2)
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
 def test_a_layout_the_writer_did_not_write_loads_through_the_validator(layout, monkeypatch):
     complex_ = build_complex(make_linkage([1, 2, 3, 4, 5, 6]))
     text = layout(json.loads(complex_to_json(complex_)))
@@ -885,10 +887,13 @@ def test_module_entry_point():
 
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run `code` with `args` in a new isolated interpreter (`-I`: no
-    PYTHONPATH, no user site) that finds this linkspace first."""
+    PYTHONPATH, no user site) that finds this linkspace first.  `-I` also
+    ignores PYTHONDONTWRITEBYTECODE, so `-B` keeps it from writing
+    bytecode into the source tree."""
     src = str(Path(linkspace.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); {code}"
     return subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}", *args],
+        [sys.executable, "-I", "-B", "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=60,
@@ -995,6 +1000,65 @@ def test_cli_check_exits_2_with_the_loaders_message(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
+def _builds(monkeypatch):
+    """The linkages `complex_from_json` builds a complex of from now on."""
+    built = []
+    monkeypatch.setattr(
+        export, "build_complex", lambda linkage: built.append(linkage) or build_complex(linkage)
+    )
+    return built
+
+
+def _has_a_linkage_header(text):
+    """Whether `text` starts with the writer's header, with lengths that
+    form a linkage."""
+    if not export._HEADER.match(text):
+        return False
+    try:
+        make_linkage([parse_rational(t) for t in json.loads(text)["lengths"]])
+    except LinkageError:
+        return False
+    return True
+
+
+LOADED = {"writer's bytes": lambda doc: json.dumps(doc, indent=2) + "\n", **LAYOUTS}
+
+
+@pytest.mark.parametrize("layout", LOADED.values(), ids=LOADED.keys())
+def test_a_loaded_document_is_built_once(layout, monkeypatch):
+    # a document with the writer's header hands its complex to the validator
+    complex_ = build_complex(make_linkage([1, 2, 3, 4, 5, 6]))
+    text = layout(json.loads(complex_to_json(complex_)))
+    built = _builds(monkeypatch)
+    assert complex_from_json(text) == complex_
+    assert built == [complex_.linkage]
+
+
+@pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+def test_a_rejected_document_is_built_at_most_once(text, monkeypatch):
+    # once if it has the writer's header with lengths that form a linkage;
+    # the validator's type checks reject every other one before a build
+    built = _builds(monkeypatch)
+    with pytest.raises(ValueError):
+        complex_from_json(text)
+    assert len(built) == _has_a_linkage_header(text)
+
+
+def test_a_repeated_lengths_key_is_built_from_its_last_value():
+    # json.loads keeps the last "lengths", so the header's complex of
+    # 1,1,1,1,3 is not the one the cells are compared with
+    pentagon = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
+    header = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 3])))
+    cells = '"cells": ['
+    text = (
+        header[: header.index(cells)]
+        + pentagon[pentagon.index(cells) : -len("\n}\n")]
+        + ',\n  "lengths": ["1", "1", "1", "1", "1"]\n}\n'
+    )
+    assert export._HEADER.match(text)[1].count('"3"') == 1
+    assert complex_from_json(text) == build_complex(make_linkage([1, 1, 1, 1, 1]))
 
 
 def test_cli_check_accepts_a_document_from_a_file_or_stdin(tmp_path, monkeypatch, capsys):
