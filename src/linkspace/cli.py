@@ -1,13 +1,14 @@
 """linkctl: classify linkage moduli spaces and export their models.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 internal invariant violation.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a file
+or stream that cannot be read or written, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext, suppress
 from functools import cache
 
 from . import export, topology
@@ -55,11 +56,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        export.write_output(text, output)
+def _emit(text: str, output: str | None) -> int:
+    """Write `text` to the file `output`, or to stdout for None; return 0, or
+    2 after one error line if the write fails.  A failed stdout is closed, as
+    the file is, so the interpreter's flush at exit does not retry its text."""
+    try:
+        with nullcontext(sys.stdout) if output is None else open(output, "w") as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        if output is None:
+            with suppress(OSError):  # close flushes, and fails as the flush did
+                sys.stdout.close()
+        where = "stdout" if output is None else repr(output)
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _check_bar_count(command: str, n: int) -> None:
@@ -76,10 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "tables":
-            _emit(export.render_tables(), None)
-            return 0
+            return _emit(export.render_tables(), None)
         if args.command == "check":
-            text = export.read_input(args.file)
+            try:
+                with nullcontext(sys.stdin) if args.file == "-" else open(args.file) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
+                return 2
             try:
                 export.complex_from_json(text)
             except ValueError as exc:  # the loader's verdict on the document
@@ -88,8 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "verify":
             ok, text = export.verify_all()
-            _emit(text, None)
-            return 0 if ok else 1
+            return _emit(text, None) or (0 if ok else 1)
 
         # argparse before Python 3.13 parses `--epsilon=--` as []
         if args.epsilon == []:
@@ -106,19 +121,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             report = topology.classify_linkage(linkage)
             if args.format == "json":
-                _emit(export.report_to_json(report, linkage), args.output)
-            else:
-                _emit(export.render_report(report, linkage), args.output)
-            return 0
+                return _emit(export.report_to_json(report, linkage), args.output)
+            return _emit(export.render_report(report, linkage), args.output)
         if args.command == "complex":
-            _emit(export.complex_to_json(build_complex(linkage)), args.output)
-            return 0
+            return _emit(export.complex_to_json(build_complex(linkage)), args.output)
         if args.command == "mesh":
             mesh = perform_surgery(linkage)
-            _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)
-            return 0
+            return _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)
         raise AssertionError(f"unhandled command {args.command}")
-    except (LinkageError, ArityMismatch, export.IoFailure) as exc:
+    except (LinkageError, ArityMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAClosedSurface, ValueError) as exc:

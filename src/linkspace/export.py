@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from contextlib import suppress
 from functools import lru_cache
 from itertools import chain, repeat
@@ -35,29 +34,6 @@ from .linkage import (
 
 class UnsupportedFormat(ValueError):
     pass
-
-
-class IoFailure(OSError):
-    pass
-
-
-def write_output(text: str, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path!r}: {exc}") from exc
-
-
-def read_input(path: str) -> str:
-    """The text of the file at `path`, or of stdin for "-"."""
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read {path!r}: {exc}") from exc
 
 
 def _fmt_coord(x: float) -> str:

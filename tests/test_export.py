@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +22,6 @@ from linkspace.cli import main
 from linkspace.cwcomplex import build_complex
 from linkspace.export import (
     REPRESENTATIVES,
-    IoFailure,
     Representative,
     UnsupportedFormat,
     _vertex_lines,
@@ -30,7 +31,6 @@ from linkspace.export import (
     render_tables,
     report_to_json,
     verify_all,
-    write_output,
 )
 from linkspace.linkage import (
     DEFAULT_EPSILON,
@@ -128,13 +128,6 @@ def test_export_rejects_unknown_formats(meshes):
     mesh = meshes[0][2]
     with pytest.raises(UnsupportedFormat):
         export_mesh(mesh, "stl")
-
-
-def test_write_output_failure():
-    with pytest.raises(IoFailure):
-        write_output("x", "")
-    with pytest.raises(IoFailure):
-        write_output("x", "/nonexistent-dir/deep/file.obj")
 
 
 def test_export_is_deterministic(meshes):
@@ -885,18 +878,17 @@ def test_module_entry_point():
     assert "classification: sphere" in proc.stdout
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _fresh_python(code: str, *args: str, **run) -> subprocess.CompletedProcess:
     """Run `code` with `args` in a new isolated interpreter (`-I`: no
     PYTHONPATH, no user site) that finds this linkspace first.  `-I` also
     ignores PYTHONDONTWRITEBYTECODE, so `-B` keeps it from writing
-    bytecode into the source tree."""
+    bytecode into the source tree.  `run` goes to subprocess.run, to set
+    `stdout` or `input`; stdout and stderr are captured by default."""
     src = str(Path(linkspace.__file__).parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); {code}"
     return subprocess.run(
         [sys.executable, "-I", "-B", "-c", code, *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60, **run},
     )
 
 
@@ -921,6 +913,54 @@ def test_linkctl_entry_exits_with_main_code():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+#: `python -m linkspace`, run by `_fresh_python`
+LINKSPACE_MAIN = "import runpy; runpy.run_module('linkspace', run_name='__main__')"
+#: the error a write to a full device raises
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _raise_no_space(*args):
+    raise NO_SPACE
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "1,1,1,1,1"], ["verify"], ["complex", "3,5,7,2,9,4,1"]],
+    ids=" ".join,
+)
+def test_cli_exits_2_on_a_stdout_it_cannot_write(argv, method, capsys):
+    stdout = type("FullStdout", (io.StringIO,), {method: _raise_no_space})()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write stdout: {NO_SPACE}\n")
+
+
+def test_cli_exits_2_on_a_file_it_cannot_write(tmp_path, capsys):
+    for path in ("", str(tmp_path / "missing" / "x.obj")):
+        assert main(["mesh", "1,1,1,1,1", "-o", path]) == 2
+        exc = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        assert capsys.readouterr() == ("", f"error: cannot write {path!r}: {exc}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_exits_2_on_a_full_device(capsys):
+    # a file's write fails only once its buffer is flushed
+    assert main(["complex", "1,1,1,1,1", "-o", "/dev/full"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write '/dev/full': {NO_SPACE}\n")
+    # block-buffered, as `-I` ignores PYTHONUNBUFFERED, a stdout keeps the
+    # text of a failed flush: main closes it, or the flush at exit fails too
+    with open("/dev/full", "w") as full:
+        proc = _fresh_python(LINKSPACE_MAIN, "verify", stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")
+
+
+def test_linkctl_check_reads_the_writers_document_from_stdin():
+    text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
+    proc = _fresh_python(LINKSPACE_MAIN, "check", "-", input=text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def _edited(edit):
@@ -1071,13 +1111,19 @@ def test_cli_check_accepts_a_document_from_a_file_or_stdin(tmp_path, monkeypatch
     assert capsys.readouterr() == ("", "")
 
 
-def test_cli_check_exits_2_on_a_file_it_cannot_read(tmp_path, capsys):
+def test_cli_check_exits_2_on_a_file_it_cannot_read(tmp_path, monkeypatch, capsys):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     for name in ("missing.json", "binary.json", "."):
         assert main(["check", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read '{tmp_path / name}': ")
         assert err.count("\n") == 1
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["check", "-"]) == 2
+    with pytest.raises(UnicodeDecodeError) as raised:
+        b"\xff\xfe".decode("utf-8")
+    assert capsys.readouterr() == ("", f"error: cannot read '-': {raised.value}\n")
 
 
 def test_cli_mesh_and_complex_files(tmp_path, capsys):
