@@ -7,9 +7,12 @@ or stream that cannot be read or written, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from contextlib import nullcontext, suppress
 from functools import cache
+from typing import Iterable, TextIO
 
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
@@ -56,16 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> int:
-    """Write `text` to the file `output`, or to stdout for None; return 0, or
-    2 after one error line if the write fails.  A failed stdout is closed, as
-    the file is, so the interpreter's flush at exit does not retry its text."""
+def _std(stream: TextIO | None) -> TextIO:
+    """`sys.stdin` or `sys.stdout`, which Python sets to None when its fd
+    was closed at start; reading or writing it then fails as the closed fd
+    would."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
+def _emit(text: str | Iterable[str], output: str | None) -> int:
+    """Write `text`, or its pieces as they come, to the file `output`, or to
+    stdout for None; return 0, or 2 after one error line if the write fails.
+    A failed stdout is closed, as the file is, so the interpreter's flush at
+    exit does not retry its text."""
     try:
-        with nullcontext(sys.stdout) if output is None else open(output, "w") as fh:
-            fh.write(text)
+        with nullcontext(_std(sys.stdout)) if output is None else open(output, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
             fh.flush()
     except OSError as exc:
-        if output is None:
+        if output is None and sys.stdout is not None:
             with suppress(OSError):  # close flushes, and fails as the flush did
                 sys.stdout.close()
         where = "stdout" if output is None else repr(output)
@@ -91,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(export.render_tables(), None)
         if args.command == "check":
             try:
-                with nullcontext(sys.stdin) if args.file == "-" else open(args.file) as fh:
+                with nullcontext(_std(sys.stdin)) if args.file == "-" else open(args.file) as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
@@ -124,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                 return _emit(export.report_to_json(report, linkage), args.output)
             return _emit(export.render_report(report, linkage), args.output)
         if args.command == "complex":
-            return _emit(export.complex_to_json(build_complex(linkage)), args.output)
+            return _emit(export.complex_json_pieces(build_complex(linkage)), args.output)
         if args.command == "mesh":
             mesh = perform_surgery(linkage)
             return _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)

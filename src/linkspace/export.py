@@ -15,9 +15,9 @@ import json
 import re
 from contextlib import suppress
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import topology
 from .cwcomplex import CWComplex, build_complex, check_supported_arity
@@ -119,54 +119,88 @@ def _json_array(items: list[str], indent: str) -> str:
 _OPEN_FACES = ('",\n      "boundary": []', '",\n      "boundary": [\n        ')
 _CLOSE_FACES = ("\n    }", "\n      ]\n    }")
 
+#: `str(i)` for the flat indices 0, 1, ... written so far; see `_index_texts`.
+_index_text: list[str] = []
 
-def complex_to_json(complex_: CWComplex) -> str:
-    """The complex as a schema-1 JSON document.
 
-    The layout is json.dumps(doc, indent=2)'s, written directly: a header,
-    then one record per cell with its dimension, label and the flat indices
-    of its faces.  Labels are the complex's own text (`labels_by_dim`), the
-    one form in which it stores a cell, so no CyclicPartition is built.  The
-    rest is joined at C level: the flat indices of the grade below are
-    turned into text once, each boundary row's texts are read by one
-    `itemgetter` call and joined, and each record is one `str.join` of its
-    five pieces, so no Python code runs per face.  Each grade's records are
-    joined into one string as they are written, and the document from those
-    strings by one last join: at its peak the writer holds the grades'
-    strings and the document, and no list of every record.  Tests pin the
-    bytes against a json.dumps writer and bound the peak.
-    """
+def _index_texts(count: int) -> list[str]:
+    """`str(i)` for at least every i < count, each formatted once per
+    process.  Only a process that writes many documents gains: a one-shot
+    write formats each index once either way.  The list grows by rebinding
+    a longer copy, never in place, so a list already handed out never
+    changes under its reader."""
+    global _index_text
+    texts = _index_text
+    if len(texts) < count:
+        texts = _index_text = texts + list(map(str, range(len(texts), count)))
+    return texts
+
+
+def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
+    """The pieces of `complex_to_json`'s document, in order: the header, each
+    grade's records, and the close.  `linkctl complex` writes them as they
+    come, and the loader compares them with a document in place, so neither
+    holds the writer's whole document."""
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
     join_faces = ",\n        ".join
     lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
-    pieces = [
+    yield (
         f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
         + _json_array(lengths, "  ")
         + ',\n  "cells": ['
-    ]
-    numbers: list[str] = []  # the grade below's flat indices, as text
-    offset = 0
+    )
+    sep = "\n"  # before the first record; ",\n" before each later one
+    below = start = 0  # the flat index of the grade below's first cell, and of this grade's
     for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
-        head = f'    {{\n      "dim": {d},\n      "label": "'
-        # a row's truth picks its record's brackets: no faces, []
-        has_faces = list(map(bool, rows))
-        opens = map(_OPEN_FACES.__getitem__, has_faces)
-        closes = map(_CLOSE_FACES.__getitem__, has_faces)
-        # a built complex's rows above dim 0 list at least two faces, for
-        # which itemgetter gives a tuple
-        faces = [
-            join_faces(itemgetter(*row)(numbers) if len(row) > 1 else [numbers[i] for i in row])
-            for row in rows
-        ]
-        records = map("".join, zip(repeat(head), labels, opens, faces, closes))
-        if labels:  # a grade's records follow the "[" or the grade before
-            pieces += (",\n" if len(pieces) > 1 else "\n", ",\n".join(records))
-        numbers = list(map(str, range(offset, offset + len(labels))))
-        offset += len(labels)
-    pieces.append("\n  ]\n}\n" if len(pieces) > 1 else "]\n}\n")
-    return "".join(pieces)
+        if labels:
+            head = f'    {{\n      "dim": {d},\n      "label": "'
+            yield sep + head
+            sep = ",\n"
+            numbers = _index_texts(start)[below:start]  # the grade below's, as text
+            # the record form is chosen per grade: a built complex's rows
+            # list at least two faces above dim 0, for which itemgetter gives
+            # a tuple, and none at dim 0
+            if min(map(len, rows)) > 1:
+                faces = [join_faces(itemgetter(*row)(numbers)) for row in rows]
+                records, close = map(_OPEN_FACES[1].join, zip(labels, faces)), _CLOSE_FACES[1]
+            elif not any(rows):
+                records, close = labels, _OPEN_FACES[0] + _CLOSE_FACES[0]
+            else:  # any rows, as only a hand-built complex has
+                # a row's truth picks its record's brackets: no faces, []
+                has_faces = list(map(bool, rows))
+                opens = map(_OPEN_FACES.__getitem__, has_faces)
+                closes = map(_CLOSE_FACES.__getitem__, has_faces)
+                faces = [join_faces([numbers[i] for i in row]) for row in rows]
+                records, close = map("".join, zip(labels, opens, faces, closes)), ""
+            # between two records: the first one's close, unless the record
+            # holds it, and the next one's head
+            yield (close + ",\n" + head).join(records)
+            yield close
+        below, start = start, start + len(labels)
+    yield "\n  ]\n}\n" if sep == ",\n" else "]\n}\n"  # after records, or none
+
+
+def complex_to_json(complex_: CWComplex) -> str:
+    """The complex as a schema-1 JSON document: the join of
+    `complex_json_pieces`.
+
+    The layout is json.dumps(doc, indent=2)'s, written directly: a header,
+    then one record per cell with its dimension, label and the flat indices
+    of its faces.  Labels are the complex's own text (`labels_by_dim`), the
+    one form in which it stores a cell, so no CyclicPartition is built.  The
+    rest is joined at C level.  A flat index is turned into text once per
+    process (`_index_texts`), so a later document of the same process
+    formats no index already written.  Each boundary row's texts are read
+    by one `itemgetter` call and joined, and each grade is one `str.join`
+    of its records, with the text between two records as its separator.
+    The record form is chosen once per grade, not per record, so no Python
+    code runs per face.  At its peak the writer holds the grades' strings
+    and the document, and no list of every record.  Tests pin the bytes
+    against a json.dumps writer, and bound the peak in a fresh process.
+    """
+    return "".join(complex_json_pieces(complex_))
 
 
 #: The header `complex_to_json` writes, up to its cells, for the 4 to 8
@@ -177,15 +211,29 @@ _HEADER = re.compile(
 )
 
 
+def _is_joined(pieces: Iterable[str], text: str) -> bool:
+    """Whether `text` is the join of `pieces`, each compared in place as it
+    comes, so no joined copy is made and the first mismatch ends it."""
+    pos = 0
+    for piece in pieces:
+        if not text.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(text)
+
+
 def complex_from_json(text: str) -> CWComplex:
     """Load a schema-1 complex document, which must be the complex of its
     own `lengths`: the lengths fix every cell.
 
     The writer's own bytes are accepted by one compare, with no JSON parse:
     the lengths are read from a header laid out as `complex_to_json` lays it
-    out, their complex is built and written, and it is returned if the
-    document is that text exactly.  The validator accepts those bytes too
-    (a test pins it), so the compare only skips the parse.
+    out, their complex is built, and it is returned if the document is its
+    text exactly.  That text is never joined: each of the writer's pieces
+    (`complex_json_pieces`) is compared in place with the document as it
+    comes, so the loader holds one grade's text beside the document, and
+    the first mismatch stops the writer.  The validator accepts those bytes
+    too (a test pins it), so the compare only skips the parse.
 
     Every other document goes to the validator, the one source of rejections
     and their messages.  After the JSON type checks (an object whose `schema`
@@ -209,7 +257,7 @@ def complex_from_json(text: str) -> CWComplex:
         tokens = re.findall(r'"([^"]*)"', header[1])
         with suppress(LinkageError):  # the validator names the fault
             complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
-        if complex_ is not None and complex_to_json(complex_) == text:
+        if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
             return complex_
     try:
         doc = json.loads(text)

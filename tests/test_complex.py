@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from linkspace import cwcomplex, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import CWComplex, build_complex
-from linkspace.export import STEP2_ROWS, STEP3_ROWS, complex_from_json, complex_to_json
+from linkspace.export import (
+    STEP2_ROWS,
+    STEP3_ROWS,
+    complex_from_json,
+    complex_json_pieces,
+    complex_to_json,
+)
 from linkspace.geometry import boundary_cycle
 from linkspace.linkage import Linkage, is_admissible_partition, make_linkage, parse_lengths
 from linkspace.partitions import (
@@ -414,6 +420,14 @@ def test_an_octagon_is_walked_and_leaves_the_tables_alone():
     assert complex_.f_vector() == cwcomplex.count_cells(linkage)
 
 
+def _written(complex_):
+    """`complex_to_json`'s document, which must be the join of the pieces
+    that `linkctl complex` streams."""
+    text = complex_to_json(complex_)
+    assert "".join(complex_json_pieces(complex_)) == text
+    return text
+
+
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference, enumerated = reference_build_complex(linkage)
@@ -425,7 +439,7 @@ def _assert_matches_reference(linkage):
     for cells in cells_by_dim(complex_):
         for cell in cells:
             assert cell == canonicalize(cell.parts)
-    text = complex_to_json(complex_)
+    text = _written(complex_)
     assert text == complex_to_json(reference)
     assert text == reference_complex_to_json(complex_)
     loaded = complex_from_json(text)
@@ -785,7 +799,7 @@ def test_json_writes_an_empty_face_list_above_dim_0():
     vertices = built.labels_by_dim[0]
     edge = canonicalize([{1, 2}, {3}, {4}, {5}])
     complex_ = CWComplex(linkage, [vertices, [str(edge)]], [[()] * len(vertices), [()]])
-    text = complex_to_json(complex_)
+    text = _written(complex_)
     assert text == reference_complex_to_json(complex_)
     assert text.endswith(
         '      "label": "{1,2}{3}{4}{5}",\n      "boundary": []\n    }\n  ]\n}\n'
@@ -802,8 +816,8 @@ def test_json_writes_rows_of_one_face_and_empty_grades():
         [built.labels_by_dim[0], ["{1,2}{3}{4}{5}", "{1}{2}{3,4}{5}"], []],
         [built.boundary[0], [(7,), (3, 11)], []],
     )
-    text = complex_to_json(complex_)
+    text = _written(complex_)
     assert text == reference_complex_to_json(complex_)
     assert '"boundary": [\n        7\n      ]' in text
     empty = CWComplex(linkage, [[], []], [[], []])
-    assert complex_to_json(empty) == reference_complex_to_json(empty)
+    assert _written(empty) == reference_complex_to_json(empty)

@@ -47,6 +47,7 @@ from oracles import (
     is_watertight,
     oracle_component_count,
     parse_obj,
+    reference_complex_to_json,
     reference_report_to_json,
 )
 
@@ -190,9 +191,64 @@ def test_complex_json_writer_holds_about_two_copies_of_the_document():
     assert peak <= 2.5 * len(text), (peak, len(text))
 
 
+#: prints the writer's `tracemalloc` peak for the `3,5,7,2,9,4,1` document,
+#: as a multiple of its length, in a process that has formatted no index text
+WRITER_PEAK = """from linkspace import export
+import tracemalloc
+complex_ = export.build_complex(export.make_linkage([3, 5, 7, 2, 9, 4, 1]))
+assert export._index_text == []
+tracemalloc.start()
+text = export.complex_to_json(complex_)
+print(tracemalloc.get_traced_memory()[1] / len(text))
+"""
+
+
+def test_complex_json_writer_holds_about_two_copies_in_a_fresh_process():
+    # the first write of a process also formats its index texts, so it
+    # peaks above a later one
+    proc = _fresh_python(WRITER_PEAK)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert float(proc.stdout) <= 2.5, proc.stdout
+
+
+#: writes the complex of each length spec in its argv, in turn, to stdout
+WRITE_IN_TURN = """from linkspace import export
+from linkspace.linkage import parse_lengths
+for spec in sys.argv[1:]:
+    complex_ = export.build_complex(export.make_linkage(parse_lengths(spec)))
+    sys.stdout.write(export.complex_to_json(complex_))
+"""
+
+
+def test_the_writers_bytes_do_not_depend_on_what_the_process_wrote_before():
+    # each index text is formatted once per process and read by every later
+    # document: here grown for the heptagon first, or for the pentagon first
+    specs = ["3,5,7,2,9,4,1", "1,1,1,1,1"]
+    want = {
+        spec: reference_complex_to_json(build_complex(make_linkage(parse_lengths(spec))))
+        for spec in specs
+    }
+    for order in (specs, specs[::-1]):
+        proc = _fresh_python(WRITE_IN_TURN, *order)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "".join(map(want.__getitem__, order))
+
+
+def test_the_index_texts_grow_by_rebinding_a_longer_copy(monkeypatch):
+    # a list already handed out never changes, so a reader in one thread
+    # never sees the texts another thread appends, nor the same texts twice
+    monkeypatch.setattr(export, "_index_text", [])
+    texts = export._index_texts(3)
+    longer = export._index_texts(10)
+    assert texts == ["0", "1", "2"]
+    assert longer == list(map(str, range(10)))
+    assert export._index_texts(5) is longer
+
+
 def test_complex_json_loader_holds_under_three_copies_of_the_document():
-    # the built complex and the writer's text, compared with the document;
-    # json.loads' objects and the Python compare once peaked at 3.9 copies
+    # the built complex and one grade's text at a time, compared in place
+    # with the document; the writer's whole text beside the document peaked
+    # at 2.7 copies, and json.loads' objects and the Python compare at 3.9
     complex_ = build_complex(make_linkage([3, 5, 7, 2, 9, 4, 1]))  # n=7 table cached
     text = complex_to_json(complex_)
     tracing = tracemalloc.is_tracing()
@@ -308,8 +364,44 @@ def test_a_one_edit_writers_document_gets_the_validators_message(edit, error, me
         assert type(raised.value) is error and str(raised.value) == message
 
 
+def _pentagon_text():
+    return complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
+
+
 def _pentagon_document():
-    return json.loads(complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1]))))
+    return json.loads(_pentagon_text())
+
+
+def _change_the_last_face(text):
+    last = re.search(r"\d+(?=\n      \]\n    \}\n  \]\n\}\n\Z)", text)
+    return text[: last.start()] + str(int(last[0]) + 1) + text[last.end() :]
+
+
+#: the pentagon's document one edit from the writer's, with the validator's
+#: message for it
+ONE_OFF = {
+    "a byte longer": (_pentagon_text() + "}", "Extra data: line 914 column 1 (char 12935)"),
+    "a byte shorter": (
+        _pentagon_text()[:-2] + "\n",
+        "Expecting ',' delimiter: line 914 column 1 (char 12934)",
+    ),
+    "last face changed": (
+        _change_the_last_face(_pentagon_text()),
+        'cell 113: expected {"dim": 2, "label": "{4}{2,3}{1,5}", "boundary": [39, 77, 80, 83]},'
+        ' found {"dim": 2, "label": "{4}{2,3}{1,5}", "boundary": [39, 77, 80, 84]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", ONE_OFF.values(), ids=ONE_OFF.keys())
+def test_the_in_place_compare_hands_a_near_miss_to_the_validator(text, message):
+    # each of the writer's pieces is compared in place: the longer text
+    # matches every piece but not in length, the shorter one fails at the
+    # close and the changed face in the last grade
+    assert export._HEADER.match(text)
+    with pytest.raises(ValueError) as raised:
+        complex_from_json(text)
+    assert str(raised.value) == message
 
 
 def _load(doc):
@@ -957,6 +1049,43 @@ def test_cli_exits_2_on_a_full_device(capsys):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")
 
 
+def test_cli_exits_2_on_a_pipe_whose_reader_has_gone():
+    # as `linkctl complex … | head` meets once head has read its lines and
+    # exited: a failed write like any other, not a quiet end
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as pipe:
+        proc = _fresh_python(LINKSPACE_MAIN, "complex", "1,1,1,1,1", stdout=pipe)
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {broken}\n")
+
+
+#: the error a read or write of a closed fd raises
+BAD_FD = OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["complex", "1,1,1,1,1"]], ids=" ".join)
+def test_cli_exits_2_on_a_closed_stdout(argv, capsys):
+    # Python sets sys.stdout to None when fd 1 is closed at start, as by
+    # `linkctl verify >&-`
+    with contextlib.redirect_stdout(None):
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write stdout: {BAD_FD}\n")
+    proc = _fresh_python(LINKSPACE_MAIN, *argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write stdout: {BAD_FD}\n"
+
+
+def test_cli_check_exits_2_on_a_closed_stdin(monkeypatch, capsys):
+    # and sys.stdin to None when fd 0 is, as by `linkctl check - <&-`
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read '-': {BAD_FD}\n")
+    proc = _fresh_python(LINKSPACE_MAIN, "check", "-", preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot read '-': {BAD_FD}\n"
+
+
 def test_linkctl_check_reads_the_writers_document_from_stdin():
     text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
     proc = _fresh_python(LINKSPACE_MAIN, "check", "-", input=text)
@@ -1029,6 +1158,7 @@ REJECTED = {
     "no n": _edited(lambda doc: doc.pop("n")),
     **{f"length {t[:10]}": _edited(_set_length(t)) for t in ("1e30000000", "1" * 501)},
     "nested too deeply": "[" * 100000,
+    **{name: text for name, (text, _) in ONE_OFF.items()},
 }
 
 
@@ -1053,11 +1183,12 @@ def _builds(monkeypatch):
 
 def _has_a_linkage_header(text):
     """Whether `text` starts with the writer's header, with lengths that
-    form a linkage."""
-    if not export._HEADER.match(text):
+    form a linkage.  The lengths are read from the header alone, as the
+    text past it may not be JSON."""
+    if not (header := export._HEADER.match(text)):
         return False
     try:
-        make_linkage([parse_rational(t) for t in json.loads(text)["lengths"]])
+        make_linkage([parse_rational(t) for t in json.loads(f"[{header[1]}]")])
     except LinkageError:
         return False
     return True
@@ -1124,6 +1255,14 @@ def test_cli_check_exits_2_on_a_file_it_cannot_read(tmp_path, monkeypatch, capsy
     with pytest.raises(UnicodeDecodeError) as raised:
         b"\xff\xfe".decode("utf-8")
     assert capsys.readouterr() == ("", f"error: cannot read '-': {raised.value}\n")
+
+
+@pytest.mark.parametrize("spec", [rep.spec for rep in REPRESENTATIVES] + ["3,5,7,2,9,4,1"])
+def test_cli_complex_writes_the_writers_document(spec, capsys):
+    # the pieces go to stdout as they come, never joined
+    assert main(["complex", spec]) == 0
+    complex_ = build_complex(make_linkage(parse_lengths(spec)))
+    assert capsys.readouterr() == (complex_to_json(complex_), "")
 
 
 def test_cli_mesh_and_complex_files(tmp_path, capsys):
