@@ -64,7 +64,9 @@ class CWComplex(NamedTuple):
     (n's part last), sorted.  boundary[d][i] holds the ascending indices
     (into labels_by_dim[d-1]) of cell i's codimension-1 faces, with an empty
     row for each vertex, and `edges` is boundary[1], the 1-skeleton.  Tuple
-    equality compares the linkage, the labels and the rows.
+    equality compares the linkage, the labels and the rows.  As built, every
+    grade has cells, and every row above dim 0 lists two or more faces; the
+    JSON writer and `_restrict` rely on that shape.
     """
 
     linkage: Linkage

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import topology
-from .cwcomplex import CWComplex, build_complex, check_supported_arity
+from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
 from .geometry import Point3, SurfaceMesh
 from .linkage import (
     DEFAULT_EPSILON,
@@ -114,11 +114,6 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-#: A cell record's text between its label and its faces, and after them,
-#: indexed by whether the cell has faces.
-_OPEN_FACES = ('",\n      "boundary": []', '",\n      "boundary": [\n        ')
-_CLOSE_FACES = ("\n    }", "\n      ]\n    }")
-
 #: `str(i)` for the flat indices 0, 1, ... written so far; see `_index_texts`.
 _index_text: list[str] = []
 
@@ -140,7 +135,8 @@ def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
     """The pieces of `complex_to_json`'s document, in order: the header, each
     grade's records, and the close.  `linkctl complex` writes them as they
     come, and the loader compares them with a document in place, so neither
-    holds the writer's whole document."""
+    holds the writer's whole document.  Raises ValueError on a grade that
+    `build_complex` does not build (see `CWComplex`)."""
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are positive
     # str(Fraction), digits and '/'.
@@ -151,35 +147,26 @@ def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
         + _json_array(lengths, "  ")
         + ',\n  "cells": ['
     )
-    sep = "\n"  # before the first record; ",\n" before each later one
     below = start = 0  # the flat index of the grade below's first cell, and of this grade's
     for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
-        if labels:
-            head = f'    {{\n      "dim": {d},\n      "label": "'
-            yield sep + head
-            sep = ",\n"
+        # the dimension picks the record form: a 0-cell has no faces, and
+        # any other cell two or more, for which itemgetter gives a tuple
+        if not rows or (any(rows) if d == 0 else min(map(len, rows)) < 2):
+            raise ValueError(f"the {d}-cells are not a grade that build_complex builds")
+        head = f'    {{\n      "dim": {d},\n      "label": "'
+        yield (",\n" if d else "\n") + head
+        if d == 0:
+            records, close = labels, '",\n      "boundary": []\n    }'
+        else:
             numbers = _index_texts(start)[below:start]  # the grade below's, as text
-            # the record form is chosen per grade: a built complex's rows
-            # list at least two faces above dim 0, for which itemgetter gives
-            # a tuple, and none at dim 0
-            if min(map(len, rows)) > 1:
-                faces = [join_faces(itemgetter(*row)(numbers)) for row in rows]
-                records, close = map(_OPEN_FACES[1].join, zip(labels, faces)), _CLOSE_FACES[1]
-            elif not any(rows):
-                records, close = labels, _OPEN_FACES[0] + _CLOSE_FACES[0]
-            else:  # any rows, as only a hand-built complex has
-                # a row's truth picks its record's brackets: no faces, []
-                has_faces = list(map(bool, rows))
-                opens = map(_OPEN_FACES.__getitem__, has_faces)
-                closes = map(_CLOSE_FACES.__getitem__, has_faces)
-                faces = [join_faces([numbers[i] for i in row]) for row in rows]
-                records, close = map("".join, zip(labels, opens, faces, closes)), ""
-            # between two records: the first one's close, unless the record
-            # holds it, and the next one's head
-            yield (close + ",\n" + head).join(records)
-            yield close
+            faces = [join_faces(itemgetter(*row)(numbers)) for row in rows]
+            records = map('",\n      "boundary": [\n        '.join, zip(labels, faces))
+            close = "\n      ]\n    }"
+        # between two records: the first one's close and the next one's head
+        yield (close + ",\n" + head).join(records)
+        yield close
         below, start = start, start + len(labels)
-    yield "\n  ]\n}\n" if sep == ",\n" else "]\n}\n"  # after records, or none
+    yield "\n  ]\n}\n"
 
 
 def complex_to_json(complex_: CWComplex) -> str:
@@ -195,20 +182,27 @@ def complex_to_json(complex_: CWComplex) -> str:
     formats no index already written.  Each boundary row's texts are read
     by one `itemgetter` call and joined, and each grade is one `str.join`
     of its records, with the text between two records as its separator.
-    The record form is chosen once per grade, not per record, so no Python
-    code runs per face.  At its peak the writer holds the grades' strings
-    and the document, and no list of every record.  Tests pin the bytes
-    against a json.dumps writer, and bound the peak in a fresh process.
+    The record form follows from the dimension, so no Python code runs per
+    face; a grade not shaped as `build_complex` builds it raises ValueError.
+    At its peak the writer holds the grades' strings and the document, and
+    no list of every record.  Tests pin the bytes against a json.dumps
+    writer, and bound the peak in a fresh process.
     """
     return "".join(complex_json_pieces(complex_))
 
 
-#: The header `complex_to_json` writes, up to its cells, for the 4 to 8
-#: lengths `build_complex` supports; group 1 holds the length lines.
+#: The header `complex_to_json` writes, up to its cells, for any number of
+#: lengths; group 1 holds the length lines.
 _HEADER = re.compile(
-    r'\{\n  "schema": 1,\n  "n": \d,\n  "lengths": \[\n'
-    r'((?:    "[^"\n]*",\n){3,7}    "[^"\n]*")\n  \],\n  "cells": \['
+    r'\{\n  "schema": 1,\n  "n": \d+,\n  "lengths": \[\n'
+    r'((?:    "[^"\n]*",\n)*    "[^"\n]*")\n  \],\n  "cells": \['
 )
+
+
+def _quoted(text: str) -> str:
+    """`text`, a document's value as a loader message quotes it, cut to 200
+    characters and '...'."""
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _is_joined(pieces: Iterable[str], text: str) -> bool:
@@ -244,18 +238,20 @@ def complex_from_json(text: str) -> CWComplex:
     cell's dim, label and flat face indices, every dim and face index an int
     (in Python, `true == 1.0 == 1`).  That complex is the header's when the
     parsed `lengths` are its tokens, so each document is built once; it is
-    built anew only for no header, header lengths that raised LinkageError,
-    or other parsed `lengths` (json.loads keeps a repeated key's last
-    value).  So compact or re-indented JSON, or a length written `2/2`, loads
-    too.  Returns the built complex; no label is built.  Raises ValueError on
-    any other document, one nested too deeply to parse included; a mismatch
-    names the first differing cell, with the record expected against the one
-    found.
+    built anew only for no header, header lengths that raised ArityMismatch
+    or LinkageError, or other parsed `lengths` (json.loads keeps a repeated
+    key's last value).  So compact or re-indented JSON, or a length written
+    `2/2`, loads too.  Returns the built complex; no label is built.  Raises
+    ValueError on any other document, one nested too deeply to parse
+    included; a mismatch names the first differing cell, with the record
+    expected against the one found.  A value quoted from the document is cut
+    to 200 characters.
     """
     complex_ = tokens = None
     if header := _HEADER.match(text):
         tokens = re.findall(r'"([^"]*)"', header[1])
-        with suppress(LinkageError):  # the validator names the fault
+        with suppress(ArityMismatch, LinkageError):  # the validator names the fault
+            check_supported_arity(len(tokens))  # before make_linkage's 2^n pass
             complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
         if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
             return complex_
@@ -267,7 +263,7 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError(f"document is a JSON {type(doc).__name__}, not an object")
     schema = doc.get("schema")
     if type(schema) is not int or schema != 1:
-        raise ValueError(f"unknown schema {schema!r}")
+        raise ValueError(f"unknown schema {_quoted(repr(schema))}")
     for key in ("n", "lengths", "cells"):
         if key not in doc:
             raise ValueError(f"document has no {key!r}")
@@ -275,7 +271,7 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError("'lengths' is not a list of strings")
     n = doc["n"]
     if type(n) is not int or n != len(doc["lengths"]):
-        raise ValueError(f"'n' is {n!r}, but there are {len(doc['lengths'])} lengths")
+        raise ValueError(f"'n' is {_quoted(repr(n))}, but there are {len(doc['lengths'])} lengths")
     records = doc["cells"]
     if type(records) is not list or not records:
         raise ValueError("'cells' is not a non-empty list")
@@ -317,7 +313,7 @@ def complex_from_json(text: str) -> CWComplex:
                 if record != expected or {type(record[0]), *map(type, record[2])} != {int}
             )
             expected, record = [json.dumps(dict(zip(keys, r))) for r in (expected, record)]
-            raise ValueError(f"cell {k}: expected {expected}, found {record}")
+            raise ValueError(f"cell {k}: expected {expected}, found {_quoted(record)}")
         start, numbers = end, list(range(start, end))
     return complex_
 

@@ -420,14 +420,6 @@ def test_an_octagon_is_walked_and_leaves_the_tables_alone():
     assert complex_.f_vector() == cwcomplex.count_cells(linkage)
 
 
-def _written(complex_):
-    """`complex_to_json`'s document, which must be the join of the pieces
-    that `linkctl complex` streams."""
-    text = complex_to_json(complex_)
-    assert "".join(complex_json_pieces(complex_)) == text
-    return text
-
-
 def _assert_matches_reference(linkage):
     complex_ = build_complex(linkage)
     reference, enumerated = reference_build_complex(linkage)
@@ -439,7 +431,8 @@ def _assert_matches_reference(linkage):
     for cells in cells_by_dim(complex_):
         for cell in cells:
             assert cell == canonicalize(cell.parts)
-    text = _written(complex_)
+    text = complex_to_json(complex_)
+    assert "".join(complex_json_pieces(complex_)) == text  # what `linkctl complex` streams
     assert text == complex_to_json(reference)
     assert text == reference_complex_to_json(complex_)
     loaded = complex_from_json(text)
@@ -793,31 +786,30 @@ def test_an_edited_document_loads_only_as_the_complex_of_its_lengths(spec, data)
     assert loaded == build_complex(make_linkage([Fraction(t) for t in doc["lengths"]]))
 
 
-def test_json_writes_an_empty_face_list_above_dim_0():
-    linkage = make_linkage([1, 1, 1, 1, 1])
-    built = build_complex(linkage)
-    vertices = built.labels_by_dim[0]
-    edge = canonicalize([{1, 2}, {3}, {4}, {5}])
-    complex_ = CWComplex(linkage, [vertices, [str(edge)]], [[()] * len(vertices), [()]])
-    text = _written(complex_)
-    assert text == reference_complex_to_json(complex_)
-    assert text.endswith(
-        '      "label": "{1,2}{3}{4}{5}",\n      "boundary": []\n    }\n  ]\n}\n'
-    )
+def _empty_top_grade(labels, boundary):
+    labels[2] = boundary[2] = ()
 
 
-def test_json_writes_rows_of_one_face_and_empty_grades():
-    # no built complex has either, but the writer is json.dumps's layout for
-    # any record: a row of one face, and a grade with no cells
+def _a_face_on_a_vertex(labels, boundary):
+    boundary[0] = ((11,), *boundary[0][1:])
+
+
+def _one_face_on_an_edge(labels, boundary):
+    boundary[1] = ((11,), *boundary[1][1:])
+
+
+@pytest.mark.parametrize(
+    "edit, d",
+    [(_empty_top_grade, 2), (_a_face_on_a_vertex, 0), (_one_face_on_an_edge, 1)],
+    ids=["a grade with no cells", "a 0-cell with a face", "a 1-cell with one face"],
+)
+def test_json_refuses_a_grade_that_build_complex_does_not_build(edit, d):
+    # the record form follows from the dimension: unguarded, the one-face
+    # row (11,) would be written as the join of the text "11", 1,\n 1
     linkage = make_linkage([1, 1, 1, 1, 1])
     built = build_complex(linkage)
-    complex_ = CWComplex(
-        linkage,
-        [built.labels_by_dim[0], ["{1,2}{3}{4}{5}", "{1}{2}{3,4}{5}"], []],
-        [built.boundary[0], [(7,), (3, 11)], []],
-    )
-    text = _written(complex_)
-    assert text == reference_complex_to_json(complex_)
-    assert '"boundary": [\n        7\n      ]' in text
-    empty = CWComplex(linkage, [[], []], [[], []])
-    assert _written(empty) == reference_complex_to_json(empty)
+    labels, boundary = list(built.labels_by_dim), list(built.boundary)
+    edit(labels, boundary)
+    message = f"^the {d}-cells are not a grade that build_complex builds$"
+    with pytest.raises(ValueError, match=message):
+        complex_to_json(CWComplex(linkage, tuple(labels), tuple(boundary)))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import linkspace
 from linkspace import export, topology
 from linkspace.cli import main
-from linkspace.cwcomplex import build_complex
+from linkspace.cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from linkspace.export import (
     REPRESENTATIVES,
     Representative,
@@ -1156,6 +1156,7 @@ REJECTED = {
     **{f"schema {value!r}": _edited(_set("schema", value)) for value in (True, 1.0, 2, "1", None)},
     **{f"n {value!r}": _edited(_set("n", value)) for value in (99, 4, "x", "5", 5.0, None)},
     "no n": _edited(lambda doc: doc.pop("n")),
+    "9 lengths": _edited(lambda doc: doc.update(n=9, lengths=["1"] * 9)),
     **{f"length {t[:10]}": _edited(_set_length(t)) for t in ("1e30000000", "1" * 501)},
     "nested too deeply": "[" * 100000,
     **{name: text for name, (text, _) in ONE_OFF.items()},
@@ -1182,14 +1183,16 @@ def _builds(monkeypatch):
 
 
 def _has_a_linkage_header(text):
-    """Whether `text` starts with the writer's header, with lengths that
-    form a linkage.  The lengths are read from the header alone, as the
-    text past it may not be JSON."""
+    """Whether `text` starts with the writer's header, with a supported
+    number of lengths that form a linkage.  The lengths are read from the
+    header alone, as the text past it may not be JSON."""
     if not (header := export._HEADER.match(text)):
         return False
+    tokens = json.loads(f"[{header[1]}]")
     try:
-        make_linkage([parse_rational(t) for t in json.loads(f"[{header[1]}]")])
-    except LinkageError:
+        check_supported_arity(len(tokens))
+        make_linkage([parse_rational(t) for t in tokens])
+    except (ArityMismatch, LinkageError):
         return False
     return True
 
@@ -1215,6 +1218,38 @@ def test_a_rejected_document_is_built_at_most_once(text, monkeypatch):
     with pytest.raises(ValueError):
         complex_from_json(text)
     assert len(built) == _has_a_linkage_header(text)
+
+
+def test_a_writers_header_of_9_lengths_is_refused_before_make_linkage(monkeypatch):
+    # the header is read for any number of lengths, and the count is checked
+    # before make_linkage's 2^n pass; the validator names the fault
+    text = REJECTED["9 lengths"]
+    assert export._HEADER.match(text)
+    monkeypatch.setattr(export, "make_linkage", lambda lengths: pytest.fail("make_linkage"))
+    with pytest.raises(ArityMismatch) as raised:
+        complex_from_json(text)
+    assert str(raised.value) == "complex construction supports 4 <= n <= 8, got n=9"
+
+
+#: edits that give the pentagon's document a long value, which the
+#: loader's message quotes; each is made only when its test runs
+LONG_VALUES = {
+    "5,000,000-character label": lambda: _set_cell(0, "label", "x" * 5_000_000),
+    "1,000,000-face boundary": lambda: _set_cell(30, "boundary", [0] * 1_000_000),
+    "1,000,000-character schema": lambda: _set("schema", "x" * 1_000_000),
+    "1,000,000-character n": lambda: _set("n", "x" * 1_000_000),
+}
+
+
+@pytest.mark.parametrize("edit", LONG_VALUES.values(), ids=LONG_VALUES.keys())
+def test_cli_check_quotes_a_long_value_in_one_short_line(edit, tmp_path, capsys):
+    # a value quoted from the document is cut to 200 characters and '...'
+    path = tmp_path / "complex.json"
+    path.write_text(_edited(edit()))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 1000, err[:300]
+    assert re.fullmatch(r"error: .*\.\.\.(, but there are 5 lengths)?\n", err), err[:300]
 
 
 def test_a_repeated_lengths_key_is_built_from_its_last_value():

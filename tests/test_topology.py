@@ -143,17 +143,22 @@ def _shifted(faces, k):
 
 
 def test_components_are_listed_by_least_vertex():
-    # a torus and a Klein bottle side by side: the Klein bottle's faces come
-    # first, but its vertices are numbered after the torus's, so the torus
-    # is the first component, as the mesh route lists them
-    tv, te, tf = _grid_faces(3, 3, twist=False)
-    kv, ke, kf = _grid_faces(3, 4, twist=True)
-    v, e, f = tv + kv, te + _shifted(ke, tv), _shifted(kf, tv) + tf
-    report = analyze(_mesh(v, e, f))
-    assert report == classify_surface(v, e, f)
-    assert report.components[0] == ComponentReport(9, 18, 9, 0, True, 1)
-    assert report.components[1] == ComponentReport(12, 24, 12, 0, False, None)
-    assert report.classification == "non-orientable (chi=0) + torus"
+    # a 3x3 grid and a 3x4 Klein bottle side by side: the Klein bottle's
+    # faces come first, but its vertices are numbered after the grid's, so
+    # the grid is the first component, as the mesh route lists them.  The
+    # grid is a torus, or a second Klein bottle
+    klein = ComponentReport(12, 24, 12, 0, False, None)
+    for twist, first, classification in [
+        (False, ComponentReport(9, 18, 9, 0, True, 1), "non-orientable (chi=0) + torus"),
+        (True, ComponentReport(9, 18, 9, 0, False, None), "2 non-orientable (chi=0) components"),
+    ]:
+        tv, te, tf = _grid_faces(3, 3, twist=twist)
+        kv, ke, kf = _grid_faces(3, 4, twist=True)
+        v, e, f = tv + kv, te + _shifted(ke, tv), _shifted(kf, tv) + tf
+        report = analyze(_mesh(v, e, f))
+        assert report == classify_surface(v, e, f)
+        assert list(report.components) == [first, klein]
+        assert report.classification == classification
 
 
 def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys):
