@@ -39,8 +39,7 @@ from math import factorial
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
-from .linkage import Linkage
-from .partitions import mask_texts
+from .linkage import Linkage, mask_texts
 
 #: A grade's parts by position: column p holds each cell's p-th part mask,
 #: one byte per cell (a mask on n <= 8 bars is below 2^8).

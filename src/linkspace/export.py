@@ -26,6 +26,7 @@ from .linkage import (
     DEFAULT_EPSILON,
     Linkage,
     LinkageError,
+    _quoted,
     make_linkage,
     parse_lengths,
     parse_rational,
@@ -176,7 +177,7 @@ def complex_to_json(complex_: CWComplex) -> str:
     The layout is json.dumps(doc, indent=2)'s, written directly: a header,
     then one record per cell with its dimension, label and the flat indices
     of its faces.  Labels are the complex's own text (`labels_by_dim`), the
-    one form in which it stores a cell, so no CyclicPartition is built.  The
+    one form in which it stores a cell, and are written as they are.  The
     rest is joined at C level.  A flat index is turned into text once per
     process (`_index_texts`), so a later document of the same process
     formats no index already written.  Each boundary row's texts are read
@@ -197,12 +198,6 @@ _HEADER = re.compile(
     r'\{\n  "schema": 1,\n  "n": \d+,\n  "lengths": \[\n'
     r'((?:    "[^"\n]*",\n)*    "[^"\n]*")\n  \],\n  "cells": \['
 )
-
-
-def _quoted(text: str) -> str:
-    """`text`, a document's value as a loader message quotes it, cut to 200
-    characters and '...'."""
-    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _is_joined(pieces: Iterable[str], text: str) -> bool:

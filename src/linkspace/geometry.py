@@ -12,7 +12,9 @@ cycles and edge signs.  A 2-cell is the product of its parts' permutohedra,
 so its cycle is a formula in its parts (`_face_cycle`), worked out once per
 process for the table's 50 faces and read by label (`_face_walks`).  That
 the result is a closed surface is checked by `topology.analyze`, which every
-command runs on a pentagon's mesh.
+command runs on a pentagon's mesh.  `boundary_cycle`, a reference route for
+the tests that takes a `CyclicPartition`, imports the label layer
+(`partitions`) in its body, so no command loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import NamedTuple, Sequence
 
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
-from .partitions import CyclicPartition
 
 Point3 = tuple[float, float, float]
 
@@ -124,6 +125,8 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
     """Polygon order of a 2-cell's vertices, as labels, by `_face_cycle`.
     Raises ValueError unless the label is a 2-cell of the complex, found by
     bisection in its sorted label text."""
+    from .partitions import CyclicPartition  # here, so that no command loads the label layer
+
     labels, text = complex_.labels_by_dim, str(cell)
     faces = labels[2] if len(labels) > 2 else ()
     k = bisect_left(faces, text)

@@ -9,17 +9,17 @@ table, which the linkage keeps.  Genericity (no subset sums to
 exactly half the total) guarantees that the non-strict comparisons used
 below never hit the equality case.
 
-Subsets of bars are also written as int bitmasks: bar i is bit i-1.
+Subsets of bars are also written as int bitmasks: bar i is bit i-1.  Part
+texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
-
-from .partitions import NotAPartition, part_text
 
 #: Concrete stand-in for a "sufficiently small" length in the standard
 #: representatives.  Any eps below a spec's first wall gives the same
@@ -29,6 +29,10 @@ DEFAULT_EPSILON = Fraction(1, 100)
 
 class LinkageError(ValueError):
     """Base class for linkage construction and predicate errors."""
+
+
+class NotAPartition(ValueError):
+    """Parts that do not partition the bars into non-empty sets."""
 
 
 class NonPositiveLength(LinkageError):
@@ -98,13 +102,13 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
     for i, l in enumerate(ls, 1):
         if l <= 0:
             raise NonPositiveLength(f"length {i} is {l}; all lengths must be > 0")
-    weights = integer_weights(ls)
-    sums = subset_sums(weights)
+    weights = _integer_weights(ls)
+    sums = _subset_sums(weights)
     total = sums[-1]
     if not total % 2 and total // 2 in sums:
         # smallest subset first, then lexicographic, so the witness is
         # deterministic
-        halves = [mask_elements(m) for m, s in enumerate(sums) if 2 * s == total]
+        halves = [_mask_elements(m) for m, s in enumerate(sums) if 2 * s == total]
         witness = min(halves, key=lambda e: (len(e), e))
         raise NonGeneric(frozenset(witness), sum(ls, Fraction(0)) / 2)
     if 2 * max(weights) >= total:
@@ -116,13 +120,13 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
     return Linkage(lengths=ls, short=short)
 
 
-def integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
+def _integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
     """The lengths times their common denominator: integers, same ratios."""
     den = lcm(*(l.denominator for l in lengths))
     return tuple(l.numerator * (den // l.denominator) for l in lengths)
 
 
-def subset_sums(weights: Sequence[int]) -> list[int]:
+def _subset_sums(weights: Sequence[int]) -> list[int]:
     """sums[mask] is the total weight of the bars in `mask`, for all 2^n
     masks; each entry is one addition on the entry without its lowest bit."""
     sums = [0] * (1 << len(weights))
@@ -132,14 +136,24 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def mask_elements(mask: int) -> tuple[int, ...]:
+def _mask_elements(mask: int) -> tuple[int, ...]:
     """The bar indices in `mask`, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def is_admissible_partition(
-    linkage: Linkage, parts: Iterable[Iterable[int]]
-) -> bool:
+def part_text(part: Iterable[int]) -> str:
+    """One part in the table notation, elements ascending, e.g. '{1,3}'."""
+    return "{" + ",".join(map(str, sorted(part))) + "}"
+
+
+@cache
+def mask_texts(n: int) -> tuple[str, ...]:
+    """The text of every part on n bars, indexed by its bitmask:
+    mask_texts(5)[0b101] == '{1,3}'."""
+    return tuple(part_text(_mask_elements(m)) for m in range(1 << n))
+
+
+def is_admissible_partition(linkage: Linkage, parts: Iterable[Iterable[int]]) -> bool:
     """True iff every part of the partition is admissible: its sum is at
     most that of the other parts, all the parts' sums making up the total.
 
@@ -172,19 +186,26 @@ MAX_TOKEN = 500
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
+def _quoted(text: str) -> str:
+    """`text` as an error message quotes a value: cut to 200 characters and '...'."""
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def parse_rational(token: str, name: str = "length") -> Fraction:
     """Parse an optionally signed 'int', 'int/int' or decimal ('0.25', '.5',
     '5.') of at most MAX_TOKEN characters, else raise LinkageError, whose
-    message calls the token `name`."""
+    message calls the token `name` and quotes its repr, cut by `_quoted`."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
     if not _RATIONAL.fullmatch(token):
-        raise LinkageError(f"cannot parse {name} {token!r}: not an integer, fraction or decimal")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError as exc:
-        raise LinkageError(f"cannot parse {name} {token!r}: {exc}") from None
+        fault = "not an integer, fraction or decimal"
+    else:
+        try:
+            return Fraction(token)
+        except ZeroDivisionError as exc:
+            fault = str(exc)
+    raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 
 def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:

@@ -1,5 +1,6 @@
-"""Part texts, which every command uses, and cyclically ordered partitions
-of {1..n} as labels: a reference for the tests, which no command reaches.
+"""Cyclically ordered partitions of {1..n} as labels: a reference for the
+tests and the benchmark's tracer, which no command loads.  Part texts and
+`NotAPartition` live in `linkage`, which the build uses.
 
 A cyclic partition is stored in its canonical rotation: the part containing
 the largest element n comes last.  That rotation is unique, so tuple equality
@@ -11,20 +12,13 @@ vertex <-> permutation correspondence (cut the cycle at n, drop n).
 from __future__ import annotations
 
 import re
-from functools import cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-
-class PartitionError(ValueError):
-    pass
+from .linkage import NotAPartition, part_text
 
 
-class NotAPartition(PartitionError):
-    pass
-
-
-class InvalidArity(PartitionError):
+class InvalidArity(ValueError):
     pass
 
 
@@ -57,18 +51,6 @@ class CyclicPartition(_Parts):
 
     def __repr__(self) -> str:
         return f"CyclicPartition({self})"
-
-
-def part_text(part: Iterable[int]) -> str:
-    """One part in the table notation, elements ascending, e.g. '{1,3}'."""
-    return "{" + ",".join(map(str, sorted(part))) + "}"
-
-
-@cache
-def mask_texts(n: int) -> tuple[str, ...]:
-    """The text of every part on n bars, indexed by its bitmask (bar i is
-    bit i-1): mask_texts(5)[0b101] == '{1,3}'."""
-    return tuple(part_text(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 def _check_partition(parts: Sequence[frozenset[int]]) -> int:

@@ -24,12 +24,17 @@ from linkspace.export import (
     complex_to_json,
 )
 from linkspace.geometry import boundary_cycle
-from linkspace.linkage import Linkage, is_admissible_partition, make_linkage, parse_lengths
+from linkspace.linkage import (
+    Linkage,
+    is_admissible_partition,
+    make_linkage,
+    mask_texts,
+    parse_lengths,
+)
 from linkspace.partitions import (
     CyclicPartition,
     canonicalize,
     cell_vertices,
-    mask_texts,
     one_step_refinements,
     parse_partition,
 )

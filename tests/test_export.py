@@ -986,8 +986,9 @@ def _fresh_python(code: str, *args: str, **run) -> subprocess.CompletedProcess:
 
 def test_import_loads_no_dataclasses_or_inspect():
     # dataclasses brings in inspect, ast, dis and tokenize, about two thirds
-    # of a cold `import linkspace`; the records are NamedTuples instead
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    # of a cold `import linkspace`; the records are NamedTuples instead.  The
+    # label layer, `linkspace.partitions`, is a reference no command uses
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linkspace.partitions"]
     proc = _fresh_python(
         "import linkspace, linkspace.cli; print(*sorted(set(sys.argv[1:]) & sys.modules.keys()))",
         *heavy,
@@ -1250,6 +1251,32 @@ def test_cli_check_quotes_a_long_value_in_one_short_line(edit, tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and len(err) < 1000, err[:300]
     assert re.fullmatch(r"error: .*\.\.\.(, but there are 5 lengths)?\n", err), err[:300]
+
+
+#: a length token under the 500-character limit whose repr, escaped, is
+#: four times as long
+ESCAPED = "\x01" * 500
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["classify", ESCAPED + ",1,1,1,1"], None),
+        (["classify", "1,1,eps,eps,1", "--epsilon", ESCAPED], None),
+        (["check"], _edited(_set_length(ESCAPED))),
+    ],
+    ids=["classify length", "--epsilon", "check length"],
+)
+def test_an_escaped_token_is_quoted_in_one_short_line(argv, document, tmp_path, capsys):
+    # parse_rational quotes the token's repr cut to 200 characters and '...'
+    if document is not None:
+        path = tmp_path / "complex.json"
+        path.write_text(document)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 400, err[:300]
+    assert re.fullmatch(r"error: cannot parse (length|--epsilon) '(\\x01){49}\\x0\.\.\.: .*\n", err)
 
 
 def test_a_repeated_lengths_key_is_built_from_its_last_value():
