@@ -12,6 +12,7 @@ Tests pin both byte for byte against json.dumps writers.
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import suppress
 from functools import lru_cache
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
-from .geometry import Point3, SurfaceMesh
+from .geometry import Point4, SurfaceMesh
 from .linkage import (
     DEFAULT_EPSILON,
     Linkage,
@@ -44,12 +45,22 @@ def _fmt_coord(x: float) -> str:
     return f"{value:.6f}"
 
 
+# An orthonormal basis of the hyperplane sum(x) = 0 in R^4.
+_AXES = tuple(
+    tuple(x / math.sqrt(sum(y * y for y in v)) for x in v)
+    for v in ((1, -1, 0, 0), (1, 1, -2, 0), (1, 1, 1, -3))
+)
+
+
 @lru_cache(maxsize=1)
-def _vertex_lines(points: tuple[Point3, ...]) -> tuple[str, ...]:
-    """Each point as its "x y z" text.  Every pentagon mesh holds the same
-    `permutohedron()` tuple, so a process formats its 24 lines once; a mesh
-    with other points evicts them and gets its own."""
-    return tuple([" ".join([_fmt_coord(c) for c in point]) for point in points])
+def _vertex_lines(points: tuple[Point4, ...]) -> tuple[str, ...]:
+    """Each exact point as its "x y z" text, centred at (5/2, ..., 5/2) and
+    read in `_AXES`, an isometry onto R^3: the pipeline's one float step.
+    Every pentagon mesh holds the same `permutohedron()` tuple, so a process
+    formats its 24 lines once; a mesh with other points gets its own."""
+    centred = [[x - 2.5 for x in point] for point in points]
+    coords = [[sum(c * u for c, u in zip(p, axis)) for axis in _AXES] for p in centred]
+    return tuple([" ".join([_fmt_coord(c) for c in point]) for point in coords])
 
 
 def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) -> str:

@@ -7,19 +7,20 @@ whose label with {5} appended is admissible, and patch in a "diagonal" face
 for every admissible 2-cell whose part containing 5 is not a singleton.
 `build_complex` does the last two: it cuts the complex from one table of the
 permutohedron's faces and all the diagonals.  Here live the vertex placement,
-one cached table of the 24 vertices in R^3 (`permutohedron`), and the face
-cycles and edge signs.  A 2-cell is the product of its parts' permutohedra,
-so its cycle is a formula in its parts (`_face_cycle`), worked out once per
-process for the table's 50 faces and read by label (`_face_walks`).  That
-the result is a closed surface is checked by `topology.analyze`, which every
-command runs on a pentagon's mesh.  `boundary_cycle`, a reference route for
-the tests that takes a `CyclicPartition`, imports the label layer
-(`partitions`) in its body, so no command loads it.
+one cached table of the 24 exact integer vertices in R^4 (`permutohedron`),
+and the face cycles and edge signs.  The points stay exact: the mesh writer
+(`export._vertex_lines`) takes the one lossy step to R^3.  A 2-cell is the
+product of its parts' permutohedra, so its cycle is a formula in its parts
+(`_face_cycle`), worked out once per process for the table's 50 faces and
+read by label (`_face_walks`).  That the result is a closed surface is
+checked by `topology.analyze`, which every command runs on a pentagon's
+mesh.  `boundary_cycle`, a reference route for the tests that takes a
+`CyclicPartition`, imports the label layer (`partitions`) in its body, so
+no command loads it.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import cache
 from itertools import permutations
@@ -28,41 +29,26 @@ from typing import NamedTuple, Sequence
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
 
-Point3 = tuple[float, float, float]
-
-
-# An orthonormal basis of the hyperplane sum(x) = 0 in R^4.
-_AXES = tuple(
-    tuple(x / math.sqrt(sum(y * y for y in v)) for x in v)
-    for v in ((1, -1, 0, 0), (1, 1, -2, 0), (1, 1, 1, -3))
-)
+Point4 = tuple[int, int, int, int]
 
 
 @cache
-def permutohedron() -> tuple[Point3, ...]:
-    """The 24 vertices of the 4-permutohedron in R^3, in the lexicographic
-    order of the linear orders a1a2a3a4, computed once per process.
-
-    Vertex a1a2a3a4 has coordinate j at position a_j; it is centred at the
-    barycenter (5/2, ..., 5/2) and read in `_AXES`, an isometry onto R^3 and
-    the single lossy (float) step of the pipeline.
-    """
-    points = []
-    for order in permutations(range(4)):
-        centred = [0.0] * 4
-        for j, a in enumerate(order, 1):
-            centred[a] = j - 2.5
-        points.append(tuple([sum(c * u for c, u in zip(centred, axis)) for axis in _AXES]))
-    return tuple(points)
+def permutohedron() -> tuple[Point4, ...]:
+    """The 24 vertices of the 4-permutohedron, exact points of R^4, in the
+    lexicographic order of the linear orders a1a2a3a4, computed once per
+    process.  Vertex a1a2a3a4 has coordinate j at position a_j, so every
+    point lies in the hyperplane sum(x) = 10."""
+    orders = permutations(range(4))
+    return tuple([tuple([order.index(a) + 1 for a in range(4)]) for order in orders])
 
 
 class SurfaceMesh(NamedTuple):
     """A pentagon's cell complex realized as a closed polyhedral surface.
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
-    `points[k]` is vertex k's position in R^3 and `cycles[k]` lists face k's
-    vertex indices in polygon order.  `signs[k]` holds one sign per edge of
-    face k's row `complex.boundary[2][k]`, in that row's order: +1 if the
+    `points[k]` is vertex k's exact point in R^4 and `cycles[k]` lists face
+    k's vertex indices in polygon order.  `signs[k]` holds one sign per edge
+    of face k's row `complex.boundary[2][k]`, in that row's order: +1 if the
     cycle walks the edge from the first to the second 0-cell of its
     `complex.edges` row, else -1.  The edges (`complex.edges`), the counts
     (`complex.f_vector()`) and each face's provenance are read off the
@@ -70,7 +56,7 @@ class SurfaceMesh(NamedTuple):
     """
 
     complex: CWComplex
-    points: tuple[Point3, ...]
+    points: tuple[Point4, ...]
     cycles: tuple[tuple[int, ...], ...]
     signs: tuple[tuple[int, ...], ...]
 
@@ -138,14 +124,15 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
-    surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2.
-    Each kept face's cycle and edge signs are read by label from
-    `_face_walks`, worked out once per process for the n = 5 table's faces.
-    Its faces may cross in R^3, so the surface is not claimed to be
-    embedded: a prototype check of segment-triangle crossings by integer
-    orientation determinants found 1, 6 and 16 crossing face pairs in the
-    genus-2, -3 and -4 models (ROADMAP item 10); the repo does not check them.
-    An edge not on two faces is left to `topology.analyze`."""
+    surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2, and
+    vertex k stands at the exact point `permutohedron()[k]`.  Each kept
+    face's cycle and edge signs are read by label from `_face_walks`, worked
+    out once per process for the n = 5 table's faces.  Its faces may cross in the points' 3-space
+    sum(x) = 10, so the surface is not claimed to be embedded: a prototype
+    check of segment-triangle crossings by integer orientation determinants
+    found 1, 6 and 16 crossing face pairs in the genus-2, -3 and -4 models
+    (ROADMAP item 10); the repo does not check them.  An edge not on two
+    faces is left to `topology.analyze`."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     complex_ = build_complex(linkage)

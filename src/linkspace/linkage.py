@@ -203,8 +203,8 @@ def parse_rational(token: str, name: str = "length") -> Fraction:
     else:
         try:
             return Fraction(token)
-        except ZeroDivisionError as exc:
-            fault = str(exc)
+        except ZeroDivisionError:
+            fault = "its denominator is 0"
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 

@@ -14,7 +14,6 @@ from itertools import permutations
 from linkspace.cli import main
 from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES, STEP2_ROWS, STEP3_ROWS, verify_all
-from linkspace.geometry import permutohedron
 from linkspace.linkage import (
     LinkageError,
     is_admissible_partition,
@@ -200,8 +199,8 @@ def test_criterion_6_every_edge_has_two_cofaces(representatives, capsys):
     assert ok
 
 
-def test_criterion_7_permutohedron_sanity(capsys):
-    points, lattice = permutohedron(), PermutohedronLattice(4)
+def test_criterion_7_permutohedron_sanity(capsys, projected):
+    lattice = PermutohedronLattice(4)
     counts_ok = [len(fs) for fs in lattice.faces_by_dim[:3]] == [24, 36, 14]
     shapes = sorted(
         sum(1 for v in lattice.vertices if ordered_refines(v, facet))
@@ -209,12 +208,13 @@ def test_criterion_7_permutohedron_sanity(capsys):
     )
     shapes_ok = shapes == [4] * 6 + [6] * 8
     euler_ok = 24 - 36 + 14 == 2
-    # points[k] is the vertex of the k-th linear order in lexicographic order
+    # projected[k] is the written vertex of the k-th linear order in
+    # lexicographic order
     index = {order: k for k, order in enumerate(permutations(range(1, 5)))}
     lengths_ok = True
     for edge in lattice.edges:
         u, w = [
-            points[index[tuple(next(iter(p)) for p in v)]]
+            projected[index[tuple(next(iter(p)) for p in v)]]
             for v in lattice.vertices
             if ordered_refines(v, edge)
         ]

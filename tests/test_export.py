@@ -3,6 +3,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from linkspace.export import (
     report_to_json,
     verify_all,
 )
+from linkspace.geometry import permutohedron
 from linkspace.linkage import (
     DEFAULT_EPSILON,
     LinkageError,
@@ -141,8 +144,6 @@ def test_export_is_deterministic(meshes):
 
 
 def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch):
-    from linkspace import export
-
     calls = []
     fmt = export._fmt_coord
     monkeypatch.setattr(export, "_fmt_coord", lambda x: calls.append(x) or fmt(x))
@@ -154,13 +155,45 @@ def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch):
     assert len(calls) == 72
 
 
-def test_a_mesh_with_other_points_writes_its_own(meshes):
+def test_a_mesh_with_other_points_writes_its_own(meshes, projected):
     mesh = meshes[0][2]
     text = export_mesh(mesh, "obj")
-    shifted = tuple((x + 1, y - 0.5, z) for x, y, z in mesh.points)
-    vertices, _ = parse_obj(export_mesh(mesh._replace(points=shifted), "obj"))
-    assert vertices == [pytest.approx(point, abs=1e-6) for point in shifted]
+    reversed_ = mesh.points[::-1]
+    vertices, _ = parse_obj(export_mesh(mesh._replace(points=reversed_), "obj"))
+    assert vertices == [pytest.approx(point, abs=1e-6) for point in projected[::-1]]
     assert export_mesh(mesh, "obj") == text
+
+
+def test_obj_vertex_lines_are_the_projected_points(meshes, projected):
+    for _, _, mesh in meshes:
+        vertices, _ = parse_obj(export_mesh(mesh, "obj"))
+        assert vertices == [pytest.approx(point, abs=1e-6) for point in projected]
+
+
+def test_projection_keeps_every_squared_distance(projected):
+    # the writer's one float step takes the exact points to R^3 isometrically
+    exact = permutohedron()
+    pairs = list(combinations(range(24), 2))
+    assert len(pairs) == 276
+    for k, l in pairs:
+        want = sum((a - b) ** 2 for a, b in zip(exact[k], exact[l]))
+        assert abs(math.dist(projected[k], projected[l]) ** 2 - want) < 1e-12
+
+
+def test_projection_maps_barycenter_to_origin(projected):
+    for axis in range(3):
+        assert abs(sum(p[axis] for p in projected)) < 1e-12
+
+
+def test_projection_is_an_isometry_on_a_swap(projected):
+    # the vertices of the orders 1234 and 2134
+    a = projected[permutohedron().index((1, 2, 3, 4))]
+    b = projected[permutohedron().index((2, 1, 3, 4))]
+    assert abs(math.dist(a, b) - math.sqrt(2)) < 1e-12
+
+
+def test_projected_vertices_are_equidistant_from_origin(projected):
+    assert all(abs(math.dist(p, (0, 0, 0)) - math.sqrt(5)) < 1e-12 for p in projected)
 
 
 def test_complex_json_round_trip(representatives):
@@ -872,6 +905,25 @@ def test_a_nonpositive_epsilon_is_named_in_the_error(capsys, option):
     assert captured.err.endswith("; it must be > 0\n")
     assert "length" not in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, quoted",
+    [
+        (["1/0,1,1,1,1"], "length '1/0'"),
+        (["1,0/0,1,1,1"], "length '0/0'"),
+        (["1,1,-1/0,1,1"], "length '-1/0'"),
+        (["1,1,eps,eps,1", "--epsilon", "3/0"], "--epsilon '3/0'"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_a_zero_denominator_is_named_in_the_error(capsys, args, quoted):
+    # it was once the bare text of Fraction's ZeroDivisionError: "Fraction(1, 0)"
+    for command in ("classify", "complex", "mesh"):
+        assert main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse {quoted}: its denominator is 0\n"
 
 
 # pieces of length tokens: digits, the syntax characters, eps, an exponent

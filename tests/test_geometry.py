@@ -33,10 +33,6 @@ from oracles import (
 from test_golden import pentagon_chambers
 
 
-def _dist3(p, q):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
-
-
 def test_permutohedron_face_counts():
     poly = PermutohedronLattice(4)
     assert [len(fs) for fs in poly.faces_by_dim] == [24, 36, 14, 1]
@@ -93,20 +89,16 @@ def _squared(p, q):
 
 def test_vertex_coordinates(meshes):
     points = permutohedron()
-    assert len(points) == 24 and len(set(points)) == 24
-    # one table per process, shared by every mesh
+    # one table per process, shared by every mesh, of exact integer points
+    # in the hyperplane sum(x) = 10: the k-th point is the vertex of the
+    # k-th order
     assert permutohedron() is points
     assert all(mesh.points is points for _, _, mesh in meshes)
     assert _exact_vertex((3, 1, 2, 4)) == (2, 3, 1, 4)
-    # the k-th point is the exact integer vertex of the k-th order: the
-    # projection to R^3 keeps all 276 squared distances between them
-    exact = [_exact_vertex(order) for order in ORDERS]
-    assert all(sum(v) == 10 for v in exact)
-    pairs = list(combinations(range(24), 2))
-    assert len(pairs) == 276
-    for k, l in pairs:
-        want = _squared(exact[k], exact[l])
-        assert abs(_squared(points[k], points[l]) - want) < 1e-12
+    assert points == tuple(map(_exact_vertex, ORDERS))
+    assert len(set(points)) == 24
+    assert all(type(x) is int for point in points for x in point)
+    assert all(len(point) == 4 and sum(point) == 10 for point in points)
 
 
 def test_edges_have_exact_squared_length_two():
@@ -114,28 +106,7 @@ def test_edges_have_exact_squared_length_two():
     for edge in lattice.edges:
         u, w = [v for v in lattice.vertices if ordered_refines(v, edge)]
         ou, ow = (tuple(next(iter(p)) for p in v) for v in (u, w))
-        assert _squared(_exact_vertex(ou), _exact_vertex(ow)) == 2
-        pu, pw = points[ORDERS.index(ou)], points[ORDERS.index(ow)]
-        assert abs(_squared(pu, pw) - 2) < 1e-12
-
-
-def test_projection_maps_barycenter_to_origin():
-    points = permutohedron()
-    for axis in range(3):
-        assert abs(sum(p[axis] for p in points)) < 1e-12
-
-
-def test_projection_is_an_isometry_on_a_swap():
-    points = permutohedron()
-    a = points[ORDERS.index((1, 2, 3, 4))]
-    b = points[ORDERS.index((2, 1, 3, 4))]
-    assert abs(_dist3(a, b) - math.sqrt(2)) < 1e-12
-
-
-def test_projected_vertices_are_equidistant_from_origin():
-    assert all(
-        abs(_dist3(p, (0, 0, 0)) - math.sqrt(5)) < 1e-12 for p in permutohedron()
-    )
+        assert _squared(points[ORDERS.index(ou)], points[ORDERS.index(ow)]) == 2
 
 
 def test_ordered_refinement_and_meet():
@@ -321,8 +292,9 @@ def _assert_mesh_is_the_complex_in_order(mesh, complex_):
     assert (len(mesh.points), len(mesh.complex.edges), len(mesh.cycles)) == complex_.f_vector()
     assert list(mesh.complex.edges) == list(complex_.boundary[1])
     vertices = cells_by_dim(complex_)[0]
+    # vertex k stands at the exact vertex of its label's order
     for label, point in zip(vertices, mesh.points, strict=True):
-        assert point == permutohedron()[ORDERS.index(vertex_to_permutation(label))]
+        assert point == _exact_vertex(vertex_to_permutation(label))
     for label, cycle in zip(cells_by_dim(complex_)[2], mesh.cycles, strict=True):
         assert {vertices[k] for k in cycle} == set(cell_vertices(label))
 
@@ -386,30 +358,33 @@ def test_face_cycle_lengths_match_labels(meshes):
             assert len(cycle) == prod(factorial(len(p)) for p in label.parts)
 
 
-def test_permutohedron_faces_are_planar(meshes):
-    def cross(u, v):
-        return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
+def _det3(a, b, c):
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
+
+def test_permutohedron_faces_are_planar(meshes):
+    # every face of the six models, kept facet or diagonal, is exactly
+    # planar on the mesh's integer points: the differences from its first
+    # vertex have rank 2, so every 3x3 minor is 0 and some 2x2 is not
     for _, _, mesh in meshes:
-        for _, cycle, provenance in mesh_faces(mesh):
-            if provenance != "permutohedron":
-                continue
-            pts = [mesh.points[i] for i in cycle]
-            base = pts[0]
-            normal = cross(
-                tuple(a - b for a, b in zip(pts[1], base)),
-                tuple(a - b for a, b in zip(pts[2], base)),
-            )
-            scale = math.sqrt(sum(c * c for c in normal))
-            for p in pts[3:]:
-                offset = sum(
-                    n * (a - b) for n, a, b in zip(normal, p, base)
-                )
-                assert abs(offset) <= 1e-9 * scale
+        for label, cycle, _ in mesh_faces(mesh):
+            base, *rest = [mesh.points[i] for i in cycle]
+            rows = [[a - b for a, b in zip(p, base)] for p in rest]
+            minors3 = {
+                _det3(*[[r[c] for c in columns] for r in triple])
+                for triple in combinations(rows, 3)
+                for columns in combinations(range(4), 3)
+            }
+            minors2 = {
+                u[i] * w[j] - u[j] * w[i]
+                for u, w in combinations(rows, 2)
+                for i, j in combinations(range(4), 2)
+            }
+            assert minors3 == {0} and minors2 != {0}, label
 
 
 def test_permutohedron_edges_have_length_sqrt2(meshes):
@@ -418,7 +393,7 @@ def test_permutohedron_edges_have_length_sqrt2(meshes):
             if part_containing(label, 5) != frozenset({5}):
                 continue
             u, w = (mesh.points[i] for i in ends)
-            assert abs(_dist3(u, w) - math.sqrt(2)) < 1e-9
+            assert _squared(u, w) == 2, label
 
 
 def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
@@ -426,6 +401,7 @@ def test_vertex_positions_are_the_projected_permutohedron_points(meshes):
         perms = [vertex_to_permutation(v) for v in cells_by_dim(mesh.complex)[0]]
         assert perms == ORDERS
         assert mesh.points is permutohedron()
+    assert permutohedron() == tuple(map(_exact_vertex, ORDERS))
 
 
 def test_surgery_is_deterministic():
@@ -504,7 +480,7 @@ def _affine_rank(points):
 
 def test_every_table_cell_is_a_product_of_permutohedra():
     # place 0-cell {a1}...{a(n-1)}{n} at the integer point with coordinate j
-    # at position a_j, as permutohedron() does at n = 5 before centring; then
+    # at position a_j, as permutohedron() does at n = 5; then
     # each cell of the n = 5 and 6 tables, with parts p1...pm, has
     # prod |pi|! vertices in its closure, spanning exactly its dimension
     for n in (5, 6):

@@ -116,7 +116,7 @@ def _mesh(v, e, f):
         signs.append(tuple(walked[i] for i in sorted(walked)))
     labels = [[str(k) for k in range(count)] for count in (v, len(e), len(f))]
     complex_ = CWComplex(None, labels, [((),) * v, e, face_rows])
-    return SurfaceMesh(complex_, ((0.0, 0.0, 0.0),) * v, tuple(f), tuple(signs))
+    return SurfaceMesh(complex_, ((0, 0, 0, 0),) * v, tuple(f), tuple(signs))
 
 
 def test_torus_grid_classifies_as_torus():
