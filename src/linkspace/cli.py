@@ -88,13 +88,16 @@ def _emit(text: str | Iterable[str], output: str | None) -> int:
 
 
 def _check_bar_count(command: str, n: int) -> None:
-    """Reject a bar count the command cannot handle, before make_linkage
-    spends 2^n steps on the genericity check."""
+    """Reject a bar count the command cannot handle, naming the command,
+    before make_linkage spends 2^n steps on the genericity check."""
     if command == "mesh":
         if n != 5:
             raise ArityMismatch(f"mesh is defined for pentagons (n=5), got n={n}")
     else:
-        check_supported_arity(n)
+        try:
+            check_supported_arity(n)
+        except ArityMismatch:
+            raise ArityMismatch(f"{command} supports 4 <= n <= 8 bars, got n={n}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -73,12 +73,15 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     Classifying the mesh first refuses one that is not a closed surface.
     The vertex lines are formatted once per process for the points they
     share, `geometry.permutohedron()`'s table, and kept by `_vertex_lines`.
+    A record's vertex numbers are read by one `itemgetter` from the index
+    texts (`_index_texts`), as many as the mesh has points.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
     report = topology.analyze(mesh)
     spec = mesh.complex.linkage.spec()
     points = _vertex_lines(mesh.points)
+    numbers = _index_texts(len(points) + 1)  # str(i) for every i <= V, at least
     rows = []  # (face index, vertex cycle) per face record
     for k, cycle in enumerate(mesh.cycles):
         if triangulate:
@@ -93,12 +96,11 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
             f"# vertices: {v_count}  edges: {e_count}  faces: {f_count}",
         ]
         lines += ["v " + point for point in points]
-        comments = [
-            f"# face {label} {mesh.provenance(k)}"
-            for k, label in enumerate(mesh.complex.labels_by_dim[2])
-        ]
+        labels = mesh.complex.labels_by_dim[2]
+        comments = [f"# face {l} {p}" for l, p in zip(labels, mesh.provenances())]
+        one_based = numbers[1 : len(points) + 1]  # str(k + 1) for vertex k
         for k, cycle in rows:
-            lines += [comments[k], "f " + " ".join(str(i + 1) for i in cycle)]
+            lines += [comments[k], "f " + " ".join(itemgetter(*cycle)(one_based))]
     else:
         lines = [
             "ply",
@@ -114,7 +116,7 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
             "end_header",
         ]
         lines += points
-        lines += [f"{len(cycle)} " + " ".join(map(str, cycle)) for _, cycle in rows]
+        lines += [f"{len(cycle)} " + " ".join(itemgetter(*cycle)(numbers)) for _, cycle in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -126,7 +128,8 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-#: `str(i)` for the flat indices 0, 1, ... written so far; see `_index_texts`.
+#: `str(i)` for the flat indices 0, 1, ... written so far, and the mesh
+#: writer's vertex numbers; see `_index_texts`.
 _index_text: list[str] = []
 
 
@@ -324,29 +327,39 @@ def complex_from_json(text: str) -> CWComplex:
     return complex_
 
 
+def _literal(value: bool | int | None) -> str:
+    """The JSON text of None, a bool or an int, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return str(value)
+
+
 def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     """The report as a schema-1 JSON document in json.dumps(indent=2)'s
     layout, written directly as `complex_to_json` is: the indenting encoder
-    leaves a cycle of closures on every call.  A test pins the bytes."""
+    leaves a cycle of closures on every call.  Every scalar but the
+    classification, which json.dumps quotes, is an int, a bool or None, and
+    written by `_literal`.  A test pins the bytes."""
     # n >= 6 reports no per-component detail, even for a connected space, but
     # every n reports the component count
     single = report.components[0] if len(report.components) == 1 else None
-    value = json.dumps  # a scalar's text; the one-line encoder leaves no cycle
     components = [
         f'    {{\n      "chi": {c.euler_characteristic},\n      "orientable": '
-        f'{value(c.orientable)},\n      "genus": {value(c.genus)}\n    }}'
+        f'{_literal(c.orientable)},\n      "genus": {_literal(c.genus)}\n    }}'
         for c in report.components
     ]
     doc = {
         "schema": "1",
         "lengths": _json_array([f'    "{l}"' for l in linkage.lengths], "  "),
         "f_vector": _json_array([f"    {c}" for c in report.f_vector], "  "),
-        "component_count": value(report.component_count),
+        "component_count": str(report.component_count),
         "components": _json_array(components, "  "),
-        "chi": value(report.euler_characteristic),
-        "orientable": value(single.orientable if single else None),
-        "genus": value(single.genus if single else None),
-        "classification": value(report.classification),
+        "chi": str(report.euler_characteristic),
+        "orientable": _literal(single.orientable if single else None),
+        "genus": _literal(single.genus if single else None),
+        "classification": json.dumps(report.classification),
     }
     return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
 

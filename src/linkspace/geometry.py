@@ -60,10 +60,11 @@ class SurfaceMesh(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
     signs: tuple[tuple[int, ...], ...]
 
-    def provenance(self, k: int) -> str:
-        """'permutohedron' for a kept facet, whose part holding 5 (the last
-        part) is {5} alone; 'diagonal' for a patched-in face."""
-        return "permutohedron" if self.complex.labels_by_dim[2][k].endswith("{5}") else "diagonal"
+    def provenances(self) -> list[str]:
+        """Face k's provenance at k: 'permutohedron' for a kept facet, whose
+        part holding 5 (the last part) is {5} alone; else 'diagonal'."""
+        labels = self.complex.labels_by_dim[2]
+        return ["permutohedron" if l.endswith("{5}") else "diagonal" for l in labels]
 
 
 def _face_cycle(parts: Sequence[int]) -> list[tuple[int, ...]]:

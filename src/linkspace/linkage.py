@@ -96,11 +96,12 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
     """
     if not lengths:
         raise LinkageError("length list is empty")
-    ls = tuple(Fraction(l) for l in lengths)
+    # a Fraction is kept as given, and its sign is its numerator's
+    ls = tuple([l if type(l) is Fraction else Fraction(l) for l in lengths])
     if len(ls) < 3:
         raise LinkageError(f"need at least 3 bars, got {len(ls)}")
     for i, l in enumerate(ls, 1):
-        if l <= 0:
+        if l.numerator <= 0:
             raise NonPositiveLength(f"length {i} is {l}; all lengths must be > 0")
     weights = _integer_weights(ls)
     sums = _subset_sums(weights)
@@ -128,11 +129,11 @@ def _integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
 
 def _subset_sums(weights: Sequence[int]) -> list[int]:
     """sums[mask] is the total weight of the bars in `mask`, for all 2^n
-    masks; each entry is one addition on the entry without its lowest bit."""
-    sums = [0] * (1 << len(weights))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    masks: bar i's masks are the masks below bit i-1 with its weight added,
+    so each bar doubles the list with one comprehension."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
     return sums
 
 
@@ -180,10 +181,11 @@ MAX_TOKEN = 500
 
 
 #: A length token: an optional sign, then D, D/D, D.D, D. or .D, where D is
-#: ASCII digits.  Fraction's own grammar varies between Python versions
-#: (underscores, spaces around '/') and takes any Unicode digit and exponents,
-#: which it would expand digit by digit ('1e30000000').
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+#: ASCII digits.  Group 1 holds a signed D, and group 2 the D after '/'; a
+#: decimal matches neither.  Fraction's own grammar varies between Python
+#: versions (underscores, spaces around '/') and takes any Unicode digit and
+#: exponents, which it would expand digit by digit ('1e30000000').
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 def _quoted(text: str) -> str:
@@ -194,17 +196,23 @@ def _quoted(text: str) -> str:
 def parse_rational(token: str, name: str = "length") -> Fraction:
     """Parse an optionally signed 'int', 'int/int' or decimal ('0.25', '.5',
     '5.') of at most MAX_TOKEN characters, else raise LinkageError, whose
-    message calls the token `name` and quotes its repr, cut by `_quoted`."""
+    message calls the token `name` and quotes its repr, cut by `_quoted`.
+    An integer or fraction is built from the digits `_RATIONAL` matched, so
+    the token is parsed once; a decimal goes to `Fraction`."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
-    if not _RATIONAL.fullmatch(token):
+    match = _RATIONAL.fullmatch(token)
+    if not match:
         fault = "not an integer, fraction or decimal"
+    elif match[1] is None:  # a decimal
+        return Fraction(token)
+    elif match[2] is None:
+        return Fraction(int(match[1]))
+    elif denominator := int(match[2]):
+        return Fraction(int(match[1]), denominator)
     else:
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            fault = "its denominator is 0"
+        fault = "its denominator is 0"
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 

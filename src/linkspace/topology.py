@@ -18,6 +18,7 @@ complex is built; both give the Euler characteristic, and they must agree.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from math import factorial
 from typing import NamedTuple
 
@@ -87,53 +88,56 @@ def _surface_report(f_vector: tuple[int, ...], components: list[ComponentReport]
 def analyze(mesh: SurfaceMesh) -> TopologyReport:
     """Classify a pentagon's surface from its complex.
 
-    Each edge's faces are read off the rows `boundary[2]` with the mesh's
-    signs; an edge not on exactly two faces raises NotAClosedSurface.  One
-    traversal per component crosses shared edges from face to face and
-    gives each face an orientation o (+1 keeps a face's cycle, -1 reverses
-    it) with o_f * s = -o_g * t on every edge, s and t its signs in faces f
-    and g; a forced contradiction makes the component non-orientable.  Its
-    faces give F, E and V; a vertex on no face or on two components' faces
-    raises NotAClosedSurface.  Components are listed by least vertex."""
+    One pass over the rows `boundary[2]`, a face's edges each listed once,
+    and the mesh's signs counts each edge's faces, sums their indices and
+    multiplies their signs; an edge not on exactly two faces raises
+    NotAClosedSurface.  One traversal per component crosses shared edges
+    from face to face, f to g, the edge's face sum less f, and gives each
+    face an orientation o (+1 keeps a face's cycle, -1 reverses it) with
+    o_f * s = -o_g * t on every edge, s and t its signs in faces f and g; a
+    forced contradiction makes the component non-orientable.  Its faces'
+    rows give F, E and, through `edges`, V; a vertex on no face or on two
+    components' faces raises NotAClosedSurface.  Components are listed by
+    least vertex."""
     complex_, signs = mesh.complex, mesh.signs
     edges, rows = complex_.edges, complex_.boundary[2]
-    faces_of_edge: list[list[tuple[int, int]]] = [[] for _ in edges]  # (face, sign)
+    count, face_sum, sign_product = [0] * len(edges), [0] * len(edges), [1] * len(edges)
     for f, row, row_signs in zip(range(len(rows)), rows, signs):
         for e, s in zip(row, row_signs):
-            faces_of_edge[e].append((f, s))
-    for e, incidences in zip(edges, faces_of_edge):
-        if len(incidences) != 2:
-            raise NotAClosedSurface(f"edge {e} lies in {len(incidences)} faces, expected 2")
+            count[e] += 1
+            face_sum[e] += f
+            sign_product[e] *= s
+    if set(count) - {2}:
+        e, c = next((e, c) for e, c in zip(edges, count) if c != 2)
+        raise NotAClosedSurface(f"edge {e} lies in {c} faces, expected 2")
 
     f_vector = complex_.f_vector()
     owner = [-1] * f_vector[0]  # each vertex's component
     orientation = [0] * len(rows)
     components = []  # in traversal order
-    for f0 in range(len(rows)):
-        if orientation[f0]:
-            continue
+    while 0 in orientation:
+        f0 = orientation.index(0)
         orientation[f0], faces, orientable = 1, [f0], True
         for f in faces:  # the list grows as the traversal reaches new faces
-            for e, s in zip(rows[f], signs[f]):
-                (g, t), (h, u) = faces_of_edge[e]
-                if g == f:
-                    g, t = h, u
-                required = -orientation[f] * s * t
+            flip = -orientation[f]
+            for e in rows[f]:
+                g, required = face_sum[e] - f, flip * sign_product[e]
                 if not orientation[g]:
                     orientation[g] = required
                     faces.append(g)
                 elif orientation[g] != required:
                     orientable = False
-        vertices = {v for f in faces for e in rows[f] for v in edges[e]}
+        face_edges = set(chain.from_iterable([rows[f] for f in faces]))
+        vertices = {v for e in face_edges for v in edges[e]}
         for v in vertices:
             if owner[v] >= 0:
                 raise NotAClosedSurface(f"vertex {v} lies on the faces of two components")
             owner[v] = len(components)
-        edge_count = sum(len(rows[f]) for f in faces) // 2
-        chi = len(vertices) - edge_count + len(faces)
+        # both faces of an edge lie in one component
+        chi = len(vertices) - len(face_edges) + len(faces)
         genus = (2 - chi) // 2 if orientable else None
         components.append(
-            ComponentReport(len(vertices), edge_count, len(faces), chi, orientable, genus)
+            ComponentReport(len(vertices), len(face_edges), len(faces), chi, orientable, genus)
         )
     if -1 in owner:
         raise NotAClosedSurface(f"vertex {owner.index(-1)} lies on no face")

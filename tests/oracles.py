@@ -614,7 +614,7 @@ def mesh_faces(mesh):
     """A mesh's faces as (label, vertex cycle, provenance) triples, face k
     labelled by the complex's 2-cell k."""
     labels = cells_by_dim(mesh.complex)[2]
-    return [(labels[k], cycle, mesh.provenance(k)) for k, cycle in enumerate(mesh.cycles)]
+    return list(zip(labels, mesh.cycles, mesh.provenances()))
 
 
 def parse_obj(text: str):

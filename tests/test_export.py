@@ -990,6 +990,19 @@ def test_cli_rejects_unsupported_bar_counts_before_building(capsys):
     assert "got n=40" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_an_unsupported_bar_count_is_refused_in_the_commands_name(n, capsys):
+    # classify once blamed "complex construction", a build it makes only at n=5
+    lengths = ",".join(["1"] * n)
+    for command, message in [
+        ("classify", f"classify supports 4 <= n <= 8 bars, got n={n}"),
+        ("complex", f"complex supports 4 <= n <= 8 bars, got n={n}"),
+        ("mesh", f"mesh is defined for pentagons (n=5), got n={n}"),
+    ]:
+        assert main([command, lengths]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_counts_bars_before_parsing_lengths(monkeypatch, capsys):
     # 10^5 tokens once cost a parse_rational each (~0.3 s) before the refusal
     def parse_rational(token):

@@ -111,6 +111,21 @@ def test_mesh_output_of_every_pentagon_chamber_is_byte_identical():
     assert digest.hexdigest() == CHAMBERS_DIGEST
 
 
+#: One sha256 over `linkctl classify --format json`, then the text report,
+#: of one pentagon per labelled chamber, taken at commit 7e78d97, before the
+#: report writer came to write its scalars itself.  It holds every component
+#: shape the report writes, the 2 tori included.
+CHAMBERS_CLASSIFY_DIGEST = "d8531f73edc8f328cd5dc87795d75b800197e1414ae060e3fc55a175da5bc12e"
+
+
+def test_classify_output_of_every_pentagon_chamber_is_byte_identical():
+    digest = hashlib.sha256()
+    for linkage in pentagon_chambers():
+        for fmt in ("json", "text"):
+            digest.update(_stdout(["classify", linkage.spec(), "--format", fmt]).encode())
+    assert digest.hexdigest() == CHAMBERS_CLASSIFY_DIGEST
+
+
 #: One sha256 over `linkctl complex` of one pentagon per labelled chamber,
 #: taken at commit aa1c9f1, like the pentagon `complex` digest in GOLDEN.
 CHAMBERS_COMPLEX_DIGEST = "0da0fcf14244aac02af40128ed189f8b3977fdd4cd151b3d4da4f0185bceb048"

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkspace.cwcomplex import build_complex
@@ -14,10 +14,13 @@ from linkspace.linkage import (
     NonGeneric,
     NonPositiveLength,
     NotAPartition,
+    MAX_TOKEN,
     ViolatesPolygonInequality,
+    _RATIONAL,
     is_admissible_partition,
     make_linkage,
     parse_lengths,
+    parse_rational,
 )
 from linkspace.partitions import canonicalize
 from linkspace.topology import classify_linkage
@@ -259,3 +262,79 @@ def test_equal_lengths_give_equal_linkages():
     a, b = (make_linkage(parse_lengths(s)) for s in ("1,1,1,1,1", "2/2,1,1,1,1"))
     assert a == b and hash(a) == hash(b)
     assert a != make_linkage(parse_lengths("1,1,1,1,3"))
+
+
+# ASCII digit runs; two of them, a sign and '/' or '.' make at most MAX_TOKEN
+# characters
+_DIGITS = st.text("0123456789", min_size=1, max_size=(MAX_TOKEN - 2) // 2)
+
+
+@st.composite
+def rational_tokens(draw):
+    """A token of any form `_RATIONAL` accepts: an optional sign, then D,
+    D/D, D.D, D. or .D, leading zeros included; no zero denominator."""
+    sign, a, b = draw(st.sampled_from(["", "+", "-"])), draw(_DIGITS), draw(_DIGITS)
+    form = draw(st.sampled_from(["{a}", "{a}/{b}", "{a}.{b}", "{a}.", ".{b}"]))
+    assume(form != "{a}/{b}" or int(b))
+    return sign + form.format(a=a, b=b)
+
+
+@settings(max_examples=300)
+@given(rational_tokens())
+@example("+007")
+@example("-0")
+@example("-6/4")
+@example("+0014/0007")
+@example("1.")
+@example(".5")
+@example("-2.50")
+def test_parse_rational_is_fractions_parse_of_every_accepted_token(token):
+    # the one parse builds integers and fractions from the digits it matched
+    assert len(token) <= MAX_TOKEN and _RATIONAL.fullmatch(token)
+    value = parse_rational(token)
+    assert type(value) is Fraction and value == Fraction(token)
+
+
+@given(st.sampled_from(["", "+", "-"]), _DIGITS, st.integers(1, 200))
+@example("", "1", 1)
+@example("", "007", 2)
+def test_a_zero_denominator_in_any_spelling_is_refused(sign, numerator, zeros):
+    token = f"{sign}{numerator}/{'0' * zeros}"
+    assume(len(token) <= MAX_TOKEN)
+    with pytest.raises(LinkageError) as raised:
+        parse_rational(token)
+    message = str(raised.value)  # the token's repr cut to 200 characters
+    assert message.startswith(f"cannot parse length {repr(token)[:200]}")
+    assert message.endswith(": its denominator is 0")
+
+
+class _Length(Fraction):
+    """A Fraction subclass, which make_linkage stores as a plain Fraction."""
+
+
+#: a list of lengths as ints, Fractions, the subclass, or mixed by position
+_FORMS = {
+    "int": lambda values: [int(v) for v in values],
+    "Fraction": lambda values: [Fraction(v) for v in values],
+    "subclass": lambda values: [_Length(v) for v in values],
+    "mixed": lambda values: [(int, Fraction, _Length)[k % 3](v) for k, v in enumerate(values)],
+}
+
+
+def test_make_linkage_is_the_same_for_every_number_type():
+    linkages = [form([2, 3, 4, 5, 7]) for form in _FORMS.values()]
+    made = [make_linkage(lengths) for lengths in linkages]
+    assert all(linkage == made[0] and repr(linkage) == repr(made[0]) for linkage in made)
+    assert {type(l) for linkage in made for l in linkage.lengths} == {Fraction}
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2)], ids=str)
+def test_a_nonpositive_length_has_one_message_for_every_number_type(bad):
+    messages = set()
+    for name, form in _FORMS.items():
+        if name == "int" and bad.denominator != 1:
+            continue
+        with pytest.raises(NonPositiveLength) as raised:
+            make_linkage(form([2, 3, bad, 5, 7]))  # "mixed" makes `bad` a _Length
+        messages.add(str(raised.value))
+    assert messages == {f"length 3 is {bad}; all lengths must be > 0"}
