@@ -6,12 +6,11 @@ or stream that cannot be read or written, 3 internal invariant violation.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
+import re
 import sys
 from contextlib import nullcontext, suppress
-from functools import cache
 from typing import Iterable, TextIO
 
 from . import export, topology
@@ -20,43 +19,149 @@ from .geometry import perform_surgery
 from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
 from .topology import NotAClosedSurface
 
-LENGTHS_HELP = "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)"
+#: linkctl's grammar: each command's positional and options.  An option,
+#: spelt --name, takes any value (None), one of its choices (the first is
+#: the default) or none (False).  -o is --output, and every command takes
+#: -h/--help.
+_LENGTHS = {"output": None, "epsilon": None}
+_COMMANDS = {
+    "classify": ("lengths", {**_LENGTHS, "format": ("text", "json")}),
+    "complex": ("lengths", {**_LENGTHS, "format": ("json",)}),
+    "mesh": ("lengths", {**_LENGTHS, "format": ("obj", "ply"), "triangulate": False}),
+    "check": ("file", {}),
+    "tables": (None, {}),
+    "verify": (None, {}),
+}
+_HELP = {
+    "classify": "surface type of the moduli space",
+    "complex": "export the cell complex as JSON",
+    "mesh": "export the polyhedral model (pentagons only)",
+    "check": "load a complex JSON document and report its first fault",
+    "tables": "facet admissibility tables for the six standard pentagons",
+    "verify": "check the six standard pentagons against their known types",
+    "lengths": "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)",
+    "file": "the document, or - for stdin",
+}
+#: each option's name by its spellings, for each command and (None) the top level
+_SPELLINGS = {
+    command: {"-h": "help", "--help": "help", **({"-o": "output"} if "output" in options else {})}
+    | {f"--{name}": name for name in options}
+    for command, (_, options) in [(None, (None, {})), *_COMMANDS.items()]
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The linkctl argument parser, built on the first call and then reused:
-    parse_args leaves it unchanged, and main runs once per request."""
-    parser = argparse.ArgumentParser(
-        prog="linkctl",
-        description="moduli spaces of planar polygonal linkages: "
-        "cell complexes, polyhedral models, surface types",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the options of every command that takes lengths
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("lengths", help=LENGTHS_HELP)
-    common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
-    common.add_argument("--epsilon", default=None, help="value for eps tokens (default 1/100)")
+def _read(token: str, spellings: dict[str, str]) -> tuple[str | None, str | None] | None:
+    """How argparse reads `token`: None for a positional, else the option's
+    name and its joined value, or None if none is joined.  The name is None
+    for an unknown option, and the value then refuses an ambiguous one."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in spellings:
+        return spellings[token], None
+    head, sep, value = token.partition("=")
+    if sep and head in spellings:
+        return spellings[head], value
+    if token[1] != "-" and token[:2] in spellings:  # -oFILE
+        return spellings[token[:2]], token[2:]
+    matches = [spelling for spelling in spellings if spelling.startswith(head)]
+    if len(matches) == 1:  # an abbreviation
+        return spellings[matches[0]], value if sep else None
+    if matches:
+        return None, f"ambiguous option: {token} could match {', '.join(matches)}"
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
 
-    classify = sub.add_parser("classify", parents=[common], help="surface type of the moduli space")
-    classify.add_argument("--format", choices=["text", "json"], default="text")
 
-    complex_ = sub.add_parser("complex", parents=[common], help="export the cell complex as JSON")
-    complex_.add_argument("--format", choices=["json"], default="json")
+def _missing(argv: list[str], k: int, spellings: dict[str, str]) -> bool:
+    """Whether argv[k] cannot be the value of the option before it."""
+    return k == len(argv) or argv[k] == "--" or _read(argv[k], spellings) is not None
 
-    mesh = sub.add_parser(
-        "mesh", parents=[common], help="export the polyhedral model (pentagons only)"
-    )
-    mesh.add_argument("--format", choices=["obj", "ply"], default="obj")
-    mesh.add_argument("--triangulate", action="store_true", help="fan-triangulate faces")
 
-    check = sub.add_parser("check", help="load a complex JSON document and report its first fault")
-    check.add_argument("file", help="the document, or - for stdin")
+def _usage(command: str | None) -> str:
+    """The usage of linkctl (None) or of one of its commands, on one line."""
+    positional, options = _COMMANDS.get(command, ("{%s} ..." % ",".join(_COMMANDS), {}))
+    words = []
+    for name in ("help", *options):
+        spec = options.get(name, False)
+        metavar = "" if spec is False else " {%s}" % ",".join(spec) if spec else " " + name.upper()
+        spelling = next(s for s, n in _SPELLINGS[command].items() if n == name)  # argparse's first
+        words.append(f"[{spelling}{metavar}]")
+    return " ".join(filter(None, ["usage: linkctl", command, *words, positional]))
 
-    sub.add_parser("tables", help="facet admissibility tables for the six standard pentagons")
-    sub.add_parser("verify", help="check the six standard pentagons against their known types")
-    return parser
+
+def _help(command: str | None) -> int:
+    """Write the usage and help of linkctl (None) or of a command to stdout
+    by `_emit`: return 0, or 2 if the write fails."""
+    positional = _COMMANDS[command][0] if command else None
+    rows = ([positional] if positional else []) if command else list(_COMMANDS)
+    about = _HELP[command] if command else __doc__.splitlines()[0]
+    lines = [_usage(command), "", about, "", *(f"  {row:<8}  {_HELP[row]}" for row in rows)]
+    return _emit("\n".join(lines) + "\n", None)
+
+
+def _refuse(command: str | None, message: str) -> int:
+    """Print the usage and one error line to stderr, as argparse did; return 2."""
+    prog = " ".join(filter(None, ["linkctl", command]))
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return 2
+
+
+def _parse(argv: list[str]) -> dict[str, str | bool | None] | int:
+    """Read linkctl's argv in one pass from the left, as argparse (Python
+    3.13) read it, and return its arguments by name; or print help or a
+    refusal, in argparse's order, and return its exit code, 0 or 2."""
+    command, want, options, spellings = None, "command", {}, _SPELLINGS[None]
+    args: dict[str, str | bool | None] = {}
+    extras: list[str] = []
+    only, filled, k = False, -1, 0  # after `--` (`only`), every token is a positional
+    while k < len(argv):
+        token = argv[k]
+        k += 1
+        if token == "--" and not only:
+            only = True  # dropped before the token that fills `want`, or after it
+            if not (want and k < len(argv) or filled == k - 1):
+                extras.append(token)
+            continue
+        read = None if only else _read(token, spellings)
+        if read is None and want == "command":  # the top level's one positional
+            if token not in _COMMANDS:
+                return _refuse(None, f"argument command: invalid choice: {token!r}")
+            command, (want, options), spellings = token, _COMMANDS[token], _SPELLINGS[token]
+            args = {"command": token, **{name: spec and spec[0] for name, spec in options.items()}}
+            only = False  # a `--` before the command is the top level's
+        elif read is None and want:
+            args[want], want, filled = token, None, k
+        elif read is None:
+            extras.append(token)
+        elif read[0] == "help":
+            value = read[1]
+            if value is not None:  # -hX is -h -X, and -h=X is refused
+                rest = value.lstrip("h") if token[1] != "-" and value == token[2:] else "=" + value
+                if rest.startswith(("-", "=")):
+                    return _refuse(command, f"argument -h: ignored explicit argument {value!r}")
+                if rest == "o" and "-o" in spellings and _missing(argv, k, spellings):
+                    return _refuse(command, "argument -o: expected one argument")
+            return _help(command)
+        elif read[0] is None:  # unknown, or ambiguous with its refusal
+            if read[1]:
+                return _refuse(command, read[1])
+            extras.append(token)
+        else:
+            name, value = read
+            if options[name] is False and value is not None:
+                return _refuse(command, f"argument --{name}: ignored explicit argument {value!r}")
+            if value is None and options[name] is not False:
+                if _missing(argv, k, spellings):
+                    return _refuse(command, f"argument --{name}: expected one argument")
+                value, k = argv[k], k + 1
+            if options[name] and value not in options[name]:
+                return _refuse(command, f"argument --{name}: invalid choice: {value!r}")
+            args[name] = True if value is None else value
+    if want:
+        return _refuse(command, f"the following arguments are required: {want}")
+    if extras:
+        return _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _std(stream: TextIO | None) -> TextIO:
@@ -101,16 +206,20 @@ def _check_bar_count(command: str, n: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
+    command = args["command"]
     try:
-        if args.command == "tables":
+        if command == "tables":
             return _emit(export.render_tables(), None)
-        if args.command == "check":
+        if command == "check":
+            path = args["file"]
             try:
-                with nullcontext(_std(sys.stdin)) if args.file == "-" else open(args.file) as fh:
+                with nullcontext(_std(sys.stdin)) if path == "-" else open(path) as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
-                print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
+                print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
                 return 2
             try:
                 export.complex_from_json(text)
@@ -118,33 +227,30 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             return 0
-        if args.command == "verify":
+        if command == "verify":
             ok, text = export.verify_all()
             return _emit(text, None) or (0 if ok else 1)
 
-        # argparse before Python 3.13 parses `--epsilon=--` as []
-        if args.epsilon == []:
-            raise LinkageError("--epsilon has no value")
-        epsilon = (
-            DEFAULT_EPSILON if args.epsilon is None else parse_rational(args.epsilon, "--epsilon")
-        )
+        epsilon = args["epsilon"]
+        epsilon = DEFAULT_EPSILON if epsilon is None else parse_rational(epsilon, "--epsilon")
         if epsilon <= 0:  # else make_linkage would blame the first eps length
             raise LinkageError(f"--epsilon is {epsilon}; it must be > 0")
         # count the bars first, so an over-long list is refused unparsed
-        _check_bar_count(args.command, args.lengths.count(",") + 1)
-        lengths = parse_lengths(args.lengths, epsilon)
+        _check_bar_count(command, args["lengths"].count(",") + 1)
+        lengths = parse_lengths(args["lengths"], epsilon)
         linkage = make_linkage(lengths)
-        if args.command == "classify":
+        if command == "classify":
             report = topology.classify_linkage(linkage)
-            if args.format == "json":
-                return _emit(export.report_to_json(report, linkage), args.output)
-            return _emit(export.render_report(report, linkage), args.output)
-        if args.command == "complex":
-            return _emit(export.complex_json_pieces(build_complex(linkage)), args.output)
-        if args.command == "mesh":
+            if args["format"] == "json":
+                return _emit(export.report_to_json(report, linkage), args["output"])
+            return _emit(export.render_report(report, linkage), args["output"])
+        if command == "complex":
+            return _emit(export.complex_json_pieces(build_complex(linkage)), args["output"])
+        if command == "mesh":
             mesh = perform_surgery(linkage)
-            return _emit(export.export_mesh(mesh, args.format, args.triangulate), args.output)
-        raise AssertionError(f"unhandled command {args.command}")
+            text = export.export_mesh(mesh, args["format"], args["triangulate"])
+            return _emit(text, args["output"])
+        raise AssertionError(f"unhandled command {command}")
     except (LinkageError, ArityMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

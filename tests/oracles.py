@@ -14,7 +14,8 @@ come from union-find over the 1-skeleton (`oracle_components`) where
 walk of a face's boundary graph behind the face-cycle formula
 (`geometry._face_cycle`), with its refusals (`NotACycle`), and
 `is_admissible_part`, the rational-sum predicate behind the short-subset
-table.  Below them are helpers the package itself has no use for, kept
+table, and `oracle_parser`, the argparse parser behind linkctl's own
+reading of its argv.  Below them are helpers the package itself has no use for, kept
 here as second routes for the tests: a complex's cells parsed from its
 label text (`cells_by_dim`), the walls of a spec whose eps varies
 (`eps_walls`), the facet tables' membership read from the cut, cyclic
@@ -25,10 +26,11 @@ face order), and a complex's top dimension and its or a mesh's faces as
 labels.
 """
 
+import argparse
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Sequence
@@ -638,3 +640,42 @@ def is_watertight(faces) -> bool:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             count[frozenset((a, b))] += 1
     return bool(count) and all(c == 2 for c in count.values())
+
+
+LENGTHS_HELP = "comma-separated rational lengths, e.g. 1,1,1,1/100,2 (eps = epsilon)"
+
+
+@cache
+def oracle_parser() -> argparse.ArgumentParser:
+    """The linkctl argument parser, built on the first call and then reused:
+    parse_args leaves it unchanged, and main runs once per request."""
+    parser = argparse.ArgumentParser(
+        prog="linkctl",
+        description="moduli spaces of planar polygonal linkages: "
+        "cell complexes, polyhedral models, surface types",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that takes lengths
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("lengths", help=LENGTHS_HELP)
+    common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+    common.add_argument("--epsilon", default=None, help="value for eps tokens (default 1/100)")
+
+    classify = sub.add_parser("classify", parents=[common], help="surface type of the moduli space")
+    classify.add_argument("--format", choices=["text", "json"], default="text")
+
+    complex_ = sub.add_parser("complex", parents=[common], help="export the cell complex as JSON")
+    complex_.add_argument("--format", choices=["json"], default="json")
+
+    mesh = sub.add_parser(
+        "mesh", parents=[common], help="export the polyhedral model (pentagons only)"
+    )
+    mesh.add_argument("--format", choices=["obj", "ply"], default="obj")
+    mesh.add_argument("--triangulate", action="store_true", help="fan-triangulate faces")
+
+    check = sub.add_parser("check", help="load a complex JSON document and report its first fault")
+    check.add_argument("file", help="the document, or - for stdin")
+
+    sub.add_parser("tables", help="facet admissibility tables for the six standard pentagons")
+    sub.add_parser("verify", help="check the six standard pentagons against their known types")
+    return parser

@@ -733,8 +733,8 @@ def test_report_json_is_the_json_dumps_layout(spec):
 
 @pytest.mark.parametrize("spec", ["2,1,1,1", "1,1,eps,eps,1", "3,5,7,2,9,4,1"])
 def test_classify_json_leaves_no_cyclic_garbage(spec, capsys):
-    # the first call builds the cached parser, whose making leaves cycles
-    # once per process; a request after it must leave none
+    # a request after a first one must leave none; the first of a fresh
+    # process is test_the_first_request_of_a_process_leaves_no_cyclic_garbage
     assert main(["classify", spec, "--format", "json"]) == 0
     enabled = gc.isenabled()
     gc.collect()
@@ -870,8 +870,8 @@ def test_cli_invalid_input_exit_code(capsys):
         ["classify", "1,1,eps,eps,1", "--epsilon", "1e100000"],
         ["classify", "1," + tiny],
         ["classify", "1e30000000,1,1,1,1"],
-        # argparse before Python 3.13 reads `--epsilon=--` as [], which once
-        # raised AttributeError in parse_rational; 3.13 reads it as '--'
+        # `--epsilon=--` passes '--' to parse_rational on every Python; argparse
+        # before 3.13 read it as [], which once raised AttributeError there
         ["classify", "--epsilon=--", "--", "1,1,1,eps,2"],
     ):
         start = time.perf_counter()
@@ -947,8 +947,8 @@ _TOKENS = st.one_of(
 )
 def test_cli_exits_0_or_2_on_any_lengths_and_epsilon(command, lengths, tokens, at, epsilon):
     # arbitrary tokens among plain ones, so that some reach make_linkage;
-    # options first and `--` before the lengths, so argparse reads a token
-    # starting with '-' as the lengths, not as an option
+    # options first and `--` before the lengths, so that linkctl reads a
+    # token starting with '-' as the lengths, not as an option
     argv = [command] + ([] if epsilon is None else [f"--epsilon={epsilon}"])
     spec = ",".join(lengths[:at] + tokens + lengths[at:])
     err = io.StringIO()
@@ -1052,13 +1052,26 @@ def _fresh_python(code: str, *args: str, **run) -> subprocess.CompletedProcess:
 def test_import_loads_no_dataclasses_or_inspect():
     # dataclasses brings in inspect, ast, dis and tokenize, about two thirds
     # of a cold `import linkspace`; the records are NamedTuples instead.  The
-    # label layer, `linkspace.partitions`, is a reference no command uses
+    # label layer, `linkspace.partitions`, is a reference no command uses,
+    # and linkctl reads its argv without argparse, which brings in gettext
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linkspace.partitions"]
+    heavy += ["argparse", "gettext"]
     proc = _fresh_python(
         "import linkspace, linkspace.cli; print(*sorted(set(sys.argv[1:]) & sys.modules.keys()))",
         *heavy,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_the_first_request_of_a_process_leaves_no_cyclic_garbage():
+    # building argparse's parser once left 46 to 52 objects in each process
+    run = (
+        "import gc; from linkspace.cli import main; gc.collect(); gc.disable(); "
+        "code = main(sys.argv[1:]); print(code, gc.collect(), file=sys.stderr)"
+    )
+    proc = _fresh_python(run, "classify", "1,1,1,1,1", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "0 0\n")
+    assert json.loads(proc.stdout)["classification"] == "genus-4 surface"
 
 
 def test_linkctl_entry_exits_with_main_code():
@@ -1086,7 +1099,12 @@ def _raise_no_space(*args):
 @pytest.mark.parametrize("method", ["write", "flush"])
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "1,1,1,1,1"], ["verify"], ["complex", "3,5,7,2,9,4,1"]],
+    [
+        ["classify", "1,1,1,1,1"],
+        ["verify"],
+        ["complex", "3,5,7,2,9,4,1"],
+        ["mesh", "--help"],
+    ],
     ids=" ".join,
 )
 def test_cli_exits_2_on_a_stdout_it_cannot_write(argv, method, capsys):
