@@ -199,10 +199,7 @@ def _check_bar_count(command: str, n: int) -> None:
         if n != 5:
             raise ArityMismatch(f"mesh is defined for pentagons (n=5), got n={n}")
     else:
-        try:
-            check_supported_arity(n)
-        except ArityMismatch:
-            raise ArityMismatch(f"{command} supports 4 <= n <= 8 bars, got n={n}") from None
+        check_supported_arity(n, command)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -50,10 +50,10 @@ class ArityMismatch(ValueError):
     """Operation defined only for a specific number of bars."""
 
 
-def check_supported_arity(n: int) -> None:
-    """Raise ArityMismatch unless build_complex supports n bars (4..8)."""
+def check_supported_arity(n: int, name: str) -> None:
+    """Raise ArityMismatch, naming `name`, unless build_complex supports n bars (4..8)."""
     if not 4 <= n <= 8:
-        raise ArityMismatch(f"complex construction supports 4 <= n <= 8, got n={n}")
+        raise ArityMismatch(f"{name} supports 4 <= n <= 8 bars, got n={n}")
 
 
 class CWComplex(NamedTuple):
@@ -100,7 +100,7 @@ def build_complex(linkage: Linkage) -> CWComplex:
     columns are dropped on return).
     """
     n = linkage.n
-    check_supported_arity(n)
+    check_supported_arity(n, "complex construction")
     if n <= 7:
         labels, boundary = _restrict(n, linkage.short)
     else:

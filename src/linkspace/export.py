@@ -260,7 +260,7 @@ def complex_from_json(text: str) -> CWComplex:
     if header := _HEADER.match(text):
         tokens = re.findall(r'"([^"]*)"', header[1])
         with suppress(ArityMismatch, LinkageError):  # the validator names the fault
-            check_supported_arity(len(tokens))  # before make_linkage's 2^n pass
+            check_supported_arity(len(tokens), "complex construction")  # before the 2^n pass
             complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
         if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
             return complex_
@@ -293,7 +293,7 @@ def complex_from_json(text: str) -> CWComplex:
     except KeyError as exc:
         k = next(k for k, c in enumerate(records) if exc.args[0] not in c)
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
-    check_supported_arity(n)  # before make_linkage's 2^n pass
+    check_supported_arity(n, "complex construction")  # before make_linkage's 2^n pass
     if complex_ is None or doc["lengths"] != tokens:
         complex_ = build_complex(make_linkage([parse_rational(t) for t in doc["lengths"]]))
     if len(records) != sum(complex_.f_vector()):

@@ -169,7 +169,7 @@ def classify_linkage(linkage: Linkage) -> TopologyReport:
     n = linkage.n
     if n == 5:
         return analyze(perform_surgery(linkage))
-    check_supported_arity(n)
+    check_supported_arity(n, "classify")
     f_vector, betti = count_cells(linkage), betti_numbers(linkage)
     chi, chi_b = (sum((-1) ** k * c for k, c in enumerate(v)) for v in (f_vector, betti))
     count = betti[0]

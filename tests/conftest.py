@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 from linkspace import export
+from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES
 from linkspace.geometry import perform_surgery, permutohedron
 from linkspace.linkage import make_linkage, parse_lengths
@@ -15,6 +18,13 @@ def representatives():
 @pytest.fixture(scope="session")
 def meshes(representatives):
     return [(rep, linkage, perform_surgery(linkage)) for rep, linkage in representatives]
+
+
+@pytest.fixture(scope="session")
+def complex_of():
+    """The complex of a length spec, built once per spec and session: an
+    n=8 build takes about half a second, and more than one test reads it."""
+    return functools.cache(lambda spec: build_complex(make_linkage(parse_lengths(spec))))
 
 
 @pytest.fixture

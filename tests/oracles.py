@@ -310,7 +310,7 @@ def reference_build_complex(linkage) -> tuple[CWComplex, list[list[CyclicPartiti
     comparing them with the package's parsed text checks that text against
     labels the package did not write."""
     n = linkage.n
-    check_supported_arity(n)
+    check_supported_arity(n, "complex construction")
     enumerated = []
     for m in range(n, 2, -1):  # m parts -> dimension n - m
         labels = [

@@ -17,6 +17,7 @@ from linkspace import cwcomplex, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import CWComplex, build_complex
 from linkspace.export import (
+    REPRESENTATIVES,
     STEP2_ROWS,
     STEP3_ROWS,
     complex_from_json,
@@ -677,11 +678,19 @@ def collector():
     (gc.enable if enabled else gc.disable)()
 
 
-def test_building_wiring_and_writing_leave_no_cyclic_garbage(representatives, collector):
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [*(rep.spec for rep in REPRESENTATIVES), "3,5,7,2,9,4,1"],
+        pytest.param(["1,1,1,1,1,1,1,2"], marks=pytest.mark.slow),  # about 1 s
+        pytest.param(["5,9,3,12,7,1,4,2"], marks=pytest.mark.slow),
+    ],
+    ids=["pentagons, heptagon", "1,1,1,1,1,1,1,2", "5,9,3,12,7,1,4,2"],
+)
+def test_building_wiring_and_writing_leave_no_cyclic_garbage(specs, collector):
     # why the walk and the wiring may pause the collector: they build no
     # reference cycle, so a collection during them would free nothing
-    linkages = [linkage for _, linkage in representatives]
-    linkages.append(make_linkage([3, 5, 7, 2, 9, 4, 1]))
+    linkages = [make_linkage(parse_lengths(spec)) for spec in specs]
     gc.collect()
     gc.disable()
     for linkage in linkages:

@@ -12,7 +12,7 @@ from linkspace.cli import main
 from linkspace import geometry
 from linkspace.geometry import boundary_cycle, perform_surgery, permutohedron
 from linkspace.linkage import make_linkage
-from linkspace.partitions import canonicalize, cell_vertices
+from linkspace.partitions import canonicalize, cell_vertices, parse_partition
 from linkspace.topology import NotAClosedSurface, analyze
 
 from oracles import (
@@ -202,6 +202,28 @@ def test_boundary_cycle_rejects_a_label_that_is_not_a_cell():
     complex_ = build_complex(make_linkage([1, 1, 1, 1, 1]))
     with pytest.raises(ValueError, match="not a 2-cell of the complex"):
         boundary_cycle(canonicalize([{1}, {2}, {3, 4, 5}]), complex_)
+
+
+@pytest.mark.parametrize(
+    "spec, faces",
+    [
+        ("1,1,1,1,1,2", 330),
+        ("3,5,7,2,9,4,1", 2880),
+        pytest.param("1,1,1,1,1,1,1,2", 31920, marks=pytest.mark.slow),
+        pytest.param("5,9,3,12,7,1,4,2", 30840, marks=pytest.mark.slow),
+    ],
+)
+def test_boundary_cycle_is_the_walk_on_every_2_cell(spec, faces, complex_of):
+    # the formula from a 2-cell's parts against the walk of its boundary
+    # graph, on a built complex rather than a table (an n=8 complex is cut
+    # from no table); about 3 s for each n=8 vector
+    complex_ = complex_of(spec)
+    labels, boundary = complex_.labels_by_dim, complex_.boundary
+    index = {parse_partition(text): k for k, text in enumerate(labels[0])}
+    assert len(labels[2]) == faces
+    for i, text in enumerate(labels[2]):
+        cycle = [index[v] for v in boundary_cycle(parse_partition(text), complex_)]
+        assert cycle == walk_cycle(labels, boundary, i), text
 
 
 def test_surgery_requires_pentagons():

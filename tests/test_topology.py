@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +28,7 @@ from oracles import (
     oracle_components,
     oracle_f_vector,
 )
-from test_golden import pentagon_chambers
+from test_golden import OCTAGON_DIGESTS, generic_integer_pentagons, pentagon_chambers
 
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
@@ -66,11 +67,20 @@ def test_classify_linkage_matches_analyze(meshes):
         assert classify_linkage(linkage) == analyze(mesh)
 
 
-def test_analyze_agrees_with_the_mesh_route(representatives):
+@pytest.mark.parametrize(
+    "top, count",
+    [(None, 6 + 76), pytest.param(7, 10172, marks=pytest.mark.slow)],  # 10,172 in about 4 s
+    ids=["representatives and chambers", "generic integer lengths 1-7"],
+)
+def test_analyze_agrees_with_the_mesh_route(top, count, representatives):
     # the complex's face rows and signs against the mesh's vertex cycles,
-    # over the six representatives and every labelled chamber; the chambers
-    # hold every generic pentagon, so every one of them is orientable
-    for linkage in [l for _, l in representatives] + list(pentagon_chambers()):
+    # over the six representatives and every labelled chamber, or every
+    # generic pentagon with integer lengths 1 to `top`; the chambers hold
+    # every generic pentagon, so every one of them is orientable
+    linkages = [l for _, l in representatives] + list(pentagon_chambers())
+    linkages = list(generic_integer_pentagons(top)) if top else linkages
+    assert len(linkages) == count
+    for linkage in linkages:
         mesh = perform_surgery(linkage)
         report = analyze(mesh)
         assert report == classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
@@ -299,13 +309,12 @@ def test_octagon_f_vector_matches_the_count_of_short_set_partitions(lengths, f_v
     assert report.component_count == 1
 
 
-def _assert_counts_match_the_complex(lengths):
-    linkage = make_linkage(lengths)
-    complex_ = build_complex(linkage)
+def _assert_counts_match_the_complex(complex_):
+    linkage = complex_.linkage
     report = classify_linkage(linkage)
     assert count_cells(linkage) == report.f_vector == complex_.f_vector()
-    assert report.f_vector == oracle_f_vector(lengths)
-    assert betti_numbers(linkage) == oracle_betti_numbers(lengths)
+    assert report.f_vector == oracle_f_vector(linkage.lengths)
+    assert betti_numbers(linkage) == oracle_betti_numbers(linkage.lengths)
     components = oracle_component_count(len(complex_.labels_by_dim[0]), complex_.edges)
     assert report.component_count == components
     return report
@@ -320,7 +329,7 @@ def _assert_counts_match_the_complex(lengths):
 def test_generic_integer_linkages_count_like_their_complex(lengths):
     # an odd total cannot be split in half, so every such vector is generic
     assume(sum(lengths) % 2 == 1 and 2 * max(lengths) < sum(lengths))
-    _assert_counts_match_the_complex(lengths)
+    _assert_counts_match_the_complex(build_complex(make_linkage(lengths)))
 
 
 @pytest.mark.parametrize(
@@ -331,14 +340,29 @@ def test_generic_integer_linkages_count_like_their_complex(lengths):
     ],
 )
 def test_disconnected_spaces_count_like_their_complex(lengths, f_vector):
-    report = _assert_counts_match_the_complex(lengths)
+    report = _assert_counts_match_the_complex(build_complex(make_linkage(lengths)))
     assert report.f_vector == f_vector
     assert report.component_count == 2
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", OCTAGON_DIGESTS)
+def test_octagons_count_like_their_complex(spec, complex_of, capsys):
+    # classify counts the cells and components from the short-subset table
+    # and builds no complex; here the complex is built, about 0.5 s each,
+    # and linkctl's JSON report must give its counts
+    report = _assert_counts_match_the_complex(complex_of(spec))
+    assert main(["classify", spec, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["f_vector"] == list(report.f_vector)
+    assert doc["component_count"] == report.component_count
+
+
 @pytest.mark.parametrize("lengths", [[1, 1, 1], [1] * 9])
 def test_classify_refuses_a_bar_count_outside_4_to_8(lengths):
-    with pytest.raises(ArityMismatch):
+    # in its own name: it builds a complex only at n = 5
+    message = f"classify supports 4 <= n <= 8 bars, got n={len(lengths)}"
+    with pytest.raises(ArityMismatch, match=message):
         classify_linkage(make_linkage(lengths))
 
 
