@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a file
 or stream that cannot be read or written, 3 internal invariant violation.
+A stderr that cannot be written does not change the code.  `check` reads at
+most `CHECK_BOUND` characters, and refuses a longer input with exit 2.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ _SPELLINGS = {
     for command, (_, options) in [(None, (None, {})), *_COMMANDS.items()]
 }
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
+#: the most characters `check` reads, so that an endless input such as
+#: /dev/zero is refused, not read until memory runs out.  The writer's
+#: largest document for n <= 8, the all-short n=8 table's, is 17,123,994
+#: bytes, and `1,1,1,1,1,1,1,2`'s re-indented with indent=4 is 22,504,489
+CHECK_BOUND = 32 * 2**20
 
 
 def _read(token: str, spellings: dict[str, str]) -> tuple[str | None, str | None] | None:
@@ -102,7 +109,7 @@ def _help(command: str | None) -> int:
 def _refuse(command: str | None, message: str) -> int:
     """Print the usage and one error line to stderr, as argparse did; return 2."""
     prog = " ".join(filter(None, ["linkctl", command]))
-    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    _warn(_usage(command), f"{prog}: error: {message}")
     return 2
 
 
@@ -165,9 +172,9 @@ def _parse(argv: list[str]) -> dict[str, str | bool | None] | int:
 
 
 def _std(stream: TextIO | None) -> TextIO:
-    """`sys.stdin` or `sys.stdout`, which Python sets to None when its fd
-    was closed at start; reading or writing it then fails as the closed fd
-    would."""
+    """`sys.stdin`, `sys.stdout` or `sys.stderr`, which Python sets to None
+    when its fd was closed at start; reading or writing it then fails as the
+    closed fd would."""
     if stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     return stream
@@ -187,9 +194,22 @@ def _emit(text: str | Iterable[str], output: str | None) -> int:
             with suppress(OSError):  # close flushes, and fails as the flush did
                 sys.stdout.close()
         where = "stdout" if output is None else repr(output)
-        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        _warn(f"error: cannot write {where}: {exc}")
         return 2
     return 0
+
+
+def _warn(*lines: str) -> None:
+    """Print `lines` to stderr.  A stderr that cannot be written changes no
+    exit code: the failure is ignored and stderr closed, as `_emit` closes a
+    failed stdout, or the interpreter's flush at exit fails on the same text
+    and exits 120."""
+    try:
+        print(*lines, sep="\n", file=_std(sys.stderr), flush=True)
+    except OSError:
+        if sys.stderr is not None:
+            with suppress(OSError):
+                sys.stderr.close()
 
 
 def _check_bar_count(command: str, n: int) -> None:
@@ -214,14 +234,17 @@ def main(argv: list[str] | None = None) -> int:
             path = args["file"]
             try:
                 with nullcontext(_std(sys.stdin)) if path == "-" else open(path) as fh:
-                    text = fh.read()
+                    text = fh.read(CHECK_BOUND + 1)
             except (OSError, UnicodeDecodeError) as exc:
-                print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
+                _warn(f"error: cannot read {path!r}: {exc}")
+                return 2
+            if len(text) > CHECK_BOUND:
+                _warn(f"error: cannot read {path!r}: longer than {CHECK_BOUND:,} characters")
                 return 2
             try:
                 export.complex_from_json(text)
             except ValueError as exc:  # the loader's verdict on the document
-                print(f"error: {exc}", file=sys.stderr)
+                _warn(f"error: {exc}")
                 return 2
             return 0
         if command == "verify":
@@ -249,11 +272,11 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(text, args["output"])
         raise AssertionError(f"unhandled command {command}")
     except (LinkageError, ArityMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
     except (NotAClosedSurface, ValueError) as exc:
         # any other ValueError is the package's fault, not the input's
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        _warn(f"internal invariant violated: {exc}")
         return 3
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkspace
-from linkspace import export, topology
+from linkspace import cli, export, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from linkspace.export import (
@@ -1248,15 +1248,39 @@ def test_cli_exits_2_on_a_full_device(capsys):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")
 
 
+def _dead_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "w")
+
+
 def test_cli_exits_2_on_a_pipe_whose_reader_has_gone():
     # as `linkctl complex … | head` meets once head has read its lines and
     # exited: a failed write like any other, not a quiet end
-    read, write = os.pipe()
-    os.close(read)
-    with os.fdopen(write, "w") as pipe:
+    with _dead_pipe() as pipe:
         proc = _fresh_python(LINKSPACE_MAIN, "complex", "1,1,1,1,1", stdout=pipe)
     broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {broken}\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "1,1"], ["bogus"]], ids=" ".join)
+def test_a_refusal_exits_2_on_a_stderr_it_cannot_write(argv):
+    # exit 1 is a verification mismatch, so a refusal that cannot be printed,
+    # to a closed stderr (`2>&-`) or a pipe whose reader has gone, exits 2
+    proc = _fresh_python(LINKSPACE_MAIN, *argv, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
+    with _dead_pipe() as pipe:
+        proc = _fresh_python(LINKSPACE_MAIN, *argv, stderr=pipe)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_cli_exits_2_on_a_pipe_for_stdout_and_stderr_whose_reader_has_gone():
+    # as `linkctl complex … 2>&1 | head -1` meets: the error line about the
+    # failed stdout cannot be written either
+    with _dead_pipe() as pipe:
+        proc = _fresh_python(LINKSPACE_MAIN, "complex", "3,5,7,2,9,4,1", stdout=pipe, stderr=pipe)
+    assert proc.returncode == 2
 
 
 #: the error a read or write of a closed fd raises
@@ -1289,6 +1313,34 @@ def test_linkctl_check_reads_the_writers_document_from_stdin():
     text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
     proc = _fresh_python(LINKSPACE_MAIN, "check", "-", input=text)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def _limit_address_space():
+    # 256 MiB: the bounded read of /dev/zero runs within 100 MiB on Python
+    # 3.11, and a read with no bound fails at once with a MemoryError
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20,) * 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("path", ["/dev/zero", "-"])
+def test_linkctl_check_refuses_an_endless_input(path):
+    with open("/dev/zero", "rb") as zero:
+        proc = _fresh_python(
+            LINKSPACE_MAIN, "check", path, stdin=zero, preexec_fn=_limit_address_space
+        )
+    error = f"error: cannot read {path!r}: longer than 33,554,432 characters\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
+def test_cli_check_reads_at_most_its_bound(monkeypatch, capsys):
+    text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
+    for bound, code in [(len(text), 0), (len(text) - 1, 2)]:
+        monkeypatch.setattr(cli, "CHECK_BOUND", bound)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["check", "-"]) == code
+    assert capsys.readouterr() == ("", f"error: cannot read '-': longer than {bound:,} characters\n")
 
 
 def _edited(edit):
