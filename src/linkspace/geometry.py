@@ -13,8 +13,16 @@ and the face cycles and edge signs.  The points stay exact: the mesh writer
 product of its parts' permutohedra, so its cycle is a formula in its parts
 (`_face_cycle`), worked out once per process for the table's 50 faces and
 read by label (`_face_walks`).  That the result is a closed surface is
-checked by `topology.analyze`, which every command runs on a pentagon's
-mesh.  `boundary_cycle`, a reference route for the tests that takes a
+checked by `topology.analyze`.
+
+The surgery keeps a facet or a diagonal by which subsets are short, so a
+pentagon's whole surface, its cells, face cycles, signs and classification,
+is fixed by its chamber: its `Linkage.short` table.  `_chambers` maps each
+table met to its surface, filled by the chamber's first pentagon through
+the cut, the face walks and `analyze`, and every later pentagon of the
+chamber gets that surface re-homed to its own linkage.  Generic pentagons
+have 76 labelled chambers, so the map holds at most 76 entries.
+`boundary_cycle`, a reference route for the tests that takes a
 `CyclicPartition`, imports the label layer (`partitions`) in its body, so
 no command loads it.
 """
@@ -123,19 +131,55 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
     return [CyclicPartition(tuple(frozenset({b}) for b in v)) for v in _face_cycle(masks)]
 
 
+class _Chamber(NamedTuple):
+    """A pentagon chamber's surface: its complex's labels and rows, its
+    mesh's cycles and signs, and `analyze`'s report of them."""
+
+    labels: tuple[tuple[str, ...], ...]
+    boundary: tuple[tuple[tuple[int, ...], ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
+    signs: tuple[tuple[int, ...], ...]
+    report: TopologyReport
+
+
+#: Each pentagon chamber's surface by its short-subset table, for the 76
+#: labelled chambers of generic pentagons at most.  An entry's tuples are
+#: those of the mesh that filled it, so a mesh holding them is its
+#: chamber's own (`topology.analyze`).  Two threads filling one
+#: entry at once each get a correct mesh, and the last entry stands.
+_chambers: dict[tuple[bool, ...], _Chamber] = {}
+
+
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2, and
-    vertex k stands at the exact point `permutohedron()[k]`.  Each kept
-    face's cycle and edge signs are read by label from `_face_walks`, worked
-    out once per process for the n = 5 table's faces.  Its faces may cross in the points' 3-space
-    sum(x) = 10, so the surface is not claimed to be embedded: a prototype
-    check of segment-triangle crossings by integer orientation determinants
-    found 1, 6 and 16 crossing face pairs in the genus-2, -3 and -4 models
-    (ROADMAP item 10); the repo does not check them.  An edge not on two
-    faces is left to `topology.analyze`."""
+    vertex k stands at the exact point `permutohedron()[k]`.  Its faces may
+    cross in the points' 3-space sum(x) = 10, so the surface is not claimed
+    to be embedded: a prototype check of segment-triangle crossings by
+    integer orientation determinants found 1, 6 and 16 crossing face pairs
+    in the genus-2, -3 and -4 models (ROADMAP item 10); the repo does not
+    check them.
+
+    The surface depends on the linkage only through its chamber, the
+    `short` table, which decides every cell the cut keeps.  A chamber's
+    first pentagon cuts its complex (`build_complex`), reads each kept
+    face's cycle and edge signs by label from `_face_walks`, and classifies
+    the mesh (`topology.analyze`, which raises NotAClosedSurface on an edge
+    not on two faces); then `_chambers` keeps the lot, and nothing if a step
+    raised.  Every later pentagon of the chamber gets a new complex and mesh
+    on its own linkage that share the chamber's tuples."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
+    chamber = _chambers.get(linkage.short)
+    if chamber is not None:
+        complex_ = CWComplex(linkage, chamber.labels, chamber.boundary)
+        return SurfaceMesh(complex_, permutohedron(), chamber.cycles, chamber.signs)
+    from .topology import analyze  # here, as topology imports this module
+
     complex_ = build_complex(linkage)
     cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
-    return SurfaceMesh(complex_, permutohedron(), cycles, signs)
+    mesh = SurfaceMesh(complex_, permutohedron(), cycles, signs)
+    report = analyze(mesh)
+    labels, boundary = complex_.labels_by_dim, complex_.boundary
+    _chambers[linkage.short] = _Chamber(labels, boundary, cycles, signs, report)
+    return mesh

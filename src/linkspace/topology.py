@@ -3,12 +3,14 @@
 A pentagon's surface is classified from its complex (`analyze`): each
 edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
-check, and every command runs it on a pentagon's mesh.  One traversal of
-the faces across shared edges finds each component, with its vertices,
-and spreads face orientations from the mesh's edge signs so that the two
-faces on an edge walk it in opposite directions; a forced contradiction
-means the component is non-orientable.  Genus follows from the Euler
-characteristic for orientable components.
+check.  It runs once per pentagon chamber, when the chamber's first mesh
+fills the chamber map (`geometry._chambers`), and on every mesh that is
+not a chamber's own; the chamber's later meshes get the map's report.  One
+traversal of the faces across shared edges finds each component, with its
+vertices, and spreads face orientations from the mesh's edge signs so that
+the two faces on an edge walk it in opposite directions; a forced
+contradiction means the component is non-orientable.  Genus follows from
+the Euler characteristic for orientable components.
 
 For every other n the short-subset table alone gives the f-vector
 (`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
-from .geometry import SurfaceMesh, perform_surgery
+from .geometry import SurfaceMesh, _chambers, perform_surgery
 from .linkage import Linkage
 
 
@@ -98,8 +100,23 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     forced contradiction makes the component non-orientable.  Its faces'
     rows give F, E and, through `edges`, V; a vertex on no face or on two
     components' faces raises NotAClosedSurface.  Components are listed by
-    least vertex."""
+    least vertex.
+
+    `perform_surgery` runs this on each pentagon chamber's first mesh, and
+    the chamber map (`geometry._chambers`, at most 76 entries) keeps the
+    report.  A later mesh of the chamber holds the entry's very labels, rows
+    and signs, which the map keeps alive and `perform_surgery` re-homes
+    unchanged, so it holds their content and gets the report without a
+    traversal.  Every other mesh, hand-built or `_replace`d, is traversed."""
     complex_, signs = mesh.complex, mesh.signs
+    chamber = _chambers.get(getattr(complex_.linkage, "short", None))  # None if hand-built
+    if (
+        chamber is not None
+        and signs is chamber.signs
+        and complex_.boundary is chamber.boundary
+        and complex_.labels_by_dim is chamber.labels
+    ):
+        return chamber.report
     edges, rows = complex_.edges, complex_.boundary[2]
     count, face_sum, sign_product = [0] * len(edges), [0] * len(edges), [1] * len(edges)
     for f, row, row_signs in zip(range(len(rows)), rows, signs):
@@ -158,13 +175,14 @@ def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
 def classify_linkage(linkage: Linkage) -> TopologyReport:
     """End-to-end pipeline: classify the linkage's moduli space.
 
-    Pentagons get the full surface classification of their mesh.  Every
-    other n builds no complex: it reports the f-vector (`count_cells`), the
-    component count b_0 (`betti_numbers`) and the Euler characteristic,
-    which both give.  A mismatch, a vertex count other than (n-1)!, or a
-    b_0 that does not divide it raises ValueError.  A quadrilateral's space
-    is b_0 circles of f_0 / b_0 vertices and as many edges each: they are
-    equal, as reflection swaps the two circles of a disconnected one.
+    Pentagons get the full surface classification of their mesh, which
+    `analyze` works out once per chamber.  Every other n builds no complex:
+    it reports the f-vector (`count_cells`), the component count b_0
+    (`betti_numbers`) and the Euler characteristic, which both give.  A
+    mismatch, a vertex count other than (n-1)!, or a b_0 that does not
+    divide it raises ValueError.  A quadrilateral's space is b_0 circles of
+    f_0 / b_0 vertices and as many edges each: they are equal, as reflection
+    swaps the two circles of a disconnected one.
     """
     n = linkage.n
     if n == 5:

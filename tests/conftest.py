@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from linkspace import export
+from linkspace import export, geometry
 from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES
 from linkspace.geometry import perform_surgery, permutohedron
@@ -25,6 +25,14 @@ def complex_of():
     """The complex of a length spec, built once per spec and session: an
     n=8 build takes about half a second, and more than one test reads it."""
     return functools.cache(lambda spec: build_complex(make_linkage(parse_lengths(spec))))
+
+
+@pytest.fixture
+def no_chambers():
+    """Empty the chamber map (`geometry._chambers`), so that the test's first
+    pentagon of each chamber cuts, walks and classifies its surface afresh,
+    whatever chambers earlier tests met."""
+    geometry._chambers.clear()
 
 
 @pytest.fixture

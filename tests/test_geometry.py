@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -349,7 +350,7 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     assert records == list(mesh.cycles)
 
 
-def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys):
+def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys, no_chambers):
     # {4,5} is long in 1,1,1,1,3, so this 1-cell of the equilateral pentagon
     # is not in the sphere's complex; added with its two 0-cells, it bounds
     # no 2-cell.  The classifier, which every command runs on the mesh,
@@ -370,6 +371,10 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys):
     assert main(["mesh", "1,1,1,1,3"]) == 3
     assert main(["classify", "1,1,1,1,3"]) == 3
     assert "lies in 0 faces" in capsys.readouterr().err
+    # a refused surface is not kept for its chamber: the real build follows
+    monkeypatch.undo()
+    assert main(["classify", "1,1,1,1,3"]) == 0
+    assert "classification: sphere" in capsys.readouterr().out
 
 
 def test_face_cycle_lengths_match_labels(meshes):
@@ -450,10 +455,13 @@ def test_cycles_and_signs_are_walks_of_the_built_complex(representatives):
             assert list(signs) == directions, (linkage.spec(), labels[2][i])
 
 
-def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys):
+def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys, no_chambers):
     # the table's face cycles are worked out once per process; pentagons of
-    # other chambers read their cycles and signs from that map
+    # other chambers read their cycles and signs from that map.  The chamber
+    # map is emptied on both sides of the first pentagon, so that it walks
+    # the faces and each later spec fills its chamber from the walks
     assert main(["classify", "1,1,1,1,3"]) == 0
+    geometry._chambers.clear()
     calls = []
     formula = geometry._face_cycle
     monkeypatch.setattr(geometry, "_face_cycle", lambda parts: calls.append(parts) or formula(parts))
@@ -461,11 +469,58 @@ def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys):
         assert main(["classify", spec]) == 0
         assert main(["mesh", spec]) == 0
     assert calls == []
+    assert len(geometry._chambers) == 5  # five chambers, each filled through the walks
     # the count is live: with the cache cleared, one surgery works out each
     # of the table's 50 faces once, from its part columns
     geometry._face_walks.cache_clear()
+    geometry._chambers.clear()  # or the equilateral pentagon's chamber, met above, is re-homed
     perform_surgery(make_linkage([1, 1, 1, 1, 1]))
     assert calls == list(zip(*_table(5)[2][2]))
+
+
+#: linkctl's pentagon requests: `mesh` as OBJ, PLY and triangulated OBJ, and
+#: `classify` as JSON and text
+PENTAGON_REQUESTS = (
+    ["mesh", "--format", "obj"],
+    ["mesh", "--format", "ply"],
+    ["mesh", "--triangulate"],
+    ["classify", "--format", "json"],
+    ["classify"],
+)
+
+
+def _printed(capsys, spec):
+    """What linkctl prints for each of `PENTAGON_REQUESTS` of the spec."""
+    printed = []
+    for command, *options in PENTAGON_REQUESTS:
+        assert main([command, spec, *options]) == 0
+        printed.append(capsys.readouterr().out)
+    return printed
+
+
+def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
+    # each chamber's pentagon and the one of twice its lengths have the same
+    # short subsets and other specs.  Whichever comes second is re-homed
+    # from the chamber map, and prints what it prints with the map emptied,
+    # its own spec in every header
+    for first in pentagon_chambers():
+        double = make_linkage([2 * l for l in first.lengths])
+        assert double.short == first.short and double.spec() != first.spec()
+        alone = {}
+        for linkage in (first, double):
+            geometry._chambers.clear()
+            spec = linkage.spec()
+            alone[linkage] = obj, ply, triangulated, doc, text = _printed(capsys, spec)
+            assert obj.startswith(f"# linkage: {spec}\n")
+            assert triangulated.startswith(f"# linkage: {spec}\n")
+            assert f"\ncomment linkage: {spec}\n" in ply
+            assert json.loads(doc)["lengths"] == spec.split(",")
+            assert text.startswith(f"linkage: {spec}  (n=5)\n")
+        for met, later in ((first, double), (double, first)):
+            geometry._chambers.clear()
+            _printed(capsys, met.spec())
+            assert perform_surgery(later).complex.linkage == later
+            assert _printed(capsys, later.spec()) == alone[later], later.spec()
 
 
 def test_face_cycles_are_the_walks_of_the_tables():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linkspace import cwcomplex, geometry, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
 from linkspace.geometry import SurfaceMesh, perform_surgery
@@ -85,6 +86,27 @@ def test_analyze_agrees_with_the_mesh_route(top, count, representatives):
         report = analyze(mesh)
         assert report == classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
         assert all(c.orientable for c in report.components), linkage.spec()
+    # both inputs meet every chamber, and the map keeps one entry for each
+    assert len(geometry._chambers) == 76
+
+
+def test_a_chamber_met_before_is_neither_cut_nor_traversed(monkeypatch, capsys, no_chambers):
+    # a chamber's first pentagon cuts its complex and traverses its mesh;
+    # a second classify and mesh of the chamber, here under another spec,
+    # read both from the chamber map
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+
+    counted(cwcomplex, "_restrict")
+    counted(topology, "_surface_report")  # the last step of `analyze`'s traversal
+    for spec in ("2,2,1,1,3", "4,4,2,2,6"):
+        assert main(["classify", spec]) == 0
+        assert main(["mesh", spec]) == 0
+        assert calls == ["_restrict", "_surface_report"], spec
+    assert "genus-2 surface" in capsys.readouterr().out
 
 
 def _grid_faces(rows, cols, twist):
@@ -171,7 +193,7 @@ def test_components_are_listed_by_least_vertex():
         assert report.classification == classification
 
 
-def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys):
+def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys, no_chambers):
     # a second copy of 0-cell 0 of the sphere's complex, on no edge: counted
     # as its own component it would make "2 spheres" with chi = 3
     linkage = make_linkage([1, 1, 1, 1, 3])
