@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or a file
 or stream that cannot be read or written, 3 internal invariant violation.
 A stderr that cannot be written does not change the code.  `check` reads at
-most `CHECK_BOUND` characters, and refuses a longer input with exit 2.
+most `CHECK_BOUND` bytes, decoded as UTF-8, and refuses a longer or an
+undecodable input with exit 2.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ _SPELLINGS = {
     for command, (_, options) in [(None, (None, {})), *_COMMANDS.items()]
 }
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
-#: the most characters `check` reads, so that an endless input such as
-#: /dev/zero is refused, not read until memory runs out.  The writer's
-#: largest document for n <= 8, the all-short n=8 table's, is 17,123,994
-#: bytes, and `1,1,1,1,1,1,1,2`'s re-indented with indent=4 is 22,504,489
+#: the most bytes `check` reads, so that an endless input such as /dev/zero
+#: is refused, not read until memory runs out.  The writer's largest
+#: document for n <= 8, the all-short n=8 table's, is 17,123,994 bytes, and
+#: `1,1,1,1,1,1,1,2`'s re-indented with indent=4 is 22,504,489
 CHECK_BOUND = 32 * 2**20
 
 
@@ -233,13 +234,13 @@ def main(argv: list[str] | None = None) -> int:
         if command == "check":
             path = args["file"]
             try:
-                with nullcontext(_std(sys.stdin)) if path == "-" else open(path) as fh:
-                    text = fh.read(CHECK_BOUND + 1)
-            except (OSError, UnicodeDecodeError) as exc:
+                with nullcontext(_std(sys.stdin)) if path == "-" else open(path, "rb") as fh:
+                    text = getattr(fh, "buffer", fh).read(CHECK_BOUND + 1)  # io.StringIO has none
+                if len(text) > CHECK_BOUND:
+                    raise ValueError(f"longer than {CHECK_BOUND:,} bytes")
+                text = text.decode() if isinstance(text, bytes) else text
+            except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
                 _warn(f"error: cannot read {path!r}: {exc}")
-                return 2
-            if len(text) > CHECK_BOUND:
-                _warn(f"error: cannot read {path!r}: longer than {CHECK_BOUND:,} characters")
                 return 2
             try:
                 export.complex_from_json(text)

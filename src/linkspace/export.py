@@ -71,8 +71,8 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     each cycle's first vertex when `triangulate` is set.  In OBJ each record
     follows a `# face` comment holding the face's label and provenance.
     Classifying the mesh first refuses one that is not a closed surface; a
-    pentagon's own mesh gets its chamber's report from the chamber map
-    (`geometry._chambers`), worked out once per chamber.
+    mesh from `perform_surgery` gets its chamber's report from the chamber
+    map (`geometry._chambers`), worked out once per chamber.
     The vertex lines are formatted once per process for the points they
     share, `geometry.permutohedron()`'s table, and kept by `_vertex_lines`.
     A record's vertex numbers are read by one `itemgetter` from the index

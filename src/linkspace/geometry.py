@@ -18,10 +18,10 @@ checked by `topology.analyze`.
 The surgery keeps a facet or a diagonal by which subsets are short, so a
 pentagon's whole surface, its cells, face cycles, signs and classification,
 is fixed by its chamber: its `Linkage.short` table.  `_chambers` maps each
-table met to its surface, filled by the chamber's first pentagon through
-the cut, the face walks and `analyze`, and every later pentagon of the
-chamber gets that surface re-homed to its own linkage.  Generic pentagons
-have 76 labelled chambers, so the map holds at most 76 entries.
+table met to the mesh that the chamber's first pentagon built, through the
+cut and the face walks, and `analyze`'s report of it.  Every pentagon of
+the chamber gets a mesh on its own linkage that shares that mesh's tuples.
+Generic pentagons have 76 labelled chambers, so the map holds at most 76.
 `boundary_cycle`, a reference route for the tests that takes a
 `CyclicPartition`, imports the label layer (`partitions`) in its body, so
 no command loads it.
@@ -131,23 +131,12 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
     return [CyclicPartition(tuple(frozenset({b}) for b in v)) for v in _face_cycle(masks)]
 
 
-class _Chamber(NamedTuple):
-    """A pentagon chamber's surface: its complex's labels and rows, its
-    mesh's cycles and signs, and `analyze`'s report of them."""
-
-    labels: tuple[tuple[str, ...], ...]
-    boundary: tuple[tuple[tuple[int, ...], ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, ...], ...]
-    report: TopologyReport
-
-
-#: Each pentagon chamber's surface by its short-subset table, for the 76
-#: labelled chambers of generic pentagons at most.  An entry's tuples are
-#: those of the mesh that filled it, so a mesh holding them is its
-#: chamber's own (`topology.analyze`).  Two threads filling one
-#: entry at once each get a correct mesh, and the last entry stands.
-_chambers: dict[tuple[bool, ...], _Chamber] = {}
+#: Each pentagon chamber's mesh, built by its first pentagon, and that
+#: mesh's report, by its short-subset table: at most 76 entries.  A mesh
+#: holding the stored mesh's labels, rows and signs is its chamber's own
+#: (`topology.analyze`).  Two threads filling one entry at once each get a
+#: correct mesh, and the last entry stands.
+_chambers: dict[tuple[bool, ...], tuple[SurfaceMesh, TopologyReport]] = {}
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
@@ -165,21 +154,19 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     first pentagon cuts its complex (`build_complex`), reads each kept
     face's cycle and edge signs by label from `_face_walks`, and classifies
     the mesh (`topology.analyze`, which raises NotAClosedSurface on an edge
-    not on two faces); then `_chambers` keeps the lot, and nothing if a step
-    raised.  Every later pentagon of the chamber gets a new complex and mesh
-    on its own linkage that share the chamber's tuples."""
+    not on two faces); then `_chambers` keeps the mesh and its report, and
+    nothing if a step raised.  Every pentagon of the chamber, the first one
+    included, gets a new complex and mesh on its own linkage that share the
+    stored mesh's labels, rows, points, cycles and signs."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
-    chamber = _chambers.get(linkage.short)
-    if chamber is not None:
-        complex_ = CWComplex(linkage, chamber.labels, chamber.boundary)
-        return SurfaceMesh(complex_, permutohedron(), chamber.cycles, chamber.signs)
-    from .topology import analyze  # here, as topology imports this module
+    if (chamber := _chambers.get(linkage.short)) is None:
+        from .topology import analyze  # here, as topology imports this module
 
-    complex_ = build_complex(linkage)
-    cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
-    mesh = SurfaceMesh(complex_, permutohedron(), cycles, signs)
-    report = analyze(mesh)
-    labels, boundary = complex_.labels_by_dim, complex_.boundary
-    _chambers[linkage.short] = _Chamber(labels, boundary, cycles, signs, report)
-    return mesh
+        complex_ = build_complex(linkage)
+        cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
+        mesh = SurfaceMesh(complex_, permutohedron(), cycles, signs)
+        chamber = _chambers[linkage.short] = mesh, analyze(mesh)
+    mesh = chamber[0]
+    complex_ = CWComplex(linkage, mesh.complex.labels_by_dim, mesh.complex.boundary)
+    return SurfaceMesh(complex_, mesh.points, mesh.cycles, mesh.signs)

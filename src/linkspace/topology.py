@@ -3,9 +3,9 @@
 A pentagon's surface is classified from its complex (`analyze`): each
 edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
-check.  It runs once per pentagon chamber, when the chamber's first mesh
-fills the chamber map (`geometry._chambers`), and on every mesh that is
-not a chamber's own; the chamber's later meshes get the map's report.  One
+check.  It runs once per pentagon chamber, on the mesh that fills the
+chamber map (`geometry._chambers`), and on every mesh that is not a
+chamber's own; the chamber's meshes get the map's report.  One
 traversal of the faces across shared edges finds each component, with its
 vertices, and spreads face orientations from the mesh's edge signs so that
 the two faces on an edge walk it in opposite directions; a forced
@@ -103,20 +103,21 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     least vertex.
 
     `perform_surgery` runs this on each pentagon chamber's first mesh, and
-    the chamber map (`geometry._chambers`, at most 76 entries) keeps the
-    report.  A later mesh of the chamber holds the entry's very labels, rows
-    and signs, which the map keeps alive and `perform_surgery` re-homes
-    unchanged, so it holds their content and gets the report without a
+    the chamber map (`geometry._chambers`, at most 76 entries) keeps that
+    mesh and the report.  Every mesh that `perform_surgery` hands out holds
+    the stored mesh's very labels, rows and signs, which the map keeps
+    alive, so it holds their content and gets the report without a
     traversal.  Every other mesh, hand-built or `_replace`d, is traversed."""
     complex_, signs = mesh.complex, mesh.signs
-    chamber = _chambers.get(getattr(complex_.linkage, "short", None))  # None if hand-built
+    short = getattr(complex_.linkage, "short", None)  # None if hand-built
+    own, report = _chambers.get(short, (None, None))
     if (
-        chamber is not None
-        and signs is chamber.signs
-        and complex_.boundary is chamber.boundary
-        and complex_.labels_by_dim is chamber.labels
+        own is not None
+        and signs is own.signs
+        and complex_.boundary is own.complex.boundary
+        and complex_.labels_by_dim is own.complex.labels_by_dim
     ):
-        return chamber.report
+        return report
     edges, rows = complex_.edges, complex_.boundary[2]
     count, face_sum, sign_product = [0] * len(edges), [0] * len(edges), [1] * len(edges)
     for f, row, row_signs in zip(range(len(rows)), rows, signs):

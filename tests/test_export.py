@@ -1323,14 +1323,32 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20,) * 2)
 
 
+#: a program that writes U+1F600, four bytes in UTF-8, to stdout without end
+ENDLESS_EMOJI = "import sys\nwhile True: sys.stdout.buffer.write('\\U0001f600'.encode() * 4096)"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-@pytest.mark.parametrize("path", ["/dev/zero", "-"])
-def test_linkctl_check_refuses_an_endless_input(path):
-    with open("/dev/zero", "rb") as zero:
+@pytest.mark.parametrize(
+    "path, writer",
+    [("/dev/zero", None), ("-", None), ("-", ENDLESS_EMOJI)],
+    ids=["/dev/zero", "-", "- of U+1F600"],
+)
+def test_linkctl_check_refuses_an_endless_input(path, writer):
+    # stdin is /dev/zero, or a pipe from `writer`: the bound counts bytes, so
+    # 4-byte characters fit under the address-space limit as zeros do
+    with contextlib.ExitStack() as stack:
+        if writer is None:
+            feed = stack.enter_context(open("/dev/zero", "rb"))
+        else:
+            argv = [sys.executable, "-c", writer]
+            child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            stack.enter_context(child)
+            stack.callback(child.kill)  # before the Popen's exit waits for it
+            feed = child.stdout
         proc = _fresh_python(
-            LINKSPACE_MAIN, "check", path, stdin=zero, preexec_fn=_limit_address_space
+            LINKSPACE_MAIN, "check", path, stdin=feed, preexec_fn=_limit_address_space
         )
-    error = f"error: cannot read {path!r}: longer than 33,554,432 characters\n"
+    error = f"error: cannot read {path!r}: longer than 33,554,432 bytes\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
@@ -1340,7 +1358,7 @@ def test_cli_check_reads_at_most_its_bound(monkeypatch, capsys):
         monkeypatch.setattr(cli, "CHECK_BOUND", bound)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main(["check", "-"]) == code
-    assert capsys.readouterr() == ("", f"error: cannot read '-': longer than {bound:,} characters\n")
+    assert capsys.readouterr() == ("", f"error: cannot read '-': longer than {bound:,} bytes\n")
 
 
 def _edited(edit):

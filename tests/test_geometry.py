@@ -502,7 +502,8 @@ def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
     # each chamber's pentagon and the one of twice its lengths have the same
     # short subsets and other specs.  Whichever comes second is re-homed
     # from the chamber map, and prints what it prints with the map emptied,
-    # its own spec in every header
+    # its own spec in every header.  The first and the second each get a
+    # mesh on their own linkage that holds the stored mesh's very tuples
     for first in pentagon_chambers():
         double = make_linkage([2 * l for l in first.lengths])
         assert double.short == first.short and double.spec() != first.spec()
@@ -518,6 +519,14 @@ def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
             assert text.startswith(f"linkage: {spec}  (n=5)\n")
         for met, later in ((first, double), (double, first)):
             geometry._chambers.clear()
+            handed = perform_surgery(met), perform_surgery(later)  # the fill, then a re-home
+            stored, _ = geometry._chambers[met.short]
+            for linkage, mesh in zip((met, later), handed):
+                assert mesh.complex.linkage is linkage
+                assert mesh.points is stored.points and mesh.cycles is stored.cycles
+                assert mesh.signs is stored.signs
+                assert mesh.complex.labels_by_dim is stored.complex.labels_by_dim
+                assert mesh.complex.boundary is stored.complex.boundary
             _printed(capsys, met.spec())
             assert perform_surgery(later).complex.linkage == later
             assert _printed(capsys, later.spec()) == alone[later], later.spec()

@@ -102,11 +102,14 @@ def test_a_chamber_met_before_is_neither_cut_nor_traversed(monkeypatch, capsys, 
 
     counted(cwcomplex, "_restrict")
     counted(topology, "_surface_report")  # the last step of `analyze`'s traversal
+    points, made = geometry.permutohedron, []
+    monkeypatch.setattr(geometry, "permutohedron", lambda: made.append(1) or points())
     for spec in ("2,2,1,1,3", "4,4,2,2,6"):
         assert main(["classify", spec]) == 0
         assert main(["mesh", spec]) == 0
         assert calls == ["_restrict", "_surface_report"], spec
     assert "genus-2 surface" in capsys.readouterr().out
+    assert made == [1]  # the fill's: every mesh handed out holds the stored mesh's points
 
 
 def _grid_faces(rows, cols, twist):
