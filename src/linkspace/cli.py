@@ -234,11 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         if command == "check":
             path = args["file"]
             try:
-                with nullcontext(_std(sys.stdin)) if path == "-" else open(path, "rb") as fh:
-                    text = getattr(fh, "buffer", fh).read(CHECK_BOUND + 1)  # io.StringIO has none
+                with nullcontext(_std(sys.stdin).buffer) if path == "-" else open(path, "rb") as fh:
+                    text = fh.read(CHECK_BOUND + 1)
                 if len(text) > CHECK_BOUND:
                     raise ValueError(f"longer than {CHECK_BOUND:,} bytes")
-                text = text.decode() if isinstance(text, bytes) else text
+                text = text.decode()
             except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
                 _warn(f"error: cannot read {path!r}: {exc}")
                 return 2

@@ -8,15 +8,17 @@ for every admissible 2-cell whose part containing 5 is not a singleton.
 `build_complex` does the last two: it cuts the complex from one table of the
 permutohedron's faces and all the diagonals.  Here live the vertex placement,
 one cached table of the 24 exact integer vertices in R^4 (`permutohedron`),
-and the face cycles and edge signs.  The points stay exact: the mesh writer
+and the face cycles.  The points stay exact: the mesh writer
 (`export._vertex_lines`) takes the one lossy step to R^3.  A 2-cell is the
 product of its parts' permutohedra, so its cycle is a formula in its parts
 (`_face_cycle`), worked out once per process for the table's 50 faces and
-read by label (`_face_walks`).  That the result is a closed surface is
-checked by `topology.analyze`.
+read by label (`_face_walks`).  A face's cycle, the one the mesh writer
+writes, is also its orientation: `topology.analyze` reads each face's
+direction along its edges off it, and checks that the result is a closed
+surface.
 
 The surgery keeps a facet or a diagonal by which subsets are short, so a
-pentagon's whole surface, its cells, face cycles, signs and classification,
+pentagon's whole surface, its cells, face cycles and classification,
 is fixed by its chamber: its `Linkage.short` table.  `_chambers` maps each
 table met to the mesh that the chamber's first pentagon built, through the
 cut and the face walks, and `analyze`'s report of it.  Every pentagon of
@@ -24,7 +26,9 @@ the chamber gets a mesh on its own linkage that shares that mesh's tuples.
 Generic pentagons have 76 labelled chambers, so the map holds at most 76.
 `boundary_cycle`, a reference route for the tests that takes a
 `CyclicPartition`, imports the label layer (`partitions`) in its body, so
-no command loads it.
+no command loads it.  Annotations reach `partitions` and `topology`, which
+imports this module, through the package: loading this module imports
+neither, and `typing.get_type_hints` resolves them once both are loaded.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from bisect import bisect_left
 from functools import cache
 from itertools import permutations
 from typing import NamedTuple, Sequence
+
+import linkspace  # the package, loaded before this module: for the annotations
 
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from .linkage import Linkage
@@ -55,10 +61,9 @@ class SurfaceMesh(NamedTuple):
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
     `points[k]` is vertex k's exact point in R^4 and `cycles[k]` lists face
-    k's vertex indices in polygon order.  `signs[k]` holds one sign per edge
-    of face k's row `complex.boundary[2][k]`, in that row's order: +1 if the
-    cycle walks the edge from the first to the second 0-cell of its
-    `complex.edges` row, else -1.  The edges (`complex.edges`), the counts
+    k's vertex indices in polygon order, which is also face k's orientation.
+    The cycle walks exactly the edges of face k's row
+    `complex.boundary[2][k]`.  The edges (`complex.edges`), the counts
     (`complex.f_vector()`) and each face's provenance are read off the
     complex.
     """
@@ -66,7 +71,6 @@ class SurfaceMesh(NamedTuple):
     complex: CWComplex
     points: tuple[Point4, ...]
     cycles: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, ...], ...]
 
     def provenances(self) -> list[str]:
         """Face k's provenance at k: 'permutohedron' for a kept facet, whose
@@ -96,27 +100,21 @@ def _face_cycle(parts: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 @cache
-def _face_walks() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+def _face_walks() -> dict[str, tuple[int, ...]]:
     """Each 2-cell of the n = 5 table (`cwcomplex._table(5)`) by label: its
-    vertex cycle, from its part columns by `_face_cycle`, and one sign per
-    edge of its boundary row, +1 where the cycle walks the edge from its
-    first 0-cell to its second.  Both hold in every pentagon's complex: the
-    cut keeps all 24 0-cells and a kept face's edges, and renumbers the
-    edges monotonically, so the face's row lists them in the table's order."""
-    labels, boundary, columns = _table(5)
+    vertex cycle, from its part columns by `_face_cycle`.  It holds in every
+    pentagon's complex, as the cut keeps all 24 0-cells and their order."""
+    labels, _, columns = _table(5)
     # 0-cells are sorted by label string {a}{b}{c}{d}{5}, which for n=5 is
     # the lexicographic order of the permutations abcd, as the points are
     index = {(*order, 5): k for k, order in enumerate(permutations(range(1, 5)))}
-    ends, walks = boundary[1], {}
-    for label, row, parts in zip(labels[2], boundary[2], zip(*columns[2])):
-        cycle = [index[v] for v in _face_cycle(parts)]
-        after = dict(zip(cycle, cycle[1:] + cycle[:1]))  # each vertex's successor
-        signs = tuple([1 if after[u] == w else -1 for u, w in map(ends.__getitem__, row)])
-        walks[label] = (tuple(cycle), signs)
-    return walks
+    faces = zip(labels[2], zip(*columns[2]))
+    return {label: tuple([index[v] for v in _face_cycle(parts)]) for label, parts in faces}
 
 
-def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPartition]:
+def boundary_cycle(
+    cell: linkspace.partitions.CyclicPartition, complex_: CWComplex
+) -> list[linkspace.partitions.CyclicPartition]:
     """Polygon order of a 2-cell's vertices, as labels, by `_face_cycle`.
     Raises ValueError unless the label is a 2-cell of the complex, found by
     bisection in its sorted label text."""
@@ -133,10 +131,10 @@ def boundary_cycle(cell: CyclicPartition, complex_: CWComplex) -> list[CyclicPar
 
 #: Each pentagon chamber's mesh, built by its first pentagon, and that
 #: mesh's report, by its short-subset table: at most 76 entries.  A mesh
-#: holding the stored mesh's labels, rows and signs is its chamber's own
+#: holding the stored mesh's labels, rows and cycles is its chamber's own
 #: (`topology.analyze`).  Two threads filling one entry at once each get a
 #: correct mesh, and the last entry stands.
-_chambers: dict[tuple[bool, ...], tuple[SurfaceMesh, TopologyReport]] = {}
+_chambers: dict[tuple[bool, ...], tuple[SurfaceMesh, linkspace.topology.TopologyReport]] = {}
 
 
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
@@ -152,21 +150,21 @@ def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     The surface depends on the linkage only through its chamber, the
     `short` table, which decides every cell the cut keeps.  A chamber's
     first pentagon cuts its complex (`build_complex`), reads each kept
-    face's cycle and edge signs by label from `_face_walks`, and classifies
-    the mesh (`topology.analyze`, which raises NotAClosedSurface on an edge
-    not on two faces); then `_chambers` keeps the mesh and its report, and
-    nothing if a step raised.  Every pentagon of the chamber, the first one
+    face's cycle by label from `_face_walks`, and classifies the mesh
+    (`topology.analyze`, which raises NotAClosedSurface on an edge not on
+    two faces); then `_chambers` keeps the mesh and its report, and nothing
+    if a step raised.  Every pentagon of the chamber, the first one
     included, gets a new complex and mesh on its own linkage that share the
-    stored mesh's labels, rows, points, cycles and signs."""
+    stored mesh's labels, rows, points and cycles."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
     if (chamber := _chambers.get(linkage.short)) is None:
         from .topology import analyze  # here, as topology imports this module
 
         complex_ = build_complex(linkage)
-        cycles, signs = zip(*map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
-        mesh = SurfaceMesh(complex_, permutohedron(), cycles, signs)
+        cycles = tuple(map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
+        mesh = SurfaceMesh(complex_, permutohedron(), cycles)
         chamber = _chambers[linkage.short] = mesh, analyze(mesh)
     mesh = chamber[0]
     complex_ = CWComplex(linkage, mesh.complex.labels_by_dim, mesh.complex.boundary)
-    return SurfaceMesh(complex_, mesh.points, mesh.cycles, mesh.signs)
+    return SurfaceMesh(complex_, mesh.points, mesh.cycles)

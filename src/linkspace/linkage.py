@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -147,7 +146,6 @@ def part_text(part: Iterable[int]) -> str:
     return "{" + ",".join(map(str, sorted(part))) + "}"
 
 
-@cache
 def mask_texts(n: int) -> tuple[str, ...]:
     """The text of every part on n bars, indexed by its bitmask:
     mask_texts(5)[0b101] == '{1,3}'."""

@@ -5,12 +5,15 @@ edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
 check.  It runs once per pentagon chamber, on the mesh that fills the
 chamber map (`geometry._chambers`), and on every mesh that is not a
-chamber's own; the chamber's meshes get the map's report.  One
-traversal of the faces across shared edges finds each component, with its
-vertices, and spreads face orientations from the mesh's edge signs so that
-the two faces on an edge walk it in opposite directions; a forced
-contradiction means the component is non-orientable.  Genus follows from
-the Euler characteristic for orientable components.
+chamber's own; the chamber's meshes get the map's report.  A face's
+orientation is its vertex cycle, the one the mesh writer writes: its
+direction along each edge of its row is read off the cycle, and a cycle
+that does not walk exactly its row's edges is refused.  One traversal of
+the faces across shared edges finds each component, with its vertices,
+and spreads face orientations so that the two faces on an edge walk it in
+opposite directions; a forced contradiction means the component is
+non-orientable.  Genus follows from the Euler characteristic for
+orientable components.
 
 For every other n the short-subset table alone gives the f-vector
 (`cwcomplex.count_cells`) and the Betti numbers (`betti_numbers`), and no
@@ -31,8 +34,10 @@ from .linkage import Linkage
 
 
 class NotAClosedSurface(RuntimeError):
-    """A mesh edge not on exactly two faces, or a vertex on no face or on the
-    faces of two components: the theory rules out both for generic linkages."""
+    """Mesh cycles other than one per face, each walking exactly its face's
+    edges, a mesh edge not on exactly two faces, or a vertex on no face or
+    on the faces of two components: the theory rules these out for generic
+    linkages."""
 
 
 class ComponentReport(NamedTuple):
@@ -91,37 +96,48 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     """Classify a pentagon's surface from its complex.
 
     One pass over the rows `boundary[2]`, a face's edges each listed once,
-    and the mesh's signs counts each edge's faces, sums their indices and
-    multiplies their signs; an edge not on exactly two faces raises
-    NotAClosedSurface.  One traversal per component crosses shared edges
-    from face to face, f to g, the edge's face sum less f, and gives each
-    face an orientation o (+1 keeps a face's cycle, -1 reverses it) with
-    o_f * s = -o_g * t on every edge, s and t its signs in faces f and g; a
-    forced contradiction makes the component non-orientable.  Its faces'
-    rows give F, E and, through `edges`, V; a vertex on no face or on two
-    components' faces raises NotAClosedSurface.  Components are listed by
-    least vertex.
+    and the mesh's cycles counts each edge's faces, sums their indices and
+    multiplies their signs.  A face's sign on an edge of its row is +1 iff
+    its cycle steps from the edge's first 0-cell (in `edges`) to its
+    second, and -1 iff it steps back.  Cycles other than one per face, a
+    cycle that misses an edge of its row or walks a segment that is not one,
+    and an edge not on exactly two faces raise NotAClosedSurface.  One
+    traversal per component crosses shared edges from face to face, f to g,
+    the edge's face sum less f, and gives each face an orientation o (+1
+    keeps a face's cycle, -1 reverses it) with o_f * s = -o_g * t on every
+    edge, s and t its signs in faces f and g; a forced contradiction makes
+    the component non-orientable.  Its faces' rows give F, E and, through
+    `edges`, V; a vertex on no face or on two components' faces raises
+    NotAClosedSurface.  Components are listed by least vertex.
 
     `perform_surgery` runs this on each pentagon chamber's first mesh, and
     the chamber map (`geometry._chambers`, at most 76 entries) keeps that
     mesh and the report.  Every mesh that `perform_surgery` hands out holds
-    the stored mesh's very labels, rows and signs, which the map keeps
+    the stored mesh's very labels, rows and cycles, which the map keeps
     alive, so it holds their content and gets the report without a
     traversal.  Every other mesh, hand-built or `_replace`d, is traversed."""
-    complex_, signs = mesh.complex, mesh.signs
+    complex_, cycles = mesh.complex, mesh.cycles
     short = getattr(complex_.linkage, "short", None)  # None if hand-built
     own, report = _chambers.get(short, (None, None))
     if (
         own is not None
-        and signs is own.signs
+        and cycles is own.cycles
         and complex_.boundary is own.complex.boundary
         and complex_.labels_by_dim is own.complex.labels_by_dim
     ):
         return report
     edges, rows = complex_.edges, complex_.boundary[2]
+    if len(cycles) != len(rows):
+        raise NotAClosedSurface(f"{len(cycles)} face cycles for {len(rows)} faces")
     count, face_sum, sign_product = [0] * len(edges), [0] * len(edges), [1] * len(edges)
-    for f, row, row_signs in zip(range(len(rows)), rows, signs):
-        for e, s in zip(row, row_signs):
+    for f, row, cycle in zip(range(len(rows)), rows, cycles):
+        after = dict(zip(cycle, cycle[1:] + cycle[:1]))  # each vertex's successor
+        ends = map(edges.__getitem__, row)
+        signs = [1 if after.get(u) == w else -1 if after.get(w) == u else 0 for u, w in ends]
+        # each edge found is a distinct step, and as many edges as steps leave none over
+        if 0 in signs or len(signs) != len(cycle):
+            raise NotAClosedSurface(f"face {f}'s cycle does not walk exactly its edges")
+        for e, s in zip(row, signs):
             count[e] += 1
             face_sum[e] += f
             sign_product[e] *= s

@@ -2,15 +2,19 @@ import contextlib
 import errno
 import gc
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import typing
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -1178,6 +1182,21 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
+def test_every_annotation_in_the_package_resolves():
+    # each module's own annotations, and those of each function and class
+    # it defines, name types that `typing.get_type_hints` can find, with
+    # every module loaded; `__main__` runs linkctl when imported
+    names = [m.name for m in pkgutil.iter_modules(linkspace.__path__) if m.name != "__main__"]
+    modules = [importlib.import_module(f"linkspace.{name}") for name in names]
+    assert "geometry" in names and "partitions" in names
+    for module in modules:
+        typing.get_type_hints(module)
+        for obj in vars(module).values():
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                if obj.__module__ == module.__name__:
+                    typing.get_type_hints(obj)
+
+
 def test_the_first_request_of_a_process_leaves_no_cyclic_garbage():
     # building argparse's parser once left 46 to 52 objects in each process
     run = (
@@ -1356,7 +1375,7 @@ def test_cli_check_reads_at_most_its_bound(monkeypatch, capsys):
     text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
     for bound, code in [(len(text), 0), (len(text) - 1, 2)]:
         monkeypatch.setattr(cli, "CHECK_BOUND", bound)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert main(["check", "-"]) == code
     assert capsys.readouterr() == ("", f"error: cannot read '-': longer than {bound:,} bytes\n")
 
@@ -1567,7 +1586,8 @@ def test_cli_check_accepts_a_document_from_a_file_or_stdin(tmp_path, monkeypatch
     path = tmp_path / "complex.json"
     path.write_text(text)
     assert main(["check", str(path)]) == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(json.loads(text))))
+    stdin = io.TextIOWrapper(io.BytesIO(json.dumps(json.loads(text)).encode()))
+    monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["check", "-"]) == 0
     assert capsys.readouterr() == ("", "")
 

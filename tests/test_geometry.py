@@ -436,28 +436,20 @@ def test_surgery_is_deterministic():
     assert perform_surgery(linkage) == perform_surgery(linkage)
 
 
-def test_cycles_and_signs_are_walks_of_the_built_complex(representatives):
-    # each face's cycle and signs are read by label from the formula on the
-    # n = 5 table's faces; a walk on the pentagon's own complex must give
-    # the same
+def test_cycles_are_walks_of_the_built_complex(representatives):
+    # each face's cycle is read by label from the formula on the n = 5
+    # table's faces; a walk on the pentagon's own complex must give the same
     for linkage in [l for _, l in representatives] + list(pentagon_chambers()):
         mesh, complex_ = perform_surgery(linkage), build_complex(linkage)
         labels, boundary = complex_.labels_by_dim, complex_.boundary
-        assert len(mesh.cycles) == len(mesh.signs) == len(boundary[2])
-        for i, (cycle, signs, row) in enumerate(zip(mesh.cycles, mesh.signs, boundary[2])):
-            assert list(cycle) == walk_cycle(labels, boundary, i)
-            walked = set(zip(cycle, cycle[1:] + cycle[:1]))
-            # +1 iff the cycle walks the edge from its first 0-cell to its second
-            directions = [
-                1 if (u, w) in walked else -1 if (w, u) in walked else 0
-                for u, w in (complex_.edges[e] for e in row)
-            ]
-            assert list(signs) == directions, (linkage.spec(), labels[2][i])
+        assert len(mesh.cycles) == len(boundary[2])
+        for i, cycle in enumerate(mesh.cycles):
+            assert list(cycle) == walk_cycle(labels, boundary, i), labels[2][i]
 
 
 def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys, no_chambers):
     # the table's face cycles are worked out once per process; pentagons of
-    # other chambers read their cycles and signs from that map.  The chamber
+    # other chambers read their cycles from that map.  The chamber
     # map is emptied on both sides of the first pentagon, so that it walks
     # the faces and each later spec fills its chamber from the walks
     assert main(["classify", "1,1,1,1,3"]) == 0
@@ -523,8 +515,8 @@ def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
             stored, _ = geometry._chambers[met.short]
             for linkage, mesh in zip((met, later), handed):
                 assert mesh.complex.linkage is linkage
-                assert mesh.points is stored.points and mesh.cycles is stored.cycles
-                assert mesh.signs is stored.signs
+                assert mesh.points is stored.points
+                assert mesh.cycles is stored.cycles
                 assert mesh.complex.labels_by_dim is stored.complex.labels_by_dim
                 assert mesh.complex.boundary is stored.complex.boundary
             _printed(capsys, met.spec())

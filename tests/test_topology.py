@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from linkspace import cwcomplex, geometry, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
+from linkspace.export import export_mesh
 from linkspace.geometry import SurfaceMesh, perform_surgery
 from linkspace.linkage import make_linkage
 from linkspace.topology import (
@@ -74,10 +75,11 @@ def test_classify_linkage_matches_analyze(meshes):
     ids=["representatives and chambers", "generic integer lengths 1-7"],
 )
 def test_analyze_agrees_with_the_mesh_route(top, count, representatives):
-    # the complex's face rows and signs against the mesh's vertex cycles,
-    # over the six representatives and every labelled chamber, or every
-    # generic pentagon with integer lengths 1 to `top`; the chambers hold
-    # every generic pentagon, so every one of them is orientable
+    # the complex's face rows and the mesh's cycles against the cycles
+    # alone, each face's edges looked up by vertex pair, over the six
+    # representatives and every labelled chamber, or every generic pentagon
+    # with integer lengths 1 to `top`; the chambers hold every generic
+    # pentagon, so every one of them is orientable
     linkages = [l for _, l in representatives] + list(pentagon_chambers())
     linkages = list(generic_integer_pentagons(top)) if top else linkages
     assert len(linkages) == count
@@ -112,6 +114,50 @@ def test_a_chamber_met_before_is_neither_cut_nor_traversed(monkeypatch, capsys, 
     assert made == [1]  # the fill's: every mesh handed out holds the stored mesh's points
 
 
+def test_a_chambers_report_holds_for_any_face_orientations(monkeypatch):
+    # a face's orientation is its cycle: each chamber's mesh, rebuilt on a
+    # fresh complex with any subset of its face cycles reversed, is
+    # traversed and gets the chamber's report
+    traversed, rng, report_of = [], random.Random(5), topology._surface_report
+    monkeypatch.setattr(
+        topology, "_surface_report", lambda *a: traversed.append(a) or report_of(*a)
+    )
+    for linkage in pentagon_chambers():
+        report, (_, points, cycles) = classify_linkage(linkage), perform_surgery(linkage)
+        faces = range(len(cycles))
+        for subset in [(), faces, rng.sample(faces, 3), rng.sample(faces, 5)]:
+            flipped = tuple(c[::-1] if k in subset else c for k, c in enumerate(cycles))
+            traversed.clear()
+            assert analyze(SurfaceMesh(build_complex(linkage), points, flipped)) == report
+            assert len(traversed) == 1, linkage.spec()
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda c: c[:-1], lambda c: (c[1], c[0], *c[2:]), lambda c: c + c],
+    ids=["skips an edge", "walks a segment that is no edge", "walks its edges twice"],
+)
+def test_a_cycle_that_does_not_walk_its_faces_edges_is_refused(broken):
+    mesh = perform_surgery(make_linkage([1, 1, 1, 1, 3]))
+    for f in (0, len(mesh.cycles) - 1):
+        cycles = list(mesh.cycles)
+        cycles[f] = broken(cycles[f])
+        with pytest.raises(NotAClosedSurface, match=f"face {f}'s cycle does not walk exactly"):
+            analyze(mesh._replace(cycles=tuple(cycles)))
+
+
+def test_a_mesh_with_a_cycle_more_or_less_than_its_faces_is_refused():
+    # one cycle more would be classified without it, and written as a face
+    # the complex does not have
+    mesh = perform_surgery(make_linkage([1, 1, 1, 1, 3]))
+    faces = len(mesh.cycles)
+    for cycles in (mesh.cycles + mesh.cycles[:1], mesh.cycles[:-1]):
+        with pytest.raises(NotAClosedSurface, match=f"{len(cycles)} face cycles for {faces} faces"):
+            analyze(mesh._replace(cycles=cycles))
+        with pytest.raises(NotAClosedSurface):
+            export_mesh(mesh._replace(cycles=cycles), "obj")
+
+
 def _grid_faces(rows, cols, twist):
     """Quad grid on a torus (twist=False) or Klein bottle (twist=True):
     wrap i mod rows always; crossing the top edge maps i to -i when twisted."""
@@ -138,20 +184,15 @@ def _mesh(v, e, f):
     """The surface of `v` vertices, edges `e` and face cycles `f` (as
     `_grid_faces` gives them) as a SurfaceMesh on a hand-built complex, with
     no linkage, which `analyze` does not read: its 2-cell rows list each
-    face's edges ascending, with the face's cycle and its sign along each
-    edge, +1 where the cycle walks the edge as stored."""
+    face's edges ascending, and the face's orientation is its cycle."""
     edge_id = {ends: i for i, ends in enumerate(e)}
-    face_rows, signs = [], []
-    for cycle in f:
-        walked = {
-            edge_id[(min(a, b), max(a, b))]: 1 if a < b else -1
-            for a, b in zip(cycle, cycle[1:] + cycle[:1])
-        }
-        face_rows.append(tuple(sorted(walked)))
-        signs.append(tuple(walked[i] for i in sorted(walked)))
+    face_rows = [
+        tuple(sorted(edge_id[(min(a, b), max(a, b))] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
+        for cycle in f
+    ]
     labels = [[str(k) for k in range(count)] for count in (v, len(e), len(f))]
     complex_ = CWComplex(None, labels, [((),) * v, e, face_rows])
-    return SurfaceMesh(complex_, ((0, 0, 0, 0),) * v, tuple(f), tuple(signs))
+    return SurfaceMesh(complex_, ((0, 0, 0, 0),) * v, tuple(f))
 
 
 def test_torus_grid_classifies_as_torus():
