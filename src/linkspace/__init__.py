@@ -3,10 +3,20 @@ surgery, surface classification and mesh export."""
 
 from .cwcomplex import CWComplex, build_complex
 from .geometry import SurfaceMesh, perform_surgery
-from .linkage import DEFAULT_EPSILON, Linkage, make_linkage
+from .linkage import Linkage, make_linkage
 from .topology import TopologyReport, analyze, classify_linkage
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    """`DEFAULT_EPSILON`, which `linkage` builds as a Fraction when it is
+    read, so that importing the package loads no `fractions`."""
+    if name == "DEFAULT_EPSILON":
+        from .linkage import DEFAULT_EPSILON
+
+        return DEFAULT_EPSILON
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CWComplex",

@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from .geometry import perform_surgery
-from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
+from .linkage import _EPSILON, LinkageError, _parse_ratio, _parse_ratios, make_linkage
 from .topology import NotAClosedSurface
 
 #: linkctl's grammar: each command's positional and options.  An option,
@@ -253,13 +253,12 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(text, None) or (0 if ok else 1)
 
         epsilon = args["epsilon"]
-        epsilon = DEFAULT_EPSILON if epsilon is None else parse_rational(epsilon, "--epsilon")
-        if epsilon <= 0:  # else make_linkage would blame the first eps length
+        epsilon = _EPSILON if epsilon is None else _parse_ratio(epsilon, "--epsilon")
+        if epsilon.numerator <= 0:  # else make_linkage would blame the first eps length
             raise LinkageError(f"--epsilon is {epsilon}; it must be > 0")
         # count the bars first, so an over-long list is refused unparsed
         _check_bar_count(command, args["lengths"].count(",") + 1)
-        lengths = parse_lengths(args["lengths"], epsilon)
-        linkage = make_linkage(lengths)
+        linkage = make_linkage(_parse_ratios(args["lengths"], epsilon))
         if command == "classify":
             report = topology.classify_linkage(linkage)
             if args["format"] == "json":

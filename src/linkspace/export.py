@@ -24,13 +24,13 @@ from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
 from .geometry import Point4, SurfaceMesh
 from .linkage import (
-    DEFAULT_EPSILON,
+    _EPSILON,
     Linkage,
     LinkageError,
+    _parse_ratio,
+    _parse_ratios,
     _quoted,
     make_linkage,
-    parse_lengths,
-    parse_rational,
 )
 
 
@@ -155,10 +155,10 @@ def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
     holds the writer's whole document.  Raises ValueError on a grade that
     `build_complex` does not build (see `CWComplex`)."""
     # Strings go out unescaped: no label or length can hold a character JSON
-    # escapes.  Labels are digits, braces and commas; lengths are positive
-    # str(Fraction), digits and '/'.
+    # escapes.  Labels are digits, braces and commas; lengths are the
+    # positive exact texts of `Linkage.spec`, digits and '/'.
     join_faces = ",\n        ".join
-    lengths = [f'    "{l}"' for l in complex_.linkage.lengths]
+    lengths = [f'    "{l}"' for l in complex_.linkage.spec().split(",")]
     yield (
         f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
         + _json_array(lengths, "  ")
@@ -263,7 +263,7 @@ def complex_from_json(text: str) -> CWComplex:
         tokens = re.findall(r'"([^"]*)"', header[1])
         with suppress(ArityMismatch, LinkageError):  # the validator names the fault
             check_supported_arity(len(tokens), "complex construction")  # before the 2^n pass
-            complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
+            complex_ = build_complex(make_linkage([_parse_ratio(t) for t in tokens]))
         if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
             return complex_
     try:
@@ -297,7 +297,7 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
     check_supported_arity(n, "complex construction")  # before make_linkage's 2^n pass
     if complex_ is None or doc["lengths"] != tokens:
-        complex_ = build_complex(make_linkage([parse_rational(t) for t in doc["lengths"]]))
+        complex_ = build_complex(make_linkage([_parse_ratio(t) for t in doc["lengths"]]))
     if len(records) != sum(complex_.f_vector()):
         raise ValueError(
             f"document has {len(records)} cells, but the complex of lengths"
@@ -354,7 +354,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     ]
     doc = {
         "schema": "1",
-        "lengths": _json_array([f'    "{l}"' for l in linkage.lengths], "  "),
+        "lengths": _json_array([f'    "{l}"' for l in linkage.spec().split(",")], "  "),
         "f_vector": _json_array([f"    {c}" for c in report.f_vector], "  "),
         "component_count": str(report.component_count),
         "components": _json_array(components, "  "),
@@ -457,7 +457,7 @@ def render_tables() -> str:
     admissible iff its label is a 2-cell of the pentagon's complex.  Both
     labels of a step-3 row have the same parts, so the first one decides."""
     kept = [
-        set(build_complex(make_linkage(parse_lengths(r.spec))).labels_by_dim[2])
+        set(build_complex(make_linkage(_parse_ratios(r.spec))).labels_by_dim[2])
         for r in REPRESENTATIVES
     ]
     sections = [  # (title, [(row text, the label that decides it)])
@@ -469,7 +469,7 @@ def render_tables() -> str:
     header = f"{'':>2}  {'partition':<{width}}  " + "  ".join(columns)
     lines = []
     for title, rows in sections:
-        lines += [f"{title} (eps = {DEFAULT_EPSILON})", "", header]
+        lines += [f"{title} (eps = {_EPSILON})", "", header]
         for i, (label, key) in enumerate(rows, 1):
             marks = ("v" if key in faces else "-" for faces in kept)
             cells = "  ".join(mark.center(len(c)) for mark, c in zip(marks, columns))
@@ -492,7 +492,7 @@ def verify_all() -> tuple[bool, str]:
     ok = True
     for rep in REPRESENTATIVES:
         try:
-            report = topology.classify_linkage(make_linkage(parse_lengths(rep.spec)))
+            report = topology.classify_linkage(make_linkage(_parse_ratios(rep.spec)))
         except LinkageError as exc:
             good, detail = False, f"construction failed: {exc}"
         else:

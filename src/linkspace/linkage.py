@@ -2,12 +2,18 @@
 
 A linkage is a tuple of positive rational bar lengths.  Every predicate in
 the package reduces to comparing a subset sum against half the total length,
-so all arithmetic is exact: lengths are `fractions.Fraction`s, and the
-one whole-table pass, in make_linkage, scales them to integers over their
-common denominator for both the genericity check and the short-subset
-table, which the linkage keeps.  Genericity (no subset sums to
-exactly half the total) guarantees that the non-strict comparisons used
-below never hit the equality case.
+so all arithmetic is exact, and done in ints: make_linkage keeps each length
+as an integer weight over the lengths' least common denominator, and from
+the weights it checks genericity and builds the short-subset table, which
+the linkage keeps.  Genericity (no subset sums to exactly half the total)
+guarantees that the non-strict comparisons used below never hit the
+equality case.
+
+The length grammar (`_parse_ratio`) turns a token into its numerator and
+denominator in lowest terms, a `_Ratio`, so that no command loads
+`fractions`.  Only the public `parse_rational`, `parse_lengths`,
+`Linkage.lengths`, `Linkage.part_sum` and `DEFAULT_EPSILON` hand out
+`fractions.Fraction`s, and each imports `fractions` when it is called.
 
 Subsets of bars are also written as int bitmasks: bar i is bit i-1.  Part
 texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them.
@@ -16,14 +22,51 @@ texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-#: Concrete stand-in for a "sufficiently small" length in the standard
-#: representatives.  Any eps below a spec's first wall gives the same
-#: chamber; tests/test_export.py finds the walls exactly (1 and 1/2).
-DEFAULT_EPSILON = Fraction(1, 100)
+
+class _Ratio(NamedTuple):
+    """A rational as its numerator and its positive denominator, in lowest
+    terms: the form the length grammar gives a length in.  str() writes it
+    as str(Fraction) does."""
+
+    numerator: int
+    denominator: int
+
+    def __str__(self) -> str:
+        return _text(*self)
+
+
+def _ratio(numerator: int, denominator: int) -> _Ratio:
+    """numerator / denominator in lowest terms, for a denominator > 0."""
+    g = gcd(numerator, denominator)
+    return _Ratio(numerator // g, denominator // g)
+
+
+def _text(numerator: int, denominator: int) -> str:
+    """numerator / denominator in lowest terms, for a denominator > 0, as
+    str(Fraction) writes it: '3' or '-5/2'."""
+    g = gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+#: The value of `eps`: a concrete stand-in for a "sufficiently small"
+#: length in the standard representatives.  Any eps below a spec's first
+#: wall gives the same chamber; tests/test_export.py finds the walls exactly
+#: (1 and 1/2).  `DEFAULT_EPSILON` is it as a Fraction.
+_EPSILON = _Ratio(1, 100)
+
+
+def __getattr__(name: str) -> object:
+    """`DEFAULT_EPSILON`, the Fraction 1/100, built when it is read (PEP
+    562), so that importing this module loads no `fractions`."""
+    if name == "DEFAULT_EPSILON":
+        from fractions import Fraction
+
+        return Fraction(*_EPSILON)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LinkageError(ValueError):
@@ -48,7 +91,7 @@ class NonGeneric(LinkageError):
     Carries the witnessing index subset in `witness`.
     """
 
-    def __init__(self, witness: frozenset[int], half: Fraction):
+    def __init__(self, witness: frozenset[int], half: str):
         self.witness = witness
         super().__init__(
             f"subset {part_text(witness)} sums to half the total length ({half});"
@@ -58,9 +101,13 @@ class NonGeneric(LinkageError):
 
 class Linkage(NamedTuple):
     """A validated polygonal linkage: positive, closed (polygon inequality)
-    and generic.  Construct via make_linkage(); repr leaves out `short`."""
+    and generic.  Bar i is weights[i-1] / denominator long, where the
+    weights are ints and `denominator` is the least common denominator of
+    the lengths, so equal lengths give equal, and equal-hashing, records.
+    Construct via make_linkage(); repr shows the lengths alone."""
 
-    lengths: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    denominator: int
     #: short[mask]: are the bars in `mask` shorter than the rest, i.e. an
     #: admissible part (the empty mask counts)?  From make_linkage's subset
     #: sums.  The lengths fix it, so comparing it, as the tuple equality
@@ -72,37 +119,59 @@ class Linkage(NamedTuple):
 
     @property
     def n(self) -> int:
-        return len(self.lengths)
+        return len(self.weights)
 
-    def part_sum(self, indices: Iterable[int]) -> Fraction:
-        return sum((self.lengths[i - 1] for i in indices), Fraction(0))
+    @property
+    def lengths(self) -> tuple:
+        """The lengths as `fractions.Fraction`s, built on each read."""
+        from fractions import Fraction
+
+        return tuple(Fraction(w, self.denominator) for w in self.weights)
+
+    def part_sum(self, indices: Iterable[int]):
+        """The total length of the bars in `indices`, as a Fraction."""
+        from fractions import Fraction
+
+        return Fraction(sum(self.weights[i - 1] for i in indices), self.denominator)
 
     def spec(self) -> str:
         """Comma-separated exact form, e.g. '1,1,1/100,1/100,1'."""
-        return ",".join(str(l) for l in self.lengths)
+        return ",".join([_text(w, self.denominator) for w in self.weights])
 
 
-def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
-    """Validate and build a Linkage.
+def _pair(length: object) -> tuple[int, int]:
+    """A length's numerator and denominator: its own for an int, a Fraction
+    or a `_Ratio`, else those of Fraction(length), for a float or a string."""
+    if not hasattr(length, "denominator"):
+        from fractions import Fraction
+
+        length = Fraction(length)
+    return length.numerator, length.denominator
+
+
+def make_linkage(lengths: Sequence[object]) -> Linkage:
+    """Validate and build a Linkage from lengths given as ints, Fractions or
+    the grammar's `_Ratio`s, or as anything else `fractions.Fraction` takes
+    (see `_pair`).
 
     This is the single gate enforcing positivity, genericity and the polygon
     inequality; everything downstream may assume all three.  Genericity is
     checked before the polygon inequality so that a degenerate bar equal to
     the sum of the rest (an exact half-split) is reported as NonGeneric with
-    its witness.
+    its witness.  The checks and the messages work from the integer weights.
 
     Raises NonPositiveLength, NonGeneric or ViolatesPolygonInequality.
     """
     if not lengths:
         raise LinkageError("length list is empty")
-    # a Fraction is kept as given, and its sign is its numerator's
-    ls = tuple([l if type(l) is Fraction else Fraction(l) for l in lengths])
-    if len(ls) < 3:
-        raise LinkageError(f"need at least 3 bars, got {len(ls)}")
-    for i, l in enumerate(ls, 1):
-        if l.numerator <= 0:
-            raise NonPositiveLength(f"length {i} is {l}; all lengths must be > 0")
-    weights = _integer_weights(ls)
+    pairs = list(map(_pair, lengths))
+    if len(pairs) < 3:
+        raise LinkageError(f"need at least 3 bars, got {len(pairs)}")
+    for i, (a, d) in enumerate(pairs, 1):
+        if a <= 0:
+            raise NonPositiveLength(f"length {i} is {_text(a, d)}; all lengths must be > 0")
+    common = lcm(*(d for _, d in pairs))
+    weights = tuple([a * (common // d) for a, d in pairs])
     sums = _subset_sums(weights)
     total = sums[-1]
     if not total % 2 and total // 2 in sums:
@@ -110,20 +179,15 @@ def make_linkage(lengths: Sequence[Fraction | int]) -> Linkage:
         # deterministic
         halves = [_mask_elements(m) for m, s in enumerate(sums) if 2 * s == total]
         witness = min(halves, key=lambda e: (len(e), e))
-        raise NonGeneric(frozenset(witness), sum(ls, Fraction(0)) / 2)
-    if 2 * max(weights) >= total:
-        longest, rest = max(ls), sum(ls, Fraction(0)) - max(ls)
+        raise NonGeneric(frozenset(witness), _text(total, 2 * common))
+    longest = max(weights)
+    if 2 * longest >= total:
+        longest, rest = _text(longest, common), _text(total - longest, common)
         raise ViolatesPolygonInequality(f"longest bar {longest} is >= sum of the rest {rest}")
     # no subset weighs exactly half, so a subset is short iff it weighs less
     # than half the total rounded up
     short = tuple(map(((total + 1) // 2).__gt__, sums))
-    return Linkage(lengths=ls, short=short)
-
-
-def _integer_weights(lengths: Sequence[Fraction]) -> tuple[int, ...]:
-    """The lengths times their common denominator: integers, same ratios."""
-    den = lcm(*(l.denominator for l in lengths))
-    return tuple(l.numerator * (den // l.denominator) for l in lengths)
+    return Linkage(weights, common, short)
 
 
 def _subset_sums(weights: Sequence[int]) -> list[int]:
@@ -168,12 +232,13 @@ def is_admissible_partition(linkage: Linkage, parts: Iterable[Iterable[int]]) ->
         raise NotAPartition(
             f"parts {sorted(sorted(p) for p in sets)} do not partition 1..{linkage.n}"
         )
-    sums = [linkage.part_sum(p) for p in sets]
+    weights = linkage.weights
+    sums = [sum(weights[i - 1] for i in p) for p in sets]
     total = sum(sums)
     return all(s <= total - s for s in sums)
 
 
-#: The longest length token parse_rational accepts: for up to 8 bars, every
+#: The longest length token the grammar accepts: for up to 8 bars, every
 #: sum an error message prints then stays under CPython's 4,300-digit limit.
 MAX_TOKEN = 500
 
@@ -191,35 +256,55 @@ def _quoted(text: str) -> str:
     return text if len(text) <= 200 else text[:200] + "..."
 
 
-def parse_rational(token: str, name: str = "length") -> Fraction:
-    """Parse an optionally signed 'int', 'int/int' or decimal ('0.25', '.5',
-    '5.') of at most MAX_TOKEN characters, else raise LinkageError, whose
-    message calls the token `name` and quotes its repr, cut by `_quoted`.
-    An integer or fraction is built from the digits `_RATIONAL` matched, so
-    the token is parsed once; a decimal goes to `Fraction`."""
+def _parse_ratio(token: str, name: str = "length") -> _Ratio:
+    """The length grammar: an optionally signed 'int', 'int/int' or decimal
+    ('0.25', '.5', '5.') of at most MAX_TOKEN characters, as its `_Ratio`;
+    else raise LinkageError, whose message calls the token `name` and quotes
+    its repr, cut by `_quoted`.  The token is parsed once: the value is
+    built from the digits `_RATIONAL` matched, or for a decimal from its
+    digits on either side of the point."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
     match = _RATIONAL.fullmatch(token)
     if not match:
         fault = "not an integer, fraction or decimal"
-    elif match[1] is None:  # a decimal
-        return Fraction(token)
+    elif match[1] is None:  # a decimal: its digits over 10 ** (those after the point)
+        whole, _, tenths = token.partition(".")
+        return _ratio(int(whole + tenths), 10 ** len(tenths))
     elif match[2] is None:
-        return Fraction(int(match[1]))
+        return _Ratio(int(match[1]), 1)
     elif denominator := int(match[2]):
-        return Fraction(int(match[1]), denominator)
+        return _ratio(int(match[1]), denominator)
     else:
         fault = "its denominator is 0"
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 
-def parse_lengths(text: str, epsilon: Fraction = DEFAULT_EPSILON) -> list[Fraction]:
-    """Parse a comma-separated length spec; each token is an ASCII integer,
-    fraction or decimal (see `parse_rational`) or the symbol `eps`
-    (replaced by the given epsilon).  An empty token is refused."""
+def _parse_ratios(text: str, epsilon: object = _EPSILON) -> list:
+    """A comma-separated length spec as make_linkage takes it: each token is
+    an ASCII integer, fraction or decimal, as its `_Ratio` (`_parse_ratio`),
+    or the symbol `eps`, as `epsilon` itself.  An empty token is refused."""
     tokens = [t.strip() for t in text.split(",")]
     for k, t in enumerate(tokens, 1):
         if not t:
             raise LinkageError(f"length {k} is empty")
-    return [Fraction(epsilon) if t == "eps" else parse_rational(t) for t in tokens]
+    return [epsilon if t == "eps" else _parse_ratio(t) for t in tokens]
+
+
+def parse_rational(token: str, name: str = "length"):
+    """The token as a `fractions.Fraction`, by the length grammar
+    (`_parse_ratio`), with its refusals."""
+    from fractions import Fraction
+
+    return Fraction(*_parse_ratio(token, name))
+
+
+def parse_lengths(text: str, epsilon: object = _EPSILON) -> list:
+    """A comma-separated length spec as a list of `fractions.Fraction`s:
+    each token is an ASCII integer, fraction or decimal (see `_parse_ratio`)
+    or the symbol `eps`, replaced by the given epsilon (1/100 by default),
+    as `make_linkage` reads a length.  An empty token is refused."""
+    from fractions import Fraction
+
+    return [Fraction(*_pair(l)) for l in _parse_ratios(text, epsilon)]

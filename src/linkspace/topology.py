@@ -183,8 +183,8 @@ def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
     (M. Farber and D. Schuetz, Homology of planar polygon spaces, Geom.
     Dedicata 125, 2007): b_k = a_k + a_{n-3-k}, where a_k counts the short
     subsets of k + 1 bars that hold a longest bar."""
-    n, short = linkage.n, linkage.short
-    bit = 1 << linkage.lengths.index(max(linkage.lengths))
+    n, short, weights = linkage.n, linkage.short, linkage.weights
+    bit = 1 << weights.index(max(weights))
     size = Counter(m.bit_count() for m in range(1 << n) if m & bit and short[m])
     return tuple(size[k + 1] + size[n - 2 - k] for k in range(n - 2))  # a_k is size[k + 1]
 

@@ -12,11 +12,13 @@ mesh-level surface classifier behind `topology.analyze`, whose components
 come from union-find over the 1-skeleton (`oracle_components`) where
 `analyze` traverses the faces, `walk_cycle`, the
 walk of a face's boundary graph behind the face-cycle formula
-(`geometry._face_cycle`), with its refusals (`NotACycle`), and
+(`geometry._face_cycle`), with its refusals (`NotACycle`),
 `is_admissible_part`, the rational-sum predicate behind the short-subset
-table, and `oracle_parser`, the argparse parser behind linkctl's own
-reading of its argv.  Below them are helpers the package itself has no use for, kept
-here as second routes for the tests: a complex's cells parsed from its
+table, `oracle_linkage_error`, make_linkage's three refusals formatted
+from `Fraction`s, behind its integer weights, and `oracle_parser`, the
+argparse parser behind linkctl's own reading of its argv.  Below them are
+helpers the package itself has no use for, kept here as second routes for
+the tests: a complex's cells parsed from its
 label text (`cells_by_dim`), the walls of a spec whose eps varies
 (`eps_walls`), the facet tables' membership read from the cut, cyclic
 coarsenings, reading a cyclic order as a sequence or a
@@ -36,7 +38,14 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from linkspace.cwcomplex import CWComplex, build_complex, check_supported_arity
-from linkspace.linkage import Linkage, LinkageError, is_admissible_partition
+from linkspace.linkage import (
+    Linkage,
+    LinkageError,
+    NonGeneric,
+    NonPositiveLength,
+    ViolatesPolygonInequality,
+    is_admissible_partition,
+)
 from linkspace.partitions import (
     CyclicPartition,
     InvalidArity,
@@ -260,6 +269,30 @@ def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
     if not s <= ground:
         raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
     return linkage.part_sum(s) <= linkage.part_sum(ground - s)
+
+
+def oracle_linkage_error(lengths: Sequence[Fraction]) -> tuple[type, str] | None:
+    """The refusal make_linkage gives three or more `lengths`, as its type
+    and message, worked out and formatted from the Fractions themselves;
+    None for a valid linkage.  The first non-positive length is refused,
+    else the smallest, then lexicographically first, subset weighing half
+    the total, else a bar at least as long as the rest."""
+    for i, l in enumerate(lengths, 1):
+        if l <= 0:
+            return NonPositiveLength, f"length {i} is {l}; all lengths must be > 0"
+    total = sum(lengths)
+    for size in range(1, len(lengths)):
+        for subset in combinations(range(1, len(lengths) + 1), size):
+            if 2 * sum(lengths[i - 1] for i in subset) == total:
+                return NonGeneric, (
+                    f"subset {{{','.join(map(str, subset))}}} sums to half the total length"
+                    f" ({total / 2}); the linkage admits a collinear configuration"
+                )
+    longest = max(lengths)
+    if 2 * longest >= total:
+        message = f"longest bar {longest} is >= sum of the rest {total - longest}"
+        return ViolatesPolygonInequality, message
+    return None
 
 
 def eps_walls(spec: str) -> list[Fraction]:

@@ -929,7 +929,7 @@ def test_cli_invalid_input_exit_code(capsys):
     # an empty length token is refused, not dropped (more in the grid below)
     for spec in [",1,1,1,1,1", "1, ,1,1,1,1"]:
         assert main(["classify", spec]) == 2
-    # `--epsilon=--` passes '--' to parse_rational on every Python
+    # `--epsilon=--` passes '--' to the length grammar on every Python
     assert main(["classify", "--epsilon=--", "--", "1,1,1,eps,2"]) == 2
     assert "internal invariant" not in capsys.readouterr().err
     # hostile lengths from every command, in one fresh process whose
@@ -1092,13 +1092,24 @@ def test_an_unsupported_bar_count_is_refused_in_the_commands_name(n, capsys):
 
 
 def test_cli_counts_bars_before_parsing_lengths(monkeypatch, capsys):
-    # 10^5 tokens once cost a parse_rational each (~0.3 s) before the refusal
-    def parse_rational(token):
-        raise AssertionError("a length was parsed")
+    # 10^5 tokens once cost a parse each (~0.3 s) before the refusal.  The
+    # request path parses each token with the grammar, `_parse_ratio`, which
+    # records its calls here: a valid spec shows that it is the one called
+    parsed = []
 
-    monkeypatch.setattr("linkspace.linkage.parse_rational", parse_rational)
+    def parse(token, name="length"):
+        parsed.append(token)
+        return grammar(token, name)
+
+    grammar = linkspace.linkage._parse_ratio
+    monkeypatch.setattr("linkspace.linkage._parse_ratio", parse)
+    assert main(["classify", "1,1,1,1,3"]) == 0
+    assert parsed == ["1", "1", "1", "1", "3"]
+    parsed.clear()
+    capsys.readouterr()
     for command in ("classify", "complex", "mesh"):
         assert main([command, ",".join(["1"] * 10**5)]) == 2
+    assert parsed == []
     assert "got n=100000" in capsys.readouterr().err
 
 
@@ -1174,12 +1185,44 @@ def test_import_loads_no_dataclasses_or_inspect():
     # label layer, `linkspace.partitions`, is a reference no command uses,
     # and linkctl reads its argv without argparse, which brings in gettext
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "linkspace.partitions"]
-    heavy += ["argparse", "gettext"]
+    heavy += ["argparse", "gettext", "fractions", "decimal", "numbers"]
     proc = _fresh_python(
         "import linkspace, linkspace.cli; print(*sorted(set(sys.argv[1:]) & sys.modules.keys()))",
         *heavy,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_no_request_loads_fractions(tmp_path):
+    # a length is a reduced pair of ints on every request path, so no command
+    # loads `fractions`, with the `decimal` and `numbers` it brings in.  -S
+    # leaves out `site`, whose .pth files may import them for their own use
+    document = tmp_path / "complex.json"
+    requests = [
+        ["classify", "1,1,eps,eps,1"],
+        ["classify", "2,2,1,1,3", "--format", "json", "--epsilon", "0.5"],
+        ["classify", "1,2,3,4,5,7/2"],
+        ["classify", "1,1,1,1,1,2.5", "--format", "json"],
+        ["mesh", "1,1,1,eps,2", "--epsilon", "1/50"],
+        ["mesh", "2,1,1,1,2", "--format", "ply"],
+        ["complex", "3,5,7,2,9,1", "-o", str(document)],
+        ["check", str(document)],
+        ["verify"],
+        ["tables"],
+    ]
+    run = (
+        f"from linkspace.cli import main; codes = [main(argv) for argv in {requests!r}]; "
+        "print(codes, *sorted({'fractions', 'decimal', 'numbers'} & sys.modules.keys()),"
+        " file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", *_fresh_argv(run)[1:]],  # -S, then -I -B -c
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == f"{[0] * len(requests)}\n"
 
 
 def test_every_annotation_in_the_package_resolves():
@@ -1555,7 +1598,7 @@ ESCAPED = "\x01" * 500
     ids=["classify length", "--epsilon", "check length"],
 )
 def test_an_escaped_token_is_quoted_in_one_short_line(argv, document, tmp_path, capsys):
-    # parse_rational quotes the token's repr cut to 200 characters and '...'
+    # the length grammar quotes the token's repr cut to 200 characters and '...'
     if document is not None:
         path = tmp_path / "complex.json"
         path.write_text(document)

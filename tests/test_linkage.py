@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import linkspace
 from linkspace.cwcomplex import build_complex
-from linkspace.export import REPRESENTATIVES
+from linkspace.export import REPRESENTATIVES, complex_to_json, report_to_json
 from linkspace.geometry import perform_surgery
 from linkspace.linkage import (
     Linkage,
@@ -17,6 +19,8 @@ from linkspace.linkage import (
     MAX_TOKEN,
     ViolatesPolygonInequality,
     _RATIONAL,
+    _parse_ratio,
+    _parse_ratios,
     is_admissible_partition,
     make_linkage,
     parse_lengths,
@@ -25,7 +29,7 @@ from linkspace.linkage import (
 from linkspace.partitions import canonicalize
 from linkspace.topology import classify_linkage
 
-from oracles import EmptySubset, is_admissible_part, oracle_admissible
+from oracles import EmptySubset, is_admissible_part, oracle_admissible, oracle_linkage_error
 
 
 def test_make_linkage_accepts_the_sphere_pentagon():
@@ -225,7 +229,7 @@ def test_linkage_is_immutable():
 
 #: each record, with one of its fields
 RECORDS = {
-    "Linkage": (lambda: make_linkage([1, 1, 1, 1, 3]), "lengths"),
+    "Linkage": (lambda: make_linkage([1, 1, 1, 1, 3]), "weights"),
     "CyclicPartition": (lambda: canonicalize([{1}, {2, 3}]), "parts"),
     "SurfaceMesh": (lambda: perform_surgery(make_linkage([1, 1, 1, 1, 3])), "points"),
     "CWComplex": (lambda: build_complex(make_linkage([1, 1, 1, 1, 3])), "labels_by_dim"),
@@ -338,3 +342,98 @@ def test_a_nonpositive_length_has_one_message_for_every_number_type(bad):
             make_linkage(form([2, 3, bad, 5, 7]))  # "mixed" makes `bad` a _Length
         messages.add(str(raised.value))
     assert messages == {f"length 3 is {bad}; all lengths must be > 0"}
+
+
+@st.composite
+def length_tokens(draw):
+    """A length token as linkctl reads one: an int, an unreduced fraction
+    ('6/4'), a decimal ('-2.50', '.5', '5.'), or one of them padded with
+    leading zeros to MAX_TOKEN characters."""
+    a, b, k = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    tenths = draw(st.text("0123456789", max_size=3))
+    token = draw(st.sampled_from([str(a), f"{a * k}/{b * k}", f"{a}.{tenths}", f".{b}", f"{b}."]))
+    # rare, so that most lists form a linkage (Hypothesis favours the ends)
+    rare = draw(st.integers(0, 19))
+    if rare == 7:
+        token = "-" + token
+    elif rare == 8:
+        token = f"0/{b}"
+    if draw(st.booleans()):
+        sign = token[:1] if token[:1] == "-" else ""
+        token = sign + token[len(sign) :].zfill(MAX_TOKEN - len(sign))
+    return token
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(length_tokens(), st.just("eps")), min_size=3, max_size=8),
+    length_tokens(),
+)
+@example(["1", "1", "1", "1", "3"], "1")
+@example(["6/4", "-2.50", "eps", "1", "5."], ".5")
+@example(["9" * MAX_TOKEN, "1", "1", "1", "1"], "1")
+@example(["1", "1", "eps", "eps", "1"], "1")
+def test_the_pair_route_is_exact(tokens, epsilon_text):
+    # the grammar's reduced int pairs and the integer weights give what the
+    # Fractions give: the same record, texts and refusals
+    epsilon = Fraction(epsilon_text)
+    fractions = [epsilon if t == "eps" else Fraction(t) for t in tokens]
+    strings = [epsilon_text if t == "eps" else t for t in tokens]
+    spec = ",".join(tokens)
+    pairs = _parse_ratios(spec, _parse_ratio(epsilon_text, "--epsilon"))
+    assert [(p.numerator, p.denominator) for p in pairs] == [
+        (f.numerator, f.denominator) for f in fractions
+    ]
+    assert parse_lengths(spec, epsilon) == fractions
+    refusal = oracle_linkage_error(fractions)
+    if refusal is not None:
+        for lengths in (pairs, fractions, strings):
+            with pytest.raises(refusal[0]) as raised:
+                make_linkage(lengths)
+            assert str(raised.value) == refusal[1]
+        return
+    linkage = make_linkage(pairs)
+    assert make_linkage(strings).lengths == tuple(map(Fraction, strings))
+    assert linkage.lengths == tuple(fractions)
+    assert linkage == make_linkage(fractions) and hash(linkage) == hash(make_linkage(fractions))
+    texts = [str(f) for f in fractions]
+    assert linkage.spec() == ",".join(texts)
+    if 4 <= linkage.n <= 6:
+        report = json.loads(report_to_json(classify_linkage(linkage), linkage))
+        assert report["lengths"] == texts
+        assert json.loads(complex_to_json(build_complex(linkage)))["lengths"] == texts
+
+
+def test_the_public_names_hand_out_fractions():
+    # a linkage keeps integer weights over one denominator; only these
+    # names build Fractions, when they are read or called
+    assert Linkage._fields == ("weights", "denominator", "short")
+    epsilon = linkspace.DEFAULT_EPSILON
+    assert epsilon == linkspace.linkage.DEFAULT_EPSILON == Fraction(1, 100)
+    assert type(epsilon) is Fraction
+    with pytest.raises(AttributeError):
+        linkspace.linkage.NO_SUCH_NAME
+    with pytest.raises(AttributeError):
+        linkspace.NO_SUCH_NAME
+    lengths = parse_lengths("6/4,-2.50,eps,1,5.")
+    assert lengths == [Fraction(3, 2), Fraction(-5, 2), epsilon, 1, 5]
+    assert {type(l) for l in lengths} == {type(parse_rational("2/4"))} == {Fraction}
+    linkage = make_linkage(parse_lengths("6/4,2.50,eps,1,2."))
+    assert (linkage.weights, linkage.denominator) == ((150, 250, 1, 100, 200), 100)
+    assert linkage.part_sum([1, 3]) == Fraction(151, 100)
+    assert type(linkage.part_sum([1, 3])) is Fraction
+
+
+def test_make_linkage_reads_floats_and_strings_as_fraction_does():
+    assert make_linkage([1.5, "1/2", "2", 1, 0.25]) == make_linkage(
+        [Fraction(3, 2), Fraction(1, 2), 2, 1, Fraction(1, 4)]
+    )
+
+
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf")], ids=repr)
+def test_make_linkage_refuses_what_fraction_refuses(bad):
+    with pytest.raises((ValueError, TypeError, OverflowError)) as expected:
+        Fraction(bad)
+    with pytest.raises(type(expected.value)) as raised:
+        make_linkage([1, 1, bad, 1])
+    assert str(raised.value) == str(expected.value)
