@@ -5,16 +5,19 @@ or stream that cannot be read or written, 3 internal invariant violation.
 A stderr that cannot be written does not change the code.  `check` reads at
 most `CHECK_BOUND` bytes, decoded as UTF-8, and refuses a longer or an
 undecodable input with exit 2.
+
+linkctl reads its argv as argparse did, with string methods where argparse
+used regular expressions, and closes its streams with `try` blocks, so a
+request loads no `argparse`, `re` or `contextlib`.
 """
 
 from __future__ import annotations
 
 import errno
+import io
 import os
-import re
 import sys
-from contextlib import nullcontext, suppress
-from typing import Iterable, TextIO
+from collections.abc import Iterable
 
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
@@ -51,7 +54,6 @@ _SPELLINGS = {
     | {f"--{name}": name for name in options}
     for command, (_, options) in [(None, (None, {})), *_COMMANDS.items()]
 }
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
 #: the most bytes `check` reads, so that an endless input such as /dev/zero
 #: is refused, not read until memory runs out.  The writer's largest
 #: document for n <= 8, the all-short n=8 table's, is 17,123,994 bytes, and
@@ -77,7 +79,18 @@ def _read(token: str, spellings: dict[str, str]) -> tuple[str | None, str | None
         return spellings[matches[0]], value if sep else None
     if matches:
         return None, f"ambiguous option: {token} could match {', '.join(matches)}"
-    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+    return None if _is_negative_number(token) or " " in token else (None, None)
+
+
+def _is_negative_number(token: str) -> bool:
+    r"""Whether argparse reads `token` as a negative number, a positional:
+    whether it matches ^-\d+$|^-\d*\.\d+$, where \d is any decimal digit
+    (`str.isdecimal`) and $ also matches before a final line break."""
+    number = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, _, tenths = number.partition(".")
+    return token[:1] == "-" and (
+        number.isdecimal() or tenths.isdecimal() and (not whole or whole.isdecimal())
+    )
 
 
 def _missing(argv: list[str], k: int, spellings: dict[str, str]) -> bool:
@@ -172,7 +185,7 @@ def _parse(argv: list[str]) -> dict[str, str | bool | None] | int:
     return args
 
 
-def _std(stream: TextIO | None) -> TextIO:
+def _std(stream: io.TextIOBase | None) -> io.TextIOBase:
     """`sys.stdin`, `sys.stdout` or `sys.stderr`, which Python sets to None
     when its fd was closed at start; reading or writing it then fails as the
     closed fd would."""
@@ -187,13 +200,19 @@ def _emit(text: str | Iterable[str], output: str | None) -> int:
     A failed stdout is closed, as the file is, so the interpreter's flush at
     exit does not retry its text."""
     try:
-        with nullcontext(_std(sys.stdout)) if output is None else open(output, "w") as fh:
+        fh = _std(sys.stdout) if output is None else open(output, "w")
+        try:
             fh.writelines([text] if isinstance(text, str) else text)
             fh.flush()
+        finally:
+            if output is not None:
+                fh.close()
     except OSError as exc:
         if output is None and sys.stdout is not None:
-            with suppress(OSError):  # close flushes, and fails as the flush did
+            try:
                 sys.stdout.close()
+            except OSError:  # close flushes, and fails as the flush did
+                pass
         where = "stdout" if output is None else repr(output)
         _warn(f"error: cannot write {where}: {exc}")
         return 2
@@ -209,8 +228,10 @@ def _warn(*lines: str) -> None:
         print(*lines, sep="\n", file=_std(sys.stderr), flush=True)
     except OSError:
         if sys.stderr is not None:
-            with suppress(OSError):
+            try:
                 sys.stderr.close()
+            except OSError:
+                pass
 
 
 def _check_bar_count(command: str, n: int) -> None:
@@ -234,8 +255,11 @@ def main(argv: list[str] | None = None) -> int:
         if command == "check":
             path = args["file"]
             try:
-                with nullcontext(_std(sys.stdin).buffer) if path == "-" else open(path, "rb") as fh:
-                    text = fh.read(CHECK_BOUND + 1)
+                if path == "-":
+                    text = _std(sys.stdin).buffer.read(CHECK_BOUND + 1)
+                else:
+                    with open(path, "rb") as fh:
+                        text = fh.read(CHECK_BOUND + 1)
                 if len(text) > CHECK_BOUND:
                     raise ValueError(f"longer than {CHECK_BOUND:,} bytes")
                 text = text.decode()

@@ -37,9 +37,8 @@ from functools import cache, reduce
 from itertools import accumulate, compress
 from math import factorial
 from operator import and_, itemgetter, or_
-from typing import NamedTuple
 
-from .linkage import Linkage, mask_texts
+from .linkage import Linkage, _Record, mask_texts
 
 #: A grade's parts by position: column p holds each cell's p-th part mask,
 #: one byte per cell (a mask on n <= 8 bars is below 2^8).
@@ -56,7 +55,7 @@ def check_supported_arity(n: int, name: str) -> None:
         raise ArityMismatch(f"{name} supports 4 <= n <= 8 bars, got n={n}")
 
 
-class CWComplex(NamedTuple):
+class CWComplex(_Record):
     """Graded admissible cells with refinement incidence, a plain record.
 
     labels_by_dim[d] lists the d-cells as label text, e.g. '{1,3}{2}{4,5}'
@@ -68,9 +67,15 @@ class CWComplex(NamedTuple):
     JSON writer and `_restrict` rely on that shape.
     """
 
-    linkage: Linkage
-    labels_by_dim: tuple[tuple[str, ...], ...]
-    boundary: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        linkage: Linkage,
+        labels_by_dim: tuple[tuple[str, ...], ...],
+        boundary: tuple[tuple[tuple[int, ...], ...], ...],
+    ) -> CWComplex:
+        return tuple.__new__(cls, (linkage, labels_by_dim, boundary))
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:

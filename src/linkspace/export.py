@@ -6,19 +6,19 @@ positions, printed to six decimals; the exact lengths travel in the mesh
 header comments and in JSON.  Complex and report documents are laid out
 as json.dumps(indent=2) lays them out, but written directly: several times
 faster for a complex, and with no garbage cycle left for the collector.
-Tests pin both byte for byte against json.dumps writers.
+Tests pin both byte for byte against json.dumps writers.  The loader reads
+the writer's header with string methods, and only its validator imports
+`json`, so no command that writes, or checks the writer's own bytes, loads
+`json` or `re`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
-from contextlib import suppress
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
@@ -27,6 +27,7 @@ from .linkage import (
     _EPSILON,
     Linkage,
     LinkageError,
+    _Record,
     _parse_ratio,
     _parse_ratios,
     _quoted,
@@ -208,12 +209,33 @@ def complex_to_json(complex_: CWComplex) -> str:
     return "".join(complex_json_pieces(complex_))
 
 
-#: The header `complex_to_json` writes, up to its cells, for any number of
-#: lengths; group 1 holds the length lines.
-_HEADER = re.compile(
-    r'\{\n  "schema": 1,\n  "n": \d+,\n  "lengths": \[\n'
-    r'((?:    "[^"\n]*",\n)*    "[^"\n]*")\n  \],\n  "cells": \['
-)
+#: The header `complex_to_json` writes, in four pieces: up to n's digits,
+#: from them to the first length, between two lengths and after the last.
+#: The lengths are quoted tokens.
+_HEAD = '{\n  "schema": 1,\n  "n": '
+_LENGTHS = ',\n  "lengths": [\n    "'
+_BETWEEN = '",\n    "'
+_TAIL = '"\n  ],\n  "cells": ['
+
+
+def _header_tokens(text: str) -> list[str] | None:
+    """The length tokens of `text`'s header, if it starts with a header laid
+    out as `complex_to_json` lays one out, for any number of lengths; else
+    None.  `n` is decimal digits, not compared with the count of lengths,
+    and a token holds no '"' or line break.  So n ends at the first ',',
+    and the lengths at the first '"' before a line break."""
+    if not text.startswith(_HEAD):
+        return None
+    comma = text.find(",", len(_HEAD))
+    if comma < 0 or not text.startswith(_LENGTHS, comma):
+        return None
+    first = comma + len(_LENGTHS)
+    end = text.find('"\n', first)
+    if end < 0 or not text.startswith(_TAIL, end) or not text[len(_HEAD) : comma].isdecimal():
+        return None
+    tokens = text[first:end].split(_BETWEEN)
+    held = "".join(tokens)
+    return None if '"' in held or "\n" in held else tokens
 
 
 def _is_joined(pieces: Iterable[str], text: str) -> bool:
@@ -233,11 +255,11 @@ def complex_from_json(text: str) -> CWComplex:
 
     The writer's own bytes are accepted by one compare, with no JSON parse:
     the lengths are read from a header laid out as `complex_to_json` lays it
-    out, their complex is built, and it is returned if the document is its
-    text exactly.  That text is never joined: each of the writer's pieces
-    (`complex_json_pieces`) is compared in place with the document as it
-    comes, so the loader holds one grade's text beside the document, and
-    the first mismatch stops the writer.  The validator accepts those bytes
+    out (`_header_tokens`), their complex is built, and it is returned if the
+    document is its text exactly.  That text is never joined: each of the
+    writer's pieces (`complex_json_pieces`) is compared in place with the
+    document as it comes, so the loader holds one grade's text beside the
+    document, and the first mismatch stops the writer.  The validator accepts those bytes
     too (a test pins it), so the compare only skips the parse.
 
     Every other document goes to the validator, the one source of rejections
@@ -258,14 +280,17 @@ def complex_from_json(text: str) -> CWComplex:
     expected against the one found.  A value quoted from the document is cut
     to 200 characters.
     """
-    complex_ = tokens = None
-    if header := _HEADER.match(text):
-        tokens = re.findall(r'"([^"]*)"', header[1])
-        with suppress(ArityMismatch, LinkageError):  # the validator names the fault
+    complex_ = None
+    if (tokens := _header_tokens(text)) is not None:
+        try:
             check_supported_arity(len(tokens), "complex construction")  # before the 2^n pass
             complex_ = build_complex(make_linkage([_parse_ratio(t) for t in tokens]))
+        except (ArityMismatch, LinkageError):
+            pass  # the validator names the fault
         if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
             return complex_
+    import json  # the validator's alone: the writer's own bytes load without it
+
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -342,8 +367,9 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     """The report as a schema-1 JSON document in json.dumps(indent=2)'s
     layout, written directly as `complex_to_json` is: the indenting encoder
     leaves a cycle of closures on every call.  Every scalar but the
-    classification, which json.dumps quotes, is an int, a bool or None, and
-    written by `_literal`.  A test pins the bytes."""
+    classification is an int, a bool or None, and written by `_literal`.
+    The classification is quoted as it is: no name holds a character that
+    JSON escapes, as a test checks for every name.  A test pins the bytes."""
     # n >= 6 reports no per-component detail, even for a connected space, but
     # every n reports the component count
     single = report.components[0] if len(report.components) == 1 else None
@@ -361,7 +387,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
         "chi": str(report.euler_characteristic),
         "orientable": _literal(single.orientable if single else None),
         "genus": _literal(single.genus if single else None),
-        "classification": json.dumps(report.classification),
+        "classification": '"' + report.classification + '"',
     }
     return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
 
@@ -384,13 +410,13 @@ def render_report(report: topology.TopologyReport, linkage: Linkage) -> str:
     return "\n".join(lines) + "\n"
 
 
-class Representative(NamedTuple):
+class Representative(_Record):
     """One of the six standard pentagons with its expected classification."""
 
-    spec: str
-    classification: str
-    components: int
-    chi: int
+    __slots__ = ()
+
+    def __new__(cls, spec: str, classification: str, components: int, chi: int) -> Representative:
+        return tuple.__new__(cls, (spec, classification, components, chi))
 
 
 REPRESENTATIVES: tuple[Representative, ...] = (

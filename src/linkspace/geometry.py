@@ -34,14 +34,14 @@ neither, and `typing.get_type_hints` resolves them once both are loaded.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from functools import cache
 from itertools import permutations
-from typing import NamedTuple, Sequence
 
 import linkspace  # the package, loaded before this module: for the annotations
 
 from .cwcomplex import ArityMismatch, CWComplex, _table, build_complex
-from .linkage import Linkage
+from .linkage import Linkage, _Record
 
 Point4 = tuple[int, int, int, int]
 
@@ -56,7 +56,7 @@ def permutohedron() -> tuple[Point4, ...]:
     return tuple([tuple([order.index(a) + 1 for a in range(4)]) for order in orders])
 
 
-class SurfaceMesh(NamedTuple):
+class SurfaceMesh(_Record):
     """A pentagon's cell complex realized as a closed polyhedral surface.
 
     Mesh vertex, edge and face k is cell k of grade 0, 1 and 2 of `complex`.
@@ -68,9 +68,12 @@ class SurfaceMesh(NamedTuple):
     complex.
     """
 
-    complex: CWComplex
-    points: tuple[Point4, ...]
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls, complex: CWComplex, points: tuple[Point4, ...], cycles: tuple[tuple[int, ...], ...]
+    ) -> SurfaceMesh:
+        return tuple.__new__(cls, (complex, points, cycles))
 
     def provenances(self) -> list[str]:
         """Face k's provenance at k: 'permutohedron' for a kept facet, whose

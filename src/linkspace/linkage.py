@@ -9,30 +9,68 @@ the linkage keeps.  Genericity (no subset sums to exactly half the total)
 guarantees that the non-strict comparisons used below never hit the
 equality case.
 
-The length grammar (`_parse_ratio`) turns a token into its numerator and
-denominator in lowest terms, a `_Ratio`, so that no command loads
-`fractions`.  Only the public `parse_rational`, `parse_lengths`,
-`Linkage.lengths`, `Linkage.part_sum` and `DEFAULT_EPSILON` hand out
-`fractions.Fraction`s, and each imports `fractions` when it is called.
+The length grammar (`_parse_ratio`) reads a token with string methods into
+its numerator and denominator in lowest terms, a `_Ratio`, so that no
+command loads `fractions` or `re`.  Only the public `parse_rational`,
+`parse_lengths`, `Linkage.lengths`, `Linkage.part_sum` and
+`DEFAULT_EPSILON` hand out `fractions.Fraction`s, and each imports
+`fractions` when it is called.
 
 Subsets of bars are also written as int bitmasks: bar i is bit i-1.  Part
-texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them.
+texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them,
+and so does `_Record`, the plain tuple every record of the command paths is
+made from, so that no command loads `typing`.
 """
 
 from __future__ import annotations
 
-import re
+from collections.abc import Iterable, Sequence
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
 
 
-class _Ratio(NamedTuple):
+class _Record(tuple):
+    """A tuple with a name for each field, as a `typing.NamedTuple` is, but
+    made with no `typing`, `exec` or `eval`.  A record class takes exactly
+    its fields in its `__new__`, whose parameters name them: when the class
+    is made, `_fields` lists them and field i gets a
+    `property(itemgetter(i))`.  Equality and hashing are the tuple's; repr,
+    `_replace` and the copy and pickle support are the NamedTuple's."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __getnewargs__(self) -> tuple:
+        """The fields as a plain tuple, for copy and pickle to call `__new__` with."""
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self)])
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes: object) -> _Record:
+        """A new record with the named fields replaced by `changes`' values."""
+        record = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+
+class _Ratio(_Record):
     """A rational as its numerator and its positive denominator, in lowest
     terms: the form the length grammar gives a length in.  str() writes it
     as str(Fraction) does."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
+
+    def __new__(cls, numerator: int, denominator: int) -> _Ratio:
+        return tuple.__new__(cls, (numerator, denominator))
 
     def __str__(self) -> str:
         return _text(*self)
@@ -99,20 +137,23 @@ class NonGeneric(LinkageError):
         )
 
 
-class Linkage(NamedTuple):
+class Linkage(_Record):
     """A validated polygonal linkage: positive, closed (polygon inequality)
     and generic.  Bar i is weights[i-1] / denominator long, where the
     weights are ints and `denominator` is the least common denominator of
     the lengths, so equal lengths give equal, and equal-hashing, records.
-    Construct via make_linkage(); repr shows the lengths alone."""
+    short[mask] tells whether the bars in `mask` are shorter than the rest,
+    i.e. an admissible part (the empty mask counts), from make_linkage's
+    subset sums.  The lengths fix it, so comparing it, as the tuple
+    equality does, changes no equality.  Construct via make_linkage();
+    repr shows the lengths alone."""
 
-    weights: tuple[int, ...]
-    denominator: int
-    #: short[mask]: are the bars in `mask` shorter than the rest, i.e. an
-    #: admissible part (the empty mask counts)?  From make_linkage's subset
-    #: sums.  The lengths fix it, so comparing it, as the tuple equality
-    #: does, changes no equality.
-    short: tuple[bool, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls, weights: tuple[int, ...], denominator: int, short: tuple[bool, ...]
+    ) -> Linkage:
+        return tuple.__new__(cls, (weights, denominator, short))
 
     def __repr__(self) -> str:
         return f"Linkage(lengths={self.lengths!r})"
@@ -243,12 +284,10 @@ def is_admissible_partition(linkage: Linkage, parts: Iterable[Iterable[int]]) ->
 MAX_TOKEN = 500
 
 
-#: A length token: an optional sign, then D, D/D, D.D, D. or .D, where D is
-#: ASCII digits.  Group 1 holds a signed D, and group 2 the D after '/'; a
-#: decimal matches neither.  Fraction's own grammar varies between Python
-#: versions (underscores, spaces around '/') and takes any Unicode digit and
-#: exponents, which it would expand digit by digit ('1e30000000').
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
+def _is_digits(text: str) -> bool:
+    """Whether `text` is one or more ASCII digits, 0-9: `str.isdigit` alone
+    also takes other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
 
 
 def _quoted(text: str) -> str:
@@ -258,26 +297,31 @@ def _quoted(text: str) -> str:
 
 def _parse_ratio(token: str, name: str = "length") -> _Ratio:
     """The length grammar: an optionally signed 'int', 'int/int' or decimal
-    ('0.25', '.5', '5.') of at most MAX_TOKEN characters, as its `_Ratio`;
-    else raise LinkageError, whose message calls the token `name` and quotes
-    its repr, cut by `_quoted`.  The token is parsed once: the value is
-    built from the digits `_RATIONAL` matched, or for a decimal from its
-    digits on either side of the point."""
+    ('0.25', '.5', '5.') of at most MAX_TOKEN characters, each digit ASCII,
+    as its `_Ratio`; else raise LinkageError, whose message calls the token
+    `name` and quotes its repr, cut by `_quoted`.  The token is read once,
+    by string methods, and the value built from its digits: a decimal's are
+    those on either side of the point.  Fraction's own grammar varies
+    between Python versions (underscores, spaces around '/') and takes any
+    Unicode digit and exponents, which it would expand digit by digit
+    ('1e30000000')."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
-    match = _RATIONAL.fullmatch(token)
-    if not match:
-        fault = "not an integer, fraction or decimal"
-    elif match[1] is None:  # a decimal: its digits over 10 ** (those after the point)
-        whole, _, tenths = token.partition(".")
-        return _ratio(int(whole + tenths), 10 ** len(tenths))
-    elif match[2] is None:
-        return _Ratio(int(match[1]), 1)
-    elif denominator := int(match[2]):
-        return _ratio(int(match[1]), denominator)
-    else:
-        fault = "its denominator is 0"
+    sign = token[:1] if token.startswith(("+", "-")) else ""
+    head, slash, tail = token[len(sign) :].partition("/")
+    whole, point, tenths = head.partition(".")
+    fault = "not an integer, fraction or decimal"
+    if slash:
+        if _is_digits(head) and _is_digits(tail):
+            if denominator := int(tail):
+                return _ratio(int(sign + head), denominator)
+            fault = "its denominator is 0"
+    elif not point:
+        if _is_digits(head):
+            return _Ratio(int(token), 1)
+    elif _is_digits(whole + tenths):  # its digits over 10 ** (those after the point)
+        return _ratio(int(sign + whole + tenths), 10 ** len(tenths))
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import factorial
-from typing import NamedTuple
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
 from .geometry import SurfaceMesh, _chambers, perform_surgery
-from .linkage import Linkage
+from .linkage import Linkage, _Record
 
 
 class NotAClosedSurface(RuntimeError):
@@ -40,21 +39,43 @@ class NotAClosedSurface(RuntimeError):
     linkages."""
 
 
-class ComponentReport(NamedTuple):
-    vertex_count: int
-    edge_count: int
-    face_count: int
-    euler_characteristic: int
-    orientable: bool | None
-    genus: int | None
+class ComponentReport(_Record):
+    """One component's counts and Euler characteristic, and for a surface
+    whether it is orientable and, if it is, its genus (else None)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        vertex_count: int,
+        edge_count: int,
+        face_count: int,
+        euler_characteristic: int,
+        orientable: bool | None,
+        genus: int | None,
+    ) -> ComponentReport:
+        return tuple.__new__(
+            cls, (vertex_count, edge_count, face_count, euler_characteristic, orientable, genus)
+        )
 
 
-class TopologyReport(NamedTuple):
-    component_count: int
-    components: tuple[ComponentReport, ...]
-    f_vector: tuple[int, ...]
-    euler_characteristic: int
-    classification: str
+class TopologyReport(_Record):
+    """A space's component count and components, f-vector, Euler
+    characteristic and classification name."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        component_count: int,
+        components: tuple[ComponentReport, ...],
+        f_vector: tuple[int, ...],
+        euler_characteristic: int,
+        classification: str,
+    ) -> TopologyReport:
+        return tuple.__new__(
+            cls, (component_count, components, f_vector, euler_characteristic, classification)
+        )
 
 
 def _component_name(chi: int, orientable: bool) -> str:

@@ -16,7 +16,10 @@ walk of a face's boundary graph behind the face-cycle formula
 `is_admissible_part`, the rational-sum predicate behind the short-subset
 table, `oracle_linkage_error`, make_linkage's three refusals formatted
 from `Fraction`s, behind its integer weights, and `oracle_parser`, the
-argparse parser behind linkctl's own reading of its argv.  Below them are
+argparse parser behind linkctl's own reading of its argv, and `RATIONAL`,
+`NEGATIVE` and `HEADER`, the regular expressions behind the string-method
+readers of the length grammar (`oracle_ratio`), argparse's negative-number
+test and the loader's header (`oracle_header_tokens`).  Below them are
 helpers the package itself has no use for, kept here as second routes for
 the tests: a complex's cells parsed from its
 label text (`cells_by_dim`), the walls of a spec whose eps varies
@@ -30,6 +33,7 @@ labels.
 
 import argparse
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -40,6 +44,7 @@ from typing import Iterable, Sequence
 from linkspace.cwcomplex import CWComplex, build_complex, check_supported_arity
 from linkspace.linkage import (
     Linkage,
+    MAX_TOKEN,
     LinkageError,
     NonGeneric,
     NonPositiveLength,
@@ -293,6 +298,47 @@ def oracle_linkage_error(lengths: Sequence[Fraction]) -> tuple[type, str] | None
         message = f"longest bar {longest} is >= sum of the rest {total - longest}"
         return ViolatesPolygonInequality, message
     return None
+
+
+#: A length token: an optional sign, then D, D/D, D.D, D. or .D, where D is
+#: ASCII digits.  Group 1 holds a signed D, and group 2 the D after '/'; a
+#: decimal matches neither.
+RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
+
+#: argparse's test for a negative number, which it reads as a positional:
+#: \d is any Unicode decimal digit, and $ also matches before a final '\n'
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+#: The header `complex_to_json` writes, up to its cells, for any number of
+#: lengths; group 1 holds the length lines.
+HEADER = re.compile(
+    r'\{\n  "schema": 1,\n  "n": \d+,\n  "lengths": \[\n'
+    r'((?:    "[^"\n]*",\n)*    "[^"\n]*")\n  \],\n  "cells": \['
+)
+
+
+def oracle_ratio(token: str, name: str = "length") -> tuple[int, int] | str:
+    """The length grammar by `RATIONAL`: the stripped token's value as the
+    numerator and denominator of its Fraction, or the message of its
+    refusal, which calls it `name` and quotes its repr cut to 200
+    characters and '...'."""
+    token = token.strip()
+    if len(token) > MAX_TOKEN:
+        return f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters"
+    match = RATIONAL.fullmatch(token)
+    if match and (match[2] is None or int(match[2])):
+        value = Fraction(token)
+        return value.numerator, value.denominator
+    quoted = repr(token) if len(repr(token)) <= 200 else repr(token)[:200] + "..."
+    fault = "its denominator is 0" if match else "not an integer, fraction or decimal"
+    return f"cannot parse {name} {quoted}: {fault}"
+
+
+def oracle_header_tokens(text: str) -> list[str] | None:
+    """The length tokens of the writer's header at the start of `text`, by
+    `HEADER`, or None if it has none."""
+    header = HEADER.match(text)
+    return re.findall(r'"([^"]*)"', header[1]) if header else None
 
 
 def eps_walls(spec: str) -> list[Fraction]:

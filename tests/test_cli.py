@@ -7,11 +7,11 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkspace.cli import _parse, main
-from oracles import oracle_parser
+from linkspace.cli import _is_negative_number, _parse, main
+from oracles import NEGATIVE, oracle_parser
 
 COMMANDS = ["classify", "complex", "mesh", "check", "tables", "verify"]
 LONG = ["--output", "--epsilon", "--format", "--triangulate", "--help"]
@@ -91,6 +91,30 @@ def test_linkctl_reads_argv_as_argparse_did(argv):
     if version_dependent(argv):
         return
     assert _linkctl(argv) == _argparse(argv)
+
+
+#: what argparse's negative-number test meets: ASCII digits, Arabic-Indic
+#: digits, which it reads as digits, a superscript, which it does not, '-',
+#: '.', a space and line breaks
+_NUMBER_TEXT = st.text("0123456789١٢²-. \n", max_size=8)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_NUMBER_TEXT.map("-".__add__), _NUMBER_TEXT))
+@example("-١٢")
+@example("-12\n")
+@example("-12\n\n")
+@example("-.5\n")
+@example("-5.")
+@example("-.")
+@example("-\n")
+@example("-²")
+@example("-1.2.3")
+def test_the_negative_number_test_is_argparses_regex(token):
+    # `_is_negative_number` reads with string methods; `NEGATIVE` is the
+    # regular expression it replaced: a \d is any decimal digit, and $ also
+    # matches before a final line break
+    assert _is_negative_number(token) == bool(NEGATIVE.match(token))
 
 
 LENGTHS = {"command": "classify", "output": None, "epsilon": None, "format": "text"}

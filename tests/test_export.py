@@ -51,7 +51,9 @@ from linkspace.linkage import (
 from linkspace.topology import classify_linkage
 
 from oracles import (
+    HEADER,
     eps_walls,
+    oracle_header_tokens,
     is_watertight,
     oracle_component_count,
     parse_obj,
@@ -375,10 +377,10 @@ def test_the_writers_bytes_load_with_no_json_parse(spec, monkeypatch):
         raise AssertionError("the writer's own document was parsed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(export.json, "loads", loads)
+        patch.setattr(json, "loads", loads)
         assert complex_from_json(text) == complex_
     # why the compare is sound: the validator alone accepts the same bytes
-    monkeypatch.setattr(export, "_HEADER", re.compile("(?!)"))
+    monkeypatch.setattr(export, "_header_tokens", lambda text: None)
     assert complex_from_json(text) == complex_
 
 
@@ -397,7 +399,7 @@ def test_a_layout_the_writer_did_not_write_loads_through_the_validator(layout, m
     text = layout(json.loads(complex_to_json(complex_)))
     assert text != complex_to_json(complex_)
     parsed, loads = [], json.loads
-    monkeypatch.setattr(export.json, "loads", lambda text: parsed.append(text) or loads(text))
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
     assert complex_from_json(text) == complex_
     assert parsed == [text]
 
@@ -457,7 +459,7 @@ def test_a_one_edit_writers_document_gets_the_validators_message(edit, error, me
     )
     edit(doc)
     text = json.dumps(doc, indent=2) + "\n"
-    assert export._HEADER.match(text)
+    assert HEADER.match(text)
     for document in (text, json.dumps(doc)):
         with pytest.raises(error) as raised:
             complex_from_json(document)
@@ -498,7 +500,7 @@ def test_the_in_place_compare_hands_a_near_miss_to_the_validator(text, message):
     # each of the writer's pieces is compared in place: the longer text
     # matches every piece but not in length, the shorter one fails at the
     # close and the changed face in the last grade
-    assert export._HEADER.match(text)
+    assert HEADER.match(text)
     with pytest.raises(ValueError) as raised:
         complex_from_json(text)
     assert str(raised.value) == message
@@ -1195,9 +1197,16 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 def test_no_request_loads_fractions(tmp_path):
     # a length is a reduced pair of ints on every request path, so no command
-    # loads `fractions`, with the `decimal` and `numbers` it brings in.  -S
-    # leaves out `site`, whose .pth files may import them for their own use
-    document = tmp_path / "complex.json"
+    # loads `fractions`, with the `decimal` and `numbers` it brings in.  The
+    # records are plain tuples and the grammars string methods, so none
+    # loads `typing`, `re` or `enum`, and none loads `contextlib`.  The
+    # writers write JSON directly and the loader takes the writer's own bytes
+    # by one compare, so `json` is loaded only for `check` of a document in
+    # another layout, the last request, which must load it.  -S leaves out
+    # `site`, whose .pth files may import any of them for their own use
+    document, reindented = tmp_path / "complex.json", tmp_path / "indent=4.json"
+    written = complex_to_json(build_complex(make_linkage([3, 5, 7, 2, 9, 1])))
+    reindented.write_text(json.dumps(json.loads(written), indent=4))
     requests = [
         ["classify", "1,1,eps,eps,1"],
         ["classify", "2,2,1,1,3", "--format", "json", "--epsilon", "0.5"],
@@ -1210,10 +1219,12 @@ def test_no_request_loads_fractions(tmp_path):
         ["verify"],
         ["tables"],
     ]
+    heavy = ["fractions", "decimal", "numbers", "typing", "re", "enum", "json", "contextlib"]
+    loaded = "*sorted(set(heavy) & sys.modules.keys()), file=sys.stderr"
     run = (
-        f"from linkspace.cli import main; codes = [main(argv) for argv in {requests!r}]; "
-        "print(codes, *sorted({'fractions', 'decimal', 'numbers'} & sys.modules.keys()),"
-        " file=sys.stderr)"
+        f"from linkspace.cli import main; heavy = {heavy!r}; "
+        f"print([main(argv) for argv in {requests!r}], {loaded}); "
+        f"print(main(['check', {str(reindented)!r}]), {loaded})"
     )
     proc = subprocess.run(
         [sys.executable, "-S", *_fresh_argv(run)[1:]],  # -S, then -I -B -c
@@ -1222,7 +1233,10 @@ def test_no_request_loads_fractions(tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.stderr == f"{[0] * len(requests)}\n"
+    first, last = proc.stderr.splitlines()
+    assert first == f"{[0] * len(requests)}"
+    code, *modules = last.split()  # json's own decoder brings in `re`
+    assert code == "0" and "json" in modules
 
 
 def test_every_annotation_in_the_package_resolves():
@@ -1514,18 +1528,61 @@ def _builds(monkeypatch):
 
 
 def _has_a_linkage_header(text):
-    """Whether `text` starts with the writer's header, with a supported
-    number of lengths that form a linkage.  The lengths are read from the
-    header alone, as the text past it may not be JSON."""
-    if not (header := export._HEADER.match(text)):
+    """Whether `text` starts with the writer's header, by its regular
+    expression, with a supported number of lengths that form a linkage.  The
+    lengths are read from the header alone, as the text past it may not be
+    JSON."""
+    if (tokens := oracle_header_tokens(text)) is None:
         return False
-    tokens = json.loads(f"[{header[1]}]")
     try:
         check_supported_arity(len(tokens), "complex construction")
         make_linkage([parse_rational(t) for t in tokens])
     except (ArityMismatch, LinkageError):
         return False
     return True
+
+
+#: what a drawn header's n and lengths hold: digits, Arabic-Indic digits
+#: and a superscript, '"', ',', '/', '.', a space and a line break
+_HEADER_TEXT = st.text('0123456789١٢²",/. \n', max_size=4)
+
+
+@st.composite
+def header_texts(draw):
+    """A text laid out as the writer's header, with a drawn n and 0 to 9
+    lengths, often of a pentagon or a hexagon, then a drawn end; with up to
+    two characters of the header inserted, deleted or replaced."""
+    n = draw(st.one_of(st.sampled_from(["5", "6", "١٢"]), _HEADER_TEXT))
+    tokens = draw(
+        st.one_of(
+            st.sampled_from([["1"] * 5, ["2", "2", "1", "1", "3"], ["1", "2", "3", "4", "5", "6"]]),
+            st.lists(st.one_of(st.sampled_from(["1", "2/2", "eps"]), _HEADER_TEXT), max_size=9),
+        )
+    )
+    lengths = ",\n".join(f'    "{t}"' for t in tokens)
+    text = '{\n  "schema": 1,\n  "n": ' + n + ',\n  "lengths": [\n' + lengths
+    text += draw(st.sampled_from(["\n  ],\n  \"cells\": [", "\n  ],\n  \"cells\": []}"]))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(['"', "\n", " ", ",", "]", "0", "١", ""]))
+        text = text[:k] + new + text[k + draw(st.integers(0, 1)) :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(header_texts())
+def test_the_loader_reads_a_header_as_its_regex_did(text):
+    # `_header_tokens` reads with string methods; `oracles.HEADER` is the
+    # regular expression it replaced.  The loader takes its one-compare
+    # path, building the header's complex, for exactly the headers the
+    # regex accepts whose lengths form a supported linkage
+    assert export._header_tokens(text) == oracle_header_tokens(text)
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(export, "build_complex", lambda l: built.append(l) or build_complex(l))
+        with pytest.raises(ValueError):  # no drawn text is a whole document
+            complex_from_json(text)
+    assert len(built) == _has_a_linkage_header(text)
 
 
 LOADED = {"writer's bytes": lambda doc: json.dumps(doc, indent=2) + "\n", **LAYOUTS}
@@ -1555,7 +1612,7 @@ def test_a_writers_header_of_9_lengths_is_refused_before_make_linkage(monkeypatc
     # the header is read for any number of lengths, and the count is checked
     # before make_linkage's 2^n pass; the validator names the fault
     text = REJECTED["9 lengths"]
-    assert export._HEADER.match(text)
+    assert HEADER.match(text)
     monkeypatch.setattr(export, "make_linkage", lambda lengths: pytest.fail("make_linkage"))
     with pytest.raises(ArityMismatch) as raised:
         complex_from_json(text)
@@ -1620,7 +1677,7 @@ def test_a_repeated_lengths_key_is_built_from_its_last_value():
         + pentagon[pentagon.index(cells) : -len("\n}\n")]
         + ',\n  "lengths": ["1", "1", "1", "1", "1"]\n}\n'
     )
-    assert export._HEADER.match(text)[1].count('"3"') == 1
+    assert HEADER.match(text)[1].count('"3"') == 1
     assert complex_from_json(text) == build_complex(make_linkage([1, 1, 1, 1, 1]))
 
 

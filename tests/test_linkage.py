@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -18,7 +20,6 @@ from linkspace.linkage import (
     NotAPartition,
     MAX_TOKEN,
     ViolatesPolygonInequality,
-    _RATIONAL,
     _parse_ratio,
     _parse_ratios,
     is_admissible_partition,
@@ -29,7 +30,14 @@ from linkspace.linkage import (
 from linkspace.partitions import canonicalize
 from linkspace.topology import classify_linkage
 
-from oracles import EmptySubset, is_admissible_part, oracle_admissible, oracle_linkage_error
+from oracles import (
+    RATIONAL,
+    EmptySubset,
+    is_admissible_part,
+    oracle_admissible,
+    oracle_linkage_error,
+    oracle_ratio,
+)
 
 
 def test_make_linkage_accepts_the_sphere_pentagon():
@@ -253,6 +261,72 @@ def test_every_record_is_immutable(record):
         value.extra = 0
 
 
+#: the seven records of the command paths: each one's value, its fields and
+#: its repr, which for all but `Linkage` and `CWComplex` is a NamedTuple's
+_PENTAGON = "(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(3, 1))"
+CONTRACTS = {
+    "_Ratio": (lambda: _parse_ratio("6/4"), ("numerator", "denominator"), None),
+    "Linkage": (
+        lambda: make_linkage([1, 1, 1, 1, 3]),
+        ("weights", "denominator", "short"),
+        f"Linkage(lengths={_PENTAGON})",
+    ),
+    "CWComplex": (
+        lambda: build_complex(make_linkage([1, 1, 1, 1, 3])),
+        ("linkage", "labels_by_dim", "boundary"),
+        "CWComplex(n=5, f=(24, 36, 14))",
+    ),
+    "SurfaceMesh": (
+        lambda: perform_surgery(make_linkage([1, 1, 1, 1, 3])),
+        ("complex", "points", "cycles"),
+        None,
+    ),
+    "ComponentReport": (
+        lambda: classify_linkage(make_linkage([1, 1, 1, 1, 3])).components[0],
+        ("vertex_count", "edge_count", "face_count", "euler_characteristic", "orientable", "genus"),
+        None,
+    ),
+    "TopologyReport": (
+        lambda: classify_linkage(make_linkage([1, 1, 1, 1, 3])),
+        ("component_count", "components", "f_vector", "euler_characteristic", "classification"),
+        None,
+    ),
+    "Representative": (
+        lambda: REPRESENTATIVES[1],
+        ("spec", "classification", "components", "chi"),
+        "Representative(spec='1,1,1,eps,2', classification='torus', components=1, chi=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("record", CONTRACTS)
+def test_every_record_keeps_the_named_tuple_contract(record):
+    make, fields, shown = CONTRACTS[record]
+    value = make()
+    cls, values = type(value), tuple(value)
+    assert cls.__name__ == record and cls._fields == fields and len(values) == len(fields)
+    assert [getattr(value, f) for f in fields] == list(values)
+    for made in (cls(*values), cls(**dict(zip(fields, values)))):
+        assert type(made) is cls and made == value and hash(made) == hash(value)
+    assert value == values and hash(value) == hash(values)  # a tuple's equality and hash
+    for count in (len(values) - 1, len(values) + 1):
+        with pytest.raises(TypeError):
+            cls(*(values + (None,))[:count])
+    twins = [copy.copy(value), copy.deepcopy(value)]
+    twins += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is cls and twin == value
+    last = fields[-1]
+    replaced = value._replace(**{last: "x"})
+    assert type(replaced) is cls and replaced == values[:-1] + ("x",)
+    assert value._replace() == value
+    with pytest.raises(ValueError) as raised:
+        value._replace(**{last: "x", "no_such_field": 1})
+    assert str(raised.value) == "Got unexpected field names: ['no_such_field']"
+    named = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
+    assert repr(value) == (shown or f"{record}({named})")
+
+
 def test_linkage_repr_leaves_out_the_short_table():
     assert repr(make_linkage([1, 1, 1, 1, 3])) == (
         "Linkage(lengths=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), "
@@ -275,7 +349,7 @@ _DIGITS = st.text("0123456789", min_size=1, max_size=(MAX_TOKEN - 2) // 2)
 
 @st.composite
 def rational_tokens(draw):
-    """A token of any form `_RATIONAL` accepts: an optional sign, then D,
+    """A token of any form `oracles.RATIONAL` accepts: an optional sign, then D,
     D/D, D.D, D. or .D, leading zeros included; no zero denominator."""
     sign, a, b = draw(st.sampled_from(["", "+", "-"])), draw(_DIGITS), draw(_DIGITS)
     form = draw(st.sampled_from(["{a}", "{a}/{b}", "{a}.{b}", "{a}.", ".{b}"]))
@@ -294,7 +368,7 @@ def rational_tokens(draw):
 @example("-2.50")
 def test_parse_rational_is_fractions_parse_of_every_accepted_token(token):
     # the one parse builds integers and fractions from the digits it matched
-    assert len(token) <= MAX_TOKEN and _RATIONAL.fullmatch(token)
+    assert len(token) <= MAX_TOKEN and RATIONAL.fullmatch(token)
     value = parse_rational(token)
     assert type(value) is Fraction and value == Fraction(token)
 
@@ -310,6 +384,50 @@ def test_a_zero_denominator_in_any_spelling_is_refused(sign, numerator, zeros):
     message = str(raised.value)  # the token's repr cut to 200 characters
     assert message.startswith(f"cannot parse length {repr(token)[:200]}")
     assert message.endswith(": its denominator is 0")
+
+
+#: what the length grammar meets: ASCII digits, Arabic-Indic digits and a
+#: superscript, which `str.isdigit` takes too, signs, '/', '.', spaces and
+#: line breaks
+_GRAMMAR_TEXT = st.text("0123456789١٢²+-/. \n", max_size=12)
+
+
+@st.composite
+def grammar_tokens(draw):
+    """Any short text of the grammar's characters, or a token `RATIONAL`
+    accepts; either one padded, after any sign, with leading zeros to
+    MAX_TOKEN or MAX_TOKEN + 1 characters, or followed by a line break."""
+    token = draw(st.one_of(_GRAMMAR_TEXT, rational_tokens()))
+    size = draw(st.sampled_from([0, MAX_TOKEN, MAX_TOKEN + 1]))
+    sign = token[:1] if token.startswith(("+", "-")) else ""
+    token = sign + token[len(sign) :].rjust(size - len(sign), "0")
+    return token + "\n" if draw(st.booleans()) else token
+
+
+@settings(max_examples=400)
+@given(grammar_tokens(), st.sampled_from(["length", "--epsilon"]))
+@example("١٢", "length")
+@example("-١٢", "length")
+@example("²", "length")
+@example("12\n", "length")
+@example("1/0\n", "--epsilon")
+@example("-0/00", "length")
+@example("+.", "length")
+@example(".", "length")
+@example("1.5/2", "length")
+@example("+-1", "length")
+@example("1/-2", "length")
+@example("9" * MAX_TOKEN, "length")
+@example("9" * (MAX_TOKEN + 1), "length")
+@example(" " + "9" * MAX_TOKEN + "\n", "length")
+def test_the_length_grammar_is_its_regex(token, name):
+    # `_parse_ratio` reads a token with string methods; `RATIONAL` is the
+    # regular expression it replaced, and `oracle_ratio` reads by it
+    try:
+        got = tuple(_parse_ratio(token, name))
+    except LinkageError as exc:
+        got = str(exc)
+    assert got == oracle_ratio(token, name)
 
 
 class _Length(Fraction):

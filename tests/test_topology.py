@@ -320,6 +320,21 @@ def test_quadrilateral_two_circles():
     assert all(c.vertex_count == c.edge_count == 3 for c in report.components)
 
 
+def test_every_classification_name_is_its_own_json_text():
+    # report_to_json quotes the classification without escaping it, so no
+    # name may hold a character json.dumps escapes
+    names = {classify_linkage(linkage).classification for linkage in pentagon_chambers()}
+    quadrilaterals = [make_linkage([2, 1, 1, 1]), make_linkage([2, 2, 2, 1])]
+    names |= {classify_linkage(linkage).classification for linkage in quadrilaterals}
+    names.add(classify_linkage(make_linkage([1, 1, 1, 1, 1, 2])).classification)
+    odd = [topology._component_name(chi, False) for chi in range(-8, 3)]
+    names |= {topology._combine(odd[:1] * k) for k in (1, 2, 3)}
+    names |= {topology._combine([name, "sphere", "torus"]) for name in odd}
+    assert {"circle", "2 circles", "unclassified (dim >= 3)", "2 tori"} <= names
+    assert "2 non-orientable (chi=-8) components" in names
+    assert all(json.dumps(name) == '"' + name + '"' for name in names)
+
+
 def _generic_integer_quadrilaterals(top: int):
     """Every vector of four integer lengths in 1..top with each bar shorter
     than the other three together and no subset at half the total."""
