@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from .geometry import perform_surgery
-from .linkage import _EPSILON, LinkageError, _parse_ratio, _parse_ratios, make_linkage
+from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
 from .topology import NotAClosedSurface
 
 #: linkctl's grammar: each command's positional and options.  An option,
@@ -277,12 +277,12 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(text, None) or (0 if ok else 1)
 
         epsilon = args["epsilon"]
-        epsilon = _EPSILON if epsilon is None else _parse_ratio(epsilon, "--epsilon")
+        epsilon = DEFAULT_EPSILON if epsilon is None else parse_rational(epsilon, "--epsilon")
         if epsilon.numerator <= 0:  # else make_linkage would blame the first eps length
             raise LinkageError(f"--epsilon is {epsilon}; it must be > 0")
         # count the bars first, so an over-long list is refused unparsed
         _check_bar_count(command, args["lengths"].count(",") + 1)
-        linkage = make_linkage(_parse_ratios(args["lengths"], epsilon))
+        linkage = make_linkage(parse_lengths(args["lengths"], epsilon))
         if command == "classify":
             report = topology.classify_linkage(linkage)
             if args["format"] == "json":

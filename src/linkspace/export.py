@@ -24,14 +24,14 @@ from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
 from .geometry import Point4, SurfaceMesh
 from .linkage import (
-    _EPSILON,
+    DEFAULT_EPSILON,
     Linkage,
     LinkageError,
     _Record,
-    _parse_ratio,
-    _parse_ratios,
     _quoted,
     make_linkage,
+    parse_lengths,
+    parse_rational,
 )
 
 
@@ -276,15 +276,16 @@ def complex_from_json(text: str) -> CWComplex:
     key's last value).  So compact or re-indented JSON, or a length written
     `2/2`, loads too.  Returns the built complex; no label is built.  Raises
     ValueError on any other document, one nested too deeply to parse
-    included; a mismatch names the first differing cell, with the record
-    expected against the one found.  A value quoted from the document is cut
-    to 200 characters.
+    included: text json cannot parse is 'not JSON', a value other than an
+    object is named by its JSON type, and a mismatch names the first
+    differing cell, with the record expected against the one found.  A
+    value quoted from the document is cut to 200 characters.
     """
     complex_ = None
     if (tokens := _header_tokens(text)) is not None:
         try:
             check_supported_arity(len(tokens), "complex construction")  # before the 2^n pass
-            complex_ = build_complex(make_linkage([_parse_ratio(t) for t in tokens]))
+            complex_ = build_complex(make_linkage([parse_rational(t) for t in tokens]))
         except (ArityMismatch, LinkageError):
             pass  # the validator names the fault
         if complex_ is not None and _is_joined(complex_json_pieces(complex_), text):
@@ -295,8 +296,11 @@ def complex_from_json(text: str) -> CWComplex:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("document is nested too deeply to parse") from None
-    if type(doc) is not dict:
-        raise ValueError(f"document is a JSON {type(doc).__name__}, not an object")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"document is not JSON: {exc}") from None
+    if type(doc) is not dict:  # JSON's own name for the type json.loads gave
+        names = {list: "array", str: "string", bool: "boolean", type(None): "null"}
+        raise ValueError(f"document is a JSON {names.get(type(doc), 'number')}, not an object")
     schema = doc.get("schema")
     if type(schema) is not int or schema != 1:
         raise ValueError(f"unknown schema {_quoted(repr(schema))}")
@@ -322,7 +326,7 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError(f"cell {k} has no {exc.args[0]!r}") from None
     check_supported_arity(n, "complex construction")  # before make_linkage's 2^n pass
     if complex_ is None or doc["lengths"] != tokens:
-        complex_ = build_complex(make_linkage([_parse_ratio(t) for t in doc["lengths"]]))
+        complex_ = build_complex(make_linkage([parse_rational(t) for t in doc["lengths"]]))
     if len(records) != sum(complex_.f_vector()):
         raise ValueError(
             f"document has {len(records)} cells, but the complex of lengths"
@@ -483,7 +487,7 @@ def render_tables() -> str:
     admissible iff its label is a 2-cell of the pentagon's complex.  Both
     labels of a step-3 row have the same parts, so the first one decides."""
     kept = [
-        set(build_complex(make_linkage(_parse_ratios(r.spec))).labels_by_dim[2])
+        set(build_complex(make_linkage(parse_lengths(r.spec))).labels_by_dim[2])
         for r in REPRESENTATIVES
     ]
     sections = [  # (title, [(row text, the label that decides it)])
@@ -495,7 +499,7 @@ def render_tables() -> str:
     header = f"{'':>2}  {'partition':<{width}}  " + "  ".join(columns)
     lines = []
     for title, rows in sections:
-        lines += [f"{title} (eps = {_EPSILON})", "", header]
+        lines += [f"{title} (eps = {DEFAULT_EPSILON})", "", header]
         for i, (label, key) in enumerate(rows, 1):
             marks = ("v" if key in faces else "-" for faces in kept)
             cells = "  ".join(mark.center(len(c)) for mark, c in zip(marks, columns))
@@ -518,7 +522,7 @@ def verify_all() -> tuple[bool, str]:
     ok = True
     for rep in REPRESENTATIVES:
         try:
-            report = topology.classify_linkage(make_linkage(_parse_ratios(rep.spec)))
+            report = topology.classify_linkage(make_linkage(parse_lengths(rep.spec)))
         except LinkageError as exc:
             good, detail = False, f"construction failed: {exc}"
         else:

@@ -9,12 +9,11 @@ the linkage keeps.  Genericity (no subset sums to exactly half the total)
 guarantees that the non-strict comparisons used below never hit the
 equality case.
 
-The length grammar (`_parse_ratio`) reads a token with string methods into
-its numerator and denominator in lowest terms, a `_Ratio`, so that no
-command loads `fractions` or `re`.  Only the public `parse_rational`,
-`parse_lengths`, `Linkage.lengths`, `Linkage.part_sum` and
-`DEFAULT_EPSILON` hand out `fractions.Fraction`s, and each imports
-`fractions` when it is called.
+A length is a `Ratio`, its numerator and denominator in lowest terms: the
+length grammar (`parse_rational`, `parse_lengths`) reads a token into one
+with string methods, and `DEFAULT_EPSILON` is one, so that nothing here
+loads `fractions` or `re`.  make_linkage reads the same two attributes from
+an int or a `fractions.Fraction`.
 
 Subsets of bars are also written as int bitmasks: bar i is bit i-1.  Part
 texts ('{1,3}') live here, as `NonGeneric` and `cwcomplex` both write them,
@@ -62,24 +61,24 @@ class _Record(tuple):
         return record
 
 
-class _Ratio(_Record):
+class Ratio(_Record):
     """A rational as its numerator and its positive denominator, in lowest
-    terms: the form the length grammar gives a length in.  str() writes it
-    as str(Fraction) does."""
+    terms: the package's one exact length type, which the length grammar
+    hands out.  str() writes it as str(Fraction) does: '3' or '-5/2'."""
 
     __slots__ = ()
 
-    def __new__(cls, numerator: int, denominator: int) -> _Ratio:
+    def __new__(cls, numerator: int, denominator: int) -> Ratio:
         return tuple.__new__(cls, (numerator, denominator))
 
     def __str__(self) -> str:
         return _text(*self)
 
 
-def _ratio(numerator: int, denominator: int) -> _Ratio:
+def _ratio(numerator: int, denominator: int) -> Ratio:
     """numerator / denominator in lowest terms, for a denominator > 0."""
     g = gcd(numerator, denominator)
-    return _Ratio(numerator // g, denominator // g)
+    return Ratio(numerator // g, denominator // g)
 
 
 def _text(numerator: int, denominator: int) -> str:
@@ -93,18 +92,8 @@ def _text(numerator: int, denominator: int) -> str:
 #: The value of `eps`: a concrete stand-in for a "sufficiently small"
 #: length in the standard representatives.  Any eps below a spec's first
 #: wall gives the same chamber; tests/test_export.py finds the walls exactly
-#: (1 and 1/2).  `DEFAULT_EPSILON` is it as a Fraction.
-_EPSILON = _Ratio(1, 100)
-
-
-def __getattr__(name: str) -> object:
-    """`DEFAULT_EPSILON`, the Fraction 1/100, built when it is read (PEP
-    562), so that importing this module loads no `fractions`."""
-    if name == "DEFAULT_EPSILON":
-        from fractions import Fraction
-
-        return Fraction(*_EPSILON)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: (1 and 1/2).
+DEFAULT_EPSILON = Ratio(1, 100)
 
 
 class LinkageError(ValueError):
@@ -146,7 +135,7 @@ class Linkage(_Record):
     i.e. an admissible part (the empty mask counts), from make_linkage's
     subset sums.  The lengths fix it, so comparing it, as the tuple
     equality does, changes no equality.  Construct via make_linkage();
-    repr shows the lengths alone."""
+    repr shows the lengths alone, as `spec()` writes them."""
 
     __slots__ = ()
 
@@ -156,44 +145,29 @@ class Linkage(_Record):
         return tuple.__new__(cls, (weights, denominator, short))
 
     def __repr__(self) -> str:
-        return f"Linkage(lengths={self.lengths!r})"
+        return f"Linkage(lengths={self.spec()!r})"
 
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def lengths(self) -> tuple:
-        """The lengths as `fractions.Fraction`s, built on each read."""
-        from fractions import Fraction
-
-        return tuple(Fraction(w, self.denominator) for w in self.weights)
-
-    def part_sum(self, indices: Iterable[int]):
-        """The total length of the bars in `indices`, as a Fraction."""
-        from fractions import Fraction
-
-        return Fraction(sum(self.weights[i - 1] for i in indices), self.denominator)
 
     def spec(self) -> str:
         """Comma-separated exact form, e.g. '1,1,1/100,1/100,1'."""
         return ",".join([_text(w, self.denominator) for w in self.weights])
 
 
-def _pair(length: object) -> tuple[int, int]:
-    """A length's numerator and denominator: its own for an int, a Fraction
-    or a `_Ratio`, else those of Fraction(length), for a float or a string."""
+def _pair(k: int, length: object) -> tuple[int, int]:
+    """Length k's numerator and denominator, read off it: an int, a
+    `fractions.Fraction` and a `Ratio` each has both.  Anything else, a
+    float or a string included, raises TypeError naming bar k."""
     if not hasattr(length, "denominator"):
-        from fractions import Fraction
-
-        length = Fraction(length)
+        raise TypeError(f"length {k} is a {type(length).__name__}, not an int, Fraction or Ratio")
     return length.numerator, length.denominator
 
 
 def make_linkage(lengths: Sequence[object]) -> Linkage:
     """Validate and build a Linkage from lengths given as ints, Fractions or
-    the grammar's `_Ratio`s, or as anything else `fractions.Fraction` takes
-    (see `_pair`).
+    `Ratio`s (see `_pair`).
 
     This is the single gate enforcing positivity, genericity and the polygon
     inequality; everything downstream may assume all three.  Genericity is
@@ -201,15 +175,16 @@ def make_linkage(lengths: Sequence[object]) -> Linkage:
     the sum of the rest (an exact half-split) is reported as NonGeneric with
     its witness.  The checks and the messages work from the integer weights.
 
-    Raises NonPositiveLength, NonGeneric or ViolatesPolygonInequality.
+    Raises NonPositiveLength, NonGeneric or ViolatesPolygonInequality, and
+    TypeError for a length of another type.
     """
     if not lengths:
         raise LinkageError("length list is empty")
-    pairs = list(map(_pair, lengths))
+    pairs = [_pair(k, l) for k, l in enumerate(lengths, 1)]
     if len(pairs) < 3:
         raise LinkageError(f"need at least 3 bars, got {len(pairs)}")
     for i, (a, d) in enumerate(pairs, 1):
-        if a <= 0:
+        if a <= 0 or d <= 0:  # a `Ratio` built by hand may break its positive denominator
             raise NonPositiveLength(f"length {i} is {_text(a, d)}; all lengths must be > 0")
     common = lcm(*(d for _, d in pairs))
     weights = tuple([a * (common // d) for a, d in pairs])
@@ -295,10 +270,10 @@ def _quoted(text: str) -> str:
     return text if len(text) <= 200 else text[:200] + "..."
 
 
-def _parse_ratio(token: str, name: str = "length") -> _Ratio:
+def parse_rational(token: str, name: str = "length") -> Ratio:
     """The length grammar: an optionally signed 'int', 'int/int' or decimal
     ('0.25', '.5', '5.') of at most MAX_TOKEN characters, each digit ASCII,
-    as its `_Ratio`; else raise LinkageError, whose message calls the token
+    as its `Ratio`; else raise LinkageError, whose message calls the token
     `name` and quotes its repr, cut by `_quoted`.  The token is read once,
     by string methods, and the value built from its digits: a decimal's are
     those on either side of the point.  Fraction's own grammar varies
@@ -319,36 +294,18 @@ def _parse_ratio(token: str, name: str = "length") -> _Ratio:
             fault = "its denominator is 0"
     elif not point:
         if _is_digits(head):
-            return _Ratio(int(token), 1)
+            return Ratio(int(token), 1)
     elif _is_digits(whole + tenths):  # its digits over 10 ** (those after the point)
         return _ratio(int(sign + whole + tenths), 10 ** len(tenths))
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
 
-def _parse_ratios(text: str, epsilon: object = _EPSILON) -> list:
+def parse_lengths(text: str, epsilon: object = DEFAULT_EPSILON) -> list:
     """A comma-separated length spec as make_linkage takes it: each token is
-    an ASCII integer, fraction or decimal, as its `_Ratio` (`_parse_ratio`),
+    an ASCII integer, fraction or decimal, as its `Ratio` (`parse_rational`),
     or the symbol `eps`, as `epsilon` itself.  An empty token is refused."""
     tokens = [t.strip() for t in text.split(",")]
     for k, t in enumerate(tokens, 1):
         if not t:
             raise LinkageError(f"length {k} is empty")
-    return [epsilon if t == "eps" else _parse_ratio(t) for t in tokens]
-
-
-def parse_rational(token: str, name: str = "length"):
-    """The token as a `fractions.Fraction`, by the length grammar
-    (`_parse_ratio`), with its refusals."""
-    from fractions import Fraction
-
-    return Fraction(*_parse_ratio(token, name))
-
-
-def parse_lengths(text: str, epsilon: object = _EPSILON) -> list:
-    """A comma-separated length spec as a list of `fractions.Fraction`s:
-    each token is an ASCII integer, fraction or decimal (see `_parse_ratio`)
-    or the symbol `eps`, replaced by the given epsilon (1/100 by default),
-    as `make_linkage` reads a length.  An empty token is refused."""
-    from fractions import Fraction
-
-    return [Fraction(*_pair(l)) for l in _parse_ratios(text, epsilon)]
+    return [epsilon if t == "eps" else parse_rational(t) for t in tokens]

@@ -14,7 +14,8 @@ come from union-find over the 1-skeleton (`oracle_components`) where
 walk of a face's boundary graph behind the face-cycle formula
 (`geometry._face_cycle`), with its refusals (`NotACycle`),
 `is_admissible_part`, the rational-sum predicate behind the short-subset
-table, `oracle_linkage_error`, make_linkage's three refusals formatted
+table, with the `Fraction` view of a linkage it sums (`fraction_lengths`,
+`part_sum`), `oracle_linkage_error`, make_linkage's three refusals formatted
 from `Fraction`s, behind its integer weights, and `oracle_parser`, the
 argparse parser behind linkctl's own reading of its argv, and `RATIONAL`,
 `NEGATIVE` and `HEADER`, the regular expressions behind the string-method
@@ -260,6 +261,16 @@ class EmptySubset(LinkageError):
     pass
 
 
+def fraction_lengths(linkage: Linkage) -> tuple[Fraction, ...]:
+    """The linkage's lengths as `Fraction`s: bar i is weights[i-1] / denominator."""
+    return tuple(Fraction(w, linkage.denominator) for w in linkage.weights)
+
+
+def part_sum(linkage: Linkage, indices: Iterable[int]) -> Fraction:
+    """The total length of the bars in `indices`, as a Fraction."""
+    return Fraction(sum(linkage.weights[i - 1] for i in indices), linkage.denominator)
+
+
 def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
     """True iff the bars indexed by `part` are collectively no longer than
     the remaining bars, by their rational sums: the reference for the
@@ -273,7 +284,7 @@ def is_admissible_part(linkage: Linkage, part: Iterable[int]) -> bool:
     ground = frozenset(range(1, linkage.n + 1))
     if not s <= ground:
         raise LinkageError(f"indices {sorted(s)} out of range 1..{linkage.n}")
-    return linkage.part_sum(s) <= linkage.part_sum(ground - s)
+    return part_sum(linkage, s) <= part_sum(linkage, ground - s)
 
 
 def oracle_linkage_error(lengths: Sequence[Fraction]) -> tuple[type, str] | None:
@@ -438,7 +449,7 @@ def reference_complex_to_json(complex_: CWComplex) -> str:
     doc = {
         "schema": 1,
         "n": complex_.linkage.n,
-        "lengths": [str(l) for l in complex_.linkage.lengths],
+        "lengths": [str(l) for l in fraction_lengths(complex_.linkage)],
         "cells": cells,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -448,7 +459,7 @@ def reference_report_to_json(report, linkage) -> str:
     single = report.components[0] if len(report.components) == 1 else None
     doc = {
         "schema": 1,
-        "lengths": [str(l) for l in linkage.lengths],
+        "lengths": [str(l) for l in fraction_lengths(linkage)],
         "f_vector": list(report.f_vector),
         "component_count": report.component_count,
         "components": [

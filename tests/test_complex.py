@@ -26,7 +26,6 @@ from linkspace.export import (
 )
 from linkspace.geometry import boundary_cycle
 from linkspace.linkage import (
-    Linkage,
     is_admissible_partition,
     make_linkage,
     mask_texts,
@@ -46,6 +45,7 @@ from oracles import (
     coarsenings,
     complex_dim,
     euler_characteristic,
+    fraction_lengths,
     index_of,
     label_masks,
     membership,
@@ -76,7 +76,7 @@ def test_f_vectors_of_the_six_representatives(representatives):
 def test_cells_match_independent_enumeration(representatives):
     for _, linkage in representatives:
         complex_ = build_complex(linkage)
-        expected = oracle_cells(linkage.lengths)
+        expected = oracle_cells(fraction_lengths(linkage))
         for d, cells in enumerate(cells_by_dim(complex_)):
             got = {rotation_class(c.parts) for c in cells}
             assert got == expected[d]
@@ -85,7 +85,7 @@ def test_cells_match_independent_enumeration(representatives):
 def test_oracle_equivalence_for_a_hexagon_linkage():
     linkage = make_linkage([1, 1, 1, 1, 1, 2])
     complex_ = build_complex(linkage)
-    expected = oracle_cells(linkage.lengths)
+    expected = oracle_cells(fraction_lengths(linkage))
     for d, cells in enumerate(cells_by_dim(complex_)):
         assert {rotation_class(c.parts) for c in cells} == expected[d]
 
@@ -511,14 +511,13 @@ def test_generic_integer_heptagons_keep_the_wiring_invariants(lengths):
 @pytest.fixture
 def no_labels(monkeypatch):
     """Reaching the label layer fails: building a CyclicPartition, parsing or
-    canonicalizing a label, and the Fraction admissibility predicates, under
+    canonicalizing a label, and the part admissibility predicates, under
     every name a linkspace module holds them by."""
 
     def refuse(*args):
         raise AssertionError("the label layer was reached")
 
     monkeypatch.setattr(CyclicPartition, "__init__", refuse)
-    monkeypatch.setattr(Linkage, "part_sum", refuse)
     names = ("parse_partition", "canonicalize", "is_admissible_part", "is_admissible_partition")
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "linkspace"]
     for module in modules:
@@ -540,8 +539,6 @@ def test_no_labels_refuses_the_label_layer(no_labels):
     # a face's cycle, built as labels from its formula
     with pytest.raises(AssertionError):
         boundary_cycle(_FACE, build_complex(make_linkage([1, 1, 1, 1, 1])))
-    with pytest.raises(AssertionError):
-        make_linkage([1, 1, 1]).part_sum([1])
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])

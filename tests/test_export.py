@@ -44,6 +44,7 @@ from linkspace.linkage import (
     DEFAULT_EPSILON,
     LinkageError,
     NonPositiveLength,
+    Ratio,
     make_linkage,
     parse_lengths,
     parse_rational,
@@ -63,9 +64,15 @@ from oracles import (
 from test_golden import OCTAGON_DIGESTS
 
 
+def _values(lengths):
+    """Parsed lengths, each a `Ratio`, as Fractions."""
+    assert {type(l) for l in lengths} == {Ratio}
+    return [Fraction(*l) for l in lengths]
+
+
 def test_parse_lengths_forms():
-    assert parse_lengths("1,1,1,1/100,2") == [1, 1, 1, Fraction(1, 100), 2]
-    assert parse_lengths("1,1,eps,eps,1", Fraction(1, 50)) == [
+    assert _values(parse_lengths("1,1,1,1/100,2")) == [1, 1, 1, Fraction(1, 100), 2]
+    assert _values(parse_lengths("1,1,eps,eps,1", Ratio(1, 50))) == [
         1,
         1,
         Fraction(1, 50),
@@ -81,12 +88,12 @@ def test_parse_lengths_forms():
         with pytest.raises(LinkageError, match=f"length {k} is empty"):
             parse_lengths(text)
     # a token is at most 500 characters, and exponent notation is refused
-    assert parse_lengths("1," + "9" * 500) == [1, 10**500 - 1]
+    assert _values(parse_lengths("1," + "9" * 500)) == [1, 10**500 - 1]
     with pytest.raises(LinkageError, match="over 500 characters"):
         parse_lengths("1," + "9" * 501)
     # one ASCII grammar on every Python: Fraction's own takes '1_0' from 3.11
     # on, '1/ 2' from 3.12 on, and any Unicode digit
-    assert parse_lengths("3,+3,1/100,0.25,.5,5.") == [
+    assert _values(parse_lengths("3,+3,1/100,0.25,.5,5.")) == [
         3,
         3,
         Fraction(1, 100),
@@ -482,10 +489,13 @@ def _change_the_last_face(text):
 #: the pentagon's document one edit from the writer's, with the validator's
 #: message for it
 ONE_OFF = {
-    "a byte longer": (_pentagon_text() + "}", "Extra data: line 914 column 1 (char 12935)"),
+    "a byte longer": (
+        _pentagon_text() + "}",
+        "document is not JSON: Extra data: line 914 column 1 (char 12935)",
+    ),
     "a byte shorter": (
         _pentagon_text()[:-2] + "\n",
-        "Expecting ',' delimiter: line 914 column 1 (char 12934)",
+        "document is not JSON: Expecting ',' delimiter: line 914 column 1 (char 12934)",
     ),
     "last face changed": (
         _change_the_last_face(_pentagon_text()),
@@ -553,8 +563,35 @@ def test_complex_from_json_rejects_a_label_on_other_bars():
 
 
 def test_complex_from_json_rejects_a_document_that_is_not_an_object():
-    with pytest.raises(ValueError, match="document is a JSON list, not an object"):
+    with pytest.raises(ValueError, match="document is a JSON array, not an object"):
         complex_from_json("[]")
+
+
+#: a document that is not a JSON object, with the loader's message for it
+NOT_AN_OBJECT = {
+    "null": "document is a JSON null, not an object",
+    "[]": "document is a JSON array, not an object",
+    '"x"': "document is a JSON string, not an object",
+    "1": "document is a JSON number, not an object",
+    "1.5": "document is a JSON number, not an object",
+    "NaN": "document is a JSON number, not an object",
+    "true": "document is a JSON boolean, not an object",
+    "": "document is not JSON: Expecting value: line 1 column 1 (char 0)",
+    "{": "document is not JSON: Expecting property name enclosed in double quotes:"
+    " line 1 column 2 (char 1)",
+}
+
+
+@pytest.mark.parametrize("text, message", NOT_AN_OBJECT.items(), ids=repr)
+def test_the_loader_names_what_is_not_an_object_in_json_terms(text, message, monkeypatch, capsys):
+    # JSON's names for its types, not Python's (`NoneType`, `list`), and a
+    # parse failure says that the document is not JSON, as `check -` prints
+    with pytest.raises(ValueError) as raised:
+        complex_from_json(text)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_complex_from_json_rejects_a_cell_that_is_not_an_object():
@@ -887,6 +924,7 @@ def test_eps_pentagons_keep_their_chamber_below_the_first_wall():
     # (0, e*), e* the first wall.  The flags are compared at three points
     # below e* and one past it, where the chamber must change
     walls = {r.spec: eps_walls(r.spec) for r in REPRESENTATIVES}
+    epsilon = Fraction(*DEFAULT_EPSILON)
     assert {spec: found[:1] for spec, found in walls.items()} == {
         "1,1,1,1,3": [],
         "1,1,1,eps,2": [1],
@@ -897,12 +935,12 @@ def test_eps_pentagons_keep_their_chamber_below_the_first_wall():
     }
     for spec in ("1,1,1,eps,2", "1,1,eps,eps,1"):
         wall = walls[spec][0]
-        assert DEFAULT_EPSILON < wall
+        assert epsilon < wall
 
         def short(eps):
             return make_linkage(parse_lengths(spec, eps)).short
 
-        assert short(DEFAULT_EPSILON) == short(DEFAULT_EPSILON / 10) == short(wall / 2)
+        assert short(DEFAULT_EPSILON) == short(epsilon / 10) == short(wall / 2)
         assert short(wall * Fraction(11, 10)) != short(DEFAULT_EPSILON)
 
 
@@ -1095,7 +1133,7 @@ def test_an_unsupported_bar_count_is_refused_in_the_commands_name(n, capsys):
 
 def test_cli_counts_bars_before_parsing_lengths(monkeypatch, capsys):
     # 10^5 tokens once cost a parse each (~0.3 s) before the refusal.  The
-    # request path parses each token with the grammar, `_parse_ratio`, which
+    # request path parses each token with the grammar, `parse_rational`, which
     # records its calls here: a valid spec shows that it is the one called
     parsed = []
 
@@ -1103,8 +1141,8 @@ def test_cli_counts_bars_before_parsing_lengths(monkeypatch, capsys):
         parsed.append(token)
         return grammar(token, name)
 
-    grammar = linkspace.linkage._parse_ratio
-    monkeypatch.setattr("linkspace.linkage._parse_ratio", parse)
+    grammar = linkspace.linkage.parse_rational
+    monkeypatch.setattr("linkspace.linkage.parse_rational", parse)
     assert main(["classify", "1,1,1,1,3"]) == 0
     assert parsed == ["1", "1", "1", "1", "3"]
     parsed.clear()

@@ -23,6 +23,7 @@ from oracles import (
     cells_by_dim,
     common_refinement,
     element_sequence,
+    fraction_lengths,
     index_of,
     membership,
     mesh_faces,
@@ -497,7 +498,7 @@ def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
     # its own spec in every header.  The first and the second each get a
     # mesh on their own linkage that holds the stored mesh's very tuples
     for first in pentagon_chambers():
-        double = make_linkage([2 * l for l in first.lengths])
+        double = make_linkage([2 * l for l in fraction_lengths(first)])
         assert double.short == first.short and double.spec() != first.spec()
         alone = {}
         for linkage in (first, double):

@@ -1,8 +1,13 @@
+import ast
 import copy
 import json
 import pickle
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,15 +18,15 @@ from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES, complex_to_json, report_to_json
 from linkspace.geometry import perform_surgery
 from linkspace.linkage import (
+    DEFAULT_EPSILON,
     Linkage,
     LinkageError,
     NonGeneric,
     NonPositiveLength,
     NotAPartition,
     MAX_TOKEN,
+    Ratio,
     ViolatesPolygonInequality,
-    _parse_ratio,
-    _parse_ratios,
     is_admissible_partition,
     make_linkage,
     parse_lengths,
@@ -33,17 +38,19 @@ from linkspace.topology import classify_linkage
 from oracles import (
     RATIONAL,
     EmptySubset,
+    fraction_lengths,
     is_admissible_part,
     oracle_admissible,
     oracle_linkage_error,
     oracle_ratio,
+    part_sum,
 )
 
 
 def test_make_linkage_accepts_the_sphere_pentagon():
     l = make_linkage([1, 1, 1, 1, 3])
     assert l.n == 5
-    assert sum(l.lengths) == 7
+    assert sum(fraction_lengths(l)) == 7
     assert l.spec() == "1,1,1,1,3"
 
 
@@ -167,21 +174,21 @@ def test_part_and_complement_cannot_both_fail(representatives):
             a, b = is_admissible_part(linkage, s), is_admissible_part(linkage, comp)
             assert a or b
             if not a:
-                assert linkage.part_sum(s) > linkage.part_sum(comp)
+                assert part_sum(linkage, s) > part_sum(linkage, comp)
 
 
 def test_genericity_excludes_the_equality_case(representatives):
     for _, linkage in representatives:
-        half = sum(linkage.lengths) / 2
+        half = sum(fraction_lengths(linkage)) / 2
         for s in _all_subsets(linkage.n):
-            assert linkage.part_sum(s) != half
+            assert part_sum(linkage, s) != half
 
 
 def test_admissibility_matches_sum_oracle(representatives):
     for _, linkage in representatives:
         for s in _all_subsets(linkage.n):
             assert is_admissible_part(linkage, s) == oracle_admissible(
-                linkage.lengths, [s]
+                fraction_lengths(linkage), [s]
             )
 
 
@@ -231,7 +238,7 @@ def test_validation_and_admissibility_are_scale_invariant(lengths, scale):
 def test_linkage_is_immutable():
     l = make_linkage([1, 1, 1, 1, 3])
     with pytest.raises(AttributeError):
-        l.lengths = (Fraction(0),)
+        l.weights = (0,)
     assert isinstance(l, Linkage)
 
 
@@ -263,13 +270,12 @@ def test_every_record_is_immutable(record):
 
 #: the seven records of the command paths: each one's value, its fields and
 #: its repr, which for all but `Linkage` and `CWComplex` is a NamedTuple's
-_PENTAGON = "(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(3, 1))"
 CONTRACTS = {
-    "_Ratio": (lambda: _parse_ratio("6/4"), ("numerator", "denominator"), None),
+    "Ratio": (lambda: parse_rational("6/4"), ("numerator", "denominator"), None),
     "Linkage": (
         lambda: make_linkage([1, 1, 1, 1, 3]),
         ("weights", "denominator", "short"),
-        f"Linkage(lengths={_PENTAGON})",
+        "Linkage(lengths='1,1,1,1,3')",
     ),
     "CWComplex": (
         lambda: build_complex(make_linkage([1, 1, 1, 1, 3])),
@@ -328,10 +334,17 @@ def test_every_record_keeps_the_named_tuple_contract(record):
 
 
 def test_linkage_repr_leaves_out_the_short_table():
-    assert repr(make_linkage([1, 1, 1, 1, 3])) == (
-        "Linkage(lengths=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), "
-        "Fraction(1, 1), Fraction(3, 1)))"
-    )
+    assert repr(make_linkage([1, 1, 1, 1, 3])) == "Linkage(lengths='1,1,1,1,3')"
+    assert repr(make_linkage([Fraction(3, 2), 1, 1, 1, 1])) == "Linkage(lengths='3/2,1,1,1,1')"
+
+
+@given(st.fractions())
+@example(Fraction(0))
+@example(Fraction(-5, 2))
+@example(Fraction(7))
+def test_a_ratio_is_written_as_its_fraction(value):
+    # a reduced pair, with a negative or zero numerator too
+    assert str(Ratio(value.numerator, value.denominator)) == str(value)
 
 
 def test_equal_lengths_give_equal_linkages():
@@ -367,10 +380,12 @@ def rational_tokens(draw):
 @example(".5")
 @example("-2.50")
 def test_parse_rational_is_fractions_parse_of_every_accepted_token(token):
-    # the one parse builds integers and fractions from the digits it matched
+    # the one parse builds integers and fractions from the digits it matched,
+    # as a pair in lowest terms
     assert len(token) <= MAX_TOKEN and RATIONAL.fullmatch(token)
     value = parse_rational(token)
-    assert type(value) is Fraction and value == Fraction(token)
+    assert type(value) is Ratio and Fraction(*value) == Fraction(token)
+    assert value == Fraction(token).as_integer_ratio()
 
 
 @given(st.sampled_from(["", "+", "-"]), _DIGITS, st.integers(1, 200))
@@ -421,10 +436,10 @@ def grammar_tokens(draw):
 @example("9" * (MAX_TOKEN + 1), "length")
 @example(" " + "9" * MAX_TOKEN + "\n", "length")
 def test_the_length_grammar_is_its_regex(token, name):
-    # `_parse_ratio` reads a token with string methods; `RATIONAL` is the
+    # `parse_rational` reads a token with string methods; `RATIONAL` is the
     # regular expression it replaced, and `oracle_ratio` reads by it
     try:
-        got = tuple(_parse_ratio(token, name))
+        got = tuple(parse_rational(token, name))
     except LinkageError as exc:
         got = str(exc)
     assert got == oracle_ratio(token, name)
@@ -434,11 +449,12 @@ class _Length(Fraction):
     """A Fraction subclass, which make_linkage stores as a plain Fraction."""
 
 
-#: a list of lengths as ints, Fractions, the subclass, or mixed by position
+#: a list of lengths as ints, Fractions, the subclass, Ratios, or mixed by position
 _FORMS = {
     "int": lambda values: [int(v) for v in values],
     "Fraction": lambda values: [Fraction(v) for v in values],
     "subclass": lambda values: [_Length(v) for v in values],
+    "Ratio": lambda values: [Ratio(*Fraction(v).as_integer_ratio()) for v in values],
     "mixed": lambda values: [(int, Fraction, _Length)[k % 3](v) for k, v in enumerate(values)],
 }
 
@@ -447,7 +463,7 @@ def test_make_linkage_is_the_same_for_every_number_type():
     linkages = [form([2, 3, 4, 5, 7]) for form in _FORMS.values()]
     made = [make_linkage(lengths) for lengths in linkages]
     assert all(linkage == made[0] and repr(linkage) == repr(made[0]) for linkage in made)
-    assert {type(l) for linkage in made for l in linkage.lengths} == {Fraction}
+    assert {type(w) for linkage in made for w in (*linkage.weights, linkage.denominator)} == {int}
 
 
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2)], ids=str)
@@ -460,6 +476,15 @@ def test_a_nonpositive_length_has_one_message_for_every_number_type(bad):
             make_linkage(form([2, 3, bad, 5, 7]))  # "mixed" makes `bad` a _Length
         messages.add(str(raised.value))
     assert messages == {f"length 3 is {bad}; all lengths must be > 0"}
+
+
+@pytest.mark.parametrize("bad", [Ratio(1, -2), Ratio(-1, -1), Ratio(1, 0)], ids=str)
+def test_a_ratio_without_a_positive_denominator_is_refused(bad):
+    # a Ratio built by hand, not by the grammar: the weights would take the
+    # denominator's sign, or divide by zero
+    with pytest.raises(NonPositiveLength) as raised:
+        make_linkage([1, 1, 1, bad])
+    assert str(raised.value) == f"length 4 is {bad}; all lengths must be > 0"
 
 
 @st.composite
@@ -496,23 +521,24 @@ def test_the_pair_route_is_exact(tokens, epsilon_text):
     # Fractions give: the same record, texts and refusals
     epsilon = Fraction(epsilon_text)
     fractions = [epsilon if t == "eps" else Fraction(t) for t in tokens]
-    strings = [epsilon_text if t == "eps" else t for t in tokens]
     spec = ",".join(tokens)
-    pairs = _parse_ratios(spec, _parse_ratio(epsilon_text, "--epsilon"))
+    pairs = parse_lengths(spec, parse_rational(epsilon_text, "--epsilon"))
     assert [(p.numerator, p.denominator) for p in pairs] == [
         (f.numerator, f.denominator) for f in fractions
     ]
-    assert parse_lengths(spec, epsilon) == fractions
+    # `eps` is the epsilon given, whatever its type
+    assert parse_lengths(spec, epsilon) == [
+        epsilon if t == "eps" else p for t, p in zip(tokens, pairs)
+    ]
     refusal = oracle_linkage_error(fractions)
     if refusal is not None:
-        for lengths in (pairs, fractions, strings):
+        for lengths in (pairs, fractions):
             with pytest.raises(refusal[0]) as raised:
                 make_linkage(lengths)
             assert str(raised.value) == refusal[1]
         return
     linkage = make_linkage(pairs)
-    assert make_linkage(strings).lengths == tuple(map(Fraction, strings))
-    assert linkage.lengths == tuple(fractions)
+    assert fraction_lengths(linkage) == tuple(fractions)
     assert linkage == make_linkage(fractions) and hash(linkage) == hash(make_linkage(fractions))
     texts = [str(f) for f in fractions]
     assert linkage.spec() == ",".join(texts)
@@ -522,36 +548,73 @@ def test_the_pair_route_is_exact(tokens, epsilon_text):
         assert json.loads(complex_to_json(build_complex(linkage)))["lengths"] == texts
 
 
-def test_the_public_names_hand_out_fractions():
-    # a linkage keeps integer weights over one denominator; only these
-    # names build Fractions, when they are read or called
+def test_the_public_names_hand_out_ratios():
+    # a length is the grammar's reduced int pair under every public name, and
+    # a linkage keeps integer weights over one denominator
     assert Linkage._fields == ("weights", "denominator", "short")
-    epsilon = linkspace.DEFAULT_EPSILON
-    assert epsilon == linkspace.linkage.DEFAULT_EPSILON == Fraction(1, 100)
-    assert type(epsilon) is Fraction
+    assert not hasattr(Linkage, "lengths") and not hasattr(Linkage, "part_sum")
+    assert linkspace.DEFAULT_EPSILON is DEFAULT_EPSILON == Ratio(1, 100)
+    assert str(DEFAULT_EPSILON) == "1/100"
     with pytest.raises(AttributeError):
         linkspace.linkage.NO_SUCH_NAME
     with pytest.raises(AttributeError):
         linkspace.NO_SUCH_NAME
     lengths = parse_lengths("6/4,-2.50,eps,1,5.")
-    assert lengths == [Fraction(3, 2), Fraction(-5, 2), epsilon, 1, 5]
-    assert {type(l) for l in lengths} == {type(parse_rational("2/4"))} == {Fraction}
+    assert lengths == [Ratio(3, 2), Ratio(-5, 2), DEFAULT_EPSILON, Ratio(1, 1), Ratio(5, 1)]
+    assert {type(l) for l in lengths} == {type(parse_rational("2/4"))} == {Ratio}
     linkage = make_linkage(parse_lengths("6/4,2.50,eps,1,2."))
     assert (linkage.weights, linkage.denominator) == ((150, 250, 1, 100, 200), 100)
-    assert linkage.part_sum([1, 3]) == Fraction(151, 100)
-    assert type(linkage.part_sum([1, 3])) is Fraction
+    assert part_sum(linkage, [1, 3]) == Fraction(151, 100)
 
 
-def test_make_linkage_reads_floats_and_strings_as_fraction_does():
-    assert make_linkage([1.5, "1/2", "2", 1, 0.25]) == make_linkage(
-        [Fraction(3, 2), Fraction(1, 2), 2, 1, Fraction(1, 4)]
+@pytest.mark.parametrize(
+    "bad", [1.5, "1", "x", None, Decimal("1"), float("nan"), float("inf")], ids=repr
+)
+def test_make_linkage_refuses_a_length_with_no_numerator_and_denominator(bad):
+    # a float or a string is not read as `Fraction` would read it: the bar
+    # is named, with the type it came as
+    with pytest.raises(TypeError) as raised:
+        make_linkage([1, 1, bad, 1])
+    assert str(raised.value) == (
+        f"length 3 is a {type(bad).__name__}, not an int, Fraction or Ratio"
     )
 
 
-@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf")], ids=repr)
-def test_make_linkage_refuses_what_fraction_refuses(bad):
-    with pytest.raises((ValueError, TypeError, OverflowError)) as expected:
-        Fraction(bad)
-    with pytest.raises(type(expected.value)) as raised:
-        make_linkage([1, 1, bad, 1])
-    assert str(raised.value) == str(expected.value)
+def test_no_public_length_name_loads_fractions():
+    # the public names read, parse, store and write a length as int pairs,
+    # so none loads `fractions`, nor the `decimal` and `numbers` it brings
+    # in.  -S leaves out `site`, whose .pth files may import them for their
+    # own use
+    src = str(Path(linkspace.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from linkspace import DEFAULT_EPSILON, make_linkage; "
+        "from linkspace.linkage import parse_lengths, parse_rational; "
+        "linkage = make_linkage(parse_lengths('6/4,2.50,eps,1,2.', parse_rational('1/50'))); "
+        "print(DEFAULT_EPSILON, repr(linkage), linkage.spec(), "
+        "*sorted({'fractions', 'decimal', 'numbers'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1/100 Linkage(lengths='3/2,5/2,1/50,1,2') 3/2,5/2,1/50,1,2\n"
+
+
+def test_no_module_imports_fractions_or_defines_a_module_getattr():
+    # one length type, so no module holds a `Fraction` route beside it, and
+    # every name a module hands out is one it defines (no PEP 562 hook)
+    paths = sorted(Path(linkspace.__file__).parent.glob("*.py"))
+    assert "linkage.py" in [path.name for path in paths]
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]  # None for `from . import x`
+            else:
+                continue
+            assert "fractions" not in {name.split(".")[0] for name in names}, path.name
+        defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        assert "__getattr__" not in defined, path.name

@@ -25,6 +25,7 @@ from linkspace.topology import (
 from oracles import (
     classify_surface,
     euler_characteristic,
+    fraction_lengths,
     oracle_betti_numbers,
     oracle_component_count,
     oracle_components,
@@ -394,8 +395,8 @@ def _assert_counts_match_the_complex(complex_):
     linkage = complex_.linkage
     report = classify_linkage(linkage)
     assert count_cells(linkage) == report.f_vector == complex_.f_vector()
-    assert report.f_vector == oracle_f_vector(linkage.lengths)
-    assert betti_numbers(linkage) == oracle_betti_numbers(linkage.lengths)
+    assert report.f_vector == oracle_f_vector(fraction_lengths(linkage))
+    assert betti_numbers(linkage) == oracle_betti_numbers(fraction_lengths(linkage))
     components = oracle_component_count(len(complex_.labels_by_dim[0]), complex_.edges)
     assert report.component_count == components
     return report
