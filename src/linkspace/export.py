@@ -6,15 +6,19 @@ positions, printed to six decimals; the exact lengths travel in the mesh
 header comments and in JSON.  Complex and report documents are laid out
 as json.dumps(indent=2) lays them out, but written directly: several times
 faster for a complex, and with no garbage cycle left for the collector.
-Tests pin both byte for byte against json.dumps writers.  The loader reads
-the writer's header with string methods, and only its validator imports
-`json`, so no command that writes, or checks the writer's own bytes, loads
-`json` or `re`.
+Tests pin both byte for byte against json.dumps writers.  A pentagon's
+mesh and report texts are fixed by its chamber but for the spec, so the
+mesh writer and `report_to_json` render each form once per chamber and
+process, and then fill in each later pentagon's spec (`_cut`).  The
+loader reads the writer's header with string methods, and only its
+validator imports `json`, so no command that writes, or checks the
+writer's own bytes, loads `json` or `re`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
@@ -22,7 +26,7 @@ from operator import itemgetter
 
 from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
-from .geometry import Point4, SurfaceMesh
+from .geometry import Point4, SurfaceMesh, _chambers, _own_chamber
 from .linkage import (
     DEFAULT_EPSILON,
     Linkage,
@@ -78,11 +82,22 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     share, `geometry.permutohedron()`'s table, and kept by `_vertex_lines`.
     A record's vertex numbers are read by one `itemgetter` from the index
     texts (`_index_texts`), as many as the mesh has points.
+
+    All but the spec is fixed by the chamber, so a chamber's own mesh
+    (`geometry._own_chamber`) is rendered once per format and `triangulate`:
+    the chamber map keeps the text's two halves around the spec, after
+    `# linkage: ` or `comment linkage: `, and a later own mesh of the
+    chamber gets them joined by its spec, with no face formatted and no
+    classification.  Every other mesh is rendered in full, and kept by
+    nothing.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
-    report = topology.analyze(mesh)
     spec = mesh.complex.linkage.spec()
+    entry = _own_chamber(mesh)
+    if entry is not None and (halves := entry[2].get((fmt, triangulate))) is not None:
+        return spec.join(halves)
+    report = topology.analyze(mesh)
     points = _vertex_lines(mesh.points)
     numbers = _index_texts(len(points) + 1)  # str(i) for every i <= V, at least
     rows = []  # (face index, vertex cycle) per face record
@@ -120,7 +135,19 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
         ]
         lines += points
         lines += [f"{len(cycle)} " + " ".join(itemgetter(*cycle)(numbers)) for _, cycle in rows]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if entry is not None:
+        at = "# linkage: " if fmt == "obj" else "comment linkage: "
+        entry[2][fmt, triangulate] = _cut(text, at, spec)
+    return text
+
+
+def _cut(text: str, at: str, piece: str) -> tuple[str, str]:
+    """`text` cut around `piece`, which follows the first `at` in it: the
+    head up to `piece` and the tail after it, which `piece.join` puts back.
+    The chamber map keeps a chamber's texts so (`geometry._chambers`)."""
+    start = text.index(at) + len(at)
+    return text[:start], text[start + len(piece) :]
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -275,11 +302,13 @@ def complex_from_json(text: str) -> CWComplex:
     or LinkageError, or other parsed `lengths` (json.loads keeps a repeated
     key's last value).  So compact or re-indented JSON, or a length written
     `2/2`, loads too.  Returns the built complex; no label is built.  Raises
-    ValueError on any other document, one nested too deeply to parse
-    included: text json cannot parse is 'not JSON', a value other than an
-    object is named by its JSON type, and a mismatch names the first
-    differing cell, with the record expected against the one found.  A
-    value quoted from the document is cut to 200 characters.
+    ValueError on any other document, one nested too deeply to parse or one
+    holding an integer longer than the interpreter converts
+    (`sys.get_int_max_str_digits()`, 4,300 digits by default) included, in
+    the same words on every Python: text json cannot parse is 'not JSON', a
+    value other than an object is named by its JSON type, and a mismatch
+    names the first differing cell, with the record expected against the
+    one found.  A value quoted from the document is cut to 200 characters.
     """
     complex_ = None
     if (tokens := _header_tokens(text)) is not None:
@@ -298,6 +327,9 @@ def complex_from_json(text: str) -> CWComplex:
         raise ValueError("document is nested too deeply to parse") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"document is not JSON: {exc}") from None
+    except ValueError:  # the one other: an int past the digit limit, worded per Python
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"document holds an integer of more than {limit} digits") from None
     if type(doc) is not dict:  # JSON's own name for the type json.loads gave
         names = {list: "array", str: "string", bool: "boolean", type(None): "null"}
         raise ValueError(f"document is a JSON {names.get(type(doc), 'number')}, not an object")
@@ -373,7 +405,17 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     leaves a cycle of closures on every call.  Every scalar but the
     classification is an int, a bool or None, and written by `_literal`.
     The classification is quoted as it is: no name holds a character that
-    JSON escapes, as a test checks for every name.  A test pins the bytes."""
+    JSON escapes, as a test checks for every name.  A test pins the bytes.
+    A pentagon chamber's own report, the one the chamber map holds
+    (`geometry._chambers`), is rendered once: the map keeps the document's
+    two halves around the `"lengths"` array, and a later pentagon of the
+    chamber gets them joined by its own array.  Every other report is
+    rendered in full."""
+    lengths = _json_array([f'    "{l}"' for l in linkage.spec().split(",")], "  ")
+    entry = _chambers.get(linkage.short)
+    texts = entry[2] if entry is not None and entry[1] is report else None  # its chamber's own
+    if texts is not None and (halves := texts.get("json")) is not None:
+        return lengths.join(halves)
     # n >= 6 reports no per-component detail, even for a connected space, but
     # every n reports the component count
     single = report.components[0] if len(report.components) == 1 else None
@@ -384,7 +426,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     ]
     doc = {
         "schema": "1",
-        "lengths": _json_array([f'    "{l}"' for l in linkage.spec().split(",")], "  "),
+        "lengths": lengths,
         "f_vector": _json_array([f"    {c}" for c in report.f_vector], "  "),
         "component_count": str(report.component_count),
         "components": _json_array(components, "  "),
@@ -393,7 +435,10 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
         "genus": _literal(single.genus if single else None),
         "classification": '"' + report.classification + '"',
     }
-    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
+    text = "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
+    if texts is not None:
+        texts["json"] = _cut(text, '"lengths": ', lengths)
+    return text
 
 
 def render_report(report: topology.TopologyReport, linkage: Linkage) -> str:

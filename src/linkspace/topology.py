@@ -5,14 +5,14 @@ edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
 check.  It runs once per pentagon chamber, on the mesh that fills the
 chamber map (`geometry._chambers`), and on every mesh that is not a
-chamber's own; the chamber's meshes get the map's report.  A face's
-orientation is its vertex cycle, the one the mesh writer writes: its
-direction along each edge of its row is read off the cycle, and a cycle
-that does not walk exactly its row's edges is refused.  One traversal of
-the faces across shared edges finds each component, with its vertices,
-and spreads face orientations so that the two faces on an edge walk it in
-opposite directions; a forced contradiction means the component is
-non-orientable.  Genus follows from the Euler characteristic for
+chamber's own (`geometry._own_chamber`); the chamber's meshes get the map's
+report.  A face's orientation is its vertex cycle, the one the mesh writer
+writes: its direction along each edge of its row is read off the cycle,
+and a cycle that does not walk exactly its row's edges is refused.  One
+traversal of the faces across shared edges finds each component, with its
+vertices, and spreads face orientations so that the two faces on an edge
+walk it in opposite directions; a forced contradiction means the component
+is non-orientable.  Genus follows from the Euler characteristic for
 orientable components.
 
 For every other n the short-subset table alone gives the f-vector
@@ -28,7 +28,7 @@ from math import factorial
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
-from .geometry import SurfaceMesh, _chambers, perform_surgery
+from .geometry import SurfaceMesh, _own_chamber, perform_surgery
 from .linkage import Linkage, _Record
 
 
@@ -133,20 +133,12 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
 
     `perform_surgery` runs this on each pentagon chamber's first mesh, and
     the chamber map (`geometry._chambers`, at most 76 entries) keeps that
-    mesh and the report.  Every mesh that `perform_surgery` hands out holds
-    the stored mesh's very labels, rows and cycles, which the map keeps
-    alive, so it holds their content and gets the report without a
+    mesh and the report.  Every mesh that `perform_surgery` hands out is its
+    chamber's own (`geometry._own_chamber`) and gets the report without a
     traversal.  Every other mesh, hand-built or `_replace`d, is traversed."""
     complex_, cycles = mesh.complex, mesh.cycles
-    short = getattr(complex_.linkage, "short", None)  # None if hand-built
-    own, report = _chambers.get(short, (None, None))
-    if (
-        own is not None
-        and cycles is own.cycles
-        and complex_.boundary is own.complex.boundary
-        and complex_.labels_by_dim is own.complex.labels_by_dim
-    ):
-        return report
+    if (entry := _own_chamber(mesh)) is not None:
+        return entry[1]
     edges, rows = complex_.edges, complex_.boundary[2]
     if len(cycles) != len(rows):
         raise NotAClosedSurface(f"{len(cycles)} face cycles for {len(rows)} faces")

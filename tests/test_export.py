@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkspace
-from linkspace import cli, export, topology
+from linkspace import cli, export, geometry, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from linkspace.export import (
@@ -39,7 +39,7 @@ from linkspace.export import (
     report_to_json,
     verify_all,
 )
-from linkspace.geometry import permutohedron
+from linkspace.geometry import perform_surgery, permutohedron
 from linkspace.linkage import (
     DEFAULT_EPSILON,
     LinkageError,
@@ -54,6 +54,7 @@ from linkspace.topology import classify_linkage
 from oracles import (
     HEADER,
     eps_walls,
+    fraction_lengths,
     oracle_header_tokens,
     is_watertight,
     oracle_component_count,
@@ -61,7 +62,7 @@ from oracles import (
     reference_complex_to_json,
     reference_report_to_json,
 )
-from test_golden import OCTAGON_DIGESTS
+from test_golden import OCTAGON_DIGESTS, pentagon_chambers
 
 
 def _values(lengths):
@@ -150,15 +151,13 @@ def test_export_rejects_unknown_formats(meshes):
 
 
 def test_export_is_deterministic(meshes):
-    from linkspace.geometry import perform_surgery
-
     for _, linkage, mesh in meshes:
         again = perform_surgery(linkage)
         assert export_mesh(mesh, "obj") == export_mesh(again, "obj")
         assert export_mesh(mesh, "ply") == export_mesh(again, "ply")
 
 
-def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch):
+def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch, no_chambers):
     calls = []
     fmt = export._fmt_coord
     monkeypatch.setattr(export, "_fmt_coord", lambda x: calls.append(x) or fmt(x))
@@ -177,6 +176,49 @@ def test_a_mesh_with_other_points_writes_its_own(meshes, projected):
     vertices, _ = parse_obj(export_mesh(mesh._replace(points=reversed_), "obj"))
     assert vertices == [pytest.approx(point, abs=1e-6) for point in projected[::-1]]
     assert export_mesh(mesh, "obj") == text
+
+
+#: The mesh writer's four forms: OBJ and PLY, each with and without `triangulate`
+MESH_FORMS = [(fmt, fan) for fmt in ("obj", "ply") for fan in (False, True)]
+
+
+def _five_forms(linkage):
+    """A pentagon's texts in the five forms the chamber map keeps: its mesh
+    in `MESH_FORMS`, and its report as JSON."""
+    mesh, report = perform_surgery(linkage), classify_linkage(linkage)
+    texts = [export_mesh(mesh, fmt, fan) for fmt, fan in MESH_FORMS]
+    return texts + [report_to_json(report, linkage)]
+
+
+def test_a_chambers_stored_texts_are_the_fresh_render_of_another_spec(no_chambers):
+    # each chamber's first pentagon renders the five forms, and the map keeps
+    # each one cut around its spec.  A second pentagon of the chamber, with
+    # lengths 2 or 1/3 times as long, gets the halves joined by its own spec,
+    # '/' included, and that is what it renders with the map emptied
+    for first in pentagon_chambers():
+        for scale in (2, Fraction(1, 3)):
+            later = make_linkage([scale * l for l in fraction_lengths(first)])
+            assert later.short == first.short and later.spec() != first.spec()
+            assert ("/" in later.spec()) == (scale != 2)
+            geometry._chambers.clear()
+            _five_forms(first)
+            assert len(geometry._chambers[first.short][2]) == 5
+            warm = _five_forms(later)
+            geometry._chambers.clear()
+            assert warm == _five_forms(later), later.spec()
+    # a mesh of a warm chamber with its cycles or its points reversed is
+    # not the chamber's own: it is written from its own cycles and points,
+    # and stores nothing
+    mesh = perform_surgery(later)
+    stored = dict(geometry._chambers[later.short][2])
+    flipped = tuple([cycle[::-1] for cycle in mesh.cycles])
+    for replaced in (mesh._replace(cycles=flipped), mesh._replace(points=mesh.points[::-1])):
+        texts = [export_mesh(replaced, fmt, fan) for fmt, fan in MESH_FORMS]
+        assert all(t != later.spec().join(stored[f]) for t, f in zip(texts, MESH_FORMS))
+        lines = texts[0].splitlines()
+        assert [l[2:] for l in lines if l[:2] == "v "] == list(_vertex_lines(replaced.points))
+        assert parse_obj(texts[0])[1] == list(replaced.cycles)
+    assert geometry._chambers[later.short][2] == stored
 
 
 def test_obj_vertex_lines_are_the_projected_points(meshes, projected):
@@ -783,6 +825,30 @@ def test_complex_from_json_rejects_a_length_in_exponent_notation_or_too_long(len
 def test_complex_from_json_rejects_deep_nesting_with_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         complex_from_json("[" * 100000)
+
+
+def _with_a_long_dim():
+    """The writer's pentagon document with its first cell's dim 5,000 nines:
+    the header is the writer's, so the loader builds before it parses."""
+    text = complex_to_json(build_complex(make_linkage([1, 1, 1, 1, 1])))
+    return text.replace('"dim": 0', '"dim": ' + "9" * 5000, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"schema": ' + "9" * 5000 + "}", _with_a_long_dim()],
+    ids=["schema", "dim"],
+)
+def test_an_integer_past_the_digit_limit_is_refused_in_the_loaders_words(text):
+    # json.loads raises a ValueError that is no JSONDecodeError, worded by
+    # the Python version, for an int of more digits than the interpreter
+    # converts; the loader and `linkctl check -` refuse it in one message
+    message = f"document holds an integer of more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(ValueError) as raised:
+        complex_from_json(text)
+    assert str(raised.value) == message
+    proc = _fresh_python(LINKSPACE_MAIN, "check", "-", input=text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_report_json_schema(representatives):

@@ -513,7 +513,7 @@ def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
         for met, later in ((first, double), (double, first)):
             geometry._chambers.clear()
             handed = perform_surgery(met), perform_surgery(later)  # the fill, then a re-home
-            stored, _ = geometry._chambers[met.short]
+            stored = geometry._chambers[met.short][0]  # the mesh, beside its report and texts
             for linkage, mesh in zip((met, later), handed):
                 assert mesh.complex.linkage is linkage
                 assert mesh.points is stored.points

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkspace import cwcomplex, geometry, topology
+from linkspace import cwcomplex, export, geometry, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
 from linkspace.export import export_mesh
@@ -113,6 +113,34 @@ def test_a_chamber_met_before_is_neither_cut_nor_traversed(monkeypatch, capsys, 
         assert calls == ["_restrict", "_surface_report"], spec
     assert "genus-2 surface" in capsys.readouterr().out
     assert made == [1]  # the fill's: every mesh handed out holds the stored mesh's points
+
+
+def test_a_warm_request_formats_no_face(monkeypatch, capsys, no_chambers):
+    # a chamber's first pentagon cuts, traverses and renders its mesh and
+    # its JSON report in full; the chamber's second pentagon, here under
+    # another spec, gets each text from the chamber map, joined by its own
+    # spec: no face's provenance or vertex numbers are formatted, and no
+    # mesh is traversed
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+
+    counted(SurfaceMesh, "provenances")
+    counted(export, "_index_texts")
+    counted(topology, "_surface_report")  # the last step of `analyze`'s traversal
+    first = ["_surface_report", "_index_texts", "provenances"]
+    for spec, want in (("2,2,1,1,3", first), ("4,4,2,2,6", [])):
+        calls.clear()
+        assert main(["mesh", spec]) == 0
+        assert main(["classify", spec, "--format", "json"]) == 0
+        assert calls == want, spec
+        out = capsys.readouterr().out
+        start = out.index("\n{\n") + 1  # the JSON report follows the OBJ text
+        obj, doc = out[:start], out[start:]
+        assert obj.startswith(f"# linkage: {spec}\n# classification: genus-2 surface\n")
+        assert json.loads(doc)["lengths"] == spec.split(",")
 
 
 def test_a_chambers_report_holds_for_any_face_orientations(monkeypatch):
