@@ -22,7 +22,14 @@ from collections.abc import Iterable
 from . import export, topology
 from .cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from .geometry import perform_surgery
-from .linkage import DEFAULT_EPSILON, LinkageError, make_linkage, parse_lengths, parse_rational
+from .linkage import (
+    DEFAULT_EPSILON,
+    Linkage,
+    LinkageError,
+    make_linkage,
+    parse_lengths,
+    parse_rational,
+)
 from .topology import NotAClosedSurface
 
 #: linkctl's grammar: each command's positional and options.  An option,
@@ -54,6 +61,19 @@ _SPELLINGS = {
     | {f"--{name}": name for name in options}
     for command, (_, options) in [(None, (None, {})), *_COMMANDS.items()]
 }
+#: Each pentagon `mesh` and `classify` text met, by its chamber, command,
+#: format and `--triangulate`, as the two halves around the one piece that
+#: depends on the spec (`_render`).  The surgery keeps a cell by which
+#: subsets are short, so all else in the text is fixed by the pentagon's
+#: `Linkage.short` table.  Generic pentagons have 76 labelled chambers, so
+#: the memo holds at most 456 texts, about 0.58 MB.  Only n = 5 is kept:
+#: n = 7 alone has up to 675,360 labelled chambers.  Only a process that
+#: serves many pentagon requests through `main` gains, as `perfbench`'s
+#: in-process client does.  A one-shot `linkctl` fills one text that no
+#: later request reads, and a library caller renders in full on every call.
+#: Two threads that fill one key at once store the same halves.
+_memo: dict[tuple[tuple[bool, ...], str, str, bool], tuple[str, str]] = {}
+
 #: the most bytes `check` reads, so that an endless input such as /dev/zero
 #: is refused, not read until memory runs out.  The writer's largest
 #: document for n <= 8, the all-short n=8 table's, is 17,123,994 bytes, and
@@ -244,6 +264,29 @@ def _check_bar_count(command: str, n: int) -> None:
         check_supported_arity(n, command)
 
 
+def _render(command: str, fmt: str, triangulate: bool, linkage: Linkage) -> str:
+    """The text of a `mesh` or `classify` request.  A pentagon's text is
+    fixed by its chamber but for one piece, the spec or a JSON report's
+    `"lengths"` array: a memo hit joins the halves by the piece, and a miss
+    renders through the library and keeps the text cut at the piece's first
+    place.  That is the piece's own, as no text holds a ',' or a '[' before
+    it."""
+    spec = linkage.spec()
+    piece = export._lengths_json(spec) if fmt == "json" else spec
+    key = (linkage.short, command, fmt, triangulate)
+    if (halves := _memo.get(key)) is not None:
+        return piece.join(halves)
+    if command == "mesh":
+        text = export.export_mesh(perform_surgery(linkage), fmt, triangulate)
+    else:
+        write = export.report_to_json if fmt == "json" else export.render_report
+        text = write(topology.classify_linkage(linkage), linkage)
+    if linkage.n == 5:
+        head, _, tail = text.partition(piece)
+        _memo[key] = head, tail
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if isinstance(args, int):
@@ -283,18 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         # count the bars first, so an over-long list is refused unparsed
         _check_bar_count(command, args["lengths"].count(",") + 1)
         linkage = make_linkage(parse_lengths(args["lengths"], epsilon))
-        if command == "classify":
-            report = topology.classify_linkage(linkage)
-            if args["format"] == "json":
-                return _emit(export.report_to_json(report, linkage), args["output"])
-            return _emit(export.render_report(report, linkage), args["output"])
         if command == "complex":
             return _emit(export.complex_json_pieces(build_complex(linkage)), args["output"])
-        if command == "mesh":
-            mesh = perform_surgery(linkage)
-            text = export.export_mesh(mesh, args["format"], args["triangulate"])
-            return _emit(text, args["output"])
-        raise AssertionError(f"unhandled command {command}")
+        text = _render(command, args["format"], args.get("triangulate", False), linkage)
+        return _emit(text, args["output"])
     except (LinkageError, ArityMismatch) as exc:
         _warn(f"error: {exc}")
         return 2

@@ -6,13 +6,10 @@ positions, printed to six decimals; the exact lengths travel in the mesh
 header comments and in JSON.  Complex and report documents are laid out
 as json.dumps(indent=2) lays them out, but written directly: several times
 faster for a complex, and with no garbage cycle left for the collector.
-Tests pin both byte for byte against json.dumps writers.  A pentagon's
-mesh and report texts are fixed by its chamber but for the spec, so the
-mesh writer and `report_to_json` render each form once per chamber and
-process, and then fill in each later pentagon's spec (`_cut`).  The
-loader reads the writer's header with string methods, and only its
-validator imports `json`, so no command that writes, or checks the
-writer's own bytes, loads `json` or `re`.
+Tests pin both byte for byte against json.dumps writers.  The loader reads
+the writer's header with string methods, and only its validator imports
+`json`, so no command that writes, or checks the writer's own bytes, loads
+`json` or `re`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from operator import itemgetter
 
 from . import topology
 from .cwcomplex import ArityMismatch, CWComplex, build_complex, check_supported_arity
-from .geometry import Point4, SurfaceMesh, _chambers, _own_chamber
+from .geometry import Point4, SurfaceMesh
 from .linkage import (
     DEFAULT_EPSILON,
     Linkage,
@@ -75,28 +72,15 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
     label, faces by label string.  Faces are n-gon records, or fans from
     each cycle's first vertex when `triangulate` is set.  In OBJ each record
     follows a `# face` comment holding the face's label and provenance.
-    Classifying the mesh first refuses one that is not a closed surface; a
-    mesh from `perform_surgery` gets its chamber's report from the chamber
-    map (`geometry._chambers`), worked out once per chamber.
+    Classifying the mesh first refuses one that is not a closed surface.
     The vertex lines are formatted once per process for the points they
     share, `geometry.permutohedron()`'s table, and kept by `_vertex_lines`.
     A record's vertex numbers are read by one `itemgetter` from the index
     texts (`_index_texts`), as many as the mesh has points.
-
-    All but the spec is fixed by the chamber, so a chamber's own mesh
-    (`geometry._own_chamber`) is rendered once per format and `triangulate`:
-    the chamber map keeps the text's two halves around the spec, after
-    `# linkage: ` or `comment linkage: `, and a later own mesh of the
-    chamber gets them joined by its spec, with no face formatted and no
-    classification.  Every other mesh is rendered in full, and kept by
-    nothing.
     """
     if fmt not in ("obj", "ply"):
         raise UnsupportedFormat(f"unsupported mesh format {fmt!r}")
     spec = mesh.complex.linkage.spec()
-    entry = _own_chamber(mesh)
-    if entry is not None and (halves := entry[2].get((fmt, triangulate))) is not None:
-        return spec.join(halves)
     report = topology.analyze(mesh)
     points = _vertex_lines(mesh.points)
     numbers = _index_texts(len(points) + 1)  # str(i) for every i <= V, at least
@@ -135,19 +119,7 @@ def export_mesh(mesh: SurfaceMesh, fmt: str = "obj", triangulate: bool = False) 
         ]
         lines += points
         lines += [f"{len(cycle)} " + " ".join(itemgetter(*cycle)(numbers)) for _, cycle in rows]
-    text = "\n".join(lines) + "\n"
-    if entry is not None:
-        at = "# linkage: " if fmt == "obj" else "comment linkage: "
-        entry[2][fmt, triangulate] = _cut(text, at, spec)
-    return text
-
-
-def _cut(text: str, at: str, piece: str) -> tuple[str, str]:
-    """`text` cut around `piece`, which follows the first `at` in it: the
-    head up to `piece` and the tail after it, which `piece.join` puts back.
-    The chamber map keeps a chamber's texts so (`geometry._chambers`)."""
-    start = text.index(at) + len(at)
-    return text[:start], text[start + len(piece) :]
+    return "\n".join(lines) + "\n"
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -156,6 +128,12 @@ def _json_array(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _lengths_json(spec: str) -> str:
+    """The `"lengths"` array of a complex or report document: each length of
+    `spec` as a JSON string, written as it is."""
+    return _json_array([f'    "{l}"' for l in spec.split(",")], "  ")
 
 
 #: `str(i)` for the flat indices 0, 1, ... written so far, and the mesh
@@ -186,10 +164,9 @@ def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
     # escapes.  Labels are digits, braces and commas; lengths are the
     # positive exact texts of `Linkage.spec`, digits and '/'.
     join_faces = ",\n        ".join
-    lengths = [f'    "{l}"' for l in complex_.linkage.spec().split(",")]
     yield (
         f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
-        + _json_array(lengths, "  ")
+        + _lengths_json(complex_.linkage.spec())
         + ',\n  "cells": ['
     )
     below = start = 0  # the flat index of the grade below's first cell, and of this grade's
@@ -405,17 +382,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     leaves a cycle of closures on every call.  Every scalar but the
     classification is an int, a bool or None, and written by `_literal`.
     The classification is quoted as it is: no name holds a character that
-    JSON escapes, as a test checks for every name.  A test pins the bytes.
-    A pentagon chamber's own report, the one the chamber map holds
-    (`geometry._chambers`), is rendered once: the map keeps the document's
-    two halves around the `"lengths"` array, and a later pentagon of the
-    chamber gets them joined by its own array.  Every other report is
-    rendered in full."""
-    lengths = _json_array([f'    "{l}"' for l in linkage.spec().split(",")], "  ")
-    entry = _chambers.get(linkage.short)
-    texts = entry[2] if entry is not None and entry[1] is report else None  # its chamber's own
-    if texts is not None and (halves := texts.get("json")) is not None:
-        return lengths.join(halves)
+    JSON escapes, as a test checks for every name.  A test pins the bytes."""
     # n >= 6 reports no per-component detail, even for a connected space, but
     # every n reports the component count
     single = report.components[0] if len(report.components) == 1 else None
@@ -426,7 +393,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
     ]
     doc = {
         "schema": "1",
-        "lengths": lengths,
+        "lengths": _lengths_json(linkage.spec()),
         "f_vector": _json_array([f"    {c}" for c in report.f_vector], "  "),
         "component_count": str(report.component_count),
         "components": _json_array(components, "  "),
@@ -435,10 +402,7 @@ def report_to_json(report: topology.TopologyReport, linkage: Linkage) -> str:
         "genus": _literal(single.genus if single else None),
         "classification": '"' + report.classification + '"',
     }
-    text = "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
-    if texts is not None:
-        texts["json"] = _cut(text, '"lengths": ', lengths)
-    return text
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in doc.items()) + "\n}\n"
 
 
 def render_report(report: topology.TopologyReport, linkage: Linkage) -> str:

@@ -17,21 +17,11 @@ writes, is also its orientation: `topology.analyze` reads each face's
 direction along its edges off it, and checks that the result is a closed
 surface.
 
-The surgery keeps a facet or a diagonal by which subsets are short, so a
-pentagon's whole surface, its cells, face cycles and classification,
-is fixed by its chamber: its `Linkage.short` table, and so are its OBJ, PLY
-and report texts but for the spec.  `_chambers` maps each table met to the
-mesh that the chamber's first pentagon built, through the cut and the face
-walks, `analyze`'s report of it, and each text the writers have rendered
-for the chamber, cut around the spec.  Every pentagon of the chamber gets a
-mesh on its own linkage that shares that mesh's tuples, and `_own_chamber`
-is the one test of whether a mesh is its chamber's own.
-Generic pentagons have 76 labelled chambers, so the map holds at most 76.
 `boundary_cycle`, a reference route for the tests that takes a
 `CyclicPartition`, imports the label layer (`partitions`) in its body, so
-no command loads it.  Annotations reach `partitions` and `topology`, which
-imports this module, through the package: loading this module imports
-neither, and `typing.get_type_hints` resolves them once both are loaded.
+no command loads it.  Its annotations reach `partitions` through the
+package: loading this module does not import it, and
+`typing.get_type_hints` resolves them once it is loaded.
 """
 
 from __future__ import annotations
@@ -135,75 +125,19 @@ def boundary_cycle(
     return [CyclicPartition(tuple(frozenset({b}) for b in v)) for v in _face_cycle(masks)]
 
 
-#: By short-subset table, each pentagon chamber's mesh, built by its first
-#: pentagon, that mesh's report, and the texts the writers have rendered for
-#: the chamber, by output form, each as the two halves around the spec: at
-#: most 76 entries, whose texts in all five forms come to about 0.5 MB.  A
-#: report is its chamber's own if it is the stored report, and a mesh if
-#: `_own_chamber` says so.  Two threads filling one entry or text at once
-#: each get a correct one, and the last one stands.
-_chambers: dict[
-    tuple[bool, ...],
-    tuple[SurfaceMesh, linkspace.topology.TopologyReport, dict[object, tuple[str, str]]],
-] = {}
-
-
-def _own_chamber(
-    mesh: SurfaceMesh,
-) -> tuple[SurfaceMesh, linkspace.topology.TopologyReport, dict[object, tuple[str, str]]] | None:
-    """The chamber map's entry for `mesh`'s linkage if `mesh` is that
-    chamber's own, else None: if it holds the stored mesh's very labels,
-    rows, points and cycles, which the map keeps alive, so it holds their
-    content.  Every mesh that `perform_surgery` hands out does, and a
-    hand-built or `_replace`d one does not, so `topology.analyze` traverses
-    a mesh with other points too, for the same report.  No n but 5 has an
-    entry.  `analyze` gives an own mesh the stored report, and the mesh
-    writer (`export`) the stored halves of a form it has rendered before,
-    joined by the spec."""
-    complex_ = mesh.complex
-    entry = _chambers.get(getattr(complex_.linkage, "short", None))  # no table if hand-built
-    if entry is not None:
-        own = entry[0]
-        if (
-            mesh.cycles is own.cycles
-            and mesh.points is own.points
-            and complex_.boundary is own.complex.boundary
-            and complex_.labels_by_dim is own.complex.labels_by_dim
-        ):
-            return entry
-    return None
-
-
 def perform_surgery(linkage: Linkage) -> SurfaceMesh:
     """Realize the cell complex of a pentagon as a closed polyhedral
     surface: mesh vertex, edge and face k is cell k of grade 0, 1 and 2, and
-    vertex k stands at the exact point `permutohedron()[k]`.  Its faces may
-    cross in the points' 3-space sum(x) = 10, so the surface is not claimed
-    to be embedded: a prototype check of segment-triangle crossings by
-    integer orientation determinants found 1, 6 and 16 crossing face pairs
-    in the genus-2, -3 and -4 models (ROADMAP item 10); the repo does not
-    check them.
-
-    The surface depends on the linkage only through its chamber, the
-    `short` table, which decides every cell the cut keeps.  A chamber's
-    first pentagon cuts its complex (`build_complex`), reads each kept
-    face's cycle by label from `_face_walks`, and classifies the mesh
-    (`topology.analyze`, which raises NotAClosedSurface on an edge not on
-    two faces); then `_chambers` keeps the mesh, its report and an empty
-    table of the chamber's texts, and nothing if a step raised.  Every
-    pentagon of the chamber, the first one included, gets a new complex and
-    mesh on its own linkage that share the stored mesh's labels, rows,
-    points and cycles, so it is its chamber's own (`_own_chamber`): the
-    writers render each form once per chamber and fill in its spec."""
+    vertex k stands at the exact point `permutohedron()[k]`.  The complex is
+    cut from the n = 5 table (`build_complex`), and each kept face's cycle is
+    read by label from `_face_walks`; an edge not on two faces is left to
+    `topology.analyze`.  Its faces may cross in the points' 3-space
+    sum(x) = 10, so the surface is not claimed to be embedded: a prototype
+    check of segment-triangle crossings by integer orientation determinants
+    found 1, 6 and 16 crossing face pairs in the genus-2, -3 and -4 models
+    (ROADMAP item 10); the repo does not check them."""
     if linkage.n != 5:
         raise ArityMismatch(f"surgery is defined for pentagons, got n={linkage.n}")
-    if (chamber := _chambers.get(linkage.short)) is None:
-        from .topology import analyze  # here, as topology imports this module
-
-        complex_ = build_complex(linkage)
-        cycles = tuple(map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
-        mesh = SurfaceMesh(complex_, permutohedron(), cycles)
-        chamber = _chambers[linkage.short] = mesh, analyze(mesh), {}
-    mesh = chamber[0]
-    complex_ = CWComplex(linkage, mesh.complex.labels_by_dim, mesh.complex.boundary)
-    return SurfaceMesh(complex_, mesh.points, mesh.cycles)
+    complex_ = build_complex(linkage)
+    cycles = tuple(map(_face_walks().__getitem__, complex_.labels_by_dim[2]))
+    return SurfaceMesh(complex_, permutohedron(), cycles)

@@ -3,10 +3,8 @@
 A pentagon's surface is classified from its complex (`analyze`): each
 edge's faces come from the 2-cells' boundary rows, and NotAClosedSurface
 refuses an edge not on exactly two of them.  This is the one closedness
-check.  It runs once per pentagon chamber, on the mesh that fills the
-chamber map (`geometry._chambers`), and on every mesh that is not a
-chamber's own (`geometry._own_chamber`); the chamber's meshes get the map's
-report.  A face's orientation is its vertex cycle, the one the mesh writer
+check: `classify_linkage` and the mesh writer run it on every pentagon's
+mesh.  A face's orientation is its vertex cycle, the one the mesh writer
 writes: its direction along each edge of its row is read off the cycle,
 and a cycle that does not walk exactly its row's edges is refused.  One
 traversal of the faces across shared edges finds each component, with its
@@ -28,7 +26,7 @@ from math import factorial
 
 from .cwcomplex import build_complex  # not called here; perfbench's tracer test reads it
 from .cwcomplex import check_supported_arity, count_cells
-from .geometry import SurfaceMesh, _own_chamber, perform_surgery
+from .geometry import SurfaceMesh, perform_surgery
 from .linkage import Linkage, _Record
 
 
@@ -129,16 +127,8 @@ def analyze(mesh: SurfaceMesh) -> TopologyReport:
     edge, s and t its signs in faces f and g; a forced contradiction makes
     the component non-orientable.  Its faces' rows give F, E and, through
     `edges`, V; a vertex on no face or on two components' faces raises
-    NotAClosedSurface.  Components are listed by least vertex.
-
-    `perform_surgery` runs this on each pentagon chamber's first mesh, and
-    the chamber map (`geometry._chambers`, at most 76 entries) keeps that
-    mesh and the report.  Every mesh that `perform_surgery` hands out is its
-    chamber's own (`geometry._own_chamber`) and gets the report without a
-    traversal.  Every other mesh, hand-built or `_replace`d, is traversed."""
+    NotAClosedSurface.  Components are listed by least vertex."""
     complex_, cycles = mesh.complex, mesh.cycles
-    if (entry := _own_chamber(mesh)) is not None:
-        return entry[1]
     edges, rows = complex_.edges, complex_.boundary[2]
     if len(cycles) != len(rows):
         raise NotAClosedSurface(f"{len(cycles)} face cycles for {len(rows)} faces")
@@ -205,10 +195,10 @@ def betti_numbers(linkage: Linkage) -> tuple[int, ...]:
 def classify_linkage(linkage: Linkage) -> TopologyReport:
     """End-to-end pipeline: classify the linkage's moduli space.
 
-    Pentagons get the full surface classification of their mesh, which
-    `analyze` works out once per chamber.  Every other n builds no complex:
-    it reports the f-vector (`count_cells`), the component count b_0
-    (`betti_numbers`) and the Euler characteristic, which both give.  A
+    Pentagons get the full surface classification of their mesh
+    (`analyze`).  Every other n builds no complex: it reports the f-vector
+    (`count_cells`), the component count b_0 (`betti_numbers`) and the
+    Euler characteristic, which both give.  A
     mismatch, a vertex count other than (n-1)!, or a b_0 that does not
     divide it raises ValueError.  A quadrilateral's space is b_0 circles of
     f_0 / b_0 vertices and as many edges each: they are equal, as reflection

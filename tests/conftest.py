@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from linkspace import export, geometry
+from linkspace import cli, export
 from linkspace.cwcomplex import build_complex
 from linkspace.export import REPRESENTATIVES
 from linkspace.geometry import perform_surgery, permutohedron
@@ -27,12 +27,12 @@ def complex_of():
     return functools.cache(lambda spec: build_complex(make_linkage(parse_lengths(spec))))
 
 
-@pytest.fixture
-def no_chambers():
-    """Empty the chamber map (`geometry._chambers`), so that the test's first
-    pentagon of each chamber cuts, walks and classifies its surface afresh,
-    whatever chambers earlier tests met."""
-    geometry._chambers.clear()
+@pytest.fixture(autouse=True)
+def no_memo():
+    """Empty linkctl's pentagon memo (`cli._memo`) before every test, so that
+    the test's first `mesh` or `classify` of each chamber renders through
+    the library, whatever chambers earlier tests met."""
+    cli._memo.clear()
 
 
 @pytest.fixture

@@ -643,7 +643,7 @@ def test_heptagon_complex_wires_each_grade_once(wirings, capsys):
     assert wirings == [2520, 3360, 2100, 602]  # reads, the writer and later builds wire nothing
 
 
-def test_pentagon_mesh_wires_both_grades(wirings, capsys, no_chambers):
+def test_pentagon_mesh_wires_both_grades(wirings, capsys):
     # the first pentagon wires the table's two grades above the vertices;
     # every later pentagon is cut from the table and wires nothing
     cwcomplex._table.cache_clear()

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkspace
-from linkspace import cli, export, geometry, topology
+from linkspace import cli, export, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, build_complex, check_supported_arity
 from linkspace.export import (
@@ -62,7 +62,7 @@ from oracles import (
     reference_complex_to_json,
     reference_report_to_json,
 )
-from test_golden import OCTAGON_DIGESTS, pentagon_chambers
+from test_golden import OCTAGON_DIGESTS, pentagon_chambers, printed
 
 
 def _values(lengths):
@@ -157,7 +157,7 @@ def test_export_is_deterministic(meshes):
         assert export_mesh(mesh, "ply") == export_mesh(again, "ply")
 
 
-def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch, no_chambers):
+def test_vertex_lines_are_formatted_once_per_process(meshes, monkeypatch):
     calls = []
     fmt = export._fmt_coord
     monkeypatch.setattr(export, "_fmt_coord", lambda x: calls.append(x) or fmt(x))
@@ -178,47 +178,25 @@ def test_a_mesh_with_other_points_writes_its_own(meshes, projected):
     assert export_mesh(mesh, "obj") == text
 
 
-#: The mesh writer's four forms: OBJ and PLY, each with and without `triangulate`
-MESH_FORMS = [(fmt, fan) for fmt in ("obj", "ply") for fan in (False, True)]
-
-
-def _five_forms(linkage):
-    """A pentagon's texts in the five forms the chamber map keeps: its mesh
-    in `MESH_FORMS`, and its report as JSON."""
-    mesh, report = perform_surgery(linkage), classify_linkage(linkage)
-    texts = [export_mesh(mesh, fmt, fan) for fmt, fan in MESH_FORMS]
-    return texts + [report_to_json(report, linkage)]
-
-
-def test_a_chambers_stored_texts_are_the_fresh_render_of_another_spec(no_chambers):
-    # each chamber's first pentagon renders the five forms, and the map keeps
-    # each one cut around its spec.  A second pentagon of the chamber, with
-    # lengths 2 or 1/3 times as long, gets the halves joined by its own spec,
-    # '/' included, and that is what it renders with the map emptied
+def test_a_chambers_stored_texts_are_the_fresh_render_of_another_spec():
+    # each chamber's first pentagon prints the six forms, and linkctl's memo
+    # keeps each one cut around its spec or lengths.  A second pentagon of
+    # the chamber, with lengths 2 or 1/3 times as long, gets the halves
+    # joined by its own, '/' included, and that is what it prints with the
+    # memo emptied
     for first in pentagon_chambers():
         for scale in (2, Fraction(1, 3)):
             later = make_linkage([scale * l for l in fraction_lengths(first)])
             assert later.short == first.short and later.spec() != first.spec()
             assert ("/" in later.spec()) == (scale != 2)
-            geometry._chambers.clear()
-            _five_forms(first)
-            assert len(geometry._chambers[first.short][2]) == 5
-            warm = _five_forms(later)
-            geometry._chambers.clear()
-            assert warm == _five_forms(later), later.spec()
-    # a mesh of a warm chamber with its cycles or its points reversed is
-    # not the chamber's own: it is written from its own cycles and points,
-    # and stores nothing
-    mesh = perform_surgery(later)
-    stored = dict(geometry._chambers[later.short][2])
-    flipped = tuple([cycle[::-1] for cycle in mesh.cycles])
-    for replaced in (mesh._replace(cycles=flipped), mesh._replace(points=mesh.points[::-1])):
-        texts = [export_mesh(replaced, fmt, fan) for fmt, fan in MESH_FORMS]
-        assert all(t != later.spec().join(stored[f]) for t, f in zip(texts, MESH_FORMS))
-        lines = texts[0].splitlines()
-        assert [l[2:] for l in lines if l[:2] == "v "] == list(_vertex_lines(replaced.points))
-        assert parse_obj(texts[0])[1] == list(replaced.cycles)
-    assert geometry._chambers[later.short][2] == stored
+            cli._memo.clear()
+            printed(first.spec())
+            stored = dict(cli._memo)
+            assert len(stored) == 6
+            warm = printed(later.spec())
+            assert cli._memo == stored
+            cli._memo.clear()
+            assert warm == printed(later.spec()), later.spec()
 
 
 def test_obj_vertex_lines_are_the_projected_points(meshes, projected):

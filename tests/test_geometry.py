@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from linkspace.cwcomplex import ArityMismatch, CWComplex, _table, build_complex
 from linkspace.export import export_mesh
 from linkspace.cli import main
-from linkspace import geometry
+from linkspace import cli, geometry
 from linkspace.geometry import boundary_cycle, perform_surgery, permutohedron
 from linkspace.linkage import make_linkage
 from linkspace.partitions import canonicalize, cell_vertices, parse_partition
@@ -32,7 +32,7 @@ from oracles import (
     vertex_to_permutation,
     walk_cycle,
 )
-from test_golden import pentagon_chambers
+from test_golden import pentagon_chambers, printed
 
 
 def test_permutohedron_face_counts():
@@ -351,7 +351,7 @@ def test_generic_pentagon_mesh_indices_are_the_complex_indices(lengths):
     assert records == list(mesh.cycles)
 
 
-def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys, no_chambers):
+def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys):
     # {4,5} is long in 1,1,1,1,3, so this 1-cell of the equilateral pentagon
     # is not in the sphere's complex; added with its two 0-cells, it bounds
     # no 2-cell.  The classifier, which every command runs on the mesh,
@@ -372,7 +372,7 @@ def test_surgery_rejects_a_1_cell_on_no_2_cell(monkeypatch, capsys, no_chambers)
     assert main(["mesh", "1,1,1,1,3"]) == 3
     assert main(["classify", "1,1,1,1,3"]) == 3
     assert "lies in 0 faces" in capsys.readouterr().err
-    # a refused surface is not kept for its chamber: the real build follows
+    # a refused surface is not kept in linkctl's memo: the real build follows
     monkeypatch.undo()
     assert main(["classify", "1,1,1,1,3"]) == 0
     assert "classification: sphere" in capsys.readouterr().out
@@ -448,13 +448,10 @@ def test_cycles_are_walks_of_the_built_complex(representatives):
             assert list(cycle) == walk_cycle(labels, boundary, i), labels[2][i]
 
 
-def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys, no_chambers):
+def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch):
     # the table's face cycles are worked out once per process; pentagons of
-    # other chambers read their cycles from that map.  The chamber
-    # map is emptied on both sides of the first pentagon, so that it walks
-    # the faces and each later spec fills its chamber from the walks
+    # other chambers, each cut afresh, read their cycles from that map
     assert main(["classify", "1,1,1,1,3"]) == 0
-    geometry._chambers.clear()
     calls = []
     formula = geometry._face_cycle
     monkeypatch.setattr(geometry, "_face_cycle", lambda parts: calls.append(parts) or formula(parts))
@@ -462,67 +459,38 @@ def test_pentagon_ops_after_the_first_walk_no_face(monkeypatch, capsys, no_chamb
         assert main(["classify", spec]) == 0
         assert main(["mesh", spec]) == 0
     assert calls == []
-    assert len(geometry._chambers) == 5  # five chambers, each filled through the walks
+    assert len(cli._memo) == 11  # eleven cold requests, each through the surgery
     # the count is live: with the cache cleared, one surgery works out each
     # of the table's 50 faces once, from its part columns
     geometry._face_walks.cache_clear()
-    geometry._chambers.clear()  # or the equilateral pentagon's chamber, met above, is re-homed
     perform_surgery(make_linkage([1, 1, 1, 1, 1]))
     assert calls == list(zip(*_table(5)[2][2]))
 
 
-#: linkctl's pentagon requests: `mesh` as OBJ, PLY and triangulated OBJ, and
-#: `classify` as JSON and text
-PENTAGON_REQUESTS = (
-    ["mesh", "--format", "obj"],
-    ["mesh", "--format", "ply"],
-    ["mesh", "--triangulate"],
-    ["classify", "--format", "json"],
-    ["classify"],
-)
-
-
-def _printed(capsys, spec):
-    """What linkctl prints for each of `PENTAGON_REQUESTS` of the spec."""
-    printed = []
-    for command, *options in PENTAGON_REQUESTS:
-        assert main([command, spec, *options]) == 0
-        printed.append(capsys.readouterr().out)
-    return printed
-
-
-def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage(capsys):
+def test_a_later_pentagon_of_a_chamber_keeps_its_own_linkage():
     # each chamber's pentagon and the one of twice its lengths have the same
-    # short subsets and other specs.  Whichever comes second is re-homed
-    # from the chamber map, and prints what it prints with the map emptied,
-    # its own spec in every header.  The first and the second each get a
-    # mesh on their own linkage that holds the stored mesh's very tuples
+    # short subsets and other specs.  Whichever comes second is served from
+    # linkctl's memo, and prints what it prints with the memo emptied, its
+    # own spec in every header; the surgery hands each its own linkage
     for first in pentagon_chambers():
         double = make_linkage([2 * l for l in fraction_lengths(first)])
         assert double.short == first.short and double.spec() != first.spec()
         alone = {}
         for linkage in (first, double):
-            geometry._chambers.clear()
+            cli._memo.clear()
             spec = linkage.spec()
-            alone[linkage] = obj, ply, triangulated, doc, text = _printed(capsys, spec)
+            alone[linkage] = obj, ply, triangulated, ply_triangulated, doc, text = printed(spec)
             assert obj.startswith(f"# linkage: {spec}\n")
             assert triangulated.startswith(f"# linkage: {spec}\n")
             assert f"\ncomment linkage: {spec}\n" in ply
+            assert f"\ncomment linkage: {spec}\n" in ply_triangulated
             assert json.loads(doc)["lengths"] == spec.split(",")
             assert text.startswith(f"linkage: {spec}  (n=5)\n")
         for met, later in ((first, double), (double, first)):
-            geometry._chambers.clear()
-            handed = perform_surgery(met), perform_surgery(later)  # the fill, then a re-home
-            stored = geometry._chambers[met.short][0]  # the mesh, beside its report and texts
-            for linkage, mesh in zip((met, later), handed):
-                assert mesh.complex.linkage is linkage
-                assert mesh.points is stored.points
-                assert mesh.cycles is stored.cycles
-                assert mesh.complex.labels_by_dim is stored.complex.labels_by_dim
-                assert mesh.complex.boundary is stored.complex.boundary
-            _printed(capsys, met.spec())
-            assert perform_surgery(later).complex.linkage == later
-            assert _printed(capsys, later.spec()) == alone[later], later.spec()
+            assert perform_surgery(later).complex.linkage is later
+            cli._memo.clear()
+            printed(met.spec())
+            assert printed(later.spec()) == alone[later], later.spec()
 
 
 def test_face_cycles_are_the_walks_of_the_tables():

@@ -84,6 +84,24 @@ def _stdout(argv):
     return out.getvalue()
 
 
+#: linkctl's pentagon requests in the six forms its memo keeps: `mesh` as
+#: OBJ and PLY, each with and without `--triangulate`, and `classify` as
+#: JSON and text
+PENTAGON_REQUESTS = (
+    ["mesh", "--format", "obj"],
+    ["mesh", "--format", "ply"],
+    ["mesh", "--triangulate"],
+    ["mesh", "--format", "ply", "--triangulate"],
+    ["classify", "--format", "json"],
+    ["classify"],
+)
+
+
+def printed(spec):
+    """What linkctl prints for each of `PENTAGON_REQUESTS` of the spec."""
+    return [_stdout([command, spec, *options]) for command, *options in PENTAGON_REQUESTS]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN

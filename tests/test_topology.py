@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkspace import cwcomplex, export, geometry, topology
+from linkspace import cli, export, geometry, topology
 from linkspace.cli import main
 from linkspace.cwcomplex import ArityMismatch, CWComplex, build_complex, count_cells
 from linkspace.export import export_mesh
@@ -31,7 +31,13 @@ from oracles import (
     oracle_components,
     oracle_f_vector,
 )
-from test_golden import OCTAGON_DIGESTS, generic_integer_pentagons, pentagon_chambers
+from test_golden import (
+    OCTAGON_DIGESTS,
+    PENTAGON_REQUESTS,
+    _stdout,
+    generic_integer_pentagons,
+    pentagon_chambers,
+)
 
 EXPECTED = {
     "1,1,1,1,3": ("sphere", 1, 2, 0),
@@ -89,58 +95,47 @@ def test_analyze_agrees_with_the_mesh_route(top, count, representatives):
         report = analyze(mesh)
         assert report == classify_surface(len(mesh.points), mesh.complex.edges, mesh.cycles)
         assert all(c.orientable for c in report.components), linkage.spec()
-    # both inputs meet every chamber, and the map keeps one entry for each
-    assert len(geometry._chambers) == 76
+    # both inputs meet every chamber
+    assert len({linkage.short for linkage in linkages}) == 76
 
 
-def test_a_chamber_met_before_is_neither_cut_nor_traversed(monkeypatch, capsys, no_chambers):
-    # a chamber's first pentagon cuts its complex and traverses its mesh;
-    # a second classify and mesh of the chamber, here under another spec,
-    # read both from the chamber map
-    calls = []
-
-    def counted(module, name):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
-
-    counted(cwcomplex, "_restrict")
-    counted(topology, "_surface_report")  # the last step of `analyze`'s traversal
-    points, made = geometry.permutohedron, []
-    monkeypatch.setattr(geometry, "permutohedron", lambda: made.append(1) or points())
-    for spec in ("2,2,1,1,3", "4,4,2,2,6"):
-        assert main(["classify", spec]) == 0
-        assert main(["mesh", spec]) == 0
-        assert calls == ["_restrict", "_surface_report"], spec
-    assert "genus-2 surface" in capsys.readouterr().out
-    assert made == [1]  # the fill's: every mesh handed out holds the stored mesh's points
-
-
-def test_a_warm_request_formats_no_face(monkeypatch, capsys, no_chambers):
-    # a chamber's first pentagon cuts, traverses and renders its mesh and
-    # its JSON report in full; the chamber's second pentagon, here under
-    # another spec, gets each text from the chamber map, joined by its own
-    # spec: no face's provenance or vertex numbers are formatted, and no
-    # mesh is traversed
+@pytest.mark.parametrize("later", ["4,4,2,2,6", "2/3,2/3,1/3,1/3,1"])
+def test_a_later_spec_of_a_chamber_reaches_no_layer(later, monkeypatch):
+    # a chamber's first request of each form cuts its complex once, and
+    # linkctl's memo keeps the text; a later spec of the chamber, here with
+    # lengths 2 or 1/3 times as long, gets the text joined by its own spec
+    # or lengths: no surgery, classification or cut, and no face's
+    # provenance or vertex numbers formatted
     calls = []
 
     def counted(owner, name):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
 
+    counted(cli, "perform_surgery")
+    counted(topology, "perform_surgery")
+    counted(topology, "classify_linkage")
+    counted(geometry, "build_complex")
     counted(SurfaceMesh, "provenances")
     counted(export, "_index_texts")
-    counted(topology, "_surface_report")  # the last step of `analyze`'s traversal
-    first = ["_surface_report", "_index_texts", "provenances"]
-    for spec, want in (("2,2,1,1,3", first), ("4,4,2,2,6", [])):
-        calls.clear()
-        assert main(["mesh", spec]) == 0
-        assert main(["classify", spec, "--format", "json"]) == 0
-        assert calls == want, spec
-        out = capsys.readouterr().out
-        start = out.index("\n{\n") + 1  # the JSON report follows the OBJ text
-        obj, doc = out[:start], out[start:]
-        assert obj.startswith(f"# linkage: {spec}\n# classification: genus-2 surface\n")
-        assert json.loads(doc)["lengths"] == spec.split(",")
+    for spec, first in (("2,2,1,1,3", True), (later, False)):
+        for command, *options in PENTAGON_REQUESTS:
+            calls.clear()
+            out = _stdout([command, spec, *options])
+            if first:
+                assert calls.count("build_complex") == 1, (command, options)
+            else:
+                assert calls == [], (spec, command, options)
+            if command == "classify" and options:
+                assert json.loads(out)["lengths"] == spec.split(",")
+            elif command == "classify":
+                assert out.startswith(f"linkage: {spec}  (n=5)\n")
+                assert "classification: genus-2 surface\n" in out
+            elif "ply" in options:
+                assert f"\ncomment linkage: {spec}\ncomment classification: genus-2" in out
+            else:
+                assert out.startswith(f"# linkage: {spec}\n# classification: genus-2 surface\n")
+    assert len(cli._memo) == 6
 
 
 def test_a_chambers_report_holds_for_any_face_orientations(monkeypatch):
@@ -266,7 +261,7 @@ def test_components_are_listed_by_least_vertex():
         assert report.classification == classification
 
 
-def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys, no_chambers):
+def test_a_vertex_on_no_face_is_refused(monkeypatch, capsys):
     # a second copy of 0-cell 0 of the sphere's complex, on no edge: counted
     # as its own component it would make "2 spheres" with chi = 3
     linkage = make_linkage([1, 1, 1, 1, 3])
