@@ -68,6 +68,8 @@ class Ratio(_Record):
 
     __slots__ = ()
 
+    # parse_rational builds an int token's Ratio by `tuple.__new__`, not
+    # through this method: keep the two in step
     def __new__(cls, numerator: int, denominator: int) -> Ratio:
         return tuple.__new__(cls, (numerator, denominator))
 
@@ -139,6 +141,8 @@ class Linkage(_Record):
 
     __slots__ = ()
 
+    # make_linkage builds the record by `tuple.__new__`, not through this
+    # method: keep the two in step
     def __new__(
         cls, weights: tuple[int, ...], denominator: int, short: tuple[bool, ...]
     ) -> Linkage:
@@ -157,9 +161,10 @@ class Linkage(_Record):
 
 
 def _pair(k: int, length: object) -> tuple[int, int]:
-    """Length k's numerator and denominator, read off it: an int, a
-    `fractions.Fraction` and a `Ratio` each has both.  Anything else, a
-    float or a string included, raises TypeError naming bar k."""
+    """Length k's numerator and denominator, read off it: an int and a
+    `fractions.Fraction` each has both (make_linkage takes a `Ratio` as its
+    own pair).  Anything else, a float or a string included, raises
+    TypeError naming bar k."""
     if not hasattr(length, "denominator"):
         raise TypeError(f"length {k} is a {type(length).__name__}, not an int, Fraction or Ratio")
     return length.numerator, length.denominator
@@ -167,7 +172,8 @@ def _pair(k: int, length: object) -> tuple[int, int]:
 
 def make_linkage(lengths: Sequence[object]) -> Linkage:
     """Validate and build a Linkage from lengths given as ints, Fractions or
-    `Ratio`s (see `_pair`).
+    `Ratio`s.  A `Ratio`, as the length grammar hands out, is its own pair;
+    any other length is read by `_pair`.
 
     This is the single gate enforcing positivity, genericity and the polygon
     inequality; everything downstream may assume all three.  Genericity is
@@ -175,18 +181,21 @@ def make_linkage(lengths: Sequence[object]) -> Linkage:
     the sum of the rest (an exact half-split) is reported as NonGeneric with
     its witness.  The checks and the messages work from the integer weights.
 
+    The record is built by `tuple.__new__`, as `Linkage.__new__` builds it,
+    without the call through the class.
+
     Raises NonPositiveLength, NonGeneric or ViolatesPolygonInequality, and
     TypeError for a length of another type.
     """
     if not lengths:
         raise LinkageError("length list is empty")
-    pairs = [_pair(k, l) for k, l in enumerate(lengths, 1)]
+    pairs = [l if type(l) is Ratio else _pair(k, l) for k, l in enumerate(lengths, 1)]
     if len(pairs) < 3:
         raise LinkageError(f"need at least 3 bars, got {len(pairs)}")
     for i, (a, d) in enumerate(pairs, 1):
         if a <= 0 or d <= 0:  # a `Ratio` built by hand may break its positive denominator
             raise NonPositiveLength(f"length {i} is {_text(a, d)}; all lengths must be > 0")
-    common = lcm(*(d for _, d in pairs))
+    common = lcm(*[d for _, d in pairs])
     weights = tuple([a * (common // d) for a, d in pairs])
     sums = _subset_sums(weights)
     total = sums[-1]
@@ -202,8 +211,8 @@ def make_linkage(lengths: Sequence[object]) -> Linkage:
         raise ViolatesPolygonInequality(f"longest bar {longest} is >= sum of the rest {rest}")
     # no subset weighs exactly half, so a subset is short iff it weighs less
     # than half the total rounded up
-    short = tuple(map(((total + 1) // 2).__gt__, sums))
-    return Linkage(weights, common, short)
+    half = (total + 1) // 2
+    return tuple.__new__(Linkage, (weights, common, tuple([s < half for s in sums])))
 
 
 def _subset_sums(weights: Sequence[int]) -> list[int]:
@@ -276,26 +285,28 @@ def parse_rational(token: str, name: str = "length") -> Ratio:
     as its `Ratio`; else raise LinkageError, whose message calls the token
     `name` and quotes its repr, cut by `_quoted`.  The token is read once,
     by string methods, and the value built from its digits: a decimal's are
-    those on either side of the point.  Fraction's own grammar varies
-    between Python versions (underscores, spaces around '/') and takes any
-    Unicode digit and exponents, which it would expand digit by digit
-    ('1e30000000')."""
+    those on either side of the point, and a signed int is read as a
+    decimal with none after it.  A token of ASCII digits alone, as most
+    specs' tokens are, takes one branch, straight after the length check,
+    and its `Ratio` is built by `tuple.__new__`.  Fraction's own
+    grammar varies between Python versions (underscores, spaces around '/')
+    and takes any Unicode digit and exponents, which it would expand digit
+    by digit ('1e30000000')."""
     token = token.strip()
     if len(token) > MAX_TOKEN:
         raise LinkageError(f"{name} {token[:20]!r}... is over {MAX_TOKEN} characters")
+    if _is_digits(token):
+        return tuple.__new__(Ratio, (int(token), 1))
     sign = token[:1] if token.startswith(("+", "-")) else ""
     head, slash, tail = token[len(sign) :].partition("/")
-    whole, point, tenths = head.partition(".")
+    whole, _, tenths = head.partition(".")
     fault = "not an integer, fraction or decimal"
     if slash:
         if _is_digits(head) and _is_digits(tail):
             if denominator := int(tail):
                 return _ratio(int(sign + head), denominator)
             fault = "its denominator is 0"
-    elif not point:
-        if _is_digits(head):
-            return Ratio(int(token), 1)
-    elif _is_digits(whole + tenths):  # its digits over 10 ** (those after the point)
+    elif _is_digits(whole + tenths):  # its digits over 10 ** (those after the point, if any)
         return _ratio(int(sign + whole + tenths), 10 ** len(tenths))
     raise LinkageError(f"cannot parse {name} {_quoted(repr(token))}: {fault}")
 
@@ -303,9 +314,10 @@ def parse_rational(token: str, name: str = "length") -> Ratio:
 def parse_lengths(text: str, epsilon: object = DEFAULT_EPSILON) -> list:
     """A comma-separated length spec as make_linkage takes it: each token is
     an ASCII integer, fraction or decimal, as its `Ratio` (`parse_rational`),
-    or the symbol `eps`, as `epsilon` itself.  An empty token is refused."""
+    or the symbol `eps`, as `epsilon` itself.  An empty token is refused,
+    the first one named, before any token is parsed: one scan of the tokens
+    finds it."""
     tokens = [t.strip() for t in text.split(",")]
-    for k, t in enumerate(tokens, 1):
-        if not t:
-            raise LinkageError(f"length {k} is empty")
+    if "" in tokens:
+        raise LinkageError(f"length {tokens.index('') + 1} is empty")
     return [epsilon if t == "eps" else parse_rational(t) for t in tokens]

@@ -84,10 +84,22 @@ def test_parse_lengths_forms():
         parse_lengths("1,banana,2")
     with pytest.raises(LinkageError):
         parse_lengths("")
-    # an empty token is refused, not dropped: '1,,1,1,1,1' is not a pentagon
-    for text, k in [("1,,1,1,1,1", 2), ("1,1,1,1,1,", 6), (",1,1,1,1,1", 1), ("1, ,1,1,1,1", 2)]:
-        with pytest.raises(LinkageError, match=f"length {k} is empty"):
+    # an empty token is refused, not dropped: '1,,1,1,1,1' is not a pentagon.
+    # It is refused before any token is parsed, and of several the first is
+    # named
+    for text, k in [
+        ("1,,1,1,1,1", 2),
+        ("1,1,1,1,1,", 6),
+        (",1,1,1,1,1", 1),
+        ("1, ,1,1,1,1", 2),
+        ("x,,1,1,1", 2),
+        ("1,," + "9" * 501, 2),
+        ("1,,1,,1", 2),
+        ("-1,,0,,1/0", 2),
+    ]:
+        with pytest.raises(LinkageError) as raised:
             parse_lengths(text)
+        assert str(raised.value) == f"length {k} is empty"
     # a token is at most 500 characters, and exponent notation is refused
     assert _values(parse_lengths("1," + "9" * 500)) == [1, 10**500 - 1]
     with pytest.raises(LinkageError, match="over 500 characters"):

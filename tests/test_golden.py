@@ -12,16 +12,17 @@ table.  The `classify --format json` digests were taken again when the
 report gained `component_count`, the one line by which each document
 changed.  The n=8 `complex` digests, `OCTAGON_DIGESTS`, were taken at
 commit 77c9f5c for `1,1,1,1,1,1,1,2` and at a4e3730 for `5,9,3,12,7,1,4,2`;
-each n=8 case is a slow input, run by `python -m pytest -m slow`.  Any
-change to the surgery, the complex or the writers that moves a byte fails
-here.
+each n=8 case is a slow input, run by `python -m pytest -m slow`, as is
+the sweep of every integer pentagon with lengths 1-5 and other spellings,
+`SWEEP_DIGEST`, taken at commit a423fad.  Any change to the surgery, the
+complex, the writers or the length grammar that moves a byte fails here.
 """
 
 import contextlib
 import functools
 import hashlib
 import io
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -175,3 +176,53 @@ def test_complex_output_of_every_pentagon_chamber_is_byte_identical():
         assert complex_to_json(complex_from_json(text)) == text, linkage.spec()
         digest.update(text.encode())
     assert digest.hexdigest() == CHAMBERS_COMPLEX_DIGEST
+
+
+def _sweep_requests():
+    """The argv of every request `test_cli_bytes_of_the_pentagon_sweep` hashes:
+    each spec below in the six `PENTAGON_REQUESTS` forms.  The specs are every
+    integer pentagon with lengths 1-5, generic or not; those with lengths 1-3
+    spelt with leading zeros, as spaced '+x.0' decimals and over 3; every
+    pentagon with one or two `eps` lengths and the rest 1 or 2, at two
+    `--epsilon` values; and a few refused specs and epsilons."""
+    specs = [[",".join(map(str, l))] for l in product(range(1, 6), repeat=5)]
+    for lengths in product(range(1, 4), repeat=5):
+        specs += [
+            [",".join(f"0{l}" for l in lengths)],
+            [",".join(f" +{l}.0 " for l in lengths)],
+            [",".join(f"{l}/3" for l in lengths)],
+        ]
+    for count in (1, 2):
+        for where in combinations(range(5), count):
+            for rest in product(("1", "2"), repeat=5 - count):
+                it = iter(rest)
+                spec = ",".join("eps" if k in where else next(it) for k in range(5))
+                specs += [[spec, "--epsilon", e] for e in ("1/3", "0.01")]
+    specs += [
+        [s]
+        for s in (
+            "x,,1,1,1", "1,,1,1,1", "1,1,1,1,", "1,x,1,1,1", "1,1,1,1", "1,1,1,1,1,1",
+            "-1,1,1,1,1", "1,1,1,1,0", "1/0,1,1,1,1", "1,1,1,1,4", "1,1,1,1,2", "1,1,1,1,1e3",
+            "1,1,1,1,１", "1,1,1,1," + "9" * 501, "1,1,1,eps,eps,eps",
+        )
+    ]
+    specs += [["1,1,1,eps,2", "--epsilon", e] for e in ("0", "-1", "1/2", "x", "1/0")]
+    return [[command, *spec, *options] for spec in specs for command, *options in PENTAGON_REQUESTS]
+
+
+#: One sha256 over the exit code, stdout and stderr of each request of
+#: `_sweep_requests`, in one process, so that most of them are memo hits,
+#: taken at commit a423fad.
+SWEEP_DIGEST = "35a2ea94b0cc1c1a9e8548affde6cc0df8446300c344e75dc6e5ba772033eed1"
+
+
+@pytest.mark.slow
+def test_cli_bytes_of_the_pentagon_sweep():
+    # 25,164 requests in about 2 s
+    digest = hashlib.sha256()
+    for argv in _sweep_requests():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST

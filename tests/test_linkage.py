@@ -268,12 +268,21 @@ def test_every_record_is_immutable(record):
         value.extra = 0
 
 
-#: the seven records of the command paths: each one's value, its fields and
-#: its repr, which for all but `Linkage` and `CWComplex` is a NamedTuple's
+#: the seven records of the command paths, by name, then by name and how it
+#: is made: each one's value, its fields and its repr, which for all but
+#: `Linkage` and `CWComplex` is a NamedTuple's.  An unsigned int token's
+#: `Ratio` and make_linkage's `Linkage` are made by `tuple.__new__`, not by
+#: the class
 CONTRACTS = {
     "Ratio": (lambda: parse_rational("6/4"), ("numerator", "denominator"), None),
+    "Ratio of an int token": (lambda: parse_rational("3"), ("numerator", "denominator"), None),
     "Linkage": (
         lambda: make_linkage([1, 1, 1, 1, 3]),
+        ("weights", "denominator", "short"),
+        "Linkage(lengths='1,1,1,1,3')",
+    ),
+    "Linkage of a parsed spec": (
+        lambda: make_linkage(parse_lengths("1,1,1,1,3")),
         ("weights", "denominator", "short"),
         "Linkage(lengths='1,1,1,1,3')",
     ),
@@ -308,9 +317,10 @@ CONTRACTS = {
 @pytest.mark.parametrize("record", CONTRACTS)
 def test_every_record_keeps_the_named_tuple_contract(record):
     make, fields, shown = CONTRACTS[record]
+    kind = record.split()[0]
     value = make()
     cls, values = type(value), tuple(value)
-    assert cls.__name__ == record and cls._fields == fields and len(values) == len(fields)
+    assert cls.__name__ == kind and cls._fields == fields and len(values) == len(fields)
     assert [getattr(value, f) for f in fields] == list(values)
     for made in (cls(*values), cls(**dict(zip(fields, values)))):
         assert type(made) is cls and made == value and hash(made) == hash(value)
@@ -330,7 +340,39 @@ def test_every_record_keeps_the_named_tuple_contract(record):
         value._replace(**{last: "x", "no_such_field": 1})
     assert str(raised.value) == "Got unexpected field names: ['no_such_field']"
     named = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
-    assert repr(value) == (shown or f"{record}({named})")
+    assert repr(value) == (shown or f"{kind}({named})")
+
+
+#: a length token of each form a spec takes: an int, a fraction, a decimal
+#: or `eps`
+_SPEC_TOKENS = st.one_of(
+    st.integers(1, 20).map(str),
+    st.builds("{}/{}".format, st.integers(1, 20), st.integers(1, 12)),
+    st.builds("{}.{}".format, st.integers(0, 9), st.integers(1, 99)),
+    st.just("eps"),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_SPEC_TOKENS, min_size=3, max_size=6),
+    st.sampled_from([DEFAULT_EPSILON, Ratio(1, 3)]),
+)
+@example(["1", "1", "1", "1", "3"], DEFAULT_EPSILON)
+@example(["1", "1", "eps", "eps", "1"], DEFAULT_EPSILON)
+@example(["3/2", "0.25", "1", "eps"], Ratio(1, 3))
+def test_the_short_table_is_the_admissibility_of_each_part(tokens, epsilon):
+    # make_linkage writes `short` from its integer subset sums; each entry
+    # is a bool, and the rational sums of the oracle agree on every part
+    try:
+        linkage = make_linkage(parse_lengths(",".join(tokens), epsilon))
+    except LinkageError:
+        assume(False)
+    assert len(linkage.short) == 1 << linkage.n and linkage.short[0] is True
+    for mask in range(1, 1 << linkage.n):
+        part = [i + 1 for i in range(linkage.n) if mask >> i & 1]
+        assert type(linkage.short[mask]) is bool
+        assert linkage.short[mask] == is_admissible_part(linkage, part), (tokens, part)
 
 
 def test_linkage_repr_leaves_out_the_short_table():
