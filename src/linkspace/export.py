@@ -18,7 +18,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate
 from operator import itemgetter
 
 from . import topology
@@ -271,21 +271,23 @@ def complex_from_json(text: str) -> CWComplex:
     is the int 1, `n` an int equal to the number of `lengths`, `lengths` a
     list of strings and `cells` a non-empty list of objects with `dim`,
     `label` and `boundary`), the complex of the lengths is compared with the
-    records as `complex_to_json` writes them: the cell count, then each
-    cell's dim, label and flat face indices, every dim and face index an int
-    (in Python, `true == 1.0 == 1`).  That complex is the header's when the
-    parsed `lengths` are its tokens, so each document is built once; it is
-    built anew only for no header, header lengths that raised ArityMismatch
-    or LinkageError, or other parsed `lengths` (json.loads keeps a repeated
-    key's last value).  So compact or re-indented JSON, or a length written
-    `2/2`, loads too.  Returns the built complex; no label is built.  Raises
-    ValueError on any other document, one nested too deeply to parse or one
-    holding an integer longer than the interpreter converts
-    (`sys.get_int_max_str_digits()`, 4,300 digits by default) included, in
-    the same words on every Python: text json cannot parse is 'not JSON', a
-    value other than an object is named by its JSON type, and a mismatch
-    names the first differing cell, with the record expected against the
-    one found.  A value quoted from the document is cut to 200 characters.
+    records as `complex_to_json` writes them: the cell count, then in one
+    pass each cell's dim, label and flat face indices, with the writer's
+    record built grade by grade as the pass reaches it; every dim and face
+    index must be an int (in Python, `true == 1.0 == 1`).  That complex is
+    the header's when the parsed `lengths` are its tokens, so each document
+    is built once; it is built anew only for no header, header lengths that
+    raised ArityMismatch or LinkageError, or other parsed `lengths`
+    (json.loads keeps a repeated key's last value).  So compact or
+    re-indented JSON, or a length written `2/2`, loads too.  Returns the
+    built complex; no label is built.  Raises ValueError on any other
+    document, one nested too deeply to parse or one holding an integer
+    longer than the interpreter converts (`sys.get_int_max_str_digits()`,
+    4,300 digits by default) included, in the same words on every Python:
+    text json cannot parse is 'not JSON', a value other than an object is
+    named by its JSON type, and a mismatch names the first differing cell,
+    with the record expected against the one found.  A value quoted from
+    the document is cut to 200 characters.
     """
     complex_ = None
     if (tokens := _header_tokens(text)) is not None:
@@ -341,29 +343,17 @@ def complex_from_json(text: str) -> CWComplex:
             f"document has {len(records)} cells, but the complex of lengths"
             f" {complex_.linkage.spec()} has {sum(complex_.f_vector())}"
         )
-    start, numbers = 0, []  # this grade's first flat index; the grade below's flat indices
-    for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
-        end = start + len(labels)
-        dims, texts, faces = got = [column[start:end] for column in found]
-        # whole columns compare in C, the faces as row lengths and one flat
-        # list of indices; only a mismatch walks the cells to name it
-        if (
-            [dims, texts] != [[d] * len(labels), list(labels)]
-            or {*map(type, faces)} != {list}
-            or list(map(len, faces)) != list(map(len, rows))
-            or (flat := list(chain.from_iterable(faces)))
-            != list(map(numbers.__getitem__, chain.from_iterable(rows)))
-            or {*map(type, dims), *map(type, flat)} != {int}
-        ):
-            want = [[d] * len(labels), list(labels), [[numbers[j] for j in row] for row in rows]]
-            k, record, expected = next(
-                (start + k, record, expected)
-                for k, (record, expected) in enumerate(zip(zip(*got), zip(*want)))
-                if record != expected or {type(record[0]), *map(type, record[2])} != {int}
-            )
+    grades = complex_.labels_by_dim
+    firsts = accumulate([0, 0, *map(len, grades)])  # grade d - 1's first flat index, 0 for d = 0
+    written = (
+        (d, label, [below + j for j in row])
+        for d, (labels, rows, below) in enumerate(zip(grades, complex_.boundary, firsts))
+        for label, row in zip(labels, rows)
+    )
+    for k, (record, expected) in enumerate(zip(zip(*found), written)):
+        if record != expected or {type(record[0]), *map(type, record[2])} != {int}:
             expected, record = [json.dumps(dict(zip(keys, r))) for r in (expected, record)]
             raise ValueError(f"cell {k}: expected {expected}, found {_quoted(record)}")
-        start, numbers = end, list(range(start, end))
     return complex_
 
 
