@@ -63,8 +63,9 @@ class CWComplex(_Record):
     (into labels_by_dim[d-1]) of cell i's codimension-1 faces, with an empty
     row for each vertex, and `edges` is boundary[1], the 1-skeleton.  Tuple
     equality compares the linkage, the labels and the rows.  As built, every
-    grade has cells, and every row above dim 0 lists two or more faces; the
-    JSON writer and `_restrict` rely on that shape.
+    grade has cells, every edge lists exactly two faces (its two vertices),
+    and every row above dim 1 two or more; the JSON writer and `_restrict`
+    rely on that shape.
     """
 
     __slots__ = ()
@@ -203,7 +204,7 @@ def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], .
     labels, boundary, columns = _table(n)
     is_short = _short_bytes(short)
     kept_labels, kept_boundary = [], []
-    index = None  # table index -> kept index in the grade below, if any was dropped
+    dropped = None  # the grade below's flags, if it dropped a cell
     for words, rows, parts in zip(labels, boundary, columns):
         # one byte per cell, 1 iff every part is short: the columns' flags,
         # read as big ints and AND-ed
@@ -212,12 +213,13 @@ def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], .
         ).to_bytes(len(words), "big")
         kept_labels.append(tuple(compress(words, flags)))
         kept_rows = compress(rows, flags)
-        if index is None:
+        if dropped is None:
             kept_boundary.append(tuple(kept_rows))
-        else:  # a row lists at least two faces, so itemgetter gives a tuple
+        else:  # a kept face's new index is the number of kept faces before it
+            index = list(accumulate(dropped, initial=0))
+            # a row lists at least two faces, so itemgetter gives a tuple
             kept_boundary.append(tuple([itemgetter(*row)(index) for row in kept_rows]))
-        # a kept cell's new index is the number of kept cells before it
-        index = None if len(kept_labels[-1]) == len(words) else list(accumulate(flags, initial=0))
+        dropped = None if len(kept_labels[-1]) == len(words) else flags
     return tuple(kept_labels), tuple(kept_boundary)
 
 

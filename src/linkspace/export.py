@@ -155,15 +155,17 @@ def _index_texts(count: int) -> list[str]:
 
 
 def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
-    """The pieces of `complex_to_json`'s document, in order: the header, each
-    grade's records, and the close.  `linkctl complex` writes them as they
-    come, and the loader compares them with a document in place, so neither
-    holds the writer's whole document.  Raises ValueError on a grade that
-    `build_complex` does not build (see `CWComplex`)."""
+    """The pieces of `complex_to_json`'s document, in order: the header, and
+    for each grade its first record's head and then its records, joined as
+    one string from a list of slots, and the close.  `linkctl complex` writes
+    them as they come, and the loader compares them with a document in
+    place, so neither holds the writer's whole document.  Raises ValueError
+    on a grade that `build_complex` does not build (see `CWComplex`)."""
     # Strings go out unescaped: no label or length can hold a character JSON
     # escapes.  Labels are digits, braces and commas; lengths are the
     # positive exact texts of `Linkage.spec`, digits and '/'.
-    join_faces = ",\n        ".join
+    between = ",\n        "  # between two faces of a boundary
+    opening = '",\n      "boundary": [\n        '  # after a label with faces
     yield (
         f'{{\n  "schema": 1,\n  "n": {complex_.linkage.n},\n  "lengths": '
         + _lengths_json(complex_.linkage.spec())
@@ -171,22 +173,32 @@ def complex_json_pieces(complex_: CWComplex) -> Iterator[str]:
     )
     below = start = 0  # the flat index of the grade below's first cell, and of this grade's
     for d, (labels, rows) in enumerate(zip(complex_.labels_by_dim, complex_.boundary)):
-        # the dimension picks the record form: a 0-cell has no faces, and
-        # any other cell two or more, for which itemgetter gives a tuple
-        if not rows or (any(rows) if d == 0 else min(map(len, rows)) < 2):
+        # the dimension picks the record form: a 0-cell has no faces, a 1-cell
+        # two, and any other cell two or more, for which itemgetter gives a tuple
+        sizes = {*map(len, rows)}
+        if not rows or (sizes != {2 * d} if d < 2 else min(sizes) < 2):
             raise ValueError(f"the {d}-cells are not a grade that build_complex builds")
         head = f'    {{\n      "dim": {d},\n      "label": "'
+        close = "\n      ]\n    }" if d else '",\n      "boundary": []\n    }'
+        after = close + ",\n" + head  # between two records
         yield (",\n" if d else "\n") + head
-        if d == 0:
-            records, close = labels, '",\n      "boundary": []\n    }'
-        else:
-            numbers = _index_texts(start)[below:start]  # the grade below's, as text
-            faces = [join_faces(itemgetter(*row)(numbers)) for row in rows]
-            records = map('",\n      "boundary": [\n        '.join, zip(labels, faces))
-            close = "\n      ]\n    }"
-        # between two records: the first one's close and the next one's head
-        yield (close + ",\n" + head).join(records)
-        yield close
+        # the grade is one list with a slot per piece of each record, filled
+        # column by column by extended-slice assignment and joined once
+        numbers = _index_texts(start)[below:start]  # the grade below's, as text
+        if d == 0:  # label, after
+            pieces = [None, after] * len(rows)
+            pieces[0::2] = labels
+        elif d == 1:  # label, opening, face, between, face, after
+            pieces = [None, opening, None, between, None, after] * len(rows)
+            pieces[0::6] = labels
+            pieces[2::6] = map(numbers.__getitem__, map(itemgetter(0), rows))
+            pieces[4::6] = map(numbers.__getitem__, map(itemgetter(1), rows))
+        else:  # label, opening, faces, after
+            pieces = [None, opening, None, after] * len(rows)
+            pieces[0::4] = labels
+            pieces[2::4] = [between.join(itemgetter(*row)(numbers)) for row in rows]
+        pieces[-1] = close  # the last record's
+        yield "".join(pieces)
         below, start = start, start + len(labels)
     yield "\n  ]\n}\n"
 
@@ -201,13 +213,17 @@ def complex_to_json(complex_: CWComplex) -> str:
     one form in which it stores a cell, and are written as they are.  The
     rest is joined at C level.  A flat index is turned into text once per
     process (`_index_texts`), so a later document of the same process
-    formats no index already written.  Each boundary row's texts are read
-    by one `itemgetter` call and joined, and each grade is one `str.join`
-    of its records, with the text between two records as its separator.
+    formats no index already written.  Each grade is one list with a slot
+    per piece of each record (its label, its faces' text and the fixed text
+    around them), filled a column at a time by extended-slice assignment and
+    joined once, so no record becomes a string of its own.  An edge's two
+    faces are two columns of texts read at C level, so no Python code runs
+    per edge; a higher cell's face texts are read by one `itemgetter` call
+    and joined into its faces' slot.
     The record form follows from the dimension, so no Python code runs per
     face; a grade not shaped as `build_complex` builds it raises ValueError.
-    At its peak the writer holds the grades' strings and the document, and
-    no list of every record.  Tests pin the bytes against a json.dumps
+    At its peak the writer holds the grades' strings, one grade's list of
+    slots and the document.  Tests pin the bytes against a json.dumps
     writer, and bound the peak in a fresh process.
     """
     return "".join(complex_json_pieces(complex_))

@@ -809,14 +809,29 @@ def _one_face_on_an_edge(labels, boundary):
     boundary[1] = ((11,), *boundary[1][1:])
 
 
+def _three_faces_on_an_edge(labels, boundary):
+    boundary[1] = ((0, 1, 11), *boundary[1][1:])
+
+
 @pytest.mark.parametrize(
     "edit, d",
-    [(_empty_top_grade, 2), (_a_face_on_a_vertex, 0), (_one_face_on_an_edge, 1)],
-    ids=["a grade with no cells", "a 0-cell with a face", "a 1-cell with one face"],
+    [
+        (_empty_top_grade, 2),
+        (_a_face_on_a_vertex, 0),
+        (_one_face_on_an_edge, 1),
+        (_three_faces_on_an_edge, 1),
+    ],
+    ids=[
+        "a grade with no cells",
+        "a 0-cell with a face",
+        "a 1-cell with one face",
+        "a 1-cell with three faces",
+    ],
 )
 def test_json_refuses_a_grade_that_build_complex_does_not_build(edit, d):
-    # the record form follows from the dimension: unguarded, the one-face
-    # row (11,) would be written as the join of the text "11", 1,\n 1
+    # the record form follows from the dimension: unguarded, a one-face row
+    # (11,) above dim 1 would be written as the join of the text "11",
+    # 1,\n 1, and an edge's record is read from its first two faces alone
     linkage = make_linkage([1, 1, 1, 1, 1])
     built = build_complex(linkage)
     labels, boundary = list(built.labels_by_dim), list(built.boundary)
@@ -824,3 +839,17 @@ def test_json_refuses_a_grade_that_build_complex_does_not_build(edit, d):
     message = f"^the {d}-cells are not a grade that build_complex builds$"
     with pytest.raises(ValueError, match=message):
         complex_to_json(CWComplex(linkage, tuple(labels), tuple(boundary)))
+
+
+def test_a_grade_of_one_edge_is_written_as_json_dumps_writes_it():
+    # itemgetter of one index gives that item, not a tuple of one: the edge
+    # grade's face columns must not be read that way.  The edge's vertices,
+    # 10 and 20, have two-digit texts, so such a read cannot pass unseen.
+    built = build_complex(make_linkage([1, 1, 1, 1, 1]))
+    one_edge = CWComplex(
+        built.linkage,
+        (built.labels_by_dim[0], built.labels_by_dim[1][20:21]),
+        (built.boundary[0], built.boundary[1][20:21]),
+    )
+    assert one_edge.edges == ((10, 20),)
+    assert complex_to_json(one_edge) == reference_complex_to_json(one_edge)

@@ -307,7 +307,7 @@ def octagon_document(tmp_path_factory):
 @pytest.mark.slow
 def test_the_n8_document_is_written_in_a_fresh_process_under_70_mb(octagon_document):
     # the writer holds the label text, the boundary rows and one grade's
-    # text at a time, as it streams the grades: 50 to 56 MB on Python
+    # text at a time, as it streams the grades: 49 to 56 MB on Python
     # 3.10-3.13, where a writer that joins the whole document took 69 to
     # 72 MB
     path, (code, peak) = octagon_document
@@ -318,8 +318,8 @@ def test_the_n8_document_is_written_in_a_fresh_process_under_70_mb(octagon_docum
 @pytest.mark.slow
 def test_the_n8_document_is_checked_in_a_fresh_process_under_100_mb(octagon_document):
     # the loader builds the complex of the document's lengths and compares
-    # the writer's pieces with the document in place, parsing no JSON: 62 to
-    # 68 MB on Python 3.10-3.13 (on 3.11, 86 MB for the joined text and
+    # the writer's pieces with the document in place, parsing no JSON: 61 to
+    # 66 MB on Python 3.10-3.13 (on 3.11, 86 MB for the joined text and
     # 109 MB for json.loads)
     path, _ = octagon_document
     code, peak = _measured_python(f"check of complex {OCTAGON}", LINKSPACE_MAIN, "check", str(path))
