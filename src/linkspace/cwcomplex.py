@@ -198,19 +198,18 @@ def _table(n: int) -> tuple[tuple[tuple[str, ...], ...], tuple, tuple[Columns, .
 def _restrict(n: int, short: tuple[bool, ...]) -> tuple[tuple[tuple[str, ...], ...], tuple]:
     """The label text of the cells of `_table(n)` whose every part is short,
     and their boundary rows renumbered into the kept cells of the grade
-    below.  Text and rows are cut by one flag per cell, each grade's column
-    in one C-level `compress` pass, into tuples that the record keeps
-    without a copy."""
+    below.  Text and rows are cut by one flag per cell (`_kept`), each
+    grade's column in one C-level `compress` pass, into tuples that the
+    record keeps without a copy.  Until a grade below drops a cell, a
+    grade's rows are the table's own row tuples cut by its flags, which the
+    JSON writer finds equal to the table's cut and writes from the table's
+    faces text."""
     labels, boundary, columns = _table(n)
     is_short = _short_bytes(short)
     kept_labels, kept_boundary = [], []
     dropped = None  # the grade below's flags, if it dropped a cell
     for words, rows, parts in zip(labels, boundary, columns):
-        # one byte per cell, 1 iff every part is short: the columns' flags,
-        # read as big ints and AND-ed
-        flags = reduce(
-            and_, [int.from_bytes(column.translate(is_short), "big") for column in parts]
-        ).to_bytes(len(words), "big")
+        flags = _kept(is_short, parts)
         kept_labels.append(tuple(compress(words, flags)))
         kept_rows = compress(rows, flags)
         if dropped is None:
@@ -253,6 +252,15 @@ def count_cells(linkage: Linkage) -> tuple[int, ...]:
 def _short_bytes(short: tuple[bool, ...]) -> bytes:
     """`short` as a `bytes.translate` table: mask -> 1 if short, else 0."""
     return bytes(short).ljust(256, b"\0")
+
+
+def _kept(is_short: bytes, parts: Columns) -> bytes:
+    """One byte per cell of a grade given by its part columns, 1 iff every
+    part is short (`is_short`, from `_short_bytes`): the columns' flags, read
+    as big ints and AND-ed.  `_restrict` cuts the table by them, and the
+    JSON writer cuts the table's faces text by them."""
+    flags = reduce(and_, [int.from_bytes(column.translate(is_short), "big") for column in parts])
+    return flags.to_bytes(len(parts[0]), "big")
 
 
 def _wire(is_short: bytes, faces: Columns, cofaces: Columns) -> tuple[tuple[int, ...], ...]:

@@ -271,11 +271,12 @@ def test_complex_json_writer_holds_about_two_copies_of_the_document():
     assert peak <= 2.5 * len(text), (peak, len(text))
 
 
-#: prints the writer's `tracemalloc` peak for the `3,5,7,2,9,4,1` document,
-#: as a multiple of its length, in a process that has formatted no index text
+#: prints the writer's `tracemalloc` peak for the document of the lengths in
+#: its argv, as a multiple of its length, in a process that has formatted no
+#: index text
 WRITER_PEAK = """from linkspace import export
 import tracemalloc
-complex_ = export.build_complex(export.make_linkage([3, 5, 7, 2, 9, 4, 1]))
+complex_ = export.build_complex(export.make_linkage(export.parse_lengths(sys.argv[1])))
 assert export._index_text == []
 tracemalloc.start()
 text = export.complex_to_json(complex_)
@@ -285,10 +286,21 @@ print(tracemalloc.get_traced_memory()[1] / len(text))
 
 def test_complex_json_writer_holds_about_two_copies_in_a_fresh_process():
     # the first write of a process also formats its index texts, so it
-    # peaks above a later one
-    proc = _fresh_python(WRITER_PEAK)
+    # peaks above a later one.  This heptagon drops edges, so no grade
+    # reuses the table's faces text
+    proc = _fresh_python(WRITER_PEAK, "3,5,7,2,9,4,1")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert float(proc.stdout) <= 2.5, proc.stdout
+
+
+def test_the_first_write_of_a_heptagon_that_keeps_every_edge_prints_its_peak():
+    # its 2-cells are written from the table's faces text, which the first
+    # write of n = 7 formats and keeps: 2.62 to 2.70 copies of the document
+    # on Python 3.10-3.13, where writing its own rows took 2.34 to 2.40.
+    # Printed, with no bound
+    proc = _fresh_python(WRITER_PEAK, "11,6,10,3,1,10,4")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    print(f"first write of 11,6,10,3,1,10,4: {float(proc.stdout):.2f} copies of the document")
 
 
 #: the first n=8 vector, whose document is 15,824,766 bytes
@@ -343,6 +355,22 @@ def test_the_n8_document_with_its_first_length_written_2_2_is_checked(octagon_do
 
 
 @pytest.mark.slow
+def test_the_n8_document_re_indented_is_checked_in_a_fresh_process_under_110_mb(
+    octagon_document, tmp_path
+):
+    # the validator parses the 22.5 MB copy, reads its three columns and
+    # drops the parsed objects before the build: 93.7 to 100.5 MB on Python
+    # 3.10-3.13, where holding them through the build took 108.4 to 113.9
+    # MB.  The bound leaves 9.5 MB, about 10%, above the highest reading
+    path, _ = octagon_document
+    copy = tmp_path / "indent4.json"
+    copy.write_text(LAYOUTS["indent=4"](json.loads(path.read_text())))
+    name = f"check of complex {OCTAGON}, re-indented with indent=4"
+    code, peak = _measured_python(name, LINKSPACE_MAIN, "check", str(copy))
+    assert code == 0 and peak <= 110
+
+
+@pytest.mark.slow
 def test_the_n8_document_comes_back_through_the_loader_and_the_writer(octagon_document, tmp_path):
     path, back = octagon_document[0], tmp_path / "back.json"
     load_and_write = (
@@ -365,8 +393,11 @@ for spec in sys.argv[1:]:
 
 def test_the_writers_bytes_do_not_depend_on_what_the_process_wrote_before():
     # each index text is formatted once per process and read by every later
-    # document: here grown for the heptagon first, or for the pentagon first
-    specs = ["3,5,7,2,9,4,1", "1,1,1,1,1"]
+    # document: here grown for a heptagon first, or for the pentagon first.
+    # The heptagon 11,6,10,3,1,10,4 keeps every edge, so its 2-cells are cut
+    # from the table's faces text; 3,5,7,2,9,4,1 drops edges and writes its
+    # own rows, before or after the table's text is formatted
+    specs = ["3,5,7,2,9,4,1", "11,6,10,3,1,10,4", "1,1,1,1,1"]
     want = {
         spec: reference_complex_to_json(build_complex(make_linkage(parse_lengths(spec))))
         for spec in specs
@@ -375,6 +406,39 @@ def test_the_writers_bytes_do_not_depend_on_what_the_process_wrote_before():
         proc = _fresh_python(WRITE_IN_TURN, *order)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "".join(map(want.__getitem__, order))
+
+
+def _every_edge_kept():
+    """The complex of a heptagon that keeps every edge, whose 2-cells are
+    written from the table's faces text."""
+    complex_ = build_complex(make_linkage([11, 6, 10, 3, 1, 10, 4]))
+    assert export._cut_faces(complex_, 2) is not None
+    return complex_
+
+
+def test_a_table_numbered_grade_with_a_changed_row_is_written_from_its_rows():
+    # grade 2 keeps the table's numbering, but one row is not the table's
+    complex_ = _every_edge_kept()
+    rows = list(complex_.boundary[2])
+    rows[0] = (*rows[0][:-1], rows[0][-1] + 1)
+    assert rows[0][-1] < len(complex_.edges)
+    changed = complex_._replace(boundary=(*complex_.boundary[:2], tuple(rows), *complex_.boundary[3:]))
+    assert complex_to_json(changed) == reference_complex_to_json(changed)
+
+
+def test_a_grade_above_a_shortened_grade_is_written_from_its_rows():
+    # grade 0 loses its last vertex, which each edge at it trades for the one
+    # before; grade 2's rows are still the table's, but its faces' flat
+    # indices are one lower than the table's
+    complex_ = _every_edge_kept()
+    (vertices, *labels), (points, edges, *rows) = complex_.labels_by_dim, complex_.boundary
+    last = len(vertices) - 1
+    edges = tuple(tuple(min(j, last - 1) for j in edge) for edge in edges)
+    shortened = complex_._replace(
+        labels_by_dim=(vertices[:last], *labels), boundary=(points[:last], edges, *rows)
+    )
+    assert shortened.boundary[2] == complex_.boundary[2]
+    assert complex_to_json(shortened) == reference_complex_to_json(shortened)
 
 
 def test_the_index_texts_grow_by_rebinding_a_longer_copy(monkeypatch):
